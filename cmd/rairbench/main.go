@@ -231,12 +231,20 @@ func scalingProbe(w, h, workers, cycles int) scalingPoint {
 
 // scalingSweep runs the full worker × mesh grid of the -scaling probe:
 // 32×32 (1024 routers), 64×32 (2048) and 64×64 (4096), each at every
-// worker count, printing the curve as it accumulates.
+// worker count, printing the curve as it accumulates. A worker count above
+// the cores the process may use would measure goroutines time-slicing, not
+// the engine, so it is reported as invalid and yields no point.
 func scalingSweep(workerList []int, cycles int) []scalingPoint {
+	cores := min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	var pts []scalingPoint
 	fmt.Printf("%-8s %8s %8s %14s %22s\n", "mesh", "routers", "workers", "cycles/s", "barrier ns/cycle")
 	for _, m := range [][2]int{{32, 32}, {64, 32}, {64, 64}} {
 		for _, w := range workerList {
+			if w > cores {
+				fmt.Printf("%-8s %8d %8d   invalid: workers > cores (%d)\n",
+					fmt.Sprintf("%dx%d", m[0], m[1]), m[0]*m[1], w, cores)
+				continue
+			}
 			pt := scalingProbe(m[0], m[1], w, cycles)
 			pts = append(pts, pt)
 			fmt.Printf("%-8s %8d %8d %14.0f %22.1f\n",
@@ -507,7 +515,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	scaling := flag.Bool("scaling", false, "run only the engine-scaling probe (worker sweep over 1k/2k/4k-router meshes); with -json, append the curve to the history file")
-	scalingWorkers := flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling (0 = serial engine)")
+	scalingWorkers := flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling (0 = serial engine); counts above min(NumCPU, GOMAXPROCS) are skipped as invalid")
 	faultSpec := flag.String("faults", "", "run only the fault-injection smoke scenario with this spec, e.g. drop=0.001,corrupt=0.001,stall=0.0002 (implies -check-invariants)")
 	checkInv := flag.Bool("check-invariants", false, "run only the invariant-checked probe scenario (no experiments); combine with -faults for the fault smoke")
 	emitManifest := flag.String("emit-manifest", "", "write a rairsweep manifest covering the known experiments (honors -quick, -experiment, -manifest-seeds) to this path and exit")
@@ -595,7 +603,7 @@ func main() {
 			os.Exit(2)
 		}
 		pts := scalingSweep(workerList, *cycles)
-		if *jsonPath != "" {
+		if *jsonPath != "" && len(pts) > 0 {
 			entry := benchEntry{
 				Date:        time.Now().UTC().Format(time.RFC3339),
 				Quick:       *quick,

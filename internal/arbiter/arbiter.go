@@ -57,12 +57,14 @@ type Prioritized struct {
 	n, ptr int
 }
 
-// NewPrioritized returns a priority arbiter over n requestors.
-func NewPrioritized(n int) *Prioritized {
+// NewPrioritized returns a priority arbiter over n requestors, by value: the
+// router embeds its arbiters and carves them from slabs rather than chasing
+// one heap object per contention point.
+func NewPrioritized(n int) Prioritized {
 	if n < 1 {
 		panic("arbiter: need at least one requestor")
 	}
-	return &Prioritized{n: n}
+	return Prioritized{n: n}
 }
 
 // Grant returns the index of a requesting input with maximal prio, ties

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"rair/internal/core"
@@ -67,5 +68,42 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state tick allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// heapPerRouter builds an edge×edge quadrant mesh and returns the heap bytes
+// network.New retains per router (routers, NIs, links, stores, bindings).
+func heapPerRouter(edge int) float64 {
+	regions := region.Quadrants(topology.NewMesh(edge, edge))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := New(Params{
+		Router:  router.DefaultConfig(1),
+		Regions: regions,
+		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
+		Sel:     routing.LocalSelector{},
+		Policy:  core.NewFactory(core.Config{}),
+	})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(regions.Mesh().N())
+}
+
+// TestPerRouterFootprint is the guard against per-router state that grows
+// with the mesh (the per-destination route cache cost 48 B × N per router:
+// 48 KB each at 32×32). A router's share of the built network — about 14 KB
+// with the default single-class configuration — must be the same at 32×32 as
+// at 8×8 and stay under an absolute budget.
+func TestPerRouterFootprint(t *testing.T) {
+	small, large := heapPerRouter(8), heapPerRouter(32)
+	t.Logf("heap per router: %.0f B at 8x8, %.0f B at 32x32", small, large)
+	if large > 1.15*small {
+		t.Errorf("heap per router grows with the mesh: %.0f B at 32x32 vs %.0f B at 8x8 (limit 1.15x)", large, small)
+	}
+	const budget = 16 << 10
+	if large > budget {
+		t.Errorf("heap per router at 32x32 is %.0f B, budget %d B", large, budget)
 	}
 }

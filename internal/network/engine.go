@@ -114,7 +114,7 @@ type shard struct {
 // Network so that worker goroutines (which capture the engine) never keep an
 // abandoned Network alive; the Network's finalizer can then stop them.
 type engine struct {
-	mesh    *topology.Mesh
+	part    partition
 	routers []*router.Router
 	shards  []*shard
 	now     int64
@@ -140,18 +140,51 @@ type engine struct {
 	stop sync.Once
 }
 
-// newEngine partitions nodes into max(1, workers) contiguous shards (capped
-// at the node count) and starts one persistent worker per shard beyond the
-// first.
-func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, workers int, soas []*router.SoA) *engine {
-	n := mesh.N()
-	s := shardCount(n, workers)
-	e := &engine{mesh: mesh, routers: routers, shards: make([]*shard, s), neigh: mesh.Neighbor}
+// partition is the split of n nodes into s contiguous shards, shard i owning
+// nodes [i*n/s, (i+1)*n/s). network.New computes it once and hands it to the
+// engine, so the stores, the routers' slots in them and the shards cannot
+// disagree about a boundary.
+type partition struct{ n, s int }
+
+// newPartition splits n nodes into max(1, workers) shards, capped at the
+// node count.
+func newPartition(n, workers int) partition {
+	s := workers
+	if s < 1 {
+		s = 1
+	}
+	if s > n {
+		s = n
+	}
+	return partition{n: n, s: s}
+}
+
+// bounds returns shard i's node range [lo, hi).
+func (p partition) bounds(i int) (lo, hi int) { return i * p.n / p.s, (i + 1) * p.n / p.s }
+
+// of returns the index of the shard owning node id.
+func (p partition) of(id int) int {
+	i := id * p.s / p.n
+	// Integer partition boundaries don't invert exactly; walk the (at most
+	// one-off) error out.
+	for i > 0 && id < i*p.n/p.s {
+		i--
+	}
+	for i < p.s-1 && id >= (i+1)*p.n/p.s {
+		i++
+	}
+	return i
+}
+
+// newEngine builds one shard per range of part over the given stores and
+// starts one persistent worker per shard beyond the first.
+func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, part partition, soas []*router.SoA) *engine {
+	e := &engine{part: part, routers: routers, shards: make([]*shard, part.s), neigh: mesh.Neighbor}
 	for i := range e.shards {
-		lo, hi := i*n/s, (i+1)*n/s
+		lo, hi := part.bounds(i)
 		e.shards[i] = &shard{idx: i, routers: routers[lo:hi], nis: nis[lo:hi], soa: soas[i], lo: lo}
 	}
-	if s > 1 {
+	if s := part.s; s > 1 {
 		e.cmd = make([]chan enginePhase, s-1)
 		e.done = make(chan struct{}, s-1)
 		for i := range e.cmd {
@@ -160,19 +193,6 @@ func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, 
 		}
 	}
 	return e
-}
-
-// shardCount returns the number of shards a mesh of n nodes is split into
-// for the requested worker count (the partition itself is i*n/s slices).
-func shardCount(n, workers int) int {
-	s := workers
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
-	}
-	return s
 }
 
 // finalize sizes the dirty-wire bitmaps now that every binding exists,
@@ -207,21 +227,8 @@ func (e *engine) finalize() {
 	}
 }
 
-// shardOf returns the shard owning node id (the inverse of the partition in
-// newEngine).
-func (e *engine) shardOf(id int) *shard {
-	s, n := len(e.shards), e.mesh.N()
-	i := id * s / n
-	// Integer partition boundaries don't invert exactly; walk the (at most
-	// one-off) error out.
-	for i > 0 && id < i*n/s {
-		i--
-	}
-	for i < s-1 && id >= (i+1)*n/s {
-		i++
-	}
-	return e.shards[i]
-}
+// shardOf returns the shard owning node id.
+func (e *engine) shardOf(id int) *shard { return e.shards[e.part.of(id)] }
 
 func (e *engine) worker(cmd chan enginePhase, sh *shard) {
 	for ph := range cmd {

@@ -104,35 +104,41 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineShardPartition: every node maps to exactly one shard and shardOf
-// inverts the partition for awkward mesh/worker combinations.
+// TestEngineShardPartition: the shard ranges tile the nodes in order with no
+// gap or overlap, of inverts bounds for every node, and the engine's shards
+// are exactly those ranges — including node counts the shard count does not
+// divide, where the boundaries are uneven.
 func TestEngineShardPartition(t *testing.T) {
-	for _, tc := range []struct{ nodes, workers int }{
-		{16, 1}, {16, 2}, {16, 3}, {16, 5}, {16, 16}, {16, 64}, {9, 2}, {64, 7},
+	for _, tc := range []struct{ nodes, workers, shards int }{
+		{16, 1, 1}, {16, 2, 2}, {16, 3, 3}, {16, 5, 5}, {16, 16, 16}, {16, 64, 16},
+		{9, 2, 2}, {64, 7, 7}, {15, 4, 4}, {1024, 3, 3}, {7, 0, 1},
 	} {
-		mesh := topology.NewMesh(tc.nodes, 1)
-		e := newEngine(mesh, make([]*router.Router, tc.nodes), make([]*router.NI, tc.nodes), tc.workers,
-			make([]*router.SoA, shardCount(tc.nodes, tc.workers)))
-		total := 0
-		for _, sh := range e.shards {
-			total += len(sh.routers)
+		part := newPartition(tc.nodes, tc.workers)
+		if part.s != tc.shards {
+			t.Fatalf("nodes=%d workers=%d: %d shards, want %d", tc.nodes, tc.workers, part.s, tc.shards)
 		}
-		if total != tc.nodes {
-			t.Fatalf("nodes=%d workers=%d: shards cover %d nodes", tc.nodes, tc.workers, total)
-		}
-		for id := 0; id < tc.nodes; id++ {
-			sh := e.shardOf(id)
-			found := false
-			lo := 0
-			for _, cand := range e.shards {
-				hi := lo + len(cand.routers)
-				if cand == sh {
-					found = id >= lo && id < hi
-				}
-				lo = hi
+		next := 0
+		for i := 0; i < part.s; i++ {
+			lo, hi := part.bounds(i)
+			if lo != next || hi <= lo {
+				t.Fatalf("nodes=%d workers=%d: shard %d is [%d,%d), previous ended at %d", tc.nodes, tc.workers, i, lo, hi, next)
 			}
-			if !found {
-				t.Fatalf("nodes=%d workers=%d: shardOf(%d) returned wrong shard", tc.nodes, tc.workers, id)
+			for id := lo; id < hi; id++ {
+				if got := part.of(id); got != i {
+					t.Fatalf("nodes=%d workers=%d: of(%d) = %d, want %d", tc.nodes, tc.workers, id, got, i)
+				}
+			}
+			next = hi
+		}
+		if next != tc.nodes {
+			t.Fatalf("nodes=%d workers=%d: shards cover %d nodes", tc.nodes, tc.workers, next)
+		}
+		e := newEngine(topology.NewMesh(tc.nodes, 1), make([]*router.Router, tc.nodes), make([]*router.NI, tc.nodes),
+			part, make([]*router.SoA, part.s))
+		for i, sh := range e.shards {
+			lo, hi := part.bounds(i)
+			if sh.lo != lo || len(sh.routers) != hi-lo || len(sh.nis) != hi-lo || e.shardOf(lo) != sh {
+				t.Fatalf("nodes=%d workers=%d: engine shard %d does not match the partition", tc.nodes, tc.workers, i)
 			}
 		}
 		e.close()

@@ -184,26 +184,22 @@ func New(p Params) *Network {
 	}
 	// One dense state store per shard: routers and NIs are built as views
 	// into their shard's store (struct-of-arrays slabs + work mirrors).
-	nshards := shardCount(mesh.N(), p.Workers)
-	soas := make([]*router.SoA, nshards)
+	part := newPartition(mesh.N(), p.Workers)
+	soas := make([]*router.SoA, part.s)
 	for i := range soas {
-		lo, hi := i*mesh.N()/nshards, (i+1)*mesh.N()/nshards
+		lo, hi := part.bounds(i)
 		soas[i] = router.NewSoA(p.Router, hi-lo)
-	}
-	for id := 0; id < mesh.N(); id++ {
-		app := p.Regions.AppAt(id)
-		si := id * nshards / mesh.N()
-		for si > 0 && id < si*mesh.N()/nshards {
-			si--
-		}
-		for si < nshards-1 && id >= (si+1)*mesh.N()/nshards {
-			si++
-		}
-		li := id - si*mesh.N()/nshards
-		n.routers[id] = router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy(id, app), soas[si], li)
-		if n.tel != nil {
-			n.probes[id] = n.tel.ProbeFor(id, app)
-			n.routers[id].SetTelemetry(n.probes[id])
+		for id := lo; id < hi; id++ {
+			app := p.Regions.AppAt(id)
+			n.routers[id] = router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy(id, app), soas[i], id-lo)
+			if n.cong {
+				// Congestion travels at most one mesh edge along a dimension.
+				n.routers[id].EnableCongestion(max(mesh.W, mesh.H) - 1)
+			}
+			if n.tel != nil {
+				n.probes[id] = n.tel.ProbeFor(id, app)
+				n.routers[id].SetTelemetry(n.probes[id])
+			}
 		}
 	}
 	if p.Faults != nil && p.Faults.Enabled() {
@@ -218,7 +214,7 @@ func New(p Params) *Network {
 			}
 		}
 	}
-	n.eng = newEngine(mesh, n.routers, n.nis, p.Workers, soas)
+	n.eng = newEngine(mesh, n.routers, n.nis, part, soas)
 	n.eng.faults = n.faults
 	if cs := p.Chiplets; cs != nil {
 		// Clip the congestion relay at tile edges: those links don't exist.
@@ -257,14 +253,13 @@ func New(p Params) *Network {
 		ej := router.NewLink(p.Router.LinkLatency)
 		n.links = append(n.links, inj, ej)
 		var onEject func(*msg.Packet, int64)
+		sh := n.eng.shardOf(id)
 		if p.OnEject != nil || p.Recycle != nil || p.Chiplets != nil {
-			sh := n.eng.shardOf(id)
 			onEject = func(pkt *msg.Packet, now int64) {
 				sh.ejections = append(sh.ejections, ejection{pkt, now})
 			}
 		}
-		ni := router.NewNIInStore(p.Router, id, p.Regions, inj, ej, onEject,
-			n.eng.shardOf(id).soa, id-n.eng.shardOf(id).lo)
+		ni := router.NewNIInStore(p.Router, id, p.Regions, inj, ej, onEject, sh.soa, id-sh.lo)
 		if n.tel != nil {
 			ni.SetTelemetry(n.probes[id])
 		}
@@ -289,7 +284,6 @@ func New(p Params) *Network {
 		)
 		r.ConnectIn(topology.Local, inj)
 		r.ConnectOut(topology.Local, ej)
-		sh := n.eng.shardOf(id)
 		// Injection link: flits flow NI -> router, credits router -> NI.
 		sh.rFlit = append(sh.rFlit, routerFlitBinding{link: inj, r: r, dir: topology.Local})
 		sh.nCred = append(sh.nCred, niCreditBinding{link: inj, ni: ni})

@@ -79,9 +79,24 @@ func (r *Router) STPending() int { return r.stPending }
 // AuditMasks recomputes every incrementally-maintained occupancy bitmask
 // and stage counter from the authoritative per-VC state (the slow reference
 // scan the masks replaced) and reports each discrepancy through fn. A clean
-// datapath reports nothing. Read-only; called between tick barriers by the
-// invariant checker.
+// datapath reports nothing. The store's first router also audits the shard's
+// arbitration scratch, which every Tick must leave all-clear for the next
+// router. Read-only; called between tick barriers by the invariant checker.
 func (r *Router) AuditMasks(fn func(desc string)) {
+	if s := r.soa; r.li == 0 {
+		left := 0
+		for _, row := range [][]bool{s.vaReq, s.saReq, s.saOutReq[:]} {
+			for _, req := range row {
+				left += b2i(req)
+			}
+		}
+		for _, n := range s.vaReqN {
+			left += b2i(n != 0)
+		}
+		if left != 0 {
+			fn(fmt.Sprintf("shard scratch: %d VA/SA request entries left standing after a tick", left))
+		}
+	}
 	var rcN, vaN, activeN, stN int
 	var saPortsRef uint8
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {

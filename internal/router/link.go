@@ -51,15 +51,9 @@ func (w wakeMark) set() {
 // NewLink returns a link with the given downstream flit latency.
 func NewLink(latency int) *Link {
 	l := &Link{}
-	InitLink(l, latency)
-	return l
-}
-
-// InitLink initializes a zero Link in place with the given downstream flit
-// latency; the network uses it to carve links out of a contiguous slab.
-func InitLink(l *Link, latency int) {
 	l.flits.Init(latency)
 	l.credits.Init(1)
+	return l
 }
 
 // SetFlitWake attaches the dirty-bitmap mark set by SendFlit (nil word

@@ -23,14 +23,6 @@ type fastStream struct {
 	outDir topology.Dir
 }
 
-// routeEntry is one cached route: the algorithm's candidate directions for
-// a destination and the single deadlock-free escape direction.
-type routeEntry struct {
-	dirs [4]topology.Dir
-	n    uint8
-	esc  topology.Dir
-}
-
 // dpaPolicy is the optional policy facet exposing the DPA priority state;
 // telemetry uses it to count transitions without widening policy.Policy.
 type dpaPolicy interface {
@@ -45,7 +37,7 @@ type Router struct {
 	cfg     Config
 	node    int
 	app     int
-	mesh    *topology.Mesh
+	at      topology.Coord // the node's mesh coordinate (route computation)
 	regions *region.Map
 	alg     routing.Algorithm
 	sel     routing.Selector
@@ -53,7 +45,8 @@ type Router struct {
 
 	// soa is the shard-owned dense store this router is a view into; li
 	// its local index there. The ports below point into the store's
-	// slabs, and the occupancy/work registers live in its flat arrays.
+	// slabs, the occupancy/work registers live in its flat arrays, and
+	// the VA/SA request rows are its shard-wide scratch.
 	soa *SoA
 	li  int
 
@@ -70,28 +63,13 @@ type Router struct {
 	// multiplies three config fields on every call).
 	nvc int
 
-	vaArb    []*arbiter.Prioritized // per global output VC index
-	saInArb  [topology.NumDirs]*arbiter.Prioritized
-	saOutArb [topology.NumDirs]*arbiter.Prioritized
-
-	// VA scratch state, reused every cycle.
-	vaReq     [][]bool
-	vaPrio    [][]int
-	vaTouched []int
-	dirBuf    []topology.Dir
-
-	// SA scratch state.
-	saReq    []bool
-	saPrio   []int
-	saOutVC  [topology.NumDirs]*inputVC // SA_in winner per input port
-	saOutReq [topology.NumDirs][topology.NumDirs]bool
-	saOutPri [topology.NumDirs][topology.NumDirs]int
-
-	// Per-output-VC request count and (when single) the lone requestor,
-	// letting VA_out bypass the wide arbiter scan in the common
-	// uncontended case.
-	vaReqN   []int
-	vaSingle []int
+	// The arbiters' round-robin pointers are the only arbitration state
+	// that outlives a tick. vaArb (per global output VC index) is carved
+	// from the store's slab; saOutVC is the SA_in winner per input port.
+	vaArb    []arbiter.Prioritized
+	saInArb  [topology.NumDirs]arbiter.Prioritized
+	saOutArb [topology.NumDirs]arbiter.Prioritized
+	saOutVC  [topology.NumDirs]*inputVC
 
 	// stList holds the output ports with an occupied ST register, so ST
 	// only visits ports with a flit to send.
@@ -142,14 +120,6 @@ type Router struct {
 	// vcKind caches cfg.KindOf for every VC index (hot in VA_in).
 	vcKind []policy.VCClass
 
-	// routes caches the routing algorithm's per-destination outputs
-	// (candidate directions and escape direction), which are pure
-	// functions of (node, dst). Entries fill lazily on first use —
-	// restricted algorithms like LBDR reject destinations they cannot
-	// route, so only destinations actually seen are ever computed.
-	// n == 0 marks an unfilled entry (a legal route has ≥ 1 candidate).
-	routes []routeEntry
-
 	// classWindow[c] masks the VC indices of message class c; escapeMask,
 	// globalMask and regionalMask partition the VC indices by kind. All
 	// pre-compute the VA_in search windows: the free-VC choice is then a
@@ -197,7 +167,7 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 		panic(err)
 	}
 	r := &Router{
-		cfg: cfg, node: node, app: app, mesh: mesh, regions: regions,
+		cfg: cfg, node: node, app: app, at: mesh.Coord(node), regions: regions,
 		alg: alg, sel: sel, pol: pol, soa: soa, li: li,
 	}
 	if t, ok := pol.(policy.Tabular); ok {
@@ -206,19 +176,7 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 	v := cfg.VCsPerPort()
 	r.nvc = v
 	nOut := int(topology.NumDirs) * v
-	nIn := int(topology.NumDirs) * v
-	r.vaArb = make([]*arbiter.Prioritized, nOut)
-	r.vaReq = make([][]bool, nOut)
-	r.vaPrio = make([][]int, nOut)
-	for i := range r.vaArb {
-		r.vaArb[i] = arbiter.NewPrioritized(nIn)
-		r.vaReq[i] = make([]bool, nIn)
-		r.vaPrio[i] = make([]int, nIn)
-	}
-	r.saReq = make([]bool, v)
-	r.saPrio = make([]int, v)
-	r.vaReqN = make([]int, nOut)
-	r.vaSingle = make([]int, nOut)
+	r.vaArb = soa.vaArb[li*nOut : (li+1)*nOut : (li+1)*nOut]
 	r.stList = make([]topology.Dir, 0, topology.NumDirs)
 	r.vcKind = make([]policy.VCClass, v)
 	for i := range r.vcKind {
@@ -238,21 +196,23 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 		r.classWindow[c] = allVCs(cfg.VCsPerClass()) << uint(base)
 	}
 	r.allMask = allVCs(v)
-	r.routes = make([]routeEntry, mesh.N())
-	rowLen := mesh.W
-	if mesh.H > rowLen {
-		rowLen = mesh.H
-	}
-	rowLen--
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		r.in[d] = &soa.Ins[li*int(topology.NumDirs)+int(d)]
 		r.out[d] = &soa.Outs[li*int(topology.NumDirs)+int(d)]
 		r.saInArb[d] = arbiter.NewPrioritized(v)
 		r.saOutArb[d] = arbiter.NewPrioritized(int(topology.NumDirs))
-		r.cong[d] = make([]int, rowLen)
-		r.congNext[d] = make([]int, rowLen)
 	}
 	return r
+}
+
+// EnableCongestion allocates the DBAR congestion tables, hops entries per
+// cardinal direction. The network calls it only when propagation runs;
+// otherwise the rows stay empty and PathOccupancy reads zero.
+func (r *Router) EnableCongestion(hops int) {
+	for d := topology.North; d < topology.NumDirs; d++ {
+		r.cong[d] = make([]int, hops)
+		r.congNext[d] = make([]int, hops)
+	}
 }
 
 // Node returns the router's node id.
@@ -740,7 +700,7 @@ func (r *Router) switchAllocation() {
 	if r.saPorts == 0 {
 		return
 	}
-	v := r.nvc
+	s := r.soa
 	// fastOK tracks whether this cycle's outcome was forced — no choice
 	// made by an arbiter anywhere, no ST register still held from last
 	// cycle — so replaying it is trivially deterministic. Only then may
@@ -758,7 +718,7 @@ func (r *Router) switchAllocation() {
 	// here per candidate; a held register means the last send was pinned
 	// by a faulty link, so the branch is almost never taken. Ports with a
 	// single surviving candidate skip priority computation and the
-	// arbiter scan (the outcome cannot depend on either). r.saReq stays
+	// arbiter scan (the outcome cannot depend on either). s.saReq stays
 	// all-false between ports: only the multi-candidate branch sets
 	// entries, and it clears them after use.
 	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
@@ -794,10 +754,10 @@ func (r *Router) switchAllocation() {
 			fastOK = false
 			for c := elig; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros64(c)
-				r.saReq[i] = true
-				r.saPrio[i] = r.saPriority(in.vcs[i].owner)
+				s.saReq[i] = true
+				s.saPrio[i] = r.saPriority(in.vcs[i].owner)
 			}
-			w := r.saInArb[d].Grant(r.saReq[:v], r.saPrio[:v])
+			w := r.saInArb[d].Grant(s.saReq, s.saPrio)
 			if w != arbiter.None {
 				r.saOutVC[d] = &in.vcs[w]
 				nomMask |= 1 << uint(d)
@@ -822,9 +782,7 @@ func (r *Router) switchAllocation() {
 					}
 				}
 			}
-			for c := elig; c != 0; c &= c - 1 {
-				r.saReq[bits.TrailingZeros64(c)] = false
-			}
+			clear(s.saReq)
 		}
 	}
 	// SA_out: arbitrate nominated VCs per output port. Only output ports
@@ -863,15 +821,15 @@ func (r *Router) switchAllocation() {
 		fastOK = false
 		for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
 			req := nomMask>>uint(id2)&1 == 1 && r.saOutVC[id2].outPort == od
-			r.saOutReq[od][id2] = req
+			s.saOutReq[id2] = req
 			if req {
-				r.saOutPri[od][id2] = r.saPriority(r.saOutVC[id2].owner)
+				s.saOutPri[id2] = r.saPriority(r.saOutVC[id2].owner)
 			}
 		}
-		w := r.saOutArb[od].Grant(r.saOutReq[od][:], r.saOutPri[od][:])
+		w := r.saOutArb[od].Grant(s.saOutReq[:], s.saOutPri[:])
 		if r.tel != nil {
 			for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
-				if !r.saOutReq[od][id2] {
+				if !s.saOutReq[id2] {
 					continue
 				}
 				native := r.regions.Native(r.node, r.saOutVC[id2].owner.App)
@@ -885,15 +843,15 @@ func (r *Router) switchAllocation() {
 		if r.attr && w >= 0 {
 			winner := r.saOutVC[w].owner
 			for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
-				if r.saOutReq[od][id2] && int(id2) != w && r.saOutVC[id2].headPending {
+				if s.saOutReq[id2] && int(id2) != w && r.saOutVC[id2].headPending {
 					r.chargeLoss(r.saOutVC[id2].owner, winner)
 				}
 			}
 		}
-		if w == arbiter.None {
-			continue
+		s.saOutReq = [topology.NumDirs]bool{}
+		if w != arbiter.None {
+			r.transfer(topology.Dir(w), r.saOutVC[w])
 		}
-		r.transfer(topology.Dir(w), r.saOutVC[w])
 	}
 	// Arm the fast path when this cycle's outcome was forced end to end:
 	// no ST held over, every port had a single candidate, nothing
@@ -1006,7 +964,9 @@ func (r *Router) vcAllocation() {
 		return
 	}
 	v := r.nvc
-	r.vaTouched = r.vaTouched[:0]
+	nIn := int(topology.NumDirs) * v // row stride of the request matrices
+	s := r.soa
+	touched := s.vaTouched[:0]
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		in := r.in[d]
 		for m := in.vaMask; m != 0; m &= m - 1 {
@@ -1016,28 +976,29 @@ func (r *Router) vcAllocation() {
 				continue
 			}
 			inGlobal := int(d)*v + vc.idx
-			if r.vaReqN[outGlobal] == 0 {
-				r.vaTouched = append(r.vaTouched, outGlobal)
+			if s.vaReqN[outGlobal] == 0 {
+				touched = append(touched, outGlobal)
 			}
-			r.vaReqN[outGlobal]++
-			r.vaSingle[outGlobal] = inGlobal
-			r.vaReq[outGlobal][inGlobal] = true
-			r.vaPrio[outGlobal][inGlobal] = r.vaPriority(vc.owner, cls)
+			s.vaReqN[outGlobal]++
+			s.vaSingle[outGlobal] = inGlobal
+			s.vaReq[outGlobal*nIn+inGlobal] = true
+			s.vaPrio[outGlobal*nIn+inGlobal] = r.vaPriority(vc.owner, cls)
 		}
 	}
-	for _, og := range r.vaTouched {
-		if r.vaReqN[og] == 1 {
+	for _, og := range touched {
+		reqs := s.vaReq[og*nIn : (og+1)*nIn]
+		if s.vaReqN[og] == 1 {
 			// Uncontended output VC: grant directly, clearing only the
 			// one filed request instead of rescanning the whole row.
-			w := r.vaArb[og].GrantSingle(r.vaSingle[og])
-			r.vaReq[og][w] = false
-			r.vaReqN[og] = 0
+			w := r.vaArb[og].GrantSingle(s.vaSingle[og])
+			reqs[w] = false
+			s.vaReqN[og] = 0
 			r.allocate(og, w)
 			continue
 		}
-		w := r.vaArb[og].Grant(r.vaReq[og], r.vaPrio[og])
+		w := r.vaArb[og].Grant(reqs, s.vaPrio[og*nIn:(og+1)*nIn])
 		if r.tel != nil {
-			for i, req := range r.vaReq[og] {
+			for i, req := range reqs {
 				if req && i != w {
 					lost := &r.in[topology.Dir(i/v)].vcs[i%v]
 					r.tel.VADeny(r.regions.Native(r.node, lost.owner.App))
@@ -1050,7 +1011,7 @@ func (r *Router) vcAllocation() {
 			// the winner's region class.
 			escape := r.vcKind[og%v] == policy.VCEscape
 			winner := r.in[topology.Dir(w/v)].vcs[w%v].owner
-			for i, req := range r.vaReq[og] {
+			for i, req := range reqs {
 				if !req || i == w {
 					continue
 				}
@@ -1065,10 +1026,8 @@ func (r *Router) vcAllocation() {
 		if w != arbiter.None {
 			r.allocate(og, w)
 		}
-		for i := range r.vaReq[og] {
-			r.vaReq[og][i] = false
-		}
-		r.vaReqN[og] = 0
+		clear(reqs)
+		s.vaReqN[og] = 0
 	}
 }
 
@@ -1079,24 +1038,16 @@ func (r *Router) vcAllocation() {
 // the global output VC index requested (or -1) and its class.
 func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	pkt := vc.owner
-	re := &r.routes[pkt.Dst]
-	if re.n == 0 {
-		r.dirBuf = r.alg.Candidates(r.node, pkt.Dst, r.dirBuf[:0])
-		if len(r.dirBuf) > len(re.dirs) {
-			panic(fmt.Sprintf("router: %d route candidates exceed the cache width", len(r.dirBuf)))
-		}
-		re.n = uint8(copy(re.dirs[:], r.dirBuf))
-		re.esc = r.alg.EscapeDir(r.node, pkt.Dst)
-	}
-	escDir := re.esc
+	rt := r.alg.Route(r.at, pkt.Dst)
 	var port topology.Dir
 	switch {
-	case re.n == 1:
-		port = re.dirs[0]
+	case rt.N == 1:
+		port = rt.First
 	case vc.vaAttempts%2 == 1:
-		port = escDir
+		port = rt.Esc
 	default:
-		port = r.sel.Select(r.node, pkt.Dst, re.dirs[:re.n], r)
+		r.soa.dirBuf = [2]topology.Dir{rt.First, rt.Second}
+		port = r.sel.Select(r.node, pkt.Dst, r.soa.dirBuf[:rt.N], r)
 	}
 	vc.vaAttempts++
 	out := r.out[port]
@@ -1114,7 +1065,7 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	// preference tier is one mask intersection, lowest index first (the
 	// same VC the old per-candidate minimum scan chose).
 	free := out.freeMask & r.classWindow[pkt.Class]
-	if port != escDir {
+	if port != rt.Esc {
 		free &^= r.escapeMask
 	}
 	if free == 0 {

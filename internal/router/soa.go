@@ -3,6 +3,7 @@ package router
 import (
 	"math/bits"
 
+	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/sim"
 	"rair/internal/topology"
@@ -50,6 +51,30 @@ type SoA struct {
 	inVCs   []inputVC
 	outVCs  []outputVC
 	flitBuf []msg.Flit
+
+	// vaArb holds every router's VA_out arbiters (round-robin pointers
+	// persist across ticks), NumDirs×VCs per router.
+	vaArb []arbiter.Prioritized
+
+	// Arbitration scratch, one copy for the whole shard: the engine ticks a
+	// shard's routers one at a time and Router.Tick leaves every request
+	// row all-clear (AuditMasks checks), so the rows stay cache-resident
+	// instead of costing each router ~7 KB of its own. vaReq/vaPrio are
+	// [output VC][input VC] matrices flattened with stride NumDirs×VCs;
+	// vaReqN counts the requests filed per output VC and vaSingle names
+	// the lone requestor when that is 1 (VA_out then skips the arbiter
+	// scan); vaTouched lists the output VCs requested this tick. dirBuf
+	// carries a route's candidates to the selection function (a stack
+	// array would escape through the interface call). saReq/saPrio are one
+	// input port's SA_in rows, saOutReq/saOutPri the SA_out rows of the
+	// output port under arbitration.
+	vaReq, saReq     []bool
+	vaPrio, saPrio   []int
+	vaReqN, vaSingle []int
+	vaTouched        []int
+	dirBuf           [2]topology.Dir
+	saOutReq         [topology.NumDirs]bool
+	saOutPri         [topology.NumDirs]int
 }
 
 // NewSoA returns a store for n routers/NIs sharing one configuration.
@@ -74,6 +99,17 @@ func NewSoA(cfg Config, n int) *SoA {
 		inVCs:      make([]inputVC, n*nd*v),
 		outVCs:     make([]outputVC, n*nd*v),
 		flitBuf:    make([]msg.Flit, n*nd*v*cfg.Depth),
+		vaArb:      make([]arbiter.Prioritized, n*nd*v),
+		vaReq:      make([]bool, nd*v*nd*v),
+		vaPrio:     make([]int, nd*v*nd*v),
+		vaReqN:     make([]int, nd*v),
+		vaSingle:   make([]int, nd*v),
+		vaTouched:  make([]int, 0, nd*v),
+		saReq:      make([]bool, v),
+		saPrio:     make([]int, v),
+	}
+	for i := range s.vaArb {
+		s.vaArb[i] = arbiter.NewPrioritized(nd * v)
 	}
 	for li := 0; li < n; li++ {
 		for d := 0; d < nd; d++ {

@@ -53,26 +53,15 @@ func (l LBDR) Supports(src, dst int) bool {
 // Name implements Algorithm.
 func (LBDR) Name() string { return "LBDR" }
 
-// Candidates implements Algorithm: minimal directions within the region.
-// Regions are rectangular, so every minimal path between two region nodes
-// stays inside it. Routing a packet LBDR cannot support is a configuration
-// error and panics — restricted techniques must filter traffic at the
-// source (see Supports).
-func (l LBDR) Candidates(cur, dst int, out []topology.Dir) []topology.Dir {
-	if !l.Supports(cur, dst) {
-		panic(fmt.Sprintf("routing: LBDR cannot route inter-region packet %d->%d", cur, dst))
-	}
+// Route implements Algorithm: minimal directions within the region, XY
+// escape. Regions are rectangular, so every minimal path between two region
+// nodes stays inside it. Routing a packet LBDR cannot support is a
+// configuration error and panics — restricted techniques must filter traffic
+// at the source (see Supports).
+func (l LBDR) Route(cur topology.Coord, dst int) Route {
 	mesh := l.regions.Mesh()
-	if cur == dst {
-		return append(out, topology.Local)
+	if src := mesh.ID(cur); !l.Supports(src, dst) {
+		panic(fmt.Sprintf("routing: LBDR cannot route inter-region packet %d->%d", src, dst))
 	}
-	return mesh.MinimalDirs(cur, dst, out)
-}
-
-// EscapeDir implements Algorithm (XY within the region).
-func (l LBDR) EscapeDir(cur, dst int) topology.Dir {
-	if !l.Supports(cur, dst) {
-		panic(fmt.Sprintf("routing: LBDR cannot route inter-region packet %d->%d", cur, dst))
-	}
-	return l.regions.Mesh().XYDir(cur, dst)
+	return minimal(mesh, cur, dst)
 }

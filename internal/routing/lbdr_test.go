@@ -69,7 +69,7 @@ func TestLBDRStaysInRegion(t *testing.T) {
 		if !l.Supports(cur, dst) {
 			return true
 		}
-		for _, d := range l.Candidates(cur, dst, nil) {
+		for _, d := range candidates(l, mesh, cur, dst) {
 			if d == topology.Local {
 				continue
 			}
@@ -97,7 +97,7 @@ func TestLBDRPanicsOnGlobalTraffic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Candidates(0, 63, nil)
+	l.Route(mesh.Coord(0), 63)
 }
 
 func TestWestFirstRules(t *testing.T) {
@@ -109,17 +109,17 @@ func TestWestFirstRules(t *testing.T) {
 	// Destination to the south-west: must go west first, only west.
 	src := mesh.ID(topology.Coord{X: 5, Y: 2})
 	dst := mesh.ID(topology.Coord{X: 2, Y: 6})
-	dirs := a.Candidates(src, dst, nil)
+	dirs := candidates(a, mesh, src, dst)
 	if len(dirs) != 1 || dirs[0] != topology.West {
 		t.Fatalf("west-first candidates %v", dirs)
 	}
 	// Destination east: fully adaptive among minimal dirs.
 	dst2 := mesh.ID(topology.Coord{X: 7, Y: 6})
-	dirs = a.Candidates(src, dst2, nil)
+	dirs = candidates(a, mesh, src, dst2)
 	if len(dirs) != 2 {
 		t.Fatalf("eastward candidates %v", dirs)
 	}
-	if d := a.Candidates(5, 5, nil); d[0] != topology.Local {
+	if d := candidates(a, mesh, 5, 5); d[0] != topology.Local {
 		t.Fatal("self route")
 	}
 }
@@ -134,7 +134,7 @@ func TestWestFirstNeverTurnsBackWest(t *testing.T) {
 		if cur == dst {
 			return true
 		}
-		dirs := a.Candidates(cur, dst, nil)
+		dirs := candidates(a, mesh, cur, dst)
 		hasWest := false
 		for _, dir := range dirs {
 			if dir == topology.West {
@@ -147,7 +147,7 @@ func TestWestFirstNeverTurnsBackWest(t *testing.T) {
 			return false
 		}
 		// Escape dir must be one of the candidates.
-		esc := a.EscapeDir(cur, dst)
+		esc := a.Route(mesh.Coord(cur), dst).Esc
 		for _, dir := range dirs {
 			if dir == esc {
 				return true

@@ -12,22 +12,56 @@
 package routing
 
 import (
+	"math/bits"
+
 	"rair/internal/region"
 	"rair/internal/topology"
 )
+
+// Route is an algorithm's answer for one (router, destination) pair: the N
+// productive output directions in preference order (First, then Second when
+// N is 2; the X dimension first, Local alone when the packet has arrived),
+// and Esc, the single deadlock-free (dimension-ordered) direction — escape
+// VCs may only be requested on it. Every algorithm here is a pure function of
+// two coordinates and the region bits, so routers recompute it per packet
+// instead of caching it per destination; scalar fields keep it in registers.
+type Route struct {
+	First, Second topology.Dir
+	N             int
+	Esc           topology.Dir
+}
 
 // Algorithm produces the candidate output directions for a packet.
 type Algorithm interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// Candidates appends the productive output directions for a packet
-	// at cur heading to dst and returns the extended slice. For
-	// cur == dst it appends Local.
-	Candidates(cur, dst int, out []topology.Dir) []topology.Dir
-	// EscapeDir returns the single deadlock-free (dimension-ordered)
-	// direction from cur toward dst; escape VCs may only be requested on
-	// this direction. Local when cur == dst.
-	EscapeDir(cur, dst int) topology.Dir
+	// Route returns the route to node dst for a packet at the router with
+	// coordinate cur (a router caches its own; dst's is derived per call).
+	Route(cur topology.Coord, dst int) Route
+}
+
+// minimalRoutes tabulates minimal adaptive routing — every productive
+// direction, X before Y, with the XY escape (always the first candidate) —
+// over all it depends on in a mesh: the signs (sx, sy) of the offset to the
+// destination, indexed 3*(sx+1) + (sy+1). A lookup keeps the per-packet route
+// free of data-dependent branches, which destinations make unpredictable.
+var minimalRoutes = [9]Route{
+	{topology.West, topology.North, 2, topology.West},
+	{topology.West, 0, 1, topology.West},
+	{topology.West, topology.South, 2, topology.West},
+	{topology.North, 0, 1, topology.North},
+	{topology.Local, 0, 1, topology.Local},
+	{topology.South, 0, 1, topology.South},
+	{topology.East, topology.North, 2, topology.East},
+	{topology.East, 0, 1, topology.East},
+	{topology.East, topology.South, 2, topology.East},
+}
+
+// minimal returns the minimal adaptive route from cur to dst on m.
+func minimal(m *topology.Mesh, cur topology.Coord, dst int) Route {
+	sign := func(d int) int { return d>>(bits.UintSize-1) | int(uint(-d)>>(bits.UintSize-1)) }
+	cd := m.Coord(dst)
+	return minimalRoutes[3*sign(cd.X-cur.X)+sign(cd.Y-cur.Y)+4]
 }
 
 // XY is deterministic dimension-ordered routing: the only candidate is the
@@ -39,13 +73,12 @@ type XY struct {
 // Name implements Algorithm.
 func (XY) Name() string { return "XY" }
 
-// Candidates implements Algorithm.
-func (a XY) Candidates(cur, dst int, out []topology.Dir) []topology.Dir {
-	return append(out, a.Mesh.XYDir(cur, dst))
+// Route implements Algorithm.
+func (a XY) Route(cur topology.Coord, dst int) Route {
+	rt := minimal(a.Mesh, cur, dst)
+	rt.N = 1
+	return rt
 }
-
-// EscapeDir implements Algorithm.
-func (a XY) EscapeDir(cur, dst int) topology.Dir { return a.Mesh.XYDir(cur, dst) }
 
 // MinimalAdaptive offers every productive direction (at most two in a mesh)
 // and relies on an escape VC network routed XY for deadlock freedom, per
@@ -57,16 +90,10 @@ type MinimalAdaptive struct {
 // Name implements Algorithm.
 func (MinimalAdaptive) Name() string { return "MinAdaptive" }
 
-// Candidates implements Algorithm.
-func (a MinimalAdaptive) Candidates(cur, dst int, out []topology.Dir) []topology.Dir {
-	if cur == dst {
-		return append(out, topology.Local)
-	}
-	return a.Mesh.MinimalDirs(cur, dst, out)
+// Route implements Algorithm.
+func (a MinimalAdaptive) Route(cur topology.Coord, dst int) Route {
+	return minimal(a.Mesh, cur, dst)
 }
-
-// EscapeDir implements Algorithm.
-func (a MinimalAdaptive) EscapeDir(cur, dst int) topology.Dir { return a.Mesh.XYDir(cur, dst) }
 
 // CongestionView is the congestion information a router exposes to its
 // selection function.
@@ -200,11 +227,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

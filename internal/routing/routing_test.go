@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -24,20 +25,26 @@ func (v fakeView) PathOccupancy(d topology.Dir, hops int) int {
 	return sum
 }
 
+// candidates unpacks an algorithm's candidate list for a packet at node cur.
+func candidates(a Algorithm, m *topology.Mesh, cur, dst int) []topology.Dir {
+	rt := a.Route(m.Coord(cur), dst)
+	return []topology.Dir{rt.First, rt.Second}[:rt.N]
+}
+
 func TestXYAlgorithm(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	a := XY{Mesh: m}
 	if a.Name() != "XY" {
 		t.Fatal("name")
 	}
-	dirs := a.Candidates(0, 63, nil)
+	dirs := candidates(a, m, 0, 63)
 	if len(dirs) != 1 || dirs[0] != topology.East {
 		t.Fatalf("XY candidates = %v", dirs)
 	}
-	if a.EscapeDir(0, 63) != topology.East {
+	if a.Route(m.Coord(0), 63).Esc != topology.East {
 		t.Fatal("escape dir")
 	}
-	if d := a.Candidates(5, 5, nil); d[0] != topology.Local {
+	if d := candidates(a, m, 5, 5); d[0] != topology.Local {
 		t.Fatal("self route must be Local")
 	}
 }
@@ -46,7 +53,7 @@ func TestMinimalAdaptiveCandidates(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	a := MinimalAdaptive{Mesh: m}
 	// 0 -> 63 needs East and South.
-	dirs := a.Candidates(0, 63, nil)
+	dirs := candidates(a, m, 0, 63)
 	if len(dirs) != 2 {
 		t.Fatalf("candidates = %v", dirs)
 	}
@@ -58,10 +65,10 @@ func TestMinimalAdaptiveCandidates(t *testing.T) {
 		t.Fatalf("candidates = %v", dirs)
 	}
 	// Same row: only one candidate.
-	if dirs := a.Candidates(0, 7, nil); len(dirs) != 1 || dirs[0] != topology.East {
+	if dirs := candidates(a, m, 0, 7); len(dirs) != 1 || dirs[0] != topology.East {
 		t.Fatalf("row candidates = %v", dirs)
 	}
-	if dirs := a.Candidates(9, 9, nil); len(dirs) != 1 || dirs[0] != topology.Local {
+	if dirs := candidates(a, m, 9, 9); len(dirs) != 1 || dirs[0] != topology.Local {
 		t.Fatalf("self candidates = %v", dirs)
 	}
 }
@@ -74,10 +81,10 @@ func TestEscapeDirAlwaysMinimal(t *testing.T) {
 	if err := quick.Check(func(s, d uint8) bool {
 		cur, dst := int(s)%64, int(d)%64
 		if cur == dst {
-			return a.EscapeDir(cur, dst) == topology.Local
+			return a.Route(m.Coord(cur), dst).Esc == topology.Local
 		}
-		esc := a.EscapeDir(cur, dst)
-		for _, dir := range a.Candidates(cur, dst, nil) {
+		esc := a.Route(m.Coord(cur), dst).Esc
+		for _, dir := range candidates(a, m, cur, dst) {
 			if dir == esc {
 				return true
 			}
@@ -192,5 +199,60 @@ func TestDBARSingleCandidate(t *testing.T) {
 	}
 	if s.Name() != "DBAR" {
 		t.Fatal("name")
+	}
+}
+
+// refRoute is the Candidates + EscapeDir pair Route replaced, kept verbatim
+// (on topology.MinimalDirs / XYDir, which Route does not use) as the
+// reference the one-call form must reproduce: same candidates in the same
+// order, same escape direction.
+func refRoute(name string, m *topology.Mesh, cur, dst int) ([]topology.Dir, topology.Dir) {
+	esc := m.XYDir(cur, dst)
+	switch {
+	case name == "XY":
+		return []topology.Dir{esc}, esc
+	case cur == dst:
+		return []topology.Dir{topology.Local}, esc
+	case name == "WestFirst" && m.Coord(dst).X < m.Coord(cur).X:
+		return []topology.Dir{topology.West}, esc
+	}
+	return m.MinimalDirs(cur, dst, nil), esc
+}
+
+// TestRouteMatchesCandidatesAndEscapeDir: for every (cur, dst) pair on a
+// square and a non-square mesh, every algorithm's Route equals the old
+// two-call answer, and LBDR still refuses exactly the pairs it cannot route.
+func TestRouteMatchesCandidatesAndEscapeDir(t *testing.T) {
+	for _, m := range []*topology.Mesh{topology.NewMesh(8, 8), topology.NewMesh(5, 3)} {
+		regs := region.Halves(m)
+		lbdr, err := NewLBDR(regs, []int{0, m.N() - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs := []Algorithm{XY{Mesh: m}, MinimalAdaptive{Mesh: m}, WestFirst{Mesh: m}, lbdr}
+		for _, a := range algs {
+			for cur := 0; cur < m.N(); cur++ {
+				for dst := 0; dst < m.N(); dst++ {
+					if a.Name() == "LBDR" && !lbdr.Supports(cur, dst) {
+						func() {
+							defer func() {
+								if recover() == nil {
+									t.Errorf("%dx%d LBDR routed unroutable %d->%d", m.W, m.H, cur, dst)
+								}
+							}()
+							a.Route(m.Coord(cur), dst)
+						}()
+						continue
+					}
+					wantDirs, wantEsc := refRoute(a.Name(), m, cur, dst)
+					rt := a.Route(m.Coord(cur), dst)
+					got := []topology.Dir{rt.First, rt.Second}[:rt.N]
+					if !reflect.DeepEqual(got, wantDirs) || rt.Esc != wantEsc {
+						t.Fatalf("%dx%d %s %d->%d: Route = %v esc %v, want %v esc %v",
+							m.W, m.H, a.Name(), cur, dst, got, rt.Esc, wantDirs, wantEsc)
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,20 +21,14 @@ type WestFirst struct {
 // Name implements Algorithm.
 func (WestFirst) Name() string { return "WestFirst" }
 
-// Candidates implements Algorithm.
-func (a WestFirst) Candidates(cur, dst int, out []topology.Dir) []topology.Dir {
-	if cur == dst {
-		return append(out, topology.Local)
+// Route implements Algorithm: westward traffic is fully deterministic (west
+// first), everything else routes minimally. XY routing never takes a
+// forbidden west-first turn (west hops happen before any north/south hop),
+// so the escape network is compatible with the turn model.
+func (a WestFirst) Route(cur topology.Coord, dst int) Route {
+	rt := minimal(a.Mesh, cur, dst)
+	if rt.First == topology.West {
+		rt.N = 1
 	}
-	cc, cd := a.Mesh.Coord(cur), a.Mesh.Coord(dst)
-	if cd.X < cc.X {
-		// Westward traffic is fully deterministic: west first.
-		return append(out, topology.West)
-	}
-	return a.Mesh.MinimalDirs(cur, dst, out)
+	return rt
 }
-
-// EscapeDir implements Algorithm. XY routing never takes a forbidden
-// west-first turn (west hops happen before any north/south hop), so the
-// escape network is compatible with the turn model.
-func (a WestFirst) EscapeDir(cur, dst int) topology.Dir { return a.Mesh.XYDir(cur, dst) }

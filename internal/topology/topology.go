@@ -67,9 +67,16 @@ func (c Coord) Add(d Dir) Coord {
 }
 
 // Mesh is a W×H 2D mesh. Node IDs are assigned in row-major order:
-// id = y*W + x.
+// id = y*W + x. Build one with NewMesh: Coord relies on the reciprocal it
+// precomputes.
 type Mesh struct {
 	W, H int
+
+	// recip is floor(2^32 / W) + 1: id*recip>>32 equals id/W for every id below
+	// 2^32/W, which NewMesh guarantees covers the whole mesh. Coord sits on
+	// the router's per-packet route computation, where a hardware divide
+	// would cost more than the rest of the routing decision.
+	recip uint64
 }
 
 // NewMesh returns a mesh of the given dimensions (each >= 1).
@@ -77,18 +84,30 @@ func NewMesh(w, h int) *Mesh {
 	if w < 1 || h < 1 {
 		panic("topology: mesh dimensions must be >= 1")
 	}
-	return &Mesh{W: w, H: h}
+	if uint64(w)*uint64(w)*uint64(h) >= 1<<32 {
+		panic("topology: mesh too large for the reciprocal row divide")
+	}
+	return &Mesh{W: w, H: h, recip: 1<<32/uint64(w) + 1}
 }
 
 // N reports the number of nodes.
 func (m *Mesh) N() int { return m.W * m.H }
 
-// Coord returns the coordinate of node id.
+// Coord returns the coordinate of node id (division-free, see recip).
 func (m *Mesh) Coord(id int) Coord {
-	if id < 0 || id >= m.N() {
-		panic(fmt.Sprintf("topology: node %d out of range", id))
+	if uint(id) >= uint(m.W*m.H) {
+		panic(nodeRangeError(id))
 	}
-	return Coord{X: id % m.W, Y: id / m.W}
+	y := int(uint64(id) * m.recip >> 32)
+	return Coord{X: id - y*m.W, Y: y}
+}
+
+// nodeRangeError is Coord's panic value; formatting it lazily keeps Coord
+// small enough to inline into the routing functions.
+type nodeRangeError int
+
+func (e nodeRangeError) Error() string {
+	return fmt.Sprintf("topology: node %d out of range", int(e))
 }
 
 // ID returns the node id at coordinate c.
