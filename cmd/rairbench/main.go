@@ -37,9 +37,9 @@ type benchResults struct {
 	History []benchEntry `json:"history"`
 }
 
-// benchEntry is one -json measurement: simulator speed (serial engine,
-// sharded engine across a worker sweep, and the lockstep batch runner) plus
-// the paper's headline APL reductions and per-experiment wall time.
+// benchEntry is one -json measurement: simulator speed (serial engine and
+// sharded engine across a worker sweep) plus the paper's headline APL
+// reductions and per-experiment wall time.
 type benchEntry struct {
 	Date       string  `json:"date"`
 	Quick      bool    `json:"quick"`
@@ -52,11 +52,6 @@ type benchEntry struct {
 	// paying barrier costs the serial engine doesn't) — it is expected to
 	// sit below cycles_per_s_serial, not a regression.
 	CyclesPerSSharded map[string]float64 `json:"cycles_per_s_sharded"`
-	// CyclesPerSBatched is the lockstep batch runner's aggregate speed:
-	// batch_width replications advanced in one pass, total simulated
-	// cycles across the batch per wall second.
-	CyclesPerSBatched float64 `json:"cycles_per_s_batched"`
-	BatchWidth        int     `json:"batch_width"`
 	// CyclesPerSMesh32 is the 32×32-mesh (1024-router) scaling probe;
 	// ProbeCycles the simulated-cycle budget every speed probe above ran
 	// with (the -cycles flag).
@@ -90,49 +85,18 @@ type scalingPoint struct {
 	BarrierHist []int64 `json:"barrier_hist,omitempty"`
 }
 
-// legacyBenchResults is the pre-history single-object schema (sharded speed
-// as one number at one worker count); appendBenchEntry migrates it.
-type legacyBenchResults struct {
-	Date              string             `json:"date"`
-	Quick             bool               `json:"quick"`
-	Seed              uint64             `json:"seed"`
-	GOMAXPROCS        int                `json:"gomaxprocs"`
-	CyclesPerS        float64            `json:"cycles_per_s_serial"`
-	CyclesPerSSharded float64            `json:"cycles_per_s_sharded"`
-	ShardWorkers      int                `json:"shard_workers"`
-	HeadlineReduction map[string]float64 `json:"fig14_avg_apl_reduction_vs_RO_RR"`
-	Experiments       []experimentTiming `json:"experiments"`
-}
-
 type experimentTiming struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
 }
 
-// appendBenchEntry loads the results file at path (accepting both the
-// history schema and the legacy single-object schema, which it migrates to
-// history[0]), appends entry, and writes the file back.
+// appendBenchEntry loads the history file at path (if any), appends entry,
+// and writes the file back.
 func appendBenchEntry(path string, entry benchEntry) error {
 	var res benchResults
 	if buf, err := os.ReadFile(path); err == nil {
 		if jerr := json.Unmarshal(buf, &res); jerr != nil || res.History == nil {
-			var legacy legacyBenchResults
-			if jerr := json.Unmarshal(buf, &legacy); jerr == nil && legacy.Date != "" {
-				res.History = []benchEntry{{
-					Date:       legacy.Date,
-					Quick:      legacy.Quick,
-					Seed:       legacy.Seed,
-					GOMAXPROCS: legacy.GOMAXPROCS,
-					CyclesPerS: legacy.CyclesPerS,
-					CyclesPerSSharded: map[string]float64{
-						strconv.Itoa(legacy.ShardWorkers): legacy.CyclesPerSSharded,
-					},
-					HeadlineReduction: legacy.HeadlineReduction,
-					Experiments:       legacy.Experiments,
-				}}
-			} else {
-				return fmt.Errorf("unrecognized results schema in %s", path)
-			}
+			return fmt.Errorf("unrecognized results schema in %s", path)
 		}
 	} else if !os.IsNotExist(err) {
 		return err
@@ -145,13 +109,14 @@ func appendBenchEntry(path string, entry benchEntry) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// throughput measures simulator speed in cycles/s on the standard probe (the
-// 64-node quadrant mesh under moderate uniform load with RA_RAIR, the same
-// scenario as BenchmarkSimulatorThroughput), simulating `cycles` cycles.
-// Every speed probe takes the cycle budget from the single -cycles flag so
-// the CI smoke, the saturated probe and the worker sweep cannot drift apart.
-func throughput(workers, cycles int) float64 {
-	sim, err := rair.New(rair.Config{Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1, Workers: workers})
+// probe runs the standard speed-probe scenario under cfg for `cycles` cycles:
+// the quadrant layout under moderate uniform load with RA_RAIR, the same
+// scenario as BenchmarkSimulatorThroughput. Every speed probe takes the cycle
+// budget from the single -cycles flag so the CI smoke, the saturated probe
+// and the worker sweep cannot drift apart.
+func probe(cfg rair.Config, cycles int) (cyclesPerS float64, rep *rair.Report) {
+	cfg.Layout, cfg.Scheme, cfg.Seed = rair.LayoutQuadrants, "RA_RAIR", 1
+	sim, err := rair.New(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -161,30 +126,26 @@ func throughput(workers, cycles int) float64 {
 		}
 	}
 	start := time.Now()
-	if _, err := sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}); err != nil {
+	rep, err = sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0})
+	if err != nil {
 		panic(err)
 	}
-	return float64(cycles) / time.Since(start).Seconds()
+	return float64(cycles) / time.Since(start).Seconds(), rep
 }
 
-// throughputMesh32 measures the scaling probe: the same quadrant scenario
-// scaled to a 32×32 mesh (1024 routers), where shard balance and cache
-// footprint, not per-router cost, dominate.
+// throughput measures simulator speed in cycles/s on the 64-node probe with
+// the given tick-engine worker count (0 = serial engine).
+func throughput(workers, cycles int) float64 {
+	cps, _ := probe(rair.Config{Workers: workers}, cycles)
+	return cps
+}
+
+// throughputMesh32 measures the scaling probe: the same scenario on a 32×32
+// mesh (1024 routers), where shard balance and cache footprint, not
+// per-router cost, dominate.
 func throughputMesh32(cycles int) float64 {
-	sim, err := rair.New(rair.Config{MeshW: 32, MeshH: 32, Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	if _, err := sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}); err != nil {
-		panic(err)
-	}
-	return float64(cycles) / time.Since(start).Seconds()
+	cps, _ := probe(rair.Config{MeshW: 32, MeshH: 32}, cycles)
+	return cps
 }
 
 // scalingProbe measures one cell of the scaling sweep: the quadrant
@@ -192,25 +153,8 @@ func throughputMesh32(cycles int) float64 {
 // with engine self-profiling on, so the point carries both speed and the
 // barrier-wait bill behind it.
 func scalingProbe(w, h, workers, cycles int) scalingPoint {
-	sim, err := rair.New(rair.Config{MeshW: w, MeshH: h, Layout: rair.LayoutQuadrants,
-		Scheme: "RA_RAIR", Seed: 1, Workers: workers, Profile: true})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	rep, err := sim.Run(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0})
-	if err != nil {
-		panic(err)
-	}
-	pt := scalingPoint{
-		MeshW: w, MeshH: h, Routers: w * h, Workers: workers,
-		CyclesPerS: float64(cycles) / time.Since(start).Seconds(),
-	}
+	cps, rep := probe(rair.Config{MeshW: w, MeshH: h, Workers: workers, Profile: true}, cycles)
+	pt := scalingPoint{MeshW: w, MeshH: h, Routers: w * h, Workers: workers, CyclesPerS: cps}
 	if rep.Engine != nil && len(rep.Engine.Barrier) > 0 {
 		var waitNS int64
 		var hist []int64
@@ -253,30 +197,6 @@ func scalingSweep(workerList []int, cycles int) []scalingPoint {
 		}
 	}
 	return pts
-}
-
-// throughputBatched measures the lockstep batch runner's aggregate speed on
-// the same probe scenario: width independent replications (seeds 1..width)
-// advanced in one pass, reported as total simulated cycles per wall second.
-func throughputBatched(width, cycles int) float64 {
-	sim, err := rair.New(rair.Config{Layout: rair.LayoutQuadrants, Scheme: "RA_RAIR", Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for a := 0; a < 4; a++ {
-		if err := sim.AddApp(rair.AppSpec{App: a, LoadFrac: 0.5, GlobalFrac: 0.2}); err != nil {
-			panic(err)
-		}
-	}
-	seeds := make([]uint64, width)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	start := time.Now()
-	if _, err := sim.RunBatch(rair.Phases{Warmup: 0, Measure: int64(cycles), Drain: 0}, seeds, width); err != nil {
-		panic(err)
-	}
-	return float64(width) * float64(cycles) / time.Since(start).Seconds()
 }
 
 // obsOpts carries the observability-export flags into the probe runs:
@@ -505,7 +425,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced warmup/measurement windows")
 	name := flag.String("experiment", "", "run a single experiment (see -list)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	cycles := flag.Int("cycles", 20000, "simulated-cycle budget shared by every speed probe (-json serial/sharded/batched/mesh32)")
+	cycles := flag.Int("cycles", 20000, "simulated-cycle budget shared by every speed probe (-json serial/sharded/mesh32)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	csvDir := flag.String("csv", "", "also write each experiment's table as CSV into this directory")
 	jsonPath := flag.String("json", "", "write a machine-readable summary (cycles/s, headline reductions, timings) to this path, e.g. BENCH_results.json")
@@ -665,9 +585,9 @@ func main() {
 	}
 
 	// Machine-readable summary: simulator speed (serial engine, sharded
-	// engine at each worker count, batch runner), the Figure 14 headline
-	// reductions, and the per-experiment wall times — appended to the
-	// file's history rather than overwriting it.
+	// engine at each worker count), the Figure 14 headline reductions, and
+	// the per-experiment wall times — appended to the file's history rather
+	// than overwriting it.
 	entry := benchEntry{
 		Date:              time.Now().UTC().Format(time.RFC3339),
 		Quick:             *quick,
@@ -675,8 +595,6 @@ func main() {
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		CyclesPerS:        throughput(0, *cycles),
 		CyclesPerSSharded: map[string]float64{},
-		CyclesPerSBatched: throughputBatched(harness.DefaultBatchWidth, *cycles),
-		BatchWidth:        harness.DefaultBatchWidth,
 		CyclesPerSMesh32:  throughputMesh32(*cycles),
 		ProbeCycles:       *cycles,
 		HeadlineReduction: map[string]float64{},
@@ -697,8 +615,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rairbench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%.0f cycles/s serial; sharded x1 %.0f, x2 %.0f, x4 %.0f; batched x%d %.0f; mesh32 %.0f)\n",
+	fmt.Printf("wrote %s (%.0f cycles/s serial; sharded x1 %.0f, x2 %.0f, x4 %.0f; mesh32 %.0f)\n",
 		*jsonPath, entry.CyclesPerS,
 		entry.CyclesPerSSharded["1"], entry.CyclesPerSSharded["2"], entry.CyclesPerSSharded["4"],
-		entry.BatchWidth, entry.CyclesPerSBatched, entry.CyclesPerSMesh32)
+		entry.CyclesPerSMesh32)
 }

@@ -90,7 +90,6 @@ func cmdRun(args []string, resume bool) error {
 	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see rairbench -emit-manifest)")
 	out := fs.String("out", "sweep.jsonl", "result store path")
 	workers := fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS-bounded by the harness; 1 = serial)")
-	batch := fs.Int("batch", 4, "group up to this many same-experiment seed jobs per worker dispatch (1 = off)")
 	timeout := fs.Duration("job-timeout", 0, "per-job attempt timeout (0 = none)")
 	retries := fs.Int("retries", 1, "extra attempts per job on transient failure")
 	force := fs.Bool("force", false, "overwrite an existing store (run only)")
@@ -143,10 +142,9 @@ func cmdRun(args []string, resume bool) error {
 	}
 	start := time.Now()
 	sum, err := sweep.Execute(ctx, m, store, done, runner, sweep.Options{
-		Workers:    w,
-		BatchWidth: *batch,
-		Timeout:    *timeout,
-		Retries:    *retries,
+		Workers: w,
+		Timeout: *timeout,
+		Retries: *retries,
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},

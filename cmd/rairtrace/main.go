@@ -16,10 +16,6 @@ import (
 	"os"
 
 	"rair/internal/harness"
-	"rair/internal/memsys"
-	"rair/internal/msg"
-	"rair/internal/network"
-	"rair/internal/stats"
 	"rair/internal/trace"
 	"rair/internal/workload"
 )
@@ -60,36 +56,16 @@ func gen(args []string) {
 	seed := fs.Uint64("seed", 1, "seed")
 	fs.Parse(args)
 
-	regs, streams := harness.PARSECScenario()
-	s := harness.RORR()
-	cfg := harness.MemsysRouterConfig()
-	var rec trace.Recorder
-	var sys *memsys.System
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(regs.Mesh()), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: func(p *msg.Packet, now int64) { sys.HandleEject(p, now) },
-	})
-	sys = memsys.New(memsys.DefaultSystemConfig(), regs, streams, *seed,
-		func(node int, p *msg.Packet, now int64) {
-			rec.Capture(node, p, now)
-			net.NI(node).Inject(p, now)
-		})
-	sys.Prewarm(harness.PrewarmAccesses)
-	for now := int64(0); now < *cycles; now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
-	rec.T.Sort()
+	t := harness.RecordPARSECTrace(*cycles, *seed)
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := rec.T.Write(f); err != nil {
+	if err := t.Write(f); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %d events over %d cycles to %s\n", rec.T.Len(), rec.T.Duration(), *out)
+	fmt.Printf("wrote %d events over %d cycles to %s\n", t.Len(), t.Duration(), *out)
 }
 
 func readTrace(path string) *trace.Trace {
@@ -161,37 +137,17 @@ func replayTrace(w io.Writer, t *trace.Trace, schemeName string, warmup, drainTi
 	if err != nil {
 		return err
 	}
-	regs, _ := harness.PARSECScenario()
-	cfg := harness.MemsysRouterConfig()
-	col := stats.NewCollector(warmup, t.Duration())
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(regs.Mesh()), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: col.OnEject,
-	})
-	defer net.Close()
-	player := trace.NewPlayer(t, func(node int, p *msg.Packet, now int64) {
-		net.NI(node).Inject(p, now)
-	})
-	now := int64(0)
-	timedOut := false
-	for ; !player.Done() || !net.Drained(); now++ {
-		player.Tick(now)
-		net.Tick(now)
-		if now > t.Duration()+drainTimeout {
-			timedOut = true
-			break
-		}
-	}
-	fmt.Fprintf(w, "replayed %d packets under %s in %d cycles\n", player.Injected(), s.Name, now)
+	r := harness.ReplayPARSEC(t, s, 0, warmup, drainTimeout, 1)
+	col := r.Col
+	fmt.Fprintf(w, "replayed %d packets under %s in %d cycles\n", r.Injected, s.Name, r.Cycles)
 	fmt.Fprintf(w, "APL %.2f (p95 %.1f) over %d measured packets\n",
 		col.APL(), col.Total().Percentile(95), col.Packets())
 	for _, app := range col.Apps() {
 		fmt.Fprintf(w, "  app %d: APL %.2f (%d packets)\n", app, col.App(app).Mean(), col.App(app).Count())
 	}
-	if timedOut {
+	if !r.Drained {
 		return fmt.Errorf("drain timeout: network still undrained %d cycles past the trace end (%d packets injected, %d delivered in the measurement window)",
-			drainTimeout, player.Injected(), col.Packets())
+			drainTimeout, r.Injected, col.Packets())
 	}
 	return nil
 }

@@ -12,7 +12,7 @@
 // Source.Deliver, driven by network.Params.OnEject, which the network
 // guarantees to run on the ticking goroutine in ascending node order
 // regardless of the worker count. Results are therefore bit-identical across
-// tick-engine shard counts and lockstep batch widths.
+// tick-engine shard counts.
 //
 // Phase model: a collective executes rounds; a round is a fixed schedule of
 // per-rank packet sends partitioned into named phases (reduce-scatter and

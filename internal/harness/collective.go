@@ -6,7 +6,6 @@ import (
 	"rair/internal/collective"
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
 	"rair/internal/region"
 	"rair/internal/stats"
 	"rair/internal/traffic"
@@ -142,14 +141,8 @@ func CollectiveSynth(op collective.Op, dur Durations, seed uint64) *CollResult {
 	cols := RunParallel(rcs)
 	for si, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
-		base := make([]float64, len(res.Apps))
-		co := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			base[ai] = cols[2*si].App(ai).Mean()
-			co[ai] = cols[2*si+1].App(ai).Mean()
-		}
-		res.Base = append(res.Base, base)
-		res.Co = append(res.Co, co)
+		res.Base = append(res.Base, appMeans(cols[2*si], len(res.Apps)))
+		res.Co = append(res.Co, appMeans(cols[2*si+1], len(res.Apps)))
 		res.CCT = append(res.CCT, progs[si].CompletionTime())
 		res.Rounds = append(res.Rounds, progs[si].Rounds)
 	}
@@ -164,13 +157,11 @@ func CollectiveSynth(op collective.Op, dur Durations, seed uint64) *CollResult {
 // homed in (and must round-trip through) the aggressor's region.
 const CollSharedFrac = 0.40
 
-// RunCollectivePARSEC executes one PARSEC/collective co-run point: the
-// PARSEC proxies (blackscholes, swaptions, fluidanimate) on quadrants 0-2
-// through the Table 1 memory system with CollSharedFrac shared homes, and —
-// when op is non-nil — the collective on quadrant 3. The returned collector
-// covers the victim applications only; the collective's own outcome is the
-// returned progress (zero-valued when op is nil).
-func RunCollectivePARSEC(s Scheme, op *collective.Op, dur Durations, seed uint64) (*stats.Collector, collective.Progress) {
+// collectivePARSECConfig is one PARSEC/collective co-run point: the PARSEC
+// proxies (blackscholes, swaptions, fluidanimate) on quadrants 0-2 through
+// the Table 1 memory system with CollSharedFrac shared homes, and — when op
+// is non-nil — the collective on quadrant 3, its progress reported to done.
+func collectivePARSECConfig(s Scheme, op *collective.Op, dur Durations, seed uint64, done func(collective.Progress)) RunConfig {
 	mesh := Mesh8()
 	regs := region.Quadrants(mesh)
 	profiles := workload.Profiles()
@@ -180,54 +171,30 @@ func RunCollectivePARSEC(s Scheme, op *collective.Op, dur Durations, seed uint64
 			streams[node] = workload.NewStream(profiles[app], app, node)
 		}
 	}
-	cfg := MemsysRouterConfig()
-
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	var sys *memsys.System
-	var src *collective.Source
-	net := network.New(network.Params{
-		Router:  cfg,
-		Regions: regs,
-		Alg:     s.Alg(mesh),
-		Sel:     s.Sel(regs, cfg),
-		Policy:  s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			if src != nil && p.App == CollectiveApp {
-				src.Deliver(p, now)
-				return
-			}
-			sys.HandleEject(p, now)
-			col.OnEject(p, now)
-		},
-	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
 	mcfg := memsys.DefaultSystemConfig()
 	mcfg.SharedFrac = CollSharedFrac
-	sys = memsys.New(mcfg, regs, streams, seed, inject)
-	sys.Prewarm(PrewarmAccesses)
-
-	end := dur.Warmup + dur.Measure
+	rc := RunConfig{
+		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Dur: dur, Seed: seed,
+		Attach: func(inject Inject, _ *msg.Pool) Attached {
+			return MemsysAttach(mcfg, regs, streams, seed, inject)
+		},
+	}
 	if op != nil {
 		// Long data packets ride the response class, like the memory
 		// system's own data replies.
-		src = collective.NewSource(NewCollectiveSpec(*op, regs, CollectiveApp, msg.ClassResponse), seed, inject)
-		src.Until = end
+		spec := NewCollectiveSpec(*op, regs, CollectiveApp, msg.ClassResponse)
+		rc.Collective = &spec
+		rc.CollectiveDone = done
 	}
-	for now := int64(0); now < end; now++ {
-		sys.Tick(now)
-		if src != nil {
-			src.Tick(now)
-		}
-		net.Tick(now)
-	}
-	for now := end; now < end+dur.Drain && !net.Drained(); now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
+	return rc
+}
+
+// RunCollectivePARSEC executes one PARSEC/collective co-run point. The
+// returned collector covers the victim applications only; the collective's
+// own outcome is the returned progress (zero-valued when op is nil).
+func RunCollectivePARSEC(s Scheme, op *collective.Op, dur Durations, seed uint64) (*stats.Collector, collective.Progress) {
 	var prog collective.Progress
-	if src != nil {
-		prog = src.Progress()
-	}
+	col := Run(collectivePARSECConfig(s, op, dur, seed, func(p collective.Progress) { prog = p }))
 	return col, prog
 }
 
@@ -243,40 +210,20 @@ func CollectivePARSEC(op collective.Op, dur Durations, seed uint64) *CollResult 
 	for _, p := range workload.Profiles()[:3] {
 		res.Apps = append(res.Apps, p.Name)
 	}
-	type out struct {
-		col  *stats.Collector
-		prog collective.Progress
-	}
-	jobs := make([]out, 2*len(schemes))
-	done := make(chan struct{})
+	progs := make([]collective.Progress, len(schemes))
+	var rcs []RunConfig
 	for i, s := range schemes {
-		go func(i int, s Scheme) {
-			c, _ := RunCollectivePARSEC(s, nil, dur, seed)
-			jobs[2*i] = out{col: c}
-			done <- struct{}{}
-		}(i, s)
-		go func(i int, s Scheme) {
-			o := op
-			c, p := RunCollectivePARSEC(s, &o, dur, seed)
-			jobs[2*i+1] = out{col: c, prog: p}
-			done <- struct{}{}
-		}(i, s)
+		rcs = append(rcs,
+			collectivePARSECConfig(s, nil, dur, seed, nil),
+			collectivePARSECConfig(s, &op, dur, seed, func(p collective.Progress) { progs[i] = p }))
 	}
-	for range jobs {
-		<-done
-	}
+	cols := RunParallel(rcs)
 	for si, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
-		base := make([]float64, len(res.Apps))
-		co := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			base[ai] = jobs[2*si].col.App(ai).Mean()
-			co[ai] = jobs[2*si+1].col.App(ai).Mean()
-		}
-		res.Base = append(res.Base, base)
-		res.Co = append(res.Co, co)
-		res.CCT = append(res.CCT, jobs[2*si+1].prog.CompletionTime())
-		res.Rounds = append(res.Rounds, jobs[2*si+1].prog.Rounds)
+		res.Base = append(res.Base, appMeans(cols[2*si], len(res.Apps)))
+		res.Co = append(res.Co, appMeans(cols[2*si+1], len(res.Apps)))
+		res.CCT = append(res.CCT, progs[si].CompletionTime())
+		res.Rounds = append(res.Rounds, progs[si].Rounds)
 	}
 	return res
 }

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"rair/internal/invariant"
 	"rair/internal/region"
 	"rair/internal/routing"
-	"rair/internal/stats"
 	"rair/internal/traffic"
 )
 
@@ -81,57 +79,5 @@ func TestShardedRunDeterminism(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestBatchRunDeterminism: lockstep batching is a scheduling change only.
-// For every worker count, a seed axis run at batch width 1, at width 4, and
-// through plain Run must agree on the full collector surface — with the
-// panic-mode invariant checker (mask shadows, quiescence audit, conservation)
-// live inside the batched runs, so a batch-only datapath desync fails loudly.
-func TestBatchRunDeterminism(t *testing.T) {
-	regs, apps := Fig9Scenario(0.5)
-	for _, workers := range []int{0, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var rcs []RunConfig
-			for seed := uint64(1); seed <= 3; seed++ {
-				rcs = append(rcs, RunConfig{Regions: regs, Router: synthCfg(), Apps: apps,
-					Scheme: RAIR("RA_RAIR"), Dur: testDur(), Seed: seed, Workers: workers,
-					Check: &invariant.Config{Every: 64}})
-			}
-			w1 := RunBatch(rcs, 1)
-			w4 := RunBatch(rcs, 4)
-			for i := range rcs {
-				ref := Run(rcs[i])
-				if ref.Packets() == 0 {
-					t.Fatalf("seed %d delivered nothing", rcs[i].Seed)
-				}
-				for wi, got := range []*stats.Collector{w1[i], w4[i]} {
-					width := []int{1, 4}[wi]
-					if got.Packets() != ref.Packets() {
-						t.Fatalf("seed %d width %d: packets %d, want %d",
-							rcs[i].Seed, width, got.Packets(), ref.Packets())
-					}
-					if got.APL() != ref.APL() {
-						t.Fatalf("seed %d width %d: APL %v, want %v",
-							rcs[i].Seed, width, got.APL(), ref.APL())
-					}
-					if got.Network().Mean() != ref.Network().Mean() {
-						t.Fatalf("seed %d width %d: network mean %v, want %v",
-							rcs[i].Seed, width, got.Network().Mean(), ref.Network().Mean())
-					}
-					if got.Total().Percentile(99) != ref.Total().Percentile(99) {
-						t.Fatalf("seed %d width %d: p99 %v, want %v",
-							rcs[i].Seed, width, got.Total().Percentile(99), ref.Total().Percentile(99))
-					}
-					for _, app := range ref.Apps() {
-						if got.App(app).Mean() != ref.App(app).Mean() {
-							t.Fatalf("seed %d width %d: app %d mean %v, want %v",
-								rcs[i].Seed, width, app, got.App(app).Mean(), ref.App(app).Mean())
-						}
-					}
-				}
-			}
-		})
 	}
 }

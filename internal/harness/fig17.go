@@ -2,14 +2,15 @@ package harness
 
 import (
 	"fmt"
-	"rair/internal/policy"
 
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
+	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
+	"rair/internal/sim"
 	"rair/internal/stats"
+	"rair/internal/topology"
 	"rair/internal/traffic"
 	"rair/internal/workload"
 )
@@ -101,55 +102,60 @@ func (r *Fig17Result) Table() *Table {
 // application experiments (requests and responses on disjoint VC sets).
 func MemsysRouterConfig() router.Config { return router.DefaultConfig(int(msg.NumClasses)) }
 
-// RunPARSEC executes one PARSEC-proxy simulation under a scheme, optionally
-// with the adversarial injector, and returns the latency collector
-// (covering the applications' packets only; adversarial packets are
-// excluded from statistics, as the paper reports slowdown of the normal
-// applications).
-func RunPARSEC(s Scheme, withAdversary bool, dur Durations, seed uint64) *stats.Collector {
-	regs, streams := PARSECScenario()
-	mesh := regs.Mesh()
-	cfg := MemsysRouterConfig()
-
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	var sys *memsys.System
-	net := network.New(network.Params{
-		Router:  cfg,
-		Regions: regs,
-		Alg:     s.Alg(mesh),
-		Sel:     s.Sel(regs, cfg),
-		Policy:  s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			sys.HandleEject(p, now)
-			if p.App != AdversaryApp {
-				col.OnEject(p, now)
-			}
-		},
-	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
-	sys = memsys.New(memsys.DefaultSystemConfig(), regs, streams, seed, inject)
+// MemsysAttach builds the Table 1 memory system over the address streams
+// (functionally prewarmed) as a run's first source. The system sees every
+// ejection before the collector and retains its request packets across
+// protocol round-trips, so the run allocates packets instead of recycling.
+func MemsysAttach(cfg memsys.SystemConfig, regs *region.Map, streams []memsys.AddressStream, seed uint64, inject Inject) Attached {
+	sys := memsys.New(cfg, regs, streams, seed, inject)
 	sys.Prewarm(PrewarmAccesses)
+	return Attached{
+		Sources: []sim.Tickable{sys},
+		OnEject: func(p *msg.Packet, now int64) bool {
+			sys.HandleEject(p, now)
+			return true
+		},
+		Retains: true,
+	}
+}
 
-	var adv *traffic.Generator
-	if withAdversary {
-		app := traffic.Adversary(mesh, AdversaryApp, AdversaryFlitRate/3)
-		adv = traffic.NewGenerator([]traffic.AppTraffic{app}, seed^0xadadad, inject)
-		adv.Until = dur.Warmup + dur.Measure
+// AddAdversary appends the malicious injector of Section V.G to the
+// attachment: chip-wide uniform traffic at flitRate flits/node/cycle under
+// an application number no region owns, generated until cycle until and
+// kept out of the collector (the paper reports the slowdown of the normal
+// applications).
+func (a *Attached) AddAdversary(mesh *topology.Mesh, app int, flitRate float64, seed uint64, until int64, inject Inject, pool *msg.Pool) {
+	adv := traffic.NewGenerator([]traffic.AppTraffic{traffic.Adversary(mesh, app, flitRate/3)}, seed^0xadadad, inject)
+	adv.Until = until
+	adv.Pool = pool
+	a.Sources = append(a.Sources, adv)
+	rest := a.OnEject
+	a.OnEject = func(p *msg.Packet, now int64) bool {
+		return (rest == nil || rest(p, now)) && p.App != app
 	}
+}
 
-	end := dur.Warmup + dur.Measure
-	for now := int64(0); now < end; now++ {
-		sys.Tick(now)
-		if adv != nil {
-			adv.Tick(now)
-		}
-		net.Tick(now)
+// parsecConfig is one PARSEC-proxy simulation point under a scheme,
+// optionally with the adversarial injector.
+func parsecConfig(s Scheme, withAdversary bool, dur Durations, seed uint64) RunConfig {
+	regs, streams := PARSECScenario()
+	return RunConfig{
+		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Dur: dur, Seed: seed,
+		Attach: func(inject Inject, pool *msg.Pool) Attached {
+			att := MemsysAttach(memsys.DefaultSystemConfig(), regs, streams, seed, inject)
+			if withAdversary {
+				att.AddAdversary(regs.Mesh(), AdversaryApp, AdversaryFlitRate, seed, dur.Warmup+dur.Measure, inject, pool)
+			}
+			return att
+		},
 	}
-	for now := end; now < end+dur.Drain && !net.Drained(); now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
-	return col
+}
+
+// RunPARSEC executes one PARSEC-proxy simulation under a scheme, optionally
+// with the adversarial injector, and returns the latency collector (covering
+// the applications' packets only).
+func RunPARSEC(s Scheme, withAdversary bool, dur Durations, seed uint64) *stats.Collector {
+	return Run(parsecConfig(s, withAdversary, dur, seed))
 }
 
 // fig17Schemes mirrors the Figures 14-17 comparison with PARSEC ranks for
@@ -203,41 +209,26 @@ func adversarialRun(schemes []Scheme, dur Durations, seed uint64) *Fig17Result {
 	for _, p := range workload.Profiles() {
 		res.Apps = append(res.Apps, p.Name)
 	}
-	type job struct {
-		scheme Scheme
-		adv    bool
-	}
-	var jobs []job
+	var rcs []RunConfig
 	for _, s := range schemes {
-		jobs = append(jobs, job{s, false}, job{s, true})
+		rcs = append(rcs, parsecConfig(s, false, dur, seed), parsecConfig(s, true, dur, seed))
 	}
-	cols := make([]*stats.Collector, len(jobs))
-	// PARSEC runs are heavyweight; reuse the generic pool semantics by
-	// running sequentially on a single CPU and concurrently otherwise.
-	done := make(chan int)
-	running := 0
-	for i, j := range jobs {
-		go func(i int, j job) {
-			cols[i] = RunPARSEC(j.scheme, j.adv, dur, seed)
-			done <- i
-		}(i, j)
-		running++
-	}
-	for ; running > 0; running-- {
-		<-done
-	}
+	cols := RunParallel(rcs)
 	for si, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
-		base := make([]float64, len(res.Apps))
-		adv := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			base[ai] = cols[2*si].App(ai).Mean()
-			adv[ai] = cols[2*si+1].App(ai).Mean()
-		}
-		res.Base = append(res.Base, base)
-		res.Adv = append(res.Adv, adv)
+		res.Base = append(res.Base, appMeans(cols[2*si], len(res.Apps)))
+		res.Adv = append(res.Adv, appMeans(cols[2*si+1], len(res.Apps)))
 	}
 	return res
+}
+
+// appMeans returns the APL of applications 0..n-1.
+func appMeans(c *stats.Collector, n int) []float64 {
+	out := make([]float64, n)
+	for app := range out {
+		out[app] = c.App(app).Mean()
+	}
+	return out
 }
 
 // String renders a short summary line used by logs.

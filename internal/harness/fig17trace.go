@@ -3,10 +3,9 @@ package harness
 import (
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
+	"rair/internal/sim"
 	"rair/internal/stats"
 	"rair/internal/trace"
-	"rair/internal/traffic"
 	"rair/internal/workload"
 )
 
@@ -15,25 +14,18 @@ import (
 // step of the paper's methodology (SIMICS+GEMS traces fed to GARNET).
 func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
 	regs, streams := PARSECScenario()
-	s := RORR()
-	cfg := MemsysRouterConfig()
 	var rec trace.Recorder
-	var sys *memsys.System
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(regs.Mesh()), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: func(p *msg.Packet, now int64) { sys.HandleEject(p, now) },
+	Run(RunConfig{
+		Regions: regs, Router: MemsysRouterConfig(), Scheme: RORR(),
+		Dur: Durations{Measure: cycles}, Seed: seed,
+		Attach: func(inject Inject, _ *msg.Pool) Attached {
+			return MemsysAttach(memsys.DefaultSystemConfig(), regs, streams, seed,
+				func(node int, p *msg.Packet, now int64) {
+					rec.Capture(node, p, now)
+					inject(node, p, now)
+				})
+		},
 	})
-	sys = memsys.New(memsys.DefaultSystemConfig(), regs, streams, seed,
-		func(node int, p *msg.Packet, now int64) {
-			rec.Capture(node, p, now)
-			net.NI(node).Inject(p, now)
-		})
-	sys.Prewarm(PrewarmAccesses)
-	for now := int64(0); now < cycles; now++ {
-		sys.Tick(now)
-		net.Tick(now)
-	}
 	rec.T.Sort()
 	return &rec.T
 }
@@ -47,45 +39,43 @@ func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
 // is the meaningful output.
 const TraceAdversaryFlitRate = AdversaryFlitRate
 
+// Replay is the outcome of one trace replay: the latency collector for the
+// applications' packets, how many trace events were injected, the cycle the
+// replay stopped at, and whether the network had drained by then.
+type Replay struct {
+	Col      *stats.Collector
+	Injected uint64
+	Cycles   int64
+	Drained  bool
+}
+
+// ReplayDrain bounds the drain phase of the trace-driven experiments.
+const ReplayDrain = 100000
+
 // ReplayPARSEC replays a captured trace under a scheme, with an optional
-// adversarial injector at advRate flits/node/cycle (0 = none), returning
-// the latency collector for the applications' packets. Unlike the
-// closed-loop RunPARSEC, replay holds the traffic identical across schemes
-// — the paper's trace-driven comparison.
-func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup int64, seed uint64) *stats.Collector {
+// adversarial injector at advRate flits/node/cycle (0 = none), measuring
+// from warmup to the trace's last cycle and then draining for at most drain
+// cycles (events stamped with that last cycle enter on the first drain step,
+// outside the window). Unlike the closed-loop RunPARSEC, replay holds the
+// traffic identical across schemes — the paper's trace-driven comparison.
+func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64) Replay {
 	regs, _ := PARSECScenario()
-	mesh := regs.Mesh()
-	cfg := MemsysRouterConfig()
-	col := stats.NewCollector(warmup, t.Duration())
-	net := network.New(network.Params{
-		Router: cfg, Regions: regs,
-		Alg: s.Alg(mesh), Sel: s.Sel(regs, cfg), Policy: s.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			if p.App != AdversaryApp {
-				col.OnEject(p, now)
+	var player *trace.Player
+	b := Build(RunConfig{
+		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Seed: seed,
+		Dur: Durations{Warmup: warmup, Measure: t.Duration() - warmup, Drain: drain},
+		Attach: func(inject Inject, pool *msg.Pool) Attached {
+			player = trace.NewPlayer(t, inject)
+			att := Attached{Sources: []sim.Tickable{player}}
+			if advRate > 0 {
+				att.AddAdversary(regs.Mesh(), AdversaryApp, advRate, seed, t.Duration(), inject, pool)
 			}
+			return att
 		},
 	})
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
-	player := trace.NewPlayer(t, inject)
-	var adv *traffic.Generator
-	if advRate > 0 {
-		app := traffic.Adversary(mesh, AdversaryApp, advRate/3)
-		adv = traffic.NewGenerator([]traffic.AppTraffic{app}, seed^0xadadad, inject)
-		adv.Until = t.Duration()
-	}
-	limit := t.Duration() + 100000
-	for now := int64(0); now < limit; now++ {
-		player.Tick(now)
-		if adv != nil {
-			adv.Tick(now)
-		}
-		net.Tick(now)
-		if player.Done() && (adv == nil || now >= t.Duration()) && net.Drained() {
-			break
-		}
-	}
-	return col
+	defer b.Close()
+	col := b.Run()
+	return Replay{Col: col, Injected: player.Injected(), Cycles: b.Eng.Now(), Drained: b.Net.Drained()}
 }
 
 // Fig17Trace is the trace-driven variant of Figure 17: one PARSEC trace is
@@ -100,16 +90,10 @@ func Fig17Trace(dur Durations, seed uint64) *Fig17Result {
 	}
 	for _, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
-		base := ReplayPARSEC(t, s, 0, dur.Warmup, seed)
-		adv := ReplayPARSEC(t, s, TraceAdversaryFlitRate, dur.Warmup, seed)
-		bRow := make([]float64, len(res.Apps))
-		aRow := make([]float64, len(res.Apps))
-		for ai := range res.Apps {
-			bRow[ai] = base.App(ai).Mean()
-			aRow[ai] = adv.App(ai).Mean()
-		}
-		res.Base = append(res.Base, bRow)
-		res.Adv = append(res.Adv, aRow)
+		base := ReplayPARSEC(t, s, 0, dur.Warmup, ReplayDrain, seed).Col
+		adv := ReplayPARSEC(t, s, TraceAdversaryFlitRate, dur.Warmup, ReplayDrain, seed).Col
+		res.Base = append(res.Base, appMeans(base, len(res.Apps)))
+		res.Adv = append(res.Adv, appMeans(adv, len(res.Apps)))
 	}
 	return res
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"rair/internal/msg"
-	"rair/internal/network"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/stats"
@@ -342,26 +340,13 @@ func Heatmap(schemeName string, dur Durations, seed uint64) (string, error) {
 		return "", err
 	}
 	regs, apps := Fig14Scenario("UR")
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	net := network.New(network.Params{
-		Router:  synthCfg(),
-		Regions: regs,
-		Alg:     s.Alg(regs.Mesh()),
-		Sel:     s.Sel(regs, synthCfg()),
-		Policy:  s.Policy,
-		OnEject: col.OnEject,
-	})
-	gen := traffic.NewGenerator(apps, seed, func(node int, p *msg.Packet, now int64) {
-		net.NI(node).Inject(p, now)
-	})
-	end := dur.Warmup + dur.Measure
-	gen.Until = end
-	for now := int64(0); now < end; now++ {
-		gen.Tick(now)
-		net.Tick(now)
-	}
+	// No drain: the map and the APL are read at the end of the window.
+	dur.Drain = 0
+	b := Build(RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: s, Dur: dur, Seed: seed})
+	defer b.Close()
+	col := b.Run()
 	return fmt.Sprintf("%s under %s (APL %.2f)\n%s",
-		net.UtilizationHeatmap(end), s.Name, col.APL(),
+		b.Net.UtilizationHeatmap(dur.Warmup+dur.Measure), s.Name, col.APL(),
 		"regions: 3x2 grid; apps 1 (top middle) and 5 (bottom right) heavy; MCs at corners\n"), nil
 }
 

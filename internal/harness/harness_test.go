@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,10 +56,18 @@ func TestRunParallelPreservesOrder(t *testing.T) {
 func TestRunDeterministicAcrossParallel(t *testing.T) {
 	regs, apps := Fig9Scenario(0.5)
 	rc := RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: RAIR("RA_RAIR"), Dur: testDur(), Seed: 42}
-	a := Run(rc)
-	b := RunParallel([]RunConfig{rc, rc})
-	if a.APL() != b[0].APL() || b[0].APL() != b[1].APL() {
-		t.Fatalf("nondeterministic: %v %v %v", a.APL(), b[0].APL(), b[1].APL())
+	want := collectorSurface(Run(rc))
+	// One slot runs the points one at a time, two run them concurrently;
+	// either way every collector must match the lone run.
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i, c := range RunParallel([]RunConfig{rc, rc, rc}) {
+				if got := collectorSurface(c); got != want {
+					t.Fatalf("point %d diverges\n got %s\nwant %s", i, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"rair/internal/msg"
-	"rair/internal/network"
 	"rair/internal/policy"
+	"rair/internal/sim"
 	"rair/internal/stats"
 	"rair/internal/traffic"
 )
@@ -18,28 +18,29 @@ const RankDynInterval = 2000
 func RunDynRank(dur Durations, seed uint64) *stats.Collector {
 	regs, apps := Fig14Scenario("UR")
 	state := policy.NewRankState(regs.NumApps(), RankDynInterval)
-	s := Scheme{Name: "RO_RankDyn", Policy: policy.NewDynRankFactory(state)}
-	col := stats.NewCollector(dur.Warmup, dur.Warmup+dur.Measure)
-	net := network.New(network.Params{
-		Router:  synthCfg(),
-		Regions: regs,
-		Alg:     s.Alg(regs.Mesh()),
-		Sel:     s.Sel(regs, synthCfg()),
-		Policy:  s.Policy,
-		OnEject: col.OnEject,
-	})
-	gen := newObservedGenerator(apps, seed, state, net)
 	end := dur.Warmup + dur.Measure
-	gen.Until = end
-	for now := int64(0); now < end; now++ {
-		state.Advance(now)
-		gen.Tick(now)
-		net.Tick(now)
-	}
-	for now := end; now < end+dur.Drain && !net.Drained(); now++ {
-		net.Tick(now)
-	}
-	return col
+	return Run(RunConfig{
+		Regions: regs, Router: synthCfg(), Dur: dur, Seed: seed,
+		Scheme: Scheme{Name: "RO_RankDyn", Policy: policy.NewDynRankFactory(state)},
+		// The generator is built here rather than from Apps so that every
+		// injection is also reported to the ranking state, and so that the
+		// re-ranking step ticks ahead of it. Ranks freeze with the traffic
+		// at the end of the measurement window.
+		Attach: func(inject Inject, pool *msg.Pool) Attached {
+			gen := traffic.NewGenerator(apps, seed, func(node int, p *msg.Packet, now int64) {
+				state.Observe(p.App)
+				inject(node, p, now)
+			})
+			gen.Until = end
+			gen.Pool = pool
+			rerank := sim.TickFunc(func(now int64) {
+				if now < end {
+					state.Advance(now)
+				}
+			})
+			return Attached{Sources: []sim.Tickable{rerank, gen}}
+		},
+	})
 }
 
 // RankDynResult compares the oracle and measured STC variants against
@@ -89,13 +90,4 @@ func AblateRankOracle(dur Durations, seed uint64) *RankDynResult {
 	}
 	res.APL = append(res.APL, dynRow)
 	return res
-}
-
-// newObservedGenerator builds the traffic generator with an injector that
-// also reports every injection to the ranking state.
-func newObservedGenerator(apps []traffic.AppTraffic, seed uint64, state *policy.RankState, net *network.Network) *traffic.Generator {
-	return traffic.NewGenerator(apps, seed, func(node int, p *msg.Packet, now int64) {
-		state.Observe(p.App)
-		net.NI(node).Inject(p, now)
-	})
 }

@@ -15,6 +15,7 @@ import (
 	"rair/internal/network"
 	"rair/internal/region"
 	"rair/internal/router"
+	"rair/internal/routing"
 	"rair/internal/sim"
 	"rair/internal/stats"
 	"rair/internal/telemetry"
@@ -81,6 +82,39 @@ type RunConfig struct {
 	// per router. Scenario builders model the extra cores by duplicating
 	// app Nodes entries, so per-router load scales with the factor.
 	Concentration int
+	// Profile enables the tick engine's self-profiling; see
+	// network.Params.Profile. Read the result from Sim.Net after the run.
+	Profile bool
+	// Alg, if non-nil, replaces the scheme's routing algorithm.
+	Alg routing.Algorithm
+	// Attach, if set, is called once while the simulation is built and adds
+	// the run's own traffic sources and ejection observer (a memory system,
+	// an adversarial injector, a trace player, a rank observer). inject is
+	// the network's injection entry and pool the run's packet freelist; see
+	// Attached for what the hook hands back.
+	Attach func(inject Inject, pool *msg.Pool) Attached
+}
+
+// Inject is the network's injection entry as sources receive it (an alias,
+// so it converts to each source package's own injector type).
+type Inject = func(node int, p *msg.Packet, now int64)
+
+// Attached is what a RunConfig.Attach hook contributes to a simulation.
+type Attached struct {
+	// Sources tick every cycle, in this order, after the Apps generator and
+	// before the collective source and the network — the order decides NI
+	// queue order when two sources inject at one node in one cycle. They
+	// are ticked through the drain phase too, so an open-loop source must
+	// stop itself at the end of the measurement window.
+	Sources []sim.Tickable
+	// OnEject, if set, sees every delivered packet (the collective's own
+	// excepted) before the statistics collector and reports whether the
+	// collector should count it.
+	OnEject func(p *msg.Packet, now int64) bool
+	// Retains states that a source keeps packet pointers past ejection (the
+	// memory system does, across protocol round-trips), so the run must not
+	// recycle packets: the pool then only ever allocates.
+	Retains bool
 }
 
 // routerConfig is rc.Router with the concentration factor applied to the
@@ -93,83 +127,126 @@ func (rc RunConfig) routerConfig() router.Config {
 	return cfg
 }
 
-// Run executes one simulation point and returns its statistics collector.
-func Run(rc RunConfig) *stats.Collector {
-	col := stats.NewCollector(rc.Dur.Warmup, rc.Dur.Warmup+rc.Dur.Measure)
-	mesh := rc.Regions.Mesh()
-	// The collector copies packet fields at ejection and nothing else
-	// observes packets, so every run can recycle them through a freelist.
+// Sim is one built simulation point: the wired network, the engine that
+// ticks the sources and then the network each cycle, and the collector the
+// ejections feed. Build returns it before the first cycle so a caller can
+// add engine hooks; Net stays readable after Run until Close.
+type Sim struct {
+	Net *network.Network
+	Eng *sim.Engine
+	Col *stats.Collector
+
+	rc  RunConfig
+	src *collective.Source // nil without a co-running collective
+}
+
+// Build constructs the simulation for rc without running it.
+func Build(rc RunConfig) *Sim {
+	end := rc.Dur.Warmup + rc.Dur.Measure
+	s := &Sim{rc: rc, Eng: sim.NewEngine(), Col: stats.NewCollector(rc.Dur.Warmup, end)}
+	// The collector copies packet fields at ejection, so packets recycle
+	// through a freelist unless an attached source retains them. Sources
+	// are built before the network (so the attachment can say whether to
+	// recycle) and inject through s.Net, bound below; no injection can
+	// occur before the first Tick.
 	pool := msg.NewPool()
-	// The collective source (when configured) consumes its own deliveries
-	// through OnEject, which the network runs on the ticking goroutine in
-	// node order — the dependency barriers are deterministic at any worker
-	// count. src is bound after the network exists; no ejection can occur
-	// before the first Tick.
-	var src *collective.Source
-	onEject := col.OnEject
-	if rc.Collective != nil {
+	inject := func(node int, p *msg.Packet, now int64) { s.Net.Inject(p, now) }
+	var att Attached
+	if rc.Attach != nil {
+		att = rc.Attach(inject, pool)
+	}
+	if len(rc.Apps) > 0 {
+		gen := traffic.NewGenerator(rc.Apps, rc.Seed, inject)
+		gen.Pool = pool
+		gen.Until = end
+		s.Eng.Register(gen)
+	}
+	for _, src := range att.Sources {
+		s.Eng.Register(src)
+	}
+	onEject := s.Col.OnEject
+	if att.OnEject != nil {
 		onEject = func(p *msg.Packet, now int64) {
-			if p.App == rc.Collective.App {
-				src.Deliver(p, now)
-				return
+			if att.OnEject(p, now) {
+				s.Col.OnEject(p, now)
 			}
-			col.OnEject(p, now)
 		}
 	}
+	if rc.Collective != nil {
+		// The collective source consumes its own deliveries through OnEject,
+		// which the network runs on the ticking goroutine in node order —
+		// the dependency barriers are deterministic at any worker count.
+		s.src = collective.NewSource(*rc.Collective, rc.Seed, inject)
+		s.src.Pool = pool
+		s.src.Until = end
+		s.Eng.Register(s.src)
+		rest := onEject
+		onEject = func(p *msg.Packet, now int64) {
+			if p.App == rc.Collective.App {
+				s.src.Deliver(p, now)
+				return
+			}
+			rest(p, now)
+		}
+	}
+	alg := rc.Alg
+	if alg == nil {
+		alg = rc.Scheme.Alg(rc.Regions.Mesh())
+	}
+	var recycle func(*msg.Packet)
+	if !att.Retains {
+		recycle = pool.Put
+	}
 	rcfg := rc.routerConfig()
-	net := network.New(network.Params{
+	s.Net = network.New(network.Params{
 		Router:    rcfg,
 		Regions:   rc.Regions,
-		Alg:       rc.Scheme.Alg(mesh),
+		Alg:       alg,
 		Sel:       rc.Scheme.Sel(rc.Regions, rcfg),
 		Policy:    rc.Scheme.Policy,
 		OnEject:   onEject,
-		Recycle:   pool.Put,
+		Recycle:   recycle,
 		Workers:   rc.Workers,
 		Telemetry: rc.Telemetry,
 		Faults:    rc.Faults,
 		Check:     rc.Check,
+		Profile:   rc.Profile,
 		Chiplets:  rc.Chiplets,
 		XBar:      rc.XBar,
 	})
-	defer net.Close()
-	inject := func(node int, p *msg.Packet, now int64) {
-		net.Inject(p, now)
-	}
-	gen := traffic.NewGenerator(rc.Apps, rc.Seed, inject)
-	gen.Pool = pool
-	end := rc.Dur.Warmup + rc.Dur.Measure
-	gen.Until = end
-
-	eng := sim.NewEngine()
-	eng.Register(gen)
-	if rc.Collective != nil {
-		src = collective.NewSource(*rc.Collective, rc.Seed, inject)
-		src.Pool = pool
-		src.Until = end
-		eng.Register(src)
-	}
-	eng.Register(net)
-	eng.Run(end)
-	// Drain: the generator self-stops at Until, so ticking it is a no-op.
-	eng.RunUntil(net.Drained, rc.Dur.Drain)
-	if src != nil {
-		finishCollective(rc, src)
-	}
-	return col
+	s.Eng.Register(s.Net)
+	return s
 }
 
-// finishCollective publishes a finished run's collective progress: into the
-// telemetry collector's report (when instrumented) and to the caller's
-// CollectiveDone hook.
-func finishCollective(rc RunConfig, src *collective.Source) {
-	prog := src.Progress()
-	if rc.Telemetry != nil {
-		rc.Telemetry.AttachCollective(prog.Telemetry(rc.Collective.App))
+// Run advances the simulation through the fixed warmup+measure phase and
+// the bounded drain, and returns the collector. Every source keeps ticking
+// while the network drains; those that generate load stopped themselves at
+// the end of the measurement window.
+func (s *Sim) Run() *stats.Collector {
+	s.Eng.Run(s.rc.Dur.Warmup + s.rc.Dur.Measure)
+	s.Eng.RunUntil(s.Net.Drained, s.rc.Dur.Drain)
+	if s.src != nil {
+		// Publish the collective's progress: into the telemetry collector's
+		// report (when instrumented) and to the caller's hook.
+		prog := s.src.Progress()
+		if s.rc.Telemetry != nil {
+			s.rc.Telemetry.AttachCollective(prog.Telemetry(s.rc.Collective.App))
+		}
+		if s.rc.CollectiveDone != nil {
+			s.rc.CollectiveDone(prog)
+		}
 	}
-	if rc.CollectiveDone != nil {
-		rc.CollectiveDone(prog)
-	}
+	return s.Col
+}
+
+// Close stops the network's worker goroutines.
+func (s *Sim) Close() { s.Net.Close() }
+
+// Run executes one simulation point and returns its statistics collector.
+func Run(rc RunConfig) *stats.Collector {
+	s := Build(rc)
+	defer s.Close()
+	return s.Run()
 }
 
 // RunParallel executes every configuration concurrently and returns
@@ -180,9 +257,8 @@ func finishCollective(rc RunConfig, src *collective.Source) {
 // with tick-engine shards (Workers > 1) occupies that many slots, so runs
 // with intra-simulation parallelism don't multiply into CPU oversubscription.
 // The semaphore is acquired before the goroutine spawns, bounding live
-// goroutines (not merely running ones) for arbitrarily long rcs slices.
-// When the budget collapses to a single slot the whole slice is handed to
-// RunBatch instead — same results, no goroutine churn.
+// goroutines (not merely running ones) for arbitrarily long rcs slices; with
+// a single slot the points run one at a time.
 func RunParallel(rcs []RunConfig) []*stats.Collector {
 	out := make([]*stats.Collector, len(rcs))
 	maxW := 1
@@ -194,17 +270,6 @@ func RunParallel(rcs []RunConfig) []*stats.Collector {
 	slots := runtime.GOMAXPROCS(0) / maxW
 	if slots < 1 {
 		slots = 1
-	}
-	if slots == 1 && len(rcs) > 1 {
-		// One goroutine's worth of budget means no concurrency to exploit:
-		// run the points through the batch runner at width 1, which produces
-		// the same collectors without per-run goroutine and channel churn.
-		// Width is deliberately 1, not DefaultBatchWidth: a 64-node network's
-		// state slabs are larger than L2, so interleaving W networks per tick
-		// evicts each other's working set (measured +12% wall at width 2,
-		// +34% at width 4 on the saturated fig9 point) — lockstep widths
-		// above 1 only pay off when the interleaved working sets fit cache.
-		return RunBatch(rcs, 1)
 	}
 	sem := make(chan struct{}, slots)
 	var wg sync.WaitGroup

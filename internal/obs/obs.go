@@ -1,8 +1,8 @@
 // Package obs is the export surface of the observability layer: it bundles
-// the telemetry collector's counter totals and interference attribution,
-// the tick engine's self-profile, and the batch scheduler's window record
-// into one Snapshot, and serializes snapshots as Prometheus text
-// exposition, indented JSON, or flat CSV. A small HTTP listener (server.go)
+// the telemetry collector's counter totals and interference attribution and
+// the tick engine's self-profile into one Snapshot, and serializes snapshots
+// as Prometheus text exposition, indented JSON, or flat CSV. A small HTTP
+// listener (server.go)
 // serves the latest snapshot live at /metrics and /snapshot — the first
 // concrete slice of the simulation-as-a-service telemetry-streaming story.
 //
@@ -19,14 +19,13 @@ import (
 	"os"
 	"strings"
 
-	"rair/internal/harness"
 	"rair/internal/msg"
 	"rair/internal/network"
 	"rair/internal/telemetry"
 )
 
 // Snapshot is one self-consistent observability capture. Any section may be
-// nil (telemetry off, profiling off, not a batch run); writers emit what is
+// nil (telemetry off, profiling off); writers emit what is
 // present plus the always-present core series (cycle, interference ratio,
 // barrier-wait histogram) so scrapers see a stable schema.
 type Snapshot struct {
@@ -43,10 +42,6 @@ type Snapshot struct {
 
 	// Engine is the tick engine's self-profile (Params.Profile).
 	Engine *network.EngineProfile `json:"engine,omitempty"`
-
-	// Batch is the lockstep batch scheduler's window record, when the run
-	// came through harness.RunBatchStats.
-	Batch *harness.BatchStats `json:"batch,omitempty"`
 }
 
 // Snap captures a snapshot at cycle from whichever sources are live. Call
@@ -248,18 +243,6 @@ func (s *Snapshot) walkWithMeta(emit func(name, help, typ, labels string, v floa
 	// schema.
 	s.walkBarriers(emit)
 
-	if b := s.Batch; b != nil {
-		emit("rair_batch_passes_total", "Lockstep batch cycle-loop passes.", "counter", "", float64(b.Passes))
-		emit("rair_batch_steps_total", "Per-simulation steps executed by batch passes.", "counter", "", float64(b.Steps))
-		emit("rair_batch_mean_occupancy", "Mean live-window size across batch passes.", "gauge", "", b.MeanOccupancy())
-		for k, c := range b.Occupancy {
-			if k == 0 {
-				continue
-			}
-			emit("rair_batch_occupancy_passes_total", "Batch passes by live-window size.", "counter",
-				fmt.Sprintf(`live="%d"`, k), float64(c))
-		}
-	}
 }
 
 // walkBarriers emits the coordinator barrier-wait series as a cumulative

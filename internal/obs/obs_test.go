@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"rair/internal/harness"
 	"rair/internal/network"
 	"rair/internal/telemetry"
 )
@@ -42,10 +41,7 @@ func sampleSnapshot() *Snapshot {
 		Barrier: []network.BarrierProfile{{Phase: "links", Waits: 500, WaitNS: 123456}},
 	}
 	eng.Barrier[0].Hist[12] = 500
-	return &Snapshot{
-		Cycle: 500, Totals: &tot, Attribution: attr, Engine: eng,
-		Batch: &harness.BatchStats{Width: 2, Sims: 2, Passes: 100, Steps: 190, Occupancy: []int64{0, 10, 90}},
-	}
+	return &Snapshot{Cycle: 500, Totals: &tot, Attribution: attr, Engine: eng}
 }
 
 var (
@@ -104,7 +100,6 @@ func TestWritePrometheusFull(t *testing.T) {
 		"rair_engine_barrier_wait_seconds_bucket",
 		"rair_engine_barrier_wait_seconds_sum",
 		"rair_engine_barrier_wait_seconds_count",
-		"rair_batch_mean_occupancy",
 	} {
 		if !names[want] {
 			t.Fatalf("missing series %s in:\n%s", want, buf.String())

@@ -17,14 +17,6 @@ type Runner func(ctx context.Context, job Job) (text, csv string, err error)
 type Options struct {
 	// Workers bounds concurrently executing jobs (<= 0 means 1).
 	Workers int
-	// BatchWidth groups up to this many consecutive jobs of the same
-	// experiment (a manifest's seed axis) into one dispatch unit, executed
-	// back-to-back on one worker. The runner itself batches replications
-	// in lockstep (harness.RunBatch), so keeping a seed axis on one worker
-	// extends that warmth across jobs instead of interleaving unrelated
-	// experiments. <= 1 disables grouping. Results are identical either
-	// way — grouping only changes scheduling.
-	BatchWidth int
 	// Timeout bounds one job attempt (0 = no limit). A timed-out attempt
 	// counts as a transient failure and is retried.
 	Timeout time.Duration
@@ -73,42 +65,19 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 		logf = func(string, ...any) {}
 	}
 
-	// Pending jobs in canonical order, with their manifest index.
-	type task struct {
-		idx int
-		job Job
-	}
-	var pending []task
-	for i, j := range jobs {
+	// Pending jobs in canonical order.
+	var pending []Job
+	for _, j := range jobs {
 		if done[j.Key()] {
 			sum.Skipped++
 			continue
 		}
-		pending = append(pending, task{i, j})
+		pending = append(pending, j)
 	}
 	logf("sweep %s: %d jobs, %d already in store, %d to run, %d workers",
 		m.Name, sum.Total, sum.Skipped, len(pending), workers)
 	if len(pending) == 0 {
 		return sum, nil
-	}
-
-	// Group consecutive same-experiment jobs (the seed axis) into dispatch
-	// units of at most BatchWidth; each unit runs back-to-back on one
-	// worker. groups holds start indices into pending, ascending.
-	width := opts.BatchWidth
-	if width < 1 {
-		width = 1
-	}
-	var groups []int
-	for pos := 0; pos < len(pending); {
-		groups = append(groups, pos)
-		end := pos + 1
-		for end < len(pending) && end-pos < width &&
-			pending[end].job.Experiment == pending[pos].job.Experiment &&
-			pending[end].job.Quick == pending[pos].job.Quick {
-			end++
-		}
-		pos = end
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -121,40 +90,27 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 		attempts int
 	}
 	results := make(chan result)
-	feed := make(chan int) // index into groups
+	feed := make(chan int) // position in pending
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range feed {
-				start := groups[gi]
-				end := len(pending)
-				if gi+1 < len(groups) {
-					end = groups[gi+1]
-				}
-				for pos := start; pos < end; pos++ {
-					t := pending[pos]
-					rec, attempts, err := runWithRetry(ctx, t.job, run, opts, logf)
-					select {
-					case results <- result{pos, rec, err, attempts}:
-					case <-ctx.Done():
-						return
-					}
-					if err != nil {
-						// The sequencer is about to cancel the sweep; the
-						// rest of the group would be dropped anyway.
-						return
-					}
+			for pos := range feed {
+				rec, attempts, err := runWithRetry(ctx, pending[pos], run, opts, logf)
+				select {
+				case results <- result{pos, rec, err, attempts}:
+				case <-ctx.Done():
+					return
 				}
 			}
 		}()
 	}
 	go func() {
 		defer close(feed)
-		for gi := range groups {
+		for pos := range pending {
 			select {
-			case feed <- gi:
+			case feed <- pos:
 			case <-ctx.Done():
 				return
 			}
@@ -172,18 +128,18 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 		case r := <-results:
 			sum.Retried += r.attempts - 1
 			if r.err != nil {
-				execErr = fmt.Errorf("sweep: job %s failed after %d attempt(s): %w", pending[r.pos].job, r.attempts, r.err)
+				execErr = fmt.Errorf("sweep: job %s failed after %d attempt(s): %w", pending[r.pos], r.attempts, r.err)
 				break
 			}
 			buffered[r.pos] = r.rec
 			for buffered[next] != nil {
 				if err := store.Append(buffered[next]); err != nil {
-					execErr = fmt.Errorf("sweep: appending %s: %w", pending[next].job, err)
+					execErr = fmt.Errorf("sweep: appending %s: %w", pending[next], err)
 					break
 				}
 				delete(buffered, next)
 				sum.Ran++
-				logf("  [%d/%d] %s done", sum.Skipped+sum.Ran, sum.Total, pending[next].job)
+				logf("  [%d/%d] %s done", sum.Skipped+sum.Ran, sum.Total, pending[next])
 				next++
 			}
 		case <-ctx.Done():

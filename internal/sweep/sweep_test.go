@@ -324,35 +324,3 @@ func TestCancellationLeavesResumableStore(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchWidthDeterminism: grouping a seed axis into per-worker dispatch
-// units is a scheduling change only — the store must stay byte-identical to
-// an ungrouped sweep for any (workers, width) combination.
-func TestBatchWidthDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	var ref []byte
-	for _, workers := range []int{1, 4} {
-		for _, width := range []int{1, 2, 8} {
-			path := filepath.Join(dir, fmt.Sprintf("w%db%d.jsonl", workers, width))
-			store, err := CreateStore(path, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = Execute(context.Background(), testManifest(), store, nil, stubRunner,
-				Options{Workers: workers, BatchWidth: width})
-			store.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = buf
-			} else if !bytes.Equal(ref, buf) {
-				t.Errorf("workers=%d width=%d store differs from reference", workers, width)
-			}
-		}
-	}
-}

@@ -34,6 +34,7 @@ package rair
 
 import (
 	"fmt"
+	"sort"
 
 	"rair/internal/faults"
 	"rair/internal/harness"
@@ -45,8 +46,6 @@ import (
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
-	"rair/internal/sim"
-	"rair/internal/stats"
 	"rair/internal/telemetry"
 	"rair/internal/topology"
 	"rair/internal/traffic"
@@ -543,10 +542,13 @@ func (fr *FaultReport) String() string {
 func (r *Report) String() string {
 	out := fmt.Sprintf("APL %.2f cycles (p95 %.1f, p99 %.1f) over %d packets, %.3f flits/node/cycle, %.2f hops\n",
 		r.APL, r.P95, r.P99, r.Packets, r.Throughput, r.AvgHops)
-	for app := 0; app < 16; app++ {
-		if apl, ok := r.PerApp[app]; ok {
-			out += fmt.Sprintf("  app %d: APL %.2f\n", app, apl)
-		}
+	apps := make([]int, 0, len(r.PerApp))
+	for app := range r.PerApp {
+		apps = append(apps, app)
+	}
+	sort.Ints(apps)
+	for _, app := range apps {
+		out += fmt.Sprintf("  app %d: APL %.2f\n", app, r.PerApp[app])
 	}
 	if r.RegionalAPL > 0 || r.GlobalAPL > 0 {
 		out += fmt.Sprintf("  regional %.2f / global %.2f\n", r.RegionalAPL, r.GlobalAPL)
@@ -563,15 +565,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	if !s.parsec && len(s.apps) == 0 {
 		return nil, fmt.Errorf("rair: no traffic attached (AddApp, AttachPARSEC)")
 	}
-	col := stats.NewCollector(ph.Warmup, ph.Warmup+ph.Measure)
 	mesh := s.regions.Mesh()
-
-	var sys *memsys.System
-	adversaryApp := s.regions.NumApps() + 64 // foreign everywhere
-	alg := s.alg
-	if alg == nil {
-		alg = s.scheme.Alg(mesh)
-	}
 	var tel *telemetry.Collector
 	if s.cfg.Telemetry || s.cfg.Attribution {
 		tel = telemetry.NewCollector(telemetry.Config{
@@ -607,89 +601,55 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	if s.cfg.CheckInvariants {
 		icfg = &invariant.Config{Mode: invariant.ModeCollect}
 	}
-	// Synthetic traffic recycles packets through a freelist: the stats
-	// collector copies what it needs at ejection, so nothing retains the
-	// pointer. The memory system does (requests live across protocol
-	// round-trips), so PARSEC runs allocate normally.
-	var pool *msg.Pool
-	var recycle func(*msg.Packet)
-	if !s.parsec {
-		pool = msg.NewPool()
-		recycle = pool.Put
-	}
-	net := network.New(network.Params{
-		Router:  s.rcfg,
-		Regions: s.regions,
-		Alg:     alg,
-		Sel:     s.scheme.Sel(s.regions, s.rcfg),
-		Policy:  s.scheme.Policy,
-		OnEject: func(p *msg.Packet, now int64) {
-			if sys != nil {
-				sys.HandleEject(p, now)
-			}
-			if p.App != adversaryApp {
-				col.OnEject(p, now)
-			}
-		},
-		Recycle:   recycle,
+	end := ph.Warmup + ph.Measure
+	adversaryApp := s.regions.NumApps() + 64 // foreign everywhere
+	b := harness.Build(harness.RunConfig{
+		Regions:   s.regions,
+		Router:    s.rcfg,
+		Apps:      s.apps,
+		Scheme:    s.scheme,
+		Alg:       s.alg,
+		Dur:       harness.Durations{Warmup: ph.Warmup, Measure: ph.Measure, Drain: ph.Drain},
+		Seed:      s.cfg.Seed,
 		Workers:   s.cfg.Workers,
 		Telemetry: tel,
 		Faults:    fcfg,
 		Check:     icfg,
 		Profile:   s.cfg.Profile,
-	})
-	defer net.Close()
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
-
-	var tickers []func(now int64)
-	if s.parsec {
-		profiles := workload.Profiles()
-		streams := make([]memsys.AddressStream, mesh.N())
-		for node := range streams {
-			app := s.regions.AppAt(node)
-			if app >= 0 {
-				streams[node] = workload.NewStream(profiles[app%len(profiles)], app, node)
+		// The memory system ticks first and keeps ticking through the drain
+		// so in-flight protocol actions complete; the adversary ticks after
+		// whichever of it and the synthetic generator drives the run.
+		Attach: func(inject harness.Inject, pool *msg.Pool) harness.Attached {
+			var att harness.Attached
+			if s.parsec {
+				profiles := workload.Profiles()
+				streams := make([]memsys.AddressStream, mesh.N())
+				for node := range streams {
+					if app := s.regions.AppAt(node); app >= 0 {
+						streams[node] = workload.NewStream(profiles[app%len(profiles)], app, node)
+					}
+				}
+				att = harness.MemsysAttach(memsys.DefaultSystemConfig(), s.regions, streams, s.cfg.Seed, inject)
 			}
-		}
-		sys = memsys.New(memsys.DefaultSystemConfig(), s.regions, streams, s.cfg.Seed, inject)
-		sys.Prewarm(harness.PrewarmAccesses)
-		tickers = append(tickers, sys.Tick)
-	}
-	end := ph.Warmup + ph.Measure
-	if len(s.apps) > 0 {
-		gen := traffic.NewGenerator(s.apps, s.cfg.Seed, inject)
-		gen.Until = end
-		gen.Pool = pool
-		tickers = append(tickers, gen.Tick)
-	}
-	if s.adversary > 0 {
-		adv := traffic.NewGenerator(
-			[]traffic.AppTraffic{traffic.Adversary(mesh, adversaryApp, s.adversary/3)},
-			s.cfg.Seed^0xadadad, inject)
-		adv.Until = end
-		adv.Pool = pool
-		tickers = append(tickers, adv.Tick)
-	}
-
-	eng := sim.NewEngine()
-	for _, t := range tickers {
-		eng.Register(sim.TickFunc(t))
-	}
-	eng.Register(net)
+			if s.adversary > 0 {
+				att.AddAdversary(mesh, adversaryApp, s.adversary, s.cfg.Seed, end, inject, pool)
+			}
+			return att
+		},
+	})
+	defer b.Close()
+	net, col := b.Net, b.Col
 	if srv := s.obsSrv; srv != nil {
 		every := s.obsEvery
 		// Runs on the coordinating goroutine after the tick completes, so
 		// reading telemetry and the engine profile is race-free.
-		eng.OnCycle(func(cycle int64) {
+		b.Eng.OnCycle(func(cycle int64) {
 			if cycle%every == 0 {
 				srv.Publish(obs.Snap(cycle, tel, net.EngineProfile()))
 			}
 		})
 	}
-	eng.Run(end)
-	// Drain: generators self-stop at Until; the memory system keeps
-	// ticking so in-flight protocol actions complete.
-	eng.RunUntil(net.Drained, ph.Drain)
+	b.Run()
 
 	rep := &Report{
 		APL:              col.APL(),
@@ -708,7 +668,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Engine:           net.EngineProfile(),
 	}
 	if srv := s.obsSrv; srv != nil {
-		srv.Publish(obs.Snap(eng.Now(), tel, rep.Engine))
+		srv.Publish(obs.Snap(b.Eng.Now(), tel, rep.Engine))
 	}
 	if inj := net.Faults(); inj != nil {
 		fr := inj.Report()
@@ -732,67 +692,4 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// BatchResult summarizes one replication of RunBatch.
-type BatchResult struct {
-	Seed    uint64
-	Packets int64
-	APL     float64
-	P99     float64
-}
-
-// RunBatch executes the simulation's scenario once per seed, keeping up to
-// width replications resident and advancing them in lockstep (one pass of
-// the cycle loop steps every live replication by one cycle). Results are
-// bit-identical to running each seed through Run; the lockstep only changes
-// the order the process visits the replications in, which keeps the
-// instruction cache warm across a seed axis. See internal/harness.RunBatch
-// for the scheduling contract.
-//
-// Only plain synthetic-traffic simulations batch: PARSEC workloads,
-// adversarial traffic, routing overrides, telemetry, fault injection and
-// invariant collection all carry per-run state the batch runner does not
-// thread through, and are rejected.
-func (s *Simulation) RunBatch(ph Phases, seeds []uint64, width int) ([]BatchResult, error) {
-	if ph.Warmup < 0 || ph.Measure <= 0 {
-		return nil, fmt.Errorf("rair: need a positive measurement window")
-	}
-	if len(s.apps) == 0 {
-		return nil, fmt.Errorf("rair: no traffic attached (AddApp)")
-	}
-	if s.parsec || s.adversary > 0 || s.alg != nil ||
-		s.cfg.Telemetry || s.cfg.Attribution || s.cfg.Profile ||
-		s.cfg.Faults != nil || s.cfg.CheckInvariants {
-		return nil, fmt.Errorf("rair: RunBatch supports only plain synthetic-traffic simulations")
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("rair: RunBatch needs at least one seed")
-	}
-	rcs := make([]harness.RunConfig, len(seeds))
-	for i, seed := range seeds {
-		if seed == 0 {
-			return nil, fmt.Errorf("rair: RunBatch seeds must be >= 1")
-		}
-		rcs[i] = harness.RunConfig{
-			Regions: s.regions,
-			Router:  s.rcfg,
-			Apps:    s.apps,
-			Scheme:  s.scheme,
-			Dur:     harness.Durations{Warmup: ph.Warmup, Measure: ph.Measure, Drain: ph.Drain},
-			Seed:    seed,
-			Workers: s.cfg.Workers,
-		}
-	}
-	cols := harness.RunBatch(rcs, width)
-	out := make([]BatchResult, len(seeds))
-	for i, col := range cols {
-		out[i] = BatchResult{
-			Seed:    seeds[i],
-			Packets: col.Packets(),
-			APL:     col.APL(),
-			P99:     col.Total().Percentile(99),
-		}
-	}
-	return out, nil
 }

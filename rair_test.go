@@ -1,6 +1,7 @@
 package rair
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,41 @@ func TestRunSyntheticEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "APL") {
 		t.Fatal("report string empty")
+	}
+}
+
+// TestReportStringListsEveryApp: a custom layout may hold more than sixteen
+// regions, and the report's text must carry a per-app line for each.
+func TestReportStringListsEveryApp(t *testing.T) {
+	const regions = 17
+	rects := make([]Rect, regions)
+	for i := range rects {
+		rects[i] = Rect{2 * i, 0, 2*i + 2, 2}
+	}
+	sim, err := New(Config{MeshW: 2 * regions, MeshH: 2, Layout: LayoutCustom, Rects: rects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for app := 0; app < regions; app++ {
+		if err := sim.AddApp(AppSpec{App: app, PacketRate: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := sim.Run(Phases{Warmup: 100, Measure: 1500, Drain: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PerApp) != regions {
+		t.Fatalf("%d per-app entries, want %d", len(rep.PerApp), regions)
+	}
+	out := rep.String()
+	for app := 0; app < regions; app++ {
+		if !strings.Contains(out, fmt.Sprintf("  app %d: APL", app)) {
+			t.Fatalf("app %d missing from report:\n%s", app, out)
+		}
+	}
+	if strings.Index(out, "  app 9:") > strings.Index(out, "  app 10:") {
+		t.Fatalf("per-app lines out of numeric order:\n%s", out)
 	}
 }
 
