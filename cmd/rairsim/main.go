@@ -62,8 +62,9 @@ const example = `{
 }`
 
 // usage prints the command summary and flag reference to stderr; it is
-// installed as flag.Usage so unknown flags exit non-zero with the same text.
-func usage() {
+// installed as the flag set's Usage so unknown flags exit non-zero with the
+// same text.
+func usage(fs *flag.FlagSet) {
 	fmt.Fprintf(os.Stderr, `usage: rairsim -f sim.json [flags]
 
 Run one NoC simulation described by a JSON file and print its latency
@@ -79,74 +80,89 @@ report.
 
 Flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "rairsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	flag.Usage = usage
-	file := flag.String("f", "", "simulation description (JSON)")
-	showExample := flag.Bool("example", false, "print an example configuration and exit")
-	telemetry := flag.Bool("telemetry", false, "collect per-router telemetry (counters + windowed series)")
-	telOut := flag.String("telemetry-out", "telemetry.json", "telemetry report path (.json or .csv)")
-	telWindow := flag.Int64("telemetry-window", 0, "telemetry sampling window in cycles (0 = default 256)")
-	telTrace := flag.Uint64("telemetry-trace", 0, "trace every N-th packet's flit lifecycle (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
-	workers := flag.Int("workers", -1, "tick-engine shard count: -1 = take the config file's value, 0 = auto-select from GOMAXPROCS, >= 1 explicit (results are bit-identical at any count)")
-	faultSpec := flag.String("faults", "", "inject deterministic faults, e.g. drop=0.001,corrupt=0.001,leak=0.0005,stall=0.0002")
-	checkInv := flag.Bool("check-invariants", false, "run the runtime invariant checker at every cycle")
-	attribution := flag.Bool("attribution", false, "enable the interference blame accountant (implies -telemetry collection)")
-	profile := flag.Bool("profile", false, "enable tick-engine self-profiling (phase timings, barrier waits, quiescence)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /snapshot on this address during the run (implies -attribution -profile)")
-	metricsEvery := flag.Int64("metrics-every", 256, "publish a fresh snapshot to -metrics-addr every N cycles")
-	obsReport := flag.String("obs-report", "", "write the final observability snapshot to this path, .json or .csv (implies -attribution -profile)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rairsim: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+// options are the command-line settings that do not live in the simulation
+// file.
+type options struct {
+	telOut                 string
+	cpuprofile, memprofile string
+	metricsAddr, obsReport string
+	metricsEvery           int64
+}
+
+// configure parses the command line and returns the simulation file with
+// the flags folded in. A flag that carries a value (-telemetry-window,
+// -telemetry-trace, -workers) overrides the file only when it was given, so
+// a file's own setting survives the flag's default. The file is nil after
+// -example.
+func configure(args []string) (*config.File, options, error) {
+	var o options
+	fs := flag.NewFlagSet("rairsim", flag.ExitOnError)
+	fs.Usage = func() { usage(fs) }
+	file := fs.String("f", "", "simulation description (JSON)")
+	showExample := fs.Bool("example", false, "print an example configuration and exit")
+	telemetry := fs.Bool("telemetry", false, "collect per-router telemetry (counters + windowed series)")
+	fs.StringVar(&o.telOut, "telemetry-out", "telemetry.json", "telemetry report path (.json or .csv)")
+	telWindow := fs.Int64("telemetry-window", 0, "telemetry sampling window in cycles (0 = default 256)")
+	telTrace := fs.Uint64("telemetry-trace", 0, "trace every N-th packet's flit lifecycle (0 = off)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this path")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this path")
+	workers := fs.Int("workers", -1, "tick-engine shard count: -1 = take the config file's value, 0 = auto-select from GOMAXPROCS, >= 1 explicit (results are bit-identical at any count)")
+	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. drop=0.001,corrupt=0.001,leak=0.0005,stall=0.0002")
+	checkInv := fs.Bool("check-invariants", false, "run the runtime invariant checker at every cycle; with -faults, also fail the run if a flit is lost for good")
+	attribution := fs.Bool("attribution", false, "enable the interference blame accountant (implies -telemetry collection)")
+	profile := fs.Bool("profile", false, "enable tick-engine self-profiling (phase timings, barrier waits, quiescence)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics and /snapshot on this address during the run (implies -attribution -profile)")
+	fs.Int64Var(&o.metricsEvery, "metrics-every", 256, "publish a fresh snapshot to -metrics-addr every N cycles")
+	fs.StringVar(&o.obsReport, "obs-report", "", "write the final observability snapshot to this path, .json or .csv (implies -attribution -profile)")
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rairsim: unexpected arguments: %v\n", fs.Args())
+		fs.Usage()
 		os.Exit(2)
 	}
 
 	if *showExample {
 		fmt.Println(example)
-		return nil
+		return nil, o, nil
 	}
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "rairsim: -f <file.json> required (see -example)")
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 	f, err := config.Load(*file)
 	if err != nil {
-		return err
+		return nil, o, err
 	}
-	if *metricsAddr != "" || *obsReport != "" {
-		*attribution = true
-		*profile = true
-	}
+	obsOn := o.metricsAddr != "" || o.obsReport != ""
+	f.Config.Attribution = f.Config.Attribution || *attribution || obsOn
+	f.Config.Profile = f.Config.Profile || *profile || obsOn
+	f.Config.CheckInvariants = f.Config.CheckInvariants || *checkInv
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "telemetry-window":
+			f.Config.TelemetryWindow = *telWindow
+		case "telemetry-trace":
+			f.Config.TelemetryTraceEvery = *telTrace
+		}
+	})
 	if *telemetry || *telTrace > 0 {
 		f.Config.Telemetry = true
-		f.Config.TelemetryWindow = *telWindow
-		f.Config.TelemetryTraceEvery = *telTrace
 	}
-	f.Config.Attribution = f.Config.Attribution || *attribution
-	f.Config.Profile = f.Config.Profile || *profile
 	if *faultSpec != "" {
-		fs, err := rair.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			return err
+		if f.Config.Faults, err = rair.ParseFaultSpec(*faultSpec); err != nil {
+			return nil, o, err
 		}
-		f.Config.Faults = fs
-	}
-	if *checkInv {
-		f.Config.CheckInvariants = true
 	}
 	switch {
 	case *workers == 0:
@@ -154,9 +170,17 @@ func run() error {
 	case *workers > 0:
 		f.Config.Workers = *workers
 	}
+	return f, o, nil
+}
 
-	if *cpuprofile != "" {
-		cf, err := os.Create(*cpuprofile)
+func run(args []string) error {
+	f, o, err := configure(args)
+	if f == nil {
+		return err
+	}
+
+	if o.cpuprofile != "" {
+		cf, err := os.Create(o.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -171,15 +195,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		srv, err = obs.NewServer(*metricsAddr)
+	if o.metricsAddr != "" {
+		addr, closeObs, err := sim.ServeObs(o.metricsAddr, o.metricsEvery)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rairsim: serving http://%s/metrics and /snapshot\n", srv.Addr())
-		sim.SetObsServer(srv, *metricsEvery)
+		defer closeObs()
+		fmt.Fprintf(os.Stderr, "rairsim: serving http://%s/metrics and /snapshot\n", addr)
 	}
 	rep, err := sim.Run(rair.Phases{
 		Warmup: f.Phases.Warmup, Measure: f.Phases.Measure, Drain: f.Phases.Drain,
@@ -194,17 +216,24 @@ func run() error {
 	if rep.Faults != nil {
 		fmt.Println(rep.Faults)
 	}
-	if *obsReport != "" {
-		if err := writeObsReport(rep, *obsReport); err != nil {
+	if o.obsReport != "" {
+		// -obs-report implies attribution, so the collector is always there.
+		if err := obs.Snap(rep.Telemetry.Now(), rep.Telemetry, rep.Engine).WriteFile(o.obsReport); err != nil {
 			return err
 		}
+		fmt.Printf("wrote %s\n", o.obsReport)
 	}
 	if f.Config.CheckInvariants {
+		// The checker books a flit that ran out of retries as accounted
+		// for, so permanent loss has to fail the run here.
+		if rep.Faults != nil && rep.Faults.LostFlits > 0 {
+			return fmt.Errorf("lost %d flits permanently (retry budget too small for the configured fault rates)", rep.Faults.LostFlits)
+		}
 		fmt.Println("invariants: all checks passed")
 	}
 
-	if *memprofile != "" {
-		mf, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		mf, err := os.Create(o.memprofile)
 		if err != nil {
 			return err
 		}
@@ -221,11 +250,11 @@ func run() error {
 	if rep.Telemetry == nil || !f.Config.Telemetry {
 		return nil
 	}
-	if err := writeTelemetry(rep, *telOut); err != nil {
+	if err := writeTelemetry(rep, o.telOut); err != nil {
 		return err
 	}
-	if *telTrace > 0 {
-		tracePath := tracePathFor(*telOut)
+	if f.Config.TelemetryTraceEvery > 0 {
+		tracePath := tracePathFor(o.telOut)
 		tf, err := os.Create(tracePath)
 		if err != nil {
 			return err
@@ -236,23 +265,6 @@ func run() error {
 		}
 		fmt.Printf("wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", tracePath)
 	}
-	return nil
-}
-
-// writeObsReport dumps the run's final observability snapshot as JSON, or
-// flat CSV when the path ends in .csv.
-func writeObsReport(rep *rair.Report, path string) error {
-	snap := &obs.Snapshot{Engine: rep.Engine}
-	if tel := rep.Telemetry; tel != nil {
-		t := tel.Totals()
-		snap.Totals = &t
-		snap.Attribution = tel.Attribution()
-		snap.Cycle = tel.Now()
-	}
-	if err := snap.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 

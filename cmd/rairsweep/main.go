@@ -3,16 +3,18 @@
 // keyed jobs, schedules them over a bounded worker pool, and appends results
 // to a JSONL store that an interrupted sweep resumes bit-exactly. The check
 // subcommand gates the store against the EXPERIMENTS.md shape guards; diff
-// compares two stores statistically.
+// compares two stores statistically; manifest writes a manifest over the
+// registry.
 //
 // Usage:
 //
+//	rairsweep manifest -out m.json [-experiment name] [-seeds 1,2,3] [-quick]
 //	rairsweep run    -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-retries n] [-force]
 //	rairsweep resume -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-retries n]
 //	rairsweep check  -store store.jsonl [-summary out.md]
 //	rairsweep diff   -a a.jsonl -b b.jsonl [-tol frac]
 //
-// Manifests come from rairbench -emit-manifest or are written by hand; see
+// Manifests come from the manifest subcommand or are written by hand; see
 // DESIGN.md ("Sweep orchestration") and testdata/sweep/.
 package main
 
@@ -23,6 +25,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -34,6 +39,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: rairsweep <command> [flags]
 
 commands:
+  manifest write a manifest covering the experiment registry
   run      execute a manifest into a fresh result store
   resume   continue an interrupted sweep (skips jobs already in the store)
   check    apply the EXPERIMENTS.md shape guards to a store
@@ -50,6 +56,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "manifest":
+		err = cmdManifest(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:], false)
 	case "resume":
@@ -81,13 +89,65 @@ func knownExperiments() []string {
 	return out
 }
 
+// cmdManifest writes a manifest covering the experiment registry (or one
+// experiment of it), so sweeps are declared against the names rairbench
+// -list reports.
+func cmdManifest(args []string) error {
+	fs := flag.NewFlagSet("rairsweep manifest", flag.ExitOnError)
+	out := fs.String("out", "", "manifest path to write (required)")
+	only := fs.String("experiment", "", "cover this experiment only (default: every experiment)")
+	seedList := fs.String("seeds", "1", "comma-separated seed list (integers >= 1)")
+	quick := fs.Bool("quick", false, "declare the sweep at reduced durations")
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *out == "" {
+		fs.Usage()
+		return fmt.Errorf("-out is required")
+	}
+	var seeds []uint64
+	for _, s := range strings.Split(*seedList, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || v == 0 {
+			return fmt.Errorf("-seeds: bad seed %q (need integers >= 1)", s)
+		}
+		seeds = append(seeds, v)
+	}
+	if len(seeds) == 0 {
+		return fmt.Errorf("-seeds: no seeds given")
+	}
+	names := knownExperiments()
+	mname, dur := "full-reproduction", "paper"
+	if *quick {
+		mname, dur = "quick-reproduction", "quick"
+	}
+	if *only != "" {
+		if !slices.Contains(names, *only) {
+			return fmt.Errorf("no experiment named %q (see rairbench -list)", *only)
+		}
+		names, mname = []string{*only}, *only
+	}
+	if err := sweep.WriteManifest(sweep.NewManifest(mname, names, seeds, *quick), *out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d experiments x %d seeds, %s durations)\n",
+		*out, len(names), len(seeds), dur)
+	return nil
+}
+
 func cmdRun(args []string, resume bool) error {
 	name := "run"
 	if resume {
 		name = "resume"
 	}
 	fs := flag.NewFlagSet("rairsweep "+name, flag.ExitOnError)
-	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see rairbench -emit-manifest)")
+	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see rairsweep manifest)")
 	out := fs.String("out", "sweep.jsonl", "result store path")
 	workers := fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS-bounded by the harness; 1 = serial)")
 	timeout := fs.Duration("job-timeout", 0, "per-job attempt timeout (0 = none)")

@@ -245,14 +245,7 @@ func Experiments() []ExperimentInfo {
 // returns the formatted result. quick trades statistical tightness for
 // speed (shorter warmup/measurement windows).
 func Experiment(name string, quick bool, seed uint64) (string, error) {
-	e, ok := experiments[name]
-	if !ok {
-		return "", fmt.Errorf("rair: unknown experiment %q (have %v)", name, names())
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	text, _, err := e.run(quick, seed)
+	text, _, err := ExperimentCSV(name, quick, seed)
 	return text, err
 }
 

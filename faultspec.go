@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// ParseFaultSpec parses the command-line fault specification shared by the
-// rairsim and rairbench binaries: a comma-separated key=value list, e.g.
+// ParseFaultSpec parses the command-line fault specification of the rairsim
+// binary: a comma-separated key=value list, e.g.
 //
 //	drop=0.001,corrupt=0.001,leak=0.0005,stall=0.0002,stalllen=20,reconcile=1024
 //

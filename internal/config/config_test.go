@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rair"
 )
 
 const sample = `{
@@ -96,5 +98,27 @@ func TestParsecFile(t *testing.T) {
 	}
 	if rep.Packets == 0 {
 		t.Fatal("no packets")
+	}
+}
+
+// TestProbeScenario pins testdata/sim/probe.json, the scenario the CI
+// telemetry, fault-injection and obs-snapshot smokes share: under the CI
+// fault spec at seed 1 every measured packet is delivered and none is lost.
+func TestProbeScenario(t *testing.T) {
+	f, err := Load("../../testdata/sim/probe.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Config.Faults, err = rair.ParseFaultSpec("drop=0.002,corrupt=0.002,leak=0.001,stall=0.0005,stalllen=6,reconcile=256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Config.CheckInvariants = true
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Packets != 61687 || rep.Faults.LostFlits != 0 {
+		t.Fatalf("probe delivered %d packets with %d flits lost, want 61687 and 0", rep.Packets, rep.Faults.LostFlits)
 	}
 }

@@ -73,11 +73,6 @@ type RAIR struct {
 	// traffic is typically more critical), so the state starts false.
 	nativeHigh bool
 
-	// Duty-cycle instrumentation: cycles spent in each state (ablation
-	// reports and tests).
-	nativeHighCycles int64
-	totalCycles      int64
-
 	// Priority lookup tables (the policy.Tabular facet), rewritten on
 	// every DPA state change: saTab by native, vaTab by [class][native].
 	saTab [2]int8
@@ -136,15 +131,6 @@ func (p *RAIR) Name() string {
 	return "RA_RAIR"
 }
 
-// DutyCycle reports the fraction of cycles spent with native traffic at
-// high priority (0 if the policy has not run).
-func (p *RAIR) DutyCycle() float64 {
-	if p.totalCycles == 0 {
-		return 0
-	}
-	return float64(p.nativeHighCycles) / float64(p.totalCycles)
-}
-
 // NativeHigh exposes the current DPA state (for tests and ablation
 // instrumentation).
 func (p *RAIR) NativeHigh() bool {
@@ -197,10 +183,6 @@ func (p *RAIR) priorityOf(r policy.Requestor) int {
 // OVC_n with nonzero OVC_f is an infinite ratio (native high); when both
 // registers are zero the state holds (nothing to adapt to).
 func (p *RAIR) Update(ovcNative, ovcForeign int) {
-	p.totalCycles++
-	if p.NativeHigh() {
-		p.nativeHighCycles++
-	}
 	if p.cfg.Mode != ModeDPA {
 		return
 	}

@@ -73,9 +73,6 @@ func (r *Router) STRegister(d topology.Dir) (msg.Flit, bool) {
 	return r.out[d].st, r.out[d].stValid
 }
 
-// STPending reports how many ST registers are occupied across the router.
-func (r *Router) STPending() int { return r.stPending }
-
 // AuditMasks recomputes every incrementally-maintained occupancy bitmask
 // and stage counter from the authoritative per-VC state (the slow reference
 // scan the masks replaced) and reports each discrepancy through fn. A clean
@@ -293,9 +290,3 @@ func (ni *NI) AuditMasks(fn func(desc string)) {
 		fn(fmt.Sprintf("NI streamMask %#x overlaps drainMask %#x", ni.streamMask, ni.drainMask))
 	}
 }
-
-// InLink returns input port d's upstream link (nil on mesh-edge ports).
-func (r *Router) InLink(d topology.Dir) *Link { return r.in[d].link }
-
-// OutLink returns output port d's downstream link (nil on mesh-edge ports).
-func (r *Router) OutLink(d topology.Dir) *Link { return r.out[d].link }

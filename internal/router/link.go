@@ -168,9 +168,6 @@ func (l *Link) Busy() bool {
 // retransmission queue; see Faults().PendingFlits for those).
 func (l *Link) InFlightFlits() int { return l.flits.Len() }
 
-// InFlightCredits reports credits on the upstream wire.
-func (l *Link) InFlightCredits() int { return l.credits.Len() }
-
 // AuditFlits calls fn for every in-flight downstream flit, oldest first
 // (read-only invariant-checker hook; barrier-only).
 func (l *Link) AuditFlits(fn func(msg.Flit)) { l.flits.Each(fn) }

@@ -332,19 +332,6 @@ func (r *Router) Active() bool {
 	return r.rcCount+r.vaCount+r.activeCount+r.stPending > 0
 }
 
-// BusyCreditWires reports whether any credit this router returned upstream
-// is still in flight on one of its input links. Drain detection uses it:
-// once no packets are in flight, the only possible residual activity is
-// credits pushed by routers that ticked last cycle.
-func (r *Router) BusyCreditWires() bool {
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if l := r.in[d].link; l != nil && l.CreditsBusy() {
-			return true
-		}
-	}
-	return false
-}
-
 // Occupancy reports the occupied-input-VC count at the end of the last
 // cycle.
 func (r *Router) Occupancy() int { return int(r.soa.OccSnap[r.li]) }

@@ -108,16 +108,6 @@ func NewBounded[T any](depth int) *Bounded[T] {
 	return &Bounded[T]{buf: make([]T, depth)}
 }
 
-// MakeBounded returns a ring of exactly depth slots by value, for embedding
-// directly in a larger struct (keeping the element storage one indirection
-// away instead of two).
-func MakeBounded[T any](depth int) Bounded[T] {
-	if depth < 1 {
-		panic("sim: Bounded depth must be >= 1")
-	}
-	return Bounded[T]{buf: make([]T, depth)}
-}
-
 // BoundedOver returns a ring whose element storage is the caller-supplied
 // slice (len(buf) slots). The network uses it to carve every VC flit buffer
 // out of one contiguous per-shard slab.

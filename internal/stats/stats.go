@@ -104,14 +104,13 @@ type Collector struct {
 	Warmup     int64
 	MeasureEnd int64
 
-	total        Dist
-	network      Dist
-	hops         Dist
-	perApp       map[int]*Dist
-	perAppGlobal map[int]*Dist
-	regional     Dist
-	global       Dist
-	perClass     map[msg.Class]*Dist
+	total    Dist
+	network  Dist
+	hops     Dist
+	perApp   map[int]*Dist
+	regional Dist
+	global   Dist
+	perClass map[msg.Class]*Dist
 
 	flits   int64 // delivered flits of measured packets
 	packets int64
@@ -121,11 +120,10 @@ type Collector struct {
 // [warmup, measureEnd).
 func NewCollector(warmup, measureEnd int64) *Collector {
 	return &Collector{
-		Warmup:       warmup,
-		MeasureEnd:   measureEnd,
-		perApp:       make(map[int]*Dist),
-		perAppGlobal: make(map[int]*Dist),
-		perClass:     make(map[msg.Class]*Dist),
+		Warmup:     warmup,
+		MeasureEnd: measureEnd,
+		perApp:     make(map[int]*Dist),
+		perClass:   make(map[msg.Class]*Dist),
 	}
 }
 
@@ -147,12 +145,6 @@ func (c *Collector) OnEject(p *msg.Packet, now int64) {
 	app.Add(lat)
 	if p.Global {
 		c.global.Add(lat)
-		ag := c.perAppGlobal[p.App]
-		if ag == nil {
-			ag = &Dist{}
-			c.perAppGlobal[p.App] = ag
-		}
-		ag.Add(lat)
 	} else {
 		c.regional.Add(lat)
 	}
@@ -192,15 +184,6 @@ func (c *Collector) Apps() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// AppGlobal returns the latency distribution of one application's
-// inter-region traffic only.
-func (c *Collector) AppGlobal(app int) *Dist {
-	if d, ok := c.perAppGlobal[app]; ok {
-		return d
-	}
-	return &Dist{}
 }
 
 // Regional returns the intra-region traffic distribution.

@@ -379,10 +379,6 @@ func (c *Collector) ProbeFor(node, app int) *Probe {
 	return c.probes[node]
 }
 
-// Probes returns the per-node probes in node order (nil entries possible
-// for nodes never wired).
-func (c *Collector) Probes() []*Probe { return c.probes }
-
 // Advance notes the cycle and reports whether a sampling window just
 // closed; the network then samples every router. Runs on the coordinator
 // only.

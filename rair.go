@@ -25,7 +25,8 @@
 //	...
 //	sim.AddApp(rair.AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.2})
 //	sim.AddApp(rair.AppSpec{App: 1, LoadFrac: 0.9})
-//	report := sim.Run(rair.Phases{Warmup: 10000, Measure: 100000, Drain: 20000})
+//	report, err := sim.Run(rair.Phases{Warmup: 10000, Measure: 100000, Drain: 20000})
+//	...
 //	fmt.Println(report)
 //
 // The paper's full evaluation is available through Experiment and the
@@ -235,30 +236,18 @@ type Simulation struct {
 	obsEvery int64
 }
 
-// SetObsServer attaches a live observability endpoint: during Run, a fresh
-// obs.Snapshot (telemetry totals, attribution, engine profile) is published
-// to srv every `every` cycles (and once more at the end of the run). Call
-// before Run; the caller owns the server's lifecycle.
-func (s *Simulation) SetObsServer(srv *obs.Server, every int64) {
-	if every < 1 {
-		every = 1
-	}
-	s.obsSrv = srv
-	s.obsEvery = every
-}
-
 // ServeObs starts a live observability HTTP listener on addr (host:port;
-// ":0" picks a free port) and attaches it to the simulation as with
-// SetObsServer. It exists so callers outside this module — which cannot
-// name the internal obs package — can still stand up the /metrics and
-// /snapshot endpoints. Returns the bound address and a close function the
-// caller must invoke when done.
+// ":0" picks a free port): during Run, a fresh snapshot (telemetry totals,
+// attribution, engine profile) is published at /metrics and /snapshot every
+// `every` cycles, and once more at the end of the run. Call before Run.
+// Returns the bound address and a close function the caller must invoke
+// when done.
 func (s *Simulation) ServeObs(addr string, every int64) (string, func() error, error) {
 	srv, err := obs.NewServer(addr)
 	if err != nil {
 		return "", nil, err
 	}
-	s.SetObsServer(srv, every)
+	s.obsSrv, s.obsEvery = srv, max(every, 1)
 	return srv.Addr(), srv.Close, nil
 }
 
