@@ -1,8 +1,10 @@
 package config
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rair"
@@ -62,6 +64,45 @@ func TestBuildErrorsSurface(t *testing.T) {
 	}
 	if _, err := f.Build(); err == nil {
 		t.Fatal("bad scheme accepted at build")
+	}
+}
+
+// A mesh the simulator cannot build must come back from Build as an error,
+// never as a panic out of topology.NewMesh: too small, negative, and
+// W²·H ≥ 2³² (including dimensions whose product overflows 64 bits).
+func TestBuildRejectsMeshDimensions(t *testing.T) {
+	cases := []struct {
+		w, h int
+		want string
+	}{
+		{1, 8, "too small"},
+		{8, 1, "too small"},
+		{-4, 8, "too small"},
+		{8, -4, "too small"},
+		{1626, 1626, "too large"}, // 1626³ ≥ 2³²
+		{65536, 2, "too large"},
+		{2, 1 << 30, "too large"},
+		{1 << 40, 1 << 40, "too large"},
+	}
+	for _, c := range cases {
+		f, err := Parse([]byte(fmt.Sprintf(`{
+		  "config": {"meshW": %d, "meshH": %d},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`, c.w, c.h)))
+		if err != nil {
+			t.Fatalf("%dx%d: parse: %v", c.w, c.h, err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%dx%d: Build panicked: %v", c.w, c.h, p)
+				}
+			}()
+			if _, err := f.Build(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%dx%d: Build error %v, want one containing %q", c.w, c.h, err, c.want)
+			}
+		}()
 	}
 }
 

@@ -186,20 +186,23 @@ func (r *Router) AuditMasks(fn func(desc string)) {
 			stN++
 		}
 	}
+	// An armed plan must cover the candidate sets exactly: every planned
+	// stream Active with its flit latched, and no candidate beside it.
 	if r.fastArmed {
-		if r.fastN == 0 {
-			fn("fast path armed with an empty plan")
+		if r.planPorts == 0 {
+			fn("plan armed with no streams")
 		}
-		for k := 0; k < r.fastN; k++ {
-			s := &r.fastPlan[k]
-			switch {
-			case !s.out.stValid:
-				fn(fmt.Sprintf("fast plan %d: output %s armed without a latched ST flit", k, s.outDir))
-			case bits.OnesCount64(s.out.streamMask) != 1:
-				fn(fmt.Sprintf("fast plan %d: output %s carries %d streams, fast path requires exactly 1",
-					k, s.outDir, bits.OnesCount64(s.out.streamMask)))
-			case s.ivc.stage != stageActive:
-				fn(fmt.Sprintf("fast plan %d: input VC no longer active", k))
+		for d := topology.Dir(0); d < topology.NumDirs; d++ {
+			elig := r.in[d].saElig
+			if r.planPorts>>uint(d)&1 == 1 {
+				vc := r.saOutVC[d]
+				if vc.stage != stageActive || !r.out[vc.outPort].stValid {
+					fn(fmt.Sprintf("plan in %s: stream not Active with a latched ST flit", d))
+				}
+				elig &^= 1 << uint(vc.idx)
+			}
+			if elig != 0 {
+				fn(fmt.Sprintf("plan in %s: candidates %#x outside the armed plan", d, elig))
 			}
 		}
 	}

@@ -34,8 +34,9 @@ func benchFeed(b *testing.B, r *Router, dir topology.Dir, pkt *msg.Packet, now *
 // BenchmarkSwitchAllocation measures SA in its two steady shapes: "stalled"
 // is the pure candidate scan with every VC blocked behind an occupied ST
 // register (the no-op path an interfered router spins on), "grant" is the
-// uncontended single-candidate fast path through SA_in, SA_out and the
-// flit transfer into the ST register.
+// uncontended single-candidate arbitration through SA_in, SA_out and the
+// flit transfer into the ST register (disarmed every iteration, so it never
+// replays).
 func BenchmarkSwitchAllocation(b *testing.B) {
 	b.Run("stalled", func(b *testing.B) {
 		cfg := DefaultConfig(1)
@@ -108,6 +109,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 			vc.buf.Push(f)
 			in.occMask |= 1 << 1
 			in.bufFlits++
+			r.fastArmed = false
 			r.switchAllocation()
 		}
 	})
@@ -117,11 +119,11 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 var benchSink vcMask
 
 // BenchmarkFlitStreaming pumps one very long packet eastwards with the
-// link drained and its credit returned every cycle — the steady shape the
-// event-driven fast path targets. "fast" lets the plan arm and measures
-// the fused fastTick pump; "slow" disarms before every tick, forcing the
-// full allocation replay the fast path skips. The delta is the per-cycle
-// cost of re-deriving an outcome that no event changed.
+// link drained and its credit returned every cycle — the steady shape plan
+// replay targets. "replay" lets the plan arm; "arbitrate" disarms before
+// every tick, forcing the candidate walk and both arbiters that replay
+// skips. The delta is the per-cycle cost of re-deriving an outcome that no
+// event changed.
 func BenchmarkFlitStreaming(b *testing.B) {
 	run := func(b *testing.B, disarm bool) {
 		cfg := DefaultConfig(1)
@@ -139,11 +141,10 @@ func BenchmarkFlitStreaming(b *testing.B) {
 			}
 			// Play the engine's link phase by hand: drain the east wire,
 			// recycle the consumed flit's credit, top the input VC back up.
-			f, fok, cr, cok := east.Shift()
-			if cok {
+			if cr, ok := east.ShiftCredits(now); ok {
 				r.DeliverCredit(topology.East, cr)
 			}
-			if fok {
+			if f, ok := east.ShiftFlits(now); ok {
 				east.SendCredit(f.VC)
 			}
 			if vc.buf.Len() < cfg.Depth {
@@ -160,9 +161,9 @@ func BenchmarkFlitStreaming(b *testing.B) {
 			b.Fatalf("stream stalled: %d flits sent over %d cycles", sent, b.N)
 		}
 		if !disarm && b.N > 100 && r.FastTicks() == 0 {
-			b.Fatal("fast path never engaged")
+			b.Fatal("no tick replayed a plan")
 		}
 	}
-	b.Run("fast", func(b *testing.B) { run(b, false) })
-	b.Run("slow", func(b *testing.B) { run(b, true) })
+	b.Run("replay", func(b *testing.B) { run(b, false) })
+	b.Run("arbitrate", func(b *testing.B) { run(b, true) })
 }

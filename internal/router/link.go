@@ -69,16 +69,6 @@ func (l *Link) SetFaults(fs *faults.LinkState) { l.faults = fs }
 // Faults returns the link's fault state (nil when fault-free).
 func (l *Link) Faults() *faults.LinkState { return l.faults }
 
-// Shift advances both directions one cycle, returning any arrivals. It is
-// the single-threaded convenience used by router-level tests and bypasses
-// fault injection; the network's tick engine always uses the split
-// ShiftFlits/ShiftCredits.
-func (l *Link) Shift() (f msg.Flit, fOK bool, credit int, cOK bool) {
-	f, fOK = l.flits.Shift()
-	credit, cOK = l.credits.Shift()
-	return
-}
-
 // ShiftFlits advances only the downstream flit wire. The tick engine shifts
 // the two directions of a link from different shards (the flit wire belongs
 // to the receiver's shard, the credit wire to the sender's), so each wire

@@ -10,10 +10,10 @@ func TestLinkFlitLatency(t *testing.T) {
 	l := NewLink(2)
 	p := &msg.Packet{ID: 1, Size: 1}
 	l.SendFlit(msg.Flit{Pkt: p, Type: msg.HeadTail})
-	if _, ok, _, _ := l.Shift(); ok {
+	if _, ok := l.ShiftFlits(0); ok {
 		t.Fatal("flit arrived one cycle early")
 	}
-	f, ok, _, _ := l.Shift()
+	f, ok := l.ShiftFlits(1)
 	if !ok || f.Pkt != p {
 		t.Fatal("flit did not arrive after latency")
 	}
@@ -25,7 +25,7 @@ func TestLinkFlitLatency(t *testing.T) {
 func TestLinkCreditLatencyOne(t *testing.T) {
 	l := NewLink(3)
 	l.SendCredit(4)
-	_, _, credit, ok := l.Shift()
+	credit, ok := l.ShiftCredits(0)
 	if !ok || credit != 4 {
 		t.Fatal("credit must arrive after exactly one cycle")
 	}
@@ -35,7 +35,8 @@ func TestLinkFullDuplex(t *testing.T) {
 	l := NewLink(1)
 	p := &msg.Packet{ID: 1, Size: 1}
 	for c := 0; c < 10; c++ {
-		f, fOK, credit, cOK := l.Shift()
+		f, fOK := l.ShiftFlits(int64(c))
+		credit, cOK := l.ShiftCredits(int64(c))
 		if c > 0 {
 			if !fOK || f.Seq != c-1 {
 				t.Fatalf("cycle %d: flit %v %v", c, f, fOK)

@@ -87,15 +87,10 @@ type stream struct {
 	next int
 }
 
-// NewNI builds the interface for node, backed by a private single-slot
-// store. onEject is invoked when a packet's tail is consumed (may be nil).
-func NewNI(cfg Config, node int, regions *region.Map, inj, ej *Link, onEject func(*msg.Packet, int64)) *NI {
-	return NewNIInStore(cfg, node, regions, inj, ej, onEject, NewSoA(cfg, 1), 0)
-}
-
 // NewNIInStore builds the interface for node as a view over slot li of the
 // shard store soa (shared with the node's router; the NI uses the NIWork
-// mirror and ArmedN wake bitmap).
+// mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
+// is consumed (may be nil).
 func NewNIInStore(cfg Config, node int, regions *region.Map, inj, ej *Link,
 	onEject func(*msg.Packet, int64), soa *SoA, li int) *NI {
 	v := cfg.VCsPerPort()

@@ -14,9 +14,9 @@ func testNI(cfg Config) (*NI, *Link, *Link, *[]*msg.Packet) {
 	inj := NewLink(cfg.LinkLatency)
 	ej := NewLink(cfg.LinkLatency)
 	var ejected []*msg.Packet
-	ni := NewNI(cfg, 0, regs, inj, ej, func(p *msg.Packet, now int64) {
+	ni := NewNIInStore(cfg, 0, regs, inj, ej, func(p *msg.Packet, now int64) {
 		ejected = append(ejected, p)
-	})
+	}, NewSoA(cfg, 1), 0)
 	return ni, inj, ej, &ejected
 }
 
@@ -30,7 +30,7 @@ func TestNIStreamsFlitsInOrder(t *testing.T) {
 	}
 	var got []msg.Flit
 	for c := int64(0); c < 10; c++ {
-		if f, ok, _, _ := inj.Shift(); ok {
+		if f, ok := inj.ShiftFlits(c); ok {
 			got = append(got, f)
 		}
 		ni.Tick(c)
@@ -62,7 +62,7 @@ func TestNIStampsPacket(t *testing.T) {
 	regs.Assign(1, 0)
 	regs.Assign(2, 1)
 	regs.Assign(3, 1)
-	ni := NewNI(cfg, 0, regs, NewLink(1), NewLink(1), nil)
+	ni := NewNIInStore(cfg, 0, regs, NewLink(1), NewLink(1), nil, NewSoA(cfg, 1), 0)
 	intra := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	inter := &msg.Packet{ID: 2, Src: 0, Dst: 3, Size: 1, Class: msg.ClassRequest}
 	ni.Inject(intra, 42)
@@ -101,7 +101,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	ni.Inject(p, 0)
 	sent := 0
 	for c := int64(0); c < 20; c++ {
-		if _, ok, _, _ := inj.Shift(); ok {
+		if _, ok := inj.ShiftFlits(c); ok {
 			sent++
 		}
 		ni.Tick(c)
@@ -119,7 +119,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	ni.DeliverCredit(vc)
 	ni.DeliverCredit(vc)
 	for c := int64(20); c < 40; c++ {
-		if _, ok, _, _ := inj.Shift(); ok {
+		if _, ok := inj.ShiftFlits(c); ok {
 			sent++
 		}
 		ni.Tick(c)
@@ -138,7 +138,7 @@ func TestNIInterleavesTwoVCs(t *testing.T) {
 	ni.Inject(b, 0)
 	seen := map[uint64]int{}
 	for c := int64(0); c < 30; c++ {
-		if f, ok, _, _ := inj.Shift(); ok {
+		if f, ok := inj.ShiftFlits(c); ok {
 			seen[f.Pkt.ID]++
 		}
 		ni.Tick(c)
@@ -159,7 +159,7 @@ func TestNIVCReuseAfterDrain(t *testing.T) {
 	}
 	sent := 0
 	for c := int64(0); c < 60; c++ {
-		if f, ok, _, _ := inj.Shift(); ok {
+		if f, ok := inj.ShiftFlits(c); ok {
 			sent++
 			ni.DeliverCredit(f.VC) // instant credit return
 		}
@@ -206,7 +206,7 @@ func TestNIPerClassQueues(t *testing.T) {
 	ni.Inject(rsp, 0)
 	classes := map[msg.Class]bool{}
 	for c := int64(0); c < 20; c++ {
-		if f, ok, _, _ := inj.Shift(); ok {
+		if f, ok := inj.ShiftFlits(c); ok {
 			classes[cfg.ClassOf(f.VC)] = true
 		}
 		ni.Tick(c)

@@ -13,16 +13,6 @@ import (
 	"rair/internal/topology"
 )
 
-// fastStream is one armed stream of the fast path: the input VC whose
-// flits are being pumped, its ports, and the output direction (for the
-// flits-sent counter and stList bookkeeping on unlatch).
-type fastStream struct {
-	ivc    *inputVC
-	inp    *InputPort
-	out    *OutputPort
-	outDir topology.Dir
-}
-
 // dpaPolicy is the optional policy facet exposing the DPA priority state;
 // telemetry uses it to count transitions without widening policy.Policy.
 type dpaPolicy interface {
@@ -79,21 +69,15 @@ type Router struct {
 	// visits only ports that actually have a candidate this cycle.
 	saPorts uint8
 
-	// Event-driven flit streaming. When a cycle's allocation resolves
-	// with no arbitration (every granted port had a single candidate, no
-	// SA_out contention, no held ST, no candidate left waiting), the
-	// winning streams are recorded in fastPlan and fastArmed is set: the
-	// next Tick pumps each stream through a fused ST+SA path without
-	// re-running arbitration — legal because the arbiter pointers are
-	// already parked past the sole requestor (GrantSingle is idempotent
-	// for a repeating single winner), so replaying the slow path would
-	// reproduce exactly this outcome. Any event that could change the
-	// outcome (a new SA candidate appearing, a VA grant, a tail, a credit
-	// dry-up, a link hold) clears fastArmed and the slow path re-derives
-	// everything from the masks, which are kept exact in both modes.
+	// Plan replay (see replay). A cycle whose allocation was forced sets
+	// fastArmed and records the granted input ports in planPorts (their
+	// streams stay in saOutVC); while armed, switchAllocation re-issues
+	// those grants instead of arbitrating. Any event that could change the
+	// outcome clears fastArmed and the next cycle arbitrates from the
+	// masks, which are exact in both modes. fastTicks counts the replayed
+	// cycles.
 	fastArmed bool
-	fastN     int
-	fastPlan  [topology.NumDirs]fastStream
+	planPorts uint8
 	fastTicks int64
 
 	// DBAR congestion tables: cong[d][k] is the (k+1)-cycle-old occupancy
@@ -150,17 +134,11 @@ type Router struct {
 	now int64
 }
 
-// New creates a router for node (application app, or -1 when unassigned)
-// backed by a private single-slot store. Links are attached afterwards with
+// NewInStore creates a router for node (application app, or -1 when
+// unassigned) as a view over slot li of the shard store soa: its ports and
+// VC state are carved from the store's slabs and its work/occupancy
+// registers are the store's flat arrays. Links are attached afterwards with
 // ConnectIn/ConnectOut.
-func New(cfg Config, node, app int, mesh *topology.Mesh, regions *region.Map,
-	alg routing.Algorithm, sel routing.Selector, pol policy.Policy) *Router {
-	return NewInStore(cfg, node, app, mesh, regions, alg, sel, pol, NewSoA(cfg, 1), 0)
-}
-
-// NewInStore creates a router as a view over slot li of the shard store
-// soa: its ports and VC state are carved from the store's slabs and its
-// work/occupancy registers are the store's flat arrays.
 func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.Map,
 	alg routing.Algorithm, sel routing.Selector, pol policy.Policy, soa *SoA, li int) *Router {
 	if err := cfg.Validate(); err != nil {
@@ -281,7 +259,7 @@ func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 	} else if in.activeMask>>uint(f.VC)&1 == 1 && in.saElig>>uint(f.VC)&1 == 0 {
 		// The arrival fills an Active VC's empty buffer; with a credit
 		// downstream the stream is a fresh SA candidate (0→1 edges also
-		// invalidate any armed fast plan).
+		// end any armed plan).
 		vc := &in.vcs[f.VC]
 		out := r.out[vc.outPort]
 		if out.ejection || out.creditMask>>uint(vc.outVC)&1 == 1 {
@@ -382,12 +360,8 @@ func (r *Router) Tick(now int64) {
 		r.out[bits.TrailingZeros8(m)].free()
 	}
 	r.freeablePorts = 0
-	if r.fastArmed {
-		r.fastTick()
-	} else {
-		r.switchTraversal()
-		r.switchAllocation()
-	}
+	r.switchTraversal()
+	r.switchAllocation()
 	r.vcAllocation()
 	r.routeCompute()
 	r.updatePolicy()
@@ -508,140 +482,9 @@ func (r *Router) switchTraversal() {
 // at dir since construction (link-utilization instrumentation).
 func (r *Router) FlitsSent(dir topology.Dir) int64 { return r.flitsSent[dir] }
 
-// FastTicks reports how many cycles the router advanced through the
-// event-driven streaming fast path (engine self-profiling).
+// FastTicks reports how many cycles the router replayed an armed plan
+// instead of arbitrating (engine self-profiling).
 func (r *Router) FastTicks() int64 { return r.fastTicks }
-
-// fastTick advances each armed stream one flit through a fused ST+SA step:
-// send the latched flit, then pop the stream's next flit straight into the
-// just-drained ST register, skipping re-arbitration. Bit-exact with the
-// slow path by construction: the plan only arms when the previous cycle's
-// allocation was forced (single candidate per port, no contention, no held
-// ST), GrantSingle is idempotent for a repeating sole winner, and every
-// event that could change the outcome disarms back to the slow path. The
-// ST register stays logically occupied across the pump (stValid, stPending,
-// Work and stList are all net-unchanged), exactly as a send-then-relatch
-// cycle of the slow path leaves them.
-func (r *Router) fastTick() {
-	r.fastTicks++
-	if r.tel != nil {
-		r.saStallScan()
-	}
-	for k := 0; k < r.fastN; k++ {
-		s := &r.fastPlan[k]
-		out := s.out
-		if out.link == nil || !out.link.CanSendFlit() {
-			// Link hold (faulty-link retransmission): keep the ST flit,
-			// charge as the slow keep path would, and fall back — the held
-			// register changes next cycle's allocation outcome.
-			if r.attr && out.st.Type.IsHead() {
-				r.tel.Charge(out.st.Pkt, msg.BlameFault)
-			}
-			r.fastArmed = false
-			continue
-		}
-		out.link.SendFlit(out.st)
-		r.flitsSent[s.outDir]++
-		if r.tel != nil {
-			r.tel.LinkFlit()
-			if out.st.Type.IsHead() && r.tel.Traced(out.st.Pkt.ID) {
-				r.tel.Lifecycle(out.st.Pkt.ID, telemetry.StageST, r.now)
-			}
-		}
-		vc := s.ivc
-		if vc.buf.Empty() {
-			r.fastUnlatch(s)
-			continue
-		}
-		ov := &out.vcs[vc.outVC]
-		if !out.ejection && ov.credits == 0 {
-			// The stream ran dry downstream: this cycle's slow path would
-			// have found the VC ineligible after draining ST (one credit
-			// stall), so release the register and re-arm the slow path.
-			if r.tel != nil {
-				r.tel.CreditStall()
-			}
-			r.fastUnlatch(s)
-			continue
-		}
-		// Fused SA pop. The flit can never be a head (heads enter through
-		// RC/VA/allocate, which disarms), so none of the head-only
-		// bookkeeping of the slow transfer applies.
-		f, _ := vc.buf.Pop()
-		s.inp.bufFlits--
-		if vc.buf.Empty() {
-			s.inp.occMask &^= 1 << uint(vc.idx)
-		}
-		f.VC = vc.outVC
-		out.st = f
-		if r.tel != nil {
-			native := r.regions.Native(r.node, vc.owner.App)
-			r.tel.SAInGrant(native)
-			r.tel.SAOutGrant(native)
-		}
-		if !out.ejection {
-			ov.credits--
-			out.creditSum--
-			out.fullMask &^= 1 << uint(vc.outVC)
-			if ov.credits == 0 {
-				out.creditMask &^= 1 << uint(vc.outVC)
-			}
-		}
-		if s.inp.link != nil {
-			if !s.inp.link.CanSendCredit() {
-				panic("router: credit wire busy (more than one dequeue per port per cycle)")
-			}
-			s.inp.link.SendCredit(vc.idx)
-		}
-		if f.Type.IsTail() {
-			if r.app >= 0 && vc.owner.App == r.app {
-				r.soa.NativeOcc[r.li]--
-			} else {
-				r.soa.ForeignOcc[r.li]--
-			}
-			vc.stage = stageIdle
-			vc.owner = nil
-			ov.tailSent = true
-			out.drainMask |= 1 << uint(vc.outVC)
-			out.streamMask &^= 1 << uint(vc.outVC)
-			r.freeablePorts |= 1 << uint(vc.outPort)
-			r.activeCount--
-			r.soa.Work[r.li]--
-			s.inp.activeMask &^= 1 << uint(vc.idx)
-			// The latched tail goes out through the next slow ST pass
-			// (stList still carries the port).
-			r.fastArmed = false
-		}
-		// Keep the candidate bit exact across the pop: clear it when the
-		// buffer emptied, the last credit drained, or a tail retired the
-		// stream (the clear-only mirror of the slow transfer's update).
-		if f.Type.IsTail() || vc.buf.Empty() || (!out.ejection && ov.credits == 0) {
-			if s.inp.saElig>>uint(vc.idx)&1 == 1 {
-				s.inp.saElig &^= 1 << uint(vc.idx)
-				if s.inp.saElig == 0 {
-					r.saPorts &^= 1 << uint(s.inp.dir)
-				}
-			}
-		}
-	}
-}
-
-// fastUnlatch retires an armed stream's ST register: the flit just left and
-// the stream has nothing to chain (empty buffer or dry credits), so release
-// the latch exactly as the slow ST stage would have and fall back to the
-// slow path.
-func (r *Router) fastUnlatch(s *fastStream) {
-	s.out.stValid = false
-	r.stPending--
-	r.soa.Work[r.li]--
-	for i := range r.stList {
-		if r.stList[i] == s.outDir {
-			r.stList = append(r.stList[:i], r.stList[i+1:]...)
-			break
-		}
-	}
-	r.fastArmed = false
-}
 
 // saStallScan replays the per-cycle stall telemetry the old full rescan
 // produced as a side effect: every active, non-empty VC missing from the
@@ -674,9 +517,8 @@ func (r *Router) saStallScan() {
 // The candidate sets are not rescanned here: SA_in walks the persistent
 // per-port saElig masks (maintained at the eligibility event sites), so a
 // cycle's cost is proportional to the VCs that can actually move, not the
-// VCs provisioned. When the whole cycle resolves without arbitration, the
-// granted streams are recorded as a fast plan for event-driven streaming
-// (see fastTick).
+// VCs provisioned. While a plan is armed the stage does not arbitrate at
+// all: it re-issues the plan's grants through the same transfer (replay).
 func (r *Router) switchAllocation() {
 	if r.activeCount == 0 {
 		return
@@ -684,19 +526,24 @@ func (r *Router) switchAllocation() {
 	if r.tel != nil {
 		r.saStallScan()
 	}
+	if r.fastArmed {
+		r.replay()
+		return
+	}
 	if r.saPorts == 0 {
 		return
 	}
 	s := r.soa
-	// fastOK tracks whether this cycle's outcome was forced — no choice
-	// made by an arbiter anywhere, no ST register still held from last
-	// cycle — so replaying it is trivially deterministic. Only then may
-	// the granted streams arm the fast path.
-	fastOK := r.stPending == 0
-	r.fastN = 0
+	// forced tracks whether this cycle's outcome involved no choice — no
+	// arbiter decided anything, no ST register is still held from last
+	// cycle, no tail retired a stream — so granting the same streams again
+	// is what arbitration would do until an event says otherwise. Only then
+	// does the cycle arm a plan.
+	forced := r.stPending == 0
 	// nomMask marks input ports whose SA_in nomination survived; only
-	// those r.saOutVC entries are live this cycle (stale pointers from
-	// earlier cycles are never read, so the array is not cleared).
+	// those r.saOutVC entries are live (stale pointers from earlier cycles
+	// are never read, so the array is not cleared). A forced cycle grants
+	// every nomination, so nomMask is also the plan.
 	var nomMask uint8
 	// SA_in: nominate one VC per input port, visiting only ports with a
 	// candidate and only the candidate VCs themselves (the persistent
@@ -738,7 +585,7 @@ func (r *Router) switchAllocation() {
 				r.tel.SAInGrant(r.regions.Native(r.node, in.vcs[first].owner.App))
 			}
 		default:
-			fastOK = false
+			forced = false
 			for c := elig; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros64(c)
 				s.saReq[i] = true
@@ -798,14 +645,11 @@ func (r *Router) switchAllocation() {
 				r.tel.SAOutGrant(r.regions.Native(r.node, vc.owner.App))
 			}
 			if r.transfer(id, vc) {
-				fastOK = false
-			} else if fastOK {
-				r.fastPlan[r.fastN] = fastStream{ivc: vc, inp: r.in[id], out: r.out[od], outDir: od}
-				r.fastN++
+				forced = false
 			}
 			continue
 		}
-		fastOK = false
+		forced = false
 		for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
 			req := nomMask>>uint(id2)&1 == 1 && r.saOutVC[id2].outPort == od
 			s.saOutReq[id2] = req
@@ -840,30 +684,45 @@ func (r *Router) switchAllocation() {
 			r.transfer(topology.Dir(w), r.saOutVC[w])
 		}
 	}
-	// Arm the fast path when this cycle's outcome was forced end to end:
-	// no ST held over, every port had a single candidate, nothing
-	// contended, no tails — and each granted output port carries exactly
-	// one live stream. The last condition keeps the fast-mode stall scan
-	// exact: a second stream stalled against a planned port would be
-	// classified against a latched ST register that the slow replay
-	// would already have drained. Single-stream ports rule such
-	// co-residents out, and new streams arrive only through allocate,
-	// which disarms unconditionally.
-	if fastOK && r.fastN > 0 {
-		armed := true
-		for k := 0; k < r.fastN; k++ {
-			if bits.OnesCount64(r.fastPlan[k].out.streamMask) != 1 {
-				armed = false
-				break
-			}
+	if forced && nomMask != 0 {
+		r.fastArmed, r.planPorts = true, nomMask
+	}
+}
+
+// replay is switchAllocation with an armed plan: every planned stream that
+// is still an SA candidate and whose ST register drained is granted again —
+// the SA_in candidate walk, the priority lookups and both arbiters are what
+// it skips. The grants are exactly what arbitration would issue: the
+// arbiter pointers are already parked past the sole requestor (GrantSingle
+// is idempotent for a repeating single winner), no stream outside the plan
+// can be a candidate (every 0→1 saElig edge disarms), and planned flits are
+// never heads (heads enter through allocate, which disarms). A planned
+// stream that cannot move — out of flits or credits, or its output held by
+// a faulty link — or that just sent its tail ends the plan: the remaining
+// streams still move this cycle, the next one arbitrates.
+func (r *Router) replay() {
+	r.fastTicks++
+	for pm := r.planPorts; pm != 0; pm &= pm - 1 {
+		d := topology.Dir(bits.TrailingZeros8(pm))
+		vc := r.saOutVC[d]
+		if r.in[d].saElig>>uint(vc.idx)&1 == 0 || r.out[vc.outPort].stValid {
+			r.fastArmed = false
+			continue
 		}
-		r.fastArmed = armed
+		if r.tel != nil {
+			native := r.regions.Native(r.node, vc.owner.App)
+			r.tel.SAInGrant(native)
+			r.tel.SAOutGrant(native)
+		}
+		if r.transfer(d, vc) {
+			r.fastArmed = false
+		}
 	}
 }
 
 // transfer dequeues one flit from vc and latches it into the ST register of
 // its allocated output port. It reports whether the flit was the packet's
-// tail (a tail retires the stream, which forbids fast-path arming).
+// tail (a tail retires the stream, which ends or forbids a plan).
 func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	out := r.out[vc.outPort]
 	ov := &out.vcs[vc.outVC]
@@ -1124,7 +983,7 @@ func (r *Router) allocate(og, w int) {
 	// The new stream is always an immediate SA candidate: its head is
 	// still buffered (pops require Active) and the output VC's credit
 	// stock is full (asserted above). The newcomer must re-enter
-	// arbitration, so any armed fast plan is invalidated.
+	// arbitration, so any armed plan ends.
 	in.saElig |= 1 << uint(vc.idx)
 	r.saPorts |= 1 << uint(w/v)
 	r.fastArmed = false

@@ -19,8 +19,8 @@ func testRouter(cfg Config, pol policy.Policy) (*Router, *Link) {
 	regs := region.New(mesh)
 	regs.Assign(0, 0)
 	regs.Assign(1, 1)
-	r := New(cfg, 0, 0, mesh, regs,
-		routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, pol)
+	r := NewInStore(cfg, 0, 0, mesh, regs,
+		routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, pol, NewSoA(cfg, 1), 0)
 	east := NewLink(cfg.LinkLatency)
 	r.ConnectOut(topology.East, east)
 	r.ConnectIn(topology.West, NewLink(cfg.LinkLatency))
@@ -119,9 +119,7 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 		t.Fatalf("ST holds %v, want the foreign packet", r.out[topology.East].st.Pkt)
 	}
 	r.Tick(3) // ST: flit onto the link
-	f, ok, _, _ := east.Shift()
-	_ = f
-	if ok {
+	if _, ok := east.ShiftFlits(3); ok {
 		t.Fatal("flit arrived before link latency")
 	}
 }
@@ -135,7 +133,7 @@ func TestCreditReturn(t *testing.T) {
 	r.DeliverFlit(topology.West, headFlit(p, 2))
 	gotCredit := -1
 	for c := int64(0); c < 6; c++ {
-		if _, _, credit, ok := west.Shift(); ok {
+		if credit, ok := west.ShiftCredits(c); ok {
 			gotCredit = credit
 		}
 		r.Tick(c)
@@ -158,7 +156,7 @@ func TestOccupancyTracking(t *testing.T) {
 		t.Fatalf("occupancy %d/%d after arrivals", nat, frn)
 	}
 	for c := int64(0); c < 10; c++ {
-		east.Shift() // drain the output wire so ST never stalls
+		east.ShiftFlits(c) // drain the output wire so ST never stalls
 		r.Tick(c)
 	}
 	if nat, frn := r.OccupancyByKind(); nat != 0 || frn != 0 {

@@ -79,13 +79,24 @@ type Mesh struct {
 	recip uint64
 }
 
-// NewMesh returns a mesh of the given dimensions (each >= 1).
-func NewMesh(w, h int) *Mesh {
+// CheckMesh reports why NewMesh would refuse the dimensions: each must be
+// >= 1 and W²·H must stay below 2³² (the reciprocal row divide). Callers
+// holding user input check first; NewMesh panics with the same error.
+func CheckMesh(w, h int) error {
 	if w < 1 || h < 1 {
-		panic("topology: mesh dimensions must be >= 1")
+		return fmt.Errorf("topology: mesh %dx%d: dimensions must be >= 1", w, h)
 	}
-	if uint64(w)*uint64(w)*uint64(h) >= 1<<32 {
-		panic("topology: mesh too large for the reciprocal row divide")
+	// w < 2¹⁶ and h < 2³² keep the product inside uint64.
+	if w >= 1<<16 || h >= 1<<32 || uint64(w)*uint64(w)*uint64(h) >= 1<<32 {
+		return fmt.Errorf("topology: mesh %dx%d too large for the reciprocal row divide (W²·H must be < 2³²)", w, h)
+	}
+	return nil
+}
+
+// NewMesh returns a mesh of the given dimensions (see CheckMesh).
+func NewMesh(w, h int) *Mesh {
+	if err := CheckMesh(w, h); err != nil {
+		panic(err)
 	}
 	return &Mesh{W: w, H: h, recip: 1<<32/uint64(w) + 1}
 }

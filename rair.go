@@ -262,6 +262,9 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.MeshW < 2 || cfg.MeshH < 2 {
 		return nil, fmt.Errorf("rair: mesh %dx%d too small", cfg.MeshW, cfg.MeshH)
 	}
+	if err := topology.CheckMesh(cfg.MeshW, cfg.MeshH); err != nil {
+		return nil, fmt.Errorf("rair: %w", err)
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
