@@ -5,12 +5,17 @@ import (
 	"testing/quick"
 )
 
+// The round-robin tests drive Prioritized with flat priorities: the
+// tie-break is the only round-robin the router has (RO_RR is every requestor
+// at one priority).
+var flat = make([]int, 16)
+
 func TestRoundRobinRotates(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := NewPrioritized(4)
 	all := []bool{true, true, true, true}
 	var got []int
 	for i := 0; i < 8; i++ {
-		got = append(got, a.Grant(all))
+		got = append(got, a.Grant(all, flat[:4]))
 	}
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for i := range want {
@@ -21,22 +26,18 @@ func TestRoundRobinRotates(t *testing.T) {
 }
 
 func TestRoundRobinSkipsIdle(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := NewPrioritized(4)
 	req := []bool{false, true, false, true}
-	if g := a.Grant(req); g != 1 {
-		t.Fatalf("grant = %d", g)
-	}
-	if g := a.Grant(req); g != 3 {
-		t.Fatalf("grant = %d", g)
-	}
-	if g := a.Grant(req); g != 1 {
-		t.Fatalf("grant = %d", g)
+	for _, want := range []int{1, 3, 1} {
+		if g := a.Grant(req, flat[:4]); g != want {
+			t.Fatalf("grant = %d, want %d", g, want)
+		}
 	}
 }
 
 func TestRoundRobinNone(t *testing.T) {
-	a := NewRoundRobin(3)
-	if g := a.Grant([]bool{false, false, false}); g != None {
+	a := NewPrioritized(3)
+	if g := a.Grant([]bool{false, false, false}, flat[:3]); g != None {
 		t.Fatalf("grant = %d, want None", g)
 	}
 }
@@ -46,14 +47,14 @@ func TestRoundRobinNone(t *testing.T) {
 func TestRoundRobinFairness(t *testing.T) {
 	if err := quick.Check(func(n8 uint8) bool {
 		n := int(n8%8) + 2
-		a := NewRoundRobin(n)
+		a := NewPrioritized(n)
 		all := make([]bool, n)
 		for i := range all {
 			all[i] = true
 		}
 		counts := make([]int, n)
 		for i := 0; i < 5*n; i++ {
-			counts[a.Grant(all)]++
+			counts[a.Grant(all, flat[:n])]++
 		}
 		for _, c := range counts {
 			if c != 5 {
@@ -83,14 +84,15 @@ func TestPrioritizedHighestWins(t *testing.T) {
 	}
 }
 
+// With flat priorities the level does not matter: any constant priority
+// vector grants the round-robin sequence.
 func TestPrioritizedEqualsRRWhenFlat(t *testing.T) {
-	p := NewPrioritized(5)
-	r := NewRoundRobin(5)
-	flat := make([]int, 5)
-	rng := []bool{true, false, true, true, false}
-	for i := 0; i < 20; i++ {
-		if p.Grant(rng, flat) != r.Grant(rng) {
-			t.Fatal("prioritized with flat priorities diverged from round-robin")
+	p, q := NewPrioritized(5), NewPrioritized(5)
+	sevens := []int{7, 7, 7, 7, 7}
+	req := []bool{true, false, true, true, false}
+	for i, want := range []int{0, 2, 3, 0, 2, 3} {
+		if g, h := p.Grant(req, flat[:5]), q.Grant(req, sevens); g != want || h != want {
+			t.Fatalf("grant %d = %d / %d, want %d", i, g, h, want)
 		}
 	}
 }
@@ -141,41 +143,44 @@ func TestPrioritizedStarvesLowUnderLoad(t *testing.T) {
 	}
 }
 
+// The Matrix tests state what any fair arbiter owes its requestors — they
+// were written against a matrix (least-recently-served) arbiter that nothing
+// instantiated — and hold Prioritized to it at flat priority.
 func TestMatrixLeastRecentlyServed(t *testing.T) {
-	m := NewMatrix(3)
+	m := NewPrioritized(3)
 	all := []bool{true, true, true}
 	seen := map[int]bool{}
 	for i := 0; i < 3; i++ {
-		seen[m.Grant(all)] = true
+		seen[m.Grant(all, flat[:3])] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("first 3 grants not distinct: %v", seen)
 	}
 	// After serving 0,1,2 the winner order repeats.
-	if g := m.Grant(all); !seen[g] {
+	if g := m.Grant(all, flat[:3]); !seen[g] {
 		t.Fatal("unexpected grant")
 	}
 }
 
 func TestMatrixSingleRequestor(t *testing.T) {
-	m := NewMatrix(4)
+	m := NewPrioritized(4)
 	req := []bool{false, false, true, false}
 	for i := 0; i < 5; i++ {
-		if g := m.Grant(req); g != 2 {
+		if g := m.Grant(req, flat[:4]); g != 2 {
 			t.Fatalf("grant = %d", g)
 		}
 	}
-	if g := m.Grant(make([]bool, 4)); g != None {
+	if g := m.Grant(make([]bool, 4), flat[:4]); g != None {
 		t.Fatal("grant on empty request vector")
 	}
 }
 
-// Property: the matrix arbiter always produces exactly one winner when
-// anyone requests (the matrix stays a total order).
+// Property: over any request history the arbiter produces exactly one
+// winner, a requestor, whenever anyone requests.
 func TestMatrixAlwaysDecides(t *testing.T) {
 	if err := quick.Check(func(steps []uint8) bool {
 		const n = 5
-		m := NewMatrix(n)
+		m := NewPrioritized(n)
 		for _, s := range steps {
 			req := make([]bool, n)
 			any := false
@@ -183,8 +188,8 @@ func TestMatrixAlwaysDecides(t *testing.T) {
 				req[i] = s&(1<<uint(i)) != 0
 				any = any || req[i]
 			}
-			g := m.Grant(req)
-			if any != (g != None) {
+			g := m.Grant(req, flat[:n])
+			if any != (g != None) || (any && !req[g]) {
 				return false
 			}
 		}
@@ -196,9 +201,8 @@ func TestMatrixAlwaysDecides(t *testing.T) {
 
 func TestConstructorsPanic(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewRoundRobin(0) },
 		func() { NewPrioritized(0) },
-		func() { NewMatrix(0) },
+		func() { NewPrioritized(-1) },
 	} {
 		func() {
 			defer func() {
@@ -217,5 +221,6 @@ func TestSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewRoundRobin(3).Grant([]bool{true})
+	a := NewPrioritized(3)
+	a.Grant([]bool{true}, []int{0, 0, 0})
 }

@@ -2,16 +2,6 @@ package arbiter
 
 import "testing"
 
-func BenchmarkRoundRobinGrant(b *testing.B) {
-	a := NewRoundRobin(25)
-	req := make([]bool, 25)
-	req[3], req[17] = true, true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Grant(req)
-	}
-}
-
 func BenchmarkPrioritizedGrant(b *testing.B) {
 	a := NewPrioritized(25)
 	req := make([]bool, 25)

@@ -49,8 +49,6 @@ const (
 	// AllToAll is the full shuffle: N-1 steps, rank i sending to rank
 	// (i+s) mod N in step s, self-paced by its own inbound deliveries.
 	AllToAll
-	// NumOps counts the operations.
-	NumOps
 )
 
 var opNames = [...]string{"allreduce", "bcast", "a2a"}
@@ -60,16 +58,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
 	return opNames[o]
-}
-
-// OpByName parses an operation name ("allreduce", "bcast", "a2a").
-func OpByName(name string) (Op, error) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), nil
-		}
-	}
-	return 0, fmt.Errorf("collective: unknown op %q (have %v)", name, opNames)
 }
 
 // Spec describes one collective workload placed on a set of mesh nodes.
@@ -372,9 +360,6 @@ func (s *Source) buildSchedule() {
 		s.expectedRound += len(s.sched[r])
 	}
 }
-
-// App reports the application number of the source's packets.
-func (s *Source) App() int { return s.spec.App }
 
 // Progress returns a snapshot of the source's counters.
 func (s *Source) Progress() Progress {

@@ -46,13 +46,13 @@ type LinkProfile struct {
 	CreditLeakProb float64
 }
 
-func (p LinkProfile) validate(key string) error {
+func (p LinkProfile) validate() error {
 	for _, v := range [...]struct {
 		name string
 		p    float64
 	}{{"drop", p.DropProb}, {"corrupt", p.CorruptProb}, {"leak", p.CreditLeakProb}} {
 		if v.p < 0 || v.p > 1 {
-			return fmt.Errorf("faults: %s probability %v for %q outside [0,1]", v.name, v.p, key)
+			return fmt.Errorf("faults: %s probability %v outside [0,1]", v.name, v.p)
 		}
 	}
 	return nil
@@ -74,7 +74,6 @@ const (
 	DefaultMaxRetries  = 32
 	DefaultDropTimeout = 32
 	DefaultNackLatency = 2
-	DefaultReconcile   = 1024
 	DefaultStallLen    = 16
 )
 
@@ -82,16 +81,10 @@ const (
 type Config struct {
 	// Seed drives every fault decision (independent of the traffic seed).
 	Seed uint64
-	// Link is the default profile applied to every link; PerLink overrides
-	// it for individual links, keyed by the wiring key ("r3>r4" for the
-	// router-3-to-router-4 flit wire, "ni3>r3" / "r3>ni3" for a node's
-	// injection / ejection link).
-	Link    LinkProfile
-	PerLink map[string]LinkProfile
-	// Router is the default stall profile for every router; PerRouter
-	// overrides it per node id.
-	Router    RouterProfile
-	PerRouter map[int]RouterProfile
+	// Link is the profile applied to every link.
+	Link LinkProfile
+	// Router is the stall profile of every router.
+	Router RouterProfile
 	// MaxRetries bounds per-flit retransmission attempts; a flit failing
 	// more than MaxRetries times is permanently lost (counted, and fed to
 	// the invariant checker's conservation and credit accounting).
@@ -125,21 +118,11 @@ func (c Config) withDefaults() Config {
 
 // Validate rejects out-of-range probabilities and negative timing knobs.
 func (c Config) Validate() error {
-	if err := c.Link.validate("default"); err != nil {
+	if err := c.Link.validate(); err != nil {
 		return err
-	}
-	for k, p := range c.PerLink {
-		if err := p.validate(k); err != nil {
-			return err
-		}
 	}
 	if c.Router.StallProb < 0 || c.Router.StallProb > 1 {
 		return fmt.Errorf("faults: stall probability %v outside [0,1]", c.Router.StallProb)
-	}
-	for node, p := range c.PerRouter {
-		if p.StallProb < 0 || p.StallProb > 1 {
-			return fmt.Errorf("faults: stall probability %v for router %d outside [0,1]", p.StallProb, node)
-		}
 	}
 	if c.MaxRetries < 0 || c.DropTimeout < 0 || c.NackLatency < 0 || c.ReconcileEvery < 0 {
 		return fmt.Errorf("faults: negative timing parameter")
@@ -149,23 +132,7 @@ func (c Config) Validate() error {
 
 // Enabled reports whether the configuration injects any fault at all.
 func (c Config) Enabled() bool {
-	if c.Link != (LinkProfile{}) || c.Router != (RouterProfile{}) {
-		return true
-	}
-	return len(c.PerLink) > 0 || len(c.PerRouter) > 0
-}
-
-// LinkKey builds the PerLink key for the flit wire from src to dst; use
-// NIKey for the links between a node and its network interface.
-func LinkKey(src, dst int) string { return fmt.Sprintf("r%d>r%d", src, dst) }
-
-// NIKey builds the PerLink key for a node's NI links: the injection link
-// (inject=true, "niN>rN") or the ejection link ("rN>niN").
-func NIKey(node int, inject bool) string {
-	if inject {
-		return fmt.Sprintf("ni%d>r%d", node, node)
-	}
-	return fmt.Sprintf("r%d>ni%d", node, node)
+	return c.Link != (LinkProfile{}) || c.Router != (RouterProfile{})
 }
 
 // splitmix64 is the stateless mixer behind every fault decision.
@@ -267,9 +234,6 @@ type LinkState struct {
 
 	c Counters
 }
-
-// Key reports the link's wiring key.
-func (ls *LinkState) Key() string { return ls.key }
 
 // Counters returns a snapshot of the link's fault counters. Only safe at a
 // tick barrier.
@@ -495,18 +459,16 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 // Config returns the injector's effective (defaulted) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// RegisterLink creates the fault state for the link named key. restore
-// re-delivers reconciled credits to the sender side; noCredits marks links
-// whose credit wire is never used (ejection links).
+// RegisterLink creates the fault state for the link reported as key. The
+// registration index seeds the link's verdicts, so a network must register
+// its links in a fixed order. restore re-delivers reconciled credits to the
+// sender side; noCredits marks links whose credit wire is never used
+// (ejection links).
 func (in *Injector) RegisterLink(key string, restore func(vc int), noCredits bool) *LinkState {
-	prof := in.cfg.Link
-	if p, ok := in.cfg.PerLink[key]; ok {
-		prof = p
-	}
 	ls := &LinkState{
 		id:        uint64(len(in.links) + 1),
 		key:       key,
-		prof:      prof,
+		prof:      in.cfg.Link,
 		cfg:       &in.cfg,
 		noCredits: noCredits,
 		restore:   restore,
@@ -524,17 +486,6 @@ func (in *Injector) SetLinkProbes(ls *LinkState, flit, cred *telemetry.Probe) {
 // SetStallProbe attaches node's telemetry probe for stall-cycle counting.
 func (in *Injector) SetStallProbe(node int, p *telemetry.Probe) { in.stallProbes[node] = p }
 
-// routerProf returns node's effective stall profile.
-func (in *Injector) routerProf(node int) RouterProfile {
-	if p, ok := in.cfg.PerRouter[node]; ok {
-		if p.StallProb > 0 && p.StallLen == 0 {
-			p.StallLen = DefaultStallLen
-		}
-		return p
-	}
-	return in.cfg.Router
-}
-
 // RouterStalled reports whether node's pipeline is frozen at cycle now,
 // starting a new deterministic stall window when one is due. Call exactly
 // once per router per cycle, from the router's owning shard.
@@ -544,7 +495,7 @@ func (in *Injector) RouterStalled(node int, now int64) bool {
 		in.stallProbes[node].FaultStallCycle()
 		return true
 	}
-	prof := in.routerProf(node)
+	prof := in.cfg.Router
 	if prof.StallProb == 0 {
 		return false
 	}

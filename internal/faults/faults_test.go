@@ -7,6 +7,7 @@ import (
 	"rair/internal/faults"
 	"rair/internal/msg"
 	"rair/internal/router"
+	"rair/internal/topology"
 )
 
 // mkInjector builds an injector for n nodes, failing the test on error.
@@ -23,9 +24,9 @@ func TestConfigValidate(t *testing.T) {
 	bad := []faults.Config{
 		{Link: faults.LinkProfile{DropProb: -0.1}},
 		{Link: faults.LinkProfile{CorruptProb: 1.5}},
-		{PerLink: map[string]faults.LinkProfile{"r0>r1": {CreditLeakProb: 2}}},
+		{Link: faults.LinkProfile{CreditLeakProb: 2}},
 		{Router: faults.RouterProfile{StallProb: -1}},
-		{PerRouter: map[int]faults.RouterProfile{3: {StallProb: 7}}},
+		{Router: faults.RouterProfile{StallProb: 7}},
 		{MaxRetries: -1},
 		{DropTimeout: -5},
 		{NackLatency: -2},
@@ -66,8 +67,6 @@ func TestEnabled(t *testing.T) {
 	cases := []faults.Config{
 		{Link: faults.LinkProfile{DropProb: 0.1}},
 		{Router: faults.RouterProfile{StallProb: 0.1}},
-		{PerLink: map[string]faults.LinkProfile{"r0>r1": {}}},
-		{PerRouter: map[int]faults.RouterProfile{0: {}}},
 	}
 	for i, c := range cases {
 		if !c.Enabled() {
@@ -76,15 +75,25 @@ func TestEnabled(t *testing.T) {
 	}
 }
 
+// TestKeys pins the strings a network registers its links under (the wiring
+// table's one key formatter): they name links in Report and in the checker's
+// diagnostics.
 func TestKeys(t *testing.T) {
-	if got := faults.LinkKey(3, 4); got != "r3>r4" {
-		t.Errorf("LinkKey(3,4) = %q", got)
-	}
-	if got := faults.NIKey(5, true); got != "ni5>r5" {
-		t.Errorf("NIKey(5,true) = %q", got)
-	}
-	if got := faults.NIKey(5, false); got != "r5>ni5" {
-		t.Errorf("NIKey(5,false) = %q", got)
+	r3 := router.LinkEnd{Node: 3, Dir: topology.East}
+	r4 := router.LinkEnd{Node: 4, Dir: topology.West}
+	port := router.LinkEnd{Node: 3, Dir: topology.Local}
+	ni := router.LinkEnd{Node: 3, NI: true}
+	for _, tc := range []struct {
+		rec  router.LinkRecord
+		want string
+	}{
+		{router.LinkRecord{Src: r3, Dst: r4}, "r3>r4"},
+		{router.LinkRecord{Src: ni, Dst: port}, "ni3>r3"},
+		{router.LinkRecord{Src: port, Dst: ni}, "r3>ni3"},
+	} {
+		if got := tc.rec.Key(); got != tc.want {
+			t.Errorf("Key() = %q, want %q", got, tc.want)
+		}
 	}
 }
 
@@ -375,21 +384,18 @@ func TestEjectionLinkCreditsImmune(t *testing.T) {
 	}
 }
 
-// TestStallWindows: stall decisions are deterministic per (node, cycle),
-// windows last StallLen cycles, and per-router profiles override the default.
+// TestStallWindows: stall decisions are deterministic per (node, cycle) and
+// windows last StallLen cycles.
 func TestStallWindows(t *testing.T) {
 	cfg := faults.Config{
-		Seed:      11,
-		PerRouter: map[int]faults.RouterProfile{0: {StallProb: 1, StallLen: 4}},
+		Seed:   11,
+		Router: faults.RouterProfile{StallProb: 1, StallLen: 4},
 	}
 	in := mkInjector(t, cfg, 2)
-	// Router 0 stalls every cycle it is asked; router 1 has no profile.
+	// With StallProb 1 a router stalls every cycle it is asked.
 	for now := int64(0); now < 12; now++ {
 		if !in.RouterStalled(0, now) {
 			t.Fatalf("router 0 not stalled at cycle %d with StallProb 1", now)
-		}
-		if in.RouterStalled(1, now) {
-			t.Fatalf("router 1 stalled at cycle %d with no profile", now)
 		}
 	}
 
@@ -424,7 +430,7 @@ func TestReport(t *testing.T) {
 		Seed:       1,
 		Link:       faults.LinkProfile{DropProb: 1},
 		MaxRetries: 1, DropTimeout: 1,
-		PerRouter: map[int]faults.RouterProfile{1: {StallProb: 1, StallLen: 2}},
+		Router: faults.RouterProfile{StallProb: 1, StallLen: 2},
 	}, 3)
 	quiet := in.RegisterLink("r0>r1", nil, false)
 	noisy := in.RegisterLink("r2>r1", nil, false)

@@ -80,31 +80,6 @@ func TestChipletRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcentratedRunDeterminism: a concentrated mesh (two cores per router,
-// NI-multiplexed injectors) must deliver traffic and stay bit-identical
-// across worker counts — the injector rotation happens on the coordinator.
-func TestConcentratedRunDeterminism(t *testing.T) {
-	regs, apps := Fig9Scenario(0.5)
-	mkRC := func(workers int) RunConfig {
-		return RunConfig{
-			Regions: regs, Router: synthCfg(), Apps: apps,
-			Scheme: RAIR("RA_RAIR"), Dur: testDur(), Seed: 11,
-			Workers: workers, Concentration: 2,
-			Check: &invariant.Config{Every: 64},
-		}
-	}
-	ref := Run(mkRC(0))
-	if ref.Packets() == 0 {
-		t.Fatal("reference run delivered nothing")
-	}
-	want := collectorSurface(ref)
-	for _, workers := range []int{2, 4} {
-		if s := collectorSurface(Run(mkRC(workers))); s != want {
-			t.Fatalf("workers=%d: stats diverge\n got %s\nwant %s", workers, s, want)
-		}
-	}
-}
-
 // TestChipletSynthOrdering locks the calibrated boundary-interference
 // signal the chiplet-smoke CI gate depends on: interference is present
 // under the baseline, and RAIR's boundary gating contains it.

@@ -71,17 +71,9 @@ type RunConfig struct {
 	// snapshot when the run (including drain) finishes.
 	CollectiveDone func(collective.Progress)
 	// Chiplets, if non-nil, builds the mesh as a two-level chiplet system
-	// joined by the XBar crossbar; see network.Params.Chiplets. The grid
-	// must span the Regions mesh.
+	// joined by a crossbar; see network.Params.Chiplets. The grid must span
+	// the Regions mesh.
 	Chiplets *topology.Chiplets
-	// XBar configures the inter-chiplet crossbar (zero value = defaults).
-	XBar network.XBarConfig
-	// Concentration puts that many cores behind every router (a
-	// concentrated mesh): the router config gets that many NI injector
-	// slots and injections rotate across them. Values <= 1 mean one core
-	// per router. Scenario builders model the extra cores by duplicating
-	// app Nodes entries, so per-router load scales with the factor.
-	Concentration int
 	// Profile enables the tick engine's self-profiling; see
 	// network.Params.Profile. Read the result from Sim.Net after the run.
 	Profile bool
@@ -115,16 +107,6 @@ type Attached struct {
 	// memory system does, across protocol round-trips), so the run must not
 	// recycle packets: the pool then only ever allocates.
 	Retains bool
-}
-
-// routerConfig is rc.Router with the concentration factor applied to the
-// NI's injector-slot count.
-func (rc RunConfig) routerConfig() router.Config {
-	cfg := rc.Router
-	if rc.Concentration > 1 {
-		cfg.Injectors = rc.Concentration
-	}
-	return cfg
 }
 
 // Sim is one built simulation point: the wired network, the engine that
@@ -197,12 +179,11 @@ func Build(rc RunConfig) *Sim {
 	if !att.Retains {
 		recycle = pool.Put
 	}
-	rcfg := rc.routerConfig()
 	s.Net = network.New(network.Params{
-		Router:    rcfg,
+		Router:    rc.Router,
 		Regions:   rc.Regions,
 		Alg:       alg,
-		Sel:       rc.Scheme.Sel(rc.Regions, rcfg),
+		Sel:       rc.Scheme.Sel(rc.Regions, rc.Router),
 		Policy:    rc.Scheme.Policy,
 		OnEject:   onEject,
 		Recycle:   recycle,
@@ -212,7 +193,6 @@ func Build(rc RunConfig) *Sim {
 		Check:     rc.Check,
 		Profile:   rc.Profile,
 		Chiplets:  rc.Chiplets,
-		XBar:      rc.XBar,
 	})
 	s.Eng.Register(s.Net)
 	return s

@@ -84,31 +84,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LinkRef locates one link in the wired network: the sender side (a router
-// output port, or an NI when SrcNI) and the receiver side (a router input
-// port, or an NI when DstNI). The network builds one per link while wiring.
-type LinkRef struct {
-	L      *router.Link
-	Src    int
-	SrcDir topology.Dir
-	SrcNI  bool
-	Dst    int
-	DstDir topology.Dir
-	DstNI  bool
-}
-
-// Key renders the link's wiring key (matching faults.LinkKey/NIKey).
-func (ref LinkRef) Key() string {
-	switch {
-	case ref.SrcNI:
-		return fmt.Sprintf("ni%d>r%d", ref.Src, ref.Dst)
-	case ref.DstNI:
-		return fmt.Sprintf("r%d>ni%d", ref.Src, ref.Dst)
-	default:
-		return fmt.Sprintf("r%d>r%d", ref.Src, ref.Dst)
-	}
-}
-
 // Target is the audited network: the network package assembles it while
 // wiring and hands it to NewChecker.
 type Target struct {
@@ -117,7 +92,8 @@ type Target struct {
 	Mesh    *topology.Mesh
 	Routers []*router.Router
 	NIs     []*router.NI
-	Links   []LinkRef
+	// Links is the network's wiring table, one record per link.
+	Links []router.LinkRecord
 	// Faults is the run's injector (nil when fault-free); its loss and
 	// retransmission state closes the conservation and credit identities.
 	Faults *faults.Injector
@@ -266,7 +242,7 @@ func (c *Checker) checkConservation(now int64) {
 // carry no credits (the NI sink accepts unconditionally) and are skipped.
 func (c *Checker) checkCredits(now int64) {
 	for _, ref := range c.t.Links {
-		if ref.DstNI {
+		if ref.Dst.NI {
 			continue
 		}
 		for vc := 0; vc < c.t.VCs; vc++ {
@@ -274,19 +250,19 @@ func (c *Checker) checkCredits(now int64) {
 		}
 		ref.L.AuditFlits(func(f msg.Flit) { c.wireFlits[f.VC]++ })
 		ref.L.AuditCredits(func(vc int) { c.wireCreds[vc]++ })
-		if ref.SrcNI {
-			ni := c.t.NIs[ref.Src]
+		if ref.Src.NI {
+			ni := c.t.NIs[ref.Src.Node]
 			for vc := 0; vc < c.t.VCs; vc++ {
 				c.sendCred[vc] = ni.CreditCount(vc)
 			}
 		} else {
-			sr := c.t.Routers[ref.Src]
-			sr.AuditOutputVCs(ref.SrcDir, func(s router.OutputVCState) { c.sendCred[s.VC] = s.Credits })
-			if f, ok := sr.STRegister(ref.SrcDir); ok {
+			sr := c.t.Routers[ref.Src.Node]
+			sr.AuditOutputVCs(ref.Src.Dir, func(s router.OutputVCState) { c.sendCred[s.VC] = s.Credits })
+			if f, ok := sr.STRegister(ref.Src.Dir); ok {
 				c.stHold[f.VC]++
 			}
 		}
-		c.t.Routers[ref.Dst].AuditInputVCs(ref.DstDir, func(s router.InputVCState) {
+		c.t.Routers[ref.Dst.Node].AuditInputVCs(ref.Dst.Dir, func(s router.InputVCState) {
 			c.recvBuf[s.VC] = s.Buffered
 		})
 		fs := ref.L.Faults()

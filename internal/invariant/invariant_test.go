@@ -60,13 +60,13 @@ func TestCleanRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogTrips: a router whose pipeline never unfreezes wedges its
+// TestWatchdogTrips: routers whose pipelines never unfreeze wedge the
 // traffic; the no-forward-progress watchdog must trip exactly once, naming
 // the in-flight count.
 func TestWatchdogTrips(t *testing.T) {
 	fl := &faults.Config{
-		Seed:      1,
-		PerRouter: map[int]faults.RouterProfile{10: {StallProb: 1, StallLen: 1 << 30}},
+		Seed:   1,
+		Router: faults.RouterProfile{StallProb: 1, StallLen: 1 << 30},
 	}
 	n := build(t, &invariant.Config{Watchdog: 100, Mode: invariant.ModeCollect}, fl)
 	defer n.Close()
@@ -91,8 +91,8 @@ func TestWatchdogTrips(t *testing.T) {
 // even with wedged traffic.
 func TestWatchdogDisabled(t *testing.T) {
 	fl := &faults.Config{
-		Seed:      1,
-		PerRouter: map[int]faults.RouterProfile{10: {StallProb: 1, StallLen: 1 << 30}},
+		Seed:   1,
+		Router: faults.RouterProfile{StallProb: 1, StallLen: 1 << 30},
 	}
 	n := build(t, &invariant.Config{Watchdog: -1, Mode: invariant.ModeCollect}, fl)
 	defer n.Close()

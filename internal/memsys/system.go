@@ -409,15 +409,6 @@ func (s *System) Snapshot() Stats {
 	}
 }
 
-// L1MissRate reports the aggregate L1 miss rate.
-func (s *System) L1MissRate() float64 {
-	t := s.l1Hits + s.l1Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.l1Misses) / float64(t)
-}
-
 // Outstanding reports the total in-flight misses across cores.
 func (s *System) Outstanding() int {
 	n := 0

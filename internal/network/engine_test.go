@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rair/internal/msg"
@@ -107,7 +108,9 @@ func TestEngineDeterminism(t *testing.T) {
 // TestEngineShardPartition: the shard ranges tile the nodes in order with no
 // gap or overlap, of inverts bounds for every node, and the engine's shards
 // are exactly those ranges — including node counts the shard count does not
-// divide, where the boundaries are uneven.
+// divide, where the boundaries are uneven. Then, on wired networks, the link
+// table holds every link once and each shard's wires are exactly its share
+// of it (checkWiring).
 func TestEngineShardPartition(t *testing.T) {
 	for _, tc := range []struct{ nodes, workers, shards int }{
 		{16, 1, 1}, {16, 2, 2}, {16, 3, 3}, {16, 5, 5}, {16, 16, 16}, {16, 64, 16},
@@ -143,10 +146,129 @@ func TestEngineShardPartition(t *testing.T) {
 		}
 		e.close()
 	}
+	quad := topology.NewChiplets(2, 2, 4)
+	for _, tc := range []struct {
+		name    string
+		regions *region.Map
+		chips   *topology.Chiplets
+	}{
+		{"8x8", region.Quadrants(topology.NewMesh(8, 8)), nil},
+		{"5x3", region.Single(topology.NewMesh(5, 3)), nil},
+		{"chiplet-quad", region.Quadrants(quad.Mesh()), quad},
+	} {
+		for workers := 1; workers <= 3; workers++ {
+			n := New(Params{
+				Router:  router.DefaultConfig(1),
+				Regions: tc.regions,
+				Alg:     routing.MinimalAdaptive{Mesh: tc.regions.Mesh()},
+				Sel:     routing.LocalSelector{},
+				Policy:  policy.NewRoundRobin,
+				Workers: workers, Chiplets: tc.chips,
+			})
+			checkWiring(t, fmt.Sprintf("%s workers=%d", tc.name, workers), n)
+			n.Close()
+		}
+	}
+}
+
+// wireAt is the wire delivering what arrives on l to end.
+func wireAt(n *Network, l *router.Link, end router.LinkEnd) wire {
+	if end.NI {
+		return wire{link: l, ni: n.nis[end.Node]}
+	}
+	return wire{link: l, r: n.routers[end.Node], dir: end.Dir}
+}
+
+// checkWiring audits a network's link table against the topology and every
+// shard's wire slices against the table.
+func checkWiring(t *testing.T, name string, n *Network) {
+	t.Helper()
+	mesh, chips := n.mesh, n.chiplets
+	// Every link the topology calls for appears exactly once, under a unique
+	// key, and nothing else does — in particular no pair across a tile edge.
+	type ends [2]router.LinkEnd
+	seen, keys := map[ends]int{}, map[string]bool{}
+	for _, rec := range n.links {
+		seen[ends{rec.Src, rec.Dst}]++
+		if keys[rec.Key()] {
+			t.Fatalf("%s: key %s registered twice", name, rec.Key())
+		}
+		keys[rec.Key()] = true
+		if chips != nil && !chips.SameChip(rec.Src.Node, rec.Dst.Node) {
+			t.Fatalf("%s: link %s crosses a tile edge", name, rec.Key())
+		}
+	}
+	want := 0
+	expect := func(src, dst router.LinkEnd) {
+		want++
+		if seen[ends{src, dst}] != 1 {
+			t.Fatalf("%s: link %v>%v appears %d times", name, src, dst, seen[ends{src, dst}])
+		}
+	}
+	for id := 0; id < mesh.N(); id++ {
+		for d := topology.North; d < topology.NumDirs; d++ {
+			if nb := mesh.Neighbor(id, d); nb != -1 && (chips == nil || chips.SameChip(id, nb)) {
+				expect(router.LinkEnd{Node: id, Dir: d}, router.LinkEnd{Node: nb, Dir: d.Opposite()})
+			}
+		}
+		ni, port := router.LinkEnd{Node: id, NI: true}, router.LinkEnd{Node: id, Dir: topology.Local}
+		expect(ni, port)
+		expect(port, ni)
+	}
+	if len(n.links) != want {
+		t.Fatalf("%s: table has %d links, topology calls for %d", name, len(n.links), want)
+	}
+	// Nodes 3 and 4 are row neighbours everywhere, across a tile edge in the
+	// chiplet quad.
+	if !keys["ni3>r3"] || !keys["r3>ni3"] || keys["r3>r4"] != (chips == nil) {
+		t.Fatalf("%s: links of node 3 are not keyed ni3>r3, r3>ni3, r3>r4", name)
+	}
+	// Each shard's flit wires are the records whose receiver it owns and its
+	// credit wires those whose sender it owns (ejection links have none), in
+	// table order with router receivers before NI receivers; the wires it
+	// polls as foreign are those whose link has its ends on different shards.
+	foreign := 0
+	for si, sh := range n.eng.shards {
+		var flit, cred []wire
+		var foreignFlit, foreignCred []int32
+		for _, toNI := range []bool{false, true} {
+			for _, rec := range n.links {
+				src, dst := n.eng.shardOf(rec.Src.Node), n.eng.shardOf(rec.Dst.Node)
+				if dst == sh && rec.Dst.NI == toNI {
+					if src != dst {
+						foreignFlit = append(foreignFlit, int32(len(flit)))
+					}
+					flit = append(flit, wireAt(n, rec.L, rec.Dst))
+				}
+				if src == sh && rec.Src.NI == toNI && !rec.Dst.NI {
+					if src != dst {
+						foreignCred = append(foreignCred, int32(len(cred)))
+					}
+					cred = append(cred, wireAt(n, rec.L, rec.Src))
+				}
+			}
+		}
+		if !slices.Equal(sh.flit, flit) || !slices.Equal(sh.cred, cred) {
+			t.Fatalf("%s: shard %d wires are not its share of the table", name, si)
+		}
+		isNI := func(w wire) bool { return w.ni != nil }
+		if sh.flitNI != slices.IndexFunc(flit, isNI) || sh.credNI != slices.IndexFunc(cred, isNI) {
+			t.Fatalf("%s: shard %d NI receivers start at %d and %d", name, si, sh.flitNI, sh.credNI)
+		}
+		if !slices.Equal(sh.foreignFlit, foreignFlit) || !slices.Equal(sh.foreignCred, foreignCred) {
+			t.Fatalf("%s: shard %d polls flit wires %v and credit wires %v, foreign are %v and %v",
+				name, si, sh.foreignFlit, sh.foreignCred, foreignFlit, foreignCred)
+		}
+		foreign += len(foreignFlit) + len(foreignCred)
+	}
+	// (A shard boundary on a tile edge of the chiplet quad cuts no link.)
+	if chips == nil && (foreign > 0) != (len(n.eng.shards) > 1) {
+		t.Fatalf("%s: %d foreign wires on %d shards", name, foreign, len(n.eng.shards))
+	}
 }
 
 // TestCongestionGating: propagation runs iff the selector consumes the
-// signal (or the mode forces it).
+// signal.
 func TestCongestionGating(t *testing.T) {
 	regions := mesh4()
 	base := Params{
@@ -158,17 +280,13 @@ func TestCongestionGating(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sel  routing.Selector
-		mode CongestionMode
 		want bool
 	}{
-		{"local-auto", routing.LocalSelector{}, CongestionAuto, false},
-		{"dbar-auto", dbarSel(regions), CongestionAuto, true},
-		{"local-forced-on", routing.LocalSelector{}, CongestionOn, true},
-		{"dbar-forced-off", dbarSel(regions), CongestionOff, false},
+		{"local", routing.LocalSelector{}, false},
+		{"dbar", dbarSel(regions), true},
 	} {
 		p := base
 		p.Sel = tc.sel
-		p.Congestion = tc.mode
 		if got := New(p).CongestionEnabled(); got != tc.want {
 			t.Errorf("%s: CongestionEnabled() = %v, want %v", tc.name, got, tc.want)
 		}

@@ -111,35 +111,6 @@ func TestFaultyDeliveryAndInvariants(t *testing.T) {
 	}
 }
 
-// TestPerLinkProfileOverride: a per-link profile confines faults to that
-// link; all other links stay clean.
-func TestPerLinkProfileOverride(t *testing.T) {
-	n, delivered := buildFaulty(t, mesh4(), Params{
-		Faults: &faults.Config{
-			Seed:    9,
-			PerLink: map[string]faults.LinkProfile{faults.LinkKey(0, 1): {DropProb: 0.2}},
-		},
-		Check: &invariant.Config{},
-	})
-	defer n.Close()
-	want := injectAllPairs(n)
-	for c := int64(0); c < 100000 && !n.Drained(); c++ {
-		n.Tick(c)
-	}
-	if got := len(*delivered); got != want {
-		t.Fatalf("delivered %d of %d", got, want)
-	}
-	rep := n.Faults().Report()
-	if rep.Totals.DroppedFlits == 0 {
-		t.Fatal("override link dropped nothing")
-	}
-	for _, lr := range rep.Links {
-		if lr.Key != "r0>r1" {
-			t.Errorf("link %s has fault events %+v; only r0>r1 is configured", lr.Key, lr.Counters)
-		}
-	}
-}
-
 // TestCheckerCatchesSeededCreditLeak is the seeded-bug acceptance test: a
 // credit stolen behind the fault injector's back (DebugDropCredit) must be
 // caught by the credit-accounting check, naming the router, port and VC.

@@ -19,6 +19,7 @@ package network
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"rair/internal/faults"
 	"rair/internal/invariant"
@@ -29,19 +30,6 @@ import (
 	"rair/internal/routing"
 	"rair/internal/telemetry"
 	"rair/internal/topology"
-)
-
-// CongestionMode gates the per-cycle DBAR congestion propagation.
-type CongestionMode int
-
-const (
-	// CongestionAuto enables propagation iff the selector consumes it
-	// (routing.ConsumesCongestion).
-	CongestionAuto CongestionMode = iota
-	// CongestionOn forces propagation every cycle.
-	CongestionOn
-	// CongestionOff disables propagation; PathOccupancy reads zeros.
-	CongestionOff
 )
 
 // Params configures a network build.
@@ -71,8 +59,6 @@ type Params struct {
 	// across Workers-1 persistent worker goroutines plus the caller. Call
 	// Close when done with a parallel network (a finalizer backstops it).
 	Workers int
-	// Congestion gates DBAR propagation (default CongestionAuto).
-	Congestion CongestionMode
 	// Telemetry, if non-nil, instruments every router and NI with a
 	// per-node probe from the collector. Probes are written only by the
 	// owning shard during the compute phase; the window sampler and all
@@ -102,9 +88,6 @@ type Params struct {
 	// through Network.Inject (which plans the gateway legs); direct NI
 	// injection would strand inter-chiplet packets at an unwired edge.
 	Chiplets *topology.Chiplets
-	// XBar configures the inter-chiplet crossbar (zero value = defaults).
-	// Ignored unless Chiplets is set.
-	XBar XBarConfig
 }
 
 // Network is a fully wired mesh NoC.
@@ -113,21 +96,21 @@ type Network struct {
 	mesh    *topology.Mesh
 	routers []*router.Router
 	nis     []*router.NI
-	links   []*router.Link // every link, for conservation accounting
-	eng     *engine
-	cong    bool
-	tel     *telemetry.Collector
-	probes  []*telemetry.Probe // per node, nil when telemetry is off
-	faults  *faults.Injector   // nil when fault-free
-	check   *invariant.Checker // nil when unchecked
-	refs    []invariant.LinkRef
-	now     int64
+	// links is the wiring table, one record per link: mesh links in wiring
+	// order, then each node's injection and ejection link. The engine's
+	// wires, the fault injector's link states (whose registration index
+	// seeds every verdict) and the checker's audits all derive from it.
+	links  []router.LinkRecord
+	eng    *engine
+	cong   bool
+	tel    *telemetry.Collector
+	probes []*telemetry.Probe // per node, nil when telemetry is off
+	faults *faults.Injector   // nil when fault-free
+	check  *invariant.Checker // nil when unchecked
 
 	chiplets   *topology.Chiplets // nil for plain meshes
 	xbar       *Crossbar          // nil for plain meshes
-	injSlot    []int              // per-node injector-slot rotation (concentrated meshes)
 	bridgeSlot int                // NI slot reserved for crossbar re-injection (-1 without chiplets)
-	appSlots   int                // injector slots available to applications
 }
 
 // New builds and wires the network.
@@ -158,28 +141,12 @@ func New(p Params) *Network {
 		mesh:       mesh,
 		routers:    make([]*router.Router, mesh.N()),
 		nis:        make([]*router.NI, mesh.N()),
+		cong:       routing.ConsumesCongestion(p.Sel),
+		tel:        p.Telemetry,
 		chiplets:   p.Chiplets,
 		bridgeSlot: bridgeSlot,
-		appSlots:   p.Router.InjectorCount(),
 	}
-	if bridgeSlot >= 0 {
-		n.appSlots = bridgeSlot
-	}
-	if n.appSlots > 1 {
-		n.injSlot = make([]int, mesh.N())
-	}
-	switch p.Congestion {
-	case CongestionAuto:
-		n.cong = routing.ConsumesCongestion(p.Sel)
-	case CongestionOn:
-		n.cong = true
-	case CongestionOff:
-		n.cong = false
-	default:
-		panic(fmt.Sprintf("network: unknown congestion mode %d", p.Congestion))
-	}
-	if p.Telemetry != nil {
-		n.tel = p.Telemetry
+	if n.tel != nil {
 		n.probes = make([]*telemetry.Probe, mesh.N())
 	}
 	// One dense state store per shard: routers and NIs are built as views
@@ -189,17 +156,41 @@ func New(p Params) *Network {
 	for i := range soas {
 		lo, hi := part.bounds(i)
 		soas[i] = router.NewSoA(p.Router, hi-lo)
-		for id := lo; id < hi; id++ {
+	}
+	n.eng = newEngine(mesh, n.routers, n.nis, part, soas)
+	// Routers before NIs: built in one pass, their small allocations
+	// interleave and the compute phase measured 2 % slower at 32×32.
+	for _, sh := range n.eng.shards {
+		for li := range sh.routers {
+			id := sh.lo + li
 			app := p.Regions.AppAt(id)
-			n.routers[id] = router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy(id, app), soas[i], id-lo)
+			r := router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy(id, app), sh.soa, li)
 			if n.cong {
 				// Congestion travels at most one mesh edge along a dimension.
-				n.routers[id].EnableCongestion(max(mesh.W, mesh.H) - 1)
+				r.EnableCongestion(max(mesh.W, mesh.H) - 1)
 			}
 			if n.tel != nil {
 				n.probes[id] = n.tel.ProbeFor(id, app)
-				n.routers[id].SetTelemetry(n.probes[id])
+				r.SetTelemetry(n.probes[id])
 			}
+			n.routers[id] = r
+		}
+	}
+	for _, sh := range n.eng.shards {
+		// Phase 1 buffers ejections per shard; Tick replays them in node order.
+		var onEject func(*msg.Packet, int64)
+		if p.OnEject != nil || p.Recycle != nil || p.Chiplets != nil {
+			onEject = func(pkt *msg.Packet, now int64) {
+				sh.ejections = append(sh.ejections, ejection{pkt, now})
+			}
+		}
+		for li := range sh.nis {
+			id := sh.lo + li
+			ni := router.NewNIInStore(p.Router, id, p.Regions, onEject, sh.soa, li)
+			if n.tel != nil {
+				ni.SetTelemetry(n.probes[id])
+			}
+			n.nis[id] = ni
 		}
 	}
 	if p.Faults != nil && p.Faults.Enabled() {
@@ -208,93 +199,21 @@ func New(p Params) *Network {
 			panic(err)
 		}
 		n.faults = inj
-		if n.tel != nil {
-			for id := range n.probes {
-				inj.SetStallProbe(id, n.probes[id])
-			}
-		}
-	}
-	n.eng = newEngine(mesh, n.routers, n.nis, part, soas)
-	n.eng.faults = n.faults
-	if cs := p.Chiplets; cs != nil {
-		// Clip the congestion relay at tile edges: those links don't exist.
-		n.eng.neigh = func(id int, d topology.Dir) int {
-			nb := mesh.Neighbor(id, d)
-			if nb != -1 && !cs.SameChip(id, nb) {
-				return -1
-			}
-			return nb
+		n.eng.faults = inj
+		for id, probe := range n.probes {
+			inj.SetStallProbe(id, probe)
 		}
 	}
 	if p.Profile {
 		n.eng.prof = newEngineProf(len(n.eng.shards))
 	}
-	// Inter-router links (one per direction per adjacent pair). In a
-	// chiplet system, pairs straddling a tile edge are never wired — the
-	// crossbar is the only path between tiles.
-	for id := 0; id < mesh.N(); id++ {
-		for _, d := range []topology.Dir{topology.East, topology.South} {
-			nb := mesh.Neighbor(id, d)
-			if nb == -1 {
-				continue
-			}
-			if p.Chiplets != nil && !p.Chiplets.SameChip(id, nb) {
-				continue
-			}
-			n.wire(id, d, nb)
-			n.wire(nb, d.Opposite(), id)
-		}
+	n.links = linkTable(mesh, p.Chiplets, p.Router.LinkLatency, n.nis)
+	for _, rec := range n.links {
+		n.connect(rec)
 	}
-	// NI links. Built in ascending node order so per-cycle ejection
-	// callbacks replay in node order.
-	for id := 0; id < mesh.N(); id++ {
-		r := n.routers[id]
-		inj := router.NewLink(p.Router.LinkLatency)
-		ej := router.NewLink(p.Router.LinkLatency)
-		n.links = append(n.links, inj, ej)
-		var onEject func(*msg.Packet, int64)
-		sh := n.eng.shardOf(id)
-		if p.OnEject != nil || p.Recycle != nil || p.Chiplets != nil {
-			onEject = func(pkt *msg.Packet, now int64) {
-				sh.ejections = append(sh.ejections, ejection{pkt, now})
-			}
-		}
-		ni := router.NewNIInStore(p.Router, id, p.Regions, inj, ej, onEject, sh.soa, id-sh.lo)
-		if n.tel != nil {
-			ni.SetTelemetry(n.probes[id])
-		}
-		n.nis[id] = ni
-		if n.faults != nil {
-			// Injection link: the router side receives flits, the NI side
-			// receives (and may leak) credits; reconciled credits return to
-			// the NI's counter.
-			ils := n.faults.RegisterLink(faults.NIKey(id, true), ni.DeliverCredit, false)
-			inj.SetFaults(ils)
-			// Ejection link: no credit wire in use; restore never fires.
-			els := n.faults.RegisterLink(faults.NIKey(id, false), nil, true)
-			ej.SetFaults(els)
-			if n.tel != nil {
-				n.faults.SetLinkProbes(ils, n.probes[id], n.probes[id])
-				n.faults.SetLinkProbes(els, n.probes[id], n.probes[id])
-			}
-		}
-		n.refs = append(n.refs,
-			invariant.LinkRef{L: inj, Src: id, SrcNI: true, Dst: id, DstDir: topology.Local},
-			invariant.LinkRef{L: ej, Src: id, SrcDir: topology.Local, Dst: id, DstNI: true},
-		)
-		r.ConnectIn(topology.Local, inj)
-		r.ConnectOut(topology.Local, ej)
-		// Injection link: flits flow NI -> router, credits router -> NI.
-		sh.rFlit = append(sh.rFlit, routerFlitBinding{link: inj, r: r, dir: topology.Local})
-		sh.nCred = append(sh.nCred, niCreditBinding{link: inj, ni: ni})
-		// Ejection link: flits flow router -> NI; the ejection port never
-		// returns credits, but the wire is kept for symmetry.
-		sh.nFlit = append(sh.nFlit, niFlitBinding{link: ej, ni: ni})
-		sh.rCred = append(sh.rCred, routerCreditBinding{link: ej, r: r, dir: topology.Local})
-	}
-	n.eng.finalize()
+	n.eng.bind(n.links)
 	if p.Chiplets != nil {
-		x, err := NewCrossbar(p.XBar, p.Chiplets, n.xbarDeliver)
+		x, err := NewCrossbar(XBarConfig{}, p.Chiplets, n.xbarDeliver)
 		if err != nil {
 			panic(err)
 		}
@@ -303,7 +222,7 @@ func New(p Params) *Network {
 	if p.Check != nil {
 		n.check = invariant.NewChecker(*p.Check, invariant.Target{
 			Depth: p.Router.Depth, VCs: p.Router.VCsPerPort(), Mesh: mesh,
-			Routers: n.routers, NIs: n.nis, Links: n.refs,
+			Routers: n.routers, NIs: n.nis, Links: n.links,
 			Faults: n.faults, Telemetry: n.tel,
 			Quiesce: n.auditQuiescence,
 		})
@@ -314,33 +233,61 @@ func New(p Params) *Network {
 	return n
 }
 
-// wire connects src's output port at dir to dst's opposite input port. The
-// flit wire is owned (shifted and delivered) by dst's shard, the credit wire
-// by src's shard.
-func (n *Network) wire(src int, dir topology.Dir, dst int) {
-	l := router.NewLink(n.params.Router.LinkLatency)
-	n.links = append(n.links, l)
-	sr, dr := n.routers[src], n.routers[dst]
-	sr.ConnectOut(dir, l)
-	dr.ConnectIn(dir.Opposite(), l)
-	// The flit wire's pusher is src's shard; the credit wire's is dst's. A
-	// wire whose pusher is a different shard than its owner is foreign: it
-	// gets no wake mark and is polled from the owner's foreign list.
-	dsh := n.eng.shardOf(dst)
-	ssh := n.eng.shardOf(src)
-	dsh.rFlit = append(dsh.rFlit, routerFlitBinding{link: l, r: dr, dir: dir.Opposite(), foreign: dsh != ssh})
-	ssh.rCred = append(ssh.rCred, routerCreditBinding{link: l, r: sr, dir: dir, foreign: ssh != dsh})
-	if n.faults != nil {
-		ls := n.faults.RegisterLink(faults.LinkKey(src, dst),
-			func(vc int) { sr.DeliverCredit(dir, vc) }, false)
-		l.SetFaults(ls)
-		if n.tel != nil {
-			n.faults.SetLinkProbes(ls, n.probes[dst], n.probes[src])
+// linkTable lays out the wiring: one new link per direction per adjacent
+// router pair, then each node's injection and ejection link (which its NI
+// brought along) in ascending node order. In a chiplet system, pairs
+// straddling a tile edge are never wired — the crossbar is the only path
+// between tiles.
+func linkTable(mesh *topology.Mesh, chips *topology.Chiplets, latency int, nis []*router.NI) []router.LinkRecord {
+	// At most four mesh links and two NI links leave or enter a node.
+	links := make([]router.LinkRecord, 0, 6*mesh.N())
+	for id := 0; id < mesh.N(); id++ {
+		for _, d := range [...]topology.Dir{topology.East, topology.South} {
+			nb := mesh.Neighbor(id, d)
+			if nb == -1 || chips != nil && !chips.SameChip(id, nb) {
+				continue
+			}
+			here, there := router.LinkEnd{Node: id, Dir: d}, router.LinkEnd{Node: nb, Dir: d.Opposite()}
+			links = append(links,
+				router.LinkRecord{L: router.NewLink(latency), Src: here, Dst: there},
+				router.LinkRecord{L: router.NewLink(latency), Src: there, Dst: here})
 		}
 	}
-	n.refs = append(n.refs, invariant.LinkRef{
-		L: l, Src: src, SrcDir: dir, Dst: dst, DstDir: dir.Opposite(),
-	})
+	for id, ni := range nis {
+		inj, ej := ni.Links()
+		port, end := router.LinkEnd{Node: id, Dir: topology.Local}, router.LinkEnd{Node: id, NI: true}
+		links = append(links, router.LinkRecord{L: inj, Src: end, Dst: port}, router.LinkRecord{L: ej, Src: port, Dst: end})
+	}
+	return links
+}
+
+// connect attaches one link of the table to the routers at its ends (an NI
+// came with its links) and, under fault injection, registers it with the
+// injector: arriving flits are filtered at the receiver, arriving credits at
+// the sender, and reconciled credits return to the sender's counter.
+func (n *Network) connect(rec router.LinkRecord) {
+	src, dst := rec.Src, rec.Dst
+	if !src.NI {
+		n.routers[src.Node].ConnectOut(src.Dir, rec.L)
+	}
+	if !dst.NI {
+		n.routers[dst.Node].ConnectIn(dst.Dir, rec.L)
+	}
+	if n.faults == nil {
+		return
+	}
+	restore := n.nis[src.Node].DeliverCredit
+	if !src.NI {
+		sr := n.routers[src.Node]
+		restore = func(vc int) { sr.DeliverCredit(src.Dir, vc) }
+	}
+	// An ejection link's credit wire is never used (the NI sink accepts
+	// unconditionally), so it can neither leak nor be reconciled.
+	ls := n.faults.RegisterLink(rec.Key(), restore, dst.NI)
+	rec.L.SetFaults(ls)
+	if n.tel != nil {
+		n.faults.SetLinkProbes(ls, n.probes[dst.Node], n.probes[src.Node])
+	}
 }
 
 // Close stops the tick engine's worker goroutines. Safe to call multiple
@@ -371,22 +318,15 @@ func (n *Network) Router(node int) *router.Router { return n.routers[node] }
 // Faults returns the run's fault injector (nil when fault-free).
 func (n *Network) Faults() *faults.Injector { return n.faults }
 
-// Chiplets returns the chiplet system (nil for plain meshes).
-func (n *Network) Chiplets() *topology.Chiplets { return n.chiplets }
-
 // Crossbar returns the inter-chiplet switch (nil for plain meshes).
 func (n *Network) Crossbar() *Crossbar { return n.xbar }
 
 // Checker returns the run's invariant checker (nil when unchecked).
 func (n *Network) Checker() *invariant.Checker { return n.check }
 
-// Now reports the cycle of the last Tick.
-func (n *Network) Now() int64 { return n.now }
-
 // Tick advances the whole network one cycle through the engine's
 // barrier-separated phases.
 func (n *Network) Tick(now int64) {
-	n.now = now
 	n.eng.now = now
 	if n.eng.prof != nil {
 		n.eng.prof.cycles++
@@ -455,12 +395,11 @@ func (n *Network) Tick(now int64) {
 // canonical injection entry: plain meshes forward to the source NI; chiplet
 // systems plan the gateway legs (Dst becomes the source tile's gateway and
 // FinalDst the true target) and classify inter-chiplet packets as global
-// traffic so RAIR's boundary discipline gates them; concentrated meshes
-// rotate injections across the NI's injector slots deterministically.
+// traffic so RAIR's boundary discipline gates them.
 func (n *Network) Inject(p *msg.Packet, now int64) {
 	if n.chiplets == nil || n.chiplets.SameChip(p.Src, p.Dst) {
 		p.FinalDst = p.Dst
-		n.injectLocal(p.Src, p, now)
+		n.nis[p.Src].Inject(p, now)
 		return
 	}
 	p.FinalDst = p.Dst
@@ -478,24 +417,10 @@ func (n *Network) Inject(p *msg.Packet, now int64) {
 		n.xbar.Submit(p, now, now)
 		return
 	}
-	n.injectLocal(p.Src, p, now)
+	n.nis[p.Src].Inject(p, now)
 	// The NI classified the gateway leg from (Src, Dst), which share a
 	// region; the packet's journey crosses one, so it is global traffic.
 	p.Global = true
-}
-
-// injectLocal queues p at its source NI, rotating over the application
-// injector slots when the mesh is concentrated (the bridge slot, if any, is
-// reserved for crossbar re-injection). The rotation runs on the
-// coordinator, so slot assignment is deterministic at any worker count.
-func (n *Network) injectLocal(node int, p *msg.Packet, now int64) {
-	if n.appSlots == 1 {
-		n.nis[node].Inject(p, now)
-		return
-	}
-	slot := n.injSlot[node]
-	n.injSlot[node] = (slot + 1) % n.appSlots
-	n.nis[node].InjectAt(slot, p, now)
 }
 
 // xbarDeliver re-introduces a packet that finished crossing the switch:
@@ -565,7 +490,7 @@ func (n *Network) Drained() bool {
 			}
 		}
 		for _, i := range sh.foreignCred {
-			if sh.rCred[i].link.CreditsBusy() {
+			if sh.cred[i].link.CreditsBusy() {
 				return false
 			}
 		}
@@ -607,38 +532,24 @@ func (n *Network) auditQuiescence() error {
 				return fmt.Errorf("shard %d NI %d: armed=%v with work %d", si, ni.Node(), armed, sum)
 			}
 		}
-		nrf := len(sh.rFlit)
-		for i := range sh.rFlit {
-			if sh.rFlit[i].foreign {
-				continue
-			}
-			if dirty := sh.flitDirty[i>>6]>>(uint(i)&63)&1 == 1; !dirty && sh.rFlit[i].link.FlitsBusy() {
+		for i, w := range sh.flit {
+			if w.link.FlitsBusy() && !marked(sh.flitDirty, sh.foreignFlit, i) {
 				return fmt.Errorf("shard %d: busy flit wire %d not marked dirty", si, i)
 			}
 		}
-		for j := range sh.nFlit {
-			i := nrf + j
-			if dirty := sh.flitDirty[i>>6]>>(uint(i)&63)&1 == 1; !dirty && sh.nFlit[j].link.FlitsBusy() {
-				return fmt.Errorf("shard %d: busy NI flit wire %d not marked dirty", si, j)
-			}
-		}
-		nrc := len(sh.rCred)
-		for i := range sh.rCred {
-			if sh.rCred[i].foreign {
-				continue
-			}
-			if dirty := sh.credDirty[i>>6]>>(uint(i)&63)&1 == 1; !dirty && sh.rCred[i].link.CreditsBusy() {
+		for i, w := range sh.cred {
+			if w.link.CreditsBusy() && !marked(sh.credDirty, sh.foreignCred, i) {
 				return fmt.Errorf("shard %d: busy credit wire %d not marked dirty", si, i)
-			}
-		}
-		for j := range sh.nCred {
-			i := nrc + j
-			if dirty := sh.credDirty[i>>6]>>(uint(i)&63)&1 == 1; !dirty && sh.nCred[j].link.CreditsBusy() {
-				return fmt.Errorf("shard %d: busy NI credit wire %d not marked dirty", si, j)
 			}
 		}
 	}
 	return nil
+}
+
+// marked reports whether the link sweep will visit wire i: its dirty bit is
+// set, or it is polled as foreign.
+func marked(dirty []uint64, foreign []int32, i int) bool {
+	return dirty[i>>6]>>(uint(i)&63)&1 == 1 || slices.Contains(foreign, int32(i))
 }
 
 // StuckPacket returns a packet that has been inside the network for more
@@ -660,8 +571,8 @@ func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
 // anything else means flits were lost, duplicated, or stranded.
 func (n *Network) FlitConservation() (inside, inflightPackets int64) {
 	inside = int64(n.BufferedFlits())
-	for _, l := range n.links {
-		if l.Busy() {
+	for _, rec := range n.links {
+		if rec.L.Busy() {
 			inside++
 		}
 	}

@@ -13,23 +13,6 @@ func (n *Network) FlitsSent(node int, dir topology.Dir) int64 {
 	return n.routers[node].FlitsSent(dir)
 }
 
-// MaxLinkUtilization returns the highest per-link utilization (flits per
-// cycle) over the given cycle count, excluding injection/ejection links.
-func (n *Network) MaxLinkUtilization(cycles int64) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	var max int64
-	for _, r := range n.routers {
-		for d := topology.North; d < topology.NumDirs; d++ {
-			if f := r.FlitsSent(d); f > max {
-				max = f
-			}
-		}
-	}
-	return float64(max) / float64(cycles)
-}
-
 // UtilizationHeatmap renders an ASCII heatmap of each router's busiest
 // output link over the given cycle count: '.' for idle through '9' for a
 // link at ≥90% utilization. A quick visual check of where congestion

@@ -44,9 +44,8 @@ type Config struct {
 	// is the canonical 5 cycles (RC, VA, SA, ST, LT).
 	LinkLatency int
 	// Injectors is the number of injection slots the NI multiplexes onto
-	// the local port — the concentration factor of a concentrated mesh,
-	// where each of the c cores behind a router owns its own per-class
-	// source queues. Zero means 1 (plain mesh, one core per router).
+	// the local port, each with its own per-class source queues. Zero means
+	// 1; a chiplet network adds a slot for crossbar re-injection.
 	Injectors int
 }
 

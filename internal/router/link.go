@@ -1,9 +1,12 @@
 package router
 
 import (
+	"fmt"
+
 	"rair/internal/faults"
 	"rair/internal/msg"
 	"rair/internal/sim"
+	"rair/internal/topology"
 )
 
 // Link is a unidirectional flit channel with its paired reverse credit
@@ -35,6 +38,35 @@ type Link struct {
 	flitWake wakeMark
 	credWake wakeMark
 }
+
+// LinkEnd is one end of a link: port Dir of node's router, or, when NI is
+// set, the node's network interface.
+type LinkEnd struct {
+	Node int
+	Dir  topology.Dir
+	NI   bool
+}
+
+func (e LinkEnd) String() string {
+	if e.NI {
+		return fmt.Sprintf("ni%d", e.Node)
+	}
+	return fmt.Sprintf("r%d", e.Node)
+}
+
+// LinkRecord is one row of a network's wiring table: a link, the end that
+// sends flits on it (and receives its credits) and the end that receives
+// them. The table is the only description of what is wired to what; the
+// tick engine, the fault injector and the invariant checker all read it.
+type LinkRecord struct {
+	L        *Link
+	Src, Dst LinkEnd
+}
+
+// Key names the link wherever one is reported: "r3>r4" for the flit wire
+// from router 3 to router 4, "ni3>r3" and "r3>ni3" for node 3's injection
+// and ejection link.
+func (rec LinkRecord) Key() string { return rec.Src.String() + ">" + rec.Dst.String() }
 
 // wakeMark addresses one bit of a dirty bitmap.
 type wakeMark struct {

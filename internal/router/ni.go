@@ -41,9 +41,9 @@ type NI struct {
 	ej  *Link // router local output port -> NI
 
 	// queues holds one source queue per (injector slot, message class)
-	// pair, indexed slot*Classes+class. Plain meshes have one slot;
-	// concentrated meshes give each of the c cores behind the router its
-	// own slot so cores queue independently (cfg.Injectors).
+	// pair, indexed slot*Classes+class. Plain meshes have one slot; a
+	// chiplet gateway's crossbar bridge has its own, so a node's traffic
+	// never queues behind the foreign backlog (cfg.Injectors).
 	queues []*sim.Queue[*msg.Packet]
 
 	streams []stream // per local-input VC; pkt nil when not streaming
@@ -90,10 +90,14 @@ type stream struct {
 // NewNIInStore builds the interface for node as a view over slot li of the
 // shard store soa (shared with the node's router; the NI uses the NIWork
 // mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
-// is consumed (may be nil).
-func NewNIInStore(cfg Config, node int, regions *region.Map, inj, ej *Link,
+// is consumed (may be nil). The NI brings its two links with it, allocated
+// just before it: the three share a size class, so they sit side by side in
+// memory (an NI apart from its links measured 1-2 % slower over the compute
+// phase at 32×32).
+func NewNIInStore(cfg Config, node int, regions *region.Map,
 	onEject func(*msg.Packet, int64), soa *SoA, li int) *NI {
 	v := cfg.VCsPerPort()
+	inj, ej := NewLink(cfg.LinkLatency), NewLink(cfg.LinkLatency)
 	ni := &NI{
 		cfg: cfg, node: node, regions: regions, inj: inj, ej: ej, soa: soa, li: li,
 		queues:     make([]*sim.Queue[*msg.Packet], cfg.Classes*cfg.InjectorCount()),
@@ -123,12 +127,9 @@ func NewNIInStore(cfg Config, node int, regions *region.Map, inj, ej *Link,
 	return ni
 }
 
-// Active reports whether ticking the NI this cycle can have any effect:
-// packets queued for injection, flits still streaming, or claimed VCs
-// waiting for their credits to drain back.
-func (ni *NI) Active() bool {
-	return ni.queued+ni.streaming+ni.drainingN > 0
-}
+// Links returns the NI's injection link (to the router's local input port)
+// and ejection link (from its local output port).
+func (ni *NI) Links() (inj, ej *Link) { return ni.inj, ni.ej }
 
 // Node returns the NI's node id.
 func (ni *NI) Node() int { return ni.node }
@@ -144,8 +145,8 @@ func (ni *NI) SetTelemetry(p *telemetry.Probe) {
 func (ni *NI) Inject(p *msg.Packet, now int64) { ni.InjectAt(0, p, now) }
 
 // InjectAt queues a packet on injector slot's source queue for its class.
-// Slots model the cores of a concentrated mesh: each owns independent
-// queues, and claim() arbitrates across all of them round-robin.
+// Each slot owns independent queues, and claim() arbitrates across all of
+// them round-robin.
 func (ni *NI) InjectAt(slot int, p *msg.Packet, now int64) {
 	if p.Src != ni.node {
 		panic(fmt.Sprintf("router: packet %v injected at node %d", p, ni.node))
@@ -170,10 +171,6 @@ func (ni *NI) InjectAt(slot int, p *msg.Packet, now int64) {
 	ni.soa.armN(ni.li)
 	ni.created++
 }
-
-// Store returns the shard store this NI is a view into and its local index
-// there (engine and audit hooks).
-func (ni *NI) Store() (*SoA, int) { return ni.soa, ni.li }
 
 // WorkCounters returns the individual activity counters; the invariant
 // checker audits their sum against the store's NIWork mirror.
@@ -273,9 +270,9 @@ func (ni *NI) Tick(now int64) {
 
 // claim assigns one queued packet to a free local-input VC of its class per
 // cycle (one VC allocation per cycle, like a router's VA), rotating over the
-// (slot, class) source queues so concentrated-mesh cores share the local
-// port fairly. With one injector slot the scan degenerates to the per-class
-// rotation a plain mesh always had.
+// (slot, class) source queues so the slots share the local port fairly.
+// With one injector slot the scan degenerates to the per-class rotation a
+// plain mesh always had.
 func (ni *NI) claim() {
 	nq := len(ni.queues)
 	for i := 0; i < nq; i++ {

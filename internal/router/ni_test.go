@@ -11,12 +11,11 @@ import (
 func testNI(cfg Config) (*NI, *Link, *Link, *[]*msg.Packet) {
 	mesh := topology.NewMesh(2, 1)
 	regs := region.Single(mesh)
-	inj := NewLink(cfg.LinkLatency)
-	ej := NewLink(cfg.LinkLatency)
 	var ejected []*msg.Packet
-	ni := NewNIInStore(cfg, 0, regs, inj, ej, func(p *msg.Packet, now int64) {
+	ni := NewNIInStore(cfg, 0, regs, func(p *msg.Packet, now int64) {
 		ejected = append(ejected, p)
 	}, NewSoA(cfg, 1), 0)
+	inj, ej := ni.Links()
 	return ni, inj, ej, &ejected
 }
 
@@ -62,7 +61,7 @@ func TestNIStampsPacket(t *testing.T) {
 	regs.Assign(1, 0)
 	regs.Assign(2, 1)
 	regs.Assign(3, 1)
-	ni := NewNIInStore(cfg, 0, regs, NewLink(1), NewLink(1), nil, NewSoA(cfg, 1), 0)
+	ni := NewNIInStore(cfg, 0, regs, nil, NewSoA(cfg, 1), 0)
 	intra := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	inter := &msg.Packet{ID: 2, Src: 0, Dst: 3, Size: 1, Class: msg.ClassRequest}
 	ni.Inject(intra, 42)

@@ -196,12 +196,6 @@ func (r *Router) EnableCongestion(hops int) {
 // Node returns the router's node id.
 func (r *Router) Node() int { return r.node }
 
-// App returns the application assigned to the router's node (-1 if none).
-func (r *Router) App() int { return r.app }
-
-// Policy returns the router's interference-reduction policy instance.
-func (r *Router) Policy() policy.Policy { return r.pol }
-
 // SetTelemetry attaches a telemetry probe (nil detaches). When the policy
 // exposes a DPA state (NativeHigh), transitions are counted from its
 // current value.
@@ -223,10 +217,6 @@ func (r *Router) OccupancyByKind() (native, foreign int) {
 	return int(r.soa.NativeOcc[r.li]), int(r.soa.ForeignOcc[r.li])
 }
 
-// Store returns the shard store this router is a view into and its local
-// index there (engine and audit hooks).
-func (r *Router) Store() (*SoA, int) { return r.soa, r.li }
-
 // WorkCounters returns the individual stage-population counters; the
 // invariant checker audits their sum against the store's Work mirror.
 func (r *Router) WorkCounters() (rc, va, active, st int) {
@@ -238,6 +228,9 @@ func (r *Router) ConnectIn(dir topology.Dir, l *Link) { r.in[dir].link = l }
 
 // ConnectOut attaches the downstream link driven by the output port at dir.
 func (r *Router) ConnectOut(dir topology.Dir, l *Link) { r.out[dir].link = l }
+
+// Connected reports whether an output link is attached at dir.
+func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].link != nil }
 
 // DeliverFlit accepts a flit arriving on the input port at dir. The network
 // calls it when the attached link's delay elapses. A body/tail flit landing
@@ -298,21 +291,6 @@ func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
 		}
 	}
 }
-
-// Active reports whether ticking the router this cycle can have any effect:
-// some input VC holds a packet mid-pipeline (RC, VA or active streaming), or
-// an ST register still holds a flit awaiting link traversal. An inactive
-// router's Tick is a no-op by construction — every stage is gated on one of
-// these counters, deferred output-VC release is re-run before the next VA,
-// and the policy update is idempotent at zero occupancy — so the tick engine
-// skips it entirely.
-func (r *Router) Active() bool {
-	return r.rcCount+r.vaCount+r.activeCount+r.stPending > 0
-}
-
-// Occupancy reports the occupied-input-VC count at the end of the last
-// cycle.
-func (r *Router) Occupancy() int { return int(r.soa.OccSnap[r.li]) }
 
 // InPortOccupancy reports the buffered flits at the input port facing
 // direction d: the congestion a packet traveling in direction d meets when

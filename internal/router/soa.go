@@ -23,7 +23,6 @@ import (
 // it, and the engine's barrier phases serialize all access.
 type SoA struct {
 	cfg Config
-	n   int
 
 	// Work[li] mirrors router li's pipeline population
 	// (rcCount+vaCount+activeCount+stPending); NIWork[li] mirrors NI li's
@@ -86,7 +85,7 @@ func NewSoA(cfg Config, n int) *SoA {
 	nd := int(topology.NumDirs)
 	words := (n + 63) / 64
 	s := &SoA{
-		cfg: cfg, n: n,
+		cfg:        cfg,
 		Work:       make([]int32, n),
 		NIWork:     make([]int32, n),
 		ArmedR:     make([]uint64, words),
@@ -133,9 +132,6 @@ func NewSoA(cfg Config, n int) *SoA {
 	}
 	return s
 }
-
-// N reports the number of component slots in the store.
-func (s *SoA) N() int { return s.n }
 
 // armR marks router li armed (its Work just became nonzero).
 func (s *SoA) armR(li int) { s.ArmedR[uint(li)>>6] |= 1 << (uint(li) & 63) }

@@ -37,6 +37,3 @@ type CollectiveReport struct {
 // AttachCollective records a collective progress report for inclusion in
 // Report(). Coordinator-only, like all cross-probe operations.
 func (c *Collector) AttachCollective(rep *CollectiveReport) { c.collective = rep }
-
-// Collective returns the attached collective report (nil when none).
-func (c *Collector) Collective() *CollectiveReport { return c.collective }

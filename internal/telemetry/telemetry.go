@@ -160,12 +160,6 @@ type Probe struct {
 	dpaSeen        bool
 }
 
-// Node reports the probe's node id.
-func (p *Probe) Node() int { return p.node }
-
-// App reports the application assigned to the probe's node (-1 if none).
-func (p *Probe) App() int { return p.app }
-
 // Counters returns a snapshot of the probe's counter block.
 func (p *Probe) Counters() Counters {
 	if p == nil {
@@ -360,12 +354,6 @@ type Collector struct {
 func NewCollector(cfg Config) *Collector {
 	return &Collector{cfg: cfg.withDefaults()}
 }
-
-// Window reports the configured sampling window in cycles.
-func (c *Collector) Window() int64 { return c.cfg.Window }
-
-// TraceEvery reports the lifecycle-trace sampling stride (0 = off).
-func (c *Collector) TraceEvery() uint64 { return c.cfg.TraceEvery }
 
 // ProbeFor returns (creating if needed) the probe for a node. The network
 // calls it while wiring; the probe set must be complete before sampling.

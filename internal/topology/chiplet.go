@@ -84,38 +84,3 @@ func (c *Chiplets) checkChip(chip int) {
 		panic(fmt.Sprintf("topology: chip %d out of range [0,%d)", chip, c.Chips()))
 	}
 }
-
-// Concentrated couples C cores to every router of a base mesh (a
-// "concentrated mesh"): the network keeps one router and one NI per mesh
-// node, and the NI multiplexes C injector slots so each core owns an
-// independent injection queue set (router.Config.Injectors). Core ids are
-// router-major: core = router·C + slot.
-type Concentrated struct {
-	Mesh *Mesh
-	C    int
-}
-
-// NewConcentrated wraps mesh with concentration factor c (>= 1).
-func NewConcentrated(m *Mesh, c int) *Concentrated {
-	if c < 1 {
-		panic("topology: concentration factor must be >= 1")
-	}
-	return &Concentrated{Mesh: m, C: c}
-}
-
-// Cores reports the total core count.
-func (cm *Concentrated) Cores() int { return cm.Mesh.N() * cm.C }
-
-// RouterOf returns the router a core attaches to.
-func (cm *Concentrated) RouterOf(core int) int { return core / cm.C }
-
-// SlotOf returns the injector slot a core owns on its router's NI.
-func (cm *Concentrated) SlotOf(core int) int { return core % cm.C }
-
-// Core returns the core id at (router, slot).
-func (cm *Concentrated) Core(router, slot int) int {
-	if slot < 0 || slot >= cm.C {
-		panic(fmt.Sprintf("topology: slot %d out of range [0,%d)", slot, cm.C))
-	}
-	return router*cm.C + slot
-}

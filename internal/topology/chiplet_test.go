@@ -86,32 +86,3 @@ func TestChipletsPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestConcentrated(t *testing.T) {
-	cm := NewConcentrated(NewMesh(4, 4), 4)
-	if got := cm.Cores(); got != 64 {
-		t.Fatalf("Cores() = %d, want 64", got)
-	}
-	for core := 0; core < cm.Cores(); core++ {
-		r, s := cm.RouterOf(core), cm.SlotOf(core)
-		if back := cm.Core(r, s); back != core {
-			t.Fatalf("Core(RouterOf, SlotOf) round trip: %d -> (%d,%d) -> %d", core, r, s, back)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for slot out of range")
-			}
-		}()
-		cm.Core(0, 4)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for concentration < 1")
-			}
-		}()
-		NewConcentrated(NewMesh(2, 2), 0)
-	}()
-}

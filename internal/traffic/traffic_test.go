@@ -453,14 +453,14 @@ func TestPatternsAtScale(t *testing.T) {
 	}
 }
 
-// TestUniformWithConcentratedNodes: concentrated-mesh scenarios model c
-// cores per router by repeating router ids in the node list. Uniform must
-// keep every draw a member of the list; with src duplicated, self-draws
-// are allowed (only one occurrence is excluded) and callers skip them —
-// locked here so a dedup "fix" doesn't silently reweight destinations.
+// TestUniformWithConcentratedNodes: a node list may repeat router ids (the
+// weight of several cores behind one router). Uniform must keep every draw
+// a member of the list; with src duplicated, self-draws are allowed (only
+// one occurrence is excluded) and callers skip them — locked here so a
+// dedup "fix" doesn't silently reweight destinations.
 func TestUniformWithConcentratedNodes(t *testing.T) {
 	rng := sim.NewRNG(3)
-	nodes := []int{0, 0, 1, 1, 2, 2, 3, 3} // 4 routers, concentration 2
+	nodes := []int{0, 0, 1, 1, 2, 2, 3, 3} // 4 routers, each listed twice
 	member := map[int]bool{}
 	for _, v := range nodes {
 		member[v] = true
@@ -485,10 +485,10 @@ func TestUniformWithConcentratedNodes(t *testing.T) {
 		}
 	}
 	// Saturation estimation must stay finite and positive on a duplicated
-	// node list (the concentrated injection process).
+	// node list.
 	m := topology.NewMesh(2, 2)
 	app := AppTraffic{App: 0, Nodes: nodes, Components: []Component{IntraUR(nodes)}}
 	if r := SaturationRate(m, app, 2000, 1); r <= 0 || math.IsInf(r, 0) || math.IsNaN(r) {
-		t.Fatalf("SaturationRate on concentrated nodes = %v", r)
+		t.Fatalf("SaturationRate on duplicated nodes = %v", r)
 	}
 }

@@ -195,9 +195,6 @@ func NewStream(prof Profile, app, core int) *Stream {
 	}
 }
 
-// Profile returns the stream's application profile.
-func (s *Stream) Profile() Profile { return s.prof }
-
 // Next implements memsys.AddressStream.
 func (s *Stream) Next(rng *sim.RNG) (memsys.Access, bool) {
 	if !rng.Bool(s.prof.IssueProb) {

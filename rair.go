@@ -35,6 +35,7 @@ package rair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rair/internal/faults"
@@ -320,7 +321,7 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 
-	scheme, err := schemeByName(cfg, regs.NumApps())
+	scheme, err := schemeFor(cfg, regs.NumApps())
 	if err != nil {
 		return nil, err
 	}
@@ -351,44 +352,36 @@ func (s *Simulation) lbdrRestricted() bool {
 	return ok
 }
 
-func schemeByName(cfg Config, numApps int) (harness.Scheme, error) {
-	ranks := cfg.Ranks
-	if ranks == nil {
-		// Default identity ranking sized to the configured app count so
-		// big layouts (16-region grids, chiplet packages) don't silently
-		// truncate RO_Rank's oracle at eight apps; keep the historical
-		// floor of eight so small configs are byte-identical.
-		n := numApps
-		if n < 8 {
-			n = 8
-		}
-		ranks = make([]int, n)
-		for i := range ranks {
-			ranks[i] = i
-		}
+// schemeFor resolves cfg.Scheme ("" is RO_RR) through the harness's name
+// table, accepting only the names Schemes lists, and applies the two
+// settings a Config carries for a scheme: RO_Rank's oracle ranking and
+// RA_RAIR's DPA hysteresis width.
+func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
+	name := cfg.Scheme
+	if name == "" {
+		name = "RO_RR"
 	}
-	switch cfg.Scheme {
-	case "", "RO_RR":
-		return harness.RORR(), nil
-	case "RO_Rank":
+	if !slices.Contains(Schemes(), name) {
+		return harness.Scheme{}, fmt.Errorf("rair: unknown scheme %q", cfg.Scheme)
+	}
+	switch {
+	case name == "RO_Rank":
+		ranks := cfg.Ranks
+		if ranks == nil {
+			// Default identity ranking sized to the configured app count so
+			// big layouts (16-region grids, chiplet packages) don't silently
+			// truncate RO_Rank's oracle at eight apps; keep the historical
+			// floor of eight so small configs are byte-identical.
+			ranks = make([]int, max(numApps, 8))
+			for i := range ranks {
+				ranks[i] = i
+			}
+		}
 		return harness.RORank(ranks), nil
-	case "RA_DBAR":
-		return harness.RORRDBAR("RA_DBAR"), nil
-	case "RA_RAIR":
-		if cfg.Delta > 0 {
-			return harness.RAIRDelta(cfg.Delta), nil
-		}
-		return harness.RAIR("RA_RAIR"), nil
-	case "RAIR_DBAR":
-		return harness.RAIRDBAR("RAIR_DBAR"), nil
-	case "RAIR_VA":
-		return harness.RAIRVA(), nil
-	case "RAIR_NativeH":
-		return harness.RAIRNativeH(), nil
-	case "RAIR_ForeignH":
-		return harness.RAIRForeignH(), nil
+	case name == "RA_RAIR" && cfg.Delta > 0:
+		return harness.RAIRDelta(cfg.Delta), nil
 	}
-	return harness.Scheme{}, fmt.Errorf("rair: unknown scheme %q", cfg.Scheme)
+	return harness.SchemeByName(name)
 }
 
 // Schemes lists the recognized scheme names.
