@@ -120,10 +120,9 @@ func configure(args []string) (*config.File, options, error) {
 	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. drop=0.001,corrupt=0.001,leak=0.0005,stall=0.0002")
 	checkInv := fs.Bool("check-invariants", false, "run the runtime invariant checker at every cycle; with -faults, also fail the run if a flit is lost for good")
 	attribution := fs.Bool("attribution", false, "enable the interference blame accountant (implies -telemetry collection)")
-	profile := fs.Bool("profile", false, "enable tick-engine self-profiling (phase timings, barrier waits, quiescence)")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics and /snapshot on this address during the run (implies -attribution -profile)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics and /snapshot on this address during the run (implies -attribution and engine self-profiling)")
 	fs.Int64Var(&o.metricsEvery, "metrics-every", 256, "publish a fresh snapshot to -metrics-addr every N cycles")
-	fs.StringVar(&o.obsReport, "obs-report", "", "write the final observability snapshot to this path, .json or .csv (implies -attribution -profile)")
+	fs.StringVar(&o.obsReport, "obs-report", "", "write the final observability snapshot to this path, .json or .csv (implies -attribution and engine self-profiling)")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "rairsim: unexpected arguments: %v\n", fs.Args())
@@ -146,7 +145,7 @@ func configure(args []string) (*config.File, options, error) {
 	}
 	obsOn := o.metricsAddr != "" || o.obsReport != ""
 	f.Config.Attribution = f.Config.Attribution || *attribution || obsOn
-	f.Config.Profile = f.Config.Profile || *profile || obsOn
+	f.Config.Profile = f.Config.Profile || obsOn
 	f.Config.CheckInvariants = f.Config.CheckInvariants || *checkInv
 	fs.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
@@ -203,9 +202,7 @@ func run(args []string) error {
 		defer closeObs()
 		fmt.Fprintf(os.Stderr, "rairsim: serving http://%s/metrics and /snapshot\n", addr)
 	}
-	rep, err := sim.Run(rair.Phases{
-		Warmup: f.Phases.Warmup, Measure: f.Phases.Measure, Drain: f.Phases.Drain,
-	})
+	rep, err := sim.Run(f.Phases)
 	if err != nil {
 		return err
 	}
@@ -226,8 +223,8 @@ func run(args []string) error {
 	if f.Config.CheckInvariants {
 		// The checker books a flit that ran out of retries as accounted
 		// for, so permanent loss has to fail the run here.
-		if rep.Faults != nil && rep.Faults.LostFlits > 0 {
-			return fmt.Errorf("lost %d flits permanently (retry budget too small for the configured fault rates)", rep.Faults.LostFlits)
+		if rep.Faults != nil && rep.Faults.Totals.LostFlits > 0 {
+			return fmt.Errorf("lost %d flits permanently (retry budget too small for the configured fault rates)", rep.Faults.Totals.LostFlits)
 		}
 		fmt.Println("invariants: all checks passed")
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"rair/internal/harness"
 	"rair/internal/trace"
@@ -103,9 +104,14 @@ func info(args []string) {
 			float64(flits)/float64(t.Duration())/64)
 	}
 	profiles := workload.Profiles()
-	for app := int32(0); int(app) < len(perApp); app++ {
+	apps := make([]int32, 0, len(perApp))
+	for app := range perApp {
+		apps = append(apps, app)
+	}
+	slices.Sort(apps)
+	for _, app := range apps {
 		name := fmt.Sprintf("app%d", app)
-		if int(app) < len(profiles) {
+		if app >= 0 && int(app) < len(profiles) {
 			name = profiles[app].Name
 		}
 		fmt.Printf("  %-14s %d packets\n", name, perApp[app])
@@ -130,11 +136,15 @@ func replay(args []string) {
 }
 
 // replayTrace replays t under the named scheme, printing the latency
-// summary to w. It returns an error when the network fails to drain within
-// drainTimeout cycles past the trace end (undelivered packets).
+// summary to w. It returns an error when the trace does not fit the 8×8
+// replay mesh, and when the network fails to drain within drainTimeout
+// cycles past the trace end (undelivered packets).
 func replayTrace(w io.Writer, t *trace.Trace, schemeName string, warmup, drainTimeout int64) error {
 	s, err := harness.SchemeByName(schemeName)
 	if err != nil {
+		return err
+	}
+	if err := t.Validate(harness.Mesh8().N()); err != nil {
 		return err
 	}
 	r := harness.ReplayPARSEC(t, s, 0, warmup, drainTimeout, 1)

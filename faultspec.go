@@ -16,10 +16,12 @@ import (
 // reconcile (reconciliation period in cycles), seed. Unset keys take the
 // FaultSpec defaults.
 func ParseFaultSpec(spec string) (*FaultSpec, error) {
-	fs := &FaultSpec{}
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("rair: empty fault spec")
 	}
+	fs := &FaultSpec{}
+	probs := map[string]*float64{"drop": &fs.DropProb, "corrupt": &fs.CorruptProb, "leak": &fs.CreditLeakProb, "stall": &fs.StallProb}
+	counts := map[string]*int{"stalllen": &fs.StallLen, "retries": &fs.MaxRetries, "timeout": &fs.DropTimeout, "nack": &fs.NackLatency}
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -29,50 +31,27 @@ func ParseFaultSpec(spec string) (*FaultSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("rair: fault spec entry %q is not key=value", kv)
 		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch strings.ToLower(k) {
-		case "drop", "corrupt", "leak", "stall":
-			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+		k, v = strings.ToLower(strings.TrimSpace(k)), strings.TrimSpace(v)
+		var err error
+		switch {
+		case probs[k] != nil:
+			p := probs[k]
+			if *p, err = strconv.ParseFloat(v, 64); err != nil || *p < 0 || *p > 1 {
 				return nil, fmt.Errorf("rair: fault spec %s=%q is not a probability in [0,1]", k, v)
 			}
-			switch strings.ToLower(k) {
-			case "drop":
-				fs.DropProb = p
-			case "corrupt":
-				fs.CorruptProb = p
-			case "leak":
-				fs.CreditLeakProb = p
-			case "stall":
-				fs.StallProb = p
-			}
-		case "stalllen", "retries", "timeout", "nack":
-			i, err := strconv.Atoi(v)
-			if err != nil || i < 0 {
+		case counts[k] != nil:
+			n := counts[k]
+			if *n, err = strconv.Atoi(v); err != nil || *n < 0 {
 				return nil, fmt.Errorf("rair: fault spec %s=%q is not a non-negative integer", k, v)
 			}
-			switch strings.ToLower(k) {
-			case "stalllen":
-				fs.StallLen = i
-			case "retries":
-				fs.MaxRetries = i
-			case "timeout":
-				fs.DropTimeout = i
-			case "nack":
-				fs.NackLatency = i
-			}
-		case "reconcile":
-			i, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || i < 0 {
+		case k == "reconcile":
+			if fs.ReconcileEvery, err = strconv.ParseInt(v, 10, 64); err != nil || fs.ReconcileEvery < 0 {
 				return nil, fmt.Errorf("rair: fault spec reconcile=%q is not a non-negative integer", v)
 			}
-			fs.ReconcileEvery = i
-		case "seed":
-			u, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
+		case k == "seed":
+			if fs.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
 				return nil, fmt.Errorf("rair: fault spec seed=%q is not an unsigned integer", v)
 			}
-			fs.Seed = u
 		default:
 			return nil, fmt.Errorf("rair: unknown fault spec key %q", k)
 		}

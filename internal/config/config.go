@@ -7,12 +7,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"rair"
 )
 
-// File is one simulation description.
+// File is one simulation description. The keys under config, apps and phases
+// are the field names of rair.Config, rair.AppSpec and rair.Phases, matched
+// case-insensitively.
 //
 // Example:
 //
@@ -25,30 +28,13 @@ import (
 type File struct {
 	Config rair.Config `json:"config"`
 	// Apps are synthetic applications; mutually exclusive with PARSEC.
-	Apps []App `json:"apps,omitempty"`
+	Apps []rair.AppSpec `json:"apps,omitempty"`
 	// PARSEC runs the PARSEC-proxy workloads over the memory system.
 	PARSEC bool `json:"parsec,omitempty"`
 	// AdversaryFlitRate adds chip-wide adversarial traffic (flits per
 	// node per cycle).
-	AdversaryFlitRate float64 `json:"adversaryFlitRate,omitempty"`
-	Phases            Phases  `json:"phases"`
-}
-
-// App mirrors rair.AppSpec with JSON tags.
-type App struct {
-	App           int     `json:"app"`
-	LoadFrac      float64 `json:"loadFrac,omitempty"`
-	PacketRate    float64 `json:"packetRate,omitempty"`
-	GlobalFrac    float64 `json:"globalFrac,omitempty"`
-	GlobalPattern string  `json:"globalPattern,omitempty"`
-	MCFrac        float64 `json:"mcFrac,omitempty"`
-}
-
-// Phases mirrors rair.Phases with JSON tags.
-type Phases struct {
-	Warmup  int64 `json:"warmup"`
-	Measure int64 `json:"measure"`
-	Drain   int64 `json:"drain"`
+	AdversaryFlitRate float64     `json:"adversaryFlitRate,omitempty"`
+	Phases            rair.Phases `json:"phases"`
 }
 
 // Load reads and decodes a simulation file.
@@ -60,14 +46,17 @@ func Load(path string) (*File, error) {
 	return Parse(raw)
 }
 
-// Parse decodes a simulation document, rejecting unknown fields so typos
-// fail loudly.
+// Parse decodes a simulation document, rejecting unknown fields and
+// anything after the document so typos fail loudly.
 func Parse(raw []byte) (*File, error) {
 	var f File
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("config: data after the simulation document")
 	}
 	if f.PARSEC && len(f.Apps) > 0 {
 		return nil, fmt.Errorf("config: apps and parsec are mutually exclusive")
@@ -93,10 +82,7 @@ func (f *File) Build() (*rair.Simulation, error) {
 		}
 	}
 	for _, a := range f.Apps {
-		if err := sim.AddApp(rair.AppSpec{
-			App: a.App, LoadFrac: a.LoadFrac, PacketRate: a.PacketRate,
-			GlobalFrac: a.GlobalFrac, GlobalPattern: a.GlobalPattern, MCFrac: a.MCFrac,
-		}); err != nil {
+		if err := sim.AddApp(a); err != nil {
 			return nil, err
 		}
 	}
@@ -114,5 +100,5 @@ func (f *File) Run() (*rair.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(rair.Phases{Warmup: f.Phases.Warmup, Measure: f.Phases.Measure, Drain: f.Phases.Drain})
+	return sim.Run(f.Phases)
 }

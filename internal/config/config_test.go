@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,11 +46,54 @@ func TestParseRejects(t *testing.T) {
 		`{"config": {}, "apps": [{"app":0,"loadFrac":0.1}], "phases": {"measure": 0}}`, // no window
 		`{"config": {}, "apps": [{"app":0,"loadFrac":0.1}], "typo": 1,
 		  "phases": {"measure": 100}}`, // unknown field
+		sample + sample,  // a second document
+		sample + ` oops`, // trailing garbage
 	}
 	for i, c := range cases {
 		if _, err := Parse([]byte(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// The file schema is the public types themselves (no mirror structs), so
+// every key of an app, the phases, a custom-layout rectangle and the faults
+// block has to land in its field under the spelling files use today.
+func TestParseEveryKey(t *testing.T) {
+	f, err := Parse([]byte(`{
+	  "config": {"layout": "custom",
+	             "rects": [{"x0": 0, "y0": 0, "x1": 8, "y1": 4}, {"x0": 0, "y0": 4, "x1": 8, "y1": 8}],
+	             "faults": {"seed": 9, "dropProb": 0.01, "corruptProb": 0.02, "creditLeakProb": 0.03,
+	                        "stallProb": 0.04, "stallLen": 5, "maxRetries": 6, "dropTimeout": 7,
+	                        "nackLatency": 8, "reconcileEvery": 64}},
+	  "apps": [{"app": 1, "loadFrac": 0.25, "globalFrac": 0.5, "globalPattern": "TP", "mcFrac": 0.125},
+	           {"app": 0, "packetRate": 0.01}],
+	  "phases": {"warmup": 11, "measure": 22, "drain": 33}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRects := []rair.Rect{{X0: 0, Y0: 0, X1: 8, Y1: 4}, {X0: 0, Y0: 4, X1: 8, Y1: 8}}
+	if !slices.Equal(f.Config.Rects, wantRects) {
+		t.Errorf("rects %+v, want %+v", f.Config.Rects, wantRects)
+	}
+	wantFaults := rair.FaultSpec{Seed: 9, DropProb: 0.01, CorruptProb: 0.02, CreditLeakProb: 0.03,
+		StallProb: 0.04, StallLen: 5, MaxRetries: 6, DropTimeout: 7, NackLatency: 8, ReconcileEvery: 64}
+	if f.Config.Faults == nil || *f.Config.Faults != wantFaults {
+		t.Errorf("faults %+v, want %+v", f.Config.Faults, wantFaults)
+	}
+	wantApps := []rair.AppSpec{
+		{App: 1, LoadFrac: 0.25, GlobalFrac: 0.5, GlobalPattern: "TP", MCFrac: 0.125},
+		{App: 0, PacketRate: 0.01},
+	}
+	if !slices.Equal(f.Apps, wantApps) {
+		t.Errorf("apps %+v, want %+v", f.Apps, wantApps)
+	}
+	if want := (rair.Phases{Warmup: 11, Measure: 22, Drain: 33}); f.Phases != want {
+		t.Errorf("phases %+v, want %+v", f.Phases, want)
+	}
+	if _, err := f.Build(); err != nil {
+		t.Errorf("build: %v", err)
 	}
 }
 
@@ -144,7 +188,9 @@ func TestParsecFile(t *testing.T) {
 
 // TestProbeScenario pins testdata/sim/probe.json, the scenario the CI
 // telemetry, fault-injection and obs-snapshot smokes share: under the CI
-// fault spec at seed 1 every measured packet is delivered and none is lost.
+// fault spec at seed 1 every measured packet is delivered and the fault line
+// reads exactly as the smoke prints it — every field of the spec reaches the
+// injector, and no flit is lost.
 func TestProbeScenario(t *testing.T) {
 	f, err := Load("../../testdata/sim/probe.json")
 	if err != nil {
@@ -159,7 +205,8 @@ func TestProbeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Packets != 61687 || rep.Faults.LostFlits != 0 {
-		t.Fatalf("probe delivered %d packets with %d flits lost, want 61687 and 0", rep.Packets, rep.Faults.LostFlits)
+	const want = "faults: 2360 dropped, 2346 corrupted, 30154 retransmits, 0 lost; 918 credit leaks, 917 reconciled; 2268 stall cycles on 64 routers"
+	if got := rep.Faults.String(); rep.Packets != 61687 || got != want {
+		t.Fatalf("probe delivered %d packets, want 61687, with\n%s\nwant\n%s", rep.Packets, got, want)
 	}
 }

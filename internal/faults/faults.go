@@ -30,45 +30,6 @@ import (
 	"rair/internal/telemetry"
 )
 
-// LinkProfile sets the per-traversal fault probabilities of one link.
-type LinkProfile struct {
-	// DropProb is the probability a flit is silently lost in flight; the
-	// sender detects the loss by timeout (Config.DropTimeout) and
-	// retransmits.
-	DropProb float64
-	// CorruptProb is the probability a flit arrives corrupted. The
-	// receiver's CRC-style check detects it, discards the flit and NACKs;
-	// the sender retransmits after Config.NackLatency cycles.
-	CorruptProb float64
-	// CreditLeakProb is the probability a returning credit is lost
-	// upstream. Leaked credits are restored only by periodic credit
-	// reconciliation (Config.ReconcileEvery).
-	CreditLeakProb float64
-}
-
-func (p LinkProfile) validate() error {
-	for _, v := range [...]struct {
-		name string
-		p    float64
-	}{{"drop", p.DropProb}, {"corrupt", p.CorruptProb}, {"leak", p.CreditLeakProb}} {
-		if v.p < 0 || v.p > 1 {
-			return fmt.Errorf("faults: %s probability %v outside [0,1]", v.name, v.p)
-		}
-	}
-	return nil
-}
-
-// RouterProfile sets one router's transient-stall behavior.
-type RouterProfile struct {
-	// StallProb is the per-cycle probability that an unstalled router
-	// enters a stall window (its pipeline freezes; flits still arrive and
-	// buffer).
-	StallProb float64
-	// StallLen is the stall window length in cycles (default
-	// DefaultStallLen when StallProb > 0).
-	StallLen int
-}
-
 // Defaults for the recovery-protocol timing knobs.
 const (
 	DefaultMaxRetries  = 32
@@ -77,21 +38,35 @@ const (
 	DefaultStallLen    = 16
 )
 
-// Config describes the fault model of one run.
+// Config describes the fault model of one run; probabilities apply
+// uniformly to every link and router. It is also the public rair.FaultSpec
+// and the "faults" block of a simulation file.
 type Config struct {
-	// Seed drives every fault decision (independent of the traffic seed).
+	// Seed drives every fault decision (independent of the traffic seed);
+	// rair.Simulation.Run replaces 0 by its own Config.Seed.
 	Seed uint64
-	// Link is the profile applied to every link.
-	Link LinkProfile
-	// Router is the stall profile of every router.
-	Router RouterProfile
+	// DropProb / CorruptProb are the per-traversal probabilities that a
+	// flit is silently lost in flight (the sender detects it by timeout,
+	// DropTimeout cycles, and retransmits) or arrives corrupted (the
+	// receiver's CRC-style check discards it and NACKs; the sender
+	// retransmits after NackLatency cycles).
+	DropProb    float64
+	CorruptProb float64
+	// CreditLeakProb is the per-arrival probability a returning credit is
+	// lost upstream; only credit reconciliation (ReconcileEvery) restores it.
+	CreditLeakProb float64
+	// StallProb is the per-cycle probability that an unstalled router's
+	// pipeline freezes (flits still arrive and buffer) for StallLen cycles
+	// (DefaultStallLen when 0).
+	StallProb float64
+	StallLen  int
 	// MaxRetries bounds per-flit retransmission attempts; a flit failing
-	// more than MaxRetries times is permanently lost (counted, and fed to
-	// the invariant checker's conservation and credit accounting).
-	MaxRetries int
-	// DropTimeout is the sender's loss-detection timeout in cycles.
+	// more often is permanently lost (counted, and fed to the invariant
+	// checker's conservation and credit accounting). DropTimeout is the
+	// sender's loss-detection timeout and NackLatency the corruption NACK
+	// round-trip, in cycles. Zero takes the Default* constants.
+	MaxRetries  int
 	DropTimeout int
-	// NackLatency is the corruption NACK round-trip in cycles.
 	NackLatency int
 	// ReconcileEvery is the credit-reconciliation period in cycles: every
 	// period, leaked credits on every link are audited and restored to
@@ -110,19 +85,21 @@ func (c Config) withDefaults() Config {
 	if c.NackLatency == 0 {
 		c.NackLatency = DefaultNackLatency
 	}
-	if c.Router.StallProb > 0 && c.Router.StallLen == 0 {
-		c.Router.StallLen = DefaultStallLen
+	if c.StallProb > 0 && c.StallLen == 0 {
+		c.StallLen = DefaultStallLen
 	}
 	return c
 }
 
 // Validate rejects out-of-range probabilities and negative timing knobs.
 func (c Config) Validate() error {
-	if err := c.Link.validate(); err != nil {
-		return err
-	}
-	if c.Router.StallProb < 0 || c.Router.StallProb > 1 {
-		return fmt.Errorf("faults: stall probability %v outside [0,1]", c.Router.StallProb)
+	for _, v := range [...]struct {
+		name string
+		p    float64
+	}{{"drop", c.DropProb}, {"corrupt", c.CorruptProb}, {"leak", c.CreditLeakProb}, {"stall", c.StallProb}} {
+		if v.p < 0 || v.p > 1 {
+			return fmt.Errorf("faults: %s probability %v outside [0,1]", v.name, v.p)
+		}
 	}
 	if c.MaxRetries < 0 || c.DropTimeout < 0 || c.NackLatency < 0 || c.ReconcileEvery < 0 {
 		return fmt.Errorf("faults: negative timing parameter")
@@ -132,7 +109,7 @@ func (c Config) Validate() error {
 
 // Enabled reports whether the configuration injects any fault at all.
 func (c Config) Enabled() bool {
-	return c.Link != (LinkProfile{}) || c.Router != (RouterProfile{})
+	return c.DropProb != 0 || c.CorruptProb != 0 || c.CreditLeakProb != 0 || c.StallProb != 0 || c.StallLen != 0
 }
 
 // splitmix64 is the stateless mixer behind every fault decision.
@@ -195,7 +172,6 @@ type retxEntry struct {
 type LinkState struct {
 	id        uint64
 	key       string
-	prof      LinkProfile
 	cfg       *Config
 	noCredits bool // ejection links carry no credits
 
@@ -277,16 +253,16 @@ func (ls *LinkState) LostFor(vc int) int {
 
 // verdict rolls the deterministic per-attempt fate of a flit.
 func (ls *LinkState) verdict(f msg.Flit, attempt int) (drop, corrupt bool) {
-	if ls.prof.DropProb == 0 && ls.prof.CorruptProb == 0 {
+	if ls.cfg.DropProb == 0 && ls.cfg.CorruptProb == 0 {
 		return false, false
 	}
 	h := splitmix64(ls.cfg.Seed ^ ls.id*0x9e3779b97f4a7c15 ^
 		splitmix64(f.Pkt.ID^uint64(f.Seq)<<48^uint64(attempt)<<56))
 	u := unit(h)
-	if u < ls.prof.DropProb {
+	if u < ls.cfg.DropProb {
 		return true, false
 	}
-	if u < ls.prof.DropProb+ls.prof.CorruptProb {
+	if u < ls.cfg.DropProb+ls.cfg.CorruptProb {
 		return false, true
 	}
 	return false, false
@@ -387,11 +363,11 @@ func (ls *LinkState) Retransmit(now int64) (msg.Flit, bool) {
 // CreditArrive filters a credit completing its upstream traversal; false
 // means the credit leaked.
 func (ls *LinkState) CreditArrive(vc int, now int64) bool {
-	if ls.noCredits || ls.prof.CreditLeakProb == 0 {
+	if ls.noCredits || ls.cfg.CreditLeakProb == 0 {
 		return true
 	}
 	h := splitmix64(ls.cfg.Seed ^ (ls.id + 0x1000) ^ uint64(now)*0xd1342543de82ef95 ^ uint64(vc)<<40)
-	if unit(h) >= ls.prof.CreditLeakProb {
+	if unit(h) >= ls.cfg.CreditLeakProb {
 		return true
 	}
 	ls.growVC(vc)
@@ -468,7 +444,6 @@ func (in *Injector) RegisterLink(key string, restore func(vc int), noCredits boo
 	ls := &LinkState{
 		id:        uint64(len(in.links) + 1),
 		key:       key,
-		prof:      in.cfg.Link,
 		cfg:       &in.cfg,
 		noCredits: noCredits,
 		restore:   restore,
@@ -495,15 +470,14 @@ func (in *Injector) RouterStalled(node int, now int64) bool {
 		in.stallProbes[node].FaultStallCycle()
 		return true
 	}
-	prof := in.cfg.Router
-	if prof.StallProb == 0 {
+	if in.cfg.StallProb == 0 {
 		return false
 	}
 	h := splitmix64(in.cfg.Seed ^ 0xabcd ^ uint64(node)<<32 ^ uint64(now)*0x2545f4914f6cdd1d)
-	if unit(h) >= prof.StallProb {
+	if unit(h) >= in.cfg.StallProb {
 		return false
 	}
-	in.stallUntil[node] = now + int64(prof.StallLen)
+	in.stallUntil[node] = now + int64(in.cfg.StallLen)
 	in.stallCycles[node]++
 	in.stallProbes[node].FaultStallCycle()
 	return true

@@ -22,11 +22,11 @@ func mkInjector(t *testing.T, cfg faults.Config, nodes int) *faults.Injector {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []faults.Config{
-		{Link: faults.LinkProfile{DropProb: -0.1}},
-		{Link: faults.LinkProfile{CorruptProb: 1.5}},
-		{Link: faults.LinkProfile{CreditLeakProb: 2}},
-		{Router: faults.RouterProfile{StallProb: -1}},
-		{Router: faults.RouterProfile{StallProb: 7}},
+		{DropProb: -0.1},
+		{CorruptProb: 1.5},
+		{CreditLeakProb: 2},
+		{StallProb: -1},
+		{StallProb: 7},
 		{MaxRetries: -1},
 		{DropTimeout: -5},
 		{NackLatency: -2},
@@ -37,14 +37,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid config %+v", i, c)
 		}
 	}
-	good := faults.Config{Link: faults.LinkProfile{DropProb: 0.5, CorruptProb: 0.5}}
+	good := faults.Config{DropProb: 0.5, CorruptProb: 0.5}
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected valid config: %v", err)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	in := mkInjector(t, faults.Config{Router: faults.RouterProfile{StallProb: 0.1}}, 1)
+	in := mkInjector(t, faults.Config{StallProb: 0.1}, 1)
 	cfg := in.Config()
 	if cfg.MaxRetries != faults.DefaultMaxRetries {
 		t.Errorf("MaxRetries default = %d, want %d", cfg.MaxRetries, faults.DefaultMaxRetries)
@@ -55,18 +55,24 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.NackLatency != faults.DefaultNackLatency {
 		t.Errorf("NackLatency default = %d, want %d", cfg.NackLatency, faults.DefaultNackLatency)
 	}
-	if cfg.Router.StallLen != faults.DefaultStallLen {
-		t.Errorf("StallLen default = %d, want %d", cfg.Router.StallLen, faults.DefaultStallLen)
+	if cfg.StallLen != faults.DefaultStallLen {
+		t.Errorf("StallLen default = %d, want %d", cfg.StallLen, faults.DefaultStallLen)
 	}
 }
 
 func TestEnabled(t *testing.T) {
-	if (faults.Config{}).Enabled() {
-		t.Error("zero config reports Enabled")
+	// Seed and the recovery knobs inject nothing by themselves.
+	for _, c := range []faults.Config{{}, {Seed: 9, MaxRetries: 4, DropTimeout: 8, NackLatency: 1, ReconcileEvery: 64}} {
+		if c.Enabled() {
+			t.Errorf("config %+v reports Enabled", c)
+		}
 	}
 	cases := []faults.Config{
-		{Link: faults.LinkProfile{DropProb: 0.1}},
-		{Router: faults.RouterProfile{StallProb: 0.1}},
+		{DropProb: 0.1},
+		{CorruptProb: 0.1},
+		{CreditLeakProb: 0.1},
+		{StallProb: 0.1},
+		{StallLen: 6},
 	}
 	for i, c := range cases {
 		if !c.Enabled() {
@@ -135,8 +141,8 @@ func makeFlits(n int) []msg.Flit {
 // delivered exactly once and in order despite drops and corruptions.
 func TestLinkDeliveryUnderFaults(t *testing.T) {
 	in := mkInjector(t, faults.Config{
-		Seed: 42,
-		Link: faults.LinkProfile{DropProb: 0.15, CorruptProb: 0.1},
+		Seed:     42,
+		DropProb: 0.15, CorruptProb: 0.1,
 	}, 0)
 	ls := in.RegisterLink("r0>r1", nil, false)
 	l := router.NewLink(2)
@@ -182,8 +188,8 @@ func TestMultiFlitOrderUnderFaults(t *testing.T) {
 		for _, spacing := range []int64{1, 2, 3, 4} {
 			for seed := uint64(1); seed <= 10; seed++ {
 				in := mkInjector(t, faults.Config{
-					Seed: seed,
-					Link: faults.LinkProfile{DropProb: 0.08, CorruptProb: 0.08},
+					Seed:     seed,
+					DropProb: 0.08, CorruptProb: 0.08,
 				}, 0)
 				ls := in.RegisterLink("r0>r1", nil, false)
 				l := router.NewLink(latency)
@@ -228,8 +234,8 @@ func TestMultiFlitOrderUnderFaults(t *testing.T) {
 func TestLinkDeterminism(t *testing.T) {
 	trace := func(seed uint64) []int64 {
 		in := mkInjector(t, faults.Config{
-			Seed: seed,
-			Link: faults.LinkProfile{DropProb: 0.2, CorruptProb: 0.1},
+			Seed:     seed,
+			DropProb: 0.2, CorruptProb: 0.1,
 		}, 0)
 		ls := in.RegisterLink("r0>r1", nil, false)
 		l := router.NewLink(1)
@@ -280,7 +286,7 @@ func TestLinkDeterminism(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	in := mkInjector(t, faults.Config{
 		Seed:        1,
-		Link:        faults.LinkProfile{DropProb: 1},
+		DropProb:    1,
 		MaxRetries:  2,
 		DropTimeout: 1,
 	}, 0)
@@ -320,7 +326,7 @@ func TestCreditLeakAndReconcile(t *testing.T) {
 	restored := map[int]int{}
 	in := mkInjector(t, faults.Config{
 		Seed:           3,
-		Link:           faults.LinkProfile{CreditLeakProb: 1},
+		CreditLeakProb: 1,
 		ReconcileEvery: 8,
 	}, 0)
 	ls := in.RegisterLink("r0>r1", func(vc int) { restored[vc]++ }, false)
@@ -375,7 +381,7 @@ func TestCreditLeakAndReconcile(t *testing.T) {
 // TestEjectionLinkCreditsImmune: noCredits links never leak (their credit
 // wire is unused by construction, so the filter must pass everything).
 func TestEjectionLinkCreditsImmune(t *testing.T) {
-	in := mkInjector(t, faults.Config{Seed: 3, Link: faults.LinkProfile{CreditLeakProb: 1}}, 0)
+	in := mkInjector(t, faults.Config{Seed: 3, CreditLeakProb: 1}, 0)
 	ls := in.RegisterLink("r0>ni0", nil, true)
 	for now := int64(0); now < 50; now++ {
 		if !ls.CreditArrive(0, now) {
@@ -388,8 +394,8 @@ func TestEjectionLinkCreditsImmune(t *testing.T) {
 // windows last StallLen cycles.
 func TestStallWindows(t *testing.T) {
 	cfg := faults.Config{
-		Seed:   11,
-		Router: faults.RouterProfile{StallProb: 1, StallLen: 4},
+		Seed:      11,
+		StallProb: 1, StallLen: 4,
 	}
 	in := mkInjector(t, cfg, 2)
 	// With StallProb 1 a router stalls every cycle it is asked.
@@ -401,7 +407,7 @@ func TestStallWindows(t *testing.T) {
 
 	// Moderate probability: the pattern reproduces exactly across injectors.
 	pattern := func() []bool {
-		in := mkInjector(t, faults.Config{Seed: 5, Router: faults.RouterProfile{StallProb: 0.05, StallLen: 3}}, 1)
+		in := mkInjector(t, faults.Config{Seed: 5, StallProb: 0.05, StallLen: 3}, 1)
 		var out []bool
 		for now := int64(0); now < 2000; now++ {
 			out = append(out, in.RouterStalled(0, now))
@@ -428,9 +434,9 @@ func TestStallWindows(t *testing.T) {
 func TestReport(t *testing.T) {
 	in := mkInjector(t, faults.Config{
 		Seed:       1,
-		Link:       faults.LinkProfile{DropProb: 1},
+		DropProb:   1,
 		MaxRetries: 1, DropTimeout: 1,
-		Router: faults.RouterProfile{StallProb: 1, StallLen: 2},
+		StallProb: 1, StallLen: 2,
 	}, 3)
 	quiet := in.RegisterLink("r0>r1", nil, false)
 	noisy := in.RegisterLink("r2>r1", nil, false)
@@ -459,7 +465,7 @@ func TestReport(t *testing.T) {
 // TestPendingForVC tracks queued retransmissions per downstream VC.
 func TestPendingForVC(t *testing.T) {
 	in := mkInjector(t, faults.Config{
-		Seed: 1, Link: faults.LinkProfile{DropProb: 1},
+		Seed: 1, DropProb: 1,
 		MaxRetries: 100, DropTimeout: 50,
 	}, 0)
 	ls := in.RegisterLink("r0>r1", nil, false)

@@ -56,7 +56,7 @@ func ChipletScenario(cs *topology.Chiplets, aggrFrac float64) (*region.Map, []tr
 			// gateway funnel admits at most one foreign flit per cycle —
 			// a lightly loaded victim keeps OVC_n low enough for the
 			// boundary routers to detect and gate the foreign flood.
-			app.PacketRate = rate(mesh, app, 0.15)
+			app.PacketRate = Rate(mesh, app, 0.15)
 		} else {
 			app = traffic.AppTraffic{
 				App: a, Nodes: nodes,
@@ -65,7 +65,7 @@ func ChipletScenario(cs *topology.Chiplets, aggrFrac float64) (*region.Map, []tr
 					{Weight: 0.3, Draw: traffic.DirectedTo(far).Draw},
 				},
 			}
-			app.PacketRate = rate(mesh, app, aggrFrac)
+			app.PacketRate = Rate(mesh, app, aggrFrac)
 		}
 		apps[a] = app
 	}

@@ -54,7 +54,7 @@ func CollectiveScenario(op collective.Op) (*region.Map, []traffic.AppTraffic, co
 				{Weight: 0.3, Draw: traffic.DirectedTo(regs.Nodes(CollectiveApp)).Draw},
 			},
 		}
-		app.PacketRate = rate(mesh, app, 0.20)
+		app.PacketRate = Rate(mesh, app, 0.20)
 		apps[a] = app
 	}
 	return regs, apps, NewCollectiveSpec(op, regs, CollectiveApp, msg.ClassRequest)

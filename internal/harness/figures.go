@@ -312,7 +312,7 @@ func AblateVCSplit(splits []int, dur Durations, seed uint64) *VCSplitResult {
 		cfg.GlobalVCs = g
 		rcs = append(rcs, RunConfig{
 			Regions: regs, Router: cfg, Apps: apps,
-			Scheme: RAIRVCSplit(fmt.Sprintf("RAIR_G%d", g)), Dur: dur, Seed: seed,
+			Scheme: RAIR(fmt.Sprintf("RAIR_G%d", g)), Dur: dur, Seed: seed,
 		})
 	}
 	cols := RunParallel(rcs)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -80,22 +79,6 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// JSON renders the table as a stable structured document: fixed field
-// order, no timestamps or host state, so equal tables serialize to equal
-// bytes — the property result stores and golden comparisons rely on.
-func (t *Table) JSON() (string, error) {
-	doc := struct {
-		Title  string     `json:"title,omitempty"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}{t.Title, t.Header, t.Rows}
-	buf, err := json.Marshal(&doc)
-	if err != nil {
-		return "", err
-	}
-	return string(buf) + "\n", nil
 }
 
 // f2 formats a float with two decimals; pct as a signed percentage.

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func sampleTable() *Table {
-	t := &Table{Title: "t", Header: []string{"scheme", "APL"}}
-	t.AddRow("RO_RR", "47.78")
-	t.AddRow("RA_RAIR", "42.98")
-	return t
-}
-
-func TestTableJSONStable(t *testing.T) {
-	a, err := sampleTable().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sampleTable().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("equal tables serialized differently:\n%s\n%s", a, b)
-	}
-	want := `{"title":"t","header":["scheme","APL"],"rows":[["RO_RR","47.78"],["RA_RAIR","42.98"]]}` + "\n"
-	if a != want {
-		t.Errorf("JSON = %q, want %q", a, want)
-	}
-}
-
 func TestTableCSVQuoting(t *testing.T) {
 	tbl := &Table{Header: []string{"a", "b"}}
 	tbl.AddRow(`x,y`, `he said "hi"`)

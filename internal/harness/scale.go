@@ -57,7 +57,7 @@ func gridScenario(mesh *topology.Mesh, cols, rows int) (*region.Map, []traffic.A
 			// the comparison measures saturation behavior instead of
 			// interference reduction (larger regions have longer
 			// intra-region paths and hit the knee sooner).
-			app.PacketRate = rate(mesh, app, 0.80)
+			app.PacketRate = Rate(mesh, app, 0.80)
 		} else {
 			app = traffic.AppTraffic{
 				App: a, Nodes: nodes,
@@ -73,7 +73,7 @@ func gridScenario(mesh *topology.Mesh, cols, rows int) (*region.Map, []traffic.A
 			if n-1 > 3 {
 				frac *= 3 / float64(n-1)
 			}
-			app.PacketRate = rate(mesh, app, frac)
+			app.PacketRate = Rate(mesh, app, frac)
 		}
 		apps[a] = app
 	}

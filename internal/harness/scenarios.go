@@ -22,9 +22,9 @@ const satSeed = 0xfeed
 // fractions of the achieved saturation, as in the paper.
 const SatEfficiency = 0.70
 
-// rate returns frac × the achieved saturation rate of app, in packets per
+// Rate returns frac × the achieved saturation rate of app, in packets per
 // node per cycle.
-func rate(mesh *topology.Mesh, app traffic.AppTraffic, frac float64) float64 {
+func Rate(mesh *topology.Mesh, app traffic.AppTraffic, frac float64) float64 {
 	return frac * SatEfficiency * traffic.SaturationRate(mesh, app, satSamples, satSeed)
 }
 
@@ -47,13 +47,13 @@ func Fig9Scenario(p float64) (*region.Map, []traffic.AppTraffic) {
 			{Weight: p, Draw: traffic.DirectedTo(right).Draw},
 		},
 	}
-	app0.PacketRate = rate(mesh, app0, 0.10)
+	app0.PacketRate = Rate(mesh, app0, 0.10)
 
 	app1 := traffic.AppTraffic{
 		App: 1, Nodes: right,
 		Components: []traffic.Component{traffic.IntraUR(right)},
 	}
-	app1.PacketRate = rate(mesh, app1, 0.90)
+	app1.PacketRate = Rate(mesh, app1, 0.90)
 
 	return regs, []traffic.AppTraffic{app0, app1}
 }
@@ -105,7 +105,7 @@ func Fig12Scenario(v Fig12Variant) (*region.Map, []traffic.AppTraffic) {
 			comps = []traffic.Component{traffic.IntraUR(nodes)}
 		}
 		app := traffic.AppTraffic{App: a, Nodes: nodes, Components: comps}
-		app.PacketRate = rate(mesh, app, frac)
+		app.PacketRate = Rate(mesh, app, frac)
 		apps[a] = app
 	}
 	return regs, apps
@@ -135,7 +135,7 @@ func Fig14Scenario(globalPattern string) (*region.Map, []traffic.AppTraffic) {
 				{Weight: 0.05, Draw: traffic.MCCorners(mesh).Draw},
 			},
 		}
-		app.PacketRate = rate(mesh, app, SixAppLoads[a])
+		app.PacketRate = Rate(mesh, app, SixAppLoads[a])
 		apps[a] = app
 	}
 	return regs, apps
@@ -171,6 +171,6 @@ func UniformScenario(frac float64) (*region.Map, []traffic.AppTraffic) {
 	nodes := regs.Nodes(0)
 	app := traffic.AppTraffic{App: 0, Nodes: nodes,
 		Components: []traffic.Component{traffic.IntraUR(nodes)}}
-	app.PacketRate = rate(mesh, app, frac)
+	app.PacketRate = Rate(mesh, app, frac)
 	return regs, []traffic.AppTraffic{app}
 }

@@ -97,12 +97,6 @@ func RAIRDelta(delta float64) Scheme {
 	return Scheme{Name: "RAIR", Policy: core.NewFactory(core.Config{Delta: delta})}
 }
 
-// RAIRVCSplit is RAIR with a custom regional/global VC split; the router
-// configuration itself carries the split, so this just names the scheme.
-func RAIRVCSplit(name string) Scheme {
-	return Scheme{Name: name, Policy: core.NewFactory(core.Config{Label: name})}
-}
-
 // SchemeByName resolves the evaluation schemes by their report names.
 // RO_Rank gets the identity ranking over 8 apps unless built explicitly
 // with RORank.

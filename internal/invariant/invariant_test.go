@@ -65,8 +65,8 @@ func TestCleanRun(t *testing.T) {
 // the in-flight count.
 func TestWatchdogTrips(t *testing.T) {
 	fl := &faults.Config{
-		Seed:   1,
-		Router: faults.RouterProfile{StallProb: 1, StallLen: 1 << 30},
+		Seed:      1,
+		StallProb: 1, StallLen: 1 << 30,
 	}
 	n := build(t, &invariant.Config{Watchdog: 100, Mode: invariant.ModeCollect}, fl)
 	defer n.Close()
@@ -91,8 +91,8 @@ func TestWatchdogTrips(t *testing.T) {
 // even with wedged traffic.
 func TestWatchdogDisabled(t *testing.T) {
 	fl := &faults.Config{
-		Seed:   1,
-		Router: faults.RouterProfile{StallProb: 1, StallLen: 1 << 30},
+		Seed:      1,
+		StallProb: 1, StallLen: 1 << 30,
 	}
 	n := build(t, &invariant.Config{Watchdog: -1, Mode: invariant.ModeCollect}, fl)
 	defer n.Close()

@@ -10,9 +10,8 @@ import (
 
 // SystemConfig is the full-system configuration of Table 1.
 type SystemConfig struct {
-	// L1Size/L1Ways: private I/D L1 (32 KB, 2-way, 1-cycle).
+	// L1Size/L1Ways: private I/D L1 (32 KB, 2-way; zero-cycle lookup).
 	L1Size, L1Ways int
-	L1Latency      int64
 	// L2Size/L2Ways: shared L2 bank per node (256 KB, 16-way, 6-cycle).
 	L2Size, L2Ways int
 	L2Latency      int64
@@ -32,7 +31,7 @@ type SystemConfig struct {
 // home fraction.
 func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{
-		L1Size: 32 << 10, L1Ways: 2, L1Latency: 1,
+		L1Size: 32 << 10, L1Ways: 2,
 		L2Size: 256 << 10, L2Ways: 16, L2Latency: 6,
 		MemLatency: 128,
 		Block:      64,

@@ -107,10 +107,6 @@ type Packet struct {
 	// Hops counts router traversals, filled in by the network.
 	Hops int
 
-	// BatchID is the STC-style batch the packet belongs to (set at
-	// injection by policies that batch; zero otherwise).
-	BatchID int64
-
 	// Payload carries protocol-level content (e.g. the memory system's
 	// request descriptors). The network never inspects it.
 	Payload any

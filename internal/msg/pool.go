@@ -32,6 +32,3 @@ func (p *Pool) Get() *Packet {
 // Put recycles an ejected packet for a later Get. The caller must not touch
 // the packet afterwards.
 func (p *Pool) Put(pkt *Packet) { p.free = append(p.free, pkt) }
-
-// Len reports the packets currently parked in the freelist.
-func (p *Pool) Len() int { return len(p.free) }

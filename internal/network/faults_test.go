@@ -39,8 +39,11 @@ func buildFaulty(t testing.TB, regions *region.Map, p Params) (*Network, *[]*msg
 func moderateFaults() *faults.Config {
 	return &faults.Config{
 		Seed:           5,
-		Link:           faults.LinkProfile{DropProb: 0.002, CorruptProb: 0.002, CreditLeakProb: 0.002},
-		Router:         faults.RouterProfile{StallProb: 0.002, StallLen: 6},
+		DropProb:       0.002,
+		CorruptProb:    0.002,
+		CreditLeakProb: 0.002,
+		StallProb:      0.002,
+		StallLen:       6,
 		ReconcileEvery: 256,
 	}
 }

@@ -411,7 +411,6 @@ func (n *Network) Inject(p *msg.Packet, now int64) {
 		p.CreatedAt = now
 		p.InjectedAt = now
 		p.EjectedAt = -1
-		p.BatchID = policy.BatchFor(now)
 		p.Global = true
 		p.Blame = [msg.NumBlame]int32{}
 		n.xbar.Submit(p, now, now)

@@ -49,8 +49,6 @@ type Requestor struct {
 	Native bool
 	// Global reports whether the packet is inter-region traffic.
 	Global bool
-	// BatchID is the packet's STC batch (stamped at creation).
-	BatchID int64
 	// CreatedAt is the packet creation cycle (age-based tie-breaks).
 	CreatedAt int64
 }
@@ -62,7 +60,6 @@ func FromPacket(p *msg.Packet, routerApp int) Requestor {
 		App:       p.App,
 		Native:    routerApp >= 0 && p.App == routerApp,
 		Global:    p.Global,
-		BatchID:   p.BatchID,
 		CreatedAt: p.CreatedAt,
 	}
 }
@@ -119,11 +116,6 @@ func (RoundRobin) PriorityTables() (*[2]int8, *[3][2]int8) { return &flatSA, &fl
 // points out in Section III.A); too coarse and starved packets hog VC
 // buffers, collapsing throughput for everyone.
 const BatchInterval = 250
-
-// BatchFor returns the batch id for a packet created at the given cycle.
-// NIs stamp every packet so batching policies can be swapped without
-// regenerating traffic.
-func BatchFor(createdAt int64) int64 { return createdAt / BatchInterval }
 
 // RoundRobin is RO_RR: the application- and region-oblivious baseline. All
 // priorities are flat, so every arbitration is pure round-robin.

@@ -7,9 +7,9 @@ import (
 )
 
 func TestFromPacket(t *testing.T) {
-	p := &msg.Packet{App: 2, Global: true, BatchID: 3, CreatedAt: 3500}
+	p := &msg.Packet{App: 2, Global: true, CreatedAt: 3500}
 	r := FromPacket(p, 2)
-	if !r.Native || !r.Global || r.App != 2 || r.BatchID != 3 {
+	if !r.Native || !r.Global || r.App != 2 || r.CreatedAt != 3500 {
 		t.Fatalf("requestor %+v", r)
 	}
 	if FromPacket(p, 1).Native {
@@ -17,12 +17,6 @@ func TestFromPacket(t *testing.T) {
 	}
 	if FromPacket(p, -1).Native {
 		t.Fatal("unassigned router has no native traffic")
-	}
-}
-
-func TestBatchFor(t *testing.T) {
-	if BatchFor(0) != 0 || BatchFor(BatchInterval-1) != 0 || BatchFor(BatchInterval) != 1 {
-		t.Fatal("batch boundaries wrong")
 	}
 }
 
@@ -51,8 +45,8 @@ func TestRankPrefersLowIntensity(t *testing.T) {
 	if p.Name() != "RO_Rank" {
 		t.Fatalf("name %q", p.Name())
 	}
-	lo := Requestor{App: 0, BatchID: 0}
-	hi := Requestor{App: 1, BatchID: 0}
+	lo := Requestor{App: 0}
+	hi := Requestor{App: 1}
 	if p.SAPriority(lo, 10) <= p.SAPriority(hi, 10) {
 		t.Fatal("lower-intensity app must outrank")
 	}

@@ -78,8 +78,8 @@ type NI struct {
 	tel  *telemetry.Probe
 	attr bool
 
-	created, injected, ejected int64
-	flitsOut, flitsIn          int64
+	created, ejected  int64
+	flitsOut, flitsIn int64
 }
 
 type stream struct {
@@ -158,7 +158,6 @@ func (ni *NI) InjectAt(slot int, p *msg.Packet, now int64) {
 		panic(fmt.Sprintf("router: injector slot %d out of range [0,%d)", slot, ni.cfg.InjectorCount()))
 	}
 	p.CreatedAt = now
-	p.BatchID = policy.BatchFor(now)
 	p.Global = ni.regions.Global(p.Src, p.Dst)
 	p.EjectedAt = -1
 	p.InjectedAt = -1
@@ -338,7 +337,6 @@ func (ni *NI) sendOne(now int64) {
 	f.VC = vc
 	if f.Type.IsHead() {
 		f.Pkt.InjectedAt = now
-		ni.injected++
 		if ni.tel != nil && ni.tel.Traced(f.Pkt.ID) {
 			ni.tel.Lifecycle(f.Pkt.ID, telemetry.StageInject, now)
 		}

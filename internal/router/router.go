@@ -999,7 +999,6 @@ func (r *Router) routeCompute() {
 func (r *Router) updatePolicy() {
 	nat, frn := r.soa.NativeOcc[r.li], r.soa.ForeignOcc[r.li]
 	r.pol.Update(int(nat), int(frn))
-	r.soa.OccSnap[r.li] = nat + frn
 	if r.telDPA != nil {
 		if nh := r.telDPA.NativeHigh(); nh != r.telNativeHigh {
 			r.tel.DPATransition(nh)

@@ -22,8 +22,6 @@ import (
 // array. The store itself performs no synchronization: exactly one shard owns
 // it, and the engine's barrier phases serialize all access.
 type SoA struct {
-	cfg Config
-
 	// Work[li] mirrors router li's pipeline population
 	// (rcCount+vaCount+activeCount+stPending); NIWork[li] mirrors NI li's
 	// (queued+streaming+draining). The engine skips any component whose
@@ -39,10 +37,9 @@ type SoA struct {
 	ArmedR []uint64
 	ArmedN []uint64
 
-	// DPA occupancy registers and the end-of-cycle snapshot, per router.
+	// DPA occupancy registers, per router.
 	NativeOcc  []int32
 	ForeignOcc []int32
-	OccSnap    []int32
 
 	// Dense component slabs.
 	Ins     []InputPort
@@ -85,14 +82,12 @@ func NewSoA(cfg Config, n int) *SoA {
 	nd := int(topology.NumDirs)
 	words := (n + 63) / 64
 	s := &SoA{
-		cfg:        cfg,
 		Work:       make([]int32, n),
 		NIWork:     make([]int32, n),
 		ArmedR:     make([]uint64, words),
 		ArmedN:     make([]uint64, words),
 		NativeOcc:  make([]int32, n),
 		ForeignOcc: make([]int32, n),
-		OccSnap:    make([]int32, n),
 		Ins:        make([]InputPort, n*nd),
 		Outs:       make([]OutputPort, n*nd),
 		inVCs:      make([]inputVC, n*nd*v),

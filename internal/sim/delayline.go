@@ -54,9 +54,6 @@ func (d *DelayLine[T]) Init(latency int) {
 	}
 }
 
-// Latency reports the configured latency in cycles.
-func (d *DelayLine[T]) Latency() int { return len(d.slots) }
-
 // Busy reports whether any value is in flight.
 func (d *DelayLine[T]) Busy() bool { return d.count > 0 }
 

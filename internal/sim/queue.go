@@ -158,14 +158,6 @@ func (b *Bounded[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// Peek returns the head element without removing it.
-func (b *Bounded[T]) Peek() (v T, ok bool) {
-	if b.size == 0 {
-		return v, false
-	}
-	return b.buf[b.head], true
-}
-
 // At returns the i-th element from the head (0 = head). It panics if i is
 // out of range.
 func (b *Bounded[T]) At(i int) T {

@@ -13,6 +13,30 @@ import (
 	"rair/internal/msg"
 )
 
+// Accum accumulates a sample sum and count: all a mean needs, so a figure
+// only ever read as a mean retains no samples.
+type Accum struct {
+	sum float64
+	n   int
+}
+
+// Add records one sample.
+func (a *Accum) Add(v float64) {
+	a.sum += v
+	a.n++
+}
+
+// Count reports the number of samples.
+func (a *Accum) Count() int { return a.n }
+
+// Mean reports the sample mean (0 with no samples).
+func (a *Accum) Mean() float64 {
+	if a.n == 0 {
+		return 0
+	}
+	return a.sum / float64(a.n)
+}
+
 // Dist accumulates a latency distribution. Samples are retained for exact
 // percentiles; evaluation windows are small enough (tens of thousands of
 // packets) that this is cheap.
@@ -26,15 +50,15 @@ import (
 // the Dist: like Add, Percentile/Max/Histogram need external
 // synchronization if the same Dist is shared across goroutines.
 type Dist struct {
+	Accum
 	samples []float64
-	sum     float64
 	sorted  []float64 // lazily built sorted copy of samples
 }
 
 // Add records one sample.
 func (d *Dist) Add(v float64) {
+	d.Accum.Add(v)
 	d.samples = append(d.samples, v)
-	d.sum += v
 }
 
 // Merge folds another distribution's samples into d (per-shard or
@@ -43,17 +67,7 @@ func (d *Dist) Add(v float64) {
 func (d *Dist) Merge(o *Dist) {
 	d.samples = append(d.samples, o.samples...)
 	d.sum += o.sum
-}
-
-// Count reports the number of samples.
-func (d *Dist) Count() int { return len(d.samples) }
-
-// Mean reports the sample mean (0 with no samples).
-func (d *Dist) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.sum / float64(len(d.samples))
+	d.n += o.n
 }
 
 // Percentile reports the p-th percentile (p in [0,100]); 0 with no samples.
@@ -104,13 +118,13 @@ type Collector struct {
 	Warmup     int64
 	MeasureEnd int64
 
+	// Samples are kept only where a percentile or histogram is read.
 	total    Dist
-	network  Dist
-	hops     Dist
 	perApp   map[int]*Dist
-	regional Dist
-	global   Dist
-	perClass map[msg.Class]*Dist
+	network  Accum
+	hops     Accum
+	regional Accum
+	global   Accum
 
 	flits   int64 // delivered flits of measured packets
 	packets int64
@@ -123,7 +137,6 @@ func NewCollector(warmup, measureEnd int64) *Collector {
 		Warmup:     warmup,
 		MeasureEnd: measureEnd,
 		perApp:     make(map[int]*Dist),
-		perClass:   make(map[msg.Class]*Dist),
 	}
 }
 
@@ -148,12 +161,6 @@ func (c *Collector) OnEject(p *msg.Packet, now int64) {
 	} else {
 		c.regional.Add(lat)
 	}
-	cls := c.perClass[p.Class]
-	if cls == nil {
-		cls = &Dist{}
-		c.perClass[p.Class] = cls
-	}
-	cls.Add(lat)
 	c.flits += int64(p.Size)
 	c.packets++
 }
@@ -161,11 +168,11 @@ func (c *Collector) OnEject(p *msg.Packet, now int64) {
 // Total returns the all-packets latency distribution.
 func (c *Collector) Total() *Dist { return &c.total }
 
-// Network returns the in-network (injection→ejection) latency distribution.
-func (c *Collector) Network() *Dist { return &c.network }
+// Network returns the in-network (injection→ejection) latency mean.
+func (c *Collector) Network() *Accum { return &c.network }
 
-// Hops returns the router-hop distribution.
-func (c *Collector) Hops() *Dist { return &c.hops }
+// Hops returns the router-hop mean.
+func (c *Collector) Hops() *Accum { return &c.hops }
 
 // App returns the latency distribution of one application (empty Dist if
 // the app delivered nothing).
@@ -186,19 +193,11 @@ func (c *Collector) Apps() []int {
 	return out
 }
 
-// Regional returns the intra-region traffic distribution.
-func (c *Collector) Regional() *Dist { return &c.regional }
+// Regional returns the intra-region traffic latency mean.
+func (c *Collector) Regional() *Accum { return &c.regional }
 
-// Global returns the inter-region traffic distribution.
-func (c *Collector) Global() *Dist { return &c.global }
-
-// Class returns the latency distribution of a message class.
-func (c *Collector) Class(cl msg.Class) *Dist {
-	if d, ok := c.perClass[cl]; ok {
-		return d
-	}
-	return &Dist{}
-}
+// Global returns the inter-region traffic latency mean.
+func (c *Collector) Global() *Accum { return &c.global }
 
 // Packets reports the number of measured packets.
 func (c *Collector) Packets() int64 { return c.packets }

@@ -119,11 +119,8 @@ func TestCollectorBreakdowns(t *testing.T) {
 	if c.App(9).Count() != 0 {
 		t.Fatal("unknown app must be empty")
 	}
-	if c.Regional().Count() != 1 || c.Global().Count() != 2 {
+	if c.Regional().Count() != 1 || c.Global().Count() != 2 || c.Regional().Mean() != 10 || c.Global().Mean() != 30 {
 		t.Fatal("kind breakdown wrong")
-	}
-	if c.Class(msg.ClassRequest).Count() != 3 || c.Class(msg.ClassResponse).Count() != 0 {
-		t.Fatal("class breakdown wrong")
 	}
 	if c.Network().Count() != 3 || c.Hops().Mean() != 3 {
 		t.Fatal("network/hops dist wrong")

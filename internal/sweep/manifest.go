@@ -7,6 +7,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -117,14 +118,17 @@ func (m *Manifest) Validate(known []string) error {
 	return nil
 }
 
-// LoadManifest reads a manifest from a JSON file.
+// LoadManifest reads a manifest from a JSON file, rejecting unknown fields
+// so a misspelt "quick" cannot silently select paper durations.
 func LoadManifest(path string) (*Manifest, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: read manifest: %w", err)
 	}
 	var m Manifest
-	if err := json.Unmarshal(buf, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("sweep: parse manifest %s: %w", path, err)
 	}
 	return &m, nil

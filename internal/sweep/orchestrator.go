@@ -29,11 +29,10 @@ type Options struct {
 
 // Summary reports what a sweep run did.
 type Summary struct {
-	Total    int // jobs in the manifest
-	Skipped  int // already present in the store
-	Ran      int // executed and appended this run
-	Retried  int // attempts beyond the first, across all jobs
-	Canceled bool
+	Total   int // jobs in the manifest
+	Skipped int // already present in the store
+	Ran     int // executed and appended this run
+	Retried int // attempts beyond the first, across all jobs
 }
 
 // ErrCanceled reports a sweep stopped by context cancellation; the store
@@ -143,7 +142,6 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 				next++
 			}
 		case <-ctx.Done():
-			sum.Canceled = true
 			execErr = ErrCanceled
 		}
 	}

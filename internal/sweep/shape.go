@@ -99,7 +99,6 @@ type Guard struct {
 
 // Finding is the outcome of one guard applied to one record.
 type Finding struct {
-	Key        string
 	Experiment string
 	Seed       uint64
 	Guard      string
@@ -174,7 +173,7 @@ func CheckStore(recs []Record) *CheckReport {
 				err = g.Check(tbl)
 			}
 			rep.Findings = append(rep.Findings, Finding{
-				Key: rec.Key, Experiment: rec.Experiment, Seed: rec.Seed, Guard: g.Name, Err: err,
+				Experiment: rec.Experiment, Seed: rec.Seed, Guard: g.Name, Err: err,
 			})
 		}
 	}

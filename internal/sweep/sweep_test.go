@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,6 +106,14 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if got.Name != m.Name || got.Quick != m.Quick || len(got.Experiments) != len(m.Experiments) {
 		t.Errorf("round trip lost fields: %+v vs %+v", got, m)
+	}
+	// A misspelt key must fail the load, not fall back to paper durations.
+	typo := `{"name": "m", "quik": true, "experiments": [{"name": "fig9"}]}`
+	if err := os.WriteFile(path, []byte(typo), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "quik") {
+		t.Errorf("manifest with an unknown field loaded: %v", err)
 	}
 }
 

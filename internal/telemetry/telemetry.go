@@ -155,9 +155,6 @@ type Probe struct {
 
 	events  []Event
 	dropped int64
-
-	lastNativeHigh bool
-	dpaSeen        bool
 }
 
 // Counters returns a snapshot of the probe's counter block.

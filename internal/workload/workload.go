@@ -173,8 +173,6 @@ const blockBytes = 64
 // memsys.AddressStream.
 type Stream struct {
 	prof Profile
-	app  int
-	core int
 
 	run    int    // remaining blocks in the current sequential run
 	cur    uint64 // current block address
@@ -188,8 +186,6 @@ type Stream struct {
 func NewStream(prof Profile, app, core int) *Stream {
 	return &Stream{
 		prof:  prof,
-		app:   app,
-		core:  core,
 		baseP: (uint64(app+1) << 48) | (uint64(core+1) << 32),
 		baseS: (uint64(app+1) << 48) | (1 << 46),
 	}
@@ -214,11 +210,4 @@ func (s *Stream) Next(rng *sim.RNG) (memsys.Access, bool) {
 	}
 	s.run--
 	return memsys.Access{Addr: s.cur, Write: rng.Bool(s.prof.WriteFrac)}, true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -74,7 +74,7 @@ const (
 
 // Rect is a half-open node rectangle for LayoutCustom: x in [X0,X1), y in
 // [Y0,Y1).
-type Rect struct{ X0, Y0, X1, Y1 int }
+type Rect = region.Rect
 
 // Config describes a simulation.
 type Config struct {
@@ -157,34 +157,11 @@ type Config struct {
 	CheckInvariants bool
 }
 
-// FaultSpec is the public fault-injection configuration; probabilities
-// apply uniformly to every link/router (per-link overrides are available on
-// the internal harness API).
-type FaultSpec struct {
-	// Seed drives all fault decisions; 0 reuses Config.Seed.
-	Seed uint64
-	// DropProb / CorruptProb are the per-traversal probabilities that a
-	// flit is silently lost (recovered by sender timeout) or arrives
-	// corrupted (detected by the receiver's CRC check and NACKed).
-	DropProb    float64
-	CorruptProb float64
-	// CreditLeakProb is the per-arrival probability that a returning
-	// credit is lost; leaked credits are restored every ReconcileEvery
-	// cycles.
-	CreditLeakProb float64
-	// StallProb is the per-cycle probability that a router's pipeline
-	// freezes for StallLen cycles.
-	StallProb float64
-	StallLen  int
-	// Recovery-protocol knobs; zero values take the faults package
-	// defaults (32 retries, 32-cycle drop timeout, 2-cycle NACK latency).
-	MaxRetries  int
-	DropTimeout int
-	NackLatency int
-	// ReconcileEvery is the credit-reconciliation period in cycles
-	// (0 disables reconciliation).
-	ReconcileEvery int64
-}
+// FaultSpec is the fault-injection configuration; probabilities apply
+// uniformly to every link and router, zero recovery knobs take the faults
+// package defaults (32 retries, 32-cycle drop timeout, 2-cycle NACK latency)
+// and Seed 0 reuses Config.Seed.
+type FaultSpec = faults.Config
 
 // AppSpec describes one synthetic application's traffic.
 type AppSpec struct {
@@ -207,19 +184,16 @@ type AppSpec struct {
 	MCFrac float64
 }
 
-// Phases are the simulation phases in cycles.
-type Phases struct {
-	Warmup  int64
-	Measure int64
-	Drain   int64
-}
+// Phases are the simulation phases in cycles: Warmup, Measure and the bound
+// on the post-measurement Drain.
+type Phases = harness.Durations
 
 // PaperPhases returns the evaluation setting of the paper (10K warmup,
 // 100K measure).
-func PaperPhases() Phases { return Phases{Warmup: 10000, Measure: 100000, Drain: 20000} }
+func PaperPhases() Phases { return harness.PaperDurations() }
 
 // QuickPhases returns a fast setting for smoke runs.
-func QuickPhases() Phases { return Phases{Warmup: 2000, Measure: 10000, Drain: 10000} }
+func QuickPhases() Phases { return harness.QuickDurations() }
 
 // Simulation is a configured chip ready to run.
 type Simulation struct {
@@ -282,11 +256,7 @@ func New(cfg Config) (*Simulation, error) {
 	case LayoutSixGrid:
 		regs = region.SixGrid(mesh)
 	case LayoutCustom:
-		rects := make([]region.Rect, len(cfg.Rects))
-		for i, r := range cfg.Rects {
-			rects[i] = region.Rect(r)
-		}
-		regs, err = region.FromRects(mesh, rects)
+		regs, err = region.FromRects(mesh, cfg.Rects)
 		if err != nil {
 			return nil, err
 		}
@@ -433,8 +403,7 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	if spec.PacketRate > 0 {
 		app.PacketRate = spec.PacketRate
 	} else {
-		app.PacketRate = spec.LoadFrac * harness.SatEfficiency *
-			traffic.SaturationRate(mesh, app, 1000, 0xfeed)
+		app.PacketRate = harness.Rate(mesh, app, spec.LoadFrac)
 	}
 	s.apps = append(s.apps, app)
 	return nil
@@ -506,23 +475,10 @@ type Report struct {
 	Faults *FaultReport
 }
 
-// FaultReport is the aggregated fault-injection outcome of a run.
-type FaultReport struct {
-	DroppedFlits      int64 `json:"droppedFlits"`
-	CorruptedFlits    int64 `json:"corruptedFlits"`
-	Retransmits       int64 `json:"retransmits"`
-	LostFlits         int64 `json:"lostFlits"`
-	CreditLeaks       int64 `json:"creditLeaks"`
-	ReconciledCredits int64 `json:"reconciledCredits"`
-	StallCycles       int64 `json:"stallCycles"`
-	StalledRouters    int   `json:"stalledRouters"`
-}
-
-func (fr *FaultReport) String() string {
-	return fmt.Sprintf("faults: %d dropped, %d corrupted, %d retransmits, %d lost; %d credit leaks, %d reconciled; %d stall cycles on %d routers",
-		fr.DroppedFlits, fr.CorruptedFlits, fr.Retransmits, fr.LostFlits,
-		fr.CreditLeaks, fr.ReconciledCredits, fr.StallCycles, fr.StalledRouters)
-}
+// FaultReport is the aggregated fault-injection outcome of a run: Totals
+// over all links, the router stall figures, and one counter block per link
+// that saw an event.
+type FaultReport = faults.Report
 
 func (r *Report) String() string {
 	out := fmt.Sprintf("APL %.2f cycles (p95 %.1f, p99 %.1f) over %d packets, %.3f flits/node/cycle, %.2f hops\n",
@@ -560,27 +516,15 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		})
 	}
 	var fcfg *faults.Config
-	if fs := s.cfg.Faults; fs != nil {
-		seed := fs.Seed
-		if seed == 0 {
-			seed = s.cfg.Seed
+	if s.cfg.Faults != nil {
+		spec := *s.cfg.Faults
+		if spec.Seed == 0 {
+			spec.Seed = s.cfg.Seed
 		}
-		fcfg = &faults.Config{
-			Seed: seed,
-			Link: faults.LinkProfile{
-				DropProb:       fs.DropProb,
-				CorruptProb:    fs.CorruptProb,
-				CreditLeakProb: fs.CreditLeakProb,
-			},
-			Router:         faults.RouterProfile{StallProb: fs.StallProb, StallLen: fs.StallLen},
-			MaxRetries:     fs.MaxRetries,
-			DropTimeout:    fs.DropTimeout,
-			NackLatency:    fs.NackLatency,
-			ReconcileEvery: fs.ReconcileEvery,
-		}
-		if err := fcfg.Validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
+		fcfg = &spec
 	}
 	var icfg *invariant.Config
 	if s.cfg.CheckInvariants {
@@ -594,7 +538,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Apps:      s.apps,
 		Scheme:    s.scheme,
 		Alg:       s.alg,
-		Dur:       harness.Durations{Warmup: ph.Warmup, Measure: ph.Measure, Drain: ph.Drain},
+		Dur:       ph,
 		Seed:      s.cfg.Seed,
 		Workers:   s.cfg.Workers,
 		Telemetry: tel,
@@ -656,17 +600,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		srv.Publish(obs.Snap(b.Eng.Now(), tel, rep.Engine))
 	}
 	if inj := net.Faults(); inj != nil {
-		fr := inj.Report()
-		rep.Faults = &FaultReport{
-			DroppedFlits:      fr.Totals.DroppedFlits,
-			CorruptedFlits:    fr.Totals.CorruptedFlits,
-			Retransmits:       fr.Totals.Retransmits,
-			LostFlits:         fr.Totals.LostFlits,
-			CreditLeaks:       fr.Totals.CreditLeaks,
-			ReconciledCredits: fr.Totals.ReconciledCredits,
-			StallCycles:       fr.StallCycles,
-			StalledRouters:    fr.StalledRouters,
-		}
+		rep.Faults = inj.Report()
 	}
 	for _, app := range col.Apps() {
 		rep.PerApp[app] = col.App(app).Mean()

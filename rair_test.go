@@ -24,8 +24,8 @@ func TestNewValidation(t *testing.T) {
 		{MeshW: 1},
 		{Layout: "hexagon"},
 		{Scheme: "MAGIC"},
-		{Layout: LayoutCustom, Rects: []Rect{{0, 0, 9, 9}}},
-		{Layout: LayoutCustom, Rects: []Rect{{0, 0, 2, 2}, {1, 1, 3, 3}}},
+		{Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 9, Y1: 9}}},
+		{Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 2, Y1: 2}, {X0: 1, Y0: 1, X1: 3, Y1: 3}}},
 		{Depth: 5, EscapeVCs: 1, GlobalVCs: 9},
 	}
 	for i, c := range cases {
@@ -37,7 +37,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestCustomLayout(t *testing.T) {
 	sim, err := New(Config{Layout: LayoutCustom, Rects: []Rect{
-		{0, 0, 8, 4}, {0, 4, 8, 8},
+		{X0: 0, Y0: 0, X1: 8, Y1: 4}, {X0: 0, Y0: 4, X1: 8, Y1: 8},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestReportStringListsEveryApp(t *testing.T) {
 	const regions = 17
 	rects := make([]Rect, regions)
 	for i := range rects {
-		rects[i] = Rect{2 * i, 0, 2*i + 2, 2}
+		rects[i] = Rect{X0: 2 * i, Y0: 0, X1: 2*i + 2, Y1: 2}
 	}
 	sim, err := New(Config{MeshW: 2 * regions, MeshH: 2, Layout: LayoutCustom, Rects: rects})
 	if err != nil {
@@ -291,8 +291,28 @@ func TestLBDRRestrictions(t *testing.T) {
 	// Invalid mapping: halves layout leaves no MC in... halves contain
 	// corners, so build a custom MC-less region instead.
 	if _, err := New(Config{Routing: "lbdr", Layout: LayoutCustom, Rects: []Rect{
-		{0, 0, 2, 8}, {2, 0, 6, 8}, {6, 0, 8, 8},
+		{X0: 0, Y0: 0, X1: 2, Y1: 8}, {X0: 2, Y0: 0, X1: 6, Y1: 8}, {X0: 6, Y0: 0, X1: 8, Y1: 8},
 	}}); err == nil {
 		t.Fatal("LBDR accepted an MC-less region")
+	}
+}
+
+// Every -faults key lands in its FaultSpec field (keys are case-insensitive,
+// blanks and empty entries tolerated) and malformed specs are errors.
+func TestParseFaultSpec(t *testing.T) {
+	got, err := ParseFaultSpec(" drop=0.01, Corrupt=0.02,leak=0.03,stall=0.04,stalllen=5,retries=6,timeout=7,nack=8,reconcile=64,seed=9,,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FaultSpec{Seed: 9, DropProb: 0.01, CorruptProb: 0.02, CreditLeakProb: 0.03, StallProb: 0.04,
+		StallLen: 5, MaxRetries: 6, DropTimeout: 7, NackLatency: 8, ReconcileEvery: 64}
+	if *got != want {
+		t.Errorf("parsed %+v, want %+v", *got, want)
+	}
+	for _, bad := range []string{"", " ", "drop", "drop=1.5", "stall=-0.1", "leak=x", "stalllen=-1", "retries=1.5",
+		"reconcile=-1", "seed=-1", "dorp=0.1"} {
+		if fs, err := ParseFaultSpec(bad); err == nil {
+			t.Errorf("spec %q accepted as %+v", bad, *fs)
+		}
 	}
 }
