@@ -9,8 +9,8 @@
 // Usage:
 //
 //	rairsweep manifest -out m.json [-experiment name] [-seeds 1,2,3] [-quick]
-//	rairsweep run    -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-retries n] [-force]
-//	rairsweep resume -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-retries n]
+//	rairsweep run    -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-force]
+//	rairsweep resume -manifest m.json -out store.jsonl [-workers N] [-job-timeout d]
 //	rairsweep check  -store store.jsonl [-summary out.md]
 //	rairsweep diff   -a a.jsonl -b b.jsonl [-tol frac]
 //
@@ -150,8 +150,7 @@ func cmdRun(args []string, resume bool) error {
 	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see rairsweep manifest)")
 	out := fs.String("out", "sweep.jsonl", "result store path")
 	workers := fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS-bounded by the harness; 1 = serial)")
-	timeout := fs.Duration("job-timeout", 0, "per-job attempt timeout (0 = none)")
-	retries := fs.Int("retries", 1, "extra attempts per job on transient failure")
+	timeout := fs.Duration("job-timeout", 0, "per-job timeout, the guard against a hung simulation (0 = none)")
 	force := fs.Bool("force", false, "overwrite an existing store (run only)")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -204,7 +203,6 @@ func cmdRun(args []string, resume bool) error {
 	sum, err := sweep.Execute(ctx, m, store, done, runner, sweep.Options{
 		Workers: w,
 		Timeout: *timeout,
-		Retries: *retries,
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},
@@ -216,8 +214,8 @@ func cmdRun(args []string, resume bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep %s complete: %d jobs (%d ran, %d resumed, %d retries) in %.0fs -> %s\n",
-		m.Name, sum.Total, sum.Ran, sum.Skipped, sum.Retried, time.Since(start).Seconds(), *out)
+	fmt.Printf("sweep %s complete: %d jobs (%d ran, %d resumed) in %.0fs -> %s\n",
+		m.Name, sum.Total, sum.Ran, sum.Skipped, time.Since(start).Seconds(), *out)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package rair
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"rair/internal/collective"
 	"rair/internal/harness"
@@ -16,71 +15,75 @@ type ExperimentInfo struct {
 	Paper string // which table/figure/claim it reproduces
 }
 
-// experiments maps names to drivers. quick selects reduced durations.
+// fig9Ps is the inter-region fraction axis of Figures 9 and 10.
+var fig9Ps = []float64{0, 0.25, 0.5, 0.75, 1.0}
+
+// experiments maps names to drivers: one rendering a table, or — for the few
+// whose output is not one table — text and CSV. quick says dur is the reduced
+// setting, for the drivers that shrink an axis of their own with it.
 var experiments = map[string]struct {
 	paper string
-	run   func(quick bool, seed uint64) (text, csv string, err error)
+	table func(dur harness.Durations, quick bool, seed uint64) *harness.Table
+	text  func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
 }{
 	"fig9": {
 		paper: "Figure 9: impact of multi-stage prioritization (APL vs inter-region fraction p)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			res := harness.Fig9MSP(durations(quick), []float64{0, 0.25, 0.5, 0.75, 1.0}, seed)
-			return tabled(res.Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig9MSP(dur, fig9Ps, seed).SweepTable(fig9Ps)
 		},
 	},
 	"fig10": {
 		paper: "Figure 10: impact of routing algorithm (Local vs DBAR selection under RO_RR and RAIR)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			res := harness.Fig10Routing(durations(quick), []float64{0, 0.25, 0.5, 0.75, 1.0}, seed)
-			return tabled(res.Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig10Routing(dur, fig9Ps, seed).SweepTable(fig9Ps)
 		},
 	},
 	"fig12a": {
 		paper: "Figure 12(a): dynamic priority adaptation, low apps sending into the hot region",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig12DPA(harness.Fig12A, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig12DPA(harness.Fig12A, dur, seed).ReductionTable()
 		},
 	},
 	"fig12b": {
 		paper: "Figure 12(b): dynamic priority adaptation, hot app sending out",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig12DPA(harness.Fig12B, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig12DPA(harness.Fig12B, dur, seed).ReductionTable()
 		},
 	},
 	"fig14": {
 		paper: "Figure 14: six-application RNoC, uniform-random global traffic",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig14SixApp(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig14SixApp(dur, seed).ReductionTable()
 		},
 	},
 	"fig15": {
 		paper: "Figure 15: average APL reduction across global traffic patterns (UR/TP/BC/HS)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig15Patterns(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig15Table(harness.Fig15Patterns(dur, seed))
 		},
 	},
 	"fig17": {
 		paper: "Figure 17: PARSEC proxies under adversarial traffic (APL slowdown)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig17Adversarial(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig17Adversarial(dur, seed).SlowdownTable("average")
 		},
 	},
 	"delta": {
 		paper: "Section IV.C: DPA hysteresis width ablation (Δ between 0.1 and 0.3, best ≈0.2)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			deltas := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-			return tabled(harness.AblateDelta(deltas, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.AblateDelta([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}, dur, seed).DeltaTable()
 		},
 	},
 	"vcsplit": {
 		paper: "Section VI: regional/global VC split ablation (roughly even split recommended)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.AblateVCSplit([]int{1, 2, 3}, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			splits := []int{1, 2, 3}
+			return harness.AblateVCSplit(splits, dur, seed).VCSplitTable(splits)
 		},
 	},
 	"lbdr": {
 		paper: "Section III.B: LBDR valid-mapping fraction (≈14% with 16 cores, 4 MCs, 4 apps)",
-		run: func(quick bool, seed uint64) (string, string, error) {
+		text: func(harness.Durations, bool, uint64) (string, string, error) {
 			f, err := region.LBDRValidFraction(16, 4, 4, 4)
 			if err != nil {
 				return "", "", err
@@ -92,22 +95,22 @@ var experiments = map[string]struct {
 	},
 	"fig17-trace": {
 		paper: "Figure 17, trace-driven variant: one captured PARSEC trace replayed identically under every scheme",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.Fig17Trace(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.Fig17Trace(dur, seed).SlowdownTable("average")
 		},
 	},
 	"age": {
 		paper: "Extension: oldest-first arbitration (Abts & Weisser [1]) under the adversarial flood",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.AblateAgeBased(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.AblateAgeBased(dur, seed).SlowdownTable("average")
 		},
 	},
 	"matrix": {
 		paper: "Extension: pairwise interference matrix (leave-one-out) under RO_RR and RA_RAIR",
-		run: func(quick bool, seed uint64) (string, string, error) {
+		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
 			var text, csv string
 			for _, scheme := range []string{"RO_RR", "RA_RAIR"} {
-				m, err := harness.MeasureInterference(scheme, durations(quick), seed)
+				m, err := harness.MeasureInterference(scheme, dur, seed)
 				if err != nil {
 					return "", "", err
 				}
@@ -120,123 +123,115 @@ var experiments = map[string]struct {
 	},
 	"rankdyn": {
 		paper: "Extension: what the paper's 'optimal ranking' oracle is worth — oracle vs measured STC ranking",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.AblateRankOracle(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.AblateRankOracle(dur, seed).RankTable()
 		},
 	},
 	"batch": {
 		paper: "Extension: STC batching-interval ablation under the adversarial flood (the Section III.A batching weakness)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.AblateBatching([]int64{125, 250, 1000, 4000}, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.AblateBatching([]int64{125, 250, 1000, 4000}, dur, seed).SlowdownTable("average")
 		},
 	},
 	"scale-cores": {
 		paper: "Section VI scalability: RAIR's benefit across mesh sizes (4x4 to 16x16)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.ScaleCores(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.ScaleCores(dur, seed).Table()
 		},
 	},
 	"scale-regions": {
 		paper: "Section VI scalability: RAIR's benefit across region counts (2 to 16 on 8x8)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.ScaleRegions(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.ScaleRegions(dur, seed).Table()
 		},
 	},
 	"workloads": {
 		paper: "Supporting: PARSEC 2.0 proxy characterization (all 13 applications the infrastructure supports)",
-		run: func(quick bool, seed uint64) (string, string, error) {
+		table: func(_ harness.Durations, quick bool, seed uint64) *harness.Table {
 			cycles := 200000
 			if quick {
 				cycles = 50000
 			}
-			return tabled(harness.CharacterizeWorkloads(cycles, seed).Table())
+			return harness.CharacterizeWorkloads(cycles, seed).Table()
 		},
 	},
 	"heatmap": {
 		paper: "Supporting: link-utilization heatmap of the six-application scenario",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			out, err := harness.Heatmap("RO_RR", durations(quick), seed)
-			if err != nil {
-				return "", "", err
-			}
-			return out, "", nil
-
+		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
+			out, err := harness.Heatmap("RO_RR", dur, seed)
+			return out, "", err
 		},
 	},
 	"coll-synth": {
 		paper: "Extension: collective co-run, synthetic victims — ring AllReduce in one region, victim APL slowdown + collective completion time per scheme",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.CollectiveSynth(collective.RingAllReduce, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.CollectiveSynth(collective.RingAllReduce, dur, seed)
 		},
 	},
 	"coll-allreduce": {
 		paper: "Extension: PARSEC proxies vs a ring-AllReduce aggressor region (victim slowdown + CCT per scheme)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.CollectivePARSEC(collective.RingAllReduce, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.CollectivePARSEC(collective.RingAllReduce, dur, seed)
 		},
 	},
 	"coll-bcast": {
 		paper: "Extension: PARSEC proxies vs a binary-tree broadcast aggressor region (victim slowdown + CCT per scheme)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.CollectivePARSEC(collective.TreeBroadcast, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.CollectivePARSEC(collective.TreeBroadcast, dur, seed)
 		},
 	},
 	"coll-a2a": {
 		paper: "Extension: PARSEC proxies vs an all-to-all shuffle aggressor region (victim slowdown + CCT per scheme)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.CollectivePARSEC(collective.AllToAll, durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.CollectivePARSEC(collective.AllToAll, dur, seed)
 		},
 	},
 	"chiplet-synth": {
 		paper: "Extension: chiplet boundary co-run — one RAIR region per chiplet, aggressors flooding the victim tile through the package crossbar (victim APL slowdown per scheme)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			return tabled(harness.ChipletSynth(durations(quick), seed).Table())
+		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+			return harness.ChipletSynth(dur, seed).ChipletTable()
 		},
 	},
 	"mesh64-scale": {
 		paper: "Extension: Section VI scalability pushed to big meshes (up to 64x64, 16-region grid, sharded engine)",
-		run: func(quick bool, seed uint64) (string, string, error) {
+		table: func(dur harness.Durations, quick bool, seed uint64) *harness.Table {
 			ks := []int{32, 64}
 			if quick {
 				ks = []int{16, 32}
 			}
-			return tabled(harness.ScaleBigMesh(ks, durations(quick), seed).Table())
+			return harness.ScaleBigMesh(ks, dur, seed).Table()
 		},
 	},
 	"curve": {
 		paper: "Supporting: latency-load curve for chip-wide uniform random traffic (saturation calibration)",
-		run: func(quick bool, seed uint64) (string, string, error) {
-			fracs := []float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1}
-			pts := harness.LatencyLoadCurve(fracs, durations(quick), seed)
-			var b, csv strings.Builder
-			b.WriteString("fraction of achieved saturation  APL  throughput(flits/node/cycle)\n")
-			csv.WriteString("load_frac,apl,throughput\n")
-			for _, p := range pts {
-				fmt.Fprintf(&b, "%.2f  %8.2f  %.3f\n", p.Frac, p.APL, p.Throughput)
-				fmt.Fprintf(&csv, "%.2f,%.3f,%.4f\n", p.Frac, p.APL, p.Throughput)
+		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
+			p := harness.LatencyLoadCurve([]float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1}, dur, seed)
+			text, csv := "fraction of achieved saturation  APL  throughput(flits/node/cycle)\n", "load_frac,apl,throughput\n"
+			for i, frac := range p.Labels {
+				apl, thr := p.APL[i][0], p.Cols[i].FlitThroughput(64)
+				text += fmt.Sprintf("%s  %8.2f  %.3f\n", frac, apl, thr)
+				csv += fmt.Sprintf("%s,%.3f,%.4f\n", frac, apl, thr)
 			}
-			return b.String(), csv.String(), nil
+			return text, csv, nil
 		},
 	},
 }
 
-func durations(quick bool) harness.Durations {
-	if quick {
-		return harness.QuickDurations()
-	}
-	return harness.PaperDurations()
-}
-
-// Experiments lists the available reproductions in stable order.
-func Experiments() []ExperimentInfo {
+// names lists the registered experiments in stable order.
+func names() []string {
 	names := make([]string, 0, len(experiments))
 	for n := range experiments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	out := make([]ExperimentInfo, len(names))
-	for i, n := range names {
-		out[i] = ExperimentInfo{Name: n, Paper: experiments[n].paper}
+	return names
+}
+
+// Experiments lists the available reproductions in stable order.
+func Experiments() []ExperimentInfo {
+	var out []ExperimentInfo
+	for _, n := range names() {
+		out = append(out, ExperimentInfo{Name: n, Paper: experiments[n].paper})
 	}
 	return out
 }
@@ -252,6 +247,15 @@ func Experiment(name string, quick bool, seed uint64) (string, error) {
 // ExperimentCSV is Experiment returning both the human-readable text and a
 // CSV rendition (empty for experiments without tabular output).
 func ExperimentCSV(name string, quick bool, seed uint64) (text, csv string, err error) {
+	dur := harness.PaperDurations()
+	if quick {
+		dur = harness.QuickDurations()
+	}
+	return runExperiment(name, dur, quick, seed)
+}
+
+// runExperiment runs the named experiment at explicit durations.
+func runExperiment(name string, dur harness.Durations, quick bool, seed uint64) (text, csv string, err error) {
 	e, ok := experiments[name]
 	if !ok {
 		return "", "", fmt.Errorf("rair: unknown experiment %q (have %v)", name, names())
@@ -259,16 +263,9 @@ func ExperimentCSV(name string, quick bool, seed uint64) (text, csv string, err 
 	if seed == 0 {
 		seed = 1
 	}
-	return e.run(quick, seed)
-}
-
-// tabled renders a harness table as (text, csv, nil).
-func tabled(t *harness.Table) (string, string, error) { return t.String(), t.CSV(), nil }
-
-func names() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.Name)
+	if e.text != nil {
+		return e.text(dur, quick, seed)
 	}
-	return out
+	t := e.table(dur, quick, seed)
+	return t.String(), t.CSV(), nil
 }

@@ -98,16 +98,25 @@ func TestParseEveryKey(t *testing.T) {
 }
 
 func TestBuildErrorsSurface(t *testing.T) {
-	f, err := Parse([]byte(`{
-	  "config": {"scheme": "NOPE"},
-	  "apps": [{"app": 0, "loadFrac": 0.1}],
-	  "phases": {"measure": 100}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Build(); err == nil {
-		t.Fatal("bad scheme accepted at build")
+	for name, file := range map[string]string{
+		"bad scheme": `{
+		  "config": {"scheme": "NOPE"},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		// Used to panic in traffic.PatternByName.
+		"bad global pattern": `{
+		  "apps": [{"app": 0, "loadFrac": 0.1, "globalFrac": 0.2, "globalPattern": "XX"}],
+		  "phases": {"measure": 100}
+		}`,
+	} {
+		f, err := Parse([]byte(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := f.Build(); err == nil {
+			t.Errorf("%s accepted at build", name)
+		}
 	}
 }
 

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 
 	"rair/internal/region"
-	"rair/internal/stats"
 	"rair/internal/topology"
 	"rair/internal/traffic"
 )
@@ -40,34 +38,16 @@ func ChipletScenario(cs *topology.Chiplets, aggrFrac float64) (*region.Map, []tr
 			far = append(far, v)
 		}
 	}
-	n := regs.NumApps()
-	apps := make([]traffic.AppTraffic, n)
-	for a := 0; a < n; a++ {
-		nodes := regs.Nodes(a)
-		var app traffic.AppTraffic
-		if a == 0 {
-			app = traffic.AppTraffic{
-				App: a, Nodes: nodes,
-				Components: []traffic.Component{traffic.IntraUR(nodes)},
-			}
-			// 0.15 rather than the heavier loads of the mesh scenarios:
-			// the DPA flips native-high only while foreign occupancy
-			// exceeds native occupancy by the hysteresis margin, and the
-			// gateway funnel admits at most one foreign flit per cycle —
-			// a lightly loaded victim keeps OVC_n low enough for the
-			// boundary routers to detect and gate the foreign flood.
-			app.PacketRate = Rate(mesh, app, 0.15)
-		} else {
-			app = traffic.AppTraffic{
-				App: a, Nodes: nodes,
-				Components: []traffic.Component{
-					{Weight: 0.7, Draw: traffic.IntraUR(nodes).Draw},
-					{Weight: 0.3, Draw: traffic.DirectedTo(far).Draw},
-				},
-			}
-			app.PacketRate = Rate(mesh, app, aggrFrac)
-		}
-		apps[a] = app
+	apps := make([]traffic.AppTraffic, regs.NumApps())
+	// The victim runs at 0.15 rather than the heavier loads of the mesh
+	// scenarios: the DPA flips native-high only while foreign occupancy
+	// exceeds native occupancy by the hysteresis margin, and the gateway
+	// funnel admits at most one foreign flit per cycle — a lightly loaded
+	// victim keeps OVC_n low enough for the boundary routers to detect and
+	// gate the foreign flood.
+	apps[0] = mix(regs, 0, 0.15, 1)
+	for a := 1; a < len(apps); a++ {
+		apps[a] = mix(regs, a, aggrFrac, 0.7, traffic.DirectedTo(far).Weighted(0.3))
 	}
 	return regs, apps
 }
@@ -79,79 +59,34 @@ func ChipletScenario(cs *topology.Chiplets, aggrFrac float64) (*region.Map, []tr
 // foreign flits contend measurably inside the victim tile.
 const ChipletAggrFrac = 0.45
 
-// ChipletResult holds the chiplet boundary-interference comparison: per
-// scheme, the victim's APL alone and under cross-chiplet aggression.
-type ChipletResult struct {
-	Title   string
-	Schemes []string
-	Base    []float64 // victim APL, victim alone
-	Co      []float64 // victim APL, aggressors on the other chiplets
-	P99     []float64 // victim p99 total latency in the co-run
+// ChipletSynth runs the chiplet co-run across the scheme panel: per scheme,
+// the victim alone on chiplet 0 and the victim under the three
+// cross-boundary aggressors, all points in parallel.
+func ChipletSynth(dur Durations, seed uint64) *Panel {
+	cs := ChipletQuad()
+	regs, apps := ChipletScenario(cs, ChipletAggrFrac)
+	title := fmt.Sprintf("Chiplet boundary co-run (%dx%d package of %dx%d tiles): victim on chiplet 0",
+		cs.ChipsX, cs.ChipsY, cs.K, cs.K)
+	return coRunPanel(title, comparedSchemes([]int{0, 1, 2, 3}), []string{"victim"},
+		func(_ int, s Scheme) (alone, co RunConfig) {
+			alone = synthRun(regs, apps[:1], s, dur, seed)
+			alone.Chiplets = cs
+			co = alone
+			co.Apps = apps
+			return alone, co
+		})
 }
 
-// Slowdown is the victim APL slowdown under scheme si.
-func (r *ChipletResult) Slowdown(si int) float64 {
-	return stats.Slowdown(r.Base[si], r.Co[si])
-}
-
-// Table renders the comparison.
-func (r *ChipletResult) Table() *Table {
-	t := &Table{
-		Title:  r.Title,
-		Header: []string{"scheme", "base apl", "co apl", "slowdown", "co p99"},
-	}
-	for si, s := range r.Schemes {
+// ChipletTable renders ChipletSynth: the victim's APL alone and in the
+// co-run, the slowdown, and its p99 total latency in the co-run.
+func (p *Panel) ChipletTable() *Table {
+	t := &Table{Title: p.Title, Header: []string{"scheme", "base apl", "co apl", "slowdown", "co p99"}}
+	for ri, label := range p.Labels {
 		// Slowdown gets three decimals: the calibrated boundary-gating
 		// margin the chiplet-smoke guards check is below the 0.01
 		// resolution the other tables round to.
-		t.AddRow(s, f2(r.Base[si]), f2(r.Co[si]), fmt.Sprintf("%.3f", r.Slowdown(si)), f2(r.P99[si]))
+		t.AddRow(label, f2(p.Base[ri][0]), f2(p.APL[ri][0]), fmt.Sprintf("%.3f", p.Slowdown(ri, 0)),
+			f2(p.Cols[ri].App(0).Percentile(99)))
 	}
 	return t
-}
-
-// ChipletSynth runs the chiplet co-run across the scheme panel: per scheme,
-// the victim alone on chiplet 0 (base) and the victim under the three
-// cross-boundary aggressors (co), all points in parallel.
-func ChipletSynth(dur Durations, seed uint64) *ChipletResult {
-	cs := ChipletQuad()
-	regs, apps := ChipletScenario(cs, ChipletAggrFrac)
-	schemes := []Scheme{RORR(), RORRDBAR("RA_DBAR"), RORank([]int{0, 1, 2, 3}), RAIR("RA_RAIR")}
-	res := &ChipletResult{
-		Title: fmt.Sprintf("Chiplet boundary co-run (%dx%d package of %dx%d tiles): victim on chiplet 0",
-			cs.ChipsX, cs.ChipsY, cs.K, cs.K),
-	}
-	var rcs []RunConfig
-	for _, s := range schemes {
-		base := RunConfig{Regions: regs, Router: synthCfg(), Apps: apps[:1],
-			Scheme: s, Dur: dur, Seed: seed, Chiplets: cs}
-		co := base
-		co.Apps = apps
-		rcs = append(rcs, base, co)
-	}
-	cols := RunParallel(rcs)
-	for si, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-		res.Base = append(res.Base, cols[2*si].App(0).Mean())
-		res.Co = append(res.Co, cols[2*si+1].App(0).Mean())
-		res.P99 = append(res.P99, cols[2*si+1].App(0).Percentile(99))
-	}
-	return res
-}
-
-// ScaleBigMesh extends the Section VI scalability study to large meshes: a
-// 4×4 region grid at each mesh size, run on the sharded tick engine (the
-// serial engine would dominate wall clock at 4096 routers).
-func ScaleBigMesh(ks []int, dur Durations, seed uint64) *ScaleResult {
-	res := &ScaleResult{Title: "Scalability: big meshes (16-region grid, sharded engine)"}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	for _, k := range ks {
-		mesh := topology.NewMesh(k, k)
-		regs, apps := gridScenario(mesh, 4, 4)
-		res.Points = append(res.Points,
-			scalePointW(fmt.Sprintf("%dx%d", k, k), regs, apps, dur, seed, workers))
-	}
-	return res
 }

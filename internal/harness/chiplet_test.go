@@ -86,10 +86,10 @@ func TestChipletRunDeterminism(t *testing.T) {
 func TestChipletSynthOrdering(t *testing.T) {
 	res := ChipletSynth(QuickDurations(), 1)
 	idx := map[string]int{}
-	for i, s := range res.Schemes {
+	for i, s := range res.Labels {
 		idx[s] = i
 	}
-	rr, rair := res.Slowdown(idx["RO_RR"]), res.Slowdown(idx["RA_RAIR"])
+	rr, rair := res.Slowdown(idx["RO_RR"], 0), res.Slowdown(idx["RA_RAIR"], 0)
 	if rr < 1.01 {
 		t.Fatalf("RO_RR slowdown %.3f: no measurable boundary interference", rr)
 	}

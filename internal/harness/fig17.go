@@ -9,7 +9,6 @@ import (
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/sim"
-	"rair/internal/stats"
 	"rair/internal/topology"
 	"rair/internal/traffic"
 	"rair/internal/workload"
@@ -38,13 +37,30 @@ const AdversaryFlitRate = 0.16
 // memory system.
 func PARSECScenario() (*region.Map, []memsys.AddressStream) {
 	regs := region.Quadrants(Mesh8())
+	return regs, parsecStreams(regs, -1)
+}
+
+// parsecStreams builds one address stream per node: application i of the
+// layout runs workload.Profiles()[i mod 4]; nodes of the idle application
+// (-1 for none) and nodes no application owns issue nothing.
+func parsecStreams(regs *region.Map, idle int) []memsys.AddressStream {
 	profiles := workload.Profiles()
 	streams := make([]memsys.AddressStream, regs.Mesh().N())
 	for node := range streams {
-		app := regs.AppAt(node)
-		streams[node] = workload.NewStream(profiles[app], app, node)
+		if app := regs.AppAt(node); app >= 0 && app != idle {
+			streams[node] = workload.NewStream(profiles[app%len(profiles)], app, node)
+		}
 	}
-	return regs, streams
+	return streams
+}
+
+// parsecNames names the first n PARSEC proxies, in application order.
+func parsecNames(n int) []string {
+	names := make([]string, n)
+	for i, p := range workload.Profiles()[:n] {
+		names[i] = p.Name
+	}
+	return names
 }
 
 // PARSECRanks is the oracle STC ranking of the PARSEC proxies by network
@@ -52,62 +68,16 @@ func PARSECScenario() (*region.Map, []memsys.AddressStream) {
 // therefore bottom-priority, matching the paper's optimally-ranked RO_Rank.
 func PARSECRanks() []int { return []int{0, 1, 2, 3} }
 
-// Fig17Result holds the per-application APL slowdown caused by adversarial
-// traffic under each scheme.
-type Fig17Result struct {
-	Title   string
-	Schemes []string
-	Apps    []string
-	// Base/Adv APL [scheme][app]; Slowdown = Adv/Base.
-	Base [][]float64
-	Adv  [][]float64
-}
-
-// Slowdown returns the APL slowdown of app ai under scheme si.
-func (r *Fig17Result) Slowdown(si, ai int) float64 {
-	return stats.Slowdown(r.Base[si][ai], r.Adv[si][ai])
-}
-
-// AvgSlowdown returns the mean per-app slowdown of scheme si.
-func (r *Fig17Result) AvgSlowdown(si int) float64 {
-	sum := 0.0
-	for ai := range r.Apps {
-		sum += r.Slowdown(si, ai)
-	}
-	return sum / float64(len(r.Apps))
-}
-
-// Table renders the slowdown matrix.
-func (r *Fig17Result) Table() *Table {
-	title := r.Title
-	if title == "" {
-		title = "APL slowdown under adversarial traffic (PARSEC proxies)"
-	}
-	t := &Table{
-		Title:  title,
-		Header: append(append([]string{"scheme"}, r.Apps...), "average"),
-	}
-	for si, s := range r.Schemes {
-		row := []string{s}
-		for ai := range r.Apps {
-			row = append(row, f2(r.Slowdown(si, ai)))
-		}
-		row = append(row, f2(r.AvgSlowdown(si)))
-		t.AddRow(row...)
-	}
-	return t
-}
-
 // MemsysRouterConfig is the two-class router configuration for the
 // application experiments (requests and responses on disjoint VC sets).
 func MemsysRouterConfig() router.Config { return router.DefaultConfig(int(msg.NumClasses)) }
 
-// MemsysAttach builds the Table 1 memory system over the address streams
-// (functionally prewarmed) as a run's first source. The system sees every
-// ejection before the collector and retains its request packets across
-// protocol round-trips, so the run allocates packets instead of recycling.
-func MemsysAttach(cfg memsys.SystemConfig, regs *region.Map, streams []memsys.AddressStream, seed uint64, inject Inject) Attached {
-	sys := memsys.New(cfg, regs, streams, seed, inject)
+// MemsysAttach builds the Table 1 memory system over the PARSEC proxies'
+// address streams (idle as in parsecStreams), functionally prewarmed, as a
+// run's first source. The system sees every ejection before the collector and
+// allocates every protocol message itself, so the run does not recycle.
+func MemsysAttach(cfg memsys.SystemConfig, regs *region.Map, idle int, seed uint64, inject Inject) Attached {
+	sys := memsys.New(cfg, regs, parsecStreams(regs, idle), seed, inject)
 	sys.Prewarm(PrewarmAccesses)
 	return Attached{
 		Sources: []sim.Tickable{sys},
@@ -138,11 +108,11 @@ func (a *Attached) AddAdversary(mesh *topology.Mesh, app int, flitRate float64, 
 // parsecConfig is one PARSEC-proxy simulation point under a scheme,
 // optionally with the adversarial injector.
 func parsecConfig(s Scheme, withAdversary bool, dur Durations, seed uint64) RunConfig {
-	regs, streams := PARSECScenario()
+	regs := region.Quadrants(Mesh8())
 	return RunConfig{
 		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Dur: dur, Seed: seed,
 		Attach: func(inject Inject, pool *msg.Pool) Attached {
-			att := MemsysAttach(memsys.DefaultSystemConfig(), regs, streams, seed, inject)
+			att := MemsysAttach(memsys.DefaultSystemConfig(), regs, -1, seed, inject)
 			if withAdversary {
 				att.AddAdversary(regs.Mesh(), AdversaryApp, AdversaryFlitRate, seed, dur.Warmup+dur.Measure, inject, pool)
 			}
@@ -151,25 +121,19 @@ func parsecConfig(s Scheme, withAdversary bool, dur Durations, seed uint64) RunC
 	}
 }
 
-// RunPARSEC executes one PARSEC-proxy simulation under a scheme, optionally
-// with the adversarial injector, and returns the latency collector (covering
-// the applications' packets only).
-func RunPARSEC(s Scheme, withAdversary bool, dur Durations, seed uint64) *stats.Collector {
-	return Run(parsecConfig(s, withAdversary, dur, seed))
-}
-
-// fig17Schemes mirrors the Figures 14-17 comparison with PARSEC ranks for
-// RO_Rank.
-func fig17Schemes() []Scheme {
-	return []Scheme{RORR(), RORRDBAR("RA_DBAR"), RORank(PARSECRanks()), RAIR("RA_RAIR")}
+// adversarialPanel is the Figure 17 comparison: per scheme, the four PARSEC
+// proxies alone and under the adversarial flood.
+func adversarialPanel(title string, schemes []Scheme, dur Durations, seed uint64) *Panel {
+	return coRunPanel(title, schemes, parsecNames(4), func(_ int, s Scheme) (alone, co RunConfig) {
+		return parsecConfig(s, false, dur, seed), parsecConfig(s, true, dur, seed)
+	})
 }
 
 // Fig17Adversarial reproduces Figure 17: APL slowdown of the four PARSEC
 // proxies when chip-wide adversarial traffic is added, per scheme.
-func Fig17Adversarial(dur Durations, seed uint64) *Fig17Result {
-	res := adversarialRun(fig17Schemes(), dur, seed)
-	res.Title = "Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)"
-	return res
+func Fig17Adversarial(dur Durations, seed uint64) *Panel {
+	return adversarialPanel("Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)",
+		comparedSchemes(PARSECRanks()), dur, seed)
 }
 
 // AblateAgeBased contrasts the oldest-first baseline (Abts & Weisser, the
@@ -177,21 +141,15 @@ func Fig17Adversarial(dur Durations, seed uint64) *Fig17Result {
 // under the adversarial flood. Aging both drains the deprioritized flood
 // (avoiding buffer hogging) and imposes a global FIFO-like order — where
 // the balance lands is an empirical question this ablation answers.
-func AblateAgeBased(dur Durations, seed uint64) *Fig17Result {
-	schemes := []Scheme{
-		RORR(),
-		{Name: "RO_Age", Policy: policy.NewAge},
-		RAIR("RA_RAIR"),
-	}
-	res := adversarialRun(schemes, dur, seed)
-	res.Title = "Oldest-first arbitration under the adversarial flood"
-	return res
+func AblateAgeBased(dur Durations, seed uint64) *Panel {
+	schemes := []Scheme{RORR(), {Name: "RO_Age", Policy: policy.NewAge}, RAIR("RA_RAIR")}
+	return adversarialPanel("Oldest-first arbitration under the adversarial flood", schemes, dur, seed)
 }
 
 // AblateBatching sweeps RO_Rank's batching interval under the adversarial
 // flood: fine batches drain the deprioritized flood steadily, coarse
 // batches let it hog VC buffers — the balance Section III.A alludes to.
-func AblateBatching(intervals []int64, dur Durations, seed uint64) *Fig17Result {
+func AblateBatching(intervals []int64, dur Durations, seed uint64) *Panel {
 	schemes := make([]Scheme, 0, len(intervals))
 	for _, iv := range intervals {
 		schemes = append(schemes, Scheme{
@@ -199,45 +157,7 @@ func AblateBatching(intervals []int64, dur Durations, seed uint64) *Fig17Result 
 			Policy: policy.NewRankFactoryInterval(PARSECRanks(), iv),
 		})
 	}
-	res := adversarialRun(schemes, dur, seed)
-	res.Title = "STC batching-interval ablation under the adversarial flood"
-	return res
-}
-
-func adversarialRun(schemes []Scheme, dur Durations, seed uint64) *Fig17Result {
-	res := &Fig17Result{}
-	for _, p := range workload.Profiles() {
-		res.Apps = append(res.Apps, p.Name)
-	}
-	var rcs []RunConfig
-	for _, s := range schemes {
-		rcs = append(rcs, parsecConfig(s, false, dur, seed), parsecConfig(s, true, dur, seed))
-	}
-	cols := RunParallel(rcs)
-	for si, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-		res.Base = append(res.Base, appMeans(cols[2*si], len(res.Apps)))
-		res.Adv = append(res.Adv, appMeans(cols[2*si+1], len(res.Apps)))
-	}
-	return res
-}
-
-// appMeans returns the APL of applications 0..n-1.
-func appMeans(c *stats.Collector, n int) []float64 {
-	out := make([]float64, n)
-	for app := range out {
-		out[app] = c.App(app).Mean()
-	}
-	return out
-}
-
-// String renders a short summary line used by logs.
-func (r *Fig17Result) String() string {
-	out := ""
-	for si, s := range r.Schemes {
-		out += fmt.Sprintf("%s=%.2f ", s, r.AvgSlowdown(si))
-	}
-	return out
+	return adversarialPanel("STC batching-interval ablation under the adversarial flood", schemes, dur, seed)
 }
 
 // PrewarmAccesses is how many address-stream accesses each core runs

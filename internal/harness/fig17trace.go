@@ -3,23 +3,23 @@ package harness
 import (
 	"rair/internal/memsys"
 	"rair/internal/msg"
+	"rair/internal/region"
 	"rair/internal/sim"
 	"rair/internal/stats"
 	"rair/internal/trace"
-	"rair/internal/workload"
 )
 
 // RecordPARSECTrace captures the PARSEC-proxy scenario's packet injections
 // over a neutral (RO_RR) network for the given horizon — the trace-capture
 // step of the paper's methodology (SIMICS+GEMS traces fed to GARNET).
 func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
-	regs, streams := PARSECScenario()
+	regs := region.Quadrants(Mesh8())
 	var rec trace.Recorder
 	Run(RunConfig{
 		Regions: regs, Router: MemsysRouterConfig(), Scheme: RORR(),
 		Dur: Durations{Measure: cycles}, Seed: seed,
 		Attach: func(inject Inject, _ *msg.Pool) Attached {
-			return MemsysAttach(memsys.DefaultSystemConfig(), regs, streams, seed,
+			return MemsysAttach(memsys.DefaultSystemConfig(), regs, -1, seed,
 				func(node int, p *msg.Packet, now int64) {
 					rec.Capture(node, p, now)
 					inject(node, p, now)
@@ -29,15 +29,6 @@ func RecordPARSECTrace(cycles int64, seed uint64) *trace.Trace {
 	rec.T.Sort()
 	return &rec.T
 }
-
-// TraceAdversaryFlitRate is the adversarial load for the trace-replay
-// variant, kept equal to the closed-loop experiment for comparability.
-// Replay is open-loop — recorded injections keep coming regardless of
-// congestion, with no MSHR backpressure — so queueing integrates over the
-// horizon and the *absolute* slowdowns are much larger and
-// window-dependent; the scheme comparison (who protects the applications)
-// is the meaningful output.
-const TraceAdversaryFlitRate = AdversaryFlitRate
 
 // Replay is the outcome of one trace replay: the latency collector for the
 // applications' packets, how many trace events were injected, the cycle the
@@ -56,10 +47,10 @@ const ReplayDrain = 100000
 // adversarial injector at advRate flits/node/cycle (0 = none), measuring
 // from warmup to the trace's last cycle and then draining for at most drain
 // cycles (events stamped with that last cycle enter on the first drain step,
-// outside the window). Unlike the closed-loop RunPARSEC, replay holds the
+// outside the window). Unlike the closed-loop PARSEC runs, replay holds the
 // traffic identical across schemes — the paper's trace-driven comparison.
 func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64) Replay {
-	regs, _ := PARSECScenario()
+	regs := region.Quadrants(Mesh8())
 	var player *trace.Player
 	b := Build(RunConfig{
 		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Seed: seed,
@@ -80,20 +71,19 @@ func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64
 
 // Fig17Trace is the trace-driven variant of Figure 17: one PARSEC trace is
 // captured once and replayed identically under every scheme, with and
-// without the adversarial flood.
-func Fig17Trace(dur Durations, seed uint64) *Fig17Result {
+// without the adversarial flood of the closed-loop experiment. Replay is
+// open-loop — recorded injections keep coming regardless of congestion, with
+// no MSHR backpressure — so queueing integrates over the horizon and the
+// absolute slowdowns are much larger and window-dependent; the scheme
+// comparison (who protects the applications) is the meaningful output.
+func Fig17Trace(dur Durations, seed uint64) *Panel {
 	t := RecordPARSECTrace(dur.Warmup+dur.Measure, seed)
-	schemes := fig17Schemes()
-	res := &Fig17Result{Title: "Figure 17 (trace-driven replay variant)"}
-	for _, p := range workload.Profiles() {
-		res.Apps = append(res.Apps, p.Name)
-	}
+	schemes := comparedSchemes(PARSECRanks())
+	var cols []*stats.Collector
 	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name)
-		base := ReplayPARSEC(t, s, 0, dur.Warmup, ReplayDrain, seed).Col
-		adv := ReplayPARSEC(t, s, TraceAdversaryFlitRate, dur.Warmup, ReplayDrain, seed).Col
-		res.Base = append(res.Base, appMeans(base, len(res.Apps)))
-		res.Adv = append(res.Adv, appMeans(adv, len(res.Apps)))
+		for _, advRate := range []float64{0, AdversaryFlitRate} {
+			cols = append(cols, ReplayPARSEC(t, s, advRate, dur.Warmup, ReplayDrain, seed).Col)
+		}
 	}
-	return res
+	return newPanel("Figure 17 (trace-driven replay variant)", nil, cols, parsecNames(4)).paired(schemeNames(schemes))
 }

@@ -76,7 +76,8 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 // with the inter-region fraction.
 func TestFig9Shape(t *testing.T) {
 	res := Fig9MSP(testDur(), []float64{0, 1.0}, 1)
-	rr, va, vasa := res.APL[0], res.APL[1], res.APL[2]
+	// Rows are scheme-major over the two fractions: [p][app] per scheme.
+	rr, va, vasa := res.APL[0:2], res.APL[2:4], res.APL[4:6]
 	// APL grows with p for every scheme.
 	if rr[1][0] <= rr[0][0] || vasa[1][0] <= vasa[0][0] {
 		t.Fatalf("App0 APL must grow with p: %v %v", rr, vasa)
@@ -116,16 +117,16 @@ func TestFig12Shape(t *testing.T) {
 // RO_RR while the heavy apps pay only a bounded cost.
 func TestFig14Shape(t *testing.T) {
 	res := Fig14SixApp(testDur(), 1)
-	rairIdx := len(res.Schemes) - 1
+	rairIdx := len(res.Labels) - 1
 	for ai, app := range res.Apps {
-		if app == 1 || app == 5 { // heavy apps: bounded cost
+		if ai == 1 || ai == 5 { // heavy apps: bounded cost
 			if res.Reduction(rairIdx, ai) < -0.10 {
-				t.Errorf("hot app %d degrades too much: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
+				t.Errorf("hot %s degrades too much: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
 			}
 			continue
 		}
 		if res.Reduction(rairIdx, ai) <= 0 {
-			t.Errorf("low app %d not improved: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
+			t.Errorf("low %s not improved: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
 		}
 	}
 }
@@ -137,13 +138,13 @@ func TestFig17Shape(t *testing.T) {
 	if !(res.AvgSlowdown(3) < res.AvgSlowdown(0)) {
 		t.Fatalf("RAIR slowdown %.2f must beat RO_RR %.2f", res.AvgSlowdown(3), res.AvgSlowdown(0))
 	}
-	for si := range res.Schemes {
+	for si := range res.Labels {
 		if res.AvgSlowdown(si) < 1 {
-			t.Errorf("%s slowdown %.2f below 1: adversary helped?", res.Schemes[si], res.AvgSlowdown(si))
+			t.Errorf("%s slowdown %.2f below 1: adversary helped?", res.Labels[si], res.AvgSlowdown(si))
 		}
 	}
-	if s := res.String(); !strings.Contains(s, "RA_RAIR") {
-		t.Fatal("summary string incomplete")
+	if s := res.SlowdownTable("average").String(); !strings.Contains(s, "RA_RAIR") {
+		t.Fatal("summary table incomplete")
 	}
 }
 
@@ -195,41 +196,41 @@ func TestTableRendering(t *testing.T) {
 
 func TestResultTables(t *testing.T) {
 	res := Fig9MSP(Durations{Warmup: 200, Measure: 1500, Drain: 3000}, []float64{0.5}, 1)
-	if s := res.Table().String(); !strings.Contains(s, "RAIR_VA+SA") {
+	if s := res.SweepTable([]float64{0.5}).String(); !strings.Contains(s, "RAIR_VA+SA") {
 		t.Fatalf("sweep table:\n%s", s)
 	}
 	fig := Fig12DPA(Fig12A, Durations{Warmup: 200, Measure: 1500, Drain: 3000}, 1)
-	if s := fig.Table().String(); !strings.Contains(s, "avg reduction") {
+	if s := fig.ReductionTable().String(); !strings.Contains(s, "avg reduction") {
 		t.Fatalf("fig table:\n%s", s)
 	}
 }
 
 func TestLatencyLoadCurveMonotone(t *testing.T) {
 	pts := LatencyLoadCurve([]float64{0.2, 0.9}, testDur(), 1)
-	if len(pts) != 2 {
+	if len(pts.APL) != 2 {
 		t.Fatal("missing points")
 	}
-	if pts[1].APL <= pts[0].APL {
-		t.Fatalf("APL must grow with load: %v", pts)
+	if pts.APL[1][0] <= pts.APL[0][0] {
+		t.Fatalf("APL must grow with load: %v", pts.APL)
 	}
-	if pts[1].Throughput <= pts[0].Throughput {
-		t.Fatalf("throughput must grow below saturation: %v", pts)
+	if lo, hi := pts.Cols[0].FlitThroughput(64), pts.Cols[1].FlitThroughput(64); hi <= lo {
+		t.Fatalf("throughput must grow below saturation: %v then %v", lo, hi)
 	}
 }
 
 func TestAblations(t *testing.T) {
 	d := AblateDelta([]float64{0, 0.2}, Durations{Warmup: 500, Measure: 2500, Drain: 4000}, 1)
-	if len(d.AvgReduction) != 2 {
+	if len(d.APL) != 3 {
 		t.Fatal("delta ablation size")
 	}
-	if s := d.Table().String(); !strings.Contains(s, "0.20") {
+	if s := d.DeltaTable().String(); !strings.Contains(s, "0.20") {
 		t.Fatalf("delta table:\n%s", s)
 	}
 	v := AblateVCSplit([]int{1, 3}, Durations{Warmup: 500, Measure: 2500, Drain: 4000}, 1)
-	if len(v.AvgReduction) != 2 {
+	if len(v.APL) != 3 {
 		t.Fatal("vc split ablation size")
 	}
-	if s := v.Table().String(); !strings.Contains(s, "regional VCs") {
+	if s := v.VCSplitTable([]int{1, 3}).String(); !strings.Contains(s, "regional VCs") {
 		t.Fatalf("vc split table:\n%s", s)
 	}
 }
@@ -267,20 +268,20 @@ func TestHeatmapDriver(t *testing.T) {
 func TestFig17TraceReplay(t *testing.T) {
 	dur := Durations{Warmup: 1000, Measure: 5000, Drain: 5000}
 	res := Fig17Trace(dur, 1)
-	if len(res.Schemes) != 4 || len(res.Apps) != 4 {
-		t.Fatalf("shape: %v %v", res.Schemes, res.Apps)
+	if len(res.Labels) != 4 || len(res.Apps) != 4 {
+		t.Fatalf("shape: %v %v", res.Labels, res.Apps)
 	}
-	for si := range res.Schemes {
+	for si := range res.Labels {
 		for ai := range res.Apps {
-			if res.Base[si][ai] <= 0 || res.Adv[si][ai] <= 0 {
-				t.Fatalf("empty measurement %s/%s", res.Schemes[si], res.Apps[ai])
+			if res.Base[si][ai] <= 0 || res.APL[si][ai] <= 0 {
+				t.Fatalf("empty measurement %s/%s", res.Labels[si], res.Apps[ai])
 			}
 		}
 		if res.AvgSlowdown(si) < 0.9 {
-			t.Fatalf("%s slowdown %.2f implausible", res.Schemes[si], res.AvgSlowdown(si))
+			t.Fatalf("%s slowdown %.2f implausible", res.Labels[si], res.AvgSlowdown(si))
 		}
 	}
-	if !strings.Contains(res.Table().String(), "trace-driven") {
+	if !strings.Contains(res.SlowdownTable("average").String(), "trace-driven") {
 		t.Fatal("title missing")
 	}
 }
@@ -330,7 +331,7 @@ func TestRankOracleAblation(t *testing.T) {
 			}
 		}
 	}
-	if s := res.Table().String(); !strings.Contains(s, "RO_RankDyn") {
+	if s := res.RankTable().String(); !strings.Contains(s, "RO_RankDyn") {
 		t.Fatalf("table:\n%s", s)
 	}
 }

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-
-	"rair/internal/stats"
-	"rair/internal/traffic"
+	"slices"
 )
 
 // InterferenceMatrix quantifies pairwise interference in the
@@ -68,33 +66,27 @@ func MeasureInterference(schemeName string, dur Durations, seed uint64) (*Interf
 	n := len(apps)
 
 	// Full run plus one run per removed culprit, all in parallel.
-	rcs := make([]RunConfig, 0, n+1)
-	rcs = append(rcs, RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: s, Dur: dur, Seed: seed})
-	for culprit := 0; culprit < n; culprit++ {
-		reduced := make([]traffic.AppTraffic, 0, n-1)
-		for i, a := range apps {
-			if i != culprit {
-				reduced = append(reduced, a)
-			}
-		}
-		rcs = append(rcs, RunConfig{Regions: regs, Router: synthCfg(), Apps: reduced, Scheme: s, Dur: dur, Seed: seed})
+	rcs := []RunConfig{synthRun(regs, apps, s, dur, seed)}
+	for culprit := range apps {
+		reduced := slices.Delete(slices.Clone(apps), culprit, culprit+1)
+		rcs = append(rcs, synthRun(regs, reduced, s, dur, seed))
 	}
-	cols := RunParallel(rcs)
+	runs := runPanel("", nil, rcs, appNames("app", n))
+	// As a co-run panel, row ci is everyone beside culprit ci (the full run)
+	// against everyone without it.
+	co := &Panel{Apps: runs.Apps, Base: runs.APL[1:]}
+	for range apps {
+		co.APL = append(co.APL, runs.APL[0])
+	}
 
-	m := &InterferenceMatrix{Scheme: s.Name}
-	for i := range apps {
-		m.Apps = append(m.Apps, apps[i].App)
-	}
-	full := cols[0]
-	m.Slowdown = make([][]float64, n)
-	for vi := range m.Apps {
+	m := &InterferenceMatrix{Scheme: s.Name, Slowdown: make([][]float64, n)}
+	for vi := range apps {
+		m.Apps = append(m.Apps, apps[vi].App)
 		m.Slowdown[vi] = make([]float64, n)
-		for ci := range m.Apps {
-			if vi == ci {
-				continue
+		for ci := range apps {
+			if vi != ci {
+				m.Slowdown[vi][ci] = co.Slowdown(ci, vi)
 			}
-			without := cols[ci+1]
-			m.Slowdown[vi][ci] = stats.Slowdown(without.App(m.Apps[vi]).Mean(), full.App(m.Apps[vi]).Mean())
 		}
 	}
 	return m, nil

@@ -43,51 +43,22 @@ func RunDynRank(dur Durations, seed uint64) *stats.Collector {
 	})
 }
 
-// RankDynResult compares the oracle and measured STC variants against
-// RO_RR on the six-application scenario.
-type RankDynResult struct {
-	Apps []int
-	// APL[variant][app]: 0 = RO_RR, 1 = oracle RO_Rank, 2 = RO_RankDyn.
-	APL [][]float64
+// AblateRankOracle quantifies what the paper's "optimal ranking" assumption
+// is worth on the six-application scenario: RO_RR, oracle RO_Rank and the
+// measured interval-based ranking, in that row order.
+func AblateRankOracle(dur Durations, seed uint64) *Panel {
+	regs, apps := Fig14Scenario("UR")
+	p := schemePanel("", regs, apps, []Scheme{RORR(), RORank(SixAppRanks())}, dur, seed)
+	return newPanel("Oracle vs measured STC ranking (six-application scenario)",
+		[]string{"RO_RR", "RO_Rank(oracle)", "RO_RankDyn"}, append(p.Cols, RunDynRank(dur, seed)), p.Apps)
 }
 
-// Names are the compared variants in APL order.
-func (r *RankDynResult) Names() []string { return []string{"RO_RR", "RO_Rank(oracle)", "RO_RankDyn"} }
-
-// Table renders the comparison.
-func (r *RankDynResult) Table() *Table {
-	t := &Table{
-		Title:  "Oracle vs measured STC ranking (six-application scenario)",
-		Header: []string{"scheme", "avg reduction vs RO_RR"},
-	}
-	base := r.APL[0]
-	for vi, name := range r.Names() {
-		if vi == 0 {
-			t.AddRow(name, "-")
-			continue
-		}
-		sum := 0.0
-		for ai := range r.Apps {
-			sum += stats.Reduction(base[ai], r.APL[vi][ai])
-		}
-		t.AddRow(name, pct(sum/float64(len(r.Apps))))
+// RankTable renders AblateRankOracle: the average reduction per variant.
+func (p *Panel) RankTable() *Table {
+	t := &Table{Title: p.Title, Header: []string{"scheme", "avg reduction vs " + p.Labels[0]}}
+	t.AddRow(p.Labels[0], "-")
+	for ri := 1; ri < len(p.Labels); ri++ {
+		t.AddRow(p.Labels[ri], pct(p.AvgReduction(ri)))
 	}
 	return t
-}
-
-// AblateRankOracle quantifies what the paper's "optimal ranking" assumption
-// is worth: oracle RO_Rank vs the measured interval-based ranking.
-func AblateRankOracle(dur Durations, seed uint64) *RankDynResult {
-	regs, apps := Fig14Scenario("UR")
-	fig := runFig("", regs, apps, synthCfg(),
-		[]Scheme{RORR(), RORank(SixAppRanks())}, dur, seed)
-	dyn := RunDynRank(dur, seed)
-	res := &RankDynResult{Apps: fig.Apps}
-	res.APL = append(res.APL, fig.APL[0], fig.APL[1])
-	dynRow := make([]float64, len(fig.Apps))
-	for ai, a := range fig.Apps {
-		dynRow[ai] = dyn.App(a).Mean()
-	}
-	res.APL = append(res.APL, dynRow)
-	return res
 }

@@ -65,7 +65,7 @@ type RunConfig struct {
 	// Bernoulli apps: its packets are delivered back to the collective
 	// source (driving the phase dependency barriers) instead of the
 	// statistics collector, so Apps' latency figures measure the victim
-	// applications only, the way RunPARSEC excludes the adversary.
+	// applications only, the way the PARSEC runs exclude the adversary.
 	Collective *collective.Spec
 	// CollectiveDone, if set, receives the collective's final progress
 	// snapshot when the run (including drain) finishes.
@@ -103,9 +103,9 @@ type Attached struct {
 	// excepted) before the statistics collector and reports whether the
 	// collector should count it.
 	OnEject func(p *msg.Packet, now int64) bool
-	// Retains states that a source keeps packet pointers past ejection (the
-	// memory system does, across protocol round-trips), so the run must not
-	// recycle packets: the pool then only ever allocates.
+	// Retains keeps ejected packets out of the freelist. The memory system
+	// sets it: it allocates every protocol message itself and never draws
+	// from the pool, so returning its packets would only hoard them.
 	Retains bool
 }
 
@@ -127,7 +127,7 @@ func Build(rc RunConfig) *Sim {
 	end := rc.Dur.Warmup + rc.Dur.Measure
 	s := &Sim{rc: rc, Eng: sim.NewEngine(), Col: stats.NewCollector(rc.Dur.Warmup, end)}
 	// The collector copies packet fields at ejection, so packets recycle
-	// through a freelist unless an attached source retains them. Sources
+	// through a freelist unless the attachment opts out (Retains). Sources
 	// are built before the network (so the attachment can say whether to
 	// recycle) and inject through s.Net, bound below; no injection can
 	// occur before the first Tick.

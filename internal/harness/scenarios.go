@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+
 	"rair/internal/region"
 	"rair/internal/topology"
 	"rair/internal/traffic"
@@ -31,31 +33,28 @@ func Rate(mesh *topology.Mesh, app traffic.AppTraffic, frac float64) float64 {
 // Mesh8 is the evaluation topology: a 64-node mesh (Section V.A).
 func Mesh8() *topology.Mesh { return topology.NewMesh(8, 8) }
 
+// mix builds app's traffic on its own region: intra-region uniform random at
+// weight intra beside the already-weighted rest, injected at frac of the
+// mix's achieved saturation. Weights are passed as the literals the scenario
+// states, never derived (a last-bit difference in a weight moves RNG draws).
+func mix(regs *region.Map, app int, frac, intra float64, rest ...traffic.Component) traffic.AppTraffic {
+	nodes := regs.Nodes(app)
+	a := traffic.AppTraffic{App: app, Nodes: nodes,
+		Components: append([]traffic.Component{traffic.IntraUR(nodes).Weighted(intra)}, rest...)}
+	a.PacketRate = Rate(regs.Mesh(), a, frac)
+	return a
+}
+
 // Fig9Scenario builds the two-application MSP scenario (Figure 8): App 0 on
 // the left half at 10% of saturation with fraction p of its traffic
 // inter-region (uniform into the right half), App 1 on the right half at
 // 90% of saturation, all intra-region.
 func Fig9Scenario(p float64) (*region.Map, []traffic.AppTraffic) {
-	mesh := Mesh8()
-	regs := region.Halves(mesh)
-	left, right := regs.Nodes(0), regs.Nodes(1)
-
-	app0 := traffic.AppTraffic{
-		App: 0, Nodes: left,
-		Components: []traffic.Component{
-			{Weight: 1 - p, Draw: traffic.IntraUR(left).Draw},
-			{Weight: p, Draw: traffic.DirectedTo(right).Draw},
-		},
+	regs := region.Halves(Mesh8())
+	return regs, []traffic.AppTraffic{
+		mix(regs, 0, 0.10, 1-p, traffic.DirectedTo(regs.Nodes(1)).Weighted(p)),
+		mix(regs, 1, 0.90, 1),
 	}
-	app0.PacketRate = Rate(mesh, app0, 0.10)
-
-	app1 := traffic.AppTraffic{
-		App: 1, Nodes: right,
-		Components: []traffic.Component{traffic.IntraUR(right)},
-	}
-	app1.PacketRate = Rate(mesh, app1, 0.90)
-
-	return regs, []traffic.AppTraffic{app0, app1}
 }
 
 // Fig12Variant selects between the two contrasting DPA scenarios of
@@ -75,38 +74,22 @@ const (
 // quadrants. Low load is 20% of saturation, high load 90% (the paper states
 // low/high without exact fractions).
 func Fig12Scenario(v Fig12Variant) (*region.Map, []traffic.AppTraffic) {
-	mesh := Mesh8()
-	regs := region.Quadrants(mesh)
+	regs := region.Quadrants(Mesh8())
+	// The 30% inter-region share: the low apps' into App 3's region (a), or
+	// App 3's uniformly into the other three (b).
+	others := slices.Concat(regs.Nodes(0), regs.Nodes(1), regs.Nodes(2))
 	apps := make([]traffic.AppTraffic, 4)
-	for a := 0; a < 4; a++ {
-		nodes := regs.Nodes(a)
-		var comps []traffic.Component
-		frac := 0.20
+	for a := range apps {
 		switch {
 		case a == 3 && v == Fig12A:
-			frac = 0.90
-			comps = []traffic.Component{traffic.IntraUR(nodes)}
-		case a == 3 && v == Fig12B:
-			frac = 0.90
-			others := make([]int, 0, 48)
-			for b := 0; b < 3; b++ {
-				others = append(others, regs.Nodes(b)...)
-			}
-			comps = []traffic.Component{
-				{Weight: 0.7, Draw: traffic.IntraUR(nodes).Draw},
-				{Weight: 0.3, Draw: traffic.DirectedTo(others).Draw},
-			}
+			apps[a] = mix(regs, a, 0.90, 1)
+		case a == 3:
+			apps[a] = mix(regs, a, 0.90, 0.7, traffic.DirectedTo(others).Weighted(0.3))
 		case v == Fig12A:
-			comps = []traffic.Component{
-				{Weight: 0.7, Draw: traffic.IntraUR(nodes).Draw},
-				{Weight: 0.3, Draw: traffic.DirectedTo(regs.Nodes(3)).Draw},
-			}
-		default: // Fig12B low apps: all intra
-			comps = []traffic.Component{traffic.IntraUR(nodes)}
+			apps[a] = mix(regs, a, 0.20, 0.7, traffic.DirectedTo(regs.Nodes(3)).Weighted(0.3))
+		default:
+			apps[a] = mix(regs, a, 0.20, 1)
 		}
-		app := traffic.AppTraffic{App: a, Nodes: nodes, Components: comps}
-		app.PacketRate = Rate(mesh, app, frac)
-		apps[a] = app
 	}
 	return regs, apps
 }
@@ -125,40 +108,25 @@ func Fig14Scenario(globalPattern string) (*region.Map, []traffic.AppTraffic) {
 	regs := region.SixGrid(mesh)
 	base := traffic.PatternByName(globalPattern, mesh)
 	apps := make([]traffic.AppTraffic, 6)
-	for a := 0; a < 6; a++ {
-		nodes := regs.Nodes(a)
-		app := traffic.AppTraffic{
-			App: a, Nodes: nodes,
-			Components: []traffic.Component{
-				{Weight: 0.75, Draw: traffic.IntraUR(nodes).Draw},
-				{Weight: 0.20, Draw: traffic.InterPattern(regs, base).Draw},
-				{Weight: 0.05, Draw: traffic.MCCorners(mesh).Draw},
-			},
-		}
-		app.PacketRate = Rate(mesh, app, SixAppLoads[a])
-		apps[a] = app
+	for a := range apps {
+		apps[a] = mix(regs, a, SixAppLoads[a], 0.75,
+			traffic.InterPattern(regs, base).Weighted(0.20),
+			traffic.MCCorners(mesh).Weighted(0.05))
 	}
 	return regs, apps
 }
 
 // SixAppRanks is the oracle STC ranking for the six-application scenario:
-// applications ordered by configured load (least intensive first), which is
-// exactly the optimal ranking the paper grants RO_Rank.
+// applications ordered by configured load (0 = lowest load, ties by app
+// number), which is exactly the optimal ranking the paper grants RO_Rank.
 func SixAppRanks() []int {
-	return ranksFromLoads(SixAppLoads[:])
-}
-
-// ranksFromLoads converts load fractions to ranks (0 = lowest load).
-func ranksFromLoads(loads []float64) []int {
-	ranks := make([]int, len(loads))
-	for a := range loads {
-		r := 0
-		for b := range loads {
-			if loads[b] < loads[a] || (loads[b] == loads[a] && b < a) {
-				r++
+	ranks := make([]int, len(SixAppLoads))
+	for a, load := range SixAppLoads {
+		for b, other := range SixAppLoads {
+			if other < load || (other == load && b < a) {
+				ranks[a]++
 			}
 		}
-		ranks[a] = r
 	}
 	return ranks
 }
@@ -166,11 +134,6 @@ func ranksFromLoads(loads []float64) []int {
 // UniformScenario builds a single-region chip-wide uniform-random workload
 // at the given fraction of saturation (latency-load curves and smoke tests).
 func UniformScenario(frac float64) (*region.Map, []traffic.AppTraffic) {
-	mesh := Mesh8()
-	regs := region.Single(mesh)
-	nodes := regs.Nodes(0)
-	app := traffic.AppTraffic{App: 0, Nodes: nodes,
-		Components: []traffic.Component{traffic.IntraUR(nodes)}}
-	app.PacketRate = Rate(mesh, app, frac)
-	return regs, []traffic.AppTraffic{app}
+	regs := region.Single(Mesh8())
+	return regs, []traffic.AppTraffic{mix(regs, 0, frac, 1)}
 }

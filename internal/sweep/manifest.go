@@ -1,6 +1,6 @@
 // Package sweep orchestrates experiment sweeps: declarative manifests
 // expand into content-hash-keyed jobs, a bounded worker pool executes them
-// with per-job timeouts and retries, and completed results append to a
+// with a per-job timeout, and completed results append to a
 // JSONL store in canonical job order so an interrupted sweep resumes
 // bit-exactly. On top of the store sit the shape guards (the reproduction
 // targets of EXPERIMENTS.md) and a statistical store-to-store diff.
@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -119,7 +120,8 @@ func (m *Manifest) Validate(known []string) error {
 }
 
 // LoadManifest reads a manifest from a JSON file, rejecting unknown fields
-// so a misspelt "quick" cannot silently select paper durations.
+// so a misspelt "quick" cannot silently select paper durations, and anything
+// after the manifest document.
 func LoadManifest(path string) (*Manifest, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -130,6 +132,9 @@ func LoadManifest(path string) (*Manifest, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("sweep: parse manifest %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("sweep: parse manifest %s: data after the manifest document", path)
 	}
 	return &m, nil
 }

@@ -17,12 +17,9 @@ type Runner func(ctx context.Context, job Job) (text, csv string, err error)
 type Options struct {
 	// Workers bounds concurrently executing jobs (<= 0 means 1).
 	Workers int
-	// Timeout bounds one job attempt (0 = no limit). A timed-out attempt
-	// counts as a transient failure and is retried.
+	// Timeout bounds one job (0 = no limit): the guard against a hung
+	// simulation. Expiry fails the sweep like any other job failure.
 	Timeout time.Duration
-	// Retries is how many additional attempts a failed job gets before the
-	// failure is permanent.
-	Retries int
 	// Log, if set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -32,7 +29,6 @@ type Summary struct {
 	Total   int // jobs in the manifest
 	Skipped int // already present in the store
 	Ran     int // executed and appended this run
-	Retried int // attempts beyond the first, across all jobs
 }
 
 // ErrCanceled reports a sweep stopped by context cancellation; the store
@@ -49,9 +45,10 @@ var ErrCanceled = errors.New("sweep: canceled")
 // resume extends to the byte-identical uninterrupted result, and 1-worker
 // and N-worker sweeps produce identical stores.
 //
-// A permanent job failure (after retries) cancels the remaining jobs: the
-// sims are deterministic, so rerunning dependents past a hole would only
-// bake the hole into the store's order.
+// A job failure cancels the remaining jobs and is never retried: a job is a
+// deterministic in-process function of (experiment, seed, durations), so it
+// would fail the same way again, and running dependents past the hole would
+// only bake the hole into the store's order.
 func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]bool, run Runner, opts Options) (Summary, error) {
 	jobs := m.Expand()
 	sum := Summary{Total: len(jobs)}
@@ -83,10 +80,9 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 	defer cancel()
 
 	type result struct {
-		pos      int // position in pending (dense, ordered)
-		rec      *Record
-		err      error
-		attempts int
+		pos int // position in pending (dense, ordered)
+		rec *Record
+		err error
 	}
 	results := make(chan result)
 	feed := make(chan int) // position in pending
@@ -96,9 +92,9 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 		go func() {
 			defer wg.Done()
 			for pos := range feed {
-				rec, attempts, err := runWithRetry(ctx, pending[pos], run, opts, logf)
+				rec, err := runJob(ctx, pending[pos], run, opts.Timeout)
 				select {
-				case results <- result{pos, rec, err, attempts}:
+				case results <- result{pos, rec, err}:
 				case <-ctx.Done():
 					return
 				}
@@ -125,9 +121,8 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 	for next < len(pending) && execErr == nil {
 		select {
 		case r := <-results:
-			sum.Retried += r.attempts - 1
 			if r.err != nil {
-				execErr = fmt.Errorf("sweep: job %s failed after %d attempt(s): %w", pending[r.pos], r.attempts, r.err)
+				execErr = fmt.Errorf("sweep: job %s failed: %w", pending[r.pos], r.err)
 				break
 			}
 			buffered[r.pos] = r.rec
@@ -150,51 +145,31 @@ func Execute(ctx context.Context, m *Manifest, store *Store, done map[string]boo
 	return sum, execErr
 }
 
-// runWithRetry executes one job with the per-attempt timeout and bounded
-// retries. Only attempt errors are retried; context cancellation aborts.
-func runWithRetry(ctx context.Context, job Job, run Runner, opts Options, logf func(string, ...any)) (rec *Record, attempts int, err error) {
-	for attempts = 1; ; attempts++ {
-		text, csv, aerr := runAttempt(ctx, job, run, opts.Timeout)
-		if aerr == nil {
-			return &Record{
-				Key: job.Key(), Experiment: job.Experiment, Seed: job.Seed, Quick: job.Quick,
-				Text: text, CSV: csv,
-			}, attempts, nil
-		}
-		if ctx.Err() != nil {
-			return nil, attempts, ctx.Err()
-		}
-		err = aerr
-		if attempts > opts.Retries {
-			return nil, attempts, err
-		}
-		logf("  %s attempt %d failed (%v), retrying", job, attempts, aerr)
-	}
-}
-
-// runAttempt runs one attempt under the timeout. The runner itself cannot
-// be preempted mid-simulation, so a timed-out attempt's goroutine is
-// abandoned (it exits with the process); the orchestrator just stops
-// waiting for it.
-func runAttempt(ctx context.Context, job Job, run Runner, timeout time.Duration) (text, csv string, err error) {
+// runJob runs one job under the timeout. The runner itself cannot be
+// preempted mid-simulation, so a timed-out job's goroutine is abandoned (it
+// exits with the process); the orchestrator just stops waiting for it.
+func runJob(ctx context.Context, job Job, run Runner, timeout time.Duration) (*Record, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	type out struct {
-		text, csv string
-		err       error
+		rec *Record
+		err error
 	}
 	ch := make(chan out, 1)
 	go func() {
-		t, c, e := run(ctx, job)
-		ch <- out{t, c, e}
+		text, csv, err := run(ctx, job)
+		ch <- out{&Record{
+			Key: job.Key(), Experiment: job.Experiment, Seed: job.Seed, Quick: job.Quick,
+			Text: text, CSV: csv,
+		}, err}
 	}()
 	select {
 	case o := <-ch:
-		return o.text, o.csv, o.err
+		return o.rec, o.err
 	case <-ctx.Done():
-		return "", "", fmt.Errorf("attempt timed out or canceled: %w", ctx.Err())
+		return nil, fmt.Errorf("timed out or canceled: %w", ctx.Err())
 	}
 }

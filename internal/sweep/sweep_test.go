@@ -115,6 +115,14 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "quik") {
 		t.Errorf("manifest with an unknown field loaded: %v", err)
 	}
+	// So must a second JSON value after the manifest.
+	trailing := `{"name": "m", "experiments": [{"name": "fig9"}]} {"quick": true}`
+	if err := os.WriteFile(path, []byte(trailing), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "after the manifest") {
+		t.Errorf("manifest followed by trailing data loaded: %v", err)
+	}
 }
 
 // runSweepToFile executes the test manifest into path and returns the bytes.
@@ -209,33 +217,6 @@ func TestCreateStoreRefusesOverwrite(t *testing.T) {
 	s.Close()
 }
 
-func TestRetryTransientFailure(t *testing.T) {
-	var calls atomic.Int64
-	flaky := func(ctx context.Context, job Job) (string, string, error) {
-		if job.Experiment == "beta" && calls.Add(1) == 1 {
-			return "", "", errors.New("transient")
-		}
-		return stubRunner(ctx, job)
-	}
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	store, err := CreateStore(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Execute(context.Background(), testManifest(), store, nil, flaky, Options{Workers: 2, Retries: 2})
-	store.Close()
-	if err != nil {
-		t.Fatalf("sweep failed despite retry budget: %v", err)
-	}
-	if sum.Retried != 1 {
-		t.Errorf("Retried = %d, want 1", sum.Retried)
-	}
-	recs, err := LoadStore(path)
-	if err != nil || len(recs) != 5 {
-		t.Fatalf("store has %d records (err %v), want 5", len(recs), err)
-	}
-}
-
 func TestPermanentFailureStopsSweep(t *testing.T) {
 	broken := func(ctx context.Context, job Job) (string, string, error) {
 		if job.Experiment == "beta" {
@@ -248,7 +229,7 @@ func TestPermanentFailureStopsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Execute(context.Background(), testManifest(), store, nil, broken, Options{Workers: 2, Retries: 1})
+	_, err = Execute(context.Background(), testManifest(), store, nil, broken, Options{Workers: 2})
 	store.Close()
 	if err == nil {
 		t.Fatal("sweep succeeded with a permanently failing job")
@@ -285,14 +266,14 @@ func TestTimeoutRetriesThenFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Execute(context.Background(), testManifest(), store, nil, slow, Options{
-		Workers: 2, Retries: 1, Timeout: 30 * time.Millisecond,
+		Workers: 2, Timeout: 30 * time.Millisecond,
 	})
 	store.Close()
 	if err == nil {
-		t.Fatal("sweep succeeded despite every alpha attempt timing out")
+		t.Fatal("sweep succeeded despite alpha seed 1 timing out")
 	}
-	if got := calls.Load(); got != 2 { // first attempt + one retry
-		t.Errorf("alpha seed-1 attempts = %d, want 2 (timeout then retry)", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("alpha seed-1 attempts = %d, want 1 (a timeout fails the sweep, no retry)", got)
 	}
 }
 

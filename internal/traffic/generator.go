@@ -19,6 +19,12 @@ type Component struct {
 	Draw   func(node int, rng *sim.RNG) (src, dst int)
 }
 
+// Weighted returns the component at weight w (constructors return weight 1).
+func (c Component) Weighted(w float64) Component {
+	c.Weight = w
+	return c
+}
+
 // AppTraffic describes one application's synthetic traffic.
 type AppTraffic struct {
 	// App is the application number carried by generated packets.
@@ -144,12 +150,7 @@ func (g *Generator) Tick(now int64) {
 
 // IntraUR is the intra-region uniform-random component: destinations are
 // uniform over the app's own nodes.
-func IntraUR(nodes []int) Component {
-	u := Uniform{Nodes: nodes}
-	return Component{Weight: 1, Draw: func(node int, rng *sim.RNG) (int, int) {
-		return node, u.Dest(node, rng)
-	}}
-}
+func IntraUR(nodes []int) Component { return DirectedTo(nodes) }
 
 // InterPattern is the inter-region global-traffic component following a
 // chip-wide base pattern, always crossing region boundaries.

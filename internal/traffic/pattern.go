@@ -139,6 +139,9 @@ func (p InterRegion) Dest(src int, rng *sim.RNG) int {
 	return src
 }
 
+// PatternNames lists the names PatternByName accepts.
+var PatternNames = []string{"UR", "TP", "BC", "HS"}
+
 // PatternByName builds one of the four synthetic global-traffic patterns
 // from the paper's Figure 15 over the given mesh: "UR", "TP", "BC" or "HS".
 // Hotspot sends 25% of draws to four interior hotspot nodes (one per

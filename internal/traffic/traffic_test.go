@@ -112,7 +112,7 @@ func TestInterRegionPreservesCrossPattern(t *testing.T) {
 
 func TestPatternByName(t *testing.T) {
 	m := mesh8()
-	for _, name := range []string{"UR", "TP", "BC", "HS"} {
+	for _, name := range PatternNames {
 		if p := PatternByName(name, m); p == nil || p.Name() == "" {
 			t.Fatalf("pattern %s", name)
 		}

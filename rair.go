@@ -51,7 +51,6 @@ import (
 	"rair/internal/telemetry"
 	"rair/internal/topology"
 	"rair/internal/traffic"
-	"rair/internal/workload"
 )
 
 // Layout selects a predefined region layout.
@@ -378,26 +377,23 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	if (spec.LoadFrac <= 0) == (spec.PacketRate <= 0) {
 		return fmt.Errorf("rair: app %d must set exactly one of LoadFrac or PacketRate", spec.App)
 	}
-	mesh := s.regions.Mesh()
 	pat := spec.GlobalPattern
 	if pat == "" {
 		pat = "UR"
 	}
+	if !slices.Contains(traffic.PatternNames, pat) {
+		return fmt.Errorf("rair: app %d: unknown global pattern %q (have %v)", spec.App, pat, traffic.PatternNames)
+	}
+	mesh := s.regions.Mesh()
 	comps := []traffic.Component{}
 	if intra := 1 - spec.GlobalFrac - spec.MCFrac; intra > 0 {
-		c := traffic.IntraUR(nodes)
-		c.Weight = intra
-		comps = append(comps, c)
+		comps = append(comps, traffic.IntraUR(nodes).Weighted(intra))
 	}
 	if spec.GlobalFrac > 0 {
-		c := traffic.InterPattern(s.regions, traffic.PatternByName(pat, mesh))
-		c.Weight = spec.GlobalFrac
-		comps = append(comps, c)
+		comps = append(comps, traffic.InterPattern(s.regions, traffic.PatternByName(pat, mesh)).Weighted(spec.GlobalFrac))
 	}
 	if spec.MCFrac > 0 {
-		c := traffic.MCCorners(mesh)
-		c.Weight = spec.MCFrac
-		comps = append(comps, c)
+		comps = append(comps, traffic.MCCorners(mesh).Weighted(spec.MCFrac))
 	}
 	app := traffic.AppTraffic{App: spec.App, Nodes: nodes, Components: comps}
 	if spec.PacketRate > 0 {
@@ -551,14 +547,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Attach: func(inject harness.Inject, pool *msg.Pool) harness.Attached {
 			var att harness.Attached
 			if s.parsec {
-				profiles := workload.Profiles()
-				streams := make([]memsys.AddressStream, mesh.N())
-				for node := range streams {
-					if app := s.regions.AppAt(node); app >= 0 {
-						streams[node] = workload.NewStream(profiles[app%len(profiles)], app, node)
-					}
-				}
-				att = harness.MemsysAttach(memsys.DefaultSystemConfig(), s.regions, streams, s.cfg.Seed, inject)
+				att = harness.MemsysAttach(memsys.DefaultSystemConfig(), s.regions, -1, s.cfg.Seed, inject)
 			}
 			if s.adversary > 0 {
 				att.AddAdversary(mesh, adversaryApp, s.adversary, s.cfg.Seed, end, inject, pool)

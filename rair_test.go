@@ -61,6 +61,10 @@ func TestAddAppValidation(t *testing.T) {
 	if err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.8, MCFrac: 0.4}); err == nil {
 		t.Fatal("fractions above 1 accepted")
 	}
+	err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.2, GlobalPattern: "XX"})
+	if err == nil || !strings.Contains(err.Error(), "[UR TP BC HS]") {
+		t.Fatalf("unknown global pattern: got %v, want an error naming the valid ones", err)
+	}
 }
 
 func TestRunRequiresTraffic(t *testing.T) {
