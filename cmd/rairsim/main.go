@@ -221,8 +221,8 @@ func run(args []string) error {
 		fmt.Printf("wrote %s\n", o.obsReport)
 	}
 	if f.Config.CheckInvariants {
-		// The checker books a flit that ran out of retries as accounted
-		// for, so permanent loss has to fail the run here.
+		// A flit out of retries travels on damaged and every invariant
+		// holds, so permanent loss has to fail the run here.
 		if rep.Faults != nil && rep.Faults.Totals.LostFlits > 0 {
 			return fmt.Errorf("lost %d flits permanently (retry budget too small for the configured fault rates)", rep.Faults.Totals.LostFlits)
 		}

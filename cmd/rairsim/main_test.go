@@ -45,10 +45,10 @@ func TestFlagsOverrideFileOnlyWhenGiven(t *testing.T) {
 	}
 }
 
-// The invariant checker books a flit that exhausted its retries as
-// accounted for, so -check-invariants itself has to fail a run that lost
-// one. The spec loses exactly one body flit at this seed; a lost head flit
-// would panic the router that receives the orphaned body (ROADMAP).
+// A flit that exhausted its retries travels on damaged and its packet is
+// discarded at the destination, which no invariant forbids, so
+// -check-invariants itself has to fail a run that lost one. The spec loses
+// exactly one flit at this seed.
 func TestLostFlitsFailCheckedRun(t *testing.T) {
 	path := writeConfig(t)
 	err := run([]string{"-f", path, "-faults", "drop=0.003,retries=1", "-check-invariants"})

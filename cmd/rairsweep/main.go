@@ -248,7 +248,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := sweep.CheckStore(recs)
+	rep := sweep.CheckStore(recs, rair.Guards())
 	fmt.Println(rep)
 	if *summary != "" {
 		f, err := os.Create(*summary)

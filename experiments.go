@@ -7,6 +7,7 @@ import (
 	"rair/internal/collective"
 	"rair/internal/harness"
 	"rair/internal/region"
+	"rair/internal/sweep"
 )
 
 // ExperimentInfo describes one reproducible table/figure of the paper.
@@ -14,6 +15,9 @@ type ExperimentInfo struct {
 	Name  string
 	Paper string // which table/figure/claim it reproduces
 }
+
+// colReduction is the last column of a ReductionTable.
+const colReduction = "avg reduction vs RO_RR"
 
 // fig9Ps is the inter-region fraction axis of Figures 9 and 10.
 var fig9Ps = []float64{0, 0.25, 0.5, 0.75, 1.0}
@@ -23,11 +27,19 @@ var fig9Ps = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // setting, for the drivers that shrink an axis of their own with it.
 var experiments = map[string]struct {
 	paper string
-	table func(dur harness.Durations, quick bool, seed uint64) *harness.Table
-	text  func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
+	// guards are the experiment's reproduction targets as predicates over
+	// its CSV (the vocabulary is sweep.Pred); rairsweep check applies them.
+	guards []sweep.Guard
+	table  func(dur harness.Durations, quick bool, seed uint64) *harness.Table
+	text   func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
 }{
 	"fig9": {
 		paper: "Figure 9: impact of multi-stage prioritization (APL vs inter-region fraction p)",
+		guards: []sweep.Guard{{Name: "APL grows with p; MSP at VA+SA beats VA-only beats RO_RR at p=100%", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RO_RR", Col: "APL App0"}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 1 / 1.05},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 0.97},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RAIR_VA", Col: "APL App0", Last: true}, K: 0.99},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig9MSP(dur, fig9Ps, seed).SweepTable(fig9Ps)
 		},
@@ -40,18 +52,33 @@ var experiments = map[string]struct {
 	},
 	"fig12a": {
 		paper: "Figure 12(a): dynamic priority adaptation, low apps sending into the hot region",
+		guards: []sweep.Guard{{Name: "low apps sending in: ForeignH >> NativeH and DPA tracks the winner", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_NativeH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, Margin: 0.10},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Margin: -0.03},
+			{Op: sweep.Within, A: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Lo: sweep.Positive},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig12DPA(harness.Fig12A, dur, seed).ReductionTable()
 		},
 	},
 	"fig12b": {
 		paper: "Figure 12(b): dynamic priority adaptation, hot app sending out",
+		guards: []sweep.Guard{{Name: "hot app sending out: NativeH beats ForeignH (so adaptation is necessary)", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_NativeH", Col: colReduction}, Margin: 0.005},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Margin: -0.005},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig12DPA(harness.Fig12B, dur, seed).ReductionTable()
 		},
 	},
 	"fig14": {
 		paper: "Figure 14: six-application RNoC, uniform-random global traffic",
+		guards: []sweep.Guard{{Name: "six-app RNoC: no scheme harmful, region-oblivious rank beats DBAR", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Row: "RA_DBAR", Col: colReduction}, Lo: -0.02},
+			{Op: sweep.Within, A: sweep.Sel{Row: "RO_Rank", Col: colReduction}, Lo: -0.02},
+			{Op: sweep.Within, A: sweep.Sel{Row: "RA_RAIR", Col: colReduction}, Lo: -0.01},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_DBAR", Col: colReduction}, B: sweep.Sel{Row: "RO_Rank", Col: colReduction}, Margin: 0.005},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig14SixApp(dur, seed).ReductionTable()
 		},
@@ -64,6 +91,12 @@ var experiments = map[string]struct {
 	},
 	"fig17": {
 		paper: "Figure 17: PARSEC proxies under adversarial traffic (APL slowdown)",
+		guards: []sweep.Guard{{Name: "adversarial slowdown ordering RO_RR > RA_DBAR > RO_Rank >= RA_RAIR", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_DBAR", Col: "average"}, B: sweep.Sel{Row: "RO_RR", Col: "average"}, K: 1 / 1.05},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RO_Rank", Col: "average"}, B: sweep.Sel{Row: "RA_DBAR", Col: "average"}, K: 1 / 1.05},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RO_Rank", Col: "average"}, K: 1.02},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RO_RR", Col: "average"}, K: 1 / 1.5},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig17Adversarial(dur, seed).SlowdownTable("average")
 		},
@@ -129,6 +162,10 @@ var experiments = map[string]struct {
 	},
 	"batch": {
 		paper: "Extension: STC batching-interval ablation under the adversarial flood (the Section III.A batching weakness)",
+		guards: []sweep.Guard{{Name: "STC slowdown grows with batching interval (Section III.A weakness)", Preds: []sweep.Pred{
+			{Op: sweep.Monotone, A: sweep.Sel{}, K: 0.05, Min: 3},
+			{Op: sweep.Less, A: sweep.Sel{}, B: sweep.Sel{Last: true}, K: 1 / 1.5},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.AblateBatching([]int64{125, 250, 1000, 4000}, dur, seed).SlowdownTable("average")
 		},
@@ -164,12 +201,25 @@ var experiments = map[string]struct {
 	},
 	"coll-synth": {
 		paper: "Extension: collective co-run, synthetic victims — ring AllReduce in one region, victim APL slowdown + collective completion time per scheme",
+		guards: []sweep.Guard{{Name: "RAIR protects victims from the collective: RA_RAIR slowdown below RO_RR, interference present", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Row: "RO_RR", Col: "avg slowdown"}, Lo: 1.04},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "avg slowdown"}, B: sweep.Sel{Row: "RO_RR", Col: "avg slowdown"}, Margin: 0.02},
+			{Op: sweep.Within, A: sweep.Sel{Row: "RA_RAIR", Col: "avg slowdown"}, Lo: 0.95},
+		}}, {Name: "bounded collective cost: every scheme completes rounds, RA_RAIR CCT within 1.5x of RO_RR", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Col: "rounds"}, Lo: 1, Min: 4},
+			{Op: sweep.Within, A: sweep.Sel{Col: "cct"}, Lo: sweep.Positive, Min: 4},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "cct"}, B: sweep.Sel{Row: "RO_RR", Col: "cct"}, K: 1.5},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.CollectiveSynth(collective.RingAllReduce, dur, seed)
 		},
 	},
 	"coll-allreduce": {
 		paper: "Extension: PARSEC proxies vs a ring-AllReduce aggressor region (victim slowdown + CCT per scheme)",
+		guards: []sweep.Guard{{Name: "PARSEC co-run sane: all schemes complete rounds, victim slowdowns bounded", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Col: "rounds"}, Lo: 1, Min: 4},
+			{Op: sweep.Within, A: sweep.Sel{Col: "avg slowdown"}, Lo: 0.90, Hi: 1.50, Min: 4},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.CollectivePARSEC(collective.RingAllReduce, dur, seed)
 		},
@@ -188,12 +238,29 @@ var experiments = map[string]struct {
 	},
 	"chiplet-synth": {
 		paper: "Extension: chiplet boundary co-run — one RAIR region per chiplet, aggressors flooding the victim tile through the package crossbar (victim APL slowdown per scheme)",
+		// Margins calibrated against seeds 1-3 at quick (RO_RR 1.025-1.046,
+		// RA_RAIR 1.017-1.038, margin >= 0.006) and paper durations (RO_RR
+		// 1.037, RA_RAIR 1.031). The base column is the victim alone: the
+		// crossbar carries no flit, so a spread beyond 2% across schemes means
+		// the co-run column compares different baselines.
+		guards: []sweep.Guard{{Name: "boundary gating works: RA_RAIR victim slowdown below RO_RR, interference present", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Row: "RO_RR", Col: "slowdown"}, Lo: 1.015},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "slowdown"}, B: sweep.Sel{Row: "RO_RR", Col: "slowdown"}, Margin: 0.003},
+			{Op: sweep.Within, A: sweep.Sel{Row: "RA_RAIR", Col: "slowdown"}, Lo: 0.95},
+		}}, {Name: "chiplet co-run sane: every scheme's victim slowdown bounded, bases agree", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Col: "slowdown"}, Lo: 0.95, Hi: 1.5, Min: 4},
+			{Op: sweep.Within, A: sweep.Sel{Col: "base apl"}, Lo: sweep.Positive, Min: 4},
+			{Op: sweep.Spread, A: sweep.Sel{Col: "base apl"}, K: 1.02},
+		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.ChipletSynth(dur, seed).ChipletTable()
 		},
 	},
 	"mesh64-scale": {
 		paper: "Extension: Section VI scalability pushed to big meshes (up to 64x64, 16-region grid, sharded engine)",
+		guards: []sweep.Guard{{Name: "RAIR's benefit survives big meshes: positive reduction at every size", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{}, Lo: sweep.Positive, Min: 2},
+		}}},
 		table: func(dur harness.Durations, quick bool, seed uint64) *harness.Table {
 			ks := []int{32, 64}
 			if quick {
@@ -204,6 +271,12 @@ var experiments = map[string]struct {
 	},
 	"curve": {
 		paper: "Supporting: latency-load curve for chip-wide uniform random traffic (saturation calibration)",
+		guards: []sweep.Guard{{Name: "latency-load curve monotone with a knee near achieved saturation", Preds: []sweep.Pred{
+			{Op: sweep.Monotone, A: sweep.Sel{Col: "apl"}, K: 0.02, Min: 4},
+			{Op: sweep.Monotone, A: sweep.Sel{Col: "throughput"}, K: 0.02},
+			{Op: sweep.Less, A: sweep.Sel{Col: "apl"}, B: sweep.Sel{Col: "apl", Last: true}, K: 0.5},
+			{Op: sweep.Knee, A: sweep.Sel{Col: "apl"}, B: sweep.Sel{Col: "load_frac"}, K: 1.5, Lo: 0.80, Hi: 1.15},
+		}}},
 		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
 			p := harness.LatencyLoadCurve([]float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1}, dur, seed)
 			text, csv := "fraction of achieved saturation  APL  throughput(flits/node/cycle)\n", "load_frac,apl,throughput\n"
@@ -232,6 +305,18 @@ func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, n := range names() {
 		out = append(out, ExperimentInfo{Name: n, Paper: experiments[n].paper})
+	}
+	return out
+}
+
+// Guards returns the shape guards of every experiment that has any, keyed by
+// experiment name, as sweep.CheckStore takes them.
+func Guards() map[string][]sweep.Guard {
+	out := make(map[string][]sweep.Guard)
+	for n, e := range experiments {
+		if len(e.guards) > 0 {
+			out[n] = e.guards
+		}
 	}
 	return out
 }

@@ -61,8 +61,8 @@ type Config struct {
 	StallProb float64
 	StallLen  int
 	// MaxRetries bounds per-flit retransmission attempts; a flit failing
-	// more often is permanently lost (counted, and fed to the invariant
-	// checker's conservation and credit accounting). DropTimeout is the
+	// more often is permanently lost: the link forwards it marked Damaged
+	// and its packet is discarded at the destination. DropTimeout is the
 	// sender's loss-detection timeout and NackLatency the corruption NACK
 	// round-trip, in cycles. Zero takes the Default* constants.
 	MaxRetries  int
@@ -135,9 +135,11 @@ type Counters struct {
 	CorruptedFlits int64 `json:"corruptedFlits"`
 	DroppedFlits   int64 `json:"droppedFlits"`
 	Retransmits    int64 `json:"retransmits"`
-	// LostFlits counts flits that exhausted MaxRetries and are permanently
-	// gone (their packet can never be delivered).
-	LostFlits int64 `json:"lostFlits"`
+	// LostFlits counts flits that exhausted MaxRetries and were forwarded
+	// damaged; LostPackets counts the packets they belonged to, once each,
+	// on the ejection link that discarded the packet.
+	LostFlits   int64 `json:"lostFlits"`
+	LostPackets int64 `json:"lostPackets"`
 	// CreditLeaks counts credits lost upstream; ReconciledCredits counts
 	// leaked credits restored by reconciliation.
 	CreditLeaks       int64 `json:"creditLeaks"`
@@ -149,6 +151,7 @@ func (c *Counters) add(o *Counters) {
 	c.DroppedFlits += o.DroppedFlits
 	c.Retransmits += o.Retransmits
 	c.LostFlits += o.LostFlits
+	c.LostPackets += o.LostPackets
 	c.CreditLeaks += o.CreditLeaks
 	c.ReconciledCredits += o.ReconciledCredits
 }
@@ -170,10 +173,10 @@ type retxEntry struct {
 // the link phase; CreditArrive only by the sender's shard; Reconcile only
 // by the coordinator at a barrier.
 type LinkState struct {
-	id        uint64
-	key       string
-	cfg       *Config
-	noCredits bool // ejection links carry no credits
+	id    uint64
+	key   string
+	cfg   *Config
+	eject bool // ejection link: carries no credits, discards damaged packets
 
 	// retx is the in-order go-back-N resend queue; attempts tracks
 	// per-flit failure counts while a flit is unresolved.
@@ -194,11 +197,9 @@ type LinkState struct {
 	rehold   int
 	reinsert int
 
-	// leaked[vc] counts credits lost on the wire and not yet reconciled;
-	// lost[vc] counts credits of permanently lost flits (never returning).
+	// leaked[vc] counts credits lost on the wire and not yet reconciled.
 	leaked  []int
 	leakedN int
-	lost    []int
 
 	// restore re-delivers a reconciled credit to the wire's sender side.
 	restore func(vc int)
@@ -243,14 +244,6 @@ func (ls *LinkState) LeakedFor(vc int) int {
 	return 0
 }
 
-// LostFor reports credits pinned by permanently lost flits for vc.
-func (ls *LinkState) LostFor(vc int) int {
-	if vc < len(ls.lost) {
-		return ls.lost[vc]
-	}
-	return 0
-}
-
 // verdict rolls the deterministic per-attempt fate of a flit.
 func (ls *LinkState) verdict(f msg.Flit, attempt int) (drop, corrupt bool) {
 	if ls.cfg.DropProb == 0 && ls.cfg.CorruptProb == 0 {
@@ -269,10 +262,13 @@ func (ls *LinkState) verdict(f msg.Flit, attempt int) (drop, corrupt bool) {
 }
 
 // Arrive filters a flit completing its wire traversal at cycle now. It
-// returns true when the flit is delivered; otherwise the flit was dropped,
-// corrupted, or held for in-order delivery behind an earlier failure, and
-// has been queued for retransmission (unless its retry budget is spent).
-func (ls *LinkState) Arrive(f msg.Flit, now int64) bool {
+// returns the flit and true when it is delivered; otherwise the flit was
+// dropped, corrupted, or held for in-order delivery behind an earlier
+// failure, and has been queued for retransmission. A flit whose retry budget
+// is spent is delivered marked Damaged: every flit of a packet still reaches the
+// destination in order, so no VC, buffer slot or credit is left held by a
+// packet that can no longer complete, and the ejection link discards it.
+func (ls *LinkState) Arrive(f msg.Flit, now int64) (msg.Flit, bool) {
 	k := flitKey{f.Pkt.ID, f.Seq}
 	isResend := len(ls.resent) > 0 && ls.resent[0] == k
 	if isResend {
@@ -286,61 +282,69 @@ func (ls *LinkState) Arrive(f msg.Flit, now int64) bool {
 			copy(ls.retx[ls.reinsert+1:], ls.retx[ls.reinsert:])
 			ls.retx[ls.reinsert] = retxEntry{f: f, eligibleAt: now}
 			ls.reinsert++
-			return false
+			return msg.Flit{}, false
 		}
 	}
 	attempt := ls.attempts[k]
-	drop, corrupt := ls.verdict(f, attempt)
-	if !drop && !corrupt {
-		if !isResend && (len(ls.retx) > 0 || len(ls.resent) > 0) {
-			// A failed flit is queued ahead of us, or a resend of one is in
-			// flight behind us on the wire (this flit overtook it): go-back-N
-			// holds this one so delivery stays in original order. No retry is
-			// charged; it resends as-is.
-			ls.retx = append(ls.retx, retxEntry{f: f, eligibleAt: now})
-			return false
+	if drop, corrupt := ls.verdict(f, attempt); drop || corrupt {
+		var wait int64
+		if drop {
+			ls.c.DroppedFlits++
+			ls.flitProbe.FaultDroppedFlit()
+			wait = int64(ls.cfg.DropTimeout)
+		} else {
+			ls.c.CorruptedFlits++
+			ls.flitProbe.FaultCorruptedFlit()
+			wait = int64(ls.cfg.NackLatency)
 		}
-		delete(ls.attempts, k)
-		return true
+		if attempt+1 <= ls.cfg.MaxRetries {
+			if ls.attempts == nil {
+				ls.attempts = make(map[flitKey]int)
+			}
+			ls.attempts[k] = attempt + 1
+			e := retxEntry{f: f, eligibleAt: now + wait}
+			if isResend {
+				// A failed resend retries before the flits held behind it,
+				// keeping the queue in original wire order; the resends
+				// already in flight behind it re-hold as they arrive.
+				ls.retx = append(ls.retx, retxEntry{})
+				copy(ls.retx[1:], ls.retx)
+				ls.retx[0] = e
+				ls.rehold = len(ls.resent)
+				ls.reinsert = 1
+			} else {
+				ls.retx = append(ls.retx, e)
+			}
+			return msg.Flit{}, false
+		}
+		// Retry budget exhausted: give up on the payload, not on the flit.
+		// A flit damaged upstream already is counted there.
+		if f.Type&msg.Damaged == 0 {
+			f.Type |= msg.Damaged
+			ls.c.LostFlits++
+			ls.flitProbe.FaultLostFlit()
+		}
 	}
-	if ls.attempts == nil {
-		ls.attempts = make(map[flitKey]int)
+	if !isResend && (len(ls.retx) > 0 || len(ls.resent) > 0) {
+		// A failed flit is queued ahead of us, or a resend of one is in
+		// flight behind us on the wire (this flit overtook it): go-back-N
+		// holds this one so delivery stays in original order. No retry is
+		// charged; it resends as-is.
+		ls.retx = append(ls.retx, retxEntry{f: f, eligibleAt: now})
+		return msg.Flit{}, false
 	}
-	var wait int64
-	if drop {
-		ls.c.DroppedFlits++
-		ls.flitProbe.FaultDroppedFlit()
-		wait = int64(ls.cfg.DropTimeout)
-	} else {
-		ls.c.CorruptedFlits++
-		ls.flitProbe.FaultCorruptedFlit()
-		wait = int64(ls.cfg.NackLatency)
+	delete(ls.attempts, k)
+	if ls.eject {
+		// Where the packet leaves the network: one damaged flit loses it,
+		// and its tail is where it is counted.
+		if f.Type&msg.Damaged != 0 {
+			f.Pkt.Lost = true
+		}
+		if f.Pkt.Lost && f.Type.IsTail() {
+			ls.c.LostPackets++
+		}
 	}
-	if attempt+1 > ls.cfg.MaxRetries {
-		// Retry budget exhausted: the flit is permanently lost. Its credit
-		// never returns; record it so credit accounting stays closed.
-		ls.c.LostFlits++
-		ls.flitProbe.FaultLostFlit()
-		ls.growVC(f.VC)
-		ls.lost[f.VC]++
-		delete(ls.attempts, k)
-		return false
-	}
-	ls.attempts[k] = attempt + 1
-	e := retxEntry{f: f, eligibleAt: now + wait}
-	if isResend {
-		// A failed resend retries before the flits held behind it, keeping
-		// the queue in original wire order; the resends already in flight
-		// behind it re-hold as they arrive.
-		ls.retx = append(ls.retx, retxEntry{})
-		copy(ls.retx[1:], ls.retx)
-		ls.retx[0] = e
-		ls.rehold = len(ls.resent)
-		ls.reinsert = 1
-	} else {
-		ls.retx = append(ls.retx, e)
-	}
-	return false
+	return f, true
 }
 
 // Retransmit returns the next eligible queued flit, if any. The caller
@@ -363,28 +367,21 @@ func (ls *LinkState) Retransmit(now int64) (msg.Flit, bool) {
 // CreditArrive filters a credit completing its upstream traversal; false
 // means the credit leaked.
 func (ls *LinkState) CreditArrive(vc int, now int64) bool {
-	if ls.noCredits || ls.cfg.CreditLeakProb == 0 {
+	if ls.eject || ls.cfg.CreditLeakProb == 0 {
 		return true
 	}
 	h := splitmix64(ls.cfg.Seed ^ (ls.id + 0x1000) ^ uint64(now)*0xd1342543de82ef95 ^ uint64(vc)<<40)
 	if unit(h) >= ls.cfg.CreditLeakProb {
 		return true
 	}
-	ls.growVC(vc)
+	for len(ls.leaked) <= vc {
+		ls.leaked = append(ls.leaked, 0)
+	}
 	ls.leaked[vc]++
 	ls.leakedN++
 	ls.c.CreditLeaks++
 	ls.credProbe.FaultCreditLeak()
 	return false
-}
-
-func (ls *LinkState) growVC(vc int) {
-	for len(ls.leaked) <= vc {
-		ls.leaked = append(ls.leaked, 0)
-	}
-	for len(ls.lost) <= vc {
-		ls.lost = append(ls.lost, 0)
-	}
 }
 
 // Reconcile restores every leaked credit to the sender side and returns the
@@ -438,15 +435,15 @@ func (in *Injector) Config() Config { return in.cfg }
 // RegisterLink creates the fault state for the link reported as key. The
 // registration index seeds the link's verdicts, so a network must register
 // its links in a fixed order. restore re-delivers reconciled credits to the
-// sender side; noCredits marks links whose credit wire is never used
-// (ejection links).
-func (in *Injector) RegisterLink(key string, restore func(vc int), noCredits bool) *LinkState {
+// sender side; eject marks a node's ejection link, whose credit wire is never
+// used and where a packet with a damaged flit is discarded and counted.
+func (in *Injector) RegisterLink(key string, restore func(vc int), eject bool) *LinkState {
 	ls := &LinkState{
-		id:        uint64(len(in.links) + 1),
-		key:       key,
-		cfg:       &in.cfg,
-		noCredits: noCredits,
-		restore:   restore,
+		id:      uint64(len(in.links) + 1),
+		key:     key,
+		cfg:     &in.cfg,
+		eject:   eject,
+		restore: restore,
 	}
 	in.links = append(in.links, ls)
 	return ls
@@ -495,16 +492,6 @@ func (in *Injector) ReconcileAll() int {
 	n := 0
 	for _, ls := range in.links {
 		n += ls.Reconcile()
-	}
-	return n
-}
-
-// LostFlits reports flits permanently lost across all links (the
-// dropped-by-fault term of the conservation invariant).
-func (in *Injector) LostFlits() int64 {
-	var n int64
-	for _, ls := range in.links {
-		n += ls.c.LostFlits
 	}
 	return n
 }
@@ -559,7 +546,11 @@ func (in *Injector) Report() *Report {
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("faults: %d dropped, %d corrupted, %d retransmits, %d lost; %d credit leaks, %d reconciled; %d stall cycles on %d routers",
-		r.Totals.DroppedFlits, r.Totals.CorruptedFlits, r.Totals.Retransmits, r.Totals.LostFlits,
+	lost := fmt.Sprintf("%d lost", r.Totals.LostFlits)
+	if r.Totals.LostFlits > 0 {
+		lost += fmt.Sprintf(" (%d packets)", r.Totals.LostPackets)
+	}
+	return fmt.Sprintf("faults: %d dropped, %d corrupted, %d retransmits, %s; %d credit leaks, %d reconciled; %d stall cycles on %d routers",
+		r.Totals.DroppedFlits, r.Totals.CorruptedFlits, r.Totals.Retransmits, lost,
 		r.Totals.CreditLeaks, r.Totals.ReconciledCredits, r.StallCycles, r.StalledRouters)
 }

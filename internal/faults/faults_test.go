@@ -282,7 +282,9 @@ func TestLinkDeterminism(t *testing.T) {
 }
 
 // TestRetryExhaustion: with a certain-failure link and a tiny retry budget
-// the flit is permanently lost, its credit is pinned, and the queue empties.
+// the link gives up on the flit and forwards it marked damaged — it is
+// counted lost, nothing stays queued, and it passes a second bad link without
+// being counted again. On an ejection link its packet is flagged and counted.
 func TestRetryExhaustion(t *testing.T) {
 	in := mkInjector(t, faults.Config{
 		Seed:        1,
@@ -290,33 +292,35 @@ func TestRetryExhaustion(t *testing.T) {
 		MaxRetries:  2,
 		DropTimeout: 1,
 	}, 0)
-	ls := in.RegisterLink("r0>r1", nil, false)
-	l := router.NewLink(1)
-	l.SetFaults(ls)
-
 	p := &msg.Packet{ID: 99, Size: 1}
-	l.SendFlit(msg.Flit{Pkt: p, Type: msg.HeadTail, VC: 2})
-	for now := int64(0); now < 100 && l.FlitsBusy(); now++ {
-		if _, ok := l.ShiftFlits(now); ok {
-			t.Fatalf("certain-drop link delivered a flit at cycle %d", now)
+	f := msg.Flit{Pkt: p, Type: msg.HeadTail, VC: 2}
+	for hop, key := range []string{"r0>r1", "r1>ni1"} {
+		ls := in.RegisterLink(key, nil, hop == 1)
+		l := router.NewLink(1)
+		l.SetFaults(ls)
+		l.SendFlit(f)
+		delivered := 0
+		for now := int64(0); now < 100 && l.FlitsBusy(); now++ {
+			if got, ok := l.ShiftFlits(now); ok {
+				delivered++
+				f = got
+			}
+		}
+		if delivered != 1 || f.Type != msg.HeadTail|msg.Damaged || f.VC != 2 || ls.Pending() {
+			t.Fatalf("%s: delivered %d times, flit %+v, pending %v; want one damaged delivery and an empty queue",
+				key, delivered, f, ls.Pending())
+		}
+		// Attempts 0..MaxRetries all roll a drop before the link gives up.
+		want := faults.Counters{DroppedFlits: 3, Retransmits: 2, LostFlits: 1 - int64(hop), LostPackets: int64(hop)}
+		if c := ls.Counters(); c != want {
+			t.Errorf("%s: counters %+v, want %+v", key, c, want)
+		}
+		if p.Lost != (hop == 1) {
+			t.Errorf("%s: packet Lost = %v", key, p.Lost)
 		}
 	}
-	c := ls.Counters()
-	if c.LostFlits != 1 {
-		t.Fatalf("LostFlits = %d, want 1 (counters %+v)", c.LostFlits, c)
-	}
-	// Attempts 0..MaxRetries all roll a drop before the flit is abandoned.
-	if want := int64(3); c.DroppedFlits != want {
-		t.Errorf("DroppedFlits = %d, want %d", c.DroppedFlits, want)
-	}
-	if ls.LostFor(2) != 1 {
-		t.Errorf("LostFor(2) = %d, want 1", ls.LostFor(2))
-	}
-	if ls.Pending() {
-		t.Error("retransmission queue still pending after exhaustion")
-	}
-	if in.LostFlits() != 1 {
-		t.Errorf("Injector.LostFlits = %d, want 1", in.LostFlits())
+	if tot := in.Report().Totals; tot.LostFlits != 1 || tot.LostPackets != 1 {
+		t.Errorf("report totals %+v, want one lost flit in one lost packet", tot)
 	}
 }
 

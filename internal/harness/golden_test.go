@@ -47,8 +47,7 @@ func goldenRun() []string {
 		Check: &invariant.Config{Every: 64},
 		OnEject: func(p *msg.Packet, now int64) {
 			col.OnEject(p, now)
-			lines = append(lines, fmt.Sprintf("pkt %d app %d %d>%d flits %d eject %d lat %d hops %d",
-				p.ID, p.App, p.Src, p.Dst, p.Size, p.EjectedAt, p.TotalLatency(), p.Hops))
+			lines = append(lines, ejectLine(p))
 		},
 	})
 	defer net.Close()
@@ -63,6 +62,13 @@ func goldenRun() []string {
 	eng.Run(end)
 	eng.RunUntil(net.Drained, rc.Dur.Drain)
 	return lines
+}
+
+// ejectLine is one ejected packet as the golden traces and the metamorphic
+// digests record it.
+func ejectLine(p *msg.Packet) string {
+	return fmt.Sprintf("pkt %d app %d %d>%d flits %d eject %d lat %d hops %d",
+		p.ID, p.App, p.Src, p.Dst, p.Size, p.EjectedAt, p.TotalLatency(), p.Hops)
 }
 
 // renderGolden formats the trace file: a header, the first 64 ejections

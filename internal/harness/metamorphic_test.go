@@ -1,0 +1,66 @@
+package harness
+
+import (
+	"testing"
+
+	"rair/internal/msg"
+	"rair/internal/region"
+	"rair/internal/traffic"
+)
+
+// Metamorphic relations: configurations that must not change a single
+// ejection are compared by the golden trace's rendering (first ejections,
+// total, FNV digest of every line), so no expected number is written down.
+
+// ejectionTrace runs one point for 500 + 4000 cycles at seed 7 and renders
+// every ejection the way the golden trace does.
+func ejectionTrace(t *testing.T, regs *region.Map, apps []traffic.AppTraffic, s Scheme) string {
+	t.Helper()
+	var lines []string
+	Run(RunConfig{
+		Regions: regs, Router: synthCfg(), Apps: apps, Scheme: s,
+		Dur:  Durations{Warmup: 500, Measure: 4000, Drain: 6000},
+		Seed: 7,
+		Attach: func(Inject, *msg.Pool) Attached {
+			return Attached{OnEject: func(p *msg.Packet, _ int64) bool {
+				lines = append(lines, ejectLine(p))
+				return true
+			}}
+		},
+	})
+	if len(lines) == 0 {
+		t.Fatalf("%s ejected nothing: the comparison would be vacuous", s.Name)
+	}
+	return renderTrace(nil, lines)
+}
+
+// With one region there is no foreign traffic: every RAIR variant must
+// arbitrate exactly as round-robin does, over either selection function.
+func TestOneRegionRAIRIsRoundRobin(t *testing.T) {
+	regs, apps := UniformScenario(0.6)
+	want := ejectionTrace(t, regs, apps, RORR())
+	for _, s := range []Scheme{RAIR("RA_RAIR"), RAIRVA(), RAIRNativeH(), RAIRForeignH(), RAIRDelta(0.4)} {
+		if got := ejectionTrace(t, regs, apps, s); got != want {
+			t.Errorf("%s on one region differs from RO_RR:\n%s\nwant\n%s", s.Name, got, want)
+		}
+	}
+	if got, want := ejectionTrace(t, regs, apps, RAIRDBAR("RAIR_DBAR")), ejectionTrace(t, regs, apps, RORRDBAR("RA_DBAR")); got != want {
+		t.Errorf("RAIR_DBAR on one region differs from RA_DBAR:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// With all traffic intra-region the DPA has no foreign occupancy to react
+// to, so its hysteresis width must not matter, whatever the regions' loads.
+func TestIntraRegionTrafficIgnoresDelta(t *testing.T) {
+	regs := region.Quadrants(Mesh8())
+	var apps []traffic.AppTraffic
+	for a, load := range []float64{0.2, 0.9, 0.5, 0.7} {
+		apps = append(apps, mix(regs, a, load, 1))
+	}
+	want := ejectionTrace(t, regs, apps, RAIRDelta(0))
+	for _, delta := range []float64{0.1, 0.2, 0.5} {
+		if got := ejectionTrace(t, regs, apps, RAIRDelta(delta)); got != want {
+			t.Errorf("delta %v changes an all-intra-region run:\n%s\nwant\n%s", delta, got, want)
+		}
+	}
+}

@@ -4,12 +4,12 @@
 //
 //   - global flit conservation: every flit an NI pushed into the network is
 //     either still inside (a router buffer, an ST register, a link wire, a
-//     retransmission queue), consumed by its destination NI, or permanently
-//     dropped by the fault injector;
+//     retransmission queue) or consumed by its destination NI — a flit the
+//     fault injector gave up on travels on, marked damaged;
 //   - per-link credit/buffer accounting: for every (link, VC), sender
 //     credits + flits holding a credit (ST register, wire, retransmission
-//     queue, receiver buffer) + credits returning on the wire + leaked and
-//     lost credits sum exactly to the buffer depth;
+//     queue, receiver buffer) + credits returning on the wire + leaked
+//     credits sum exactly to the buffer depth;
 //   - atomic VC allocation: an unowned input VC is empty and idle, every
 //     buffered flit belongs to the VC's owner, an unowned output VC holds
 //     its full credit stock, and the per-port allocation counters agree
@@ -211,8 +211,7 @@ func (c *Checker) checkQuiescence(now int64) {
 }
 
 // checkConservation validates the global flit identity: NI-injected flits
-// equal NI-consumed flits plus everything still inside the network plus
-// fault-lost flits.
+// equal NI-consumed flits plus everything still inside the network.
 func (c *Checker) checkConservation(now int64) {
 	var injected, consumed int64
 	for _, ni := range c.t.NIs {
@@ -226,15 +225,14 @@ func (c *Checker) checkConservation(now int64) {
 	for _, ref := range c.t.Links {
 		inside += int64(ref.L.InFlightFlits())
 	}
-	var lost, retx int64
+	var retx int64
 	if c.t.Faults != nil {
-		lost = c.t.Faults.LostFlits()
 		retx = int64(c.t.Faults.PendingRetransmits())
 	}
-	if injected != consumed+inside+retx+lost {
+	if injected != consumed+inside+retx {
 		c.report(now, "conservation",
-			"injected %d != consumed %d + inside %d + retransmit-queued %d + fault-lost %d",
-			injected, consumed, inside, retx, lost)
+			"injected %d != consumed %d + inside %d + retransmit-queued %d",
+			injected, consumed, inside, retx)
 	}
 }
 
@@ -267,18 +265,18 @@ func (c *Checker) checkCredits(now int64) {
 		})
 		fs := ref.L.Faults()
 		for vc := 0; vc < c.t.VCs; vc++ {
-			var retx, leaked, lost int
+			var retx, leaked int
 			if fs != nil {
-				retx, leaked, lost = fs.PendingForVC(vc), fs.LeakedFor(vc), fs.LostFor(vc)
+				retx, leaked = fs.PendingForVC(vc), fs.LeakedFor(vc)
 			}
 			sum := c.sendCred[vc] + c.stHold[vc] + c.wireFlits[vc] + retx +
-				c.recvBuf[vc] + c.wireCreds[vc] + leaked + lost
+				c.recvBuf[vc] + c.wireCreds[vc] + leaked
 			if sum != c.t.Depth {
 				c.report(now, "credit-accounting",
-					"link %s vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, retransmit %d, receiver buffered %d, wire credits %d, leaked %d, lost %d)",
+					"link %s vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, retransmit %d, receiver buffered %d, wire credits %d, leaked %d)",
 					ref.Key(), vc, sum, c.t.Depth,
 					c.sendCred[vc], c.stHold[vc], c.wireFlits[vc], retx,
-					c.recvBuf[vc], c.wireCreds[vc], leaked, lost)
+					c.recvBuf[vc], c.wireCreds[vc], leaked)
 			}
 		}
 	}

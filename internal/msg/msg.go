@@ -57,21 +57,6 @@ const (
 	NumBlame
 )
 
-// BlameName returns the canonical short name of a blame bucket.
-func BlameName(b int) string {
-	switch b {
-	case BlameNative:
-		return "native"
-	case BlameForeign:
-		return "foreign"
-	case BlameEscape:
-		return "escape"
-	case BlameFault:
-		return "fault"
-	}
-	return fmt.Sprintf("blame(%d)", b)
-}
-
 // Packet is a network packet. Flits reference their packet; per-packet
 // fields are written once at creation and treated as read-only afterwards,
 // except the latency bookkeeping stamps set by the network.
@@ -95,6 +80,11 @@ type Packet struct {
 	// region are "regional traffic". Precomputed at creation from the
 	// region map, since src/dst regions never change in flight.
 	Global bool
+
+	// Lost is set where the packet leaves the network if any of its flits
+	// arrived Damaged: the packet was not delivered, and is counted as lost
+	// instead of reaching the ejection observers and the statistics.
+	Lost bool
 
 	// CreatedAt is the cycle the packet entered its source queue.
 	// InjectedAt is the cycle its head flit entered the network (left the
@@ -141,9 +131,20 @@ const (
 	Tail
 	// HeadTail is a single-flit packet.
 	HeadTail
+	// Damaged is a flag on top of the position, not a position: a faulty
+	// link gave up retransmitting the flit and forwarded it as it was. The
+	// flit keeps its place in the wormhole, so VCs, buffer slots and credits
+	// unwind through the ordinary tail path, and the destination discards
+	// the packet (Packet.Lost). It is a bit of Type rather than a field of
+	// Flit because the compiler keeps structs of at most four fields in
+	// registers; a fifth slowed every flit copy (mesh32-serial -7 %).
+	Damaged FlitType = 1 << 7
 )
 
 func (t FlitType) String() string {
+	if t&Damaged != 0 {
+		return (t &^ Damaged).String() + "+Damaged"
+	}
 	switch t {
 	case Head:
 		return "Head"
@@ -158,10 +159,10 @@ func (t FlitType) String() string {
 }
 
 // IsHead reports whether the flit opens a packet.
-func (t FlitType) IsHead() bool { return t == Head || t == HeadTail }
+func (t FlitType) IsHead() bool { t &^= Damaged; return t == Head || t == HeadTail }
 
 // IsTail reports whether the flit closes a packet.
-func (t FlitType) IsTail() bool { return t == Tail || t == HeadTail }
+func (t FlitType) IsTail() bool { t &^= Damaged; return t == Tail || t == HeadTail }
 
 // Flit is the flow-control unit. VC is the virtual channel the flit occupies
 // on the link it is currently traversing; it is rewritten at every hop by

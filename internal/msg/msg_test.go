@@ -1,8 +1,10 @@
 package msg
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFlitsSingle(t *testing.T) {
@@ -103,5 +105,21 @@ func TestStrings(t *testing.T) {
 	p := &Packet{ID: 3, App: 1, Src: 0, Dst: 5, Class: ClassRequest, Size: 1}
 	if p.String() == "" {
 		t.Fatal("empty packet string")
+	}
+}
+
+// Routers copy flits by value through every buffer, register and wire: the
+// struct stays four words in four fields (a fifth field would take it out of
+// registers), so the Damaged mark is a bit of Type that leaves the position
+// readable.
+func TestFlitShape(t *testing.T) {
+	if n, f := unsafe.Sizeof(Flit{}), reflect.TypeOf(Flit{}).NumField(); n != 32 || f != 4 {
+		t.Fatalf("Flit is %d bytes in %d fields, want 32 in 4", n, f)
+	}
+	for _, ft := range []FlitType{Head, Body, Tail, HeadTail} {
+		d := ft | Damaged
+		if d.IsHead() != ft.IsHead() || d.IsTail() != ft.IsTail() || d.String() != ft.String()+"+Damaged" {
+			t.Errorf("%v damaged reads as %v (head %v, tail %v)", ft, d, d.IsHead(), d.IsTail())
+		}
 	}
 }

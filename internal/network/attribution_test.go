@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"rair/internal/msg"
 	"rair/internal/telemetry"
 )
 
@@ -141,20 +140,5 @@ func TestAttributionOffLeavesNoTrace(t *testing.T) {
 	}
 	if rep := tel.Attribution(); rep != nil {
 		t.Fatalf("decomposition materialized with attribution off: %+v", rep)
-	}
-}
-
-// TestBlameNames pins the cause-bucket naming used by exports.
-func TestBlameNames(t *testing.T) {
-	want := map[int]string{
-		msg.BlameNative:  "native",
-		msg.BlameForeign: "foreign",
-		msg.BlameEscape:  "escape",
-		msg.BlameFault:   "fault",
-	}
-	for b, name := range want {
-		if got := msg.BlameName(b); got != name {
-			t.Fatalf("BlameName(%d) = %q, want %q", b, got, name)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,5 +239,63 @@ func TestFaultDeterminismMatrix(t *testing.T) {
 					workers, check)
 			}
 		}
+	}
+}
+
+// lossyRun drives a random mixed-size workload over a 4x4 mesh whose links
+// drop one flit in twenty and retry only once, so some flits — heads, bodies
+// and tails — run out of retries, with the checker in panic mode every cycle.
+func lossyRun(t *testing.T, workers int) (seq []string, injected int, rep *faults.Report) {
+	t.Helper()
+	n, delivered := buildFaulty(t, mesh4(), Params{
+		Faults:  &faults.Config{Seed: 1, DropProb: 0.05, MaxRetries: 1},
+		Check:   &invariant.Config{},
+		Workers: workers,
+	})
+	defer n.Close()
+	rng := sim.NewRNG(77)
+	c := int64(0)
+	for ; c < 3000; c++ {
+		if src, dst := rng.Intn(16), rng.Intn(16); src != dst && rng.Bool(0.4) {
+			injected++
+			size := 1 + 4*rng.Intn(2)
+			n.NI(src).Inject(&msg.Packet{ID: uint64(injected), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
+		}
+		n.Tick(c)
+	}
+	for ; c < 100000 && !n.Drained(); c++ {
+		n.Tick(c)
+	}
+	if !n.Drained() {
+		inside, inflight := n.FlitConservation()
+		t.Fatalf("workers=%d: not drained: %d packets in flight, %d flits or busy links inside", workers, inflight, inside)
+	}
+	for _, p := range *delivered {
+		if p.Lost {
+			t.Errorf("workers=%d: lost packet %v reached the ejection observer", workers, p)
+		}
+		seq = append(seq, fmt.Sprintf("%d@%d", p.ID, p.EjectedAt))
+	}
+	return seq, injected, n.Faults().Report()
+}
+
+// TestPermanentLossIsPacketGranular is rairsim's -faults drop=...,retries=1
+// crash (a lost head flit orphaned its body flits; a lost tail pinned its VCs)
+// as a test: a flit out of retries travels on damaged, so every VC, buffer
+// slot and credit unwinds through the tail, the network drains with the
+// invariants clean, and each packet that lost a flit is counted once and kept
+// from the observers — identically at one and two workers.
+func TestPermanentLossIsPacketGranular(t *testing.T) {
+	seq, injected, rep := lossyRun(t, 1)
+	lost := rep.Totals.LostPackets
+	if lost == 0 || rep.Totals.LostFlits < lost {
+		t.Fatalf("dose lost %d flits in %d packets, want some: %s", rep.Totals.LostFlits, lost, rep)
+	}
+	if int64(injected) != int64(len(seq))+lost {
+		t.Errorf("injected %d != delivered %d + lost %d", injected, len(seq), lost)
+	}
+	seq2, _, rep2 := lossyRun(t, 2)
+	if !slices.Equal(seq, seq2) || rep.String() != rep2.String() {
+		t.Errorf("two workers diverge from one: %d vs %d deliveries\n%s\n%s", len(seq2), len(seq), rep2, rep)
 	}
 }

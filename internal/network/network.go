@@ -369,11 +369,15 @@ func (n *Network) Tick(now int64) {
 	if n.params.OnEject != nil || n.params.Recycle != nil || n.chiplets != nil {
 		for _, sh := range n.eng.shards {
 			for _, e := range sh.ejections {
-				if n.chiplets != nil && e.pkt.FinalDst != e.pkt.Dst {
+				switch {
+				case n.faults != nil && e.pkt.Lost:
+					// A flit arrived damaged (faults.Counters.LostPackets
+					// counted it): the packet is not delivered, and takes
+					// no second leg.
+				case n.chiplets != nil && e.pkt.FinalDst != e.pkt.Dst:
 					n.xbar.Submit(e.pkt, e.pkt.CreatedAt, e.now)
 					continue
-				}
-				if n.params.OnEject != nil {
+				case n.params.OnEject != nil:
 					n.params.OnEject(e.pkt, e.now)
 				}
 				if n.params.Recycle != nil {

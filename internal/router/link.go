@@ -110,7 +110,8 @@ func (l *Link) Faults() *faults.LinkState { return l.faults }
 // queued, which must re-enter an otherwise idle wire.
 //
 // With fault state attached, an arriving flit may be dropped or corrupted
-// (ok=false; it re-enters later from the retransmission queue), and one
+// (ok=false; it re-enters later from the retransmission queue, or comes
+// through marked Damaged once its retries are spent), and one
 // eligible queued flit is pushed back onto the just-vacated entry register.
 // The sender's same-cycle CanSendFlit then reads false, which is exactly
 // the backpressure a busy retransmitting wire should exert.
@@ -125,9 +126,8 @@ func (l *Link) ShiftFlits(now int64) (f msg.Flit, ok bool) {
 	if !l.flits.Busy() && !fi.Pending() {
 		return f, false
 	}
-	f, ok = l.flits.Shift()
-	if ok && !fi.Arrive(f, now) {
-		f, ok = msg.Flit{}, false
+	if f, ok = l.flits.Shift(); ok {
+		f, ok = fi.Arrive(f, now)
 	}
 	if rf, rok := fi.Retransmit(now); rok {
 		l.flits.Push(rf)

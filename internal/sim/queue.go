@@ -82,15 +82,6 @@ func (q *Queue[T]) At(i int) T {
 	return q.buf[i]
 }
 
-// Clear drops all elements, retaining the allocation.
-func (q *Queue[T]) Clear() {
-	var zero T
-	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
-	}
-	q.head, q.size = 0, 0
-}
-
 // Bounded is a fixed-capacity FIFO ring used for hardware buffers whose
 // depth models a real resource (e.g. a VC flit buffer). Push on a full
 // Bounded panics: in a credit-correct simulation that is a logic error, and

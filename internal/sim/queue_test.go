@@ -51,21 +51,6 @@ func TestQueueAtPanics(t *testing.T) {
 	NewQueue[int](1).At(0)
 }
 
-func TestQueueClear(t *testing.T) {
-	q := NewQueue[int](4)
-	for i := 0; i < 10; i++ {
-		q.Push(i)
-	}
-	q.Clear()
-	if !q.Empty() {
-		t.Fatal("not empty after Clear")
-	}
-	q.Push(7)
-	if v, _ := q.Pop(); v != 7 {
-		t.Fatal("queue unusable after Clear")
-	}
-}
-
 // Property: an interleaved push/pop sequence behaves like a reference slice
 // implementation.
 func TestQueueMatchesReference(t *testing.T) {

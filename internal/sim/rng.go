@@ -114,10 +114,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Split derives an independent generator from this one. The child stream is
-// a deterministic function of the parent state, so splitting is itself
-// reproducible.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}

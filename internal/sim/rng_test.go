@@ -140,13 +140,3 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSplitIndependentButDeterministic(t *testing.T) {
-	a, b := NewRNG(11), NewRNG(11)
-	ca, cb := a.Split(), b.Split()
-	for i := 0; i < 100; i++ {
-		if ca.Uint64() != cb.Uint64() {
-			t.Fatal("split children of identical parents diverged")
-		}
-	}
-}

@@ -214,12 +214,6 @@ func (c *Collector) FlitThroughput(nodes int) float64 {
 // APL is shorthand for the average total packet latency.
 func (c *Collector) APL() float64 { return c.total.Mean() }
 
-// String summarizes the collector for logs.
-func (c *Collector) String() string {
-	return fmt.Sprintf("packets=%d APL=%.2f p95=%.1f hops=%.2f",
-		c.packets, c.APL(), c.total.Percentile(95), c.hops.Mean())
-}
-
 // Histogram renders an ASCII histogram of the distribution with the given
 // number of equal-width bins between min and max (clamped to [1, 40] bins).
 func (d *Dist) Histogram(bins int) string {

@@ -155,14 +155,6 @@ func TestReductionAndSlowdown(t *testing.T) {
 	}
 }
 
-func TestCollectorString(t *testing.T) {
-	c := NewCollector(0, 0)
-	c.OnEject(pkt(0, 0, 10, false, 1), 10)
-	if c.String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var d Dist
 	if h := d.Histogram(5); h != "(no samples)\n" {

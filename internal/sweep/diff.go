@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -148,25 +149,5 @@ func relDelta(a, b float64) float64 {
 	if a == b {
 		return 0
 	}
-	den := a
-	if b > den {
-		den = b
-	}
-	if den < 0 {
-		den = -den
-	}
-	if -a > den {
-		den = -a
-	}
-	if -b > den {
-		den = -b
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if den == 0 {
-		return 0
-	}
-	return d / den
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }

@@ -1,0 +1,312 @@
+package sweep_test
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"rair"
+	"rair/internal/sweep"
+)
+
+// The guard table lives beside the experiment registry (package rair); these
+// tests run it through the checker from outside the package. The fixtures
+// below mirror the real rairbench -quick -seed 1 outputs (see
+// EXPERIMENTS.md): the guards are calibrated against exactly these shapes.
+
+const fig17CSV = `scheme,blackscholes,swaptions,fluidanimate,raytrace,average
+RO_RR,5.35,1.67,1.60,1.33,2.49
+RA_DBAR,3.31,1.69,1.64,1.30,1.98
+RO_Rank,1.39,1.62,1.52,1.53,1.51
+RA_RAIR,1.16,1.71,1.53,1.42,1.46
+`
+
+const fig9CSV = `scheme,p,APL App0,APL App1
+RO_RR,0%,29.12,34.59
+RO_RR,50%,38.72,35.50
+RO_RR,100%,48.20,36.01
+RAIR_VA,0%,29.12,34.59
+RAIR_VA,50%,38.22,35.68
+RAIR_VA,100%,47.21,36.14
+RAIR_VA+SA,0%,29.12,34.59
+RAIR_VA+SA,50%,36.27,35.99
+RAIR_VA+SA,100%,43.29,36.58
+`
+
+const fig12aCSV = `scheme,App0 APL,App1 APL,App2 APL,App3 APL,avg reduction vs RO_RR
+RO_RR,36.46,31.92,31.84,46.65,-
+RAIR_NativeH,45.22,40.58,38.78,73.46,-32.6%
+RAIR_ForeignH,31.74,27.69,27.53,49.83,+8.2%
+RAIR_DPA,31.77,27.68,27.49,48.92,+8.7%
+`
+
+const fig12bCSV = `scheme,App0 APL,App1 APL,App2 APL,App3 APL,avg reduction vs RO_RR
+RO_RR,23.28,23.20,23.26,32.55,-
+RAIR_NativeH,22.98,22.86,22.87,32.94,+0.8%
+RAIR_ForeignH,23.58,23.57,23.72,32.31,-1.0%
+RAIR_DPA,23.39,23.33,23.37,32.66,-0.5%
+`
+
+const fig14CSV = `scheme,App0 APL,App1 APL,App2 APL,App3 APL,App4 APL,App5 APL,avg reduction vs RO_RR
+RO_RR,27.31,35.29,26.61,27.42,26.62,35.31,-
+RA_DBAR,27.33,35.42,26.55,27.49,26.60,34.99,+0.1%
+RO_Rank,26.08,35.49,25.19,26.83,25.31,38.00,+1.5%
+RA_RAIR,26.43,36.80,25.61,27.20,25.72,36.73,+0.5%
+`
+
+const curveCSV = `load_frac,apl,throughput
+0.10,35.732,0.0332
+0.50,37.347,0.1656
+0.80,41.046,0.2649
+0.90,44.158,0.2977
+1.00,51.144,0.3303
+1.10,3068.794,0.3631
+`
+
+const batchCSV = `scheme,blackscholes,swaptions,fluidanimate,raytrace,average
+RO_Rank_B125,1.32,1.58,1.47,1.49,1.46
+RO_Rank_B250,1.39,1.62,1.52,1.53,1.51
+RO_Rank_B1000,4.20,2.40,2.21,1.96,2.69
+RO_Rank_B4000,17.65,6.13,4.70,4.75,8.31
+`
+
+const collSynthCSV = `scheme,app0,app1,app2,avg slowdown,cct,rounds
+RO_RR,1.07,1.07,1.09,1.08,1477.6,8
+RA_DBAR,1.07,1.08,1.09,1.08,1466.1,8
+RO_Rank,1.03,1.05,1.04,1.04,1475.6,8
+RA_RAIR,1.02,1.02,1.02,1.02,1484.0,8
+`
+
+const chipletSynthCSV = `scheme,base apl,co apl,slowdown,co p99
+RO_RR,22.62,23.66,1.046,43.00
+RA_DBAR,22.63,23.67,1.046,43.00
+RO_Rank,22.62,24.55,1.085,51.00
+RA_RAIR,22.62,23.47,1.038,43.00
+`
+
+const mesh64ScaleCSV = `config,nodes,regions,RO_RR APL,RA_RAIR APL,avg reduction
+16x16,256,16,42.14,39.32,+6.7%
+32x32,1024,16,68.90,66.73,+3.1%
+`
+
+const collAllreduceCSV = `scheme,blackscholes,swaptions,fluidanimate,avg slowdown,cct,rounds
+RO_RR,1.04,1.00,1.01,1.02,1863.0,6
+RA_DBAR,1.03,1.03,1.02,1.03,1910.7,6
+RO_Rank,1.04,0.99,1.00,1.01,1971.0,6
+RA_RAIR,1.00,1.00,1.00,1.00,1931.3,6
+`
+
+func goodRecords() []sweep.Record {
+	recs := []sweep.Record{
+		{Experiment: "fig9", CSV: fig9CSV},
+		{Experiment: "fig12a", CSV: fig12aCSV},
+		{Experiment: "fig12b", CSV: fig12bCSV},
+		{Experiment: "fig14", CSV: fig14CSV},
+		{Experiment: "fig17", CSV: fig17CSV},
+		{Experiment: "curve", CSV: curveCSV},
+		{Experiment: "batch", CSV: batchCSV},
+		{Experiment: "coll-synth", CSV: collSynthCSV},
+		{Experiment: "coll-allreduce", CSV: collAllreduceCSV},
+		{Experiment: "chiplet-synth", CSV: chipletSynthCSV},
+		{Experiment: "mesh64-scale", CSV: mesh64ScaleCSV},
+	}
+	for i := range recs {
+		recs[i].Seed = 1
+		recs[i].Quick = true
+		recs[i].Key = sweep.Job{Experiment: recs[i].Experiment, Seed: 1, Quick: true}.Key()
+		recs[i].Text = recs[i].Experiment + " table\n"
+	}
+	return recs
+}
+
+func TestGuardsPassOnReferenceShapes(t *testing.T) {
+	rep := sweep.CheckStore(goodRecords(), rair.Guards())
+	if !rep.OK() {
+		t.Fatalf("reference store failed guards:\n%s", rep)
+	}
+	want := 0
+	for _, gs := range rair.Guards() {
+		want += len(gs)
+	}
+	if len(rep.Findings) != want || want != 13 {
+		t.Errorf("ran %d guards of %d, want all 13 (every guard covered by the fixtures)", len(rep.Findings), want)
+	}
+	if len(rep.Missing) != 0 {
+		t.Errorf("guarded experiments missing from full fixture set: %v", rep.Missing)
+	}
+}
+
+// TestGuardsCatchPerturbedOrdering is the acceptance case: swapping the
+// fig17 scheme ordering (RAIR made worst, RO_RR best) must fail check.
+func TestGuardsCatchPerturbedOrdering(t *testing.T) {
+	recs := goodRecords()
+	for i := range recs {
+		if recs[i].Experiment == "fig17" {
+			recs[i].CSV = strings.NewReplacer("RO_RR,", "XX,", "RA_RAIR,", "RO_RR,").Replace(recs[i].CSV)
+			recs[i].CSV = strings.Replace(recs[i].CSV, "XX,", "RA_RAIR,", 1)
+		}
+	}
+	rep := sweep.CheckStore(recs, rair.Guards())
+	if rep.OK() {
+		t.Fatalf("perturbed fig17 ordering passed the guards:\n%s", rep)
+	}
+	failed := false
+	for _, f := range rep.Findings {
+		if f.Experiment == "fig17" && f.Err != nil {
+			failed = true
+		}
+	}
+	if !failed {
+		t.Error("the failure was not attributed to the fig17 guard")
+	}
+}
+
+func TestGuardsCatchBrokenShapes(t *testing.T) {
+	cases := []struct {
+		name, experiment, from, to string
+	}{
+		// fig12a: hogging collapse wins — NativeH suddenly best.
+		{"fig12a inversion", "fig12a", "-32.6%", "+20.0%"},
+		// fig12b: NativeH loses its edge.
+		{"fig12b inversion", "fig12b", "+0.8%", "-3.0%"},
+		// fig9: MSP stops helping at p=100%.
+		{"fig9 no MSP win", "fig9", "RAIR_VA+SA,100%,43.29", "RAIR_VA+SA,100%,48.10"},
+		// curve: latency collapses at high load (non-monotone).
+		{"curve non-monotone", "curve", "1.00,51.144", "1.00,20.000"},
+		// batch: coarse batching suddenly fine.
+		{"batch flat", "batch", "RO_Rank_B4000,17.65,6.13,4.70,4.75,8.31", "RO_Rank_B4000,1.30,1.30,1.30,1.30,1.30"},
+		// fig14: RAIR harmful on average.
+		{"fig14 harmful", "fig14", ",+0.5%", ",-6.0%"},
+		// coll-synth: RAIR loses its protection edge over the baseline.
+		{"coll-synth no protection", "coll-synth", "RA_RAIR,1.02,1.02,1.02,1.02", "RA_RAIR,1.08,1.08,1.08,1.08"},
+		// coll-synth: protection bought with an unbounded collective stall.
+		{"coll-synth cct blowup", "coll-synth", "RA_RAIR,1.02,1.02,1.02,1.02,1484.0", "RA_RAIR,1.02,1.02,1.02,1.02,9484.0"},
+		// coll-synth: a scheme stops completing rounds entirely.
+		{"coll-synth no rounds", "coll-synth", "RO_Rank,1.03,1.05,1.04,1.04,1475.6,8", "RO_Rank,1.03,1.05,1.04,1.04,0.0,0"},
+		// coll-allreduce: victim slowdown outside the sanity band.
+		{"coll-allreduce runaway slowdown", "coll-allreduce", "RA_DBAR,1.03,1.03,1.02,1.03", "RA_DBAR,1.03,1.03,1.02,1.93"},
+		// chiplet-synth: RAIR's boundary gating stops beating the baseline.
+		{"chiplet no gating edge", "chiplet-synth", "RA_RAIR,22.62,23.47,1.038", "RA_RAIR,22.62,23.71,1.048"},
+		// chiplet-synth: the baseline stops showing boundary interference at all.
+		{"chiplet no interference", "chiplet-synth", "RO_RR,22.62,23.66,1.046", "RO_RR,22.62,22.71,1.004"},
+		// chiplet-synth: a scheme's slowdown leaves the sanity band.
+		{"chiplet runaway slowdown", "chiplet-synth", "RO_Rank,22.62,24.55,1.085", "RO_Rank,22.62,38.00,1.680"},
+		// chiplet-synth: the base (victim-alone) points stop agreeing across schemes.
+		{"chiplet base drift", "chiplet-synth", "RA_DBAR,22.63", "RA_DBAR,25.80"},
+		// mesh64-scale: RAIR turns harmful at a big mesh size.
+		{"mesh64 harmful", "mesh64-scale", "32x32,1024,16,68.90,66.73,+3.1%", "32x32,1024,16,68.90,71.30,-3.5%"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := goodRecords()
+			changed := false
+			for i := range recs {
+				if recs[i].Experiment == tc.experiment {
+					mut := strings.Replace(recs[i].CSV, tc.from, tc.to, 1)
+					changed = mut != recs[i].CSV
+					recs[i].CSV = mut
+				}
+			}
+			if !changed {
+				t.Fatalf("fixture does not contain %q", tc.from)
+			}
+			if rep := sweep.CheckStore(recs, rair.Guards()); rep.OK() {
+				t.Errorf("perturbation passed the guards:\n%s", rep)
+			}
+		})
+	}
+}
+
+func TestCheckStoreReportsCoverage(t *testing.T) {
+	recs := []sweep.Record{
+		{Key: "k1", Experiment: "fig17", Seed: 1, CSV: fig17CSV},
+		{Key: "k2", Experiment: "heatmap", Seed: 1, Text: "art"},
+	}
+	rep := sweep.CheckStore(recs, rair.Guards())
+	if !rep.OK() {
+		t.Fatalf("partial store failed: %s", rep)
+	}
+	if len(rep.Missing) == 0 {
+		t.Error("missing guarded experiments not reported")
+	}
+	if len(rep.Unchecked) != 1 || rep.Unchecked[0] != "heatmap" {
+		t.Errorf("Unchecked = %v, want [heatmap]", rep.Unchecked)
+	}
+	if empty := sweep.CheckStore(nil, rair.Guards()); empty.OK() {
+		t.Error("empty store must not pass")
+	}
+}
+
+// A record whose table lacks the cells a guard names is a FAIL finding, never
+// an index out of range: a row cut short (it panicked the fig9 closure), a
+// header with no rows, and "-" where a number is expected.
+func TestCheckStoreMalformedTables(t *testing.T) {
+	for name, csv := range map[string]string{
+		"truncated row": "scheme,p,APL App0,APL App1\nRO_RR\n",
+		"header only":   "scheme,p,APL App0,APL App1\n",
+		"dash cell":     strings.Replace(fig9CSV, "RO_RR,100%,48.20", "RO_RR,100%,-", 1),
+	} {
+		rep := sweep.CheckStore([]sweep.Record{{Key: "k", Experiment: "fig9", Seed: 1, CSV: csv}}, rair.Guards())
+		if len(rep.Findings) != 1 || rep.Findings[0].Err == nil || rep.Failed() != 1 || !strings.HasPrefix(rep.String(), "FAIL fig9") {
+			t.Errorf("%s: want one FAIL finding, got:\n%s", name, rep)
+		}
+	}
+}
+
+func TestDiffStores(t *testing.T) {
+	a := goodRecords()
+	b := goodRecords()
+	rep := sweep.DiffStores(a, b)
+	if !rep.Within(0) {
+		t.Fatalf("identical stores diff non-zero: %s", rep)
+	}
+	if rep.Common != len(a) || rep.Cells == 0 {
+		t.Errorf("Common=%d Cells=%d, want %d common and > 0 cells", rep.Common, rep.Cells, len(a))
+	}
+
+	// Perturb one fig17 value by ~2%: caught at tol 0, passes at tol 0.05.
+	for i := range b {
+		if b[i].Experiment == "fig17" {
+			b[i].CSV = strings.Replace(b[i].CSV, "2.49", "2.54", 1)
+		}
+	}
+	rep = sweep.DiffStores(a, b)
+	if rep.Within(0) {
+		t.Error("2% perturbation passed exact diff")
+	}
+	if !rep.Within(0.05) {
+		t.Errorf("2%% perturbation failed 5%% tolerance: max %f", rep.MaxDelta())
+	}
+
+	// A structural change (renamed scheme) is a mismatch at any tolerance.
+	for i := range b {
+		if b[i].Experiment == "fig14" {
+			b[i].CSV = strings.Replace(b[i].CSV, "RO_Rank", "RO_Renamed", 1)
+		}
+	}
+	rep = sweep.DiffStores(a, b)
+	if rep.Within(1) {
+		t.Error("structural mismatch passed diff")
+	}
+
+	// Disjoint keys are reported, not compared.
+	only := sweep.DiffStores(a[:1], a[1:])
+	if len(only.OnlyA) != 1 || len(only.OnlyB) != len(a)-1 || only.Common != 0 {
+		t.Errorf("disjoint diff: OnlyA=%d OnlyB=%d Common=%d", len(only.OnlyA), len(only.OnlyB), only.Common)
+	}
+}
+
+func TestWriteSummary(t *testing.T) {
+	recs := goodRecords()
+	rep := sweep.CheckStore(recs, rair.Guards())
+	var buf bytes.Buffer
+	if err := sweep.WriteSummary(&buf, "golden", recs, rep); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"# Sweep summary: golden", "## Shape guards", "## fig17", "seed 1, quick durations"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -17,8 +17,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"rair/internal/memsys"
 	"rair/internal/sim"
 )
@@ -153,16 +151,6 @@ func AllProfiles() []Profile {
 		Fluidanimate, Freqmine, Raytrace, Streamcluster, Swaptions,
 		Vips, X264,
 	}
-}
-
-// ByName resolves a profile by its PARSEC name.
-func ByName(name string) (Profile, error) {
-	for _, p := range AllProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("workload: unknown application %q", name)
 }
 
 // blockBytes matches the Table 1 block size; streams generate

@@ -7,18 +7,6 @@ import (
 	"rair/internal/sim"
 )
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"blackscholes", "swaptions", "fluidanimate", "raytrace"} {
-		p, err := ByName(name)
-		if err != nil || p.Name != name {
-			t.Fatalf("ByName(%q) = %+v, %v", name, p, err)
-		}
-	}
-	if _, err := ByName("doom"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-}
-
 func TestStreamIssueRate(t *testing.T) {
 	s := NewStream(Blackscholes, 0, 0)
 	rng := sim.NewRNG(1)
@@ -155,10 +143,6 @@ func TestAllProfilesComplete(t *testing.T) {
 		}
 		if p.SharedProb < 0 || p.SharedProb > 1 || p.WriteFrac < 0 || p.WriteFrac > 1 {
 			t.Fatalf("bad probabilities for %q", p.Name)
-		}
-		got, err := ByName(p.Name)
-		if err != nil || got.Name != p.Name {
-			t.Fatalf("ByName(%q) failed", p.Name)
 		}
 	}
 	// The headline four are part of the suite.
