@@ -36,7 +36,7 @@ func ParseFaultSpec(spec string) (*FaultSpec, error) {
 		switch {
 		case probs[k] != nil:
 			p := probs[k]
-			if *p, err = strconv.ParseFloat(v, 64); err != nil || *p < 0 || *p > 1 {
+			if *p, err = strconv.ParseFloat(v, 64); err != nil || !(*p >= 0 && *p <= 1) {
 				return nil, fmt.Errorf("rair: fault spec %s=%q is not a probability in [0,1]", k, v)
 			}
 		case counts[k] != nil:

@@ -123,9 +123,6 @@ func RingDst(n, rank int) int { return (rank + 1) % n }
 // the rotation (rank+s) mod n, a self-send-free permutation per step.
 func AllToAllDst(n, rank, step int) int { return (rank + step) % n }
 
-// TreeParent is the binary-heap parent of rank (undefined for the root).
-func TreeParent(rank int) int { return (rank - 1) / 2 }
-
 // TreeChildren are the binary-heap children of rank that exist among n
 // ranks, in deterministic order.
 func TreeChildren(n, rank int) []int {

@@ -65,7 +65,7 @@ func TestAllToAllStepPermutation(t *testing.T) {
 }
 
 // TestTreeReachesAll: the binary tree spans all n ranks from the root in
-// exactly n-1 parent→child messages, and TreeParent inverts TreeChildren.
+// exactly n-1 parent→child messages, each child under its binary-heap parent.
 func TestTreeReachesAll(t *testing.T) {
 	prop := func(b uint8) bool {
 		n := rankCount(b)
@@ -76,7 +76,7 @@ func TestTreeReachesAll(t *testing.T) {
 			r := frontier[0]
 			frontier = frontier[1:]
 			for _, c := range TreeChildren(n, r) {
-				if reached[c] || TreeParent(c) != r {
+				if reached[c] || (c-1)/2 != r {
 					return false
 				}
 				reached[c] = true

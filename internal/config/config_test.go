@@ -195,6 +195,28 @@ func TestParsecFile(t *testing.T) {
 	}
 }
 
+// parsecAdversary runs two traffic sources that number their packets
+// independently: the memory system and the adversary's generator.
+const parsecAdversary = `{"config":{"layout":"quadrants","scheme":"RA_RAIR","seed":1},"parsec":true,"adversaryFlitRate":0.3,"phases":{"warmup":500,"measure":2000,"drain":4000}}`
+
+// TestParsecAdversaryInvariants: the invariant checker stays clean when two
+// sources share a run. It used to report the adversary's packet 29 as the
+// memory system's packet 29 with a hop count that went backwards.
+func TestParsecAdversaryInvariants(t *testing.T) {
+	f, err := Parse([]byte(parsecAdversary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Config.CheckInvariants = true
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Packets == 0 {
+		t.Fatal("no packets")
+	}
+}
+
 // TestProbeScenario pins testdata/sim/probe.json, the scenario the CI
 // telemetry, fault-injection and obs-snapshot smokes share: under the CI
 // fault spec at seed 1 every measured packet is delivered and the fault line

@@ -9,7 +9,7 @@ import (
 
 var (
 	native  = policy.Requestor{App: 0, Native: true}
-	foreign = policy.Requestor{App: 1, Native: false, Global: true}
+	foreign = policy.Requestor{App: 1, Native: false}
 )
 
 func TestNames(t *testing.T) {

@@ -220,10 +220,6 @@ func (ls *LinkState) Counters() Counters { return ls.c }
 // keep servicing the wire while any are.
 func (ls *LinkState) Pending() bool { return len(ls.retx) > 0 }
 
-// PendingFlits reports the queued retransmission count (flit-conservation
-// accounting).
-func (ls *LinkState) PendingFlits() int { return len(ls.retx) }
-
 // PendingForVC reports queued retransmissions bound for downstream VC vc
 // (per-VC credit accounting: these flits hold a consumed credit).
 func (ls *LinkState) PendingForVC(vc int) int {

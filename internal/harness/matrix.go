@@ -42,19 +42,6 @@ func (m *InterferenceMatrix) Table() *Table {
 	return t
 }
 
-// MaxOffDiagonal reports the strongest pairwise coupling.
-func (m *InterferenceMatrix) MaxOffDiagonal() float64 {
-	max := 0.0
-	for vi := range m.Apps {
-		for ci := range m.Apps {
-			if vi != ci && m.Slowdown[vi][ci] > max {
-				max = m.Slowdown[vi][ci]
-			}
-		}
-	}
-	return max
-}
-
 // MeasureInterference builds the leave-one-out interference matrix of the
 // six-application scenario under the named scheme.
 func MeasureInterference(schemeName string, dur Durations, seed uint64) (*InterferenceMatrix, error) {

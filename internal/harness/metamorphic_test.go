@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"rair/internal/msg"
@@ -61,6 +62,55 @@ func TestIntraRegionTrafficIgnoresDelta(t *testing.T) {
 	for _, delta := range []float64{0.1, 0.2, 0.5} {
 		if got := ejectionTrace(t, regs, apps, RAIRDelta(delta)); got != want {
 			t.Errorf("delta %v changes an all-intra-region run:\n%s\nwant\n%s", delta, got, want)
+		}
+	}
+}
+
+// An application alone in its region, sending nothing out and receiving
+// nothing, shares no link, buffer or arbiter with the others (minimal routes
+// stay inside a rectangle): its every packet must be untouched by whatever
+// intra-region load the other regions carry, under every scheme. Each
+// application gets its own generator here — the harness's single generator
+// draws all applications from one RNG, so there another application's rate
+// shifts this one's arrivals before the network is involved (ROADMAP 2(a0)).
+func TestIsolatedRegionIgnoresOtherRegions(t *testing.T) {
+	regs := region.Quadrants(Mesh8())
+	dur := Durations{Warmup: 500, Measure: 4000, Drain: 6000}
+	app0 := func(s Scheme, others [3]float64) string {
+		apps := []traffic.AppTraffic{mix(regs, 0, 0.6, 1)}
+		for i, load := range others {
+			apps = append(apps, mix(regs, i+1, load, 1))
+		}
+		var lines []string
+		Run(RunConfig{
+			Regions: regs, Router: synthCfg(), Scheme: s, Dur: dur, Seed: 7,
+			Attach: func(inject Inject, pool *msg.Pool) Attached {
+				att := Attached{OnEject: func(p *msg.Packet, _ int64) bool {
+					if p.App == 0 {
+						lines = append(lines, fmt.Sprintf("%d>%d flits %d created %d eject %d lat %d hops %d",
+							p.Src, p.Dst, p.Size, p.CreatedAt, p.EjectedAt, p.TotalLatency(), p.Hops))
+					}
+					return true
+				}}
+				for i := range apps {
+					gen := traffic.NewGenerator(apps[i:i+1], 7+1000*uint64(i), inject)
+					gen.Until, gen.Pool = dur.Warmup+dur.Measure, pool
+					att.Sources = append(att.Sources, gen)
+				}
+				return att
+			},
+		})
+		if len(lines) == 0 {
+			t.Fatalf("%s: app 0 ejected nothing: the comparison would be vacuous", s.Name)
+		}
+		return renderTrace(nil, lines)
+	}
+	for _, s := range []Scheme{RORR(), RORank([]int{0, 1, 2, 3}), RORRDBAR("RA_DBAR"), RAIR("RA_RAIR"), RAIRDBAR("RAIR_DBAR")} {
+		want := app0(s, [3]float64{0.1, 0.1, 0.1})
+		for _, others := range [][3]float64{{0.9, 0.5, 0.7}, {0.95, 0.95, 0.95}} {
+			if got := app0(s, others); got != want {
+				t.Errorf("%s: app 0's packets change when the other regions carry %v:\n%s\nwant\n%s", s.Name, others, got, want)
+			}
 		}
 	}
 }

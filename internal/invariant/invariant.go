@@ -124,7 +124,9 @@ type Checker struct {
 
 	// hops and hopsPrev alternate between checks: observations of packets
 	// currently owning input VCs, compared against the previous sweep.
-	hops, hopsPrev map[uint64]int
+	// Keyed by {application, packet id}: each traffic source numbers its
+	// packets from 1 and owns its application ids.
+	hops, hopsPrev map[[2]uint64]int
 
 	// Watchdog state: the last flit-ejection total and the cycle it last
 	// advanced.
@@ -146,7 +148,7 @@ func NewChecker(cfg Config, t Target) *Checker {
 	}
 	return &Checker{
 		cfg: cfg, t: t,
-		hops: make(map[uint64]int), hopsPrev: make(map[uint64]int),
+		hops: make(map[[2]uint64]int), hopsPrev: make(map[[2]uint64]int),
 		wireFlits: make([]int, t.VCs), wireCreds: make([]int, t.VCs),
 		stHold: make([]int, t.VCs), recvBuf: make([]int, t.VCs),
 		sendCred: make([]int, t.VCs),
@@ -364,19 +366,19 @@ func (c *Checker) checkHops(now int64) {
 				if s.Owner == nil {
 					return
 				}
-				h := s.Owner.Hops
+				h, key := s.Owner.Hops, [2]uint64{uint64(s.Owner.App), s.Owner.ID}
 				if h > c.cfg.MaxHops {
 					c.report(now, "hop-progress",
 						"packet %d at router %d input %s vc %d has %d hops > bound %d",
 						s.Owner.ID, node, d, s.VC, h, c.cfg.MaxHops)
 				}
-				if prev, ok := c.hopsPrev[s.Owner.ID]; ok && h < prev {
+				if prev, ok := c.hopsPrev[key]; ok && h < prev {
 					c.report(now, "hop-progress",
 						"packet %d at router %d input %s vc %d hop count went backwards: %d -> %d",
 						s.Owner.ID, node, d, s.VC, prev, h)
 				}
-				if seen, ok := cur[s.Owner.ID]; !ok || h > seen {
-					cur[s.Owner.ID] = h
+				if seen, ok := cur[key]; !ok || h > seen {
+					cur[key] = h
 				}
 			})
 		}

@@ -183,6 +183,34 @@ func TestHopBound(t *testing.T) {
 	}
 }
 
+// TestHopProgressKeyedByAppAndID: traffic sources number their packets
+// independently, so two packets in flight may share an ID as long as their
+// applications differ; a second packet under the same (application, ID) is
+// indistinguishable from one whose hop count fell and is still reported.
+func TestHopProgressKeyedByAppAndID(t *testing.T) {
+	run := func(lateApp int) error {
+		n := build(t, &invariant.Config{Mode: invariant.ModeCollect}, nil)
+		defer n.Close()
+		n.NI(0).Inject(&msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Size: 12, Class: msg.ClassRequest}, 0)
+		for c := int64(0); c < 200 && !n.Drained(); c++ {
+			if c == 15 { // the first packet is several hops in
+				n.NI(12).Inject(&msg.Packet{ID: 1, App: lateApp, Src: 12, Dst: 3, Size: 12, Class: msg.ClassRequest}, c)
+			}
+			n.Tick(c)
+		}
+		if !n.Drained() {
+			t.Fatal("network did not drain")
+		}
+		return n.Checker().Err()
+	}
+	if err := run(1); err != nil {
+		t.Errorf("one ID under two applications is not a hop regression: %v", err)
+	}
+	if err := run(0); err == nil || !strings.Contains(err.Error(), "hop count went backwards") {
+		t.Errorf("a hop count that falls under one (application, ID) went unreported: %v", err)
+	}
+}
+
 // TestViolationError checks the rendered forms used by logs and panics.
 func TestViolationError(t *testing.T) {
 	v := invariant.Violation{Cycle: 42, Check: "credit-accounting", Msg: "link r0>r1 vc 2: sum 7 != depth 8"}

@@ -12,13 +12,12 @@ import "fmt"
 // Cache is a set-associative cache with true-LRU replacement. It tracks
 // block presence only (no data), which is all traffic generation needs.
 type Cache struct {
-	sets      [][]line
-	ways      int
-	setShift  uint // log2(block size)
-	setMask   uint64
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	sets     [][]line
+	ways     int
+	setShift uint // log2(block size)
+	setMask  uint64
+	hits     uint64
+	misses   uint64
 }
 
 type line struct {
@@ -61,9 +60,6 @@ func log2(v uint64) uint {
 	return n
 }
 
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
-
 // Access looks up addr, allocating the block on a miss (write-allocate for
 // both reads and writes) and updating LRU order. It reports whether the
 // access hit.
@@ -84,8 +80,6 @@ func (c *Cache) Access(addr uint64) bool {
 	if len(set) < c.ways {
 		set = append(set, line{})
 		c.sets[idx] = set
-	} else {
-		c.evictions++
 	}
 	copy(set[1:], set[:len(set)-1])
 	set[0] = line{tag: tag, valid: true}
@@ -118,14 +112,8 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Hits reports total hit count.
-func (c *Cache) Hits() uint64 { return c.hits }
-
 // Misses reports total miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// Evictions reports total LRU evictions.
-func (c *Cache) Evictions() uint64 { return c.evictions }
 
 // MissRate reports misses / accesses (0 before any access).
 func (c *Cache) MissRate() float64 {

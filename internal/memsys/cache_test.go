@@ -7,12 +7,12 @@ import (
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(32<<10, 2, 64) // Table 1 L1: 256 sets
-	if c.Sets() != 256 {
-		t.Fatalf("sets = %d", c.Sets())
+	if len(c.sets) != 256 {
+		t.Fatalf("sets = %d", len(c.sets))
 	}
 	c2 := NewCache(256<<10, 16, 64) // Table 1 L2 bank: 256 sets
-	if c2.Sets() != 256 {
-		t.Fatalf("L2 sets = %d", c2.Sets())
+	if len(c2.sets) != 256 {
+		t.Fatalf("L2 sets = %d", len(c2.sets))
 	}
 }
 
@@ -46,8 +46,8 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	if !c.Access(0x1030) { // same 64B block
 		t.Fatal("same-block access missed")
 	}
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
+	if c.hits != 2 || c.Misses() != 1 {
+		t.Fatalf("hits=%d misses=%d", c.hits, c.Misses())
 	}
 }
 
@@ -61,9 +61,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(x) // evicts b
 	if !c.Contains(a) || c.Contains(b) || !c.Contains(x) {
 		t.Fatal("LRU eviction order wrong")
-	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions())
 	}
 }
 

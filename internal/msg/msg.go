@@ -207,11 +207,3 @@ func Flits(p *Packet) []Flit {
 	}
 	return fs
 }
-
-// SizeFor returns the canonical packet size for a message class.
-func SizeFor(c Class) int {
-	if c == ClassResponse {
-		return LongPacketFlits
-	}
-	return ShortPacketFlits
-}

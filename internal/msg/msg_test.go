@@ -78,15 +78,6 @@ func TestLatencies(t *testing.T) {
 	}
 }
 
-func TestSizeFor(t *testing.T) {
-	if SizeFor(ClassRequest) != ShortPacketFlits {
-		t.Fatal("request size")
-	}
-	if SizeFor(ClassResponse) != LongPacketFlits {
-		t.Fatal("response size")
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if ClassRequest.String() != "Request" || ClassResponse.String() != "Response" {
 		t.Fatal("Class strings")

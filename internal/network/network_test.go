@@ -320,11 +320,11 @@ func TestTwoClassesShareNetwork(t *testing.T) {
 			src, dst := rng.Intn(16), rng.Intn(16)
 			if src != dst {
 				id++
-				cls := msg.ClassRequest
+				cls, size := msg.ClassRequest, msg.ShortPacketFlits
 				if rng.Bool(0.5) {
-					cls = msg.ClassResponse
+					cls, size = msg.ClassResponse, msg.LongPacketFlits
 				}
-				n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: msg.SizeFor(cls), Class: cls}, c)
+				n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: cls}, c)
 			}
 		}
 		n.Tick(c)

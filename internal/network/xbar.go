@@ -216,10 +216,6 @@ func (x *Crossbar) Pending() int {
 	return n
 }
 
-// FlitCyclesPerFlit exposes the per-flit serialization hold of a
-// partitioned channel (observability and tests).
-func (x *Crossbar) FlitCyclesPerFlit() int64 { return x.holdPerFlit }
-
 // Counters reports lifetime packet and flit totals through the switch.
 func (x *Crossbar) Counters() (submitted, delivered, flitsSubmitted, flitsCrossed int64) {
 	return x.submitted, x.delivered, x.flitsSubmitted, x.flitsCrossed

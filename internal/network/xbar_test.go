@@ -129,7 +129,7 @@ func TestCrossbarSerializationHold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCrossbar(%+v): %v", c.cfg, err)
 		}
-		if got := xb.FlitCyclesPerFlit(); got != c.want {
+		if got := xb.holdPerFlit; got != c.want {
 			t.Errorf("cfg %+v: hold %d, want %d", c.cfg, got, c.want)
 		}
 	}

@@ -20,7 +20,7 @@ func TestAgeOldestWins(t *testing.T) {
 func TestAgeRegionOblivious(t *testing.T) {
 	p := NewAge(0, 0)
 	native := Requestor{Native: true, CreatedAt: 100}
-	foreign := Requestor{Native: false, Global: true, CreatedAt: 100}
+	foreign := Requestor{Native: false, CreatedAt: 100}
 	for _, cls := range []VCClass{VCEscape, VCGlobal, VCRegional} {
 		if p.VAOutPriority(native, cls, 200) != p.VAOutPriority(foreign, cls, 200) {
 			t.Fatal("age must ignore region")

@@ -47,8 +47,6 @@ type Requestor struct {
 	// Native reports whether the packet's application matches the
 	// router's assigned application (native vs. foreign traffic).
 	Native bool
-	// Global reports whether the packet is inter-region traffic.
-	Global bool
 	// CreatedAt is the packet creation cycle (age-based tie-breaks).
 	CreatedAt int64
 }
@@ -59,7 +57,6 @@ func FromPacket(p *msg.Packet, routerApp int) Requestor {
 	return Requestor{
 		App:       p.App,
 		Native:    routerApp >= 0 && p.App == routerApp,
-		Global:    p.Global,
 		CreatedAt: p.CreatedAt,
 	}
 }

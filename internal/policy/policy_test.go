@@ -9,7 +9,7 @@ import (
 func TestFromPacket(t *testing.T) {
 	p := &msg.Packet{App: 2, Global: true, CreatedAt: 3500}
 	r := FromPacket(p, 2)
-	if !r.Native || !r.Global || r.App != 2 || r.CreatedAt != 3500 {
+	if !r.Native || r.App != 2 || r.CreatedAt != 3500 {
 		t.Fatalf("requestor %+v", r)
 	}
 	if FromPacket(p, 1).Native {
@@ -26,7 +26,7 @@ func TestRoundRobinFlat(t *testing.T) {
 		t.Fatalf("name %q", p.Name())
 	}
 	r1 := Requestor{Native: true}
-	r2 := Requestor{Native: false, Global: true}
+	r2 := Requestor{Native: false, App: 3}
 	for _, cls := range []VCClass{VCEscape, VCGlobal, VCRegional} {
 		if p.VAOutPriority(r1, cls, 0) != p.VAOutPriority(r2, cls, 0) {
 			t.Fatal("RO_RR must be flat")
@@ -50,11 +50,8 @@ func TestRankPrefersLowIntensity(t *testing.T) {
 	if p.SAPriority(lo, 10) <= p.SAPriority(hi, 10) {
 		t.Fatal("lower-intensity app must outrank")
 	}
-	// Region-obliviousness: identical across VC classes and for
-	// regional/global variants of the same requestor.
-	g := lo
-	g.Global = true
-	if p.VAOutPriority(lo, VCRegional, 10) != p.VAOutPriority(g, VCGlobal, 10) {
+	// Region-obliviousness: identical across VC classes.
+	if p.VAOutPriority(lo, VCRegional, 10) != p.VAOutPriority(lo, VCGlobal, 10) {
 		t.Fatal("RO_Rank must ignore region/VC class")
 	}
 }

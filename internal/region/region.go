@@ -122,9 +122,6 @@ func (r Rect) Contains(c topology.Coord) bool {
 	return c.X >= r.X0 && c.X < r.X1 && c.Y >= r.Y0 && c.Y < r.Y1
 }
 
-// Area returns the node count of the rectangle.
-func (r Rect) Area() int { return (r.X1 - r.X0) * (r.Y1 - r.Y0) }
-
 // FromRects builds a map assigning app i to rects[i]. Rectangles must be
 // non-overlapping and within the mesh; nodes outside all rectangles stay
 // unassigned.

@@ -109,9 +109,6 @@ func BoundedOver[T any](buf []T) Bounded[T] {
 	return Bounded[T]{buf: buf}
 }
 
-// Cap reports the fixed capacity.
-func (b *Bounded[T]) Cap() int { return len(b.buf) }
-
 // Len reports the number of buffered elements.
 func (b *Bounded[T]) Len() int { return b.size }
 

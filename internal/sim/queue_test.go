@@ -81,7 +81,7 @@ func TestQueueMatchesReference(t *testing.T) {
 
 func TestBoundedCapacityAndOrder(t *testing.T) {
 	b := NewBounded[int](3)
-	if b.Cap() != 3 || !b.Empty() {
+	if len(b.buf) != 3 || !b.Empty() {
 		t.Fatal("bad initial state")
 	}
 	b.Push(1)

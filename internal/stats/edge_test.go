@@ -19,16 +19,12 @@ func TestDistEmpty(t *testing.T) {
 	if d.Max() != 0 {
 		t.Errorf("Max = %v, want 0", d.Max())
 	}
-	if d.StdDev() != 0 {
-		t.Errorf("StdDev = %v, want 0", d.StdDev())
-	}
 	if got := d.Histogram(4); got != "(no samples)\n" {
 		t.Errorf("Histogram = %q", got)
 	}
 }
 
-// TestDistSingleSample: one sample is every percentile, and the variance
-// guard (n < 2) holds.
+// TestDistSingleSample: one sample is every percentile.
 func TestDistSingleSample(t *testing.T) {
 	var d Dist
 	d.Add(7.5)
@@ -39,9 +35,6 @@ func TestDistSingleSample(t *testing.T) {
 	}
 	if d.Mean() != 7.5 || d.Max() != 7.5 {
 		t.Errorf("Mean/Max = %v/%v, want 7.5", d.Mean(), d.Max())
-	}
-	if d.StdDev() != 0 {
-		t.Errorf("StdDev of one sample = %v, want 0", d.StdDev())
 	}
 }
 

@@ -37,77 +37,113 @@ func (a *Accum) Mean() float64 {
 	return a.sum / float64(a.n)
 }
 
-// Dist accumulates a latency distribution. Samples are retained for exact
-// percentiles; evaluation windows are small enough (tens of thousands of
-// packets) that this is cheap.
-//
-// Percentile sorts lazily into a separate copy, so the insertion-ordered
-// samples are never reordered: readers iterating the distribution (e.g.
-// Histogram) observe samples in Add order regardless of interleaved
-// Percentile calls. The sorted copy is cached and rebuilt only when samples
-// were added since it was built (samples only ever append, so a length
-// mismatch is the exact staleness condition). Building the cache mutates
-// the Dist: like Add, Percentile/Max/Histogram need external
-// synchronization if the same Dist is shared across goroutines.
+// denseCap bounds Dist.dense: 2^16 uint32 counts are 256 KB at worst.
+const denseCap = 1 << 16
+
+// Dist accumulates a latency distribution as an exact counting histogram:
+// one count per distinct value, so its size follows the range of the values,
+// not their number, while mean, interpolated percentiles, max and Histogram
+// equal those of the retained, sorted samples bit for bit. Latencies are
+// whole cycles and land in dense; rest keeps every other value exactly,
+// because sweep.DiffReport adds relative deltas. Readers do not mutate it.
 type Dist struct {
 	Accum
-	samples []float64
-	sorted  []float64 // lazily built sorted copy of samples
+	dense []uint32           // dense[i] counts samples equal to i, for whole i in [0, denseCap)
+	rest  map[float64]uint32 // counts of every other value, keyed by the value
 }
 
-// Add records one sample.
+// Add records one sample. NaN has no rank and is ignored.
 func (d *Dist) Add(v float64) {
+	if v != v {
+		return
+	}
 	d.Accum.Add(v)
-	d.samples = append(d.samples, v)
+	d.bump(v, 1)
 }
 
-// Merge folds another distribution's samples into d (per-shard or
-// per-run distributions combined for aggregate percentiles). The other
-// distribution is not modified.
+// bump adds n to the count of v.
+func (d *Dist) bump(v float64, n uint32) {
+	if i := int(v); v >= 0 && v < denseCap && float64(i) == v {
+		if i >= len(d.dense) {
+			size := max(64, len(d.dense))
+			for size <= i {
+				size *= 2
+			}
+			d.dense = append(make([]uint32, 0, size), d.dense...)[:size]
+		}
+		d.dense[i] += n
+		return
+	}
+	if d.rest == nil {
+		d.rest = make(map[float64]uint32)
+	}
+	d.rest[v] += n
+}
+
+// each visits distinct values, ascending, with counts until f returns false.
+func (d *Dist) each(f func(v float64, n uint32) bool) {
+	keys := make([]float64, 0, len(d.rest))
+	for v := range d.rest {
+		keys = append(keys, v)
+	}
+	sort.Float64s(keys)
+	// One pass per dense index, plus a last one for the keys above them all.
+	for i, k := 0, 0; i <= len(d.dense); i++ {
+		for ; k < len(keys) && (i == len(d.dense) || keys[k] < float64(i)); k++ {
+			if !f(keys[k], d.rest[keys[k]]) {
+				return
+			}
+		}
+		if i < len(d.dense) && d.dense[i] != 0 && !f(float64(i), d.dense[i]) {
+			return
+		}
+	}
+}
+
+// Merge folds another distribution's counts into d (per-shard or per-run
+// distributions combined for aggregate percentiles) in O(distinct values),
+// whatever the order of merges. The other distribution is not modified.
 func (d *Dist) Merge(o *Dist) {
-	d.samples = append(d.samples, o.samples...)
+	o.each(func(v float64, n uint32) bool {
+		d.bump(v, n)
+		return true
+	})
 	d.sum += o.sum
 	d.n += o.n
 }
 
-// Percentile reports the p-th percentile (p in [0,100]); 0 with no samples.
+// ranks returns the lo-th and hi-th smallest samples (lo <= hi < Count).
+func (d *Dist) ranks(lo, hi int) (a, b float64) {
+	seen := 0
+	d.each(func(v float64, n uint32) bool {
+		if lo >= seen {
+			a = v
+		}
+		seen += int(n)
+		b = v
+		return hi >= seen
+	})
+	return a, b
+}
+
+// Percentile reports the p-th percentile (p in [0,100]), interpolating
+// linearly between neighbouring ranks; 0 with no samples.
 func (d *Dist) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
+	if d.n == 0 {
 		return 0
 	}
-	if len(d.sorted) != len(d.samples) {
-		d.sorted = append(d.sorted[:0], d.samples...)
-		sort.Float64s(d.sorted)
+	idx := min(max(p, 0), 100) / 100 * float64(d.n-1)
+	lo, hi := int(math.Floor(idx)), int(math.Ceil(idx))
+	a, b := d.ranks(lo, hi)
+	if lo == hi {
+		return a
 	}
-	if p <= 0 {
-		return d.sorted[0]
-	}
-	if p >= 100 {
-		return d.sorted[len(d.sorted)-1]
-	}
-	idx := p / 100 * float64(len(d.sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
 	frac := idx - float64(lo)
-	return d.sorted[lo]*(1-frac) + d.sorted[hi]*frac
+	return a*(1-frac) + b*frac
 }
 
 // Max reports the largest sample (0 with no samples).
 func (d *Dist) Max() float64 { return d.Percentile(100) }
-
-// StdDev reports the sample standard deviation.
-func (d *Dist) StdDev() float64 {
-	n := len(d.samples)
-	if n < 2 {
-		return 0
-	}
-	m := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
 
 // Collector subscribes to packet ejections and aggregates latency by
 // application and by traffic kind. Only packets created inside
@@ -118,7 +154,7 @@ type Collector struct {
 	Warmup     int64
 	MeasureEnd int64
 
-	// Samples are kept only where a percentile or histogram is read.
+	// Distributions are kept only where a percentile or histogram is read.
 	total    Dist
 	perApp   map[int]*Dist
 	network  Accum
@@ -217,7 +253,7 @@ func (c *Collector) APL() float64 { return c.total.Mean() }
 // Histogram renders an ASCII histogram of the distribution with the given
 // number of equal-width bins between min and max (clamped to [1, 40] bins).
 func (d *Dist) Histogram(bins int) string {
-	if len(d.samples) == 0 {
+	if d.n == 0 {
 		return "(no samples)\n"
 	}
 	if bins < 1 {
@@ -229,16 +265,17 @@ func (d *Dist) Histogram(bins int) string {
 	lo, hi := d.Percentile(0), d.Percentile(100)
 	width := (hi - lo) / float64(bins)
 	if width <= 0 {
-		return fmt.Sprintf("%8.1f | all %d samples\n", lo, len(d.samples))
+		return fmt.Sprintf("%8.1f | all %d samples\n", lo, d.n)
 	}
 	counts := make([]int, bins)
-	for _, v := range d.samples {
+	d.each(func(v float64, n uint32) bool {
 		b := int((v - lo) / width)
 		if b >= bins {
 			b = bins - 1
 		}
-		counts[b]++
-	}
+		counts[b] += int(n)
+		return true
+	})
 	maxCount := 0
 	for _, c := range counts {
 		if c > maxCount {

@@ -313,10 +313,34 @@ func TestParseFaultSpec(t *testing.T) {
 	if *got != want {
 		t.Errorf("parsed %+v, want %+v", *got, want)
 	}
-	for _, bad := range []string{"", " ", "drop", "drop=1.5", "stall=-0.1", "leak=x", "stalllen=-1", "retries=1.5",
+	for _, bad := range []string{"", " ", "drop", "drop=1.5", "stall=-0.1", "leak=x", "drop=nan", "leak=NaN", "stall=+Inf", "stalllen=-1", "retries=1.5",
 		"reconcile=-1", "seed=-1", "dorp=0.1"} {
 		if fs, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted as %+v", bad, *fs)
 		}
 	}
+}
+
+// FuzzParseFaultSpec: whatever the -faults flag is given, the result is an
+// error or a spec the injector can run — every probability in [0,1] (NaN is
+// not), every count non-negative.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("drop=0.002,corrupt=0.002,leak=0.001,stall=0.0005,stalllen=6,reconcile=256")
+	f.Add("drop=0.005,retries=1")
+	f.Add(" Drop = 1e-3 ,, seed=18446744073709551615, timeout=7,nack=0")
+	f.Add("drop=nan")
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{fs.DropProb, fs.CorruptProb, fs.CreditLeakProb, fs.StallProb} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q parsed with probability %v: %+v", spec, p, *fs)
+			}
+		}
+		if min(fs.StallLen, fs.MaxRetries, fs.DropTimeout, fs.NackLatency) < 0 || fs.ReconcileEvery < 0 {
+			t.Fatalf("spec %q parsed with a negative count: %+v", spec, *fs)
+		}
+	})
 }
