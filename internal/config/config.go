@@ -93,12 +93,3 @@ func (f *File) Build() (*rair.Simulation, error) {
 	}
 	return sim, nil
 }
-
-// Run builds and executes the file's simulation.
-func (f *File) Run() (*rair.Report, error) {
-	sim, err := f.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(f.Phases)
-}

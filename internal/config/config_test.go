@@ -28,7 +28,7 @@ func TestParseAndRun(t *testing.T) {
 	if f.Config.Layout != "halves" || len(f.Apps) != 2 {
 		t.Fatalf("parsed %+v", f)
 	}
-	rep, err := f.Run()
+	rep, err := run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestParsecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Run()
+	rep, err := run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestParsecAdversaryInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Config.CheckInvariants = true
-	rep, err := f.Run()
+	rep, err := run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestProbeScenario(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Config.CheckInvariants = true
-		rep, err := f.Run()
+		rep, err := run(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,4 +249,13 @@ func TestProbeScenario(t *testing.T) {
 			t.Fatalf("%s: probe delivered %d packets, want %d, with\n%s\nwant\n%s", tc.spec, rep.Packets, tc.packets, got, tc.want)
 		}
 	}
+}
+
+// run builds and executes a file's simulation, as rairsim does.
+func run(f *File) (*rair.Report, error) {
+	sim, err := f.Build()
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(f.Phases)
 }

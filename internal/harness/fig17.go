@@ -75,7 +75,7 @@ func MemsysRouterConfig() router.Config { return router.DefaultConfig(int(msg.Nu
 // MemsysAttach builds the Table 1 memory system over the PARSEC proxies'
 // address streams (idle as in parsecStreams), functionally prewarmed, as a
 // run's first source. The system sees every ejection before the collector and
-// allocates every protocol message itself, so the run does not recycle.
+// recycles its protocol messages itself, so the run's pool must not.
 func MemsysAttach(cfg memsys.SystemConfig, regs *region.Map, idle int, seed uint64, inject Inject) Attached {
 	sys := memsys.New(cfg, regs, parsecStreams(regs, idle), seed, inject)
 	sys.Prewarm(PrewarmAccesses)

@@ -103,9 +103,9 @@ type Attached struct {
 	// excepted) before the statistics collector and reports whether the
 	// collector should count it.
 	OnEject func(p *msg.Packet, now int64) bool
-	// Retains keeps ejected packets out of the freelist. The memory system
-	// sets it: it allocates every protocol message itself and never draws
-	// from the pool, so returning its packets would only hoard them.
+	// Retains keeps ejected packets out of the freelist: this source
+	// recycles its own packets. The memory system sets it; a packet it
+	// reuses at its next Tick must not also sit in the run's pool.
 	Retains bool
 }
 

@@ -11,19 +11,21 @@ import "fmt"
 
 // Cache is a set-associative cache with true-LRU replacement. It tracks
 // block presence only (no data), which is all traffic generation needs.
+//
+// The ways are one flat slice of numSets×assoc words, each set MRU first.
+// A way holds tag|valid; 0 is a way never filled, and an invalidated way
+// keeps its tag without the valid bit and its place in the LRU order until
+// it ages out, exactly as a set of (tag, valid) lines would. Tags fit below
+// the valid bit because blocks are at least 2 bytes.
 type Cache struct {
-	sets     [][]line
-	ways     int
+	ways     []uint64
+	assoc    int
 	setShift uint // log2(block size)
 	setMask  uint64
-	hits     uint64
 	misses   uint64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-}
+const valid = uint64(1) << 63
 
 // NewCache builds a cache of size bytes, the given associativity and block
 // size (both powers of two; size must divide evenly into sets).
@@ -31,24 +33,20 @@ func NewCache(size, ways, block int) *Cache {
 	if size <= 0 || ways <= 0 || block <= 0 {
 		panic("memsys: non-positive cache geometry")
 	}
-	if block&(block-1) != 0 {
-		panic("memsys: block size must be a power of two")
+	if block < 2 || block&(block-1) != 0 {
+		panic("memsys: block size must be a power of two of at least 2")
 	}
 	numSets := size / (ways * block)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("memsys: %d sets (size %d / ways %d / block %d) not a power of two",
 			numSets, size, ways, block))
 	}
-	c := &Cache{
-		ways:     ways,
+	return &Cache{
+		ways:     make([]uint64, numSets*ways),
+		assoc:    ways,
 		setShift: log2(uint64(block)),
 		setMask:  uint64(numSets - 1),
-		sets:     make([][]line, numSets),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, ways)
-	}
-	return c
 }
 
 func log2(v uint64) uint {
@@ -60,40 +58,39 @@ func log2(v uint64) uint {
 	return n
 }
 
+// set returns addr's set and the way word a valid copy of its block holds.
+func (c *Cache) set(addr uint64) ([]uint64, uint64) {
+	tag := addr >> c.setShift
+	i := int(tag&c.setMask) * c.assoc
+	return c.ways[i : i+c.assoc], tag | valid
+}
+
 // Access looks up addr, allocating the block on a miss (write-allocate for
 // both reads and writes) and updating LRU order. It reports whether the
 // access hit.
 func (c *Cache) Access(addr uint64) bool {
-	tag := addr >> c.setShift
-	idx := tag & c.setMask
-	set := c.sets[idx]
-	for i, l := range set {
-		if l.valid && l.tag == tag {
+	set, w := c.set(addr)
+	for i, x := range set {
+		if x == w {
 			// Move to MRU position (front).
 			copy(set[1:i+1], set[:i])
-			set[0] = l
-			c.hits++
+			set[0] = w
 			return true
 		}
 	}
 	c.misses++
-	if len(set) < c.ways {
-		set = append(set, line{})
-		c.sets[idx] = set
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: tag, valid: true}
+	copy(set[1:], set) // the LRU way (or a never-filled one) drops off
+	set[0] = w
 	return false
 }
 
 // Invalidate drops addr's block if present (coherence invalidation),
 // reporting whether it was present.
 func (c *Cache) Invalidate(addr uint64) bool {
-	tag := addr >> c.setShift
-	set := c.sets[tag&c.setMask]
-	for i, l := range set {
-		if l.valid && l.tag == tag {
-			set[i].valid = false
+	set, w := c.set(addr)
+	for i, x := range set {
+		if x == w {
+			set[i] = w &^ valid
 			return true
 		}
 	}
@@ -103,9 +100,9 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // Contains reports whether addr's block is present, without touching LRU
 // state.
 func (c *Cache) Contains(addr uint64) bool {
-	tag := addr >> c.setShift
-	for _, l := range c.sets[tag&c.setMask] {
-		if l.valid && l.tag == tag {
+	set, w := c.set(addr)
+	for _, x := range set {
+		if x == w {
 			return true
 		}
 	}
@@ -114,12 +111,3 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Misses reports total miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate reports misses / accesses (0 before any access).
-func (c *Cache) MissRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}

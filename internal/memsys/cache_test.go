@@ -3,16 +3,18 @@ package memsys
 import (
 	"testing"
 	"testing/quick"
+
+	"rair/internal/sim"
 )
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(32<<10, 2, 64) // Table 1 L1: 256 sets
-	if len(c.sets) != 256 {
-		t.Fatalf("sets = %d", len(c.sets))
+	if n := len(c.ways) / c.assoc; n != 256 {
+		t.Fatalf("sets = %d", n)
 	}
 	c2 := NewCache(256<<10, 16, 64) // Table 1 L2 bank: 256 sets
-	if len(c2.sets) != 256 {
-		t.Fatalf("L2 sets = %d", len(c2.sets))
+	if n := len(c2.ways) / c2.assoc; n != 256 {
+		t.Fatalf("L2 sets = %d", n)
 	}
 }
 
@@ -23,6 +25,7 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 		func() { NewCache(3000, 2, 64) },    // non-power-of-two sets
 		func() { NewCache(32<<10, 0, 64) },  // no ways
 		func() { NewCache(32<<10, 2, -64) }, // negative block
+		func() { NewCache(32<<10, 2, 1) },   // no room for the valid bit
 	} {
 		func() {
 			defer func() {
@@ -46,8 +49,8 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	if !c.Access(0x1030) { // same 64B block
 		t.Fatal("same-block access missed")
 	}
-	if c.hits != 2 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", c.hits, c.Misses())
+	if c.Misses() != 1 {
+		t.Fatalf("misses=%d", c.Misses())
 	}
 }
 
@@ -115,14 +118,103 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	c := NewCache(128, 2, 64)
-	if c.MissRate() != 0 {
-		t.Fatal("fresh cache miss rate")
+// sliceCache is the cache as a slice of (tag, valid) lines per set, MRU
+// first, grown by append until the set is full: the representation the
+// packed Cache replaced, kept as its oracle.
+type sliceCache struct {
+	sets     [][]line
+	ways     int
+	setShift uint
+	setMask  uint64
+	misses   uint64
+}
+
+type line struct {
+	tag   uint64
+	valid bool
+}
+
+func newSliceCache(size, ways, block int) *sliceCache {
+	numSets := size / (ways * block)
+	c := &sliceCache{ways: ways, setShift: log2(uint64(block)), setMask: uint64(numSets - 1), sets: make([][]line, numSets)}
+	for i := range c.sets {
+		c.sets[i] = make([]line, 0, ways)
 	}
-	c.Access(0)
-	c.Access(0)
-	if c.MissRate() != 0.5 {
-		t.Fatalf("miss rate = %v", c.MissRate())
+	return c
+}
+
+func (c *sliceCache) Access(addr uint64) bool {
+	tag := addr >> c.setShift
+	idx := tag & c.setMask
+	set := c.sets[idx]
+	for i, l := range set {
+		if l.valid && l.tag == tag {
+			copy(set[1:i+1], set[:i])
+			set[0] = l
+			return true
+		}
+	}
+	c.misses++
+	if len(set) < c.ways {
+		set = append(set, line{})
+		c.sets[idx] = set
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = line{tag: tag, valid: true}
+	return false
+}
+
+func (c *sliceCache) Invalidate(addr uint64) bool {
+	tag := addr >> c.setShift
+	set := c.sets[tag&c.setMask]
+	for i, l := range set {
+		if l.valid && l.tag == tag {
+			set[i].valid = false
+			return true
+		}
+	}
+	return false
+}
+
+func (c *sliceCache) Contains(addr uint64) bool {
+	tag := addr >> c.setShift
+	for _, l := range c.sets[tag&c.setMask] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: over random Access/Invalidate/Contains sequences, the packed
+// cache returns what the slice-of-lines cache returns, call for call, and
+// counts the same misses — direct-mapped, 2-way and 16-way, on address
+// ranges three times the capacity so sets fill, evict and hold
+// invalidated ways (block 0 included).
+func TestCacheMatchesSliceLRU(t *testing.T) {
+	for _, g := range []struct{ size, ways int }{{4 * 64, 1}, {4 * 2 * 64, 2}, {2 * 16 * 64, 16}} {
+		blocks := 3 * g.size / 64
+		if err := quick.Check(func(seed uint64) bool {
+			rng := sim.NewRNG(seed)
+			c, ref := NewCache(g.size, g.ways, 64), newSliceCache(g.size, g.ways, 64)
+			for range 4000 {
+				addr := uint64(rng.Intn(blocks)*64 + rng.Intn(64))
+				var got, want bool
+				switch rng.Intn(4) {
+				case 0:
+					got, want = c.Invalidate(addr), ref.Invalidate(addr)
+				case 1:
+					got, want = c.Contains(addr), ref.Contains(addr)
+				default:
+					got, want = c.Access(addr), ref.Access(addr)
+				}
+				if got != want || c.Misses() != ref.misses {
+					return false
+				}
+			}
+			return true
+		}, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("%d-way: %v", g.ways, err)
+		}
 	}
 }

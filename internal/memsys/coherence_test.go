@@ -36,23 +36,17 @@ func TestWriteSharingInvalidates(t *testing.T) {
 
 	// Reader fetches the block (read): directory records it.
 	sys.cores[reader].l1.Access(addr) // simulate the fill the data reply implies
-	sys.HandleEject(&msg.Packet{
-		App: 0, Src: reader, Dst: home, Class: msg.ClassRequest, Size: 1,
-		Payload: payload{kind: l2Request, addr: addr, core: reader},
-	}, 0)
+	sys.HandleEject(request(reader, home, addr, false), 0)
 	drainDelayed(sys, rn, 20)
 	rn.inflight = nil // discard the data reply
 
 	// Writer writes the same block: one invalidation to the reader.
-	sys.HandleEject(&msg.Packet{
-		App: 0, Src: writer, Dst: home, Class: msg.ClassRequest, Size: 1,
-		Payload: payload{kind: l2Request, addr: addr, core: writer, write: true},
-	}, 30)
+	sys.HandleEject(request(writer, home, addr, true), 30)
 	drainDelayed(sys, rn, 60)
 
 	var inv *msg.Packet
 	for _, p := range rn.inflight {
-		if pl, ok := p.Payload.(payload); ok && pl.kind == invRequest {
+		if kindOf(p) == invRequest {
 			if inv != nil {
 				t.Fatal("more than one invalidation")
 			}
@@ -76,7 +70,7 @@ func TestWriteSharingInvalidates(t *testing.T) {
 	drainDelayed(sys, rn, 90)
 	var ack *msg.Packet
 	for _, p := range rn.inflight {
-		if pl, ok := p.Payload.(payload); ok && pl.kind == invAck {
+		if kindOf(p) == invAck {
 			ack = p
 		}
 	}
@@ -98,10 +92,7 @@ func TestWriteByOwnerQuiet(t *testing.T) {
 	const addr = 0x9900
 	home := sys.HomeBank(0, addr)
 	for i := 0; i < 3; i++ {
-		sys.HandleEject(&msg.Packet{
-			App: 0, Src: 9, Dst: home, Class: msg.ClassRequest, Size: 1,
-			Payload: payload{kind: l2Request, addr: addr, core: 9, write: true},
-		}, int64(i*10))
+		sys.HandleEject(request(9, home, addr, true), int64(i*10))
 	}
 	drainDelayed(sys, rn, 60)
 	if n := sys.Snapshot().InvalidationsSent; n != 0 {
@@ -118,20 +109,14 @@ func TestReadSharingQuiet(t *testing.T) {
 	const addr = 0xAA00
 	home := sys.HomeBank(0, addr)
 	for _, core := range []int{8, 9, 10, 11} {
-		sys.HandleEject(&msg.Packet{
-			App: 0, Src: core, Dst: home, Class: msg.ClassRequest, Size: 1,
-			Payload: payload{kind: l2Request, addr: addr, core: core},
-		}, 0)
+		sys.HandleEject(request(core, home, addr, false), 0)
 	}
 	drainDelayed(sys, rn, 60)
 	if n := sys.Snapshot().InvalidationsSent; n != 0 {
 		t.Fatalf("%d invalidations from reads", n)
 	}
 	// A write now invalidates all three other sharers.
-	sys.HandleEject(&msg.Packet{
-		App: 0, Src: 8, Dst: home, Class: msg.ClassRequest, Size: 1,
-		Payload: payload{kind: l2Request, addr: addr, core: 8, write: true},
-	}, 100)
+	sys.HandleEject(request(8, home, addr, true), 100)
 	drainDelayed(sys, rn, 160)
 	if n := sys.Snapshot().InvalidationsSent; n != 3 {
 		t.Fatalf("invalidations = %d, want 3", n)
@@ -143,4 +128,26 @@ func drainDelayed(sys *System, rn *recordingNet, until int64) {
 	for c := int64(0); c <= until; c++ {
 		sys.Tick(c)
 	}
+}
+
+// packet builds a request's packet the way send does, without injecting
+// it, for a test to hand straight to HandleEject.
+func packet(app, src, dst int, pl payload) *msg.Packet {
+	m := &message{pl: pl}
+	m.pkt = msg.Packet{App: app, Src: src, Dst: dst, Class: msg.ClassRequest, Size: 1, Payload: m}
+	return &m.pkt
+}
+
+// request is an application-0 core's L2 request for addr arriving at home.
+func request(core, home int, addr uint64, write bool) *msg.Packet {
+	return packet(0, core, home, payload{kind: l2Request, addr: addr, core: core, write: write})
+}
+
+// kindOf is the protocol kind an in-flight packet carries, or 255 for a
+// packet the memory system did not send.
+func kindOf(p *msg.Packet) reqKind {
+	if m, ok := p.Payload.(*message); ok {
+		return m.pl.kind
+	}
+	return 255
 }

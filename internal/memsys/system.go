@@ -2,6 +2,8 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"rair/internal/msg"
 	"rair/internal/region"
@@ -58,11 +60,12 @@ type AddressStream interface {
 // reqKind distinguishes protocol messages (carried in packet payloads).
 type reqKind uint8
 
+// Requests precede responses, which travel in the response class.
 const (
 	l2Request  reqKind = iota // core -> home L2 bank
 	mcRequest                 // L2 bank -> memory controller
-	dataReply                 // bank or MC -> core
 	invRequest                // L2 bank -> sharer core (coherence invalidation)
+	dataReply                 // bank or MC -> core
 	invAck                    // sharer core -> L2 bank
 )
 
@@ -73,6 +76,18 @@ type payload struct {
 	write bool
 }
 
+// message is one protocol message: the packet the network carries and the
+// request it describes, in one allocation the system recycles. The packet's
+// Payload points back at its message, so nothing is boxed.
+type message struct {
+	pkt  msg.Packet
+	pl   payload
+	next *message // the wheel slot, free list or retired list it is on
+}
+
+// fifo is a wheel slot: the messages due in one cycle, in send order.
+type fifo struct{ head, tail *message }
+
 // Injector submits a packet at a node's NI (wired to the network by the
 // caller).
 type Injector func(node int, p *msg.Packet, now int64)
@@ -81,6 +96,12 @@ type Injector func(node int, p *msg.Packet, now int64)
 // controllers at the corners, all communicating over the NoC. It implements
 // sim.Tickable (tick it before the network each cycle) and must also
 // receive every ejected packet via HandleEject.
+//
+// Steady-state Tick and HandleEject allocate nothing: messages recycle
+// through a free list and wait out delays on a timing wheel, both linked
+// through the messages. An ejected message is reused from the next Tick on,
+// as the observers after HandleEject (the statistics collector) still read
+// its packet; the network must not recycle these packets itself.
 type System struct {
 	cfg     SystemConfig
 	regions *region.Map
@@ -89,16 +110,22 @@ type System struct {
 
 	cores []*core
 	banks []*Cache
+	// homes[app] is app's region node list, the in-region home banks.
+	homes [][]int
 	// dirs is the per-bank sharer directory: block -> bitmask of sharer
-	// cores, maintained for blocks resident in the bank. Writes to shared
-	// blocks trigger L1 invalidations (a lightweight MSI-style protocol:
-	// the substrate's "multiple message classes" of Section IV.D).
+	// cores. Writes to shared blocks trigger L1 invalidations (a
+	// lightweight MSI-style protocol: the substrate's "multiple message
+	// classes" of Section IV.D). Entries outlive the bank's copy of the
+	// block, so they cannot live in the cache ways.
 	dirs []map[uint64]uint64
 	mcs  []int // MC node ids
 
-	// Delayed protocol actions (bank latency, memory latency), bucketed
-	// by due cycle.
-	delayed map[int64][]pending
+	// wheel holds delayed protocol actions (bank latency, memory latency)
+	// by due cycle modulo its length, a power of two above both latencies.
+	wheel []fifo
+	// free and retired are stacks: messages ready for reuse, and those
+	// ejected since the last Tick.
+	free, retired *message
 
 	nextID uint64
 
@@ -114,17 +141,12 @@ type System struct {
 	l1Invalidated      uint64
 }
 
-type pending struct {
-	node int
-	pkt  *msg.Packet
-}
-
 type core struct {
-	node        int
-	app         int
-	l1          *Cache
-	stream      AddressStream
-	outstanding map[uint64]bool // block-aligned addresses in flight
+	node   int
+	app    int
+	l1     *Cache
+	stream AddressStream
+	mshr   []uint64 // block addresses in flight, at most cfg.MSHRs
 }
 
 // New builds the memory system over the given region map. streams maps node
@@ -142,19 +164,23 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 		inject:  inject,
 		rng:     sim.NewRNG(seed),
 		banks:   make([]*Cache, mesh.N()),
+		homes:   make([][]int, regions.NumApps()),
+		dirs:    make([]map[uint64]uint64, mesh.N()),
 		mcs:     corners[:],
-		delayed: make(map[int64][]pending),
+		wheel:   make([]fifo, 1<<bits.Len64(uint64(max(cfg.L2Latency, cfg.MemLatency, 0)))),
 	}
-	s.dirs = make([]map[uint64]uint64, mesh.N())
+	for app := range s.homes {
+		s.homes[app] = regions.Nodes(app)
+	}
 	for n := 0; n < mesh.N(); n++ {
 		s.banks[n] = NewCache(cfg.L2Size, cfg.L2Ways, cfg.Block)
 		s.dirs[n] = make(map[uint64]uint64)
 		s.cores = append(s.cores, &core{
-			node:        n,
-			app:         regions.AppAt(n),
-			l1:          NewCache(cfg.L1Size, cfg.L1Ways, cfg.Block),
-			stream:      streams[n],
-			outstanding: make(map[uint64]bool),
+			node:   n,
+			app:    regions.AppAt(n),
+			l1:     NewCache(cfg.L1Size, cfg.L1Ways, cfg.Block),
+			stream: streams[n],
+			mshr:   make([]uint64, 0, cfg.MSHRs),
 		})
 	}
 	return s
@@ -168,16 +194,14 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 func (s *System) HomeBank(app int, addr uint64) int {
 	block := addr / uint64(s.cfg.Block)
 	h := splitmix(block ^ (uint64(app+1) << 56))
-	mesh := s.regions.Mesh()
-	nodes := s.regions.Nodes(app)
-	if app == region.Unassigned || len(nodes) == 0 {
-		return int(h % uint64(mesh.N()))
+	var nodes []int
+	if app >= 0 && app < len(s.homes) {
+		nodes = s.homes[app]
 	}
 	// Low bits pick the bank; a separate hash slice decides in/out of
 	// region so the two choices are independent.
-	outOf := float64((h>>32)&0xffff)/65536.0 < s.cfg.SharedFrac
-	if outOf {
-		return int(h % uint64(mesh.N()))
+	if len(nodes) == 0 || float64((h>>32)&0xffff)/65536.0 < s.cfg.SharedFrac {
+		return int(h % uint64(len(s.banks)))
 	}
 	return nodes[int(h%uint64(len(nodes)))]
 }
@@ -225,7 +249,7 @@ func (s *System) Prewarm(accessesPerCore int) {
 			}
 			home := s.HomeBank(c.app, a.Addr)
 			s.banks[home].Access(a.Addr)
-			if s.regions.Mesh().N() <= 64 {
+			if len(s.banks) <= 64 {
 				block := a.Addr / uint64(s.cfg.Block)
 				me := uint64(1) << uint(c.node%64)
 				if a.Write {
@@ -238,21 +262,24 @@ func (s *System) Prewarm(accessesPerCore int) {
 	}
 }
 
-// Tick advances cores one cycle: fire due protocol actions, then let each
-// core issue at most one access.
+// Tick advances cores one cycle: recycle the messages ejected last cycle,
+// fire due protocol actions, then let each core issue at most one access.
 func (s *System) Tick(now int64) {
-	if due, ok := s.delayed[now]; ok {
-		delete(s.delayed, now)
-		for _, p := range due {
-			s.packetsInjected++
-			s.inject(p.node, p.pkt, now)
-		}
+	for s.retired != nil {
+		m := s.retired
+		s.retired, m.next, s.free = m.next, s.free, m
 	}
+	due := &s.wheel[now&int64(len(s.wheel)-1)]
+	for m := due.head; m != nil; m = m.next {
+		s.packetsInjected++
+		s.inject(m.pkt.Src, &m.pkt, now)
+	}
+	*due = fifo{}
 	for _, c := range s.cores {
 		if c.stream == nil {
 			continue
 		}
-		if len(c.outstanding) >= s.cfg.MSHRs {
+		if len(c.mshr) >= s.cfg.MSHRs {
 			s.stalledCoreCycles++
 			continue
 		}
@@ -266,82 +293,89 @@ func (s *System) Tick(now int64) {
 		}
 		s.l1Misses++
 		block := a.Addr / uint64(s.cfg.Block)
-		if c.outstanding[block] {
+		if slices.Contains(c.mshr, block) {
 			s.mergesOnOutstand++ // MSHR merge: request already in flight
 			continue
 		}
-		c.outstanding[block] = true
+		c.mshr = append(c.mshr, block)
 		home := s.HomeBank(c.app, a.Addr)
-		s.send(c.node, now, 0, &msg.Packet{
-			App: c.app, Src: c.node, Dst: home,
-			Class: msg.ClassRequest, Size: msg.ShortPacketFlits,
-			Payload: payload{kind: l2Request, addr: a.Addr, core: c.node, write: a.Write},
-		})
+		s.send(now, 0, c.app, c.node, home, payload{kind: l2Request, addr: a.Addr, core: c.node, write: a.Write})
 	}
 }
 
-// send injects a packet after delay cycles (0 = this cycle).
-func (s *System) send(node int, now, delay int64, p *msg.Packet) {
+// send injects a protocol message from src to dst after delay cycles (0 =
+// this cycle), drawing it from the free list.
+func (s *System) send(now, delay int64, app, src, dst int, pl payload) {
+	m := s.free
+	if m != nil {
+		s.free = m.next
+	} else {
+		m = new(message)
+	}
+	class, size := msg.ClassRequest, msg.ShortPacketFlits
+	if pl.kind >= dataReply {
+		class = msg.ClassResponse
+	}
+	if pl.kind == dataReply {
+		size = msg.LongPacketFlits
+	}
 	s.nextID++
-	p.ID = s.nextID
+	m.pkt = msg.Packet{ID: s.nextID, App: app, Src: src, Dst: dst, Class: class, Size: size, Payload: m}
+	m.pl, m.next = pl, nil
 	if delay <= 0 {
 		s.packetsInjected++
-		s.inject(node, p, now)
+		s.inject(src, &m.pkt, now)
 		return
 	}
-	s.delayed[now+delay] = append(s.delayed[now+delay], pending{node: node, pkt: p})
+	slot := &s.wheel[(now+delay)&int64(len(s.wheel)-1)]
+	if slot.tail == nil {
+		slot.head = m
+	} else {
+		slot.tail.next = m
+	}
+	slot.tail = m
 }
 
 // HandleEject processes a delivered packet: bank lookups, MC fetches and
 // core completions. Wire it into the network's OnEject (before or after the
-// statistics collector; it does not mutate latency stamps).
+// statistics collector; it does not mutate latency stamps). It detaches the
+// payload, so a second delivery of the same packet is ignored.
 func (s *System) HandleEject(p *msg.Packet, now int64) {
-	pl, ok := p.Payload.(payload)
+	m, ok := p.Payload.(*message)
 	if !ok {
 		return // not a memory-system packet (e.g. adversarial traffic)
 	}
+	p.Payload = nil
+	m.next, s.retired = s.retired, m
+	pl := m.pl
 	switch pl.kind {
 	case l2Request:
 		bank := s.banks[p.Dst]
 		s.updateDirectory(p, pl, now)
 		if bank.Access(pl.addr) {
 			s.l2Hits++
-			s.send(p.Dst, now, s.cfg.L2Latency, &msg.Packet{
-				App: p.App, Src: p.Dst, Dst: pl.core,
-				Class: msg.ClassResponse, Size: msg.LongPacketFlits,
-				Payload: payload{kind: dataReply, addr: pl.addr, core: pl.core},
-			})
+			s.send(now, s.cfg.L2Latency, p.App, p.Dst, pl.core, payload{kind: dataReply, addr: pl.addr, core: pl.core})
 			return
 		}
 		s.l2Misses++
-		mc := s.nearestMC(p.Dst)
-		s.send(p.Dst, now, s.cfg.L2Latency, &msg.Packet{
-			App: p.App, Src: p.Dst, Dst: mc,
-			Class: msg.ClassRequest, Size: msg.ShortPacketFlits,
-			Payload: payload{kind: mcRequest, addr: pl.addr, core: pl.core},
-		})
+		s.send(now, s.cfg.L2Latency, p.App, p.Dst, s.nearestMC(p.Dst), payload{kind: mcRequest, addr: pl.addr, core: pl.core})
 	case mcRequest:
 		// Memory access, then data straight to the requesting core (the
 		// home bank has already allocated the block).
-		s.send(p.Dst, now, s.cfg.MemLatency, &msg.Packet{
-			App: p.App, Src: p.Dst, Dst: pl.core,
-			Class: msg.ClassResponse, Size: msg.LongPacketFlits,
-			Payload: payload{kind: dataReply, addr: pl.addr, core: pl.core},
-		})
+		s.send(now, s.cfg.MemLatency, p.App, p.Dst, pl.core, payload{kind: dataReply, addr: pl.addr, core: pl.core})
 	case dataReply:
 		c := s.cores[pl.core]
-		delete(c.outstanding, pl.addr/uint64(s.cfg.Block))
+		if i := slices.Index(c.mshr, pl.addr/uint64(s.cfg.Block)); i >= 0 {
+			c.mshr = slices.Delete(c.mshr, i, i+1)
+		}
 		s.finishedCoreMisses++
 	case invRequest:
-		// A sharer core drops its L1 copy and acknowledges to the bank.
+		// A sharer core drops its L1 copy and acknowledges to the bank
+		// (pl.core carries the bank node).
 		if s.cores[p.Dst].l1.Invalidate(pl.addr) {
 			s.l1Invalidated++
 		}
-		s.send(p.Dst, now, 0, &msg.Packet{
-			App: p.App, Src: p.Dst, Dst: pl.core, // pl.core carries the bank node
-			Class: msg.ClassResponse, Size: msg.ShortPacketFlits,
-			Payload: payload{kind: invAck, addr: pl.addr, core: pl.core},
-		})
+		s.send(now, 0, p.App, p.Dst, pl.core, payload{kind: invAck, addr: pl.addr, core: pl.core})
 	case invAck:
 		s.invAcksReceived++
 	}
@@ -351,7 +385,7 @@ func (s *System) HandleEject(p *msg.Packet, now int64) {
 // the home bank and fires invalidations when a write touches a block other
 // cores share.
 func (s *System) updateDirectory(p *msg.Packet, pl payload, now int64) {
-	if s.regions.Mesh().N() > 64 {
+	if len(s.banks) > 64 {
 		return // bitmask directory covers up to 64 cores; larger chips skip coherence traffic
 	}
 	dir := s.dirs[p.Dst]
@@ -367,12 +401,8 @@ func (s *System) updateDirectory(p *msg.Packet, pl payload, now int64) {
 			}
 			others &^= bit
 			s.invalidationsSent++
-			s.send(p.Dst, now, s.cfg.L2Latency, &msg.Packet{
-				App: p.App, Src: p.Dst, Dst: node,
-				Class: msg.ClassRequest, Size: msg.ShortPacketFlits,
-				// core carries the bank node so the ack returns home.
-				Payload: payload{kind: invRequest, addr: pl.addr, core: p.Dst},
-			})
+			// core carries the bank node so the ack returns home.
+			s.send(now, s.cfg.L2Latency, p.App, p.Dst, node, payload{kind: invRequest, addr: pl.addr, core: p.Dst})
 		}
 		dir[block] = me
 		return
@@ -412,7 +442,7 @@ func (s *System) Snapshot() Stats {
 func (s *System) Outstanding() int {
 	n := 0
 	for _, c := range s.cores {
-		n += len(c.outstanding)
+		n += len(c.mshr)
 	}
 	return n
 }

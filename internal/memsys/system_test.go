@@ -266,3 +266,96 @@ func TestStreamCountMismatchPanics(t *testing.T) {
 	regs := region.Quadrants(topology.NewMesh(8, 8))
 	New(DefaultSystemConfig(), regs, make([]AddressStream, 3), 1, nil)
 }
+
+// loopNet stands in for the network: it hands every injected packet back
+// to the system delay cycles later.
+type loopNet struct {
+	sys   *System
+	slots [][]*msg.Packet
+	delay int64
+}
+
+func (l *loopNet) inject(_ int, p *msg.Packet, now int64) {
+	i := (now + l.delay) % int64(len(l.slots))
+	l.slots[i] = append(l.slots[i], p)
+}
+
+// cycle ticks the system, then ejects the packets due this cycle.
+func (l *loopNet) cycle(now int64) {
+	l.sys.Tick(now)
+	i := now % int64(len(l.slots))
+	for _, p := range l.slots[i] {
+		l.sys.HandleEject(p, now)
+	}
+	l.slots[i] = l.slots[i][:0]
+}
+
+// Once warm, the closed loop allocates nothing: every core streams over
+// 384 blocks that all fall in one L1 and one L2 set (L1 misses, some L2
+// misses, MSHR stalls), returns to each block after two others have
+// evicted it from the 2-way L1 (MSHR merges) and writes every other access
+// (invalidations and acks), yet Tick and HandleEject only recycle messages,
+// wheel slots and MSHR entries.
+func TestSystemSteadyStateAllocs(t *testing.T) {
+	accs := make([]Access, 512)
+	for i := range accs {
+		block := i - i%4 + []int{0, 1, 2, 0}[i%4] // x, x+1, x+2, x
+		accs[i] = Access{Addr: uint64(block) << 14, Write: i%2 == 1}
+	}
+	streams := nilStreams()
+	for n := range streams {
+		streams[n] = &fixedStream{accesses: accs, i: n * 37}
+	}
+	net := &loopNet{slots: make([][]*msg.Packet, 32), delay: 20}
+	net.sys = New(DefaultSystemConfig(), region.Quadrants(topology.NewMesh(8, 8)), streams, 1, net.inject)
+	net.sys.Prewarm(2000)
+	now := int64(0)
+	run := func() {
+		for end := now + 200; now < end; now++ {
+			net.cycle(now)
+		}
+	}
+	for range 150 { // until the messages in flight stop setting records
+		run()
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("%v allocations per 200 cycles", allocs)
+	}
+	st := net.sys.Snapshot()
+	if st.L2Misses == 0 || st.InvAcksReceived == 0 || st.StalledCoreCycles == 0 || st.MSHRMerges == 0 {
+		t.Fatalf("loop did not exercise the protocol: %+v", st)
+	}
+}
+
+// The wheel holds a delay longer than the default latencies: with a
+// 300-cycle memory the reply to an MC request injects exactly 300 cycles
+// after the request ejects, and a second delivery of the same packet is
+// ignored rather than recycling its message twice.
+func TestWheelDelaysMemoryReply(t *testing.T) {
+	cfg := DefaultSystemConfig()
+	cfg.MemLatency = 300
+	sys, rn := quadSys(nilStreams(), cfg)
+	if len(sys.wheel) != 512 {
+		t.Fatalf("wheel of %d slots for a 300-cycle delay", len(sys.wheel))
+	}
+	req := packet(0, 9, 0, payload{kind: mcRequest, addr: 0x40, core: 9})
+	m := req.Payload.(*message)
+	sys.HandleEject(req, 10)
+	sys.HandleEject(req, 10)
+	at := int64(-1)
+	for c := int64(11); c <= 700; c++ {
+		sys.Tick(c)
+		if at < 0 && len(rn.inflight) > 0 {
+			at = c
+		}
+	}
+	if at != 310 || rn.count != 1 {
+		t.Fatalf("reply at cycle %d, %d injections; want one at 310", at, rn.count)
+	}
+	if reply := rn.inflight[0]; kindOf(reply) != dataReply || reply.Src != 0 || reply.Dst != 9 {
+		t.Fatalf("bad reply %+v", reply)
+	}
+	if sys.free != m || m.next != nil {
+		t.Fatal("free list is not the request's message once")
+	}
+}

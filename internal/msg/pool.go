@@ -10,7 +10,7 @@ package msg
 // the network Puts ejected packets while replaying ejection callbacks after
 // all tick barriers. Recycling is only sound when no observer retains the
 // packet pointer past its ejection callback — callers that record packets
-// (trace capture, the memory-system model) must simply not attach a pool.
+// or recycle their own (the memory-system model) must not attach a pool.
 type Pool struct {
 	free []*Packet
 }

@@ -102,12 +102,6 @@ func (c Config) VCsPerClass() int { return c.AdaptiveVCs + c.EscapeVCs }
 // VCsPerPort reports the total VCs per port across all classes.
 func (c Config) VCsPerPort() int { return c.Classes * c.VCsPerClass() }
 
-// ClassOf returns the message class a VC index belongs to.
-func (c Config) ClassOf(vc int) msg.Class {
-	c.checkVC(vc)
-	return msg.Class(vc / c.VCsPerClass())
-}
-
 // KindOf returns the RAIR VC classification of a VC index. Within each
 // class the layout is [escape... | global... | regional...].
 func (c Config) KindOf(vc int) policy.VCClass {

@@ -53,8 +53,8 @@ func TestVCLayout(t *testing.T) {
 		if vc >= 5 {
 			wantClass = msg.ClassResponse
 		}
-		if got := cfg.ClassOf(vc); got != wantClass {
-			t.Errorf("ClassOf(%d) = %v, want %v", vc, got, wantClass)
+		if base := cfg.ClassBase(wantClass); vc < base || vc >= base+cfg.VCsPerClass() {
+			t.Errorf("VC %d outside class %v's range from %d", vc, wantClass, base)
 		}
 	}
 	if cfg.ClassBase(msg.ClassResponse) != 5 {

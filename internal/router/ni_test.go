@@ -206,7 +206,7 @@ func TestNIPerClassQueues(t *testing.T) {
 	classes := map[msg.Class]bool{}
 	for c := int64(0); c < 20; c++ {
 		if f, ok := inj.ShiftFlits(c); ok {
-			classes[cfg.ClassOf(f.VC)] = true
+			classes[msg.Class(f.VC/cfg.VCsPerClass())] = true
 		}
 		ni.Tick(c)
 	}

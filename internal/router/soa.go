@@ -1,8 +1,6 @@
 package router
 
 import (
-	"math/bits"
-
 	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/sim"
@@ -139,14 +137,3 @@ func (s *SoA) ArmedRouter(li int) bool { return s.ArmedR[uint(li)>>6]>>(uint(li)
 
 // ArmedNI reports whether NI li's wake bit is set (audit hook).
 func (s *SoA) ArmedNI(li int) bool { return s.ArmedN[uint(li)>>6]>>(uint(li)&63)&1 == 1 }
-
-// ArmedCount reports the set bits in both wake bitmaps (benchmark hook).
-func (s *SoA) ArmedCount() (routers, nis int) {
-	for _, w := range s.ArmedR {
-		routers += bits.OnesCount64(w)
-	}
-	for _, w := range s.ArmedN {
-		nis += bits.OnesCount64(w)
-	}
-	return
-}

@@ -266,27 +266,8 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, fmt.Errorf("rair: unknown layout %q", cfg.Layout)
 	}
 
-	rcfg := router.DefaultConfig(1)
-	if cfg.Classes > 0 {
-		rcfg = router.DefaultConfig(cfg.Classes)
-	}
-	if cfg.AdaptiveVCs > 0 {
-		rcfg.AdaptiveVCs = cfg.AdaptiveVCs
-		rcfg.GlobalVCs = cfg.AdaptiveVCs / 2
-	}
-	if cfg.GlobalVCs > 0 {
-		rcfg.GlobalVCs = cfg.GlobalVCs
-	}
-	if cfg.EscapeVCs > 0 {
-		rcfg.EscapeVCs = cfg.EscapeVCs
-	}
-	if cfg.Depth > 0 {
-		rcfg.Depth = cfg.Depth
-	}
-	if cfg.LinkLatency > 0 {
-		rcfg.LinkLatency = cfg.LinkLatency
-	}
-	if err := rcfg.Validate(); err != nil {
+	rcfg, err := routerConfig(cfg, max(cfg.Classes, 1))
+	if err != nil {
 		return nil, err
 	}
 
@@ -312,6 +293,29 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, fmt.Errorf("rair: unknown routing %q", cfg.Routing)
 	}
 	return s, nil
+}
+
+// routerConfig is the Table 1 router for the given number of message
+// classes with cfg's microarchitecture overrides applied, validated.
+func routerConfig(cfg Config, classes int) (router.Config, error) {
+	rcfg := router.DefaultConfig(classes)
+	if cfg.AdaptiveVCs > 0 {
+		rcfg.AdaptiveVCs = cfg.AdaptiveVCs
+		rcfg.GlobalVCs = cfg.AdaptiveVCs / 2
+	}
+	if cfg.GlobalVCs > 0 {
+		rcfg.GlobalVCs = cfg.GlobalVCs
+	}
+	if cfg.EscapeVCs > 0 {
+		rcfg.EscapeVCs = cfg.EscapeVCs
+	}
+	if cfg.Depth > 0 {
+		rcfg.Depth = cfg.Depth
+	}
+	if cfg.LinkLatency > 0 {
+		rcfg.LinkLatency = cfg.LinkLatency
+	}
+	return rcfg, rcfg.Validate()
 }
 
 // lbdrRestricted reports whether the simulation runs under LBDR's
@@ -407,7 +411,8 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 
 // AttachPARSEC replaces synthetic applications with the PARSEC-proxy
 // workloads over the Table 1 memory system: application i of the layout
-// runs workload.Profiles()[i mod 4].
+// runs workload.Profiles()[i mod 4]. The router gets at least the memory
+// system's two message classes; every other router override is kept.
 func (s *Simulation) AttachPARSEC() error {
 	if len(s.apps) > 0 {
 		return fmt.Errorf("rair: cannot mix AttachPARSEC with AddApp")
@@ -418,8 +423,11 @@ func (s *Simulation) AttachPARSEC() error {
 	if s.lbdrRestricted() {
 		return fmt.Errorf("rair: LBDR routing cannot express the memory system's inter-region traffic")
 	}
-	s.rcfg = router.DefaultConfig(int(msg.NumClasses))
-	s.parsec = true
+	rcfg, err := routerConfig(s.cfg, max(s.cfg.Classes, int(msg.NumClasses)))
+	if err != nil {
+		return err
+	}
+	s.rcfg, s.parsec = rcfg, true
 	return nil
 }
 

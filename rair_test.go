@@ -187,6 +187,41 @@ func TestRunPARSECEndToEnd(t *testing.T) {
 	}
 }
 
+// AttachPARSEC raises the router to the memory system's two message classes
+// and keeps every other override: buffer depth, VC counts and link latency
+// change the PARSEC run, a plain file still reproduces the figures it always
+// did, and an override past the per-port VC limit is an error.
+func TestAttachPARSECKeepsRouterOverrides(t *testing.T) {
+	run := func(cfg Config) (*Report, error) {
+		cfg.Layout, cfg.Scheme, cfg.Seed = LayoutQuadrants, "RA_RAIR", 1
+		sim, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := sim.AttachPARSEC(); err != nil {
+			return nil, err
+		}
+		return sim.Run(Phases{Warmup: 500, Measure: 2000, Drain: 4000})
+	}
+	plain, err := run(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("APL %.2f over %d packets", plain.APL, plain.Packets); got != "APL 60.52 over 25912 packets" {
+		t.Fatalf("override-free PARSEC run moved: %s", got)
+	}
+	over, err := run(Config{Depth: 2, AdaptiveVCs: 2, LinkLatency: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.APL == plain.APL && over.Packets == plain.Packets {
+		t.Fatalf("router overrides ignored: APL %.2f over %d packets either way", over.APL, over.Packets)
+	}
+	if _, err := run(Config{AdaptiveVCs: 40}); err == nil {
+		t.Fatal("two classes of 41 VCs per port accepted")
+	}
+}
+
 func TestMixingModesRejected(t *testing.T) {
 	sim, _ := New(Config{Layout: LayoutQuadrants})
 	sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1})
