@@ -135,29 +135,16 @@ func TreeChildren(n, rank int) []int {
 	return out
 }
 
-// PhaseProgress is the progress and blame decomposition of one phase.
+// PhaseProgress is the progress of one phase.
 type PhaseProgress struct {
 	// Name labels the phase ("reduce-scatter", "all-gather", ...).
 	Name string
 	// Sent and Delivered count the phase's packets.
 	Sent, Delivered int64
-	// LatencyCycles sums the queueing-inclusive latency of the phase's
-	// delivered packets; InjectQueueCycles the portion spent in the
-	// source NI queue before entering the network.
-	LatencyCycles     int64
-	InjectQueueCycles int64
-	// Blame sums the packets' stalled-head-flit blame vectors per cause
-	// bucket (nonzero only when attribution telemetry is on): the blame
-	// accountant's answer to who stalls the collective at its region
-	// boundary, per phase.
-	Blame [msg.NumBlame]int64
 }
 
 // Progress is a snapshot of a source's counters.
 type Progress struct {
-	// Op echoes the operation; Ranks the participant count.
-	Op    Op
-	Ranks int
 	// RoundsStarted counts rounds begun; Rounds counts rounds whose every
 	// packet was delivered. TotalCycles sums completed rounds' durations.
 	RoundsStarted, Rounds int64
@@ -271,8 +258,6 @@ func NewSource(spec Spec, seed uint64, inject traffic.InjectorFunc) *Source {
 		s.rankOf[node] = r
 	}
 	s.buildSchedule()
-	s.prog.Op = spec.Op
-	s.prog.Ranks = s.n
 	for _, name := range phaseNames(spec.Op) {
 		s.prog.Phases = append(s.prog.Phases, PhaseProgress{Name: name})
 	}
@@ -411,12 +396,7 @@ func (s *Source) send(r, j int, now int64) {
 	src := s.ranks[r]
 	dst := s.ranks[s.sched[r][j]]
 	s.nextID++
-	var p *msg.Packet
-	if s.Pool != nil {
-		p = s.Pool.Get()
-	} else {
-		p = &msg.Packet{}
-	}
+	p := s.Pool.Get()
 	p.ID, p.App, p.Src, p.Dst = idBase+s.nextID, s.spec.App, src, dst
 	p.Class, p.Size = s.spec.Class, msg.LongPacketFlits
 	s.sentPkts[r]++
@@ -439,15 +419,7 @@ func (s *Source) Deliver(p *msg.Packet, now int64) {
 	if s.recvPkts[r] >= s.recvPhaseEdge[r] {
 		pi = 1
 	}
-	ph := &s.prog.Phases[pi]
-	ph.Delivered++
-	ph.LatencyCycles += p.TotalLatency()
-	if p.InjectedAt >= 0 {
-		ph.InjectQueueCycles += p.InjectedAt - p.CreatedAt
-	}
-	for b, v := range p.Blame {
-		ph.Blame[b] += int64(v)
-	}
+	s.prog.Phases[pi].Delivered++
 	s.recvPkts[r]++
 	s.delivered++
 	if s.delivered == s.expectedRound {

@@ -57,19 +57,34 @@ func CollectiveScenario(op collective.Op) (*region.Map, []traffic.AppTraffic, co
 // most network-intensive application).
 func collectiveTable(title string, victims []string, spec collective.Spec, alone func(s Scheme) RunConfig) *Table {
 	schemes := comparedSchemes([]int{0, 1, 2, 3})
-	progs := make([]collective.Progress, len(schemes))
+	srcs := make([]*collective.Source, len(schemes))
 	p := coRunPanel(title, schemes, victims, func(i int, s Scheme) (base, co RunConfig) {
 		base = alone(s)
-		co = base
-		co.Collective, co.CollectiveDone = &spec, func(p collective.Progress) { progs[i] = p }
-		return base, co
+		return base, withCollective(base, spec, &srcs[i])
 	})
 	t := p.SlowdownTable("avg slowdown")
 	t.Header = append(t.Header, "cct", "rounds")
-	for i, prog := range progs {
+	for i, src := range srcs {
+		prog := src.Progress()
 		t.Rows[i] = append(t.Rows[i], fmt.Sprintf("%.1f", prog.CompletionTime()), fmt.Sprintf("%d", prog.Rounds))
 	}
 	return t
+}
+
+// withCollective returns rc with the collective over spec attached after
+// rc's own sources, sending until the end of the measurement window; *src
+// receives the collective source when the run is built.
+func withCollective(rc RunConfig, spec collective.Spec, src **collective.Source) RunConfig {
+	attach := rc.Attach
+	rc.Attach = func(inject Inject, pool *msg.Pool) Attached {
+		var att Attached
+		if attach != nil {
+			att = attach(inject, pool)
+		}
+		*src = att.AddCollective(spec, rc.Seed, rc.Dur.Warmup+rc.Dur.Measure, inject, pool)
+		return att
+	}
+	return rc
 }
 
 // CollectiveSynth runs the synthetic collective co-run across the scheme

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"rair/internal/collective"
 	"rair/internal/memsys"
 	"rair/internal/msg"
 	"rair/internal/policy"
@@ -103,6 +104,28 @@ func (a *Attached) AddAdversary(mesh *topology.Mesh, app int, flitRate float64, 
 	a.OnEject = func(p *msg.Packet, now int64) bool {
 		return (rest == nil || rest(p, now)) && p.App != app
 	}
+}
+
+// AddCollective appends a collective workload over spec as the
+// attachment's last source, sending until cycle until. Its packets are
+// delivered back to the source (driving the phase dependency barriers) before
+// any earlier ejection rule sees them and never reach the collector, so the
+// run's latency figures measure the victim applications only. Read the
+// returned source's Progress after the run.
+func (a *Attached) AddCollective(spec collective.Spec, seed uint64, until int64, inject Inject, pool *msg.Pool) *collective.Source {
+	src := collective.NewSource(spec, seed, inject)
+	src.Until = until
+	src.Pool = pool
+	a.Sources = append(a.Sources, src)
+	rest := a.OnEject
+	a.OnEject = func(p *msg.Packet, now int64) bool {
+		if p.App == spec.App {
+			src.Deliver(p, now)
+			return false
+		}
+		return rest == nil || rest(p, now)
+	}
+	return src
 }
 
 // parsecConfig is one PARSEC-proxy simulation point under a scheme,

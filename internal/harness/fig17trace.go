@@ -50,23 +50,31 @@ const ReplayDrain = 100000
 // outside the window). Unlike the closed-loop PARSEC runs, replay holds the
 // traffic identical across schemes — the paper's trace-driven comparison.
 func ReplayPARSEC(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64) Replay {
-	regs := region.Quadrants(Mesh8())
 	var player *trace.Player
-	b := Build(RunConfig{
+	b := Build(replayConfig(t, s, advRate, warmup, drain, seed, &player))
+	defer b.Close()
+	col := b.Run()
+	return Replay{Col: col, Injected: player.Injected(), Cycles: b.Eng.Now(), Drained: b.Net.Drained()}
+}
+
+// replayConfig is ReplayPARSEC's simulation point; *player receives the
+// trace player when the run is built. Replayed packets come from the run's
+// pool, which the network refills with every ejected one.
+func replayConfig(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64, seed uint64, player **trace.Player) RunConfig {
+	regs := region.Quadrants(Mesh8())
+	return RunConfig{
 		Regions: regs, Router: MemsysRouterConfig(), Scheme: s, Seed: seed,
 		Dur: Durations{Warmup: warmup, Measure: t.Duration() - warmup, Drain: drain},
 		Attach: func(inject Inject, pool *msg.Pool) Attached {
-			player = trace.NewPlayer(t, inject)
-			att := Attached{Sources: []sim.Tickable{player}}
+			*player = trace.NewPlayer(t, inject)
+			(*player).Pool = pool
+			att := Attached{Sources: []sim.Tickable{*player}}
 			if advRate > 0 {
 				att.AddAdversary(regs.Mesh(), AdversaryApp, advRate, seed, t.Duration(), inject, pool)
 			}
 			return att
 		},
-	})
-	defer b.Close()
-	col := b.Run()
-	return Replay{Col: col, Injected: player.Injected(), Cycles: b.Eng.Now(), Drained: b.Net.Drained()}
+	}
 }
 
 // Fig17Trace is the trace-driven variant of Figure 17: one PARSEC trace is

@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"rair/internal/msg"
+	"rair/internal/trace"
 )
 
 // testDur keeps test runs short; orderings are stable at this size.
@@ -293,6 +296,43 @@ func TestRecordPARSECTraceValid(t *testing.T) {
 	}
 	if err := tr.Validate(64); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayFreelistIsBounded: a plain replay draws its packets from the
+// run's pool, so once the network has drained the freelist holds at most
+// the run's peak of in-flight packets, not one packet per trace event.
+func TestReplayFreelistIsBounded(t *testing.T) {
+	tr := RecordPARSECTrace(2000, 1)
+	var player *trace.Player
+	rc := replayConfig(tr, RAIR("RA_RAIR"), 0, 300, ReplayDrain, 1, &player)
+	var pool *msg.Pool
+	seen := map[*msg.Packet]bool{}
+	live, peak := 0, 0
+	attach := rc.Attach
+	rc.Attach = func(inject Inject, p *msg.Pool) Attached {
+		pool = p
+		att := attach(func(node int, pkt *msg.Packet, now int64) {
+			seen[pkt] = true
+			live++
+			peak = max(peak, live)
+			inject(node, pkt, now)
+		}, p)
+		att.OnEject = func(*msg.Packet, int64) bool { live--; return true }
+		return att
+	}
+	b := Build(rc)
+	defer b.Close()
+	b.Run()
+	if !b.Net.Drained() || live != 0 {
+		t.Fatalf("replay did not drain: %d packets in flight", live)
+	}
+	held := 0
+	for seen[pool.Get()] {
+		held++
+	}
+	if held > peak || 2*peak > tr.Len() {
+		t.Fatalf("freelist holds %d packets after replaying %d events with at most %d in flight", held, tr.Len(), peak)
 	}
 }
 

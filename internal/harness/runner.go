@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"rair/internal/collective"
 	"rair/internal/faults"
 	"rair/internal/invariant"
 	"rair/internal/msg"
@@ -61,15 +60,6 @@ type RunConfig struct {
 	// Check, if non-nil, runs the runtime invariant checker at every tick
 	// barrier; see network.Params.Check.
 	Check *invariant.Config
-	// Collective, if non-nil, co-runs a collective workload alongside the
-	// Bernoulli apps: its packets are delivered back to the collective
-	// source (driving the phase dependency barriers) instead of the
-	// statistics collector, so Apps' latency figures measure the victim
-	// applications only, the way the PARSEC runs exclude the adversary.
-	Collective *collective.Spec
-	// CollectiveDone, if set, receives the collective's final progress
-	// snapshot when the run (including drain) finishes.
-	CollectiveDone func(collective.Progress)
 	// Chiplets, if non-nil, builds the mesh as a two-level chiplet system
 	// joined by a crossbar; see network.Params.Chiplets. The grid must span
 	// the Regions mesh.
@@ -81,9 +71,9 @@ type RunConfig struct {
 	Alg routing.Algorithm
 	// Attach, if set, is called once while the simulation is built and adds
 	// the run's own traffic sources and ejection observer (a memory system,
-	// an adversarial injector, a trace player, a rank observer). inject is
-	// the network's injection entry and pool the run's packet freelist; see
-	// Attached for what the hook hands back.
+	// an adversarial injector, a collective, a trace player, a rank
+	// observer). inject is the network's injection entry and pool the run's
+	// packet freelist; see Attached for what the hook hands back.
 	Attach func(inject Inject, pool *msg.Pool) Attached
 }
 
@@ -94,14 +84,14 @@ type Inject = func(node int, p *msg.Packet, now int64)
 // Attached is what a RunConfig.Attach hook contributes to a simulation.
 type Attached struct {
 	// Sources tick every cycle, in this order, after the Apps generator and
-	// before the collective source and the network — the order decides NI
-	// queue order when two sources inject at one node in one cycle. They
-	// are ticked through the drain phase too, so an open-loop source must
-	// stop itself at the end of the measurement window.
+	// before the network — the order decides NI queue order when two
+	// sources inject at one node in one cycle. They are ticked through the
+	// drain phase too, so an open-loop source must stop itself at the end of
+	// the measurement window.
 	Sources []sim.Tickable
-	// OnEject, if set, sees every delivered packet (the collective's own
-	// excepted) before the statistics collector and reports whether the
-	// collector should count it.
+	// OnEject, if set, sees every delivered packet before the statistics
+	// collector and reports whether the collector should count it. It is
+	// the run's one ejection rule: each Add* helper wraps the previous rule.
 	OnEject func(p *msg.Packet, now int64) bool
 	// Retains keeps ejected packets out of the freelist: this source
 	// recycles its own packets. The memory system sets it; a packet it
@@ -118,8 +108,7 @@ type Sim struct {
 	Eng *sim.Engine
 	Col *stats.Collector
 
-	rc  RunConfig
-	src *collective.Source // nil without a co-running collective
+	rc RunConfig
 }
 
 // Build constructs the simulation for rc without running it.
@@ -152,23 +141,6 @@ func Build(rc RunConfig) *Sim {
 			if att.OnEject(p, now) {
 				s.Col.OnEject(p, now)
 			}
-		}
-	}
-	if rc.Collective != nil {
-		// The collective source consumes its own deliveries through OnEject,
-		// which the network runs on the ticking goroutine in node order —
-		// the dependency barriers are deterministic at any worker count.
-		s.src = collective.NewSource(*rc.Collective, rc.Seed, inject)
-		s.src.Pool = pool
-		s.src.Until = end
-		s.Eng.Register(s.src)
-		rest := onEject
-		onEject = func(p *msg.Packet, now int64) {
-			if p.App == rc.Collective.App {
-				s.src.Deliver(p, now)
-				return
-			}
-			rest(p, now)
 		}
 	}
 	alg := rc.Alg
@@ -205,17 +177,6 @@ func Build(rc RunConfig) *Sim {
 func (s *Sim) Run() *stats.Collector {
 	s.Eng.Run(s.rc.Dur.Warmup + s.rc.Dur.Measure)
 	s.Eng.RunUntil(s.Net.Drained, s.rc.Dur.Drain)
-	if s.src != nil {
-		// Publish the collective's progress: into the telemetry collector's
-		// report (when instrumented) and to the caller's hook.
-		prog := s.src.Progress()
-		if s.rc.Telemetry != nil {
-			s.rc.Telemetry.AttachCollective(prog.Telemetry(s.rc.Collective.App))
-		}
-		if s.rc.CollectiveDone != nil {
-			s.rc.CollectiveDone(prog)
-		}
-	}
 	return s.Col
 }
 

@@ -23,13 +23,18 @@ func TestRunnersReproduceParent(t *testing.T) {
 	// collectivePARSEC runs one PARSEC/collective co-run point, with the
 	// ring AllReduce in quadrant 3 when co is set.
 	collectivePARSEC := func(co bool) string {
-		var p collective.Progress
+		var src *collective.Source
 		rc := collectivePARSECConfig(region.Quadrants(Mesh8()), rair, dur, 1)
 		if co {
 			spec := NewCollectiveSpec(collective.RingAllReduce, rc.Regions, CollectiveApp, msg.ClassResponse)
-			rc.Collective, rc.CollectiveDone = &spec, func(got collective.Progress) { p = got }
+			rc = withCollective(rc, spec, &src)
 		}
-		return fmt.Sprintf("%s | rounds=%d cct=%v deliv=%d", collectorSurface(Run(rc)), p.Rounds, p.CompletionTime(), p.Delivered())
+		surface := collectorSurface(Run(rc))
+		var p collective.Progress
+		if src != nil {
+			p = src.Progress()
+		}
+		return fmt.Sprintf("%s | rounds=%d cct=%v deliv=%d", surface, p.Rounds, p.CompletionTime(), p.Delivered())
 	}
 	tr := RecordPARSECTrace(dur.Warmup+dur.Measure, 1)
 	cases := []struct {

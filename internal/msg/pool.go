@@ -18,8 +18,12 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed packet, reusing a recycled one when available.
+// Get returns a zeroed packet, reusing a recycled one when available. A nil
+// pool allocates every packet, so a source's Pool field may stay unset.
 func (p *Pool) Get() *Packet {
+	if p == nil {
+		return &Packet{}
+	}
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
 		p.free = p.free[:n-1]

@@ -71,3 +71,44 @@ func FuzzLoadStore(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadManifest writes arbitrary bytes as a manifest file: loading
+// either fails or yields a manifest that validates or not without a panic,
+// and one that loads writes back to a file expanding to the same jobs.
+func FuzzLoadManifest(f *testing.F) {
+	for _, name := range []string{"quick", "collective", "chiplet", "nightly"} {
+		raw, err := os.ReadFile("../../testdata/sweep/" + name + ".json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"name":"x","quick":true,"seeds":[0],"experiments":[{"name":"fig9","seeds":[]}]} {}`))
+	var known []string
+	for _, e := range rair.Experiments() {
+		known = append(known, e.Name)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "manifest.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := sweep.LoadManifest(path)
+		if err != nil {
+			return
+		}
+		verr := m.Validate(known)
+		again := filepath.Join(dir, "again.json")
+		if err := sweep.WriteManifest(m, again); err != nil {
+			t.Fatal(err)
+		}
+		back, err := sweep.LoadManifest(again)
+		if err != nil {
+			t.Fatalf("a written manifest does not load back: %v", err)
+		}
+		if (back.Validate(known) == nil) != (verr == nil) || !reflect.DeepEqual(back.Expand(), m.Expand()) {
+			t.Fatalf("manifest changed in a write/load round trip:\n%+v\n%+v", m, back)
+		}
+	})
+}

@@ -25,10 +25,6 @@ type Report struct {
 	// Attribution is the per-(source app, class) latency decomposition;
 	// nil unless Config.Attribution was on and packets ejected.
 	Attribution *AttributionReport `json:"attribution,omitempty"`
-
-	// Collective is the per-phase progress and blame decomposition of a
-	// co-running collective workload; nil unless one was attached.
-	Collective *CollectiveReport `json:"collective,omitempty"`
 }
 
 // RouterReport is one node's slice of the report.
@@ -55,7 +51,6 @@ func (c *Collector) Report() *Report {
 		})
 	}
 	r.Attribution = c.Attribution()
-	r.Collective = c.collective
 	return r
 }
 

@@ -341,10 +341,6 @@ type Collector struct {
 	cfg    Config
 	probes []*Probe
 	now    int64
-
-	// collective, when attached, rides along into Report (see
-	// collective.go).
-	collective *CollectiveReport
 }
 
 // NewCollector returns a collector with cfg's zero fields defaulted.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"rair/internal/msg"
@@ -148,7 +149,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxEvents {
 		return nil, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	t := &Trace{Events: make([]Event, 0, count)}
+	// The header is not trusted with the allocation: events beyond the
+	// first few thousand are appended as they are actually read.
+	t := &Trace{Events: make([]Event, 0, min(count, 4096))}
 	var cycle int64
 	for i := uint64(0); i < count; i++ {
 		var vals [6]uint64
@@ -157,7 +160,14 @@ func Read(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: event %d field %d: %w", i, j, err)
 			}
+			// Every field but the cycle delta is an int32 on the way in.
+			if j > 0 && v > math.MaxInt32 {
+				return nil, fmt.Errorf("trace: event %d field %d: value %d out of range", i, j, v)
+			}
 			vals[j] = v
+		}
+		if vals[0] > uint64(math.MaxInt64-cycle) {
+			return nil, fmt.Errorf("trace: event %d: cycle overflows", i)
 		}
 		cycle += int64(vals[0])
 		t.Events = append(t.Events, Event{
@@ -191,19 +201,14 @@ func (r *Recorder) Capture(node int, p *msg.Packet, now int64) {
 }
 
 // Player replays a trace into a network, injecting each event at its
-// recorded cycle (plus Offset). It implements sim.Tickable; tick it before
-// the network.
+// recorded cycle. It implements sim.Tickable; tick it before the network.
 type Player struct {
 	trace  *Trace
 	inject func(node int, p *msg.Packet, now int64)
-	next   int
-	nextID uint64
-	// Offset shifts all event cycles (e.g. to skip a warmup gap).
-	Offset int64
-	// Repeat loops the trace when its end is reached, re-basing cycles;
-	// 0 plays once.
-	Repeat bool
-	base   int64
+	next   int // events replayed; the next packet's ID is next+1
+	// Pool, when non-nil, supplies packet structs instead of the heap, like
+	// traffic.Generator's.
+	Pool *msg.Pool
 }
 
 // NewPlayer builds a player over a validated trace.
@@ -211,36 +216,16 @@ func NewPlayer(t *Trace, inject func(node int, p *msg.Packet, now int64)) *Playe
 	return &Player{trace: t, inject: inject}
 }
 
-// Done reports whether the trace is exhausted (never true with Repeat).
-func (p *Player) Done() bool { return !p.Repeat && p.next >= len(p.trace.Events) }
-
 // Injected reports how many events have been replayed.
-func (p *Player) Injected() uint64 { return p.nextID }
+func (p *Player) Injected() uint64 { return uint64(p.next) }
 
 // Tick implements sim.Tickable.
 func (p *Player) Tick(now int64) {
-	for {
-		if p.next >= len(p.trace.Events) {
-			if !p.Repeat || len(p.trace.Events) == 0 {
-				return
-			}
-			p.next = 0
-			p.base = now
-		}
-		e := p.trace.Events[p.next]
-		due := e.Cycle + p.Offset + p.base
-		if due > now {
-			return
-		}
-		p.next++
-		p.nextID++
-		p.inject(int(e.Src), &msg.Packet{
-			ID:    p.nextID,
-			App:   int(e.App),
-			Src:   int(e.Src),
-			Dst:   int(e.Dst),
-			Class: e.Class,
-			Size:  int(e.Size),
-		}, now)
+	for ; p.next < len(p.trace.Events) && p.trace.Events[p.next].Cycle <= now; p.next++ {
+		e := &p.trace.Events[p.next]
+		pkt := p.Pool.Get()
+		pkt.ID, pkt.App, pkt.Src, pkt.Dst = uint64(p.next)+1, int(e.App), int(e.Src), int(e.Dst)
+		pkt.Class, pkt.Size = e.Class, int(e.Size)
+		p.inject(int(e.Src), pkt, now)
 	}
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,6 +98,16 @@ func TestWriteRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// encode builds a trace file by hand: the magic, then each value as a
+// uvarint (version, count, then six fields per event).
+func encode(vals ...uint64) []byte {
+	b := append([]byte(nil), magic[:]...)
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Fatal("bad magic accepted")
@@ -109,6 +122,36 @@ func TestReadRejectsGarbage(t *testing.T) {
 	b := buf.Bytes()
 	if _, err := Read(bytes.NewReader(b[:len(b)-2])); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+	// Each field must fit its int32 without wrapping: a src of 2^32+3 is
+	// not node 3, and a negative written value is not read back as one.
+	for j, name := range []string{"app", "src", "dst", "class", "size"} {
+		for _, v := range []uint64{1<<32 + 3, math.MaxUint64} {
+			fields := []uint64{0, 0, 0, 1, 0, 1}
+			fields[j+1] = v
+			if got, err := Read(bytes.NewReader(encode(append([]uint64{1, 1}, fields...)...))); err == nil {
+				t.Fatalf("%s %d accepted as %+v", name, v, got.Events)
+			}
+		}
+	}
+	// Cycle deltas must not overflow the running cycle.
+	over := encode(1, 2, math.MaxInt64, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1)
+	if got, err := Read(bytes.NewReader(over)); err == nil {
+		t.Fatalf("overflowing cycle accepted as %+v", got.Events)
+	}
+}
+
+// TestReadDoesNotTrustCount: a dozen-byte header claiming 2^30 events must
+// fail on the missing events without first allocating room for them.
+func TestReadDoesNotTrustCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(encode(1, 1<<30, 0, 0, 0, 1, 0, 1))); err == nil {
+		t.Fatal("truncated trace accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 2^30-event header allocated %d bytes", grew)
 	}
 }
 
@@ -167,7 +210,7 @@ func TestPlayerTiming(t *testing.T) {
 	for c := int64(0); c <= tr.Duration(); c++ {
 		p.Tick(c)
 	}
-	if !p.Done() {
+	if p.next != tr.Len() {
 		t.Fatal("player not done")
 	}
 	if len(got) != tr.Len() {
@@ -181,38 +224,6 @@ func TestPlayerTiming(t *testing.T) {
 	}
 	if p.Injected() != uint64(tr.Len()) {
 		t.Fatal("Injected count wrong")
-	}
-}
-
-func TestPlayerOffset(t *testing.T) {
-	tr := &Trace{}
-	tr.Add(Event{Cycle: 10, Src: 0, Dst: 1, Size: 1})
-	var at int64 = -1
-	p := NewPlayer(tr, func(_ int, _ *msg.Packet, now int64) { at = now })
-	p.Offset = 5
-	for c := int64(0); c < 20; c++ {
-		p.Tick(c)
-	}
-	if at != 15 {
-		t.Fatalf("injected at %d, want 15", at)
-	}
-}
-
-func TestPlayerRepeat(t *testing.T) {
-	tr := &Trace{}
-	tr.Add(Event{Cycle: 0, Src: 0, Dst: 1, Size: 1})
-	tr.Add(Event{Cycle: 3, Src: 1, Dst: 0, Size: 1})
-	n := 0
-	p := NewPlayer(tr, func(int, *msg.Packet, int64) { n++ })
-	p.Repeat = true
-	for c := int64(0); c < 20; c++ {
-		p.Tick(c)
-	}
-	if p.Done() {
-		t.Fatal("repeating player reported done")
-	}
-	if n < 8 {
-		t.Fatalf("replayed %d events, want several loops", n)
 	}
 }
 

@@ -135,12 +135,7 @@ func (g *Generator) Tick(now int64) {
 				cls = msg.ClassResponse
 			}
 			g.nextID++
-			var p *msg.Packet
-			if g.Pool != nil {
-				p = g.Pool.Get()
-			} else {
-				p = &msg.Packet{}
-			}
+			p := g.Pool.Get()
 			p.ID, p.App, p.Src, p.Dst = g.nextID, a.App, src, dst
 			p.Class, p.Size = cls, size
 			g.inject(src, p, now)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"rair/internal/harness"
+	"rair/internal/msg"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -378,4 +381,56 @@ func FuzzParseFaultSpec(f *testing.F) {
 			t.Fatalf("spec %q parsed with a negative count: %+v", spec, *fs)
 		}
 	})
+}
+
+// TestZeroLoadRelation is metamorphic relation (iv): a lone packet on an
+// idle network takes LinkLatency + hops·(3+LinkLatency) + (Size−1) cycles
+// from creation to ejection — injection link, RC+VA+SA and ST/LT per router
+// traversed, serialisation of the body flits — whatever the scheme, routing
+// algorithm, packet size and link latency. Every ordered pair of a 4×4
+// quadrant layout is sent, one packet at a time.
+func TestZeroLoadRelation(t *testing.T) {
+	for _, scheme := range Schemes() {
+		for _, alg := range []string{"adaptive", "xy", "westfirst"} {
+			for _, ll := range []int{1, 2} {
+				s, err := New(Config{MeshW: 4, MeshH: 4, Layout: LayoutQuadrants, Scheme: scheme, Routing: alg, LinkLatency: ll})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ejected *msg.Packet
+				b := harness.Build(harness.RunConfig{
+					Regions: s.regions, Router: s.rcfg, Scheme: s.scheme, Alg: s.alg,
+					Attach: func(harness.Inject, *msg.Pool) harness.Attached {
+						return harness.Attached{OnEject: func(p *msg.Packet, _ int64) bool {
+							ejected = p
+							return false
+						}}
+					},
+				})
+				mesh := s.regions.Mesh()
+				var id uint64
+				for _, size := range []int{1, 5} {
+					for src := 0; src < mesh.N(); src++ {
+						for dst := 0; dst < mesh.N(); dst++ {
+							if src == dst {
+								continue
+							}
+							id++
+							p := &msg.Packet{ID: id, App: s.regions.AppAt(src), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}
+							ejected = nil
+							b.Net.Inject(p, b.Eng.Now())
+							b.Eng.RunUntil(func() bool { return ejected != nil }, 100)
+							hops := mesh.Distance(src, dst) + 1
+							want := int64(ll + hops*(3+ll) + size - 1)
+							if ejected != p || p.TotalLatency() != want {
+								t.Fatalf("%s/%s/LinkLatency %d: %d-flit packet %d>%d took %d cycles, want %d",
+									scheme, alg, ll, size, src, dst, p.TotalLatency(), want)
+							}
+						}
+					}
+				}
+				b.Close()
+			}
+		}
+	}
 }
