@@ -3,8 +3,8 @@
 // keyed jobs, schedules them over a bounded worker pool, and appends results
 // to a JSONL store that an interrupted sweep resumes bit-exactly. The check
 // subcommand gates the store against the EXPERIMENTS.md shape guards; diff
-// compares two stores statistically; manifest writes a manifest over the
-// registry.
+// lists the numeric cells that moved between two stores; manifest writes a
+// manifest over the registry.
 //
 // Usage:
 //
@@ -43,7 +43,7 @@ commands:
   run      execute a manifest into a fresh result store
   resume   continue an interrupted sweep (skips jobs already in the store)
   check    apply the EXPERIMENTS.md shape guards to a store
-  diff     compare two stores statistically
+  diff     list the numeric cells that moved between two stores
 
 run 'rairsweep <command> -h' for per-command flags.
 `)
@@ -197,10 +197,10 @@ func cmdRun(args []string, resume bool) error {
 
 	w := *workers
 	if w <= 0 {
-		w = defaultWorkers()
+		w = 2 // few: each experiment already fans out over GOMAXPROCS (harness.RunParallel)
 	}
 	start := time.Now()
-	sum, err := sweep.Execute(ctx, m, store, done, runner, sweep.Options{
+	sum, err := sweep.Execute(ctx, m, store, done, rair.RunJob, sweep.Options{
 		Workers: w,
 		Timeout: *timeout,
 		Log: func(format string, a ...any) {
@@ -218,18 +218,6 @@ func cmdRun(args []string, resume bool) error {
 		m.Name, sum.Total, sum.Ran, sum.Skipped, time.Since(start).Seconds(), *out)
 	return nil
 }
-
-// runner executes one job through the experiment registry. Each experiment
-// parallelizes internally via harness.RunParallel, so the per-sweep worker
-// default stays small.
-func runner(_ context.Context, job sweep.Job) (text, csv string, err error) {
-	return rair.ExperimentCSV(job.Experiment, job.Quick, job.Seed)
-}
-
-// defaultWorkers is deliberately conservative: experiments already fan out
-// across GOMAXPROCS goroutines internally (harness.RunParallel), so sweep-
-// level concurrency mainly hides the serial tails of small experiments.
-func defaultWorkers() int { return 2 }
 
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("rairsweep check", flag.ExitOnError)
@@ -298,8 +286,7 @@ func cmdDiff(args []string) error {
 	rep := sweep.DiffStores(a, b)
 	fmt.Println(rep)
 	if !rep.Within(*tol) {
-		return fmt.Errorf("stores differ beyond tolerance %.4f (max |delta| %.4f, %d structural mismatches)",
-			*tol, rep.MaxDelta(), len(rep.Mismatched))
+		return fmt.Errorf("stores differ beyond tolerance %.4f (see above)", *tol)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package rair
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -39,6 +40,10 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RO_RR", Col: "APL App0"}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 1 / 1.05},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 0.97},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RAIR_VA", Col: "APL App0", Last: true}, K: 0.99},
+		}}, {Name: "MSP costs App 1 at most 3% at p=100%; VA-only beats RO_RR; RAIR_VA+SA grows with p", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App1", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App1", Last: true}, K: 1.03},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0"}, B: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, K: 1 / 1.05},
 		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig9MSP(dur, fig9Ps, seed).SweepTable(fig9Ps)
@@ -66,6 +71,8 @@ var experiments = map[string]struct {
 		guards: []sweep.Guard{{Name: "hot app sending out: NativeH beats ForeignH (so adaptation is necessary)", Preds: []sweep.Pred{
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_NativeH", Col: colReduction}, Margin: 0.005},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Margin: -0.005},
+		}}, {Name: "DPA never does worse than the losing static mode", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}},
 		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig12DPA(harness.Fig12B, dur, seed).ReductionTable()
@@ -78,6 +85,13 @@ var experiments = map[string]struct {
 			{Op: sweep.Within, A: sweep.Sel{Row: "RO_Rank", Col: colReduction}, Lo: -0.02},
 			{Op: sweep.Within, A: sweep.Sel{Row: "RA_RAIR", Col: colReduction}, Lo: -0.01},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_DBAR", Col: colReduction}, B: sweep.Sel{Row: "RO_Rank", Col: colReduction}, Margin: 0.005},
+		}}, {Name: "RA_RAIR lowers every light app's APL; the heavy apps 1 and 5 pay at most 10%", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App0 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App0 APL"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App2 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App2 APL"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App3 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App3 APL"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App4 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App4 APL"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App1 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App1 APL"}, K: 1.10},
+			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App5 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App5 APL"}, K: 1.10},
 		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig14SixApp(dur, seed).ReductionTable()
@@ -96,6 +110,8 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RO_Rank", Col: "average"}, B: sweep.Sel{Row: "RA_DBAR", Col: "average"}, K: 1 / 1.05},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RO_Rank", Col: "average"}, K: 1.02},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RO_RR", Col: "average"}, K: 1 / 1.5},
+		}}, {Name: "the adversary never speeds a scheme up", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Col: "average"}, Lo: 1},
 		}}},
 		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
 			return harness.Fig17Adversarial(dur, seed).SlowdownTable("average")
@@ -307,6 +323,12 @@ func Experiments() []ExperimentInfo {
 		out = append(out, ExperimentInfo{Name: n, Paper: experiments[n].paper})
 	}
 	return out
+}
+
+// RunJob runs one sweep job through the registry: the sweep.Runner of
+// rairsweep run and of the quick store's golden test.
+func RunJob(_ context.Context, job sweep.Job) (text, csv string, err error) {
+	return ExperimentCSV(job.Experiment, job.Quick, job.Seed)
 }
 
 // Guards returns the shape guards of every experiment that has any, keyed by

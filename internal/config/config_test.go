@@ -218,19 +218,22 @@ func TestParsecAdversaryInvariants(t *testing.T) {
 }
 
 // TestProbeScenario pins testdata/sim/probe.json, the scenario the CI
-// telemetry, fault-injection and obs-snapshot smokes share: under the CI
-// fault spec at seed 1 every measured packet is delivered and the fault line
-// reads exactly as the smoke prints it — every field of the spec reaches the
-// injector, and no flit is lost. Under a spec that does exhaust retries (it
-// panicked a router on an orphaned body flit) the run completes with the
+// telemetry, fault-injection and obs-snapshot smokes share, to
+// testdata/probe_faults.txt: for each fault spec, the packets delivered and
+// the fault line exactly as the smoke prints it, so every field of the spec
+// visibly reaches the injector (RAIR_UPDATE_GOLDENS=1 rewrites the file;
+// fault verdicts hash packet IDs, so renumbering packets moves it). Under the
+// CI spec at seed 1 no flit is lost. Under a spec that does exhaust retries
+// (it panicked a router on an orphaned body flit) the run completes with the
 // invariants clean and the lost packets counted out of the statistics.
 func TestProbeScenario(t *testing.T) {
+	var got strings.Builder
 	for _, tc := range []struct {
-		spec, want string
-		packets    int64
+		spec  string
+		lossy bool
 	}{
-		{"drop=0.002,corrupt=0.002,leak=0.001,stall=0.0005,stalllen=6,reconcile=256", "faults: 2360 dropped, 2346 corrupted, 30154 retransmits, 0 lost; 918 credit leaks, 917 reconciled; 2268 stall cycles on 64 routers", 61687},
-		{"drop=0.005,retries=1", "faults: 5920 dropped, 0 corrupted, 59007 retransmits, 29 lost (29 packets); 0 credit leaks, 0 reconciled; 0 stall cycles on 0 routers", 61662},
+		{"drop=0.002,corrupt=0.002,leak=0.001,stall=0.0005,stalllen=6,reconcile=256", false},
+		{"drop=0.005,retries=1", true},
 	} {
 		f, err := Load("../../testdata/sim/probe.json")
 		if err != nil {
@@ -245,9 +248,24 @@ func TestProbeScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.Faults.String(); rep.Packets != tc.packets || got != tc.want {
-			t.Fatalf("%s: probe delivered %d packets, want %d, with\n%s\nwant\n%s", tc.spec, rep.Packets, tc.packets, got, tc.want)
+		if lost := rep.Faults.Totals.LostPackets > 0; lost != tc.lossy {
+			t.Errorf("%s: %s, want lost packets %v", tc.spec, rep.Faults.String(), tc.lossy)
 		}
+		fmt.Fprintf(&got, "%s: %d packets, %s\n", tc.spec, rep.Packets, rep.Faults.String())
+	}
+	const path = "testdata/probe_faults.txt"
+	if os.Getenv("RAIR_UPDATE_GOLDENS") == "1" {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with RAIR_UPDATE_GOLDENS=1): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("%s drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)\ngot\n%swant\n%s", path, got.String(), want)
 	}
 }
 

@@ -2,9 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"rair/internal/collective"
@@ -76,32 +73,7 @@ func TestGoldenCollectiveTrace(t *testing.T) {
 	lines := goldenCollectiveRun()
 	got := renderTrace([]string{
 		"# Golden collective co-run trace: synthetic victims + ring AllReduce in quadrant 3, RA_RAIR, seed 11.",
-		"# Regenerate with: go test ./internal/harness -run TestGoldenCollectiveTrace -update",
+		"# Regenerate with: RAIR_UPDATE_GOLDENS=1 go test ./internal/harness -run TestGoldenCollectiveTrace",
 	}, lines)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenCollectivePath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenCollectivePath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenCollectivePath)
-		return
-	}
-	want, err := os.ReadFile(goldenCollectivePath)
-	if err != nil {
-		t.Fatalf("missing golden collective trace (regenerate with -update): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("golden collective trace drift at line %d:\n  got:  %s\n  want: %s\n(regenerate with -update if intended)",
-				i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("golden collective trace length drift: got %d lines, want %d (regenerate with -update if intended)",
-		len(gl), len(wl))
+	checkGolden(t, goldenCollectivePath, got)
 }

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,8 +14,6 @@ import (
 	"rair/internal/stats"
 	"rair/internal/traffic"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden trace under testdata/")
 
 const goldenPath = "testdata/golden_trace.txt"
 
@@ -77,7 +73,7 @@ func ejectLine(p *msg.Packet) string {
 func renderGolden(lines []string) string {
 	return renderTrace([]string{
 		"# Golden ejection trace: Fig9 scenario, 0.5 load, RA_RAIR, seed 11.",
-		"# Regenerate with: go test ./internal/harness -run TestGoldenTrace -update",
+		"# Regenerate with: RAIR_UPDATE_GOLDENS=1 go test ./internal/harness -run TestGoldenTrace",
 	}, lines)
 }
 
@@ -106,39 +102,41 @@ func renderTrace(header, lines []string) string {
 	return b.String()
 }
 
-// TestGoldenTrace locks down the simulator's exact behavior: the per-packet
-// ejection order and latencies of a seeded run must match the committed
-// trace bit for bit. Any change to routing, arbitration, pipeline timing or
-// RNG consumption shows up here; if the change is intended, regenerate with
-// -update and review the diff.
-func TestGoldenTrace(t *testing.T) {
-	got := renderGolden(goldenRun())
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+// checkGolden compares got with the committed file at path and reports the
+// first line that drifted; under RAIR_UPDATE_GOLDENS=1 it rewrites the file
+// instead, as every golden test of the module does.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if os.Getenv("RAIR_UPDATE_GOLDENS") == "1" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden trace (regenerate with -update): %v", err)
-	}
-	if got == string(want) {
-		return
+		t.Fatalf("missing golden (regenerate with RAIR_UPDATE_GOLDENS=1): %v", err)
 	}
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("golden trace drift at line %d:\n  got:  %s\n  want: %s\n(regenerate with -update if intended)",
-				i+1, gl[i], wl[i])
+			t.Fatalf("%s drifts at line %d:\n  got:  %s\n  want: %s\n(regenerate with RAIR_UPDATE_GOLDENS=1 if intended)",
+				path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("golden trace length drift: got %d lines, want %d (regenerate with -update if intended)",
-		len(gl), len(wl))
+	if len(gl) != len(wl) {
+		t.Fatalf("%s drifts in length: got %d lines, want %d (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)",
+			path, len(gl), len(wl))
+	}
+}
+
+// TestGoldenTrace locks down the simulator's exact behavior: the per-packet
+// ejection order and latencies of a seeded run must match the committed
+// trace bit for bit. Any change to routing, arbitration, pipeline timing or
+// RNG consumption shows up here; if the change is intended, regenerate with
+// RAIR_UPDATE_GOLDENS=1 and review the diff.
+func TestGoldenTrace(t *testing.T) {
+	checkGolden(t, goldenPath, renderGolden(goldenRun()))
 }
 
 // TestGoldenTraceStable guards the golden scenario itself: two in-process

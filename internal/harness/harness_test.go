@@ -74,83 +74,6 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// Figure 9 shape: MSP cuts the low-intensity app's latency with little cost
-// to the heavy app, more so with MSP at both VA and SA, and latency grows
-// with the inter-region fraction.
-func TestFig9Shape(t *testing.T) {
-	res := Fig9MSP(testDur(), []float64{0, 1.0}, 1)
-	// Rows are scheme-major over the two fractions: [p][app] per scheme.
-	rr, va, vasa := res.APL[0:2], res.APL[2:4], res.APL[4:6]
-	// APL grows with p for every scheme.
-	if rr[1][0] <= rr[0][0] || vasa[1][0] <= vasa[0][0] {
-		t.Fatalf("App0 APL must grow with p: %v %v", rr, vasa)
-	}
-	// At p=100%, RAIR VA+SA helps App0 more than VA-only; both beat RO_RR.
-	if !(vasa[1][0] < va[1][0] && va[1][0] < rr[1][0]) {
-		t.Fatalf("App0 APL ordering wrong: RO_RR %.2f, VA %.2f, VA+SA %.2f",
-			rr[1][0], va[1][0], vasa[1][0])
-	}
-	// App1 pays less than 5%.
-	if vasa[1][1] > rr[1][1]*1.05 {
-		t.Fatalf("App1 penalty too high: %.2f vs %.2f", vasa[1][1], rr[1][1])
-	}
-}
-
-// Figure 12 shape: ForeignH wins scenario (a), NativeH wins scenario (b),
-// and DPA tracks the winner in both.
-func TestFig12Shape(t *testing.T) {
-	a := Fig12DPA(Fig12A, testDur(), 1)
-	// Schemes: RO_RR, NativeH, ForeignH, DPA.
-	if !(a.AvgReduction(2) > a.AvgReduction(1)) {
-		t.Fatalf("(a): ForeignH %.3f must beat NativeH %.3f", a.AvgReduction(2), a.AvgReduction(1))
-	}
-	if a.AvgReduction(3) < a.AvgReduction(2)-0.03 {
-		t.Fatalf("(a): DPA %.3f must track ForeignH %.3f", a.AvgReduction(3), a.AvgReduction(2))
-	}
-	b := Fig12DPA(Fig12B, testDur(), 1)
-	if !(b.AvgReduction(1) > b.AvgReduction(2)) {
-		t.Fatalf("(b): NativeH %.3f must beat ForeignH %.3f", b.AvgReduction(1), b.AvgReduction(2))
-	}
-	if b.AvgReduction(3) < b.AvgReduction(2) {
-		t.Fatalf("(b): DPA %.3f must beat the losing static mode %.3f", b.AvgReduction(3), b.AvgReduction(2))
-	}
-}
-
-// Figure 14 shape: RAIR improves every low/medium-load application over
-// RO_RR while the heavy apps pay only a bounded cost.
-func TestFig14Shape(t *testing.T) {
-	res := Fig14SixApp(testDur(), 1)
-	rairIdx := len(res.Labels) - 1
-	for ai, app := range res.Apps {
-		if ai == 1 || ai == 5 { // heavy apps: bounded cost
-			if res.Reduction(rairIdx, ai) < -0.10 {
-				t.Errorf("hot %s degrades too much: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
-			}
-			continue
-		}
-		if res.Reduction(rairIdx, ai) <= 0 {
-			t.Errorf("low %s not improved: %+.1f%%", app, 100*res.Reduction(rairIdx, ai))
-		}
-	}
-}
-
-// Figure 17 shape: RAIR protects the applications from adversarial traffic
-// better than the round-robin baseline.
-func TestFig17Shape(t *testing.T) {
-	res := Fig17Adversarial(testDur(), 1)
-	if !(res.AvgSlowdown(3) < res.AvgSlowdown(0)) {
-		t.Fatalf("RAIR slowdown %.2f must beat RO_RR %.2f", res.AvgSlowdown(3), res.AvgSlowdown(0))
-	}
-	for si := range res.Labels {
-		if res.AvgSlowdown(si) < 1 {
-			t.Errorf("%s slowdown %.2f below 1: adversary helped?", res.Labels[si], res.AvgSlowdown(si))
-		}
-	}
-	if s := res.SlowdownTable("average").String(); !strings.Contains(s, "RA_RAIR") {
-		t.Fatal("summary table incomplete")
-	}
-}
-
 func TestScenarioConstruction(t *testing.T) {
 	regs, apps := Fig9Scenario(0.5)
 	if regs.NumApps() != 2 || len(apps) != 2 {

@@ -3,15 +3,12 @@ package network
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"rair/internal/telemetry"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // chromeEvent mirrors the trace_event JSON shape for validation; unknown
 // fields are deliberately dropped so the check pins semantics, not layout.
@@ -63,8 +60,8 @@ func validateChromeTrace(t *testing.T, raw []byte) {
 
 // TestChromeTraceGolden is the export-stability contract: the Chrome trace
 // of a fixed small workload is byte-identical at 1, 2 and 4 workers and to
-// the committed golden (refresh with `go test ./internal/network -run
-// ChromeTraceGolden -update`), and validates clean.
+// the committed golden (refresh with `RAIR_UPDATE_GOLDENS=1 go test
+// ./internal/network -run ChromeTraceGolden`), and validates clean.
 func TestChromeTraceGolden(t *testing.T) {
 	var base []byte
 	for _, workers := range []int{1, 2, 4} {
@@ -85,22 +82,18 @@ func TestChromeTraceGolden(t *testing.T) {
 	validateChromeTrace(t, base)
 
 	golden := filepath.Join("testdata", "chrome_trace.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
+	if os.Getenv("RAIR_UPDATE_GOLDENS") == "1" {
 		if err := os.WriteFile(golden, base, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(base))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
+		t.Fatalf("missing golden (regenerate with RAIR_UPDATE_GOLDENS=1): %v", err)
 	}
 	if !bytes.Equal(base, want) {
-		t.Fatalf("chrome trace diverged from %s (%d bytes vs %d); rerun with -update if the change is intended",
+		t.Fatalf("chrome trace diverged from %s (%d bytes vs %d); regenerate with RAIR_UPDATE_GOLDENS=1 if the change is intended",
 			golden, len(base), len(want))
 	}
 }

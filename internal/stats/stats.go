@@ -44,8 +44,8 @@ const denseCap = 1 << 16
 // one count per distinct value, so its size follows the range of the values,
 // not their number, while mean, interpolated percentiles, max and Histogram
 // equal those of the retained, sorted samples bit for bit. Latencies are
-// whole cycles and land in dense; rest keeps every other value exactly,
-// because sweep.DiffReport adds relative deltas. Readers do not mutate it.
+// whole cycles and land in dense; rest keeps every other value exactly (a
+// latency past denseCap, a fractional sample). Readers do not mutate it.
 type Dist struct {
 	Accum
 	dense []uint32           // dense[i] counts samples equal to i, for whole i in [0, denseCap)

@@ -5,59 +5,55 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"rair/internal/stats"
 )
 
-// DiffReport is the statistical comparison of two result stores: for every
-// job key present in both, the numeric cells of the CSV payloads are
-// compared pairwise and the relative deltas accumulated per experiment.
-type DiffReport struct {
-	// Experiments maps experiment name -> distribution of |relative delta|
-	// over comparable numeric cells.
-	Experiments map[string]*stats.Dist
-	// Cells counts comparable numeric cell pairs; Mismatched counts keys
-	// whose tables differ structurally (shape, labels, non-numeric cells).
-	Cells      int
-	Mismatched []string // keys with structural differences
-	OnlyA      []string // keys only in store A
-	OnlyB      []string // keys only in store B
-	Common     int
+// Moved is one numeric cell whose value differs between two stores.
+type Moved struct {
+	Experiment string
+	Seed       uint64
+	Line       int    // the CSV line, 1 for the header
+	Row        string // the line's first cell
+	Col        string // the header's name for the column
+	A, B       float64
+	Delta      float64 // |relative delta|
 }
 
-// MaxDelta returns the largest |relative delta| across all experiments.
+// DiffReport is the comparison of two result stores: for every job key
+// present in both, the numeric cells of the CSV payloads are compared
+// pairwise, and each cell that moved is listed.
+type DiffReport struct {
+	Moved      []Moved  // in store A's record order, then line and column order
+	Cells      int      // numeric cell pairs compared
+	Mismatched []string // keys whose tables differ in shape, labels or non-numeric cells
+	OnlyA      []string // keys only in store A
+	OnlyB      []string // keys only in store B
+	Common     int      // keys in both stores
+}
+
+// MaxDelta returns the largest |relative delta| of any moved cell.
 func (r *DiffReport) MaxDelta() float64 {
 	m := 0.0
-	for _, d := range r.Experiments {
-		if v := d.Max(); v > m {
-			m = v
-		}
+	for _, c := range r.Moved {
+		m = math.Max(m, c.Delta)
 	}
 	return m
 }
 
-// Within reports whether the stores agree within tol everywhere: no
-// structural mismatches and every numeric delta <= tol.
+// Within reports whether the stores agree within tol everywhere: the same
+// keys, no structural mismatches and every numeric delta <= tol.
 func (r *DiffReport) Within(tol float64) bool {
-	return len(r.Mismatched) == 0 && r.MaxDelta() <= tol
+	return len(r.Mismatched)+len(r.OnlyA)+len(r.OnlyB) == 0 && r.MaxDelta() <= tol
 }
 
-// String renders the per-experiment delta statistics.
+// String renders one line per moved cell, then the totals.
 func (r *DiffReport) String() string {
 	var b strings.Builder
-	names := make([]string, 0, len(r.Experiments))
-	for n := range r.Experiments {
-		names = append(names, n)
+	for _, c := range r.Moved {
+		fmt.Fprintf(&b, "%-14s seed=%-3d line %-3d %-16s %-24s %12.6g -> %-12.6g |d| %.4f%%\n",
+			c.Experiment, c.Seed, c.Line, c.Row, c.Col, c.A, c.B, 100*c.Delta)
 	}
-	sort.Strings(names)
-	fmt.Fprintf(&b, "%-14s %6s %10s %10s %10s\n", "experiment", "cells", "mean|d|", "p95|d|", "max|d|")
-	for _, n := range names {
-		d := r.Experiments[n]
-		fmt.Fprintf(&b, "%-14s %6d %9.4f%% %9.4f%% %9.4f%%\n",
-			n, d.Count(), 100*d.Mean(), 100*d.Percentile(95), 100*d.Max())
-	}
-	fmt.Fprintf(&b, "%d common keys, %d numeric cells compared, max |delta| %.4f%%",
-		r.Common, r.Cells, 100*r.MaxDelta())
+	fmt.Fprintf(&b, "%d common keys, %d numeric cells compared, %d moved, max |delta| %.4f%%",
+		r.Common, r.Cells, len(r.Moved), 100*r.MaxDelta())
 	if len(r.OnlyA) > 0 || len(r.OnlyB) > 0 {
 		fmt.Fprintf(&b, "; %d keys only in A, %d only in B", len(r.OnlyA), len(r.OnlyB))
 	}
@@ -69,7 +65,7 @@ func (r *DiffReport) String() string {
 
 // DiffStores compares two stores key by key.
 func DiffStores(a, b []Record) *DiffReport {
-	rep := &DiffReport{Experiments: make(map[string]*stats.Dist)}
+	rep := &DiffReport{}
 	byKeyB := make(map[string]*Record, len(b))
 	for i := range b {
 		byKeyB[b[i].Key] = &b[i]
@@ -99,9 +95,9 @@ func DiffStores(a, b []Record) *DiffReport {
 }
 
 // diffRecord compares one record pair cell by cell. Cells that parse as
-// numbers in both tables contribute |relative delta| samples; cells that
-// are numeric in exactly one table, or differing non-numeric cells, are a
-// structural mismatch.
+// numbers in both tables are counted and, when they differ, listed as moved;
+// cells that are numeric in exactly one table, or differing non-numeric
+// cells, are a structural mismatch.
 func diffRecord(a, b *Record, rep *DiffReport) error {
 	ta, err := ParseCSVTable(a.CSV)
 	if err != nil {
@@ -114,11 +110,6 @@ func diffRecord(a, b *Record, rep *DiffReport) error {
 	if len(ta.Rows) != len(tb.Rows) {
 		return fmt.Errorf("row count %d vs %d", len(ta.Rows), len(tb.Rows))
 	}
-	dist := rep.Experiments[a.Experiment]
-	if dist == nil {
-		dist = &stats.Dist{}
-		rep.Experiments[a.Experiment] = dist
-	}
 	rows := append([][]string{ta.Header}, ta.Rows...)
 	rowsB := append([][]string{tb.Header}, tb.Rows...)
 	for ri := range rows {
@@ -130,8 +121,15 @@ func diffRecord(a, b *Record, rep *DiffReport) error {
 			vb, eb := parseCell(rowsB[ri][ci])
 			switch {
 			case ea == nil && eb == nil:
-				dist.Add(relDelta(va, vb))
 				rep.Cells++
+				if va != vb {
+					m := Moved{Experiment: a.Experiment, Seed: a.Seed, Line: ri + 1, Row: rows[ri][0], Col: fmt.Sprint(ci), A: va, B: vb}
+					if ci < len(ta.Header) {
+						m.Col = ta.Header[ci]
+					}
+					m.Delta = math.Abs(va-vb) / math.Max(math.Abs(va), math.Abs(vb))
+					rep.Moved = append(rep.Moved, m)
+				}
 			case ea == nil || eb == nil:
 				return fmt.Errorf("row %d col %d numeric in one store only (%q vs %q)", ri, ci, rows[ri][ci], rowsB[ri][ci])
 			default:
@@ -142,12 +140,4 @@ func diffRecord(a, b *Record, rep *DiffReport) error {
 		}
 	}
 	return nil
-}
-
-// relDelta is |a-b| relative to the larger magnitude (0 when both are 0).
-func relDelta(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }

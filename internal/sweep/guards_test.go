@@ -2,6 +2,7 @@ package sweep_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,8 +129,8 @@ func TestGuardsPassOnReferenceShapes(t *testing.T) {
 	for _, gs := range rair.Guards() {
 		want += len(gs)
 	}
-	if len(rep.Findings) != want || want != 13 {
-		t.Errorf("ran %d guards of %d, want all 13 (every guard covered by the fixtures)", len(rep.Findings), want)
+	if len(rep.Findings) != want || want != 17 {
+		t.Errorf("ran %d guards of %d, want all 17 (every guard covered by the fixtures)", len(rep.Findings), want)
 	}
 	if len(rep.Missing) != 0 {
 		t.Errorf("guarded experiments missing from full fixture set: %v", rep.Missing)
@@ -198,20 +199,60 @@ func TestGuardsCatchBrokenShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recs := goodRecords()
-			changed := false
-			for i := range recs {
-				if recs[i].Experiment == tc.experiment {
-					mut := strings.Replace(recs[i].CSV, tc.from, tc.to, 1)
-					changed = mut != recs[i].CSV
-					recs[i].CSV = mut
-				}
-			}
-			if !changed {
-				t.Fatalf("fixture does not contain %q", tc.from)
-			}
-			if rep := sweep.CheckStore(recs, rair.Guards()); rep.OK() {
+			if rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards()); rep.OK() {
 				t.Errorf("perturbation passed the guards:\n%s", rep)
+			}
+		})
+	}
+}
+
+// perturbed is goodRecords with from replaced by to in the experiment's CSV.
+func perturbed(t *testing.T, experiment, from, to string) []sweep.Record {
+	t.Helper()
+	recs := goodRecords()
+	changed := false
+	for i := range recs {
+		if recs[i].Experiment == experiment {
+			mut := strings.Replace(recs[i].CSV, from, to, 1)
+			changed = mut != recs[i].CSV
+			recs[i].CSV = mut
+		}
+	}
+	if !changed {
+		t.Fatalf("fixture does not contain %q", from)
+	}
+	return recs
+}
+
+// TestGuardsCatchAlone: each case is a perturbation that every guard but
+// one lets through, so that guard is the only one to fail on it — the
+// predicates it adds are not implied by the others.
+func TestGuardsCatchAlone(t *testing.T) {
+	cases := []struct {
+		name, experiment, from, to, guard string
+	}{
+		// fig9: MSP costs App 1 4 % at p=100 %, past the paper's 3 %.
+		{"fig9 App1 penalty", "fig9", "RAIR_VA+SA,100%,43.29,36.58", "RAIR_VA+SA,100%,43.29,37.45", "MSP costs App 1"},
+		// fig9: VA-only prioritization no longer beats RO_RR.
+		{"fig9 VA-only no win", "fig9", "RAIR_VA,100%,47.21", "RAIR_VA,100%,48.30", "MSP costs App 1"},
+		// fig9: App 0 under RAIR_VA+SA stops growing with p.
+		{"fig9 VA+SA flat in p", "fig9", "RAIR_VA+SA,0%,29.12", "RAIR_VA+SA,0%,42.00", "MSP costs App 1"},
+		// fig12b: DPA falls 0.3 pp below the losing static mode.
+		{"fig12b DPA below ForeignH", "fig12b", "RAIR_DPA,23.39,23.33,23.37,32.66,-0.5%", "RAIR_DPA,23.39,23.33,23.37,32.66,-1.3%", "DPA never"},
+		// fig14: RA_RAIR makes the light App 2 slower than RO_RR.
+		{"fig14 App2 above RO_RR", "fig14", "RA_RAIR,26.43,36.80,25.61", "RA_RAIR,26.43,36.80,26.80", "RA_RAIR lowers"},
+		// fig14: the heavy App 5 pays 12 %.
+		{"fig14 App5 penalty", "fig14", "RA_RAIR,26.43,36.80,25.61,27.20,25.72,36.73", "RA_RAIR,26.43,36.80,25.61,27.20,25.72,39.55", "RA_RAIR lowers"},
+		// fig17: the adversary speeds RA_RAIR up.
+		{"fig17 average below 1", "fig17", "RA_RAIR,1.16,1.71,1.53,1.42,1.46", "RA_RAIR,1.16,1.71,1.53,1.42,0.98", "the adversary never"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards())
+			if rep.Failed() != 1 || !slices.ContainsFunc(rep.Findings, func(f sweep.Finding) bool {
+				return f.Err != nil && strings.HasPrefix(f.Guard, tc.guard)
+			}) {
+				t.Errorf("want only the guard %q to fail:\n%s", tc.guard, rep)
 			}
 		})
 	}
@@ -247,8 +288,9 @@ func TestCheckStoreMalformedTables(t *testing.T) {
 		"dash cell":     strings.Replace(fig9CSV, "RO_RR,100%,48.20", "RO_RR,100%,-", 1),
 	} {
 		rep := sweep.CheckStore([]sweep.Record{{Key: "k", Experiment: "fig9", Seed: 1, CSV: csv}}, rair.Guards())
-		if len(rep.Findings) != 1 || rep.Findings[0].Err == nil || rep.Failed() != 1 || !strings.HasPrefix(rep.String(), "FAIL fig9") {
-			t.Errorf("%s: want one FAIL finding, got:\n%s", name, rep)
+		n := len(rair.Guards()["fig9"])
+		if len(rep.Findings) != n || rep.Failed() != n || !strings.HasPrefix(rep.String(), "FAIL fig9") {
+			t.Errorf("%s: want a FAIL finding per fig9 guard, got:\n%s", name, rep)
 		}
 	}
 }
@@ -274,6 +316,12 @@ func TestDiffStores(t *testing.T) {
 	if rep.Within(0) {
 		t.Error("2% perturbation passed exact diff")
 	}
+	// The moved cell is listed once, with its row, column and both values.
+	x, y := 2.49, 2.54 // variables, so the delta is rounded as at run time
+	want := sweep.Moved{Experiment: "fig17", Seed: 1, Line: 2, Row: "RO_RR", Col: "average", A: x, B: y, Delta: (y - x) / y}
+	if len(rep.Moved) != 1 || rep.Moved[0] != want || !strings.Contains(rep.String(), "1 moved") {
+		t.Errorf("moved cells %+v, want [%+v]:\n%s", rep.Moved, want, rep)
+	}
 	if !rep.Within(0.05) {
 		t.Errorf("2%% perturbation failed 5%% tolerance: max %f", rep.MaxDelta())
 	}
@@ -293,6 +341,14 @@ func TestDiffStores(t *testing.T) {
 	only := sweep.DiffStores(a[:1], a[1:])
 	if len(only.OnlyA) != 1 || len(only.OnlyB) != len(a)-1 || only.Common != 0 {
 		t.Errorf("disjoint diff: OnlyA=%d OnlyB=%d Common=%d", len(only.OnlyA), len(only.OnlyB), only.Common)
+	}
+
+	// A key in one store only fails at any tolerance: an empty candidate
+	// store, and one with a record missing, do not match the baseline.
+	for name, cand := range map[string][]sweep.Record{"empty": nil, "missing record": a[1:]} {
+		if rep := sweep.DiffStores(a, cand); rep.Within(1) {
+			t.Errorf("%s candidate store passed diff: %s", name, rep)
+		}
 	}
 }
 
