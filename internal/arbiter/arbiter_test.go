@@ -199,6 +199,26 @@ func TestMatrixAlwaysDecides(t *testing.T) {
 	}
 }
 
+// TestGrantSingleIsOneHotGrant: GrantSingle(i) is Grant on a request
+// vector holding only i — the same index returned and the same pointer
+// left behind — for every size up to 16, every pointer position and every
+// requestor. Every uncontended SA and VA grant in the router takes the
+// GrantSingle path.
+func TestGrantSingleIsOneHotGrant(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		for ptr := 0; ptr < n; ptr++ {
+			for i := 0; i < n; i++ {
+				a, b := Prioritized{n: n, ptr: ptr}, Prioritized{n: n, ptr: ptr}
+				req := make([]bool, n)
+				req[i] = true
+				if ga, gb := a.Grant(req, flat[:n]), b.GrantSingle(i); ga != gb || a != b {
+					t.Fatalf("n=%d ptr=%d i=%d: Grant %d leaves %+v, GrantSingle %d leaves %+v", n, ptr, i, ga, a, gb, b)
+				}
+			}
+		}
+	}
+}
+
 func TestConstructorsPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewPrioritized(0) },

@@ -109,6 +109,18 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.1, "globalFrac": 0.2, "globalPattern": "XX"}],
 		  "phases": {"measure": 100}
 		}`,
+		// Used to panic in region.SixGrid: the third column block is
+		// empty on meshes 2 and 4 columns wide.
+		"sixgrid 2x2": `{
+		  "config": {"meshW": 2, "meshH": 2, "layout": "sixgrid"},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"sixgrid 4x2": `{
+		  "config": {"meshW": 4, "meshH": 2, "layout": "sixgrid"},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
 	} {
 		f, err := Parse([]byte(file))
 		if err != nil {

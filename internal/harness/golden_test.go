@@ -37,9 +37,9 @@ func goldenRun() []string {
 		Alg:     rc.Scheme.Alg(mesh),
 		Sel:     rc.Scheme.Sel(rc.Regions, rc.Router),
 		Policy:  rc.Scheme.Policy,
-		// Panic-mode invariant checking: the golden run doubles as the
-		// mask-shadow cross-check, auditing every incrementally-maintained
-		// bitmask against a slow reference scan at the checking barriers.
+		// Panic-mode invariant checking: the golden run doubles as a
+		// conservation, credit-accounting, VC-allocation and hop-progress
+		// audit at the checking barriers.
 		Check: &invariant.Config{Every: 64},
 		OnEject: func(p *msg.Packet, now int64) {
 			col.OnEject(p, now)

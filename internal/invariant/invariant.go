@@ -193,7 +193,6 @@ func (c *Checker) Check(now int64) {
 		c.checkConservation(now)
 		c.checkCredits(now)
 		c.checkAllocation(now)
-		c.checkMasks(now)
 		c.checkHops(now)
 		c.checkQuiescence(now)
 	}
@@ -328,27 +327,6 @@ func (c *Checker) checkAllocation(now int64) {
 					"router %d output %s allocation counter %d != owned VCs %d", node, d, got, owners)
 			}
 		}
-	}
-}
-
-// checkMasks cross-checks the datapath's incrementally-maintained occupancy
-// bitmasks and stage counters against a slow reference scan of the
-// authoritative per-VC state (the representation the masks replaced). A
-// divergence means the fast path and the reference disagree about which VCs
-// are in which pipeline stage — caught here at the barrier rather than as a
-// silent arbitration change.
-func (c *Checker) checkMasks(now int64) {
-	for _, r := range c.t.Routers {
-		node := r.Node()
-		r.AuditMasks(func(desc string) {
-			c.report(now, "mask-shadow", "router %d: %s", node, desc)
-		})
-	}
-	for _, ni := range c.t.NIs {
-		node := ni.Node()
-		ni.AuditMasks(func(desc string) {
-			c.report(now, "mask-shadow", "node %d: %s", node, desc)
-		})
 	}
 }
 

@@ -147,14 +147,10 @@ func FromRects(mesh *topology.Mesh, rects []Rect) (*Map, error) {
 // Halves splits the mesh into left/right halves: app 0 west, app 1 east
 // (the two-application scenario of the MSP and routing experiments).
 func Halves(mesh *topology.Mesh) *Map {
-	m, err := FromRects(mesh, []Rect{
+	return mustRects(mesh, []Rect{
 		{0, 0, mesh.W / 2, mesh.H},
 		{mesh.W / 2, 0, mesh.W, mesh.H},
 	})
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Quadrants splits the mesh into four quadrants, numbered row-major
@@ -162,16 +158,12 @@ func Halves(mesh *topology.Mesh) *Map {
 // PARSEC scenarios.
 func Quadrants(mesh *topology.Mesh) *Map {
 	w2, h2 := mesh.W/2, mesh.H/2
-	m, err := FromRects(mesh, []Rect{
+	return mustRects(mesh, []Rect{
 		{0, 0, w2, h2},
 		{w2, 0, mesh.W, h2},
 		{0, h2, w2, mesh.H},
 		{w2, h2, mesh.W, mesh.H},
 	})
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // SixGrid splits the mesh into a 3×2 grid of regions, numbered row-major
@@ -180,20 +172,22 @@ func Quadrants(mesh *topology.Mesh) *Map {
 // regions; we split each half-height row into column blocks of widths
 // ⌈W/3⌉, ⌈W/3⌉ and the remainder (3+3+2 on an 8-wide mesh).
 func SixGrid(mesh *topology.Mesh) *Map {
+	return mustRects(mesh, SixGridRects(mesh))
+}
+
+// SixGridRects returns SixGrid's six rectangles. On a mesh 2 or 4 columns
+// wide the third column block is empty, which FromRects rejects.
+func SixGridRects(mesh *topology.Mesh) []Rect {
 	w3 := (mesh.W + 2) / 3
 	h2 := mesh.H / 2
-	m, err := FromRects(mesh, []Rect{
+	return []Rect{
 		{0, 0, w3, h2},
 		{w3, 0, 2 * w3, h2},
 		{2 * w3, 0, mesh.W, h2},
 		{0, h2, w3, mesh.H},
 		{w3, h2, 2 * w3, mesh.H},
 		{2 * w3, h2, mesh.W, mesh.H},
-	})
-	if err != nil {
-		panic(err)
 	}
-	return m
 }
 
 // Grid splits the mesh into cols×rows rectangular regions numbered
@@ -214,6 +208,12 @@ func Grid(mesh *topology.Mesh, cols, rows int) *Map {
 			})
 		}
 	}
+	return mustRects(mesh, rects)
+}
+
+// mustRects is FromRects for the fixed layouts, where rectangles that do
+// not fit the mesh are the caller's error.
+func mustRects(mesh *topology.Mesh, rects []Rect) *Map {
 	m, err := FromRects(mesh, rects)
 	if err != nil {
 		panic(err)
@@ -224,9 +224,5 @@ func Grid(mesh *topology.Mesh, cols, rows int) *Map {
 // Single assigns the whole mesh to one application: the degenerate
 // "conventional NoC" case (an RNoC with one region).
 func Single(mesh *topology.Mesh) *Map {
-	m, err := FromRects(mesh, []Rect{{0, 0, mesh.W, mesh.H}})
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return mustRects(mesh, []Rect{{0, 0, mesh.W, mesh.H}})
 }

@@ -60,29 +60,6 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 			r.switchAllocation()
 		}
 	})
-	b.Run("rescan", func(b *testing.B) {
-		// The old path: rederive every port's SA_in candidate set from
-		// the stage and credit masks (refSAElig is the shadow-audit
-		// reference implementation of the rescan the persistent saElig
-		// sets replaced), in the same stalled two-stream state the
-		// "stalled" case walks incrementally.
-		cfg := DefaultConfig(1)
-		r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
-		var now int64
-		benchFeed(b, r, topology.East, &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest}, &now)
-		benchFeed(b, r, topology.North, &msg.Packet{ID: 2, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest}, &now)
-		r.Tick(now)
-		now++
-		r.Tick(now)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var m vcMask
-			for d := topology.Dir(0); d < topology.NumDirs; d++ {
-				m |= r.refSAElig(d)
-			}
-			benchSink = m
-		}
-	})
 	b.Run("grant", func(b *testing.B) {
 		cfg := DefaultConfig(1)
 		r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
@@ -114,9 +91,6 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 		}
 	})
 }
-
-// benchSink defeats dead-code elimination in the rescan benchmark.
-var benchSink vcMask
 
 // BenchmarkFlitStreaming pumps one very long packet eastwards with the
 // link drained and its credit returned every cycle — the steady shape plan

@@ -27,14 +27,6 @@ func (r *Router) DebugDropCredit(d topology.Dir, vc int) {
 	}
 }
 
-// DebugCorruptMask flips output port d's creditMask bit for VC vc without
-// touching the credit counter, desynchronizing the mask shadow from the
-// authoritative state. Exists only so tests can assert the invariant
-// checker's mask audit catches datapath desyncs.
-func (r *Router) DebugCorruptMask(d topology.Dir, vc int) {
-	r.out[d].creditMask ^= 1 << uint(vc)
-}
-
 // DebugState renders the router's pipeline state for diagnostics (watchdog
 // reports, deadlock triage).
 func (r *Router) DebugState() string {

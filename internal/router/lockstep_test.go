@@ -1,0 +1,534 @@
+package router
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"rair/internal/arbiter"
+	"rair/internal/core"
+	"rair/internal/msg"
+	"rair/internal/policy"
+	"rair/internal/region"
+	"rair/internal/routing"
+	"rair/internal/telemetry"
+	"rair/internal/topology"
+)
+
+// The lockstep rig: the router at the centre of a 3×3 mesh and its NI,
+// every port wired to a link whose far end runEpisode plays — four
+// upstream neighbours feeding the cardinal inputs, four downstream
+// neighbours draining the cardinal outputs and returning their credits out
+// of order, and the NI on the local port pair. The optimised Router/NI and
+// the reference (reference_test.go) each get their own links and packet
+// copies, see the same event stream, and are compared every cycle on what
+// a neighbour can observe.
+const (
+	rigNode       = 4
+	episodeCycles = 300
+)
+
+var (
+	rigMesh    = topology.NewMesh(3, 3)
+	rigRegions = region.Quadrants(rigMesh) // the centre node is app 3
+)
+
+// routerDUT and niDUT are what runEpisode needs of a router and an NI: the
+// optimised ones and the reference implement both.
+type routerDUT interface {
+	ConnectIn(topology.Dir, *Link)
+	ConnectOut(topology.Dir, *Link)
+	DeliverFlit(topology.Dir, msg.Flit)
+	DeliverCredit(topology.Dir, int)
+	Tick(int64)
+	OccupancyByKind() (native, foreign int)
+}
+
+type niDUT interface {
+	Links() (inj, ej *Link)
+	Inject(*msg.Packet, int64)
+	DeliverFlit(msg.Flit, int64)
+	DeliverCredit(int)
+	Tick(int64)
+}
+
+// rig is one router/NI pair under test, with the links it is wired
+// to (Local: the NI's injection and ejection link), its copies of every
+// packet, and its telemetry probe (nil when off).
+type rig struct {
+	cfg     Config
+	r       routerDUT
+	ni      niDUT
+	pol     policy.Policy
+	in, out [topology.NumDirs]*Link
+	pkts    []*msg.Packet
+	ejected int
+	tel     *telemetry.Probe
+}
+
+// rigSpec is one cell of the configuration matrix.
+type rigSpec struct {
+	cfg Config
+	alg routing.Algorithm
+	pol func() policy.Policy
+}
+
+// real builds the optimised Router and NI over slot li of soa (nil: a
+// store of their own).
+func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
+	if soa == nil {
+		soa = NewSoA(s.cfg, 1)
+	}
+	g := &rig{cfg: s.cfg, pol: s.pol()}
+	r := NewInStore(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, rigRegions,
+		s.alg, routing.LocalSelector{}, g.pol, soa, li)
+	ni := NewNIInStore(s.cfg, rigNode, rigRegions, func(*msg.Packet, int64) { g.ejected++ }, soa, li)
+	if tel {
+		col := telemetry.NewCollector(telemetry.Config{TraceEvery: 1, Attribution: true})
+		g.tel = col.ProbeFor(rigNode, rigRegions.AppAt(rigNode))
+		r.SetTelemetry(g.tel)
+		ni.SetTelemetry(g.tel)
+	}
+	g.r, g.ni = r, ni
+	g.wire()
+	return g
+}
+
+// reference builds the executable specification of the same cell.
+func (s rigSpec) reference() *rig {
+	g := &rig{cfg: s.cfg, pol: s.pol()}
+	g.r = newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, g.pol)
+	g.ni = newRefNI(s.cfg, rigRegions, func(*msg.Packet, int64) { g.ejected++ })
+	g.wire()
+	return g
+}
+
+func (g *rig) wire() {
+	g.in[topology.Local], g.out[topology.Local] = g.ni.Links()
+	for d := topology.North; d < topology.NumDirs; d++ {
+		g.in[d], g.out[d] = NewLink(g.cfg.LinkLatency), NewLink(g.cfg.LinkLatency)
+	}
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		g.r.ConnectIn(d, g.in[d])
+		g.r.ConnectOut(d, g.out[d])
+	}
+}
+
+// router returns the optimised router of a real rig.
+func (g *rig) router() *Router { return g.r.(*Router) }
+
+// flitSeen is a flit as the router across the link sees it (zero: none).
+type flitSeen struct {
+	ID        uint64
+	Seq, VC   int
+	Hops      int
+	Type      msg.FlitType
+	Lifecycle int64 // InjectedAt on the injection link, EjectedAt on ejection
+}
+
+func seen(f msg.Flit) flitSeen {
+	return flitSeen{ID: f.Pkt.ID, Seq: f.Seq, VC: f.VC, Hops: f.Pkt.Hops, Type: f.Type}
+}
+
+// cycleSeen is everything one cycle shows the router's neighbours.
+type cycleSeen struct {
+	Out        [topology.NumDirs]flitSeen // off each output link (Local: ejected into the NI)
+	Inj        flitSeen                   // off the NI's injection link
+	Credit     [topology.NumDirs]int      // off each input link's credit wire, -1 none (Local: to the NI)
+	OVC        [2]int                     // OVC_n, OVC_f after the tick
+	NativeHigh bool                       // the DPA mode after the tick
+}
+
+// episode is runEpisode's end of every link: the upstream neighbours'
+// credits and half-sent packets per input VC, and the credits each
+// downstream neighbour holds for flits it has received.
+type episode struct {
+	rng       *rand.Rand
+	rigs      []*rig
+	now       int64
+	load      int // percent chance an upstream neighbour offers a flit in a cycle
+	drain     int // percent chance a downstream neighbour returns a credit
+	upCredits [topology.NumDirs][]int
+	feeds     [topology.NumDirs][]*feed
+	banked    [topology.NumDirs][]int
+}
+
+type feed struct{ pkt, next int } // index into every rig's pkts; next flit
+
+// runEpisode drives the rigs through one random episode of episodeCycles
+// cycles and returns the first cycle on which any rig shows its neighbours
+// something rigs[0] does not (nil when they stayed in lockstep). Every
+// random decision is drawn once, reading rigs[0] where it depends on the
+// state of a link, and applied to every rig. Each cycle is the engine's: the
+// link phase (credits to the router's outputs, flits into its inputs,
+// credits to the upstream neighbours and the NI, flits to the downstream
+// neighbours and the NI, with random link holds), the neighbours' moves
+// (one out-of-order credit per output, one flit per input, an NI
+// injection), then the compute phase — the NI ticks every cycle, the
+// router skips one in ten like a fault-stalled router. preTick runs just
+// before the router ticks; postCycle runs after every cycle and ends the
+// episode by returning false.
+func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle int64) bool) error {
+	cfg := rigs[0].cfg
+	e := &episode{rng: rand.New(rand.NewSource(seed)), rigs: rigs,
+		load: 20 + 20*int(seed%3), drain: 40 + 30*int(seed/3%2)}
+	v := cfg.VCsPerPort()
+	for d := topology.North; d < topology.NumDirs; d++ {
+		e.upCredits[d] = make([]int, v)
+		for i := range e.upCredits[d] {
+			e.upCredits[d][i] = cfg.Depth
+		}
+		e.feeds[d] = make([]*feed, v)
+	}
+	obs := make([]cycleSeen, len(rigs))
+	for ; e.now < episodeCycles; e.now++ {
+		var hold [topology.NumDirs]bool
+		for d := range hold {
+			hold[d] = e.rng.Intn(100) < 5
+		}
+		for k, g := range rigs {
+			obs[k] = e.linkPhase(g, hold)
+		}
+		for d := topology.North; d < topology.NumDirs; d++ {
+			if vc := obs[0].Credit[d]; vc >= 0 {
+				e.upCredits[d][vc]++
+			}
+			if f := obs[0].Out[d]; f.ID != 0 {
+				e.banked[d] = append(e.banked[d], f.VC)
+			}
+			e.downstream(d)
+			e.upstream(d)
+		}
+		if e.rng.Intn(200) < e.load {
+			e.inject()
+		}
+		stall := e.rng.Intn(100) < 10
+		if !stall {
+			preTick()
+		}
+		for k, g := range rigs {
+			if !stall {
+				g.r.Tick(e.now)
+			}
+			g.ni.Tick(e.now)
+			obs[k].OVC[0], obs[k].OVC[1] = g.r.OccupancyByKind()
+			if dp, ok := g.pol.(dpaPolicy); ok {
+				obs[k].NativeHigh = dp.NativeHigh()
+			}
+			if k > 0 && obs[k] != obs[0] {
+				return fmt.Errorf("cycle %d: rig %d shows\n%+v\nrig 0 shows\n%+v", e.now, k, obs[k], obs[0])
+			}
+		}
+		if !postCycle(e.now) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// linkPhase shifts every wire of one rig and delivers what arrives.
+func (e *episode) linkPhase(g *rig, hold [topology.NumDirs]bool) cycleSeen {
+	var s cycleSeen
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if vc, ok := g.out[d].ShiftCredits(e.now); ok {
+			g.r.DeliverCredit(d, vc)
+		}
+		if f, ok := g.in[d].ShiftFlits(e.now); ok {
+			g.r.DeliverFlit(d, f)
+			if d == topology.Local {
+				s.Inj = seen(f)
+				s.Inj.Lifecycle = f.Pkt.InjectedAt
+			}
+		}
+		s.Credit[d] = -1
+		if vc, ok := g.in[d].ShiftCredits(e.now); ok {
+			s.Credit[d] = vc
+			if d == topology.Local {
+				g.ni.DeliverCredit(vc)
+			}
+		}
+		if hold[d] {
+			continue // a faulty link's hold: the wire keeps its flits
+		}
+		if f, ok := g.out[d].ShiftFlits(e.now); ok {
+			s.Out[d] = seen(f)
+			if d == topology.Local {
+				g.ni.DeliverFlit(f, e.now)
+				s.Out[d].Lifecycle = f.Pkt.EjectedAt
+			}
+		}
+	}
+	return s
+}
+
+// downstream returns one of the credits the neighbour at d holds, chosen
+// at random (out of order), most cycles.
+func (e *episode) downstream(d topology.Dir) {
+	if len(e.banked[d]) == 0 || e.rng.Intn(100) >= e.drain {
+		return
+	}
+	i := e.rng.Intn(len(e.banked[d]))
+	for _, g := range e.rigs {
+		g.out[d].SendCredit(e.banked[d][i])
+	}
+	e.banked[d] = append(e.banked[d][:i], e.banked[d][i+1:]...)
+}
+
+// upstream sends at most one flit from the neighbour at d: the next flit
+// of a random half-sent packet with a credit, else the head of a new packet
+// on a VC whose last packet has fully drained (all its credits home).
+// Packets mostly take adaptive VCs and sometimes the escape VC of their
+// class, as an upstream allocator may.
+func (e *episode) upstream(d topology.Dir) {
+	cfg := e.rigs[0].cfg
+	if e.rng.Intn(100) >= e.load || !e.rigs[0].in[d].CanSendFlit() {
+		return
+	}
+	for _, i := range e.rng.Perm(cfg.VCsPerPort()) {
+		if e.feeds[d][i] != nil && e.upCredits[d][i] > 0 {
+			e.sendUp(d, i)
+			return
+		}
+	}
+	src := rigMesh.Neighbor(rigNode, d)
+	pkt := e.packet(src, e.rng.Intn(rigMesh.N()))
+	lo, n := cfg.ClassBase(pkt.Class)+cfg.EscapeVCs, cfg.AdaptiveVCs
+	if e.rng.Intn(100) < 20 {
+		lo, n = cfg.ClassBase(pkt.Class), cfg.EscapeVCs
+	}
+	i := lo + e.rng.Intn(n)
+	if e.feeds[d][i] != nil || e.upCredits[d][i] != cfg.Depth {
+		return
+	}
+	e.feeds[d][i] = &feed{pkt: e.add(pkt)}
+	e.sendUp(d, i)
+}
+
+func (e *episode) sendUp(d topology.Dir, i int) {
+	fd := e.feeds[d][i]
+	for _, g := range e.rigs {
+		f := msg.FlitAt(g.pkts[fd.pkt], fd.next)
+		f.VC = i
+		g.in[d].SendFlit(f)
+	}
+	e.upCredits[d][i]--
+	if fd.next++; fd.next == e.rigs[0].pkts[fd.pkt].Size {
+		e.feeds[d][i] = nil
+	}
+}
+
+// inject queues a new packet at the NI for any other node.
+func (e *episode) inject() {
+	dst := e.rng.Intn(rigMesh.N() - 1)
+	if dst >= rigNode {
+		dst++
+	}
+	i := e.add(e.packet(rigNode, dst))
+	for _, g := range e.rigs {
+		g.ni.Inject(g.pkts[i], e.now)
+	}
+}
+
+// packet draws a packet from src to dst: half of them native to the
+// router's region, of random size, class and age (RO_Rank batches by age).
+func (e *episode) packet(src, dst int) msg.Packet {
+	app := rigRegions.AppAt(rigNode)
+	if e.rng.Intn(2) == 0 {
+		app = e.rng.Intn(rigRegions.NumApps())
+	}
+	return msg.Packet{
+		ID: uint64(len(e.rigs[0].pkts) + 1), App: app, Src: src, Dst: dst, FinalDst: dst,
+		Class: msg.Class(e.rng.Intn(e.rigs[0].cfg.Classes)), Size: 1 + e.rng.Intn(8),
+		Global: rigRegions.Global(src, dst), CreatedAt: e.now - int64(e.rng.Intn(600)),
+	}
+}
+
+// add gives every rig its own copy of p (routers write hop counts, blame
+// and lifecycle stamps into packets) and returns its index.
+func (e *episode) add(p msg.Packet) int {
+	for _, g := range e.rigs {
+		q := p
+		g.pkts = append(g.pkts, &q)
+	}
+	return len(e.rigs[0].pkts) - 1
+}
+
+// lockstepSpecs is the configuration matrix: five policies × six router
+// configurations × three routing algorithms.
+func lockstepSpecs() map[string]rigSpec {
+	policies := map[string]func() policy.Policy{
+		"RO_RR":    func() policy.Policy { return policy.NewRoundRobin(rigNode, 3) },
+		"RO_Rank":  func() policy.Policy { return policy.NewRankFactory([]int{2, 0, 3, 1})(rigNode, 3) },
+		"RA_RAIR":  func() policy.Policy { return core.New(core.Config{}) },
+		"NativeH":  func() policy.Policy { return core.New(core.Config{Mode: core.ModeNativeHigh}) },
+		"ForeignH": func() policy.Policy { return core.New(core.Config{Mode: core.ModeForeignHigh}) },
+	}
+	configs := map[string]Config{
+		"table1":    DefaultConfig(1),
+		"classes2":  DefaultConfig(2),
+		"oneVC":     oneVCConfig(),
+		"global0":   withConfig(func(c *Config) { c.GlobalVCs = 0 }),
+		"allGlobal": withConfig(func(c *Config) { c.GlobalVCs = c.AdaptiveVCs }),
+		"latency1":  withConfig(func(c *Config) { c.LinkLatency = 1 }),
+	}
+	algs := map[string]routing.Algorithm{
+		"MinAdaptive": routing.MinimalAdaptive{Mesh: rigMesh},
+		"XY":          routing.XY{Mesh: rigMesh},
+		"WestFirst":   routing.WestFirst{Mesh: rigMesh},
+	}
+	specs := map[string]rigSpec{}
+	for pn, pol := range policies {
+		for cn, cfg := range configs {
+			for an, alg := range algs {
+				specs[pn+"/"+cn+"/"+an] = rigSpec{cfg: cfg, alg: alg, pol: pol}
+			}
+		}
+	}
+	return specs
+}
+
+// withConfig is the Table 1 configuration (one class) with one edit.
+func withConfig(edit func(*Config)) Config {
+	c := DefaultConfig(1)
+	edit(&c)
+	return c
+}
+
+// TestReferenceLockstep is the router's oracle: on every cell of the
+// configuration matrix and 24 seeds, the optimised Router and NI — masks,
+// stage counters, SoA slabs, plan replay — must show their neighbours
+// exactly what the reference shows, every cycle. The totals guard against
+// a vacuous pass: flits must move, plans must replay and DPA must flip.
+func TestReferenceLockstep(t *testing.T) {
+	var flits, ejected, fast, dpaFlips atomic.Int64
+	t.Run("cells", func(t *testing.T) {
+		for name, spec := range lockstepSpecs() {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for seed := int64(1); seed <= 24; seed++ {
+					real, ref := spec.real(nil, 0, false), spec.reference()
+					nativeHigh := false
+					err := runEpisode(seed, []*rig{real, ref}, func() {}, func(int64) bool {
+						if dp, ok := real.pol.(dpaPolicy); ok && dp.NativeHigh() != nativeHigh {
+							nativeHigh = !nativeHigh
+							dpaFlips.Add(1)
+						}
+						return true
+					})
+					if err != nil {
+						t.Fatalf("seed %d: the router left the reference: %v", seed, err)
+					}
+					for d := topology.Dir(0); d < topology.NumDirs; d++ {
+						flits.Add(real.router().FlitsSent(d))
+					}
+					ejected.Add(int64(real.ejected))
+					fast.Add(real.router().FastTicks())
+				}
+			})
+		}
+	})
+	if flits.Load() == 0 || ejected.Load() == 0 || fast.Load() == 0 || dpaFlips.Load() == 0 {
+		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d replayed ticks, %d DPA flips",
+			flits.Load(), ejected.Load(), fast.Load(), dpaFlips.Load())
+	}
+}
+
+// TestReplayMatchesArbitration is the differential oracle for plan replay:
+// two routers see one seeded event stream, and one of them has its plan
+// disarmed before every Tick, so it arbitrates every cycle; the reference
+// rides along as a third rig. After every cycle everything arbitration
+// leaves behind — ST registers, flits sent, arbiter pointers, candidate
+// sets, the work mirror, telemetry counters and per-packet blame — must be
+// equal, and at the end the lifecycle traces must be equal too.
+// The seeds must reach the three ways a plan ends without an arrival: a
+// co-resident stream credit-dry on a planned output (the case the old
+// single-stream arming rule kept out of the fast path), a link hold on a
+// planned output, and a tail.
+func TestReplayMatchesArbitration(t *testing.T) {
+	var cov struct{ sharedDry, hold, tail int }
+	var fast int64
+	spec := rigSpec{cfg: DefaultConfig(1), alg: routing.MinimalAdaptive{Mesh: rigMesh},
+		pol: func() policy.Policy { return core.New(core.Config{}) }}
+	for seed := int64(1); seed <= 24; seed++ {
+		a, b := spec.real(nil, 0, true), spec.real(nil, 0, true)
+		err := runEpisode(seed, []*rig{a, b, spec.reference()}, func() {
+			b.router().fastArmed = false
+			r := a.router()
+			if !r.fastArmed {
+				return
+			}
+			for pm := r.planPorts; pm != 0; pm &= pm - 1 {
+				d := bits.TrailingZeros8(pm)
+				vc := r.saOutVC[d]
+				out := r.out[vc.outPort]
+				if out.stValid && !out.link.CanSendFlit() {
+					cov.hold++
+				}
+				if r.in[d].saElig>>uint(vc.idx)&1 == 1 && vc.buf.At(0).Type.IsTail() {
+					cov.tail++
+				}
+				for m := out.streamMask &^ out.creditMask &^ (1 << uint(vc.outVC)); m != 0; m &= m - 1 {
+					ov := &out.vcs[bits.TrailingZeros64(m)]
+					if r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 1 {
+						cov.sharedDry++
+					}
+				}
+			}
+		}, func(cycle int64) bool {
+			if sa, sb := a.state(), b.state(); sa != sb {
+				t.Fatalf("seed %d cycle %d: replaying twin\n%+v\narbitrating twin\n%+v", seed, cycle, sa, sb)
+			}
+			for i, p := range a.pkts {
+				if q := b.pkts[i]; p.Blame != q.Blame || p.Hops != q.Hops {
+					t.Fatalf("seed %d cycle %d: %v blame %v hops %d replaying, blame %v hops %d arbitrating",
+						seed, cycle, p, p.Blame, p.Hops, q.Blame, q.Hops)
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ea, eb := a.tel.Events(), b.tel.Events(); !reflect.DeepEqual(ea, eb) {
+			t.Fatalf("seed %d: lifecycle traces differ (%d vs %d events)", seed, len(ea), len(eb))
+		}
+		if b.router().FastTicks() != 0 {
+			t.Fatalf("seed %d: the arbitrating twin replayed %d ticks", seed, b.router().FastTicks())
+		}
+		fast += a.router().FastTicks()
+	}
+	t.Logf("%d replayed ticks, coverage %+v", fast, cov)
+	if fast == 0 || cov.sharedDry == 0 || cov.hold == 0 || cov.tail == 0 {
+		t.Fatalf("seeds miss a case: %d replayed ticks, coverage %+v", fast, cov)
+	}
+}
+
+// rigState is everything a cycle of ST+SA leaves behind, in comparable form.
+type rigState struct {
+	ST           [topology.NumDirs]string
+	Sent         [topology.NumDirs]int64
+	SAIn, SAOut  [topology.NumDirs]arbiter.Prioritized
+	Elig, Occ    [topology.NumDirs]vcMask
+	SAPorts      uint8
+	Work         int
+	Native, Frgn int
+	Counters     telemetry.Counters
+}
+
+func (g *rig) state() rigState {
+	r := g.router()
+	s := rigState{SAIn: r.saInArb, SAOut: r.saOutArb, SAPorts: r.saPorts,
+		Work: int(r.soa.Work[r.li]), Counters: g.tel.Counters()}
+	s.Native, s.Frgn = r.OccupancyByKind()
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if f, ok := r.STRegister(d); ok {
+			s.ST[d] = fmt.Sprintf("#%d/%d %v vc%d", f.Pkt.ID, f.Seq, f.Type, f.VC)
+		}
+		s.Sent[d] = r.FlitsSent(d)
+		s.Elig[d], s.Occ[d] = r.in[d].saElig, r.in[d].occMask
+	}
+	return s
+}

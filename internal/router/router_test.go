@@ -202,51 +202,3 @@ func containsPkt(s string) bool {
 	}
 	return false
 }
-
-// TestSharedScratchHygiene: two routers built over one store share its
-// arbitration scratch. Contended VA and SA cycles on the first must leave
-// every request row clear (AuditMasks reports nothing), or the second would
-// arbitrate against phantom requests; a request planted in the scratch is
-// reported by the store's first router and by no other.
-func TestSharedScratchHygiene(t *testing.T) {
-	cfg := oneVCConfig()
-	mesh := topology.NewMesh(2, 1)
-	regs := region.New(mesh)
-	regs.Assign(0, 0)
-	regs.Assign(1, 1)
-	soa := NewSoA(cfg, 2)
-	var rs [2]*Router
-	for li := range rs {
-		rs[li] = NewInStore(cfg, li, li, mesh, regs,
-			routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, policy.NewRoundRobin(li, li), soa, li)
-	}
-	r := rs[0]
-	r.ConnectOut(topology.East, NewLink(cfg.LinkLatency))
-	r.ConnectIn(topology.West, NewLink(cfg.LinkLatency))
-	r.ConnectIn(topology.Local, NewLink(cfg.LinkLatency))
-	// Two heads contending for the one regional VC of the east port (VA_out
-	// arbitration), then for the east port itself (SA_out).
-	for i, d := range []topology.Dir{topology.Local, topology.West} {
-		p := &msg.Packet{ID: uint64(i + 1), App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
-		r.DeliverFlit(d, headFlit(p, 1))
-	}
-	audits := func() (reports [2]int) {
-		for li, r := range rs {
-			r.AuditMasks(func(desc string) {
-				t.Logf("router %d: %s", li, desc)
-				reports[li]++
-			})
-		}
-		return reports
-	}
-	for now := int64(0); now < 6; now++ {
-		r.Tick(now)
-		if got := audits(); got != [2]int{} {
-			t.Fatalf("cycle %d: audit reports %v after a tick, want none", now, got)
-		}
-	}
-	soa.vaReq[3] = true
-	if got := audits(); got != [2]int{1, 0} {
-		t.Fatalf("planted scratch request: audit reports %v, want [1 0]", got)
-	}
-}

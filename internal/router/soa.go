@@ -51,17 +51,16 @@ type SoA struct {
 	vaArb []arbiter.Prioritized
 
 	// Arbitration scratch, one copy for the whole shard: the engine ticks a
-	// shard's routers one at a time and Router.Tick leaves every request
-	// row all-clear (AuditMasks checks), so the rows stay cache-resident
+	// shard's routers one at a time and Router.Tick leaves every request row
+	// all-clear (TestSharedScratchHygiene), so the rows stay cache-resident
 	// instead of costing each router ~7 KB of its own. vaReq/vaPrio are
-	// [output VC][input VC] matrices flattened with stride NumDirs×VCs;
-	// vaReqN counts the requests filed per output VC and vaSingle names
-	// the lone requestor when that is 1 (VA_out then skips the arbiter
-	// scan); vaTouched lists the output VCs requested this tick. dirBuf
-	// carries a route's candidates to the selection function (a stack
-	// array would escape through the interface call). saReq/saPrio are one
-	// input port's SA_in rows, saOutReq/saOutPri the SA_out rows of the
-	// output port under arbitration.
+	// [output VC][input VC] matrices flattened with stride NumDirs×VCs; vaReqN
+	// counts the requests filed per output VC and vaSingle names the lone
+	// requestor when that is 1 (VA_out then skips the arbiter scan); vaTouched
+	// lists the output VCs requested this tick. dirBuf carries a route's
+	// candidates to the selection function (a stack array would escape through
+	// the interface call). saReq/saPrio are one input port's SA_in rows,
+	// saOutReq/saOutPri the SA_out rows of the output port under arbitration.
 	vaReq, saReq     []bool
 	vaPrio, saPrio   []int
 	vaReqN, vaSingle []int

@@ -120,23 +120,3 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) frequency %v", f)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, n8 uint8) bool {
-		n := int(n8 % 50)
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -253,17 +253,16 @@ func New(cfg Config) (*Simulation, error) {
 	case LayoutQuadrants:
 		regs = region.Quadrants(mesh)
 	case LayoutSixGrid:
-		regs = region.SixGrid(mesh)
+		regs, err = region.FromRects(mesh, region.SixGridRects(mesh))
 	case LayoutCustom:
-		regs, err = region.FromRects(mesh, cfg.Rects)
-		if err != nil {
-			return nil, err
-		}
-		if err := regs.Validate(); err != nil {
-			return nil, err
+		if regs, err = region.FromRects(mesh, cfg.Rects); err == nil {
+			err = regs.Validate()
 		}
 	default:
 		return nil, fmt.Errorf("rair: unknown layout %q", cfg.Layout)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rair: layout %q: %w", cfg.Layout, err)
 	}
 
 	rcfg, err := routerConfig(cfg, max(cfg.Classes, 1))
