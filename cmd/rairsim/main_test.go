@@ -1,20 +1,24 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rair"
 )
 
-// writeConfig puts a small halves scenario with its own telemetry settings
-// into a temp file.
+// writeConfig puts a small halves scenario with its own trace stride and
+// worker count into a temp file.
 func writeConfig(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sim.json")
 	doc := `{
 	  "config": {"layout": "halves", "scheme": "RA_RAIR", "seed": 3,
-	             "telemetryWindow": 512, "telemetryTraceEvery": 7},
+	             "telemetryTraceEvery": 7, "workers": 3},
 	  "apps": [{"app": 0, "loadFrac": 0.3, "globalFrac": 0.5}, {"app": 1, "loadFrac": 0.3}],
 	  "phases": {"warmup": 200, "measure": 1000, "drain": 2000}
 	}`
@@ -27,21 +31,74 @@ func writeConfig(t *testing.T) string {
 // A flag left at its default must not reset what the file says.
 func TestFlagsOverrideFileOnlyWhenGiven(t *testing.T) {
 	path := writeConfig(t)
-	f, _, err := configure([]string{"-f", path, "-telemetry"})
+	record := filepath.Join(t.TempDir(), "record.json")
+	f, _, err := configure([]string{"-f", path, "-record", record})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Config.Telemetry || f.Config.TelemetryWindow != 512 || f.Config.TelemetryTraceEvery != 7 {
-		t.Errorf("-telemetry alone: window %d, trace %d, want the file's 512 and 7",
-			f.Config.TelemetryWindow, f.Config.TelemetryTraceEvery)
+	if !f.Config.Telemetry || f.Config.TelemetryTraceEvery != 7 || f.Config.Workers != 3 {
+		t.Errorf("-record alone: telemetry %v, trace %d, workers %d, want on and the file's 7 and 3",
+			f.Config.Telemetry, f.Config.TelemetryTraceEvery, f.Config.Workers)
 	}
-	f, _, err = configure([]string{"-f", path, "-telemetry-window", "128", "-telemetry-trace", "0"})
+	f, _, err = configure([]string{"-f", path, "-record", record, "-telemetry-trace", "0", "-workers", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Config.TelemetryWindow != 128 || f.Config.TelemetryTraceEvery != 0 {
-		t.Errorf("explicit flags: window %d, trace %d, want 128 and 0",
-			f.Config.TelemetryWindow, f.Config.TelemetryTraceEvery)
+	if f.Config.TelemetryTraceEvery != 0 || f.Config.Workers != 1 {
+		t.Errorf("explicit flags: trace %d, workers %d, want 0 and 1",
+			f.Config.TelemetryTraceEvery, f.Config.Workers)
+	}
+}
+
+// The record rairsim writes is the run record: it decodes into rair.Report
+// with no field left over, carries the text report's packet count and
+// balanced attribution books, and its engine section; the Chrome trace lands
+// beside it.
+func TestRecordRoundTrip(t *testing.T) {
+	path := writeConfig(t)
+	record := filepath.Join(t.TempDir(), "record.json")
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	err = run([]string{"-f", path, "-record", record})
+	os.Stdout = stdout
+	w.Close()
+	var text bytes.Buffer
+	text.ReadFrom(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep rair.Report
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != 1 || rep.Results == nil {
+		t.Fatalf("schema %d, results %v", rep.Schema, rep.Results)
+	}
+	if !strings.Contains(text.String(), rep.String()) {
+		t.Fatalf("text report\n%s\ndoes not carry the record's results\n%s", text.String(), rep.String())
+	}
+	if rep.Attribution == nil {
+		t.Fatal("record has no attribution section")
+	}
+	if err := rep.Attribution.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine == nil || rep.Engine.Workers != 3 {
+		t.Fatalf("engine section %+v, want one for the file's 3 workers", rep.Engine)
+	}
+	if _, err := os.Stat(strings.TrimSuffix(record, ".json") + ".trace.json"); err != nil {
+		t.Fatalf("no Chrome trace beside the record: %v", err)
 	}
 }
 

@@ -48,6 +48,10 @@ func TestParseRejects(t *testing.T) {
 		  "phases": {"measure": 100}}`, // unknown field
 		sample + sample,  // a second document
 		sample + ` oops`, // trailing garbage
+		// Observation keys that "telemetry" covers.
+		`{"config": {"telemetryWindow": 512}, "apps": [{"app":0,"loadFrac":0.1}], "phases": {"measure": 100}}`,
+		`{"config": {"attribution": true}, "apps": [{"app":0,"loadFrac":0.1}], "phases": {"measure": 100}}`,
+		`{"config": {"profile": true}, "apps": [{"app":0,"loadFrac":0.1}], "phases": {"measure": 100}}`,
 	}
 	for i, c := range cases {
 		if _, err := Parse([]byte(c)); err == nil {
@@ -113,6 +117,12 @@ func TestBuildErrorsSurface(t *testing.T) {
 		// empty on meshes 2 and 4 columns wide.
 		"sixgrid 2x2": `{
 		  "config": {"meshW": 2, "meshH": 2, "layout": "sixgrid"},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		// Used to run RA_RAIR at the default width of 0.2.
+		"negative delta": `{
+		  "config": {"scheme": "RA_RAIR", "delta": -0.5},
 		  "apps": [{"app": 0, "loadFrac": 0.1}],
 		  "phases": {"measure": 100}
 		}`,

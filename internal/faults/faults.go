@@ -44,35 +44,35 @@ const (
 type Config struct {
 	// Seed drives every fault decision (independent of the traffic seed);
 	// rair.Simulation.Run replaces 0 by its own Config.Seed.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// DropProb / CorruptProb are the per-traversal probabilities that a
 	// flit is silently lost in flight (the sender detects it by timeout,
 	// DropTimeout cycles, and retransmits) or arrives corrupted (the
 	// receiver's CRC-style check discards it and NACKs; the sender
 	// retransmits after NackLatency cycles).
-	DropProb    float64
-	CorruptProb float64
+	DropProb    float64 `json:"dropProb"`
+	CorruptProb float64 `json:"corruptProb"`
 	// CreditLeakProb is the per-arrival probability a returning credit is
 	// lost upstream; only credit reconciliation (ReconcileEvery) restores it.
-	CreditLeakProb float64
+	CreditLeakProb float64 `json:"creditLeakProb"`
 	// StallProb is the per-cycle probability that an unstalled router's
 	// pipeline freezes (flits still arrive and buffer) for StallLen cycles
 	// (DefaultStallLen when 0).
-	StallProb float64
-	StallLen  int
+	StallProb float64 `json:"stallProb"`
+	StallLen  int     `json:"stallLen"`
 	// MaxRetries bounds per-flit retransmission attempts; a flit failing
 	// more often is permanently lost: the link forwards it marked Damaged
 	// and its packet is discarded at the destination. DropTimeout is the
 	// sender's loss-detection timeout and NackLatency the corruption NACK
 	// round-trip, in cycles. Zero takes the Default* constants.
-	MaxRetries  int
-	DropTimeout int
-	NackLatency int
+	MaxRetries  int `json:"maxRetries"`
+	DropTimeout int `json:"dropTimeout"`
+	NackLatency int `json:"nackLatency"`
 	// ReconcileEvery is the credit-reconciliation period in cycles: every
 	// period, leaked credits on every link are audited and restored to
 	// their owner. 0 disables reconciliation (leaked credits are then
 	// permanent, and throughput degrades until the network wedges).
-	ReconcileEvery int64
+	ReconcileEvery int64 `json:"reconcileEvery"`
 }
 
 func (c Config) withDefaults() Config {

@@ -9,6 +9,7 @@ import (
 	"rair/internal/collective"
 	"rair/internal/msg"
 	"rair/internal/network"
+	"rair/internal/obs"
 	"rair/internal/region"
 	"rair/internal/stats"
 	"rair/internal/telemetry"
@@ -211,15 +212,15 @@ func TestCollectiveAttributionConservation(t *testing.T) {
 			Scheme: RORR(), Dur: testDur(), Seed: 13, Workers: workers,
 			Telemetry: tel,
 		}, spec, &src))
-		rep := tel.Report()
-		if rep.Attribution == nil {
+		attr := tel.Attribution()
+		if attr == nil {
 			t.Fatal("no attribution report")
 		}
-		if err := rep.Attribution.Conservation(); err != nil {
+		if err := attr.Conservation(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		sawApp := false
-		for _, row := range rep.Attribution.Rows {
+		for _, row := range attr.Rows {
 			if row.App == spec.App {
 				sawApp = true
 			}
@@ -233,7 +234,10 @@ func TestCollectiveAttributionConservation(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
+		if err := obs.WriteJSON(&buf, tel.Report()); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteJSON(&buf, attr); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

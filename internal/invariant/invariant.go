@@ -408,7 +408,7 @@ func (c *Checker) dump() string {
 		shown++
 	}
 	if c.t.Telemetry != nil {
-		if js, err := json.Marshal(c.t.Telemetry.Report().Totals); err == nil {
+		if js, err := json.Marshal(c.t.Telemetry.Totals()); err == nil {
 			fmt.Fprintf(&b, "telemetry totals: %s\n", js)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"rair/internal/obs"
 	"rair/internal/telemetry"
 )
 
@@ -78,15 +79,19 @@ func TestAttributionObserverOnly(t *testing.T) {
 }
 
 // TestAttributionDeterministicAcrossWorkers pins the probe-ownership
-// discipline: the full telemetry report — decompositions, windowed blame
-// series, counters — is byte-identical at 1, 2 and 4 workers.
+// discipline: the run record's telemetry and attribution sections —
+// counters, windowed blame series, decompositions — are byte-identical at
+// 1, 2 and 4 workers.
 func TestAttributionDeterministicAcrossWorkers(t *testing.T) {
 	var baseReport []byte
 	for _, workers := range []int{1, 2, 4} {
 		tel := attributionCollector()
 		telemetryRun(t, workers, tel)
 		var buf bytes.Buffer
-		if err := tel.Report().WriteJSON(&buf); err != nil {
+		if err := obs.WriteJSON(&buf, tel.Report()); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteJSON(&buf, tel.Attribution()); err != nil {
 			t.Fatal(err)
 		}
 		if baseReport == nil {

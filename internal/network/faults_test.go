@@ -10,6 +10,7 @@ import (
 	"rair/internal/faults"
 	"rair/internal/invariant"
 	"rair/internal/msg"
+	"rair/internal/obs"
 	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -201,7 +202,7 @@ func faultMatrixRun(t *testing.T, workers int, check bool) (seq []string, telJSO
 		seq = append(seq, fmt.Sprintf("%d@%d", p.ID, p.EjectedAt))
 	}
 	var buf bytes.Buffer
-	if err := col.Report().WriteJSON(&buf); err != nil {
+	if err := obs.WriteJSON(&buf, col.Report()); err != nil {
 		t.Fatalf("telemetry report: %v", err)
 	}
 	return seq, buf.String()

@@ -7,6 +7,7 @@ import (
 
 	"rair/internal/core"
 	"rair/internal/msg"
+	"rair/internal/obs"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -73,7 +74,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := tel.Report().WriteJSON(&buf); err != nil {
+		if err := obs.WriteJSON(&buf, tel.Report()); err != nil {
 			t.Fatal(err)
 		}
 		if baseReport == nil {

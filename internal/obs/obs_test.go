@@ -1,20 +1,24 @@
-package obs
+// The record's formats and its live server, exercised on rair.Report itself.
+package obs_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"regexp"
 	"strings"
 	"testing"
 
+	"rair"
 	"rair/internal/network"
+	"rair/internal/obs"
 	"rair/internal/telemetry"
 )
 
-// sampleSnapshot builds a fully populated snapshot by hand so the writers
-// are exercised without running a simulation.
-func sampleSnapshot() *Snapshot {
+// sampleReport builds a record with every observation section populated by
+// hand, so the Prometheus view is exercised without running a simulation.
+func sampleReport() *rair.Report {
 	tot := telemetry.Counters{
 		LinkFlits: 1000, CreditStalls: 20, InjectStalls: 3,
 		AttrNativeCycles: 40, AttrForeignCycles: 60, AttrEscapeCycles: 5, AttrFaultCycles: 0,
@@ -41,7 +45,7 @@ func sampleSnapshot() *Snapshot {
 		Barrier: []network.BarrierProfile{{Phase: "links", Waits: 500, WaitNS: 123456}},
 	}
 	eng.Barrier[0].Hist[12] = 500
-	return &Snapshot{Cycle: 500, Totals: &tot, Attribution: attr, Engine: eng}
+	return &rair.Report{Schema: rair.ReportSchema, Cycle: 500, Telemetry: &telemetry.Report{Totals: tot}, Attribution: attr, Engine: eng}
 }
 
 var (
@@ -87,7 +91,7 @@ func checkPrometheus(t *testing.T, text string) map[string]bool {
 
 func TestWritePrometheusFull(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleSnapshot().WritePrometheus(&buf); err != nil {
+	if err := sampleReport().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	names := checkPrometheus(t, buf.String())
@@ -114,13 +118,14 @@ func TestWritePrometheusFull(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusEmpty pins the stable-schema contract: even a zero
-// snapshot (nothing enabled, nothing published yet) serves parseable text
-// with the interference-ratio gauge and the barrier-wait histogram series
-// present, zero-valued — serial engines included.
+// TestWritePrometheusEmpty pins the stable-schema contract: even a record
+// with no observation section (nothing enabled, nothing published yet)
+// serves parseable text with the interference-ratio gauge and the
+// barrier-wait histogram series present, zero-valued — serial engines
+// included.
 func TestWritePrometheusEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (&Snapshot{}).WritePrometheus(&buf); err != nil {
+	if err := (&rair.Report{}).WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	names := checkPrometheus(t, buf.String())
@@ -136,29 +141,26 @@ func TestWritePrometheusEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleSnapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if lines[0] != "metric,labels,value" {
-		t.Fatalf("bad header: %q", lines[0])
-	}
-	if len(lines) < 20 {
-		t.Fatalf("suspiciously short CSV (%d lines)", len(lines))
-	}
-}
-
+// TestServerEndpoints serves a run's record live: the stable empty schema
+// before Run, then the final record at /snapshot (the same bytes as its one
+// writer) and its Prometheus view at /metrics.
 func TestServerEndpoints(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
+	sim, err := rair.New(rair.Config{Layout: rair.LayoutHalves, Scheme: "RA_RAIR", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
+	for app := range 2 {
+		if err := sim.AddApp(rair.AppSpec{App: app, LoadFrac: 0.4, GlobalFrac: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, closeObs, err := sim.ServeObs("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeObs()
 	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,20 +175,26 @@ func TestServerEndpoints(t *testing.T) {
 		return string(b)
 	}
 
-	// Before any publish: the stable empty schema.
 	checkPrometheus(t, get("/metrics"))
-	if !strings.Contains(get("/snapshot"), `"cycle": 0`) {
-		t.Fatal("empty snapshot JSON missing cycle")
+	if !strings.Contains(get("/snapshot"), `"schema": 1`) {
+		t.Fatal("record served before the run lacks its schema")
 	}
 
-	srv.Publish(sampleSnapshot())
+	rep, err := sim.Run(rair.Phases{Warmup: 200, Measure: 2000, Drain: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	metrics := get("/metrics")
 	checkPrometheus(t, metrics)
-	if !strings.Contains(metrics, "rair_sim_cycle 500") {
-		t.Fatalf("published snapshot not served:\n%s", metrics)
+	if want := fmt.Sprintf("rair_sim_cycle %d\n", rep.Cycle); !strings.Contains(metrics, want) {
+		t.Fatalf("final record not served, want %q in:\n%s", want, metrics)
 	}
-	if !strings.Contains(get("/snapshot"), `"cycle": 500`) {
-		t.Fatal("snapshot JSON not updated after publish")
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/snapshot"); got != buf.String() {
+		t.Fatalf("/snapshot serves\n%s\nwant the record\n%s", got, buf.String())
 	}
 }
 
@@ -197,8 +205,10 @@ func TestFmtFloat(t *testing.T) {
 	}{
 		{0, "0"}, {500, "500"}, {-3, "-3"}, {0.5, "0.5"}, {1.28e-07, "1.28e-07"},
 	} {
-		if got := fmtFloat(tc.v); got != tc.want {
-			t.Fatalf("fmtFloat(%v) = %q, want %q", tc.v, got, tc.want)
+		var buf bytes.Buffer
+		err := obs.WritePrometheus(&buf, func(emit obs.Emit) { emit("v", "A value.", "gauge", "", tc.v) })
+		if want := "# HELP v A value.\n# TYPE v gauge\nv " + tc.want + "\n"; err != nil || buf.String() != want {
+			t.Fatalf("value %v rendered %q (%v), want %q", tc.v, buf.String(), err, want)
 		}
 	}
 }

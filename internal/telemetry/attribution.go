@@ -221,8 +221,8 @@ func (r *AttributionReport) Conservation() error {
 	return errors.Join(err, check("total", &r.Total.Decomp))
 }
 
-// Totals returns the sum of every probe's counter block (the same totals a
-// full Report would carry), for lightweight snapshotting.
+// Totals returns the sum of every probe's counter block: the totals of
+// Summary and Report, and the one place they are summed.
 func (c *Collector) Totals() Counters {
 	var t Counters
 	for _, p := range c.probes {
@@ -234,6 +234,3 @@ func (c *Collector) Totals() Counters {
 	}
 	return t
 }
-
-// Now reports the last cycle the collector observed via Advance.
-func (c *Collector) Now() int64 { return c.now }

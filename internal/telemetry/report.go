@@ -1,13 +1,9 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
 // Report is the aggregated outcome of one instrumented run: run-wide
-// counter totals plus the per-router counter blocks and window series.
+// counter totals plus the per-router counter blocks and window series. It
+// is the telemetry section of the run record (rair.Report); the record
+// carries the attribution report beside it.
 type Report struct {
 	// Window is the sampling window in cycles; Cycles the last cycle the
 	// collector observed.
@@ -20,11 +16,7 @@ type Report struct {
 	TraceDropped int64  `json:"traceDropped,omitempty"`
 
 	Totals  Counters       `json:"totals"`
-	Routers []RouterReport `json:"routers"`
-
-	// Attribution is the per-(source app, class) latency decomposition;
-	// nil unless Config.Attribution was on and packets ejected.
-	Attribution *AttributionReport `json:"attribution,omitempty"`
+	Routers []RouterReport `json:"routers,omitempty"`
 }
 
 // RouterReport is one node's slice of the report.
@@ -35,61 +27,26 @@ type RouterReport struct {
 	Windows  []WindowSample `json:"windows,omitempty"`
 }
 
-// Report builds the aggregated report from the collector's probes.
+// Summary is the report without its per-router blocks: the header and the
+// totals, which is all a mid-run publish carries (copying every router's
+// window ring on each publish would dominate a large mesh).
+func (c *Collector) Summary() *Report {
+	return &Report{Window: c.cfg.Window, Cycles: c.now, TraceEvery: c.cfg.TraceEvery, Totals: c.Totals()}
+}
+
+// Report builds the full report: the summary plus every probe's counters
+// and windows.
 func (c *Collector) Report() *Report {
-	r := &Report{Window: c.cfg.Window, Cycles: c.now, TraceEvery: c.cfg.TraceEvery}
+	r := c.Summary()
 	for _, p := range c.probes {
 		if p == nil {
 			continue
 		}
-		cnt := p.Counters()
-		r.Totals.add(&cnt)
 		r.TraceEvents += len(p.events)
 		r.TraceDropped += p.dropped
 		r.Routers = append(r.Routers, RouterReport{
-			Node: p.node, App: p.app, Counters: cnt, Windows: p.Windows(),
+			Node: p.node, App: p.app, Counters: p.Counters(), Windows: p.Windows(),
 		})
 	}
-	r.Attribution = c.Attribution()
 	return r
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteCSV writes the per-router counter blocks as CSV, one row per router
-// plus a totals row (window series are JSON-only; see WriteJSON).
-func (r *Report) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "node,app,vaGrantNative,vaGrantForeign,vaDenyNative,vaDenyForeign,"+
-		"saInGrantNative,saInGrantForeign,saInDenyNative,saInDenyForeign,"+
-		"saOutGrantNative,saOutGrantForeign,saOutDenyNative,saOutDenyForeign,"+
-		"dpaToNativeHigh,dpaToForeignHigh,creditStalls,injectStalls,linkFlits,"+
-		"faultDroppedFlits,faultCorruptedFlits,faultRetransmits,faultLostFlits,"+
-		"faultCreditLeaks,faultReconciledCredits,faultStallCycles,"+
-		"attrNativeCycles,attrForeignCycles,attrEscapeCycles,attrFaultCycles"); err != nil {
-		return err
-	}
-	row := func(label string, app int, c *Counters) error {
-		_, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			label, app,
-			c.VAGrantNative, c.VAGrantForeign, c.VADenyNative, c.VADenyForeign,
-			c.SAInGrantNative, c.SAInGrantForeign, c.SAInDenyNative, c.SAInDenyForeign,
-			c.SAOutGrantNative, c.SAOutGrantForeign, c.SAOutDenyNative, c.SAOutDenyForeign,
-			c.DPAToNativeHigh, c.DPAToForeignHigh, c.CreditStalls, c.InjectStalls, c.LinkFlits,
-			c.FaultDroppedFlits, c.FaultCorruptedFlits, c.FaultRetransmits, c.FaultLostFlits,
-			c.FaultCreditLeaks, c.FaultReconciledCredits, c.FaultStallCycles,
-			c.AttrNativeCycles, c.AttrForeignCycles, c.AttrEscapeCycles, c.AttrFaultCycles)
-		return err
-	}
-	for i := range r.Routers {
-		rr := &r.Routers[i]
-		if err := row(fmt.Sprint(rr.Node), rr.App, &rr.Counters); err != nil {
-			return err
-		}
-	}
-	return row("total", -1, &r.Totals)
 }

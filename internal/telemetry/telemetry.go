@@ -21,9 +21,14 @@ package telemetry
 
 import "rair/internal/msg"
 
+// DefaultWindow is the time-series sampling window in cycles when
+// Config.Window is zero; the rair facade always samples at it.
+const DefaultWindow = 256
+
 // Config parameterizes a Collector.
 type Config struct {
-	// Window is the time-series sampling window in cycles (default 256).
+	// Window is the time-series sampling window in cycles (default
+	// DefaultWindow).
 	Window int64
 	// WindowCap bounds the per-router sample ring; older windows are
 	// overwritten once the ring is full (default 4096).
@@ -43,7 +48,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
-		c.Window = 256
+		c.Window = DefaultWindow
 	}
 	if c.WindowCap <= 0 {
 		c.WindowCap = 4096

@@ -3,8 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
+
+	"rair/internal/obs"
 )
 
 // TestNilProbeCallsAllocateNothing is the zero-cost-off contract: every
@@ -68,6 +69,9 @@ func TestCountersAggregateIntoReport(t *testing.T) {
 	}
 	if len(r.Routers) != 2 {
 		t.Fatalf("router reports = %d, want 2", len(r.Routers))
+	}
+	if sum := c.Summary(); sum.Totals != r.Totals || sum.Routers != nil {
+		t.Fatalf("summary %+v, want the report's totals and no router blocks", sum)
 	}
 	w0 := r.Routers[0].Windows
 	if len(w0) != 1 || w0[0].OVCNative != 3 || w0[0].OVCForeign != 6 || w0[0].Ratio != 2 {
@@ -202,34 +206,13 @@ func TestChromeTraceSpans(t *testing.T) {
 	}
 }
 
-func TestReportCSV(t *testing.T) {
-	c := NewCollector(Config{})
-	p := c.ProbeFor(0, 3)
-	p.VAGrant(true)
-	p.LinkFlit()
-	var buf bytes.Buffer
-	if err := c.Report().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 { // header + node 0 + totals
-		t.Fatalf("csv lines = %d:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[1], "0,3,1,") {
-		t.Fatalf("router row wrong: %s", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "total,-1,1,") {
-		t.Fatalf("totals row wrong: %s", lines[2])
-	}
-}
-
 func TestReportJSONRoundTrip(t *testing.T) {
 	c := NewCollector(Config{Window: 16})
 	p := c.ProbeFor(0, 0)
 	p.DPATransition(true)
 	p.Sample(15, 1, 3)
 	var buf bytes.Buffer
-	if err := c.Report().WriteJSON(&buf); err != nil {
+	if err := obs.WriteJSON(&buf, c.Report()); err != nil {
 		t.Fatal(err)
 	}
 	var back Report

@@ -35,15 +35,14 @@ package rair
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"rair/internal/faults"
 	"rair/internal/harness"
 	"rair/internal/invariant"
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/network"
 	"rair/internal/obs"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -75,85 +74,79 @@ const (
 // [Y0,Y1).
 type Rect = region.Rect
 
-// Config describes a simulation.
+// Config describes a simulation. A simulation file's "config" block decodes
+// into it and the run record carries it resolved; the JSON keys are the
+// ones below (a file may spell them in any case).
 type Config struct {
 	// MeshW, MeshH are the mesh dimensions (default 8×8).
-	MeshW, MeshH int
+	MeshW int `json:"meshW"`
+	MeshH int `json:"meshH"`
 	// Layout picks the region layout (default LayoutSingle); Rects is
 	// used with LayoutCustom, assigning app i to Rects[i].
-	Layout Layout
-	Rects  []Rect
+	Layout Layout `json:"layout"`
+	Rects  []Rect `json:"rects,omitempty"`
 
 	// Scheme names the interference-reduction technique: "RO_RR",
 	// "RO_Rank", "RA_DBAR", "RA_RAIR", "RAIR_VA", "RAIR_NativeH",
 	// "RAIR_ForeignH" (default "RO_RR").
-	Scheme string
+	Scheme string `json:"scheme"`
 	// Routing selects the routing algorithm: "adaptive" (minimal
 	// adaptive with Duato escape VCs, the default), "xy", "westfirst",
 	// or "lbdr" — the restricted baseline that confines every packet to
 	// its region and requires each region to contain a corner memory
 	// controller (Section III.B). Under "lbdr" only intra-region traffic
 	// can be expressed.
-	Routing string
+	Routing string `json:"routing"`
 	// Ranks is RO_Rank's oracle ranking (rank per app id, 0 = highest
 	// priority). Defaults to app order.
-	Ranks []int
-	// Delta overrides RAIR's DPA hysteresis width (default 0.2).
-	Delta float64
+	Ranks []int `json:"ranks,omitempty"`
+	// Delta overrides RAIR's DPA hysteresis width (default 0.2); it must
+	// be finite and non-negative.
+	Delta float64 `json:"delta"`
 
 	// Router microarchitecture overrides; zero values take the Table 1
 	// defaults (4 adaptive VCs of which 2 global + 1 escape VC per
 	// class, 5-flit buffers).
-	Classes     int
-	AdaptiveVCs int
-	GlobalVCs   int
-	EscapeVCs   int
-	Depth       int
-	LinkLatency int
+	Classes     int `json:"classes"`
+	AdaptiveVCs int `json:"adaptiveVCs"`
+	GlobalVCs   int `json:"globalVCs"`
+	EscapeVCs   int `json:"escapeVCs"`
+	Depth       int `json:"depth"`
+	LinkLatency int `json:"linkLatency"`
 
 	// Seed fixes all randomness (default 1).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 
 	// Workers shards the network tick engine across this many goroutines
 	// (<= 1 runs serially). Results are bit-identical either way; see
 	// network.Params.Workers.
-	Workers int
+	Workers int `json:"workers"`
 
-	// Telemetry enables per-router instrumentation (MSP arbitration
-	// counters, DPA transitions, windowed occupancy/utilization series).
-	// Simulation results are bit-identical with it on or off; the cost is
-	// a modest slowdown and the collector's memory.
-	Telemetry bool
-	// TelemetryWindow is the sampling window in cycles (default 256).
-	TelemetryWindow int64
+	// Telemetry turns on every observation section of the run record:
+	// per-router counters (MSP grants and denials split native/foreign, DPA
+	// transitions, stalls), their windowed series at
+	// telemetry.DefaultWindow cycles, the interference blame accountant and
+	// the tick engine's self-profile. Observer-only: simulation results are
+	// bit-identical with it on or off, at any worker count; the cost is a
+	// slowdown and the collector's memory.
+	Telemetry bool `json:"telemetry"`
 	// TelemetryTraceEvery samples every N-th packet for flit-lifecycle
-	// tracing (0 disables tracing; requires Telemetry).
-	TelemetryTraceEvery uint64
-	// Attribution enables the interference blame accountant: every cycle a
-	// head flit stalls is charged to a cause bucket (native contention,
-	// foreign-region interference, escape-VC serialization, fault
-	// recovery) and folded into per-(source app, class) latency
-	// decompositions at ejection. Implies Telemetry. Observer-only:
-	// simulation results are bit-identical with it on or off, at any
-	// worker count.
-	Attribution bool
-	// Profile enables the tick engine's self-profiling (per-shard phase
-	// timings, barrier-wait histograms, armed/dirty sweep counts); the
-	// result is Report.Engine. Purely observational.
-	Profile bool
+	// tracing (0 disables tracing; Report.WriteChromeTrace exports it).
+	// Implies Telemetry.
+	TelemetryTraceEvery uint64 `json:"telemetryTraceEvery"`
 
 	// Faults, if non-nil, enables deterministic fault injection: link flit
 	// drops and corruptions recovered by retransmission, credit leaks
 	// repaired by periodic reconciliation, and transient router stalls.
 	// All decisions are seeded hashes, so faulty runs are reproducible at
 	// any worker count.
-	Faults *FaultSpec
+	Faults *FaultSpec `json:"faults,omitempty"`
 	// CheckInvariants runs the runtime invariant checker at every tick
 	// barrier (flit conservation, per-link credit accounting, atomic VC
 	// allocation, hop progress, deadlock watchdog). Violations surface as
 	// an error from Run. Simulation results are bit-identical with the
 	// checker on or off.
-	CheckInvariants bool
+	CheckInvariants bool `json:"checkInvariants"`
 }
 
 // FaultSpec is the fault-injection configuration; probabilities apply
@@ -206,22 +199,23 @@ type Simulation struct {
 	parsec    bool
 	adversary float64
 
-	obsSrv   *obs.Server
-	obsEvery int64
+	obsSrv *obs.Server
 }
 
 // ServeObs starts a live observability HTTP listener on addr (host:port;
-// ":0" picks a free port): during Run, a fresh snapshot (telemetry totals,
-// attribution, engine profile) is published at /metrics and /snapshot every
-// `every` cycles, and once more at the end of the run. Call before Run.
-// Returns the bound address and a close function the caller must invoke
-// when done.
-func (s *Simulation) ServeObs(addr string, every int64) (string, func() error, error) {
-	srv, err := obs.NewServer(addr)
+// ":0" picks a free port) and turns Telemetry on. During Run the run record
+// is published at /snapshot (JSON) and /metrics (its Prometheus view) once
+// per telemetry window, carrying the cycle, the telemetry totals, the
+// attribution and the engine profile, and once more complete at the end
+// of the run. Call before Run. Returns the bound address and a close
+// function the caller must invoke when done.
+func (s *Simulation) ServeObs(addr string) (string, func() error, error) {
+	srv, err := obs.NewServer(addr, &Report{Schema: ReportSchema})
 	if err != nil {
 		return "", nil, err
 	}
-	s.obsSrv, s.obsEvery = srv, max(every, 1)
+	s.obsSrv = srv
+	s.cfg.Telemetry = true
 	return srv.Addr(), srv.Close, nil
 }
 
@@ -242,11 +236,24 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	if cfg.Layout == "" {
+		cfg.Layout = LayoutSingle
+	}
+	if cfg.Scheme == "" {
+		cfg.Scheme = "RO_RR"
+	}
+	if cfg.Routing == "" {
+		cfg.Routing = "adaptive"
+	}
+	if !(cfg.Delta >= 0) || math.IsInf(cfg.Delta, 1) {
+		return nil, fmt.Errorf("rair: DPA hysteresis width %v must be finite and non-negative", cfg.Delta)
+	}
+	cfg.Telemetry = cfg.Telemetry || cfg.TelemetryTraceEvery > 0
 	mesh := topology.NewMesh(cfg.MeshW, cfg.MeshH)
 	var regs *region.Map
 	var err error
 	switch cfg.Layout {
-	case LayoutSingle, "":
+	case LayoutSingle:
 		regs = region.Single(mesh)
 	case LayoutHalves:
 		regs = region.Halves(mesh)
@@ -276,7 +283,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s := &Simulation{cfg: cfg, regions: regs, rcfg: rcfg, scheme: scheme}
 	switch cfg.Routing {
-	case "", "adaptive":
+	case "adaptive":
 	case "xy":
 		s.alg = routing.XY{Mesh: mesh}
 	case "westfirst":
@@ -324,17 +331,14 @@ func (s *Simulation) lbdrRestricted() bool {
 	return ok
 }
 
-// schemeFor resolves cfg.Scheme ("" is RO_RR) through the harness's name
-// table, accepting only the names Schemes lists, and applies the two
-// settings a Config carries for a scheme: RO_Rank's oracle ranking and
-// RA_RAIR's DPA hysteresis width.
+// schemeFor resolves cfg.Scheme through the harness's name table,
+// accepting only the names Schemes lists, and applies the two settings a
+// Config carries for a scheme: RO_Rank's oracle ranking and RA_RAIR's DPA
+// hysteresis width.
 func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
 	name := cfg.Scheme
-	if name == "" {
-		name = "RO_RR"
-	}
 	if !slices.Contains(Schemes(), name) {
-		return harness.Scheme{}, fmt.Errorf("rair: unknown scheme %q", cfg.Scheme)
+		return harness.Scheme{}, fmt.Errorf("rair: unknown scheme %q", name)
 	}
 	switch {
 	case name == "RO_Rank":
@@ -370,6 +374,11 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	nodes := s.regions.Nodes(spec.App)
 	if len(nodes) == 0 {
 		return fmt.Errorf("rair: app %d owns no nodes in layout %q", spec.App, s.cfg.Layout)
+	}
+	for _, v := range [...]float64{spec.LoadFrac, spec.PacketRate, spec.GlobalFrac, spec.MCFrac} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("rair: app %d: non-finite traffic parameter %v", spec.App, v)
+		}
 	}
 	if spec.GlobalFrac < 0 || spec.MCFrac < 0 || spec.GlobalFrac+spec.MCFrac > 1 {
 		return fmt.Errorf("rair: app %d traffic fractions out of range", spec.App)
@@ -443,63 +452,6 @@ func (s *Simulation) AddAdversary(flitRate float64) error {
 	return nil
 }
 
-// Report is the outcome of a run.
-type Report struct {
-	// APL is the average packet latency over all measured packets.
-	APL float64
-	// PerApp maps application id to its APL.
-	PerApp map[int]float64
-	// RegionalAPL and GlobalAPL split APL by traffic kind.
-	RegionalAPL, GlobalAPL float64
-	// Packets is the measured packet count; Throughput the delivered
-	// flits per node per cycle.
-	Packets    int64
-	Throughput float64
-	// P95, P99 are latency percentiles.
-	P95, P99 float64
-	// AvgHops is the mean router-traversal count.
-	AvgHops float64
-	// Workers is the resolved tick-engine shard count the run actually
-	// used (Config.Workers <= 1 collapses to one serial shard).
-	Workers int
-	// LatencyHistogram is an ASCII histogram of the measured latencies.
-	LatencyHistogram string
-	// Heatmap is an ASCII map of per-router link utilization.
-	Heatmap string
-	// Telemetry holds the instrumentation collector when Config.Telemetry
-	// was set (nil otherwise): use Telemetry.Report() for the aggregated
-	// counters and Telemetry.WriteChromeTrace for the lifecycle trace.
-	Telemetry *telemetry.Collector
-	// Engine is the tick engine's self-profile when Config.Profile was set
-	// (nil otherwise).
-	Engine *network.EngineProfile
-	// Faults summarizes fault-injection outcomes when Config.Faults was
-	// set (nil otherwise).
-	Faults *FaultReport
-}
-
-// FaultReport is the aggregated fault-injection outcome of a run: Totals
-// over all links, the router stall figures, and one counter block per link
-// that saw an event.
-type FaultReport = faults.Report
-
-func (r *Report) String() string {
-	out := fmt.Sprintf("APL %.2f cycles (p95 %.1f, p99 %.1f) over %d packets, %.3f flits/node/cycle, %.2f hops\n",
-		r.APL, r.P95, r.P99, r.Packets, r.Throughput, r.AvgHops)
-	apps := make([]int, 0, len(r.PerApp))
-	for app := range r.PerApp {
-		apps = append(apps, app)
-	}
-	sort.Ints(apps)
-	for _, app := range apps {
-		out += fmt.Sprintf("  app %d: APL %.2f\n", app, r.PerApp[app])
-	}
-	if r.RegionalAPL > 0 || r.GlobalAPL > 0 {
-		out += fmt.Sprintf("  regional %.2f / global %.2f\n", r.RegionalAPL, r.GlobalAPL)
-	}
-	return out
-}
-
 // Run executes the simulation and collects statistics over the measurement
 // window. It is deterministic for a fixed Config.Seed.
 func (s *Simulation) Run(ph Phases) (*Report, error) {
@@ -511,12 +463,8 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	}
 	mesh := s.regions.Mesh()
 	var tel *telemetry.Collector
-	if s.cfg.Telemetry || s.cfg.Attribution {
-		tel = telemetry.NewCollector(telemetry.Config{
-			Window:      s.cfg.TelemetryWindow,
-			TraceEvery:  s.cfg.TelemetryTraceEvery,
-			Attribution: s.cfg.Attribution,
-		})
+	if s.cfg.Telemetry {
+		tel = telemetry.NewCollector(telemetry.Config{TraceEvery: s.cfg.TelemetryTraceEvery, Attribution: true})
 	}
 	var fcfg *faults.Config
 	if s.cfg.Faults != nil {
@@ -547,7 +495,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Telemetry: tel,
 		Faults:    fcfg,
 		Check:     icfg,
-		Profile:   s.cfg.Profile,
+		Profile:   s.cfg.Telemetry,
 		// The memory system ticks first and keeps ticking through the drain
 		// so in-flight protocol actions complete; the adversary ticks after
 		// whichever of it and the synthetic generator drives the run.
@@ -563,48 +511,64 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		},
 	})
 	defer b.Close()
-	net, col := b.Net, b.Col
+	// The record's configuration is the one the run used: the router as
+	// resolved from the overrides and the fault spec with its seed.
+	cfg := s.cfg
+	r := s.rcfg
+	cfg.Classes, cfg.AdaptiveVCs, cfg.GlobalVCs, cfg.EscapeVCs, cfg.Depth, cfg.LinkLatency =
+		r.Classes, r.AdaptiveVCs, r.GlobalVCs, r.EscapeVCs, r.Depth, r.LinkLatency
+	cfg.Faults = fcfg
 	if srv := s.obsSrv; srv != nil {
-		every := s.obsEvery
 		// Runs on the coordinating goroutine after the tick completes, so
 		// reading telemetry and the engine profile is race-free.
 		b.Eng.OnCycle(func(cycle int64) {
-			if cycle%every == 0 {
-				srv.Publish(obs.Snap(cycle, tel, net.EngineProfile()))
+			if (cycle+1)%telemetry.DefaultWindow == 0 {
+				srv.Publish(snapshot(cfg, cycle, b, tel))
 			}
 		})
 	}
 	b.Run()
 
-	rep := &Report{
-		APL:              col.APL(),
-		PerApp:           map[int]float64{},
-		RegionalAPL:      col.Regional().Mean(),
-		GlobalAPL:        col.Global().Mean(),
-		Packets:          col.Packets(),
-		Throughput:       col.FlitThroughput(mesh.N()),
-		P95:              col.Total().Percentile(95),
-		P99:              col.Total().Percentile(99),
-		AvgHops:          col.Hops().Mean(),
-		Workers:          net.Workers(),
-		LatencyHistogram: col.Total().Histogram(12),
-		Heatmap:          net.UtilizationHeatmap(end),
-		Telemetry:        tel,
-		Engine:           net.EngineProfile(),
-	}
-	if srv := s.obsSrv; srv != nil {
-		srv.Publish(obs.Snap(b.Eng.Now(), tel, rep.Engine))
-	}
-	if inj := net.Faults(); inj != nil {
-		rep.Faults = inj.Report()
+	col := b.Col
+	rep := snapshot(cfg, b.Eng.Now(), b, tel)
+	rep.Results = &Results{
+		APL:         col.APL(),
+		PerApp:      map[int]float64{},
+		RegionalAPL: col.Regional().Mean(),
+		GlobalAPL:   col.Global().Mean(),
+		Packets:     col.Packets(),
+		Throughput:  col.FlitThroughput(mesh.N()),
+		P95:         col.Total().Percentile(95),
+		P99:         col.Total().Percentile(99),
+		AvgHops:     col.Hops().Mean(),
 	}
 	for _, app := range col.Apps() {
 		rep.PerApp[app] = col.App(app).Mean()
 	}
-	if chk := net.Checker(); chk != nil {
+	if tel != nil {
+		rep.Telemetry = tel.Report()
+	}
+	if inj := b.Net.Faults(); inj != nil {
+		rep.Faults = inj.Report()
+	}
+	if srv := s.obsSrv; srv != nil {
+		srv.Publish(rep)
+	}
+	if chk := b.Net.Checker(); chk != nil {
 		if err := chk.Err(); err != nil {
 			return rep, err
 		}
 	}
 	return rep, nil
+}
+
+// snapshot is the record as a mid-run publish carries it: the header, the
+// telemetry totals, the attribution and the engine profile.
+func snapshot(cfg Config, cycle int64, b *harness.Sim, tel *telemetry.Collector) *Report {
+	rep := &Report{Schema: ReportSchema, Config: cfg, Workers: b.Net.Workers(), Cycle: cycle,
+		Engine: b.Net.EngineProfile(), tel: tel}
+	if tel != nil {
+		rep.Telemetry, rep.Attribution = tel.Summary(), tel.Attribution()
+	}
+	return rep
 }

@@ -2,6 +2,7 @@ package rair
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,9 @@ func TestNewValidation(t *testing.T) {
 		{Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 9, Y1: 9}}},
 		{Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 2, Y1: 2}, {X0: 1, Y0: 1, X1: 3, Y1: 3}}},
 		{Depth: 5, EscapeVCs: 1, GlobalVCs: 9},
+		{Scheme: "RA_RAIR", Delta: -0.5},
+		{Scheme: "RA_RAIR", Delta: math.NaN()},
+		{Scheme: "RA_RAIR", Delta: math.Inf(1)},
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {
@@ -52,21 +56,28 @@ func TestCustomLayout(t *testing.T) {
 
 func TestAddAppValidation(t *testing.T) {
 	sim, _ := New(Config{Layout: LayoutHalves})
-	if err := sim.AddApp(AppSpec{App: 5, LoadFrac: 0.1}); err == nil {
-		t.Fatal("app without nodes accepted")
-	}
-	if err := sim.AddApp(AppSpec{App: 0}); err == nil {
-		t.Fatal("app without rate accepted")
-	}
-	if err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1, PacketRate: 0.1}); err == nil {
-		t.Fatal("both rates accepted")
-	}
-	if err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.8, MCFrac: 0.4}); err == nil {
-		t.Fatal("fractions above 1 accepted")
-	}
-	err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.2, GlobalPattern: "XX"})
-	if err == nil || !strings.Contains(err.Error(), "[UR TP BC HS]") {
-		t.Fatalf("unknown global pattern: got %v, want an error naming the valid ones", err)
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		spec AppSpec
+		want string // a substring of the error
+	}{
+		{"app without nodes", AppSpec{App: 5, LoadFrac: 0.1}, "owns no nodes"},
+		{"no rate", AppSpec{App: 0}, "exactly one"},
+		{"both rates", AppSpec{App: 0, LoadFrac: 0.1, PacketRate: 0.1}, "exactly one"},
+		{"fractions above 1", AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.8, MCFrac: 0.4}, "out of range"},
+		{"unknown global pattern", AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.2, GlobalPattern: "XX"}, "[UR TP BC HS]"},
+		// Every comparison is false for NaN, so these used to run a
+		// traffic-free or unbounded simulation without an error.
+		{"NaN load", AppSpec{App: 0, LoadFrac: nan}, "non-finite"},
+		{"NaN global fraction", AppSpec{App: 0, LoadFrac: 0.2, GlobalFrac: nan}, "non-finite"},
+		{"NaN MC fraction", AppSpec{App: 0, LoadFrac: 0.2, MCFrac: nan}, "non-finite"},
+		{"infinite packet rate", AppSpec{App: 0, PacketRate: math.Inf(1)}, "non-finite"},
+		{"infinite load", AppSpec{App: 0, LoadFrac: math.Inf(1)}, "non-finite"},
+	} {
+		if err := sim.AddApp(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -271,22 +282,6 @@ func TestExperimentLBDR(t *testing.T) {
 	}
 	if !strings.Contains(out, "0.14") {
 		t.Fatalf("LBDR output missing the 14%% result:\n%s", out)
-	}
-}
-
-func TestReportIncludesVisuals(t *testing.T) {
-	sim, _ := New(Config{Layout: LayoutHalves, Seed: 4})
-	sim.AddApp(AppSpec{App: 0, LoadFrac: 0.3})
-	sim.AddApp(AppSpec{App: 1, LoadFrac: 0.3})
-	rep, err := sim.Run(Phases{Warmup: 200, Measure: 2000, Drain: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.LatencyHistogram, "#") {
-		t.Fatalf("histogram:\n%s", rep.LatencyHistogram)
-	}
-	if !strings.Contains(rep.Heatmap, "utilization") {
-		t.Fatalf("heatmap:\n%s", rep.Heatmap)
 	}
 }
 
