@@ -131,6 +131,17 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.1}],
 		  "phases": {"measure": 100}
 		}`,
+		// Both used to die allocating every VC buffer or link ring.
+		"huge depth": `{
+		  "config": {"depth": 100000000},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"huge link latency": `{
+		  "config": {"linkLatency": 100000000},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
 	} {
 		f, err := Parse([]byte(file))
 		if err != nil {

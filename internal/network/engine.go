@@ -19,6 +19,7 @@ package network
 
 import (
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -118,9 +119,39 @@ type engine struct {
 	prof *engineProf
 
 	// cmd[i] feeds shard i+1's worker; shard 0 runs on the coordinator.
+	// One slot, so a send never parks the coordinator on a polling worker.
+	// spin is set when every shard can hold a P of its own; see recv.
 	cmd  []chan enginePhase
 	done chan struct{}
+	spin bool
 	stop sync.Once
+}
+
+// A hand-off receiver polls its channel up to handOffSpins times before it
+// parks, yielding its P after each try past the first handOffYieldAfter.
+const (
+	handOffSpins      = 2048
+	handOffYieldAfter = 256
+)
+
+// recv receives from c. With spin set it polls first: a parked goroutine
+// takes tens of µs to wake, often on the other core, away from its shard's
+// cache, while a phase at 32×32 lasts only ~100-200 µs. The yields let an
+// oversubscribed process (more spinners than Ps) still progress, and the
+// blocking receive at the end keeps an idle engine parked.
+func recv[T any](c chan T, spin bool) (T, bool) {
+	for i := 0; spin && i < handOffSpins; i++ {
+		select {
+		case v, ok := <-c:
+			return v, ok
+		default:
+		}
+		if i >= handOffYieldAfter {
+			runtime.Gosched()
+		}
+	}
+	v, ok := <-c
+	return v, ok
 }
 
 // partition is the split of n nodes into s contiguous shards, shard i owning
@@ -145,9 +176,12 @@ func (p partition) of(id int) int {
 }
 
 // newEngine builds one shard per range of part over the given stores and
-// starts one persistent worker per shard beyond the first.
+// starts one persistent worker per shard beyond the first. The hand-off
+// spins only when the shards fit the Ps: a spinner beyond them would burn
+// the slice a runnable shard needs.
 func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, part partition, soas []*router.SoA) *engine {
-	e := &engine{part: part, mesh: mesh, routers: routers, shards: make([]*shard, part.s)}
+	e := &engine{part: part, mesh: mesh, routers: routers, shards: make([]*shard, part.s),
+		spin: part.s <= runtime.GOMAXPROCS(0)}
 	for i := range e.shards {
 		lo, hi := part.bounds(i)
 		e.shards[i] = &shard{idx: i, routers: routers[lo:hi], nis: nis[lo:hi], soa: soas[i], lo: lo}
@@ -156,7 +190,7 @@ func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, 
 		e.cmd = make([]chan enginePhase, s-1)
 		e.done = make(chan struct{}, s-1)
 		for i := range e.cmd {
-			e.cmd[i] = make(chan enginePhase)
+			e.cmd[i] = make(chan enginePhase, 1)
 			go e.worker(e.cmd[i], e.shards[i+1])
 		}
 	}
@@ -226,7 +260,11 @@ func attachWakes(wires []wire, foreign []int32, setWake func(*router.Link, *uint
 func (e *engine) shardOf(id int) *shard { return e.shards[e.part.of(id)] }
 
 func (e *engine) worker(cmd chan enginePhase, sh *shard) {
-	for ph := range cmd {
+	for {
+		ph, ok := recv(cmd, e.spin)
+		if !ok {
+			return
+		}
 		e.exec(sh, ph)
 		e.done <- struct{}{}
 	}
@@ -242,16 +280,16 @@ func (e *engine) run(ph enginePhase) {
 		c <- ph
 	}
 	e.exec(e.shards[0], ph)
-	if e.prof != nil && len(e.cmd) > 0 {
-		start := time.Now()
-		for range e.cmd {
-			<-e.done
-		}
-		e.prof.recordBarrier(ph, time.Since(start))
-		return
+	timed := e.prof != nil && len(e.cmd) > 0
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
 	for range e.cmd {
-		<-e.done
+		recv(e.done, e.spin)
+	}
+	if timed {
+		e.prof.recordBarrier(ph, time.Since(start))
 	}
 }
 

@@ -2,8 +2,10 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"rair/internal/msg"
 	"rair/internal/policy"
@@ -102,6 +104,99 @@ func TestEngineDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHandOffOversubscribed: an engine built while its shards fit the Ps
+// keeps spinning when GOMAXPROCS later drops to 1, so every worker polls on
+// the one P the coordinator needs. The yields inside recv must still let
+// the run finish, and the trace must be the serial one.
+func TestHandOffOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sel := range []struct {
+		name string
+		mk   func(*region.Map) routing.Selector
+	}{{"Local", localSel}, {"DBAR", dbarSel}} {
+		nSerial, dSerial := buildWorkers(t, 0, sel.mk)
+		ref := driveRandom(t, nSerial, dSerial)
+		for _, workers := range []int{2, 4} {
+			runtime.GOMAXPROCS(workers)
+			n, d := buildWorkers(t, workers, sel.mk)
+			runtime.GOMAXPROCS(1)
+			if !n.eng.spin {
+				t.Fatalf("%s workers=%d: built under GOMAXPROCS %d, not spinning", sel.name, workers, workers)
+			}
+			if got := driveRandom(t, n, d); !slices.Equal(got, ref) {
+				t.Fatalf("%s workers=%d under GOMAXPROCS 1: trace differs from the serial one", sel.name, workers)
+			}
+		}
+	}
+}
+
+// TestHandOffSpinRule: the hand-off spins only when the shards fit the Ps
+// at construction.
+func TestHandOffSpinRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs, workers int
+		spin           bool
+	}{{2, 2, true}, {4, 4, true}, {4, 2, true}, {2, 3, false}, {1, 2, false}} {
+		runtime.GOMAXPROCS(tc.procs)
+		n, _ := buildWorkers(t, tc.workers, localSel)
+		if n.eng.spin != tc.spin {
+			t.Errorf("GOMAXPROCS %d, %d shards: spin = %v, want %v", tc.procs, tc.workers, n.eng.spin, tc.spin)
+		}
+	}
+}
+
+// TestEngineWorkerLifecycle: Close stops every worker, and a sharded network
+// dropped without Close stops them once its finalizer runs.
+func TestEngineWorkerLifecycle(t *testing.T) {
+	settles := func(want int) bool {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			runtime.GC()
+			if runtime.NumGoroutine() <= want {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+	mk := func() *Network {
+		regions := region.Quadrants(topology.NewMesh(8, 8))
+		n := New(Params{
+			Router: router.DefaultConfig(1), Regions: regions, Alg: routing.MinimalAdaptive{Mesh: regions.Mesh()},
+			Sel: routing.LocalSelector{}, Policy: policy.NewRoundRobin, Workers: 4,
+		})
+		for c := int64(0); c < 10; c++ {
+			n.Tick(c)
+		}
+		return n
+	}
+	// Workers of networks closed or dropped by earlier tests exit
+	// asynchronously: take the count once it has held for 20 ms (or 5 s
+	// have passed).
+	before := runtime.NumGoroutine()
+	for still, tries := 0, 0; still < 20 && tries < 5000; tries++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if now := runtime.NumGoroutine(); now != before {
+			before, still = now, 0
+		} else {
+			still++
+		}
+	}
+	n := mk()
+	if runtime.NumGoroutine() != before+3 {
+		t.Fatalf("%d goroutines with four shards, %d before", runtime.NumGoroutine(), before)
+	}
+	n.Close()
+	if !settles(before) {
+		t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+	}
+	mk()
+	if !settles(before) {
+		t.Fatalf("%d goroutines after an unclosed network was collected, %d before New", runtime.NumGoroutine(), before)
 	}
 }
 

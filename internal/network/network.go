@@ -554,38 +554,3 @@ func (n *Network) auditQuiescence() error {
 func marked(dirty []uint64, foreign []int32, i int) bool {
 	return dirty[i>>6]>>(uint(i)&63)&1 == 1 || slices.Contains(foreign, int32(i))
 }
-
-// StuckPacket returns a packet that has been inside the network for more
-// than limit cycles (a deadlock/starvation watchdog), or nil.
-func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
-	for _, r := range n.routers {
-		if p := r.OldestOwner(); p != nil && p.InjectedAt >= 0 && now-p.InjectedAt > limit {
-			return p
-		}
-	}
-	return nil
-}
-
-// FlitConservation reports material accounted for inside the network
-// (flits buffered in routers or ST registers, plus busy links, which carry
-// at least one flit or credit each) alongside the in-flight packet count
-// (created but not ejected, network-wide). The invariant tests rely on:
-// whenever in-flight packets are zero, everything inside must be zero too —
-// anything else means flits were lost, duplicated, or stranded.
-func (n *Network) FlitConservation() (inside, inflightPackets int64) {
-	inside = int64(n.BufferedFlits())
-	for _, rec := range n.links {
-		if rec.L.Busy() {
-			inside++
-		}
-	}
-	return inside, n.InFlight()
-}
-
-// CheckDrained panics with diagnostics if the network failed to drain; used
-// by tests and the harness after a drain phase.
-func (n *Network) CheckDrained() {
-	if !n.Drained() {
-		panic(fmt.Sprintf("network: failed to drain: inflight=%d buffered=%d", n.InFlight(), n.BufferedFlits()))
-	}
-}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"rair/internal/core"
@@ -368,5 +369,39 @@ func TestXYRoutingWorksToo(t *testing.T) {
 	run(n, 0, 2000)
 	if len(delivered) != 16 {
 		t.Fatalf("delivered %d of 16", len(delivered))
+	}
+}
+
+// StuckPacket returns a packet that has been inside the network for more
+// than limit cycles (a deadlock/starvation watchdog), or nil.
+func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
+	for _, r := range n.routers {
+		if p := r.OldestOwner(); p != nil && p.InjectedAt >= 0 && now-p.InjectedAt > limit {
+			return p
+		}
+	}
+	return nil
+}
+
+// FlitConservation reports material accounted for inside the network
+// (flits buffered in routers or ST registers, plus busy links, which carry
+// at least one flit or credit each) alongside the in-flight packet count
+// (created but not ejected, network-wide). The invariant tests rely on:
+// whenever in-flight packets are zero, everything inside must be zero too —
+// anything else means flits were lost, duplicated, or stranded.
+func (n *Network) FlitConservation() (inside, inflightPackets int64) {
+	inside = int64(n.BufferedFlits())
+	for _, rec := range n.links {
+		if rec.L.Busy() {
+			inside++
+		}
+	}
+	return inside, n.InFlight()
+}
+
+// CheckDrained panics with diagnostics if the network failed to drain.
+func (n *Network) CheckDrained() {
+	if !n.Drained() {
+		panic(fmt.Sprintf("network: failed to drain: inflight=%d buffered=%d", n.InFlight(), n.BufferedFlits()))
 	}
 }

@@ -63,6 +63,11 @@ func DefaultConfig(classes int) Config {
 	}
 }
 
+// maxSlots caps Depth and LinkLatency: every VC buffer and every link
+// allocates its slots up front, so an unbounded value from a simulation
+// file would exhaust memory instead of failing. Table 1 uses 5 and 2.
+const maxSlots = 256
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
@@ -74,10 +79,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: GlobalVCs %d outside [0,%d]", c.GlobalVCs, c.AdaptiveVCs)
 	case c.EscapeVCs < 1:
 		return fmt.Errorf("router: need at least one escape VC per class for deadlock freedom")
-	case c.Depth < 1:
-		return fmt.Errorf("router: VC depth must be >= 1")
-	case c.LinkLatency < 1:
-		return fmt.Errorf("router: link latency must be >= 1")
+	case c.Depth < 1 || c.Depth > maxSlots:
+		return fmt.Errorf("router: VC depth %d outside [1,%d]", c.Depth, maxSlots)
+	case c.LinkLatency < 1 || c.LinkLatency > maxSlots:
+		return fmt.Errorf("router: link latency %d outside [1,%d]", c.LinkLatency, maxSlots)
 	case c.Injectors < 0:
 		return fmt.Errorf("router: Injectors must be >= 0 (0 means 1)")
 	case c.VCsPerPort() > 64:

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"rair/internal/msg"
@@ -36,6 +37,19 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	// Depth and link latency stop at the cap, and an error past it names it.
+	edge := DefaultConfig(1)
+	edge.Depth, edge.LinkLatency = maxSlots, maxSlots
+	if err := edge.Validate(); err != nil {
+		t.Errorf("depth and latency at the cap rejected: %v", err)
+	}
+	for _, over := range []*int{&edge.Depth, &edge.LinkLatency} {
+		*over++
+		if err := edge.Validate(); err == nil || !strings.Contains(err.Error(), "256") {
+			t.Errorf("depth %d, latency %d: got %v, want an error naming 256", edge.Depth, edge.LinkLatency, err)
+		}
+		*over--
 	}
 }
 

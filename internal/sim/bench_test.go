@@ -17,7 +17,7 @@ func BenchmarkRNGIntn(b *testing.B) {
 }
 
 func BenchmarkBoundedPushPop(b *testing.B) {
-	q := NewBounded[int](5)
+	q := BoundedOver(make([]int, 5))
 	for i := 0; i < b.N; i++ {
 		q.Push(i)
 		q.Pop()
@@ -30,13 +30,15 @@ func BenchmarkBoundedPushPop(b *testing.B) {
 // value entering and leaving every cycle.
 func BenchmarkDelayLineShift(b *testing.B) {
 	b.Run("empty", func(b *testing.B) {
-		d := NewDelayLine[int](3)
+		var d DelayLine[int]
+		d.Init(3)
 		for i := 0; i < b.N; i++ {
 			d.Shift()
 		}
 	})
 	b.Run("occupied", func(b *testing.B) {
-		d := NewDelayLine[int](3)
+		var d DelayLine[int]
+		d.Init(3)
 		for i := 0; i < b.N; i++ {
 			if d.CanPush() {
 				d.Push(i)

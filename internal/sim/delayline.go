@@ -32,13 +32,6 @@ type slot[T any] struct {
 	valid bool
 }
 
-// NewDelayLine returns a line of the given latency (>= 1).
-func NewDelayLine[T any](latency int) *DelayLine[T] {
-	d := &DelayLine[T]{}
-	d.Init(latency)
-	return d
-}
-
 // Init initializes d in place with the given latency (>= 1), using the
 // inline ring when the latency fits. d must already sit at its final
 // address and must not be copied afterwards.
@@ -107,17 +100,4 @@ func (d *DelayLine[T]) Each(fn func(T)) {
 			fn(s.v)
 		}
 	}
-}
-
-// Drain empties the line, returning how many in-flight values were dropped.
-func (d *DelayLine[T]) Drain() int {
-	n := d.count
-	for i := range d.slots {
-		var zero slot[T]
-		d.slots[i] = zero
-	}
-	d.count = 0
-	d.pushed = false
-	d.full = false
-	return n
 }

@@ -7,7 +7,8 @@ import (
 
 func TestDelayLineLatency(t *testing.T) {
 	for _, lat := range []int{1, 2, 3, 7} {
-		d := NewDelayLine[int](lat)
+		var d DelayLine[int]
+		d.Init(lat)
 		d.Push(42)
 		for c := 0; c < lat-1; c++ {
 			if _, ok := d.Shift(); ok {
@@ -21,7 +22,8 @@ func TestDelayLineLatency(t *testing.T) {
 }
 
 func TestDelayLineOnePerCycle(t *testing.T) {
-	d := NewDelayLine[int](3)
+	var d DelayLine[int]
+	d.Init(3)
 	if !d.CanPush() {
 		t.Fatal("fresh line refuses push")
 	}
@@ -37,7 +39,8 @@ func TestDelayLineOnePerCycle(t *testing.T) {
 
 func TestDelayLinePipelining(t *testing.T) {
 	// A latency-2 line should sustain one value per cycle.
-	d := NewDelayLine[int](2)
+	var d DelayLine[int]
+	d.Init(2)
 	var got []int
 	for c := 0; c < 10; c++ {
 		if v, ok := d.Shift(); ok {
@@ -60,7 +63,8 @@ func TestDelayLinePipelining(t *testing.T) {
 }
 
 func TestDelayLineBusyDrain(t *testing.T) {
-	d := NewDelayLine[int](4)
+	var d DelayLine[int]
+	d.Init(4)
 	if d.Busy() {
 		t.Fatal("fresh line busy")
 	}
@@ -70,11 +74,11 @@ func TestDelayLineBusyDrain(t *testing.T) {
 	if !d.Busy() {
 		t.Fatal("line with in-flight values not busy")
 	}
-	if n := d.Drain(); n != 2 {
-		t.Fatalf("Drain = %d, want 2", n)
+	for range 4 {
+		d.Shift()
 	}
 	if d.Busy() {
-		t.Fatal("busy after drain")
+		t.Fatal("busy after every value emerged")
 	}
 }
 
@@ -84,7 +88,7 @@ func TestDelayLineZeroLatencyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDelayLine[int](0)
+	new(DelayLine[int]).Init(0)
 }
 
 // Property: values always emerge exactly latency cycles after the push, in
@@ -92,7 +96,8 @@ func TestDelayLineZeroLatencyPanics(t *testing.T) {
 func TestDelayLineExactLatency(t *testing.T) {
 	if err := quick.Check(func(lat8 uint8, pattern []bool) bool {
 		lat := int(lat8%5) + 1
-		d := NewDelayLine[int](lat)
+		var d DelayLine[int]
+		d.Init(lat)
 		pushCycle := map[int]int{}
 		next := 0
 		for c := 0; c < len(pattern)+lat+1; c++ {

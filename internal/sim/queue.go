@@ -91,14 +91,6 @@ type Bounded[T any] struct {
 	head, size int
 }
 
-// NewBounded returns a ring of exactly depth slots.
-func NewBounded[T any](depth int) *Bounded[T] {
-	if depth < 1 {
-		panic("sim: Bounded depth must be >= 1")
-	}
-	return &Bounded[T]{buf: make([]T, depth)}
-}
-
 // BoundedOver returns a ring whose element storage is the caller-supplied
 // slice (len(buf) slots). The network uses it to carve every VC flit buffer
 // out of one contiguous per-shard slab.

@@ -80,7 +80,7 @@ func TestQueueMatchesReference(t *testing.T) {
 }
 
 func TestBoundedCapacityAndOrder(t *testing.T) {
-	b := NewBounded[int](3)
+	b := BoundedOver(make([]int, 3))
 	if len(b.buf) != 3 || !b.Empty() {
 		t.Fatal("bad initial state")
 	}
@@ -104,13 +104,13 @@ func TestBoundedOverflowPanics(t *testing.T) {
 			t.Fatal("expected overflow panic")
 		}
 	}()
-	b := NewBounded[int](1)
+	b := BoundedOver(make([]int, 1))
 	b.Push(1)
 	b.Push(2)
 }
 
 func TestBoundedWrap(t *testing.T) {
-	b := NewBounded[int](2)
+	b := BoundedOver(make([]int, 2))
 	for i := 0; i < 50; i++ {
 		b.Push(i)
 		if v, ok := b.Pop(); !ok || v != i {
@@ -125,5 +125,5 @@ func TestBoundedDepthPanics(t *testing.T) {
 			t.Fatal("expected panic for depth 0")
 		}
 	}()
-	NewBounded[int](0)
+	BoundedOver[int](nil)
 }
