@@ -76,12 +76,6 @@ type Spec struct {
 	// ChunkPackets is how many packets make up one chunk-step message
 	// (default 1). Larger chunks raise the collective's offered load.
 	ChunkPackets int
-	// Burst caps packets sent per rank per cycle (default 1), pacing a
-	// rank whose dependencies ran ahead of its injection.
-	Burst int
-	// Rounds bounds how many rounds are started; 0 means keep starting
-	// rounds until Until.
-	Rounds int
 	// Gap is the idle gap in cycles between a round's completion and the
 	// next round's start.
 	Gap int64
@@ -162,24 +156,6 @@ func (p *Progress) CompletionTime() float64 {
 	return float64(p.TotalCycles) / float64(p.Rounds)
 }
 
-// Sent and Delivered total the phase counters.
-func (p *Progress) Sent() int64 {
-	var n int64
-	for i := range p.Phases {
-		n += p.Phases[i].Sent
-	}
-	return n
-}
-
-// Delivered totals the phase delivery counters.
-func (p *Progress) Delivered() int64 {
-	var n int64
-	for i := range p.Phases {
-		n += p.Phases[i].Delivered
-	}
-	return n
-}
-
 // Source drives one collective workload. It implements sim.Tickable;
 // register it before the network, wire Deliver into the network's OnEject
 // for packets carrying the collective's App, and set Until/Pool like a
@@ -239,9 +215,6 @@ func NewSource(spec Spec, seed uint64, inject traffic.InjectorFunc) *Source {
 	}
 	if spec.ChunkPackets <= 0 {
 		spec.ChunkPackets = 1
-	}
-	if spec.Burst <= 0 {
-		spec.Burst = 1
 	}
 	s := &Source{
 		spec:   spec,
@@ -350,14 +323,14 @@ func (s *Source) Progress() Progress {
 	return p
 }
 
-// Tick implements sim.Tickable: starts rounds and performs every send whose
-// dependency threshold is met, in ascending rank order.
+// Tick implements sim.Tickable: starts rounds (one after another until
+// Until) and sends, in ascending rank order, each rank's next packet once
+// its dependency threshold is met — at most one packet per rank per cycle.
 func (s *Source) Tick(now int64) {
 	if s.Until > 0 && now >= s.Until {
 		return
 	}
-	if !s.active && now >= s.nextRound &&
-		(s.spec.Rounds <= 0 || s.prog.RoundsStarted < int64(s.spec.Rounds)) {
+	if !s.active && now >= s.nextRound {
 		s.startRound(now)
 	}
 	if !s.active {
@@ -367,11 +340,7 @@ func (s *Source) Tick(now int64) {
 		if now < s.startAt[r] {
 			continue
 		}
-		for b := 0; b < s.spec.Burst; b++ {
-			j := s.sentPkts[r]
-			if j >= len(s.sched[r]) || s.recvPkts[r] < s.need[r][j] {
-				break
-			}
+		if j := s.sentPkts[r]; j < len(s.sched[r]) && s.recvPkts[r] >= s.need[r][j] {
 			s.send(r, j, now)
 		}
 	}

@@ -142,6 +142,40 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.1}],
 		  "phases": {"measure": 100}
 		}`,
+		// The next five used to run, ignoring the setting: RAIR_VA at
+		// Δ 0.2, RO_RR without ranks, the Table 1 depth, VCs and latency.
+		"delta on RAIR_VA": `{
+		  "config": {"scheme": "RAIR_VA", "delta": 0.5},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"ranks on RO_RR": `{
+		  "config": {"scheme": "RO_RR", "ranks": [1, 0]},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"negative depth": `{
+		  "config": {"depth": -3},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"negative adaptive VCs": `{
+		  "config": {"adaptiveVCs": -2},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"negative link latency": `{
+		  "config": {"linkLatency": -1},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		// Used to generate no packets: quadrant 0 of a 3x3 mesh is one
+		// node, so the app's whole (intra-region) load had no destination.
+		"one-node region": `{
+		  "config": {"meshW": 3, "meshH": 3, "layout": "quadrants"},
+		  "apps": [{"app": 0, "loadFrac": 0.3}],
+		  "phases": {"measure": 100}
+		}`,
 	} {
 		f, err := Parse([]byte(file))
 		if err != nil {

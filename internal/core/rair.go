@@ -58,8 +58,6 @@ type Config struct {
 	// Delta is the DPA hysteresis width Δ; the paper observes 0.1-0.3
 	// works well with the best value around 0.2 (the default).
 	Delta float64
-	// Label overrides the reported name (e.g. "RAIR_VA", "RA_RAIR").
-	Label string
 }
 
 // DefaultDelta is the hysteresis width the paper settles on.
@@ -113,22 +111,6 @@ func (p *RAIR) refreshTables() {
 // router (DPA state is per-router).
 func NewFactory(cfg Config) policy.Factory {
 	return func(node, app int) policy.Policy { return New(cfg) }
-}
-
-// Name implements policy.Policy.
-func (p *RAIR) Name() string {
-	if p.cfg.Label != "" {
-		return p.cfg.Label
-	}
-	switch {
-	case p.cfg.VAOnly:
-		return "RAIR_VA"
-	case p.cfg.Mode == ModeNativeHigh:
-		return "RAIR_NativeH"
-	case p.cfg.Mode == ModeForeignHigh:
-		return "RAIR_ForeignH"
-	}
-	return "RA_RAIR"
 }
 
 // NativeHigh exposes the current DPA state (for tests and ablation

@@ -12,24 +12,6 @@ var (
 	foreign = policy.Requestor{App: 1, Native: false}
 )
 
-func TestNames(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{}, "RA_RAIR"},
-		{Config{VAOnly: true}, "RAIR_VA"},
-		{Config{Mode: ModeNativeHigh}, "RAIR_NativeH"},
-		{Config{Mode: ModeForeignHigh}, "RAIR_ForeignH"},
-		{Config{Label: "custom"}, "custom"},
-	}
-	for _, c := range cases {
-		if got := New(c.cfg).Name(); got != c.want {
-			t.Errorf("Name() = %q, want %q", got, c.want)
-		}
-	}
-}
-
 func TestGlobalVCAlwaysForeignFirst(t *testing.T) {
 	// On global VCs foreign traffic outranks native regardless of DPA
 	// state or mode (Section IV.A).
@@ -241,11 +223,11 @@ func TestTablesMatchInterface(t *testing.T) {
 			for nat := 0; nat < 2; nat++ {
 				r := policy.Requestor{Native: nat == 1}
 				if got, want := int(saTab[nat]), p.SAPriority(r, 0); got != want {
-					t.Errorf("%s %s: saTab[%d]=%d, SAPriority=%d", p.Name(), state, nat, got, want)
+					t.Errorf("%+v %s: saTab[%d]=%d, SAPriority=%d", cfg, state, nat, got, want)
 				}
 				for cls := 0; cls < 3; cls++ {
 					if got, want := int(vaTab[cls][nat]), p.VAOutPriority(r, policy.VCClass(cls), 0); got != want {
-						t.Errorf("%s %s: vaTab[%d][%d]=%d, VAOutPriority=%d", p.Name(), state, cls, nat, got, want)
+						t.Errorf("%+v %s: vaTab[%d][%d]=%d, VAOutPriority=%d", cfg, state, cls, nat, got, want)
 					}
 				}
 			}

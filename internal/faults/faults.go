@@ -212,10 +212,6 @@ type LinkState struct {
 	c Counters
 }
 
-// Counters returns a snapshot of the link's fault counters. Only safe at a
-// tick barrier.
-func (ls *LinkState) Counters() Counters { return ls.c }
-
 // Pending reports whether retransmissions are queued; the link phase must
 // keep servicing the wire while any are.
 func (ls *LinkState) Pending() bool { return len(ls.retx) > 0 }
@@ -424,9 +420,6 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 		stallProbes: make([]*telemetry.Probe, nodes),
 	}, nil
 }
-
-// Config returns the injector's effective (defaulted) configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // RegisterLink creates the fault state for the link reported as key. The
 // registration index seeds the link's verdicts, so a network must register

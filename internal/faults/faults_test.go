@@ -43,23 +43,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	in := mkInjector(t, faults.Config{StallProb: 0.1}, 1)
-	cfg := in.Config()
-	if cfg.MaxRetries != faults.DefaultMaxRetries {
-		t.Errorf("MaxRetries default = %d, want %d", cfg.MaxRetries, faults.DefaultMaxRetries)
-	}
-	if cfg.DropTimeout != faults.DefaultDropTimeout {
-		t.Errorf("DropTimeout default = %d, want %d", cfg.DropTimeout, faults.DefaultDropTimeout)
-	}
-	if cfg.NackLatency != faults.DefaultNackLatency {
-		t.Errorf("NackLatency default = %d, want %d", cfg.NackLatency, faults.DefaultNackLatency)
-	}
-	if cfg.StallLen != faults.DefaultStallLen {
-		t.Errorf("StallLen default = %d, want %d", cfg.StallLen, faults.DefaultStallLen)
-	}
-}
-
 func TestEnabled(t *testing.T) {
 	// Seed and the recovery knobs inject nothing by themselves.
 	for _, c := range []faults.Config{{}, {Seed: 9, MaxRetries: 4, DropTimeout: 8, NackLatency: 1, ReconcileEvery: 64}} {
@@ -127,6 +110,17 @@ func driveLink(t *testing.T, l *router.Link, flits []msg.Flit, maxCycles int64) 
 	return nil
 }
 
+// linkCounters is the report's counter block for the link registered as
+// key (zero when the link saw no event).
+func linkCounters(in *faults.Injector, key string) faults.Counters {
+	for _, l := range in.Report().Links {
+		if l.Key == key {
+			return l.Counters
+		}
+	}
+	return faults.Counters{}
+}
+
 // makeFlits builds n single-flit packets' worth of flits with distinct ids.
 func makeFlits(n int) []msg.Flit {
 	fs := make([]msg.Flit, 0, n)
@@ -160,7 +154,7 @@ func TestLinkDeliveryUnderFaults(t *testing.T) {
 				i, f.Pkt.ID, f.Seq, flits[i].Pkt.ID, flits[i].Seq)
 		}
 	}
-	c := ls.Counters()
+	c := linkCounters(in, "r0>r1")
 	if c.DroppedFlits == 0 || c.CorruptedFlits == 0 {
 		t.Errorf("expected both fault kinds at these rates: %+v", c)
 	}
@@ -198,7 +192,9 @@ func TestMultiFlitOrderUnderFaults(t *testing.T) {
 				var flits []msg.Flit
 				for i := 0; i < 60; i++ {
 					p := &msg.Packet{ID: uint64(i + 1), Size: 4}
-					flits = append(flits, msg.Flits(p)...)
+					for s := 0; s < p.Size; s++ {
+						flits = append(flits, msg.FlitAt(p, s))
+					}
 				}
 				var got []msg.Flit
 				next := 0
@@ -312,7 +308,7 @@ func TestRetryExhaustion(t *testing.T) {
 		}
 		// Attempts 0..MaxRetries all roll a drop before the link gives up.
 		want := faults.Counters{DroppedFlits: 3, Retransmits: 2, LostFlits: 1 - int64(hop), LostPackets: int64(hop)}
-		if c := ls.Counters(); c != want {
+		if c := linkCounters(in, key); c != want {
 			t.Errorf("%s: counters %+v, want %+v", key, c, want)
 		}
 		if p.Lost != (hop == 1) {
@@ -347,7 +343,7 @@ func TestCreditLeakAndReconcile(t *testing.T) {
 		sent[vc]++
 	}
 	l.ShiftCredits(6) // drain the last push
-	c := ls.Counters()
+	c := linkCounters(in, "r0>r1")
 	if c.CreditLeaks != 6 {
 		t.Fatalf("CreditLeaks = %d, want 6", c.CreditLeaks)
 	}
@@ -374,8 +370,8 @@ func TestCreditLeakAndReconcile(t *testing.T) {
 			t.Errorf("LeakedFor(%d) = %d after reconcile", vc, ls.LeakedFor(vc))
 		}
 	}
-	if ls.Counters().ReconciledCredits != 6 {
-		t.Errorf("ReconciledCredits = %d, want 6", ls.Counters().ReconciledCredits)
+	if c := linkCounters(in, "r0>r1"); c.ReconciledCredits != 6 {
+		t.Errorf("ReconciledCredits = %d, want 6", c.ReconciledCredits)
 	}
 	if in.ReconcileAll() != 0 {
 		t.Error("second ReconcileAll restored credits again")

@@ -48,7 +48,7 @@ func goldenCollectiveRun() []string {
 		},
 	})
 	defer net.Close()
-	inject := func(node int, p *msg.Packet, now int64) { net.NI(node).Inject(p, now) }
+	inject := func(node int, p *msg.Packet, now int64) { net.Inject(p, now) }
 	gen := traffic.NewGenerator(apps, 11, inject)
 	end := dur.Warmup + dur.Measure
 	gen.Until = end

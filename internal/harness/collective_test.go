@@ -58,12 +58,12 @@ func traceCollective(t *testing.T, op collective.Op, workers int, chunk int) []c
 	defer net.Close()
 	src = collective.NewSource(collective.Spec{
 		Op: op, App: 3, Nodes: nodes, Mesh: mesh,
-		ChunkPackets: chunk, Rounds: 2, Jitter: 4, Gap: 8,
+		ChunkPackets: chunk, Jitter: 4, Gap: 8,
 	}, 9, func(node int, p *msg.Packet, now int64) {
 		r := rankOf[node]
 		events = append(events, collEvent{issue: true, rank: r, j: sent[r], cycle: now})
 		sent[r]++
-		net.NI(node).Inject(p, now)
+		net.Inject(p, now)
 	})
 	for now := int64(0); now < 20000 && src.Progress().Rounds < 2; now++ {
 		src.Tick(now)
@@ -181,7 +181,7 @@ func TestCollectiveRunDeterminism(t *testing.T) {
 	if ref.Packets() == 0 {
 		t.Fatal("reference run delivered no victim packets")
 	}
-	if refProg.Rounds == 0 || refProg.Delivered() == 0 {
+	if refProg.Rounds == 0 || refProg.Phases[0].Delivered == 0 {
 		t.Fatalf("reference collective made no progress: %+v", refProg)
 	}
 	want := collectorSurface(ref)

@@ -48,7 +48,7 @@ func goldenRun() []string {
 	})
 	defer net.Close()
 	gen := traffic.NewGenerator(rc.Apps, rc.Seed, func(node int, p *msg.Packet, now int64) {
-		net.NI(node).Inject(p, now)
+		net.Inject(p, now)
 	})
 	end := rc.Dur.Warmup + rc.Dur.Measure
 	gen.Until = end

@@ -51,8 +51,9 @@ type RunConfig struct {
 	// Workers selects the network's tick-engine shard count (<= 1 serial).
 	// Results are identical either way; see network.Params.Workers.
 	Workers int
-	// Telemetry, if non-nil, instruments the network's routers and NIs;
-	// see network.Params.Telemetry.
+	// Telemetry, if non-nil, instruments the network's routers and NIs and
+	// turns on the tick engine's self-profiling; see network.Params.Telemetry
+	// and network.Params.Profile. Read the profile from Sim.Net after the run.
 	Telemetry *telemetry.Collector
 	// Faults, if non-nil and enabled, injects deterministic link/router
 	// faults; see network.Params.Faults.
@@ -64,9 +65,6 @@ type RunConfig struct {
 	// joined by a crossbar; see network.Params.Chiplets. The grid must span
 	// the Regions mesh.
 	Chiplets *topology.Chiplets
-	// Profile enables the tick engine's self-profiling; see
-	// network.Params.Profile. Read the result from Sim.Net after the run.
-	Profile bool
 	// Alg, if non-nil, replaces the scheme's routing algorithm.
 	Alg routing.Algorithm
 	// Attach, if set, is called once while the simulation is built and adds
@@ -163,7 +161,7 @@ func Build(rc RunConfig) *Sim {
 		Telemetry: rc.Telemetry,
 		Faults:    rc.Faults,
 		Check:     rc.Check,
-		Profile:   rc.Profile,
+		Profile:   rc.Telemetry != nil,
 		Chiplets:  rc.Chiplets,
 	})
 	s.Eng.Register(s.Net)

@@ -64,12 +64,12 @@ func RORank(ranks []int) Scheme {
 
 // RAIR is the full technique (DPA + MSP at VA and SA) with local selection.
 func RAIR(name string) Scheme {
-	return Scheme{Name: name, Policy: core.NewFactory(core.Config{Label: name})}
+	return Scheme{Name: name, Policy: core.NewFactory(core.Config{})}
 }
 
 // RAIRDBAR is the full technique over DBAR routing (RAIR_DBAR in Figure 10).
 func RAIRDBAR(name string) Scheme {
-	return Scheme{Name: name, Policy: core.NewFactory(core.Config{Label: name}), Selector: SelDBAR}
+	return Scheme{Name: name, Policy: core.NewFactory(core.Config{}), Selector: SelDBAR}
 }
 
 // RAIRVA is the Figure 9 ablation with MSP enforced only at the VA stage.

@@ -155,9 +155,6 @@ func NewChecker(cfg Config, t Target) *Checker {
 	}
 }
 
-// Violations returns the recorded violations (ModeCollect).
-func (c *Checker) Violations() []Violation { return c.violations }
-
 // Err summarizes recorded violations as an error, nil when the run was
 // clean.
 func (c *Checker) Err() error {

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -32,8 +33,24 @@ func build(t testing.TB, chk *invariant.Config, fl *faults.Config) *network.Netw
 	})
 }
 
+// violationLines splits a checker's Err into its lines, one per recorded
+// violation (at most the first eight), dropping the count header and the
+// "... and N more" trailer.
+func violationLines(err error) []string {
+	if err == nil {
+		return nil
+	}
+	var out []string
+	for _, l := range strings.Split(err.Error(), "\n")[1:] {
+		if l = strings.TrimSpace(l); strings.HasPrefix(l, "invariant: ") {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func inject(n *network.Network, id uint64, src, dst, size int, now int64) {
-	n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, now)
+	n.Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, now)
 }
 
 // TestCleanRun: a healthy network under load never violates an invariant.
@@ -74,16 +91,16 @@ func TestWatchdogTrips(t *testing.T) {
 	for c := int64(0); c < 1000; c++ {
 		n.Tick(c)
 	}
-	vs := n.Checker().Violations()
-	if len(vs) != 1 {
-		t.Fatalf("watchdog violations = %d, want exactly 1: %v", len(vs), n.Checker().Err())
+	err := n.Checker().Err()
+	vs := violationLines(err)
+	if len(vs) != 1 || !strings.HasPrefix(err.Error(), "1 invariant violation(s):") {
+		t.Fatalf("want exactly 1 watchdog violation: %v", err)
 	}
-	v := vs[0]
-	if v.Check != "watchdog" {
-		t.Fatalf("violation check = %q, want watchdog", v.Check)
+	if !strings.Contains(vs[0], ": watchdog: ") {
+		t.Fatalf("violation %q, want watchdog", vs[0])
 	}
-	if !strings.Contains(v.Msg, "no flit ejected") || !strings.Contains(v.Msg, "in flight") {
-		t.Errorf("watchdog message lacks diagnosis: %q", v.Msg)
+	if !strings.Contains(vs[0], "no flit ejected") || !strings.Contains(vs[0], "in flight") {
+		t.Errorf("watchdog message lacks diagnosis: %q", vs[0])
 	}
 }
 
@@ -105,39 +122,40 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 }
 
-// TestCheckingPeriod: with Every=8, a seeded bug is only observed at a
-// checking barrier ((cycle+1) divisible by 8).
+// TestCheckingPeriod: with Every=8, a violation (here an artificially
+// tight hop bound) is only observed at a checking barrier ((cycle+1)
+// divisible by 8).
 func TestCheckingPeriod(t *testing.T) {
-	n := build(t, &invariant.Config{Every: 8, Mode: invariant.ModeCollect}, nil)
+	n := build(t, &invariant.Config{Every: 8, MaxHops: 1, Mode: invariant.ModeCollect}, nil)
 	defer n.Close()
 	inject(n, 1, 0, 15, 3, 0)
-	for c := int64(0); c < 10; c++ {
+	for c := int64(0); c < 40; c++ {
 		n.Tick(c)
 	}
-	n.Router(5).DebugDropCredit(topology.East, 0)
-	for c := int64(10); c < 40; c++ {
-		n.Tick(c)
-	}
-	vs := n.Checker().Violations()
+	vs := violationLines(n.Checker().Err())
 	if len(vs) == 0 {
-		t.Fatal("seeded bug not caught")
+		t.Fatal("hop-bound violation not caught")
 	}
 	for _, v := range vs {
-		if (v.Cycle+1)%8 != 0 {
-			t.Fatalf("violation observed at cycle %d, off the Every=8 barrier", v.Cycle)
+		var cycle int64
+		if _, err := fmt.Sscanf(v, "invariant: cycle %d:", &cycle); err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		if (cycle+1)%8 != 0 {
+			t.Fatalf("violation observed at cycle %d, off the Every=8 barrier", cycle)
 		}
 	}
 }
 
 // TestCollectLimit: ModeCollect stops recording at Limit.
 func TestCollectLimit(t *testing.T) {
-	n := build(t, &invariant.Config{Mode: invariant.ModeCollect, Limit: 3}, nil)
+	n := build(t, &invariant.Config{MaxHops: 1, Mode: invariant.ModeCollect, Limit: 3}, nil)
 	defer n.Close()
-	n.Router(5).DebugDropCredit(topology.East, 0)
+	inject(n, 1, 0, 15, 3, 0)
 	for c := int64(0); c < 50; c++ {
 		n.Tick(c)
 	}
-	if got := len(n.Checker().Violations()); got != 3 {
+	if got := len(violationLines(n.Checker().Err())); got != 3 {
 		t.Fatalf("recorded %d violations with Limit 3", got)
 	}
 	if err := n.Checker().Err(); err == nil || !strings.Contains(err.Error(), "3 invariant violation(s)") {
@@ -147,20 +165,22 @@ func TestCollectLimit(t *testing.T) {
 
 // TestPanicMode: the default mode panics on the first violation.
 func TestPanicMode(t *testing.T) {
-	n := build(t, &invariant.Config{}, nil)
+	n := build(t, &invariant.Config{MaxHops: 1}, nil)
 	defer n.Close()
-	n.Router(5).DebugDropCredit(topology.East, 0)
+	inject(n, 1, 0, 15, 3, 0)
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("no panic from ModePanic on a seeded bug")
+			t.Fatal("no panic from ModePanic on a hop-bound violation")
 		}
 		s, ok := r.(string)
-		if !ok || !strings.Contains(s, "credit-accounting") {
-			t.Fatalf("panic value %v, want a credit-accounting violation", r)
+		if !ok || !strings.Contains(s, "hop-progress") {
+			t.Fatalf("panic value %v, want a hop-progress violation", r)
 		}
 	}()
-	n.Tick(0)
+	for c := int64(0); c < 100; c++ {
+		n.Tick(c)
+	}
 }
 
 // TestHopBound: an artificially tight MaxHops flags legitimate multi-hop
@@ -173,8 +193,8 @@ func TestHopBound(t *testing.T) {
 		n.Tick(c)
 	}
 	found := false
-	for _, v := range n.Checker().Violations() {
-		if v.Check == "hop-progress" && strings.Contains(v.Msg, "> bound 1") {
+	for _, v := range violationLines(n.Checker().Err()) {
+		if strings.Contains(v, ": hop-progress: ") && strings.Contains(v, "> bound 1") {
 			found = true
 		}
 	}
@@ -191,10 +211,10 @@ func TestHopProgressKeyedByAppAndID(t *testing.T) {
 	run := func(lateApp int) error {
 		n := build(t, &invariant.Config{Mode: invariant.ModeCollect}, nil)
 		defer n.Close()
-		n.NI(0).Inject(&msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Size: 12, Class: msg.ClassRequest}, 0)
+		n.Inject(&msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Size: 12, Class: msg.ClassRequest}, 0)
 		for c := int64(0); c < 200 && !n.Drained(); c++ {
 			if c == 15 { // the first packet is several hops in
-				n.NI(12).Inject(&msg.Packet{ID: 1, App: lateApp, Src: 12, Dst: 3, Size: 12, Class: msg.ClassRequest}, c)
+				n.Inject(&msg.Packet{ID: 1, App: lateApp, Src: 12, Dst: 3, Size: 12, Class: msg.ClassRequest}, c)
 			}
 			n.Tick(c)
 		}

@@ -22,7 +22,6 @@ type Cache struct {
 	assoc    int
 	setShift uint // log2(block size)
 	setMask  uint64
-	misses   uint64
 }
 
 const valid = uint64(1) << 63
@@ -78,7 +77,6 @@ func (c *Cache) Access(addr uint64) bool {
 			return true
 		}
 	}
-	c.misses++
 	copy(set[1:], set) // the LRU way (or a never-filled one) drops off
 	set[0] = w
 	return false
@@ -96,18 +94,3 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	}
 	return false
 }
-
-// Contains reports whether addr's block is present, without touching LRU
-// state.
-func (c *Cache) Contains(addr uint64) bool {
-	set, w := c.set(addr)
-	for _, x := range set {
-		if x == w {
-			return true
-		}
-	}
-	return false
-}
-
-// Misses reports total miss count.
-func (c *Cache) Misses() uint64 { return c.misses }

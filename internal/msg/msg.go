@@ -195,15 +195,3 @@ func FlitAt(p *Packet, i int) Flit {
 	}
 	return Flit{Pkt: p, Type: t, Seq: i}
 }
-
-// Flits serializes a packet into its flit sequence (VC unassigned).
-func Flits(p *Packet) []Flit {
-	if p.Size < 1 {
-		panic("msg: packet with no flits")
-	}
-	fs := make([]Flit, p.Size)
-	for i := range fs {
-		fs[i] = FlitAt(p, i)
-	}
-	return fs
-}

@@ -7,9 +7,18 @@ import (
 	"unsafe"
 )
 
+// flits is p's flit sequence, one FlitAt per position.
+func flits(p *Packet) []Flit {
+	fs := make([]Flit, p.Size)
+	for i := range fs {
+		fs[i] = FlitAt(p, i)
+	}
+	return fs
+}
+
 func TestFlitsSingle(t *testing.T) {
 	p := &Packet{ID: 1, Size: 1}
-	fs := Flits(p)
+	fs := flits(p)
 	if len(fs) != 1 || fs[0].Type != HeadTail {
 		t.Fatalf("single-flit packet: %+v", fs)
 	}
@@ -20,7 +29,7 @@ func TestFlitsSingle(t *testing.T) {
 
 func TestFlitsMulti(t *testing.T) {
 	p := &Packet{ID: 2, Size: 5}
-	fs := Flits(p)
+	fs := flits(p)
 	if len(fs) != 5 {
 		t.Fatalf("len = %d", len(fs))
 	}
@@ -43,7 +52,7 @@ func TestFlitsMulti(t *testing.T) {
 func TestFlitsInvariant(t *testing.T) {
 	if err := quick.Check(func(size8 uint8) bool {
 		size := int(size8%10) + 1
-		fs := Flits(&Packet{Size: size})
+		fs := flits(&Packet{Size: size})
 		heads, tails := 0, 0
 		for _, f := range fs {
 			if f.Type.IsHead() {
@@ -65,7 +74,7 @@ func TestFlitsPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Flits(&Packet{Size: 0})
+	FlitAt(&Packet{Size: 0}, 0)
 }
 
 func TestLatencies(t *testing.T) {

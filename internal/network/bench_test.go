@@ -51,7 +51,7 @@ func inject(n *Network, regions *region.Map, rng *sim.RNG, id *uint64, c int64) 
 			continue
 		}
 		*id++
-		n.NI(node).Inject(&msg.Packet{ID: *id, App: regions.AppAt(node),
+		n.Inject(&msg.Packet{ID: *id, App: regions.AppAt(node),
 			Src: node, Dst: dst, Size: 1 + 4*rng.Intn(2), Class: msg.ClassRequest}, c)
 	}
 }

@@ -59,8 +59,8 @@ func driveRandom(t *testing.T, n *Network, delivered *[]*msg.Packet) []string {
 				continue
 			}
 			id++
-			n.NI(src).Inject(&msg.Packet{
-				ID: id, App: n.Regions().AppAt(src), Src: src, Dst: dst,
+			n.Inject(&msg.Packet{
+				ID: id, App: n.params.Regions.AppAt(src), Src: src, Dst: dst,
 				Size: 1 + rng.Intn(5), Class: msg.ClassRequest,
 			}, c)
 		}
@@ -398,7 +398,7 @@ func TestDrainedActiveSets(t *testing.T) {
 			if !n.Drained() {
 				t.Fatal("fresh network not drained")
 			}
-			n.NI(0).Inject(&msg.Packet{ID: 1, Src: 0, Dst: 63, Size: 5, Class: msg.ClassRequest}, 0)
+			n.Inject(&msg.Packet{ID: 1, Src: 0, Dst: 63, Size: 5, Class: msg.ClassRequest}, 0)
 			if n.Drained() {
 				t.Fatal("drained with a queued packet")
 			}
@@ -428,7 +428,7 @@ func TestDrainedActiveSets(t *testing.T) {
 func TestStuckPacketDiagnostics(t *testing.T) {
 	n, _ := buildWorkers(t, 2, localSel)
 	p := &msg.Packet{ID: 7, Src: 0, Dst: 63, Size: 5, Class: msg.ClassRequest}
-	n.NI(0).Inject(p, 0)
+	n.Inject(p, 0)
 	// Run a handful of cycles so the packet enters the router, then stop
 	// ticking the consumer side by checking the watchdog far in the future.
 	for c := int64(0); c < 3; c++ {

@@ -61,7 +61,7 @@ func injectAllPairs(n *Network) int {
 				continue
 			}
 			id++
-			n.NI(s).Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
+			n.Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
 		}
 	}
 	return int(id)
@@ -129,31 +129,28 @@ func TestCheckerCatchesSeededCreditLeak(t *testing.T) {
 		n.Tick(c)
 	}
 	chk := n.Checker()
-	if len(chk.Violations()) != 0 {
-		t.Fatalf("violations before the seeded bug: %v", chk.Err())
+	if err := chk.Err(); err != nil {
+		t.Fatalf("violations before the seeded bug: %v", err)
 	}
 	// Steal one credit from router 5's east output port (the sender side of
 	// link r5>r6), VC 0.
-	n.Router(5).DebugDropCredit(topology.East, 0)
+	n.routers[5].DebugDropCredit(topology.East, 0)
 	for c := int64(50); c < 60; c++ {
 		n.Tick(c)
 	}
-	vs := chk.Violations()
-	if len(vs) == 0 {
+	err := chk.Err()
+	if err == nil {
 		t.Fatal("checker missed the seeded credit leak")
 	}
 	found := false
-	for _, v := range vs {
-		if v.Check == "credit-accounting" && strings.Contains(v.Msg, "r5>r6") && strings.Contains(v.Msg, "vc 0") {
+	for _, l := range strings.Split(err.Error(), "\n") {
+		if strings.Contains(l, ": credit-accounting: ") && strings.Contains(l, "r5>r6") && strings.Contains(l, "vc 0") {
 			found = true
 			break
 		}
 	}
-	if !found {
-		t.Fatalf("no credit-accounting violation naming r5>r6 vc 0; got %v", chk.Err())
-	}
-	if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "invariant violation") {
-		t.Fatalf("Err() = %v", err)
+	if !found || !strings.Contains(err.Error(), "invariant violation") {
+		t.Fatalf("no credit-accounting violation naming r5>r6 vc 0; got %v", err)
 	}
 }
 
@@ -187,7 +184,7 @@ func faultMatrixRun(t *testing.T, workers int, check bool) (seq []string, telJSO
 				if rng.Bool(0.5) {
 					size = 5
 				}
-				n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
+				n.Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
 			}
 		}
 		n.Tick(c)
@@ -260,7 +257,7 @@ func lossyRun(t *testing.T, workers int) (seq []string, injected int, rep *fault
 		if src, dst := rng.Intn(16), rng.Intn(16); src != dst && rng.Bool(0.4) {
 			injected++
 			size := 1 + 4*rng.Intn(2)
-			n.NI(src).Inject(&msg.Packet{ID: uint64(injected), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
+			n.Inject(&msg.Packet{ID: uint64(injected), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
 		}
 		n.Tick(c)
 	}

@@ -104,7 +104,7 @@ func TestConfigFuzz(t *testing.T) {
 					if rng.Bool(0.5) {
 						size = 5
 					}
-					n.NI(node).Inject(&msg.Packet{
+					n.Inject(&msg.Packet{
 						ID: id, App: regs.AppAt(node), Src: node, Dst: dst,
 						Class: cls, Size: size,
 					}, c)

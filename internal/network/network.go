@@ -213,11 +213,7 @@ func New(p Params) *Network {
 	}
 	n.eng.bind(n.links)
 	if p.Chiplets != nil {
-		x, err := NewCrossbar(XBarConfig{}, p.Chiplets, n.xbarDeliver)
-		if err != nil {
-			panic(err)
-		}
-		n.xbar = x
+		n.xbar = NewCrossbar(p.Chiplets, n.xbarDeliver)
 	}
 	if p.Check != nil {
 		n.check = invariant.NewChecker(*p.Check, invariant.Target{
@@ -306,20 +302,8 @@ func (n *Network) CongestionEnabled() bool { return n.cong }
 // Mesh returns the topology.
 func (n *Network) Mesh() *topology.Mesh { return n.mesh }
 
-// Regions returns the region map.
-func (n *Network) Regions() *region.Map { return n.params.Regions }
-
-// NI returns node's network interface.
-func (n *Network) NI(node int) *router.NI { return n.nis[node] }
-
-// Router returns node's router.
-func (n *Network) Router(node int) *router.Router { return n.routers[node] }
-
 // Faults returns the run's fault injector (nil when fault-free).
 func (n *Network) Faults() *faults.Injector { return n.faults }
-
-// Crossbar returns the inter-chiplet switch (nil for plain meshes).
-func (n *Network) Crossbar() *Crossbar { return n.xbar }
 
 // Checker returns the run's invariant checker (nil when unchecked).
 func (n *Network) Checker() *invariant.Checker { return n.check }
@@ -460,15 +444,6 @@ func (n *Network) InFlight() int64 {
 		ejected += ni.Ejected()
 	}
 	return created - ejected
-}
-
-// BufferedFlits reports flits resident in router buffers and ST registers.
-func (n *Network) BufferedFlits() int {
-	total := 0
-	for _, r := range n.routers {
-		total += r.BufferedFlits()
-	}
-	return total
 }
 
 // Drained reports whether nothing is queued, buffered or in flight. Once no

@@ -44,7 +44,7 @@ func mesh4() *region.Map { return region.Single(topology.NewMesh(4, 4)) }
 func TestSinglePacketDelivery(t *testing.T) {
 	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
 	p := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Class: msg.ClassRequest, Size: 5}
-	n.NI(0).Inject(p, 0)
+	n.Inject(p, 0)
 	run(n, 0, 200)
 	if len(*delivered) != 1 {
 		t.Fatalf("delivered %d packets", len(*delivered))
@@ -67,7 +67,7 @@ func TestZeroLoadLatency(t *testing.T) {
 	cfg := router.DefaultConfig(1)
 	src, dst := 0, 3 // 3 hops east
 	p := &msg.Packet{ID: 1, Src: src, Dst: dst, Size: 1, Class: msg.ClassRequest}
-	n.NI(src).Inject(p, 0)
+	n.Inject(p, 0)
 	run(n, 0, 100)
 	if len(*delivered) != 1 {
 		t.Fatalf("delivered %d", len(*delivered))
@@ -92,7 +92,7 @@ func TestAllPairsDelivery(t *testing.T) {
 				continue
 			}
 			id++
-			n.NI(s).Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, now)
+			n.Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, now)
 		}
 	}
 	for c := int64(0); c < 20000 && !n.Drained(); c++ {
@@ -118,7 +118,7 @@ func TestPacketLossAndDuplication(t *testing.T) {
 				if rng.Bool(0.5) {
 					size = 5
 				}
-				n.NI(src).Inject(&msg.Packet{ID: uint64(injected), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
+				n.Inject(&msg.Packet{ID: uint64(injected), Src: src, Dst: dst, Size: size, Class: msg.ClassRequest}, c)
 			}
 		}
 		n.Tick(c)
@@ -143,7 +143,7 @@ func TestMinimalHops(t *testing.T) {
 		if c < 1500 && rng.Bool(0.2) {
 			src, dst := rng.Intn(16), rng.Intn(16)
 			if src != dst {
-				n.NI(src).Inject(&msg.Packet{Src: src, Dst: dst, Size: 1, Class: msg.ClassRequest}, c)
+				n.Inject(&msg.Packet{Src: src, Dst: dst, Size: 1, Class: msg.ClassRequest}, c)
 			}
 		}
 		n.Tick(c)
@@ -165,7 +165,7 @@ func TestDeterminism(t *testing.T) {
 				src, dst := rng.Intn(16), rng.Intn(16)
 				if src != dst {
 					id++
-					n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: 5, Class: msg.ClassRequest}, c)
+					n.Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: 5, Class: msg.ClassRequest}, c)
 				}
 			}
 			n.Tick(c)
@@ -206,7 +206,7 @@ func TestNoDeadlockOrStarvationUnderRAIR(t *testing.T) {
 					continue
 				}
 				id++
-				n.NI(node).Inject(&msg.Packet{
+				n.Inject(&msg.Packet{
 					ID: id, App: regions.AppAt(node), Src: node, Dst: dst,
 					Size: 1 + 4*rng.Intn(2), Class: msg.ClassRequest,
 				}, c)
@@ -215,7 +215,7 @@ func TestNoDeadlockOrStarvationUnderRAIR(t *testing.T) {
 		n.Tick(c)
 		if c%500 == 499 {
 			if p := n.StuckPacket(c, 3000); p != nil {
-				t.Fatalf("cycle %d: packet stuck since %d: %v\n%s", c, p.InjectedAt, p, n.Router(p.Src).DebugState())
+				t.Fatalf("cycle %d: packet stuck since %d: %v\n%s", c, p.InjectedAt, p, n.routers[p.Src].DebugState())
 			}
 		}
 		if c > 4000 && n.Drained() {
@@ -249,7 +249,7 @@ func TestOverloadDrains(t *testing.T) {
 					continue
 				}
 				id++
-				n.NI(node).Inject(&msg.Packet{
+				n.Inject(&msg.Packet{
 					ID: id, App: regions.AppAt(node), Src: node, Dst: dst,
 					Size: 1 + 4*rng.Intn(2), Class: msg.ClassRequest,
 				}, c)
@@ -288,7 +288,7 @@ func TestRAIRModesDeliverEverything(t *testing.T) {
 				dst := rng.Intn(16)
 				if src != dst {
 					id++
-					n.NI(src).Inject(&msg.Packet{
+					n.Inject(&msg.Packet{
 						ID: id, App: regions.AppAt(src), Src: src, Dst: dst,
 						Size: 5, Class: msg.ClassRequest,
 					}, c)
@@ -297,7 +297,7 @@ func TestRAIRModesDeliverEverything(t *testing.T) {
 			n.Tick(c)
 		}
 		if len(*delivered) != int(id) {
-			t.Fatalf("%v: delivered %d of %d", core.New(cfg).Name(), len(*delivered), id)
+			t.Fatalf("%+v: delivered %d of %d", cfg, len(*delivered), id)
 		}
 	}
 }
@@ -325,7 +325,7 @@ func TestTwoClassesShareNetwork(t *testing.T) {
 				if rng.Bool(0.5) {
 					cls, size = msg.ClassResponse, msg.LongPacketFlits
 				}
-				n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: cls}, c)
+				n.Inject(&msg.Packet{ID: id, Src: src, Dst: dst, Size: size, Class: cls}, c)
 			}
 		}
 		n.Tick(c)
@@ -340,8 +340,8 @@ func TestGlobalFlagStamped(t *testing.T) {
 	n, delivered := build(t, regions, policy.NewRoundRobin, nil)
 	intra := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	inter := &msg.Packet{ID: 2, Src: 0, Dst: 3, Size: 1, Class: msg.ClassRequest}
-	n.NI(0).Inject(intra, 0)
-	n.NI(0).Inject(inter, 0)
+	n.Inject(intra, 0)
+	n.Inject(inter, 0)
 	run(n, 0, 200)
 	if len(*delivered) != 2 {
 		t.Fatalf("delivered %d", len(*delivered))
@@ -364,7 +364,7 @@ func TestXYRoutingWorksToo(t *testing.T) {
 		OnEject: func(p *msg.Packet, now int64) { delivered = append(delivered, p) },
 	})
 	for s := 0; s < 16; s++ {
-		n.NI(s).Inject(&msg.Packet{ID: uint64(s + 1), Src: s, Dst: 15 - s, Size: 5, Class: msg.ClassRequest}, 0)
+		n.Inject(&msg.Packet{ID: uint64(s + 1), Src: s, Dst: 15 - s, Size: 5, Class: msg.ClassRequest}, 0)
 	}
 	run(n, 0, 2000)
 	if len(delivered) != 16 {
@@ -390,9 +390,11 @@ func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
 // whenever in-flight packets are zero, everything inside must be zero too —
 // anything else means flits were lost, duplicated, or stranded.
 func (n *Network) FlitConservation() (inside, inflightPackets int64) {
-	inside = int64(n.BufferedFlits())
+	for _, r := range n.routers {
+		inside += int64(r.BufferedFlits())
+	}
 	for _, rec := range n.links {
-		if rec.L.Busy() {
+		if rec.L.FlitsBusy() || rec.L.CreditsBusy() {
 			inside++
 		}
 	}
@@ -402,6 +404,7 @@ func (n *Network) FlitConservation() (inside, inflightPackets int64) {
 // CheckDrained panics with diagnostics if the network failed to drain.
 func (n *Network) CheckDrained() {
 	if !n.Drained() {
-		panic(fmt.Sprintf("network: failed to drain: inflight=%d buffered=%d", n.InFlight(), n.BufferedFlits()))
+		inside, _ := n.FlitConservation()
+		panic(fmt.Sprintf("network: failed to drain: inflight=%d inside=%d", n.InFlight(), inside))
 	}
 }

@@ -55,7 +55,7 @@ func TestObsOffTickAllocs(t *testing.T) {
 			p.ID, p.App, p.Src, p.Dst = id, regions.AppAt(node), node, dst
 			p.Size = 1 + 4*rng.Intn(2)
 			p.Class = msg.ClassRequest
-			n.NI(node).Inject(p, c)
+			n.Inject(p, c)
 		}
 	}
 	for ; c < 2000; c++ {

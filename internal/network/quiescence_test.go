@@ -38,8 +38,8 @@ func TestQuiescentTickIsNoop(t *testing.T) {
 					continue
 				}
 				id++
-				n.NI(src).Inject(&msg.Packet{
-					ID: id, App: n.Regions().AppAt(src), Src: src, Dst: dst,
+				n.Inject(&msg.Packet{
+					ID: id, App: n.params.Regions.AppAt(src), Src: src, Dst: dst,
 					Size: 1 + rng.Intn(5), Class: msg.ClassRequest,
 				}, c)
 			}
@@ -119,8 +119,8 @@ func TestDrainedNetworkTickAllocs(t *testing.T) {
 	for ; c < 200; c++ {
 		src, dst := rng.Intn(mesh.N()), rng.Intn(mesh.N())
 		if src != dst {
-			n.NI(src).Inject(&msg.Packet{
-				ID: uint64(c + 1), App: n.Regions().AppAt(src), Src: src, Dst: dst,
+			n.Inject(&msg.Packet{
+				ID: uint64(c + 1), App: n.params.Regions.AppAt(src), Src: src, Dst: dst,
 				Size: 2, Class: msg.ClassRequest,
 			}, c)
 		}

@@ -149,7 +149,7 @@ func TestTelemetryCreditStalls(t *testing.T) {
 				continue
 			}
 			id++
-			n.NI(node).Inject(&msg.Packet{ID: id, App: regions.AppAt(node),
+			n.Inject(&msg.Packet{ID: id, App: regions.AppAt(node),
 				Src: node, Dst: dst, Size: 5, Class: msg.ClassRequest}, c)
 		}
 		n.Tick(c)
@@ -175,7 +175,7 @@ func TestTelemetryChromeTraceEndToEnd(t *testing.T) {
 	})
 	defer n.Close()
 	p := &msg.Packet{ID: 4, Src: 0, Dst: 15, Size: 5, Class: msg.ClassRequest}
-	n.NI(0).Inject(p, 0)
+	n.Inject(p, 0)
 	for c := int64(0); c < 200; c++ {
 		n.Tick(c)
 	}

@@ -7,12 +7,6 @@ import (
 	"rair/internal/topology"
 )
 
-// FlitsSent reports the flits pushed by node's router onto its output link
-// at dir since construction.
-func (n *Network) FlitsSent(node int, dir topology.Dir) int64 {
-	return n.routers[node].FlitsSent(dir)
-}
-
 // UtilizationHeatmap renders an ASCII heatmap of each router's busiest
 // output link over the given cycle count: '.' for idle through '9' for a
 // link at ≥90% utilization. A quick visual check of where congestion

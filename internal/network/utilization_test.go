@@ -18,15 +18,15 @@ func routerCfg() router.Config { return router.DefaultConfig(1) }
 func TestLinkUtilizationCounts(t *testing.T) {
 	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
 	// A single packet 0 -> 3 travels east along the top row only.
-	n.NI(0).Inject(&msg.Packet{ID: 1, Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
+	n.Inject(&msg.Packet{ID: 1, Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
 	run(n, 0, 200)
-	if f := n.FlitsSent(0, topology.East); f != 5 {
+	if f := n.routers[0].FlitsSent(topology.East); f != 5 {
 		t.Fatalf("node 0 east sent %d flits, want 5", f)
 	}
-	if f := n.FlitsSent(0, topology.South); f != 0 {
+	if f := n.routers[0].FlitsSent(topology.South); f != 0 {
 		t.Fatalf("node 0 south sent %d flits, want 0", f)
 	}
-	if f := n.FlitsSent(3, topology.Local); f != 5 {
+	if f := n.routers[3].FlitsSent(topology.Local); f != 5 {
 		t.Fatalf("ejection link sent %d flits, want 5", f)
 	}
 }
@@ -34,7 +34,7 @@ func TestLinkUtilizationCounts(t *testing.T) {
 func TestHeatmapRendering(t *testing.T) {
 	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
 	for i := 0; i < 50; i++ {
-		n.NI(0).Inject(&msg.Packet{ID: uint64(i + 1), Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
+		n.Inject(&msg.Packet{ID: uint64(i + 1), Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
 	}
 	run(n, 0, 400)
 	hm := n.UtilizationHeatmap(400)
@@ -70,7 +70,7 @@ func TestWestFirstDeliversEverything(t *testing.T) {
 				continue
 			}
 			id++
-			n.NI(s).Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
+			n.Inject(&msg.Packet{ID: id, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
 		}
 	}
 	for c := int64(0); c < 20000 && !n.Drained(); c++ {
@@ -86,7 +86,7 @@ func TestAgePolicyDeliversEverything(t *testing.T) {
 	id := uint64(0)
 	for s := 0; s < 16; s++ {
 		id++
-		n.NI(s).Inject(&msg.Packet{ID: id, Src: s, Dst: 15 - s, Size: 5, Class: msg.ClassRequest}, 0)
+		n.Inject(&msg.Packet{ID: id, Src: s, Dst: 15 - s, Size: 5, Class: msg.ClassRequest}, 0)
 	}
 	run(n, 0, 3000)
 	if len(*delivered) != int(id) {
@@ -121,7 +121,7 @@ func TestLBDRIntraRegionNetwork(t *testing.T) {
 				continue
 			}
 			id++
-			n.NI(s).Inject(&msg.Packet{ID: id, App: app, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
+			n.Inject(&msg.Packet{ID: id, App: app, Src: s, Dst: d, Size: 3, Class: msg.ClassRequest}, 0)
 		}
 	}
 	for c := int64(0); c < 20000 && !n.Drained(); c++ {
@@ -150,11 +150,11 @@ func TestCongestionPropagation(t *testing.T) {
 	for c := int64(0); c < 300; c++ {
 		for i := 0; i < 2; i++ {
 			id++
-			n.NI(0).Inject(&msg.Packet{ID: id, Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, c)
+			n.Inject(&msg.Packet{ID: id, Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, c)
 		}
 		n.Tick(c)
 	}
-	r0 := n.Router(0)
+	r0 := n.routers[0]
 	if occ := r0.PathOccupancy(topology.East, 3); occ <= 0 {
 		t.Fatalf("east path occupancy %d, want > 0", occ)
 	}
@@ -163,7 +163,7 @@ func TestCongestionPropagation(t *testing.T) {
 	}
 	// The one-hop view must match the neighbor's actual input-port state
 	// (one cycle stale, but under steady load both are positive).
-	if n.Router(1).InPortOccupancy(topology.East) <= 0 {
+	if n.routers[1].InPortOccupancy(topology.East) <= 0 {
 		t.Fatal("neighbor input port unexpectedly empty under sustained load")
 	}
 }
@@ -181,7 +181,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			src, dst := rng.Intn(16), rng.Intn(16)
 			if src != dst {
 				id++
-				n.NI(src).Inject(&msg.Packet{ID: id, Src: src, Dst: dst,
+				n.Inject(&msg.Packet{ID: id, Src: src, Dst: dst,
 					Size: 1 + 4*rng.Intn(2), Class: msg.ClassRequest}, c)
 			}
 		}
@@ -201,7 +201,7 @@ func TestGoldenDeterminism(t *testing.T) {
 
 func TestFlitConservation(t *testing.T) {
 	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
-	n.NI(0).Inject(&msg.Packet{ID: 1, Src: 0, Dst: 15, Size: 5, Class: msg.ClassRequest}, 0)
+	n.Inject(&msg.Packet{ID: 1, Src: 0, Dst: 15, Size: 5, Class: msg.ClassRequest}, 0)
 	// Mid-flight: material inside and one packet in flight.
 	for c := int64(0); c < 10; c++ {
 		n.Tick(c)

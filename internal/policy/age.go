@@ -10,9 +10,6 @@ type Age struct{}
 // NewAge returns the oldest-first policy (stateless).
 func NewAge(node, app int) Policy { return Age{} }
 
-// Name implements Policy.
-func (Age) Name() string { return "RO_Age" }
-
 // maxAge caps the priority contribution of age; far beyond any sane
 // in-network latency, it only guards against integer overflow.
 const maxAge = 1 << 30

@@ -4,9 +4,6 @@ import "testing"
 
 func TestAgeOldestWins(t *testing.T) {
 	p := NewAge(0, 0)
-	if p.Name() != "RO_Age" {
-		t.Fatalf("name %q", p.Name())
-	}
 	old := Requestor{CreatedAt: 10}
 	young := Requestor{CreatedAt: 500}
 	if p.SAPriority(old, 1000) <= p.SAPriority(young, 1000) {

@@ -90,9 +90,6 @@ func NewDynRankFactory(state *RankState) Factory {
 	}
 }
 
-// Name implements Policy.
-func (*DynRank) Name() string { return "RO_RankDyn" }
-
 func (p *DynRank) priority(r Requestor, now int64) int {
 	age := now/p.interval - r.CreatedAt/p.interval
 	if age < 0 {

@@ -59,9 +59,6 @@ func TestRankStateValidation(t *testing.T) {
 func TestDynRankPolicy(t *testing.T) {
 	s := NewRankState(2, 100)
 	p := NewDynRankFactory(s)(0, 0)
-	if p.Name() != "RO_RankDyn" {
-		t.Fatalf("name %q", p.Name())
-	}
 	for i := 0; i < 10; i++ {
 		s.Observe(1)
 	}

@@ -65,8 +65,6 @@ func FromPacket(p *msg.Packet, routerApp int) Requestor {
 // equal values fall back to the arbiter's round-robin fairness. now is the
 // current cycle, available for batch-age computation.
 type Policy interface {
-	// Name identifies the policy in reports ("RO_RR", "RA_RAIR", ...).
-	Name() string
 	// VAOutPriority is consulted at the VA output arbitration for an
 	// output VC of class cls.
 	VAOutPriority(r Requestor, cls VCClass, now int64) int
@@ -122,9 +120,6 @@ type RoundRobin struct{}
 // router).
 func NewRoundRobin(node, app int) Policy { return RoundRobin{} }
 
-// Name implements Policy.
-func (RoundRobin) Name() string { return "RO_RR" }
-
 // VAOutPriority implements Policy; always 0.
 func (RoundRobin) VAOutPriority(Requestor, VCClass, int64) int { return 0 }
 
@@ -170,9 +165,6 @@ func NewRankFactoryInterval(ranks []int, interval int64) Factory {
 		return &Rank{ranks: r, numApps: len(r), interval: interval}
 	}
 }
-
-// Name implements Policy.
-func (*Rank) Name() string { return "RO_Rank" }
 
 func (p *Rank) priority(r Requestor, now int64) int {
 	age := now/p.interval - r.CreatedAt/p.interval

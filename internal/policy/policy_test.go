@@ -22,9 +22,6 @@ func TestFromPacket(t *testing.T) {
 
 func TestRoundRobinFlat(t *testing.T) {
 	p := NewRoundRobin(0, 0)
-	if p.Name() != "RO_RR" {
-		t.Fatalf("name %q", p.Name())
-	}
 	r1 := Requestor{Native: true}
 	r2 := Requestor{Native: false, App: 3}
 	for _, cls := range []VCClass{VCEscape, VCGlobal, VCRegional} {
@@ -42,9 +39,6 @@ func TestRankPrefersLowIntensity(t *testing.T) {
 	// App 0 rank 0 (least intensive), app 1 rank 1.
 	f := NewRankFactory([]int{0, 1})
 	p := f(0, 0)
-	if p.Name() != "RO_Rank" {
-		t.Fatalf("name %q", p.Name())
-	}
 	lo := Requestor{App: 0}
 	hi := Requestor{App: 1}
 	if p.SAPriority(lo, 10) <= p.SAPriority(hi, 10) {

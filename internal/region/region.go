@@ -117,11 +117,6 @@ func (m *Map) Validate() error {
 // Rect is a half-open rectangle of nodes: x in [X0, X1), y in [Y0, Y1).
 type Rect struct{ X0, Y0, X1, Y1 int }
 
-// Contains reports whether c lies in the rectangle.
-func (r Rect) Contains(c topology.Coord) bool {
-	return c.X >= r.X0 && c.X < r.X1 && c.Y >= r.Y0 && c.Y < r.Y1
-}
-
 // FromRects builds a map assigning app i to rects[i]. Rectangles must be
 // non-overlapping and within the mesh; nodes outside all rectangles stay
 // unassigned.

@@ -145,10 +145,20 @@ func TestValidateDetectsEmptyApp(t *testing.T) {
 	}
 }
 
+// TestRectHelpers: a Rect is half-open, so FromRects assigns its low edges
+// and leaves its high edges unassigned.
 func TestRectHelpers(t *testing.T) {
-	r := Rect{1, 1, 3, 4}
-	if !r.Contains(topology.Coord{X: 2, Y: 3}) || r.Contains(topology.Coord{X: 3, Y: 3}) {
-		t.Fatal("Contains wrong at boundaries")
+	mesh := mesh8()
+	m, err := FromRects(mesh, []Rect{{1, 1, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		x, y, app int
+	}{{1, 1, 0}, {2, 3, 0}, {3, 3, -1}, {2, 4, -1}, {0, 1, -1}} {
+		if got := m.AppAt(mesh.ID(topology.Coord{X: c.x, Y: c.y})); got != c.app {
+			t.Errorf("(%d,%d) in app %d, want %d", c.x, c.y, got, c.app)
+		}
 	}
 }
 

@@ -180,12 +180,6 @@ func (l *Link) SendCredit(vc int) {
 // cycle (SA_in grants at most one).
 func (l *Link) CanSendCredit() bool { return l.credits.CanPush() }
 
-// Busy reports whether anything is in flight in either direction, including
-// queued retransmissions.
-func (l *Link) Busy() bool {
-	return l.flits.Busy() || l.credits.Busy() || (l.faults != nil && l.faults.Pending())
-}
-
 // InFlightFlits reports flits on the downstream wire (excluding the
 // retransmission queue; see Faults().PendingFlits for those).
 func (l *Link) InFlightFlits() int { return l.flits.Len() }

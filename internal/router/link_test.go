@@ -17,7 +17,7 @@ func TestLinkFlitLatency(t *testing.T) {
 	if !ok || f.Pkt != p {
 		t.Fatal("flit did not arrive after latency")
 	}
-	if l.Busy() {
+	if l.FlitsBusy() || l.CreditsBusy() {
 		t.Fatal("link busy after delivery")
 	}
 }

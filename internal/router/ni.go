@@ -177,22 +177,6 @@ func (ni *NI) WorkCounters() (queued, streaming, draining int) {
 	return ni.queued, ni.streaming, ni.drainingN
 }
 
-// QueueLen reports the total packets waiting in the source queues.
-func (ni *NI) QueueLen() int {
-	n := 0
-	for _, q := range ni.queues {
-		n += q.Len()
-	}
-	return n
-}
-
-// Pending reports packets created but not yet ejected at this NI (note:
-// ejections are counted at the destination NI, so network-wide accounting
-// belongs to the network).
-func (ni *NI) Pending() bool {
-	return ni.QueueLen() > 0 || ni.streamMask != 0
-}
-
 // Created reports how many packets this NI has accepted.
 func (ni *NI) Created() int64 { return ni.created }
 

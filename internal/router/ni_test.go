@@ -24,7 +24,7 @@ func TestNIStreamsFlitsInOrder(t *testing.T) {
 	ni, inj, _, _ := testNI(cfg)
 	p := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 3, Class: msg.ClassRequest}
 	ni.Inject(p, 0)
-	if ni.Created() != 1 || ni.QueueLen() != 1 {
+	if ni.Created() != 1 || ni.queued != 1 {
 		t.Fatal("queue accounting wrong")
 	}
 	var got []msg.Flit
@@ -48,7 +48,7 @@ func TestNIStreamsFlitsInOrder(t *testing.T) {
 	if p.InjectedAt < 0 {
 		t.Fatal("InjectedAt not stamped")
 	}
-	if ni.Pending() {
+	if ni.queued > 0 || ni.streamMask != 0 {
 		t.Fatal("NI still pending after streaming")
 	}
 }
@@ -173,12 +173,11 @@ func TestNIEjection(t *testing.T) {
 	cfg := DefaultConfig(1)
 	ni, _, _, ejected := testNI(cfg)
 	p := &msg.Packet{ID: 9, Src: 1, Dst: 0, Size: 2, Class: msg.ClassRequest}
-	fs := msg.Flits(p)
-	ni.DeliverFlit(fs[0], 100)
+	ni.DeliverFlit(msg.FlitAt(p, 0), 100)
 	if len(*ejected) != 0 {
 		t.Fatal("ejected before tail")
 	}
-	ni.DeliverFlit(fs[1], 101)
+	ni.DeliverFlit(msg.FlitAt(p, 1), 101)
 	if len(*ejected) != 1 || p.EjectedAt != 101 || ni.Ejected() != 1 {
 		t.Fatalf("ejection bookkeeping wrong: %+v", p)
 	}
@@ -193,7 +192,7 @@ func TestNIEjectionWrongDestPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ni.DeliverFlit(msg.Flits(p)[0], 0)
+	ni.DeliverFlit(msg.FlitAt(p, 0), 0)
 }
 
 func TestNIPerClassQueues(t *testing.T) {

@@ -38,7 +38,7 @@ func oneVCConfig() Config {
 }
 
 func headFlit(p *msg.Packet, vc int) msg.Flit {
-	f := msg.Flits(p)[0]
+	f := msg.FlitAt(p, 0)
 	f.VC = vc
 	return f
 }

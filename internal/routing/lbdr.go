@@ -50,9 +50,6 @@ func (l LBDR) Supports(src, dst int) bool {
 	return src == dst || l.regions.SameRegion(src, dst)
 }
 
-// Name implements Algorithm.
-func (LBDR) Name() string { return "LBDR" }
-
 // Route implements Algorithm: minimal directions within the region, XY
 // escape. Regions are rectangular, so every minimal path between two region
 // nodes stays inside it. Routing a packet LBDR cannot support is a

@@ -16,9 +16,6 @@ func TestLBDRValidMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Name() != "LBDR" {
-		t.Fatal("name")
-	}
 	// Each quadrant contains one corner MC: mapping valid.
 	if !l.Supports(0, 9) { // both in quadrant 0
 		t.Fatal("intra-region must be supported")
@@ -103,9 +100,6 @@ func TestLBDRPanicsOnGlobalTraffic(t *testing.T) {
 func TestWestFirstRules(t *testing.T) {
 	mesh := topology.NewMesh(8, 8)
 	a := WestFirst{Mesh: mesh}
-	if a.Name() != "WestFirst" {
-		t.Fatal("name")
-	}
 	// Destination to the south-west: must go west first, only west.
 	src := mesh.ID(topology.Coord{X: 5, Y: 2})
 	dst := mesh.ID(topology.Coord{X: 2, Y: 6})

@@ -33,8 +33,6 @@ type Route struct {
 
 // Algorithm produces the candidate output directions for a packet.
 type Algorithm interface {
-	// Name identifies the algorithm in reports.
-	Name() string
 	// Route returns the route to node dst for a packet at the router with
 	// coordinate cur (a router caches its own; dst's is derived per call).
 	Route(cur topology.Coord, dst int) Route
@@ -70,9 +68,6 @@ type XY struct {
 	Mesh *topology.Mesh
 }
 
-// Name implements Algorithm.
-func (XY) Name() string { return "XY" }
-
 // Route implements Algorithm.
 func (a XY) Route(cur topology.Coord, dst int) Route {
 	rt := minimal(a.Mesh, cur, dst)
@@ -86,9 +81,6 @@ func (a XY) Route(cur topology.Coord, dst int) Route {
 type MinimalAdaptive struct {
 	Mesh *topology.Mesh
 }
-
-// Name implements Algorithm.
-func (MinimalAdaptive) Name() string { return "MinAdaptive" }
 
 // Route implements Algorithm.
 func (a MinimalAdaptive) Route(cur topology.Coord, dst int) Route {
@@ -110,8 +102,6 @@ type CongestionView interface {
 // Selector picks one direction among the candidates returned by an
 // Algorithm.
 type Selector interface {
-	// Name identifies the selector in reports.
-	Name() string
 	// Select returns one of dirs (len >= 1) for a packet at cur heading
 	// to dst given the router's congestion view.
 	Select(cur, dst int, dirs []topology.Dir, view CongestionView) topology.Dir
@@ -140,9 +130,6 @@ func ConsumesCongestion(sel Selector) bool {
 // breaking ties toward the first candidate (the X dimension, keeping the
 // tie-break deterministic).
 type LocalSelector struct{}
-
-// Name implements Selector.
-func (LocalSelector) Name() string { return "Local" }
 
 // ConsumesCongestion implements CongestionConsumer: local selection reads
 // only the credit signal, so the network can skip DBAR propagation.
@@ -174,9 +161,6 @@ type DBARSelector struct {
 	// occupancy-style penalty. Zero disables the local term.
 	Depth int
 }
-
-// Name implements Selector.
-func (DBARSelector) Name() string { return "DBAR" }
 
 // ConsumesCongestion implements CongestionConsumer: DBAR scoring is built on
 // the propagated per-dimension occupancy tables.

@@ -34,9 +34,6 @@ func candidates(a Algorithm, m *topology.Mesh, cur, dst int) []topology.Dir {
 func TestXYAlgorithm(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	a := XY{Mesh: m}
-	if a.Name() != "XY" {
-		t.Fatal("name")
-	}
 	dirs := candidates(a, m, 0, 63)
 	if len(dirs) != 1 || dirs[0] != topology.East {
 		t.Fatalf("XY candidates = %v", dirs)
@@ -98,9 +95,6 @@ func TestEscapeDirAlwaysMinimal(t *testing.T) {
 func TestLocalSelectorPicksMostFree(t *testing.T) {
 	v := fakeView{free: map[topology.Dir]int{topology.East: 2, topology.South: 7}}
 	s := LocalSelector{}
-	if s.Name() != "Local" {
-		t.Fatal("name")
-	}
 	got := s.Select(0, 63, []topology.Dir{topology.East, topology.South}, v)
 	if got != topology.South {
 		t.Fatalf("selected %v", got)
@@ -197,9 +191,6 @@ func TestDBARSingleCandidate(t *testing.T) {
 	if got := s.Select(5, 5, []topology.Dir{topology.Local}, v); got != topology.Local {
 		t.Fatalf("selected %v", got)
 	}
-	if s.Name() != "DBAR" {
-		t.Fatal("name")
-	}
 }
 
 // refRoute is the Candidates + EscapeDir pair Route replaced, kept verbatim
@@ -229,11 +220,15 @@ func TestRouteMatchesCandidatesAndEscapeDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algs := []Algorithm{XY{Mesh: m}, MinimalAdaptive{Mesh: m}, WestFirst{Mesh: m}, lbdr}
-		for _, a := range algs {
+		algs := []struct {
+			name string
+			a    Algorithm
+		}{{"XY", XY{Mesh: m}}, {"MinAdaptive", MinimalAdaptive{Mesh: m}}, {"WestFirst", WestFirst{Mesh: m}}, {"LBDR", lbdr}}
+		for _, alg := range algs {
+			a := alg.a
 			for cur := 0; cur < m.N(); cur++ {
 				for dst := 0; dst < m.N(); dst++ {
-					if a.Name() == "LBDR" && !lbdr.Supports(cur, dst) {
+					if alg.name == "LBDR" && !lbdr.Supports(cur, dst) {
 						func() {
 							defer func() {
 								if recover() == nil {
@@ -244,12 +239,12 @@ func TestRouteMatchesCandidatesAndEscapeDir(t *testing.T) {
 						}()
 						continue
 					}
-					wantDirs, wantEsc := refRoute(a.Name(), m, cur, dst)
+					wantDirs, wantEsc := refRoute(alg.name, m, cur, dst)
 					rt := a.Route(m.Coord(cur), dst)
 					got := []topology.Dir{rt.First, rt.Second}[:rt.N]
 					if !reflect.DeepEqual(got, wantDirs) || rt.Esc != wantEsc {
 						t.Fatalf("%dx%d %s %d->%d: Route = %v esc %v, want %v esc %v",
-							m.W, m.H, a.Name(), cur, dst, got, rt.Esc, wantDirs, wantEsc)
+							m.W, m.H, alg.name, cur, dst, got, rt.Esc, wantDirs, wantEsc)
 					}
 				}
 			}

@@ -18,9 +18,6 @@ type WestFirst struct {
 	Mesh *topology.Mesh
 }
 
-// Name implements Algorithm.
-func (WestFirst) Name() string { return "WestFirst" }
-
 // Route implements Algorithm: westward traffic is fully deterministic (west
 // first), everything else routes minimally. XY routing never takes a
 // forbidden west-first turn (west hops happen before any north/south hop),

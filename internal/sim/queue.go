@@ -15,9 +15,6 @@ func NewQueue[T any](n int) *Queue[T] {
 	return &Queue[T]{buf: make([]T, n)}
 }
 
-// Len reports the number of queued elements.
-func (q *Queue[T]) Len() int { return q.size }
-
 // Empty reports whether the queue holds no elements.
 func (q *Queue[T]) Empty() bool { return q.size == 0 }
 
@@ -68,18 +65,6 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 		return v, false
 	}
 	return q.buf[q.head], true
-}
-
-// At returns the i-th element from the head (0 = head). It panics if i is
-// out of range.
-func (q *Queue[T]) At(i int) T {
-	if i < 0 || i >= q.size {
-		panic("sim: Queue.At out of range")
-	}
-	if i += q.head; i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return q.buf[i]
 }
 
 // Bounded is a fixed-capacity FIFO ring used for hardware buffers whose

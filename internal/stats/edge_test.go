@@ -16,8 +16,8 @@ func TestDistEmpty(t *testing.T) {
 			t.Errorf("Percentile(%v) = %v, want 0", p, got)
 		}
 	}
-	if d.Max() != 0 {
-		t.Errorf("Max = %v, want 0", d.Max())
+	if d.Percentile(100) != 0 {
+		t.Errorf("Max = %v, want 0", d.Percentile(100))
 	}
 	if got := d.Histogram(4); got != "(no samples)\n" {
 		t.Errorf("Histogram = %q", got)
@@ -33,8 +33,8 @@ func TestDistSingleSample(t *testing.T) {
 			t.Errorf("Percentile(%v) = %v, want 7.5", p, got)
 		}
 	}
-	if d.Mean() != 7.5 || d.Max() != 7.5 {
-		t.Errorf("Mean/Max = %v/%v, want 7.5", d.Mean(), d.Max())
+	if d.Mean() != 7.5 || d.Percentile(100) != 7.5 {
+		t.Errorf("Mean/Max = %v/%v, want 7.5", d.Mean(), d.Percentile(100))
 	}
 }
 

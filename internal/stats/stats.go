@@ -142,9 +142,6 @@ func (d *Dist) Percentile(p float64) float64 {
 	return a*(1-frac) + b*frac
 }
 
-// Max reports the largest sample (0 with no samples).
-func (d *Dist) Max() float64 { return d.Percentile(100) }
-
 // Collector subscribes to packet ejections and aggregates latency by
 // application and by traffic kind. Only packets created inside
 // [Warmup, MeasureEnd) are counted; MeasureEnd <= 0 means no upper bound.

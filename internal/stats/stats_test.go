@@ -21,8 +21,8 @@ func TestDistBasics(t *testing.T) {
 	if d.Count() != 4 || d.Mean() != 5 {
 		t.Fatalf("count=%d mean=%v", d.Count(), d.Mean())
 	}
-	if d.Percentile(0) != 2 || d.Max() != 8 {
-		t.Fatalf("min=%v max=%v", d.Percentile(0), d.Max())
+	if d.Percentile(0) != 2 || d.Percentile(100) != 8 {
+		t.Fatalf("min=%v max=%v", d.Percentile(0), d.Percentile(100))
 	}
 	if p := d.Percentile(50); p != 5 {
 		t.Fatalf("median = %v", p)

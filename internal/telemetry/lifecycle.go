@@ -71,14 +71,6 @@ func (p *Probe) Events() []Event {
 	return p.events
 }
 
-// TraceDropped reports lifecycle events discarded at the per-node cap.
-func (p *Probe) TraceDropped() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.dropped
-}
-
 // mergedEvents gathers every probe's lifecycle events sorted by
 // (packet, cycle, stage) — a deterministic order independent of shard
 // count, since per-probe buffers are already cycle-ordered.

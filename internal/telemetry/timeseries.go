@@ -34,8 +34,9 @@ type WindowSample struct {
 	InterferenceRatio float64 `json:"interferenceRatio,omitempty"`
 }
 
-// winRing is a fixed-capacity ring of window samples; once full, the
-// oldest window is overwritten.
+// winRing is a ring of at most cap window samples. It grows by append as
+// windows close, so a short run holds only the windows it closed; once
+// full, the oldest window is overwritten.
 type winRing struct {
 	buf  []WindowSample
 	next int
@@ -43,9 +44,6 @@ type winRing struct {
 }
 
 func (r *winRing) push(cap int, s WindowSample) {
-	if r.buf == nil {
-		r.buf = make([]WindowSample, 0, cap)
-	}
 	if len(r.buf) < cap {
 		r.buf = append(r.buf, s)
 		return

@@ -17,6 +17,17 @@ func ringCycles(cap, n int) []int64 {
 	return cycles
 }
 
+// TestWinRingGrowsOnDemand: the ring reserves nothing up front, so one
+// closed window in a ring of the default capacity holds a small buffer, not
+// 4096 samples' worth per router.
+func TestWinRingGrowsOnDemand(t *testing.T) {
+	var r winRing
+	r.push(4096, WindowSample{Cycle: 1})
+	if c := cap(r.buf); c > 8 {
+		t.Fatalf("cap(buf) = %d after one push, want a small buffer", c)
+	}
+}
+
 func TestWinRingBelowCap(t *testing.T) {
 	got := ringCycles(4, 3)
 	want := []int64{1, 2, 3}

@@ -32,7 +32,7 @@ func SaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed uint6
 	inj := make([]float64, mesh.N())
 	ej := make([]float64, mesh.N())
 
-	avgFlits := float64(msg.ShortPacketFlits)*app.shortFrac() + float64(msg.LongPacketFlits)*(1-app.shortFrac())
+	avgFlits := float64(msg.ShortPacketFlits)*shortFrac + float64(msg.LongPacketFlits)*(1-shortFrac)
 	draws := 0
 	for _, node := range app.Nodes {
 		for s := 0; s < samples; s++ {

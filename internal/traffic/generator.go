@@ -36,29 +36,11 @@ type AppTraffic struct {
 	// Components are the weighted traffic components (weights need not
 	// sum to one; they are normalized).
 	Components []Component
-	// ShortFrac is the fraction of 1-flit short packets; the remainder
-	// are 5-flit long packets. The paper assigns the two lengths
-	// uniformly, so the default (0 ⇒ 0.5) matches it. A negative value
-	// means all-long (the explicit spelling of 0, which the default
-	// claims); values above 1 clamp to all-short.
-	ShortFrac float64
-	// SplitClasses routes short packets as ClassRequest and long packets
-	// as ClassResponse (for two-class networks); otherwise everything is
-	// ClassRequest.
-	SplitClasses bool
 }
 
-func (a AppTraffic) shortFrac() float64 {
-	switch {
-	case a.ShortFrac == 0:
-		return 0.5
-	case a.ShortFrac < 0:
-		return 0
-	case a.ShortFrac > 1:
-		return 1
-	}
-	return a.ShortFrac
-}
+// shortFrac is the fraction of 1-flit short packets; the rest are 5-flit
+// long packets. The paper assigns the two lengths uniformly.
+const shortFrac = 0.5
 
 func (a AppTraffic) totalWeight() float64 {
 	t := 0.0
@@ -128,16 +110,13 @@ func (g *Generator) Tick(now int64) {
 				continue
 			}
 			size := msg.LongPacketFlits
-			cls := msg.ClassRequest
-			if g.rng.Bool(a.shortFrac()) {
+			if g.rng.Bool(shortFrac) {
 				size = msg.ShortPacketFlits
-			} else if a.SplitClasses {
-				cls = msg.ClassResponse
 			}
 			g.nextID++
 			p := g.Pool.Get()
 			p.ID, p.App, p.Src, p.Dst = g.nextID, a.App, src, dst
-			p.Class, p.Size = cls, size
+			p.Class, p.Size = msg.ClassRequest, size
 			g.inject(src, p, now)
 		}
 	}

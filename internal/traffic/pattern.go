@@ -17,7 +17,6 @@ import (
 // return src; callers resample or skip such draws (self-traffic never
 // enters the network).
 type Pattern interface {
-	Name() string
 	Dest(src int, rng *sim.RNG) int
 }
 
@@ -26,9 +25,6 @@ type Pattern interface {
 type Uniform struct {
 	Nodes []int
 }
-
-// Name implements Pattern.
-func (Uniform) Name() string { return "UR" }
 
 // Dest implements Pattern.
 func (u Uniform) Dest(src int, rng *sim.RNG) int {
@@ -64,9 +60,6 @@ type Transpose struct {
 	Mesh *topology.Mesh
 }
 
-// Name implements Pattern.
-func (Transpose) Name() string { return "TP" }
-
 // Dest implements Pattern.
 func (t Transpose) Dest(src int, _ *sim.RNG) int {
 	m := t.Mesh
@@ -82,9 +75,6 @@ type BitComplement struct {
 	Mesh *topology.Mesh
 }
 
-// Name implements Pattern.
-func (BitComplement) Name() string { return "BC" }
-
 // Dest implements Pattern.
 func (b BitComplement) Dest(src int, _ *sim.RNG) int { return b.Mesh.BitComplement(src) }
 
@@ -95,9 +85,6 @@ type Hotspot struct {
 	Frac       float64
 	Background Pattern
 }
-
-// Name implements Pattern.
-func (Hotspot) Name() string { return "HS" }
 
 // Dest implements Pattern.
 func (h Hotspot) Dest(src int, rng *sim.RNG) int {
@@ -119,9 +106,6 @@ type InterRegion struct {
 	Base    Pattern
 	Regions *region.Map
 }
-
-// Name implements Pattern.
-func (p InterRegion) Name() string { return "Inter" + p.Base.Name() }
 
 // Dest implements Pattern.
 func (p InterRegion) Dest(src int, rng *sim.RNG) int {

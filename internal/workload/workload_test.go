@@ -158,19 +158,21 @@ func TestAllProfilesStreamAndMiss(t *testing.T) {
 		l1 := memsys.NewCache(32<<10, 2, 64)
 		s := NewStream(p, 0, 0)
 		rng := sim.NewRNG(11)
-		issued := 0
+		issued, misses := 0, 0
 		for i := 0; i < 20000; i++ {
 			a, ok := s.Next(rng)
 			if !ok {
 				continue
 			}
 			issued++
-			l1.Access(a.Addr)
+			if !l1.Access(a.Addr) {
+				misses++
+			}
 		}
 		if issued == 0 {
 			t.Fatalf("%s never issues", p.Name)
 		}
-		if l1.Misses() == 0 {
+		if misses == 0 {
 			t.Fatalf("%s produces no network traffic at all", p.Name)
 		}
 	}

@@ -98,15 +98,15 @@ type Config struct {
 	// can be expressed.
 	Routing string `json:"routing"`
 	// Ranks is RO_Rank's oracle ranking (rank per app id, 0 = highest
-	// priority). Defaults to app order.
+	// priority). Defaults to app order; any other scheme rejects it.
 	Ranks []int `json:"ranks,omitempty"`
-	// Delta overrides RAIR's DPA hysteresis width (default 0.2); it must
-	// be finite and non-negative.
+	// Delta overrides RA_RAIR's DPA hysteresis width (default 0.2); it
+	// must be finite and non-negative, and any other scheme rejects it.
 	Delta float64 `json:"delta"`
 
 	// Router microarchitecture overrides; zero values take the Table 1
 	// defaults (4 adaptive VCs of which 2 global + 1 escape VC per
-	// class, 5-flit buffers).
+	// class, 5-flit buffers) and negative values are rejected.
 	Classes     int `json:"classes"`
 	AdaptiveVCs int `json:"adaptiveVCs"`
 	GlobalVCs   int `json:"globalVCs"`
@@ -172,7 +172,7 @@ type AppSpec struct {
 	GlobalPattern string
 	// MCFrac is the fraction of traffic to/from the corner memory
 	// controllers (default 0). The remainder (1-GlobalFrac-MCFrac) is
-	// intra-region uniform random.
+	// intra-region uniform random, which a one-node region cannot carry.
 	MCFrac float64
 }
 
@@ -247,6 +247,22 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	if !(cfg.Delta >= 0) || math.IsInf(cfg.Delta, 1) {
 		return nil, fmt.Errorf("rair: DPA hysteresis width %v must be finite and non-negative", cfg.Delta)
+	}
+	// A setting the chosen scheme never reads would be silently ignored.
+	if cfg.Delta != 0 && cfg.Scheme != "RA_RAIR" {
+		return nil, fmt.Errorf("rair: delta applies only to RA_RAIR, not to scheme %q", cfg.Scheme)
+	}
+	if len(cfg.Ranks) > 0 && cfg.Scheme != "RO_Rank" {
+		return nil, fmt.Errorf("rair: ranks apply only to RO_Rank, not to scheme %q", cfg.Scheme)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"classes", cfg.Classes}, {"adaptiveVCs", cfg.AdaptiveVCs}, {"globalVCs", cfg.GlobalVCs},
+		{"escapeVCs", cfg.EscapeVCs}, {"depth", cfg.Depth}, {"linkLatency", cfg.LinkLatency}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("rair: %s %d is negative (0 takes the Table 1 default)", f.name, f.v)
+		}
 	}
 	cfg.Telemetry = cfg.Telemetry || cfg.TelemetryTraceEvery > 0
 	mesh := topology.NewMesh(cfg.MeshW, cfg.MeshH)
@@ -383,6 +399,10 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	if spec.GlobalFrac < 0 || spec.MCFrac < 0 || spec.GlobalFrac+spec.MCFrac > 1 {
 		return fmt.Errorf("rair: app %d traffic fractions out of range", spec.App)
 	}
+	intra := 1 - spec.GlobalFrac - spec.MCFrac
+	if intra > 0 && len(nodes) < 2 {
+		return fmt.Errorf("rair: app %d's region has one node, so its intra-region share %v has no destination (GlobalFrac+MCFrac must be 1)", spec.App, intra)
+	}
 	if s.lbdrRestricted() && (spec.GlobalFrac > 0 || spec.MCFrac > 0) {
 		return fmt.Errorf("rair: LBDR routing cannot express app %d's inter-region traffic (GlobalFrac/MCFrac must be 0)", spec.App)
 	}
@@ -398,7 +418,7 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	}
 	mesh := s.regions.Mesh()
 	comps := []traffic.Component{}
-	if intra := 1 - spec.GlobalFrac - spec.MCFrac; intra > 0 {
+	if intra > 0 {
 		comps = append(comps, traffic.IntraUR(nodes).Weighted(intra))
 	}
 	if spec.GlobalFrac > 0 {
@@ -495,7 +515,6 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Telemetry: tel,
 		Faults:    fcfg,
 		Check:     icfg,
-		Profile:   s.cfg.Telemetry,
 		// The memory system ticks first and keeps ticking through the drain
 		// so in-flight protocol actions complete; the adversary ticks after
 		// whichever of it and the synthetic generator drives the run.

@@ -40,6 +40,27 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, c)
 		}
 	}
+	// Settings the run would ignore: each used to run at the default
+	// (RAIR_VA at Δ 0.2, depth -3 at 5), and the error names the field.
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Scheme: "RAIR_VA", Delta: 0.5}, "delta"},
+		{Config{Scheme: "RAIR_DBAR", Delta: 0.5}, "delta"},
+		{Config{Scheme: "RO_RR", Ranks: []int{1, 0}}, "ranks"},
+		{Config{Scheme: "RA_RAIR", Ranks: []int{1, 0}}, "ranks"},
+		{Config{Classes: -1}, "classes"},
+		{Config{AdaptiveVCs: -2}, "adaptiveVCs"},
+		{Config{GlobalVCs: -1}, "globalVCs"},
+		{Config{EscapeVCs: -1}, "escapeVCs"},
+		{Config{Depth: -3}, "depth"},
+		{Config{LinkLatency: -1}, "linkLatency"},
+	} {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", c.cfg, err, c.want)
+		}
+	}
 }
 
 func TestCustomLayout(t *testing.T) {
@@ -77,6 +98,31 @@ func TestAddAppValidation(t *testing.T) {
 	} {
 		if err := sim.AddApp(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// A one-node region has no intra-region destination; its intra share
+	// used to be dropped without an error (no packets at all at
+	// GlobalFrac 0, half the rate at 0.5).
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		spec AppSpec
+	}{
+		{"one-node quadrant", Config{MeshW: 3, MeshH: 3, Layout: LayoutQuadrants}, AppSpec{App: 0, LoadFrac: 0.3}},
+		{"one-node custom region", Config{Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 1, Y1: 1}}},
+			AppSpec{App: 0, PacketRate: 0.1, GlobalFrac: 0.5}},
+	} {
+		sim, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := sim.AddApp(c.spec); err == nil || !strings.Contains(err.Error(), "one node") {
+			t.Errorf("%s: got %v, want an error naming the one-node region", c.name, err)
+		}
+		// All of the app's traffic leaving the region is still fine.
+		c.spec.GlobalFrac, c.spec.MCFrac = 0.5, 0.5
+		if err := sim.AddApp(c.spec); err != nil {
+			t.Errorf("%s, no intra share: %v", c.name, err)
 		}
 	}
 }
