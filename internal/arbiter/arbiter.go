@@ -4,6 +4,11 @@
 // round-robin is the flat-priority case).
 package arbiter
 
+import (
+	"math"
+	"math/bits"
+)
+
 // None is returned when no input is requesting.
 const None = -1
 
@@ -26,20 +31,33 @@ func NewPrioritized(n int) Prioritized {
 }
 
 // Grant returns the index of a requesting input with maximal prio, ties
-// broken round-robin, or None. req and prio must both have length n.
-func (a *Prioritized) Grant(req []bool, prio []int) int {
-	if len(req) != a.n || len(prio) != a.n {
-		panic("arbiter: request/priority vector size mismatch")
-	}
-	best, bestPrio := None, 0
-	for idx := a.ptr; idx < a.n; idx++ {
-		if req[idx] && (best == None || prio[idx] > bestPrio) {
-			best, bestPrio = idx, prio[idx]
+// broken round-robin, or None. req is a bitset over the n requestors (bit
+// i&63 of word i>>6, every word of ⌈n/64⌉ present, no bit at or above n);
+// prio is read only at requesting indices and must stay above math.MinInt.
+// The scan visits the set bits alone, from the pointer up to n and then
+// from 0 up to the pointer, so a grant costs the number of requestors plus
+// the number of words.
+func (a *Prioritized) Grant(req []uint64, prio []int) int {
+	best, bestPrio := None, math.MinInt
+	nw, pw, pb := len(req), a.ptr>>6, uint(a.ptr&63)
+	// Pass k visits word pw+k (wrapping); the pointer's word is visited
+	// twice, its bits at and above the pointer first and the rest last.
+	for k := 0; k <= nw; k++ {
+		w := pw + k
+		if w >= nw {
+			w -= nw
 		}
-	}
-	for idx := 0; idx < a.ptr; idx++ {
-		if req[idx] && (best == None || prio[idx] > bestPrio) {
-			best, bestPrio = idx, prio[idx]
+		m := req[w]
+		switch k {
+		case 0:
+			m &= ^uint64(0) << pb
+		case nw:
+			m &= 1<<pb - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if i := w<<6 | bits.TrailingZeros64(m); prio[i] > bestPrio {
+				best, bestPrio = i, prio[i]
+			}
 		}
 	}
 	if best != None {

@@ -389,8 +389,9 @@ func plantStandingVA(r *Router) bool {
 		return false
 	}
 	nIn := int(topology.NumDirs) * r.nvc
+	i := (vc.idx + 1) % nIn
 	r.soa.vaReqN[og] = 1
-	r.soa.vaReq[og*nIn+(vc.idx+1)%nIn] = true
+	r.soa.vaReq[og*((nIn+63)>>6)+i>>6] |= 1 << uint(i&63)
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -184,6 +185,7 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 		e.feeds[d] = make([]*feed, v)
 	}
 	obs := make([]cycleSeen, len(rigs))
+	arbs := make([][]arbiter.Prioritized, len(rigs))
 	for ; e.now < episodeCycles; e.now++ {
 		var hold [topology.NumDirs]bool
 		for d := range hold {
@@ -221,12 +223,37 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 			if k > 0 && obs[k] != obs[0] {
 				return fmt.Errorf("cycle %d: rig %d shows\n%+v\nrig 0 shows\n%+v", e.now, k, obs[k], obs[0])
 			}
+			if arbs[k] = arbiters(arbs[k][:0], g.r); k > 0 && !slices.Equal(arbs[k], arbs[0]) {
+				return fmt.Errorf("cycle %d: rig %d leaves the arbiters\n%+v\nrig 0 leaves\n%+v", e.now, k, arbs[k], arbs[0])
+			}
 		}
 		if !postCycle(e.now) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// arbiters appends to as a router's arbiters: SA_in per input port, SA_out
+// per output port, VA_out per output VC. The reference keeps plain-int
+// pointers; each becomes the arbiter that a GrantSingle to the index
+// before the pointer leaves, so the two compare pointer for pointer.
+func arbiters(as []arbiter.Prioritized, dut routerDUT) []arbiter.Prioritized {
+	if r, ok := dut.(*Router); ok {
+		return append(append(append(as, r.saInArb[:]...), r.saOutArb[:]...), r.vaArb...)
+	}
+	r := dut.(*refRouter)
+	add := func(n int, ptrs []int) {
+		for _, p := range ptrs {
+			a := arbiter.NewPrioritized(n)
+			a.GrantSingle((p + n - 1) % n)
+			as = append(as, a)
+		}
+	}
+	add(len(r.kind), r.saInPtr[:])
+	add(int(topology.NumDirs), r.saOutPtr[:])
+	add(len(r.vaPtr), r.vaPtr)
+	return as
 }
 
 // linkPhase shifts every wire of one rig and delivers what arrives.

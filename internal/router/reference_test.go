@@ -1,7 +1,6 @@
 package router
 
 import (
-	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -17,9 +16,11 @@ import (
 // finally the DPA registers OVC_n/OVC_f, whose new priority takes effect
 // next cycle. It keeps no occupancy masks, stage counters, SoA slabs,
 // replay plan or wake bits, never reads the policy's lookup tables, and
-// every arbitration is an arbiter.Prioritized.Grant over a full request
-// vector. The lockstep rig (lockstep_test.go) runs it beside Router and
-// compares everything a neighbour can observe, every cycle.
+// every arbitration is its own grant: a rotation scan over a full request
+// vector with a plain-int round-robin pointer, sharing no code with
+// internal/arbiter. The lockstep rig (lockstep_test.go) runs it beside
+// Router and compares everything a neighbour can observe, and every
+// arbiter pointer, every cycle.
 type refRouter struct {
 	cfg       Config
 	node, app int
@@ -36,9 +37,25 @@ type refRouter struct {
 	// The arbiters' round-robin pointers: one VA_out arbiter per output VC
 	// (over every input VC), one SA_in per input port (over its VCs), one
 	// SA_out per output port (over the input ports).
-	vaArb    []arbiter.Prioritized
-	saInArb  [topology.NumDirs]arbiter.Prioritized
-	saOutArb [topology.NumDirs]arbiter.Prioritized
+	vaPtr             []int
+	saInPtr, saOutPtr [topology.NumDirs]int
+}
+
+// grant is the reference's arbiter: the requestor of highest priority,
+// ties to the first in rotation order from *ptr, which then moves past it
+// (-1 and no move when nobody requests).
+func grant(ptr *int, req []bool, prio []int) int {
+	w := -1
+	for k := range req {
+		i := (*ptr + k) % len(req)
+		if req[i] && (w < 0 || prio[i] > prio[w]) {
+			w = i
+		}
+	}
+	if w >= 0 {
+		*ptr = (w + 1) % len(req)
+	}
+	return w
 }
 
 // refInVC is one input VC: its flit buffer, the packet holding it (atomic
@@ -86,14 +103,8 @@ func newRefRouter(cfg Config, node, app int, mesh *topology.Mesh,
 		for i := range r.out[d].vcs {
 			r.out[d].vcs[i].credits = cfg.Depth
 		}
-		r.saInArb[d] = arbiter.NewPrioritized(v)
-		r.saOutArb[d] = arbiter.NewPrioritized(int(topology.NumDirs))
 	}
-	nvc := int(topology.NumDirs) * v
-	r.vaArb = make([]arbiter.Prioritized, nvc)
-	for i := range r.vaArb {
-		r.vaArb[i] = arbiter.NewPrioritized(nvc)
-	}
+	r.vaPtr = make([]int, int(topology.NumDirs)*v)
 	return r
 }
 
@@ -203,17 +214,17 @@ func (r *refRouter) switchAllocation() {
 			}
 			req[i], prio[i] = true, r.pol.SAPriority(r.requestor(vc.owner), r.now)
 		}
-		nominee[d] = r.saInArb[d].Grant(req, prio)
+		nominee[d] = grant(&r.saInPtr[d], req, prio)
 	}
 	for od := range r.out {
 		var req [topology.NumDirs]bool
 		var prio [topology.NumDirs]int
 		for d, i := range nominee {
-			if i != arbiter.None && r.in[d].vcs[i].outPort == topology.Dir(od) {
+			if i >= 0 && r.in[d].vcs[i].outPort == topology.Dir(od) {
 				req[d], prio[d] = true, r.pol.SAPriority(r.requestor(r.in[d].vcs[i].owner), r.now)
 			}
 		}
-		if w := r.saOutArb[od].Grant(req[:], prio[:]); w != arbiter.None {
+		if w := grant(&r.saOutPtr[od], req[:], prio[:]); w >= 0 {
 			r.transfer(topology.Dir(w), nominee[w])
 		}
 	}
@@ -271,7 +282,7 @@ func (r *refRouter) vcAllocation() {
 		if req[og] == nil {
 			continue
 		}
-		w := r.vaArb[og].Grant(req[og], prio[og])
+		w := grant(&r.vaPtr[og], req[og], prio[og])
 		vc := &r.in[w/v].vcs[w%v]
 		vc.stage, vc.outPort, vc.outVC = stageActive, topology.Dir(og/v), og%v
 		r.out[og/v].vcs[og%v].owner = vc.owner

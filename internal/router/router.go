@@ -530,9 +530,8 @@ func (r *Router) switchAllocation() {
 	// here per candidate; a held register means the last send was pinned
 	// by a faulty link, so the branch is almost never taken. Ports with a
 	// single surviving candidate skip priority computation and the
-	// arbiter scan (the outcome cannot depend on either). s.saReq stays
-	// all-false between ports: only the multi-candidate branch sets
-	// entries, and it clears them after use.
+	// arbiter scan (the outcome cannot depend on either); the others hand
+	// the arbiter the surviving set itself as its request row.
 	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
 		d := topology.Dir(bits.TrailingZeros8(pm))
 		in := r.in[d]
@@ -566,35 +565,25 @@ func (r *Router) switchAllocation() {
 			forced = false
 			for c := elig; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros64(c)
-				s.saReq[i] = true
 				s.saPrio[i] = r.saPriority(in.vcs[i].owner)
 			}
-			w := r.saInArb[d].Grant(s.saReq, s.saPrio)
-			if w != arbiter.None {
-				r.saOutVC[d] = &in.vcs[w]
-				nomMask |= 1 << uint(d)
-			}
-			if r.tel != nil {
-				for c := elig; c != 0; c &= c - 1 {
-					i := bits.TrailingZeros64(c)
-					native := r.regions.Native(r.node, in.vcs[i].owner.App)
-					if i == w {
-						r.tel.SAInGrant(native)
-					} else {
-						r.tel.SAInDeny(native)
-					}
+			req := [1]uint64{elig}
+			w := r.saInArb[d].Grant(req[:], s.saPrio)
+			r.saOutVC[d] = &in.vcs[w]
+			nomMask |= 1 << uint(d)
+			for c := elig; r.tel != nil && c != 0; c &= c - 1 {
+				i := bits.TrailingZeros64(c)
+				vc := &in.vcs[i]
+				native := r.regions.Native(r.node, vc.owner.App)
+				if i == w {
+					r.tel.SAInGrant(native)
+					continue
+				}
+				r.tel.SAInDeny(native)
+				if r.attr && vc.headPending {
+					r.chargeLoss(vc.owner, in.vcs[w].owner)
 				}
 			}
-			if r.attr && w >= 0 {
-				winner := in.vcs[w].owner
-				for c := elig; c != 0; c &= c - 1 {
-					i := bits.TrailingZeros64(c)
-					if i != w && in.vcs[i].headPending {
-						r.chargeLoss(in.vcs[i].owner, winner)
-					}
-				}
-			}
-			clear(s.saReq)
 		}
 	}
 	// SA_out: arbitrate nominated VCs per output port. Only output ports
@@ -628,39 +617,28 @@ func (r *Router) switchAllocation() {
 			continue
 		}
 		forced = false
-		for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
-			req := nomMask>>uint(id2)&1 == 1 && r.saOutVC[id2].outPort == od
-			s.saOutReq[id2] = req
-			if req {
+		var req [1]uint64 // the input ports nominating for od
+		for nm2 := nm; nm2 != 0; nm2 &= nm2 - 1 {
+			if id2 := bits.TrailingZeros8(nm2); r.saOutVC[id2].outPort == od {
+				req[0] |= 1 << uint(id2)
 				s.saOutPri[id2] = r.saPriority(r.saOutVC[id2].owner)
 			}
 		}
-		w := r.saOutArb[od].Grant(s.saOutReq[:], s.saOutPri[:])
-		if r.tel != nil {
-			for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
-				if !s.saOutReq[id2] {
-					continue
-				}
-				native := r.regions.Native(r.node, r.saOutVC[id2].owner.App)
-				if int(id2) == w {
-					r.tel.SAOutGrant(native)
-				} else {
-					r.tel.SAOutDeny(native)
-				}
+		w := r.saOutArb[od].Grant(req[:], s.saOutPri[:])
+		for m := req[0]; r.tel != nil && m != 0; m &= m - 1 {
+			id2 := bits.TrailingZeros64(m)
+			vc2 := r.saOutVC[id2]
+			native := r.regions.Native(r.node, vc2.owner.App)
+			if id2 == w {
+				r.tel.SAOutGrant(native)
+				continue
+			}
+			r.tel.SAOutDeny(native)
+			if r.attr && vc2.headPending {
+				r.chargeLoss(vc2.owner, r.saOutVC[w].owner)
 			}
 		}
-		if r.attr && w >= 0 {
-			winner := r.saOutVC[w].owner
-			for id2 := topology.Dir(0); id2 < topology.NumDirs; id2++ {
-				if s.saOutReq[id2] && int(id2) != w && r.saOutVC[id2].headPending {
-					r.chargeLoss(r.saOutVC[id2].owner, winner)
-				}
-			}
-		}
-		s.saOutReq = [topology.NumDirs]bool{}
-		if w != arbiter.None {
-			r.transfer(topology.Dir(w), r.saOutVC[w])
-		}
+		r.transfer(topology.Dir(w), r.saOutVC[w])
 	}
 	if forced && nomMask != 0 {
 		r.fastArmed, r.planPorts = true, nomMask
@@ -788,69 +766,61 @@ func (r *Router) vcAllocation() {
 		return
 	}
 	v := r.nvc
-	nIn := int(topology.NumDirs) * v // row stride of the request matrices
+	nw := (int(topology.NumDirs)*v + 63) >> 6 // words per VA request row
 	s := r.soa
 	touched := s.vaTouched[:0]
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		in := r.in[d]
 		for m := in.vaMask; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			outGlobal, cls := r.vaInput(vc)
-			if outGlobal < 0 {
+			og, cls := r.vaInput(vc)
+			if og < 0 {
 				continue
 			}
-			inGlobal := int(d)*v + vc.idx
-			if s.vaReqN[outGlobal] == 0 {
-				touched = append(touched, outGlobal)
+			ig := int(d)*v + vc.idx
+			if s.vaReqN[og] == 0 {
+				touched = append(touched, og)
 			}
-			s.vaReqN[outGlobal]++
-			s.vaSingle[outGlobal] = inGlobal
-			s.vaReq[outGlobal*nIn+inGlobal] = true
-			s.vaPrio[outGlobal*nIn+inGlobal] = r.vaPriority(vc.owner, cls)
+			s.vaReqN[og]++
+			s.vaSingle[og] = ig
+			s.vaReq[og*nw+ig>>6] |= 1 << uint(ig&63)
+			s.vaPrio[ig] = r.vaPriority(vc.owner, cls)
 		}
 	}
 	for _, og := range touched {
-		reqs := s.vaReq[og*nIn : (og+1)*nIn]
+		row := s.vaReq[og*nw : (og+1)*nw]
 		if s.vaReqN[og] == 1 {
 			// Uncontended output VC: grant directly, clearing only the
-			// one filed request instead of rescanning the whole row.
+			// one filed request instead of scanning the row.
 			w := r.vaArb[og].GrantSingle(s.vaSingle[og])
-			reqs[w] = false
+			row[w>>6] &^= 1 << uint(w&63)
 			s.vaReqN[og] = 0
 			r.allocate(og, w)
 			continue
 		}
-		w := r.vaArb[og].Grant(reqs, s.vaPrio[og*nIn:(og+1)*nIn])
-		if r.tel != nil {
-			for i, req := range reqs {
-				if req && i != w {
-					lost := &r.in[topology.Dir(i/v)].vcs[i%v]
-					r.tel.VADeny(r.regions.Native(r.node, lost.owner.App))
-				}
-			}
-		}
-		if r.attr && w >= 0 {
-			// Losers of a VA_out arbitration: serialized on the escape VC
-			// when that is what they competed for, otherwise blocked by
-			// the winner's region class.
-			escape := r.vcKind[og%v] == policy.VCEscape
-			winner := r.in[topology.Dir(w/v)].vcs[w%v].owner
-			for i, req := range reqs {
-				if !req || i == w {
+		w := r.vaArb[og].Grant(row, s.vaPrio)
+		// Losers of a VA_out arbitration: serialized on the escape VC when
+		// that is what they competed for, otherwise blocked by the winner's
+		// region class.
+		for k := 0; r.tel != nil && k < nw; k++ {
+			for m := row[k]; m != 0; m &= m - 1 {
+				i := k<<6 | bits.TrailingZeros64(m)
+				if i == w {
 					continue
 				}
 				loser := r.in[topology.Dir(i/v)].vcs[i%v].owner
-				if escape {
+				r.tel.VADeny(r.regions.Native(r.node, loser.App))
+				switch {
+				case !r.attr:
+				case r.vcKind[og%v] == policy.VCEscape:
 					r.tel.Charge(loser, msg.BlameEscape)
-				} else {
-					r.chargeLoss(loser, winner)
+				default:
+					r.chargeLoss(loser, r.in[topology.Dir(w/v)].vcs[w%v].owner)
 				}
 			}
 		}
-		if w != arbiter.None {
-			r.allocate(og, w)
-		}
-		clear(reqs)
+		r.allocate(og, w)
+		clear(row)
 		s.vaReqN[og] = 0
 	}
 }

@@ -53,20 +53,21 @@ type SoA struct {
 	// Arbitration scratch, one copy for the whole shard: the engine ticks a
 	// shard's routers one at a time and Router.Tick leaves every request row
 	// all-clear (TestSharedScratchHygiene), so the rows stay cache-resident
-	// instead of costing each router ~7 KB of its own. vaReq/vaPrio are
-	// [output VC][input VC] matrices flattened with stride NumDirs×VCs; vaReqN
-	// counts the requests filed per output VC and vaSingle names the lone
-	// requestor when that is 1 (VA_out then skips the arbiter scan); vaTouched
-	// lists the output VCs requested this tick. dirBuf carries a route's
-	// candidates to the selection function (a stack array would escape through
-	// the interface call). saReq/saPrio are one input port's SA_in rows,
-	// saOutReq/saOutPri the SA_out rows of the output port under arbitration.
-	vaReq, saReq     []bool
+	// instead of costing each router a copy. vaReq holds one request bitset
+	// per output VC, ⌈NumDirs×VCs/64⌉ words each, over the input VCs; vaPrio
+	// holds one VA priority per input VC (each files at most one request a
+	// tick). vaReqN counts the requests filed per output VC and vaSingle
+	// names the lone requestor when that is 1 (VA_out then skips the
+	// arbiter scan); vaTouched lists the output VCs requested this tick.
+	// dirBuf carries a route's candidates to the selection function (a stack
+	// array would escape through the interface call). saPrio is one input
+	// port's SA_in priorities, saOutPri the SA_out priorities of the output
+	// port under arbitration; their request sets are masks in registers.
+	vaReq            []uint64
 	vaPrio, saPrio   []int
 	vaReqN, vaSingle []int
 	vaTouched        []int
 	dirBuf           [2]topology.Dir
-	saOutReq         [topology.NumDirs]bool
 	saOutPri         [topology.NumDirs]int
 }
 
@@ -91,12 +92,11 @@ func NewSoA(cfg Config, n int) *SoA {
 		outVCs:     make([]outputVC, n*nd*v),
 		flitBuf:    make([]msg.Flit, n*nd*v*cfg.Depth),
 		vaArb:      make([]arbiter.Prioritized, n*nd*v),
-		vaReq:      make([]bool, nd*v*nd*v),
-		vaPrio:     make([]int, nd*v*nd*v),
+		vaReq:      make([]uint64, nd*v*((nd*v+63)>>6)),
+		vaPrio:     make([]int, nd*v),
 		vaReqN:     make([]int, nd*v),
 		vaSingle:   make([]int, nd*v),
 		vaTouched:  make([]int, 0, nd*v),
-		saReq:      make([]bool, v),
 		saPrio:     make([]int, v),
 	}
 	for i := range s.vaArb {

@@ -8,6 +8,8 @@
 // each data point exactly reproducible.
 package sim
 
+import "math/bits"
+
 // RNG is a xoshiro256** pseudo-random number generator seeded through
 // SplitMix64. It is deliberately not safe for concurrent use: each simulation
 // owns its generators and runs on a single goroutine.
@@ -60,30 +62,15 @@ func (r *RNG) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded generation.
 	v := r.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(v, uint64(n))
 	if lo < uint64(n) {
 		thresh := (-uint64(n)) % uint64(n)
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(v, uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform value in [0, 1).

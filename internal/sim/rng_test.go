@@ -64,6 +64,40 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
+// TestIntnStreamPinned pins seed 2026's first 1,000 Intn draws for bounds
+// from 1 to past 2^32 (where the high word of the 128-bit product depends
+// on every partial product): a digest of the whole stream plus its first
+// four values. Traffic destinations and the saturation calibration draw
+// from Intn, so a change here moves every golden.
+func TestIntnStreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		digest uint64
+		first  [4]int
+	}{
+		{1, 0x12633b178b17a745, [4]int{0, 0, 0, 0}},
+		{3, 0x78d718c3271469ed, [4]int{1, 0, 2, 2}},
+		{7, 0x865efe41fdbea2a3, [4]int{4, 1, 5, 6}},
+		{64, 0x35416fdcab6f740d, [4]int{36, 18, 52, 57}},
+		{1000, 0xe4b2c95b7ec54ac7, [4]int{573, 283, 812, 893}},
+		{1<<33 + 1, 0x7a1a0748633e9c58, [4]int{4928316082, 2436788009, 6979402832, 7676606799}},
+	} {
+		r := NewRNG(2026)
+		digest := uint64(14695981039346656037) // FNV-1a fold over the values
+		var first [4]int
+		for i := 0; i < 1000; i++ {
+			v := r.Intn(c.n)
+			if i < len(first) {
+				first[i] = v
+			}
+			digest = (digest ^ uint64(v)) * 1099511628211
+		}
+		if digest != c.digest || first != c.first {
+			t.Errorf("Intn(%d): digest %#x first %v, want %#x %v", c.n, digest, first, c.digest, c.first)
+		}
+	}
+}
+
 func TestIntnUniformity(t *testing.T) {
 	r := NewRNG(7)
 	const n, trials = 10, 100000
