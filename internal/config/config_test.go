@@ -169,6 +169,13 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.1}],
 		  "phases": {"measure": 100}
 		}`,
+		// Used to calibrate to a zero packet rate: the default layout is
+		// one region over the whole mesh, so global traffic has nowhere
+		// to go.
+		"global traffic without a second region": `{
+		  "apps": [{"app": 0, "loadFrac": 0.5, "globalFrac": 1}],
+		  "phases": {"measure": 100}
+		}`,
 		// Used to generate no packets: quadrant 0 of a 3x3 mesh is one
 		// node, so the app's whole (intra-region) load had no destination.
 		"one-node region": `{

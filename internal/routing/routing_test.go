@@ -193,12 +193,30 @@ func TestDBARSingleCandidate(t *testing.T) {
 	}
 }
 
+// xyStep is the dimension-ordered hop from cur toward dst (X first, then
+// Y), or Local at dst: the escape direction, written out independently of
+// the routing code under test.
+func xyStep(m *topology.Mesh, cur, dst int) topology.Dir {
+	cc, cd := m.Coord(cur), m.Coord(dst)
+	switch {
+	case cd.X > cc.X:
+		return topology.East
+	case cd.X < cc.X:
+		return topology.West
+	case cd.Y > cc.Y:
+		return topology.South
+	case cd.Y < cc.Y:
+		return topology.North
+	}
+	return topology.Local
+}
+
 // refRoute is the Candidates + EscapeDir pair Route replaced, kept verbatim
-// (on topology.MinimalDirs / XYDir, which Route does not use) as the
+// (on topology.MinimalDirs and xyStep, which Route does not use) as the
 // reference the one-call form must reproduce: same candidates in the same
 // order, same escape direction.
 func refRoute(name string, m *topology.Mesh, cur, dst int) ([]topology.Dir, topology.Dir) {
-	esc := m.XYDir(cur, dst)
+	esc := xyStep(m, cur, dst)
 	switch {
 	case name == "XY":
 		return []topology.Dir{esc}, esc

@@ -172,24 +172,6 @@ func (m *Mesh) MinimalDirs(cur, dst int, out []Dir) []Dir {
 	return out
 }
 
-// XYDir returns the single dimension-ordered (X first, then Y) direction
-// from cur toward dst, or Local when cur == dst. XY routing is the escape
-// path of the Duato-style adaptive algorithms.
-func (m *Mesh) XYDir(cur, dst int) Dir {
-	cc, cd := m.Coord(cur), m.Coord(dst)
-	switch {
-	case cd.X > cc.X:
-		return East
-	case cd.X < cc.X:
-		return West
-	case cd.Y > cc.Y:
-		return South
-	case cd.Y < cc.Y:
-		return North
-	}
-	return Local
-}
-
 // Transpose maps (x,y) to (y,x). It is only defined for square meshes.
 func (m *Mesh) Transpose(id int) int {
 	if m.W != m.H {

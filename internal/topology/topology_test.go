@@ -101,48 +101,6 @@ func TestMinimalDirsDecreaseDistance(t *testing.T) {
 	}
 }
 
-// Property: repeatedly following XYDir reaches the destination in exactly
-// Distance hops, never leaving the mesh.
-func TestXYDirReachesDestination(t *testing.T) {
-	m := NewMesh(8, 8)
-	if err := quick.Check(func(a, b uint8) bool {
-		cur, dst := int(a)%64, int(b)%64
-		steps := 0
-		for cur != dst {
-			d := m.XYDir(cur, dst)
-			if d == Local {
-				return false
-			}
-			cur = m.Neighbor(cur, d)
-			if cur == -1 {
-				return false
-			}
-			steps++
-			if steps > 14 {
-				return false
-			}
-		}
-		return steps == m.Distance(int(a)%64, dst)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXYOrdering(t *testing.T) {
-	m := NewMesh(8, 8)
-	// From (0,0) to (3,3): X must be corrected first.
-	if d := m.XYDir(0, m.ID(Coord{3, 3})); d != East {
-		t.Fatalf("XYDir = %v, want East", d)
-	}
-	// Same column: go south.
-	if d := m.XYDir(0, m.ID(Coord{0, 3})); d != South {
-		t.Fatalf("XYDir = %v, want South", d)
-	}
-	if d := m.XYDir(5, 5); d != Local {
-		t.Fatalf("XYDir self = %v", d)
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	m := NewMesh(8, 8)
 	for id := 0; id < m.N(); id++ {

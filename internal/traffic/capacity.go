@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"slices"
+
 	"rair/internal/msg"
 	"rair/internal/sim"
 	"rair/internal/topology"
@@ -23,16 +25,13 @@ func SaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed uint6
 		return 0
 	}
 	rng := sim.NewRNG(seed)
-	// Directed channel load accumulators: [node][dir] for router-to-router
-	// channels, plus injection and ejection channels per node.
-	chans := make([][]float64, mesh.N())
-	for i := range chans {
-		chans[i] = make([]float64, topology.NumDirs)
-	}
-	inj := make([]float64, mesh.N())
-	ej := make([]float64, mesh.N())
-
-	avgFlits := float64(msg.ShortPacketFlits)*shortFrac + float64(msg.LongPacketFlits)*(1-shortFrac)
+	// Difference arrays of route counts per directed channel, East/West by
+	// node row-major (y*W+x) and North/South column-major (x*H+y): an XY leg
+	// is one run, +1 at its first channel and -1 one past its last.
+	n := mesh.N()
+	east, west, south, north := make([]int, n+1), make([]int, n+1), make([]int, n+1), make([]int, n+1)
+	inj, ej := make([]int, n), make([]int, n)
+	run := func(c []int, from, to int) { c[from]++; c[to]-- }
 	draws := 0
 	for _, node := range app.Nodes {
 		for s := 0; s < samples; s++ {
@@ -41,36 +40,38 @@ func SaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed uint6
 			if src == dst {
 				continue
 			}
-			inj[src] += avgFlits
-			ej[dst] += avgFlits
-			cur := src
-			for cur != dst {
-				d := mesh.XYDir(cur, dst)
-				chans[cur][d] += avgFlits
-				cur = mesh.Neighbor(cur, d)
+			inj[src]++
+			ej[dst]++
+			cs, cd := mesh.Coord(src), mesh.Coord(dst)
+			row, col := cs.Y*mesh.W, cd.X*mesh.H
+			if cd.X > cs.X {
+				run(east, row+cs.X, row+cd.X)
+			} else if cd.X < cs.X {
+				run(west, row+cd.X+1, row+cs.X+1)
+			}
+			if cd.Y > cs.Y {
+				run(south, col+cs.Y, col+cd.Y)
+			} else if cd.Y < cs.Y {
+				run(north, col+cd.Y+1, col+cs.Y+1)
 			}
 		}
 	}
-	// Events occur at rate r per app node per cycle: total event rate is
-	// r*len(Nodes); each sampled draw represents a fraction
-	// len(Nodes)/draws of that total.
-	perDraw := float64(len(app.Nodes)) / float64(draws)
-	maxLoad := 0.0
-	for n := 0; n < mesh.N(); n++ {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if l := chans[n][d] * perDraw; l > maxLoad {
-				maxLoad = l
-			}
-		}
-		if l := inj[n] * perDraw; l > maxLoad {
-			maxLoad = l
-		}
-		if l := ej[n] * perDraw; l > maxLoad {
-			maxLoad = l
+	maxCount := max(slices.Max(inj), slices.Max(ej))
+	for _, c := range [][]int{east, west, south, north} {
+		sum := 0
+		for _, v := range c {
+			sum += v
+			maxCount = max(maxCount, sum)
 		}
 	}
-	if maxLoad == 0 {
+	if maxCount == 0 {
 		return 0
 	}
-	return 1 / maxLoad
+	// Each draw stands for len(Nodes)/draws of the r*len(Nodes) events per
+	// cycle. count*avgFlits is exact (avgFlits is 3) and rounding is monotone,
+	// so this equals summing avgFlits per route and scaling every channel
+	// (TestSaturationRateMatchesWalk).
+	avgFlits := float64(msg.ShortPacketFlits)*shortFrac + float64(msg.LongPacketFlits)*(1-shortFrac)
+	perDraw := float64(len(app.Nodes)) / float64(draws)
+	return 1 / (float64(maxCount) * avgFlits * perDraw)
 }

@@ -138,7 +138,7 @@ func InterPattern(regions *region.Map, base Pattern) Component {
 // DirectedTo sends to a uniformly random node of target (e.g. the DPA
 // scenario where low-load apps send into App 3's region).
 func DirectedTo(target []int) Component {
-	u := Uniform{Nodes: target}
+	u := NewUniform(target)
 	return Component{Weight: 1, Draw: func(node int, rng *sim.RNG) (int, int) {
 		return node, u.Dest(node, rng)
 	}}

@@ -8,6 +8,8 @@
 package traffic
 
 import (
+	"slices"
+
 	"rair/internal/region"
 	"rair/internal/sim"
 	"rair/internal/topology"
@@ -20,27 +22,38 @@ type Pattern interface {
 	Dest(src int, rng *sim.RNG) int
 }
 
-// Uniform sends to a uniformly random node of Nodes (excluding src when
-// possible).
+// Uniform sends to a uniformly random node of a list (excluding src when
+// possible). Build one with NewUniform.
 type Uniform struct {
-	Nodes []int
+	nodes []int
+	first []int32 // first[id] is 1 + id's first position in nodes, 0 if absent
+}
+
+// NewUniform returns the uniform pattern over nodes (ids >= 0; repeats
+// weight a node, and only src's first occurrence is excluded).
+func NewUniform(nodes []int) Uniform {
+	u := Uniform{nodes: nodes}
+	if len(nodes) > 0 {
+		u.first = make([]int32, slices.Max(nodes)+1)
+	}
+	for i := len(nodes) - 1; i >= 0; i-- {
+		u.first[nodes[i]] = int32(i + 1)
+	}
+	return u
 }
 
 // Dest implements Pattern.
 func (u Uniform) Dest(src int, rng *sim.RNG) int {
-	n := len(u.Nodes)
+	n := len(u.nodes)
 	if n == 0 {
 		return src
 	}
 	pos := -1
-	for i, v := range u.Nodes {
-		if v == src {
-			pos = i
-			break
-		}
+	if uint(src) < uint(len(u.first)) {
+		pos = int(u.first[src]) - 1
 	}
 	if pos < 0 {
-		return u.Nodes[rng.Intn(n)]
+		return u.nodes[rng.Intn(n)]
 	}
 	if n == 1 {
 		return src
@@ -49,7 +62,7 @@ func (u Uniform) Dest(src int, rng *sim.RNG) int {
 	if idx >= pos {
 		idx++
 	}
-	return u.Nodes[idx]
+	return u.nodes[idx]
 }
 
 // Transpose sends (x,y) to (y,x) on a square mesh. On a non-square mesh the
@@ -139,7 +152,7 @@ func PatternByName(name string, mesh *topology.Mesh) Pattern {
 	}
 	switch name {
 	case "UR":
-		return Uniform{Nodes: all}
+		return NewUniform(all)
 	case "TP":
 		return Transpose{Mesh: mesh}
 	case "BC":
@@ -168,7 +181,7 @@ func PatternByName(name string, mesh *topology.Mesh) Pattern {
 				hs = append(hs, id)
 			}
 		}
-		return Hotspot{Hotspots: hs, Frac: 0.25, Background: Uniform{Nodes: all}}
+		return Hotspot{Hotspots: hs, Frac: 0.25, Background: NewUniform(all)}
 	}
 	panic("traffic: unknown pattern " + name)
 }

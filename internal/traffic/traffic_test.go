@@ -13,7 +13,7 @@ import (
 func mesh8() *topology.Mesh { return topology.NewMesh(8, 8) }
 
 func TestUniformExcludesSelf(t *testing.T) {
-	u := Uniform{Nodes: []int{3, 7}}
+	u := NewUniform([]int{3, 7})
 	rng := sim.NewRNG(1)
 	for i := 0; i < 100; i++ {
 		if d := u.Dest(3, rng); d != 7 {
@@ -21,19 +21,19 @@ func TestUniformExcludesSelf(t *testing.T) {
 		}
 	}
 	// Single-node set can only return that node.
-	one := Uniform{Nodes: []int{5}}
+	one := NewUniform([]int{5})
 	if one.Dest(5, rng) != 5 {
 		t.Fatal("single-node set")
 	}
 	// Empty set returns src (callers skip it).
-	if (Uniform{}).Dest(9, rng) != 9 {
+	if NewUniform(nil).Dest(9, rng) != 9 {
 		t.Fatal("empty set")
 	}
 }
 
 func TestUniformCoversNodes(t *testing.T) {
 	nodes := []int{0, 1, 2, 3, 4}
-	u := Uniform{Nodes: nodes}
+	u := NewUniform(nodes)
 	rng := sim.NewRNG(2)
 	seen := map[int]int{}
 	for i := 0; i < 5000; i++ {
@@ -66,7 +66,7 @@ func TestHotspot(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	h := Hotspot{Hotspots: []int{0}, Frac: 0.5, Background: Uniform{Nodes: all}}
+	h := Hotspot{Hotspots: []int{0}, Frac: 0.5, Background: NewUniform(all)}
 	rng := sim.NewRNG(3)
 	hits := 0
 	const trials = 10000
@@ -87,7 +87,7 @@ func TestInterRegionAlwaysGlobal(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	p := InterRegion{Base: Uniform{Nodes: all}, Regions: regs}
+	p := InterRegion{Base: NewUniform(all), Regions: regs}
 	rng := sim.NewRNG(4)
 	for i := 0; i < 2000; i++ {
 		src := rng.Intn(64)
@@ -423,7 +423,7 @@ func TestUniformWithConcentratedNodes(t *testing.T) {
 	for _, v := range nodes {
 		member[v] = true
 	}
-	u := Uniform{Nodes: nodes}
+	u := NewUniform(nodes)
 	counts := map[int]int{}
 	for i := 0; i < 4000; i++ {
 		d := u.Dest(0, rng)

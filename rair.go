@@ -417,6 +417,9 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 		return fmt.Errorf("rair: app %d: unknown global pattern %q (have %v)", spec.App, pat, traffic.PatternNames)
 	}
 	mesh := s.regions.Mesh()
+	if spec.GlobalFrac > 0 && len(nodes) == mesh.N() {
+		return fmt.Errorf("rair: app %d's region covers the mesh, so its global share %v has no destination (GlobalFrac must be 0)", spec.App, spec.GlobalFrac)
+	}
 	comps := []traffic.Component{}
 	if intra > 0 {
 		comps = append(comps, traffic.IntraUR(nodes).Weighted(intra))

@@ -125,6 +125,20 @@ func TestAddAppValidation(t *testing.T) {
 			t.Errorf("%s, no intra share: %v", c.name, err)
 		}
 	}
+	// A region covering the whole mesh leaves global traffic no
+	// destination: GlobalFrac 1 used to calibrate to a zero packet rate
+	// without an error, and 0.2 to drop a fifth of the draws.
+	for _, cfg := range []Config{{}, {Layout: LayoutCustom, Rects: []Rect{{X0: 0, Y0: 0, X1: 8, Y1: 8}}}} {
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []float64{1, 0.2} {
+			if err := sim.AddApp(AppSpec{App: 0, LoadFrac: 0.5, GlobalFrac: g}); err == nil || !strings.Contains(err.Error(), "covers the mesh") {
+				t.Errorf("layout %q, GlobalFrac %v: got %v, want an error naming the whole-mesh region", cfg.Layout, g, err)
+			}
+		}
+	}
 }
 
 func TestRunRequiresTraffic(t *testing.T) {
