@@ -18,13 +18,15 @@ func TestReplayTraceErrors(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
+		scheme string
 		events []trace.Event
 		want   string
 	}{
-		{"node outside mesh", []trace.Event{ev(0, 70, 1), ev(1, 0, 1)}, "src 70 outside mesh of 64 nodes"},
-		{"drain timeout", []trace.Event{ev(0, 0, 63), ev(1, 1, 62)}, "drain timeout"},
+		{"node outside mesh", "RO_RR", []trace.Event{ev(0, 70, 1), ev(1, 0, 1)}, "src 70 outside mesh of 64 nodes"},
+		{"drain timeout", "RO_RR", []trace.Event{ev(0, 0, 63), ev(1, 1, 62)}, "drain timeout"},
+		{"unknown scheme", "RAIR_X", []trace.Event{ev(0, 0, 1)}, `unknown scheme "RAIR_X" (want one of RO_RR, RO_Rank,`},
 	} {
-		err := replayTrace(io.Discard, &trace.Trace{Events: tc.events}, "RO_RR", 0, 2)
+		err := replayTrace(io.Discard, &trace.Trace{Events: tc.events}, tc.scheme, 0, 2)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: replay returned %v, want an error containing %q", tc.name, err, tc.want)
 		}

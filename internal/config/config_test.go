@@ -126,6 +126,17 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.1}],
 		  "phases": {"measure": 100}
 		}`,
+		// Used to run, letting a younger batch outrank an older one.
+		"rank out of range": `{
+		  "config": {"scheme": "RO_Rank", "ranks": [0, 9]},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
+		"empty ranks": `{
+		  "config": {"scheme": "RO_Rank", "ranks": []},
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "phases": {"measure": 100}
+		}`,
 		"sixgrid 4x2": `{
 		  "config": {"meshW": 4, "meshH": 2, "layout": "sixgrid"},
 		  "apps": [{"app": 0, "loadFrac": 0.1}],

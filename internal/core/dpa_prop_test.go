@@ -27,7 +27,7 @@ func TestDPAHysteresisTable(t *testing.T) {
 		{1, 0, false, "ratio 0 < 0.8, native drops"},
 		{0, 0, false, "both zero again, holds low"},
 	}
-	p := New(Config{})
+	p := rairPolicy(nil)
 	if p.NativeHigh() {
 		t.Fatal("DPA must start foreign-high")
 	}
@@ -53,9 +53,8 @@ func TestDPAHysteresisProperty(t *testing.T) {
 	check := func(seed int64, dRaw uint8) bool {
 		// Δ in (0, 0.5]: the paper's useful range, never zero.
 		delta := float64(dRaw%50+1) / 100
-		p := New(Config{Delta: delta})
+		p := rairPolicy(func(s *policy.Spec) { s.Delta = delta })
 		rng := rand.New(rand.NewSource(seed))
-		native := policy.Requestor{Native: true}
 		for step := 0; step < 500; step++ {
 			ovcN, ovcF := rng.Intn(9), rng.Intn(9)
 			before := p.NativeHigh()
@@ -67,7 +66,7 @@ func TestDPAHysteresisProperty(t *testing.T) {
 			if before {
 				wantPrio = 1
 			}
-			if got := p.VAOutPriority(native, policy.VCRegional, int64(step)); got != wantPrio {
+			if got := p.VAPriority(native, policy.VCRegional, int64(step)); got != wantPrio {
 				t.Errorf("seed %d step %d: VA priority %d disagrees with pre-Update state %v",
 					seed, step, got, before)
 				return false
@@ -105,18 +104,18 @@ func TestDPAHysteresisProperty(t *testing.T) {
 // TestDPAStaticModesIgnoreOccupancy: the ablation modes pin the priority
 // regardless of what Update observes.
 func TestDPAStaticModesIgnoreOccupancy(t *testing.T) {
-	nh := New(Config{Mode: ModeNativeHigh})
-	fh := New(Config{Mode: ModeForeignHigh})
+	nh := mode(policy.NativeH)
+	fh := mode(policy.ForeignH)
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 100; step++ {
 		ovcN, ovcF := rng.Intn(9), rng.Intn(9)
 		nh.Update(ovcN, ovcF)
 		fh.Update(ovcN, ovcF)
 		if !nh.NativeHigh() {
-			t.Fatal("ModeNativeHigh lost native priority")
+			t.Fatal("NativeH lost native priority")
 		}
 		if fh.NativeHigh() {
-			t.Fatal("ModeForeignHigh gained native priority")
+			t.Fatal("ForeignH gained native priority")
 		}
 	}
 }

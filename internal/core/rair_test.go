@@ -1,34 +1,59 @@
+// Package core holds the tests of RAIR's three mechanisms — VC
+// regionalization, multi-stage prioritization and dynamic priority
+// adaptation — on the policy policy.New builds; the policy itself is
+// internal/policy.
 package core
 
 import (
 	"testing"
 	"testing/quick"
 
+	"rair/internal/msg"
 	"rair/internal/policy"
 )
 
+// The policies under test belong to a router of application 0.
 var (
-	native  = policy.Requestor{App: 0, Native: true}
-	foreign = policy.Requestor{App: 1, Native: false}
+	native  = &msg.Packet{App: 0}
+	foreign = &msg.Packet{App: 1}
 )
+
+// rairPolicy is the full RAIR (DPA at the default Δ, MSP at VA and SA) with one
+// edit applied to its Spec.
+func rairPolicy(edit func(*policy.Spec)) *policy.Policy {
+	s := policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
+	if edit != nil {
+		edit(&s)
+	}
+	p := policy.New(s, 0)
+	return &p
+}
+
+// mode is RAIR with the native/foreign priority rule pr.
+func mode(pr policy.Priority) *policy.Policy {
+	return rairPolicy(func(s *policy.Spec) { s.Priority = pr })
+}
+
+// modes are the three native/foreign priority rules.
+var modes = []policy.Priority{policy.DPA, policy.NativeH, policy.ForeignH}
 
 func TestGlobalVCAlwaysForeignFirst(t *testing.T) {
 	// On global VCs foreign traffic outranks native regardless of DPA
 	// state or mode (Section IV.A).
-	for _, mode := range []PriorityMode{ModeDPA, ModeNativeHigh, ModeForeignHigh} {
-		p := New(Config{Mode: mode})
+	for _, pr := range modes {
+		p := mode(pr)
 		p.Update(0, 10) // try to flip DPA state
-		nf := p.VAOutPriority(native, policy.VCGlobal, 0)
-		ff := p.VAOutPriority(foreign, policy.VCGlobal, 0)
+		nf := p.VAPriority(native, policy.VCGlobal, 0)
+		ff := p.VAPriority(foreign, policy.VCGlobal, 0)
 		if ff <= nf {
-			t.Errorf("mode %v: foreign %d <= native %d on global VC", mode, ff, nf)
+			t.Errorf("rule %d: foreign %d <= native %d on global VC", pr, ff, nf)
 		}
 	}
 }
 
 func TestEscapeVCFlat(t *testing.T) {
-	p := New(Config{})
-	if p.VAOutPriority(native, policy.VCEscape, 0) != p.VAOutPriority(foreign, policy.VCEscape, 0) {
+	p := rairPolicy(nil)
+	if p.VAPriority(native, policy.VCEscape, 0) != p.VAPriority(foreign, policy.VCEscape, 0) {
 		t.Fatal("escape VCs must stay fair")
 	}
 }
@@ -36,20 +61,20 @@ func TestEscapeVCFlat(t *testing.T) {
 func TestDefaultForeignHigh(t *testing.T) {
 	// The DPA default is foreign-high (global traffic is typically more
 	// critical).
-	p := New(Config{})
+	p := rairPolicy(nil)
 	if p.NativeHigh() {
 		t.Fatal("fresh DPA state must be foreign-high")
 	}
 	if p.SAPriority(foreign, 0) <= p.SAPriority(native, 0) {
 		t.Fatal("foreign must win SA by default")
 	}
-	if p.VAOutPriority(foreign, policy.VCRegional, 0) <= p.VAOutPriority(native, policy.VCRegional, 0) {
+	if p.VAPriority(foreign, policy.VCRegional, 0) <= p.VAPriority(native, policy.VCRegional, 0) {
 		t.Fatal("foreign must win regional VCs by default")
 	}
 }
 
 func TestDPAHysteresisTransitions(t *testing.T) {
-	p := New(Config{Delta: 0.2})
+	p := rairPolicy(nil)
 	// Ratio must exceed 1.2 to raise native priority.
 	p.Update(10, 11) // r = 1.1, inside band
 	if p.NativeHigh() {
@@ -71,7 +96,7 @@ func TestDPAHysteresisTransitions(t *testing.T) {
 }
 
 func TestDPAZeroEdges(t *testing.T) {
-	p := New(Config{})
+	p := rairPolicy(nil)
 	p.Update(0, 0) // nothing occupied: hold default
 	if p.NativeHigh() {
 		t.Fatal("state changed with empty registers")
@@ -91,8 +116,8 @@ func TestDPAZeroEdges(t *testing.T) {
 }
 
 func TestStaticModesIgnoreUpdate(t *testing.T) {
-	nh := New(Config{Mode: ModeNativeHigh})
-	fh := New(Config{Mode: ModeForeignHigh})
+	nh := mode(policy.NativeH)
+	fh := mode(policy.ForeignH)
 	for i := 0; i < 5; i++ {
 		nh.Update(0, 100)
 		fh.Update(100, 0)
@@ -109,12 +134,12 @@ func TestStaticModesIgnoreUpdate(t *testing.T) {
 }
 
 func TestVAOnlyDisablesSA(t *testing.T) {
-	p := New(Config{VAOnly: true})
+	p := rairPolicy(func(s *policy.Spec) { s.MSP = policy.VAOnly })
 	if p.SAPriority(native, 0) != p.SAPriority(foreign, 0) {
 		t.Fatal("VA-only RAIR must leave SA flat")
 	}
 	// VA rules still apply.
-	if p.VAOutPriority(foreign, policy.VCGlobal, 0) <= p.VAOutPriority(native, policy.VCGlobal, 0) {
+	if p.VAPriority(foreign, policy.VCGlobal, 0) <= p.VAPriority(native, policy.VCGlobal, 0) {
 		t.Fatal("VA rules must still hold")
 	}
 }
@@ -122,10 +147,10 @@ func TestVAOnlyDisablesSA(t *testing.T) {
 func TestSAConsistentWithRegionalVA(t *testing.T) {
 	// Section IV.B: the same DPA priority is used for VA_out, SA_in and
 	// SA_out at a given time.
-	p := New(Config{})
+	p := rairPolicy(nil)
 	check := func() {
-		for _, r := range []policy.Requestor{native, foreign} {
-			if p.SAPriority(r, 0) != p.VAOutPriority(r, policy.VCRegional, 0) {
+		for _, r := range []*msg.Packet{native, foreign} {
+			if p.SAPriority(r, 0) != p.VAPriority(r, policy.VCRegional, 0) {
 				t.Fatal("SA and regional-VC priorities diverged")
 			}
 		}
@@ -139,7 +164,7 @@ func TestSAConsistentWithRegionalVA(t *testing.T) {
 // with ratio far outside the band it always lands in the matching state.
 func TestDPAConvergence(t *testing.T) {
 	if err := quick.Check(func(updates []bool) bool {
-		p := New(Config{})
+		p := rairPolicy(nil)
 		for _, up := range updates {
 			if up {
 				p.Update(1, 10)
@@ -161,7 +186,7 @@ func TestDPAConvergence(t *testing.T) {
 func TestDPANegativeFeedback(t *testing.T) {
 	if err := quick.Check(func(n8, f8 uint8) bool {
 		n, f := int(n8%40), int(f8%40)
-		p := New(Config{Delta: 0.2})
+		p := rairPolicy(nil)
 		p.Update(n, f)
 		switch {
 		case float64(f) > 1.2*float64(n) && f > 0:
@@ -176,68 +201,27 @@ func TestDPANegativeFeedback(t *testing.T) {
 	}
 }
 
-func TestDeltaDefaultAndValidation(t *testing.T) {
-	p := New(Config{})
-	if p.cfg.Delta != DefaultDelta {
-		t.Fatalf("default delta = %v", p.cfg.Delta)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delta")
+// TestZeroDeltaHasNoBand: Δ = 0 is no hysteresis at all (the Δ ablation's
+// first row), not a default width: any excess of one occupancy over the
+// other flips the state.
+func TestZeroDeltaHasNoBand(t *testing.T) {
+	p := rairPolicy(func(s *policy.Spec) { s.Delta = 0 })
+	for i, s := range []struct {
+		ovcN, ovcF int
+		wantHigh   bool
+	}{{10, 11, true}, {10, 10, true}, {10, 9, false}, {10, 10, false}, {3, 4, true}} {
+		if p.Update(s.ovcN, s.ovcF); p.NativeHigh() != s.wantHigh {
+			t.Fatalf("step %d (OVC_n=%d OVC_f=%d): NativeHigh=%v, want %v", i, s.ovcN, s.ovcF, p.NativeHigh(), s.wantHigh)
 		}
-	}()
-	New(Config{Delta: -0.1})
+	}
 }
 
+// Each router's policy keeps its own DPA state.
 func TestFactoryProducesIndependentInstances(t *testing.T) {
-	f := NewFactory(Config{})
-	a, b := f(0, 0), f(1, 1)
+	spec := policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
+	a, b := policy.New(spec, 0), policy.New(spec, 1)
 	a.Update(0, 10)
-	ra := a.(*RAIR)
-	rb := b.(*RAIR)
-	if !ra.NativeHigh() || rb.NativeHigh() {
+	if !a.NativeHigh() || b.NativeHigh() {
 		t.Fatal("router DPA states must be independent")
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	if ModeDPA.String() != "DPA" || ModeNativeHigh.String() != "NativeH" ||
-		ModeForeignHigh.String() != "ForeignH" || PriorityMode(9).String() != "Mode(?)" {
-		t.Fatal("mode strings")
-	}
-}
-
-// TestTablesMatchInterface cross-checks the Tabular fast path against the
-// interface methods it shortcuts: for every mode, in both DPA states, the
-// lookup tables must return exactly what SAPriority/VAOutPriority return
-// for every (native, class) combination. refreshTables and the interface
-// methods are maintained by hand in parallel; this is the guard that keeps
-// them from drifting.
-func TestTablesMatchInterface(t *testing.T) {
-	for _, cfg := range []Config{
-		{}, {VAOnly: true}, {Mode: ModeNativeHigh}, {Mode: ModeForeignHigh},
-	} {
-		p := New(cfg)
-		check := func(state string) {
-			saTab, vaTab := p.PriorityTables()
-			for nat := 0; nat < 2; nat++ {
-				r := policy.Requestor{Native: nat == 1}
-				if got, want := int(saTab[nat]), p.SAPriority(r, 0); got != want {
-					t.Errorf("%+v %s: saTab[%d]=%d, SAPriority=%d", cfg, state, nat, got, want)
-				}
-				for cls := 0; cls < 3; cls++ {
-					if got, want := int(vaTab[cls][nat]), p.VAOutPriority(r, policy.VCClass(cls), 0); got != want {
-						t.Errorf("%+v %s: vaTab[%d][%d]=%d, VAOutPriority=%d", cfg, state, cls, nat, got, want)
-					}
-				}
-			}
-		}
-		check("initial")
-		// Drive the DPA through both states (no-op for the static modes,
-		// which must also leave the tables untouched).
-		p.Update(1, 100)
-		check("foreign-heavy")
-		p.Update(100, 1)
-		check("native-heavy")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // let the network skip it entirely.
 func TestSchemeCongestionGating(t *testing.T) {
 	regs, _ := Fig9Scenario(0.5)
-	for _, s := range []Scheme{RORRDBAR("RA_DBAR"), RAIRDBAR("RAIR_DBAR")} {
+	for _, s := range []Scheme{RORRDBAR("RA_DBAR"), scheme("RAIR_DBAR", "")} {
 		if !routing.ConsumesCongestion(s.Sel(regs, synthCfg())) {
 			t.Errorf("%s uses DBAR selection but would not propagate congestion", s.Name)
 		}
@@ -39,7 +39,7 @@ func TestShardedRunDeterminism(t *testing.T) {
 		{"fig9", func() (*region.Map, []traffic.AppTraffic) { return Fig9Scenario(0.5) }},
 		{"fig14", func() (*region.Map, []traffic.AppTraffic) { return Fig14Scenario("UR") }},
 	}
-	schemes := []Scheme{RORR(), RAIR("RA_RAIR"), RAIRDBAR("RAIR_DBAR")}
+	schemes := []Scheme{RORR(), RAIR("RA_RAIR"), scheme("RAIR_DBAR", "")}
 	for _, sc := range scenarios {
 		for _, scheme := range schemes {
 			t.Run(sc.name+"/"+scheme.Name, func(t *testing.T) {

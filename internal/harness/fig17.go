@@ -165,7 +165,7 @@ func Fig17Adversarial(dur Durations, seed uint64) *Panel {
 // (avoiding buffer hogging) and imposes a global FIFO-like order — where
 // the balance lands is an empirical question this ablation answers.
 func AblateAgeBased(dur Durations, seed uint64) *Panel {
-	schemes := []Scheme{RORR(), {Name: "RO_Age", Policy: policy.NewAge}, RAIR("RA_RAIR")}
+	schemes := []Scheme{RORR(), {Name: "RO_Age", Policy: policy.Spec{Priority: policy.Age}}, RAIR("RA_RAIR")}
 	return adversarialPanel("Oldest-first arbitration under the adversarial flood", schemes, dur, seed)
 }
 
@@ -175,10 +175,9 @@ func AblateAgeBased(dur Durations, seed uint64) *Panel {
 func AblateBatching(intervals []int64, dur Durations, seed uint64) *Panel {
 	schemes := make([]Scheme, 0, len(intervals))
 	for _, iv := range intervals {
-		schemes = append(schemes, Scheme{
-			Name:   fmt.Sprintf("RO_Rank_B%d", iv),
-			Policy: policy.NewRankFactoryInterval(PARSECRanks(), iv),
-		})
+		s := RORank(PARSECRanks())
+		s.Name, s.Policy.Batch = fmt.Sprintf("RO_Rank_B%d", iv), iv
+		schemes = append(schemes, s)
 	}
 	return adversarialPanel("STC batching-interval ablation under the adversarial flood", schemes, dur, seed)
 }

@@ -31,7 +31,7 @@ func sweepPanel(title string, schemes []Scheme, ps []float64, dur Durations, see
 // Schemes: RO_RR, RAIR with MSP at VA only, RAIR with MSP at VA+SA.
 func Fig9MSP(dur Durations, ps []float64, seed uint64) *Panel {
 	return sweepPanel("Figure 9: impact of MSP (APL vs inter-region fraction p)",
-		[]Scheme{RORR(), RAIRVA(), RAIR("RAIR_VA+SA")}, ps, dur, seed)
+		[]Scheme{RORR(), scheme("RAIR_VA", ""), RAIR("RAIR_VA+SA")}, ps, dur, seed)
 }
 
 // Fig10Routing reproduces Figure 10: the impact of the routing algorithm.
@@ -39,7 +39,7 @@ func Fig9MSP(dur Durations, ps []float64, seed uint64) *Panel {
 // adaptive selection and with DBAR.
 func Fig10Routing(dur Durations, ps []float64, seed uint64) *Panel {
 	return sweepPanel("Figure 10: impact of routing algorithm (APL vs p)",
-		[]Scheme{RORR(), RAIR("RAIR_Local"), RORRDBAR("RO_RR_DBAR"), RAIRDBAR("RAIR_DBAR")}, ps, dur, seed)
+		[]Scheme{RORR(), RAIR("RAIR_Local"), RORRDBAR("RO_RR_DBAR"), scheme("RAIR_DBAR", "")}, ps, dur, seed)
 }
 
 // Fig12DPA reproduces Figure 12: the need for dynamic priority adaptation,
@@ -50,7 +50,7 @@ func Fig12DPA(v Fig12Variant, dur Durations, seed uint64) *Panel {
 	if v == Fig12B {
 		name = "(b) App3 sends out"
 	}
-	schemes := []Scheme{RORR(), RAIRNativeH(), RAIRForeignH(), RAIR("RAIR_DPA")}
+	schemes := []Scheme{RORR(), scheme("RAIR_NativeH", ""), scheme("RAIR_ForeignH", ""), RAIR("RAIR_DPA")}
 	return schemePanel("Figure 12"+name, regs, apps, schemes, dur, seed)
 }
 
@@ -106,7 +106,9 @@ func AblateDelta(deltas []float64, dur Durations, seed uint64) *Panel {
 	rcs := []RunConfig{synthRun(regs, apps, RORR(), dur, seed)}
 	labels := []string{"RO_RR"}
 	for _, d := range deltas {
-		rcs = append(rcs, synthRun(regs, apps, RAIRDelta(d), dur, seed))
+		s := RAIR("RAIR")
+		s.Policy.Delta = d
+		rcs = append(rcs, synthRun(regs, apps, s, dur, seed))
 		labels = append(labels, fmt.Sprintf("%.2f", d))
 	}
 	return runPanel("DPA hysteresis ablation: avg APL reduction vs RO_RR per Δ", labels, rcs, appNames("App", len(apps)))

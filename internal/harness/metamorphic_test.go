@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rair/internal/msg"
+	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/traffic"
 )
@@ -35,19 +36,37 @@ func ejectionTrace(t *testing.T, regs *region.Map, apps []traffic.AppTraffic, s 
 	return renderTrace(nil, lines)
 }
 
-// With one region there is no foreign traffic: every RAIR variant must
-// arbitrate exactly as round-robin does, over either selection function.
+// With one region there is no foreign traffic: every scheme of the table
+// with a native/foreign priority must arbitrate exactly as round-robin does
+// over the same selection function.
 func TestOneRegionRAIRIsRoundRobin(t *testing.T) {
 	regs, apps := UniformScenario(0.6)
-	want := ejectionTrace(t, regs, apps, RORR())
-	for _, s := range []Scheme{RAIR("RA_RAIR"), RAIRVA(), RAIRNativeH(), RAIRForeignH(), RAIRDelta(0.4)} {
-		if got := ejectionTrace(t, regs, apps, s); got != want {
-			t.Errorf("%s on one region differs from RO_RR:\n%s\nwant\n%s", s.Name, got, want)
+	want := map[SelectorKind]string{}
+	covered := 0
+	for _, s := range schemes {
+		if s.Policy.Priority < policy.NativeH {
+			continue
+		}
+		covered++
+		rr := s
+		rr.Name, rr.Policy = "RO_RR", policy.Spec{}
+		if _, ok := want[s.Selector]; !ok {
+			want[s.Selector] = ejectionTrace(t, regs, apps, rr)
+		}
+		if got := ejectionTrace(t, regs, apps, s); got != want[s.Selector] {
+			t.Errorf("%s on one region differs from RO_RR over the same selection:\n%s\nwant\n%s", s.Name, got, want[s.Selector])
 		}
 	}
-	if got, want := ejectionTrace(t, regs, apps, RAIRDBAR("RAIR_DBAR")), ejectionTrace(t, regs, apps, RORRDBAR("RA_DBAR")); got != want {
-		t.Errorf("RAIR_DBAR on one region differs from RA_DBAR:\n%s\nwant\n%s", got, want)
+	if covered < 5 {
+		t.Fatalf("only %d table rows have a native/foreign priority", covered)
 	}
+}
+
+// rairDelta is RA_RAIR at DPA hysteresis width delta.
+func rairDelta(delta float64) Scheme {
+	s := RAIR("RAIR")
+	s.Policy.Delta = delta
+	return s
 }
 
 // With all traffic intra-region the DPA has no foreign occupancy to react
@@ -58,9 +77,9 @@ func TestIntraRegionTrafficIgnoresDelta(t *testing.T) {
 	for a, load := range []float64{0.2, 0.9, 0.5, 0.7} {
 		apps = append(apps, mix(regs, a, load, 1))
 	}
-	want := ejectionTrace(t, regs, apps, RAIRDelta(0))
+	want := ejectionTrace(t, regs, apps, rairDelta(0))
 	for _, delta := range []float64{0.1, 0.2, 0.5} {
-		if got := ejectionTrace(t, regs, apps, RAIRDelta(delta)); got != want {
+		if got := ejectionTrace(t, regs, apps, rairDelta(delta)); got != want {
 			t.Errorf("delta %v changes an all-intra-region run:\n%s\nwant\n%s", delta, got, want)
 		}
 	}
@@ -105,7 +124,7 @@ func TestIsolatedRegionIgnoresOtherRegions(t *testing.T) {
 		}
 		return renderTrace(nil, lines)
 	}
-	for _, s := range []Scheme{RORR(), RORank([]int{0, 1, 2, 3}), RORRDBAR("RA_DBAR"), RAIR("RA_RAIR"), RAIRDBAR("RAIR_DBAR")} {
+	for _, s := range []Scheme{RORR(), RORank([]int{0, 1, 2, 3}), RORRDBAR("RA_DBAR"), RAIR("RA_RAIR"), scheme("RAIR_DBAR", "")} {
 		want := app0(s, [3]float64{0.1, 0.1, 0.1})
 		for _, others := range [][3]float64{{0.9, 0.5, 0.7}, {0.95, 0.95, 0.95}} {
 			if got := app0(s, others); got != want {

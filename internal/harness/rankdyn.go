@@ -19,9 +19,10 @@ func RunDynRank(dur Durations, seed uint64) *stats.Collector {
 	regs, apps := Fig14Scenario("UR")
 	state := policy.NewRankState(regs.NumApps(), RankDynInterval)
 	end := dur.Warmup + dur.Measure
+	s := scheme("RO_Rank", "RO_RankDyn")
+	s.Policy.Ranks = state
 	return Run(RunConfig{
-		Regions: regs, Router: synthCfg(), Dur: dur, Seed: seed,
-		Scheme: Scheme{Name: "RO_RankDyn", Policy: policy.NewDynRankFactory(state)},
+		Regions: regs, Router: synthCfg(), Dur: dur, Seed: seed, Scheme: s,
 		// The generator is built here rather than from Apps so that every
 		// injection is also reported to the ranking state, and so that the
 		// re-ranking step ticks ahead of it. Ranks freeze with the traffic

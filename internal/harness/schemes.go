@@ -2,8 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"rair/internal/core"
 	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -27,7 +28,7 @@ const (
 // (Section V.A); they differ in policy and selection function.
 type Scheme struct {
 	Name     string
-	Policy   policy.Factory
+	Policy   policy.Spec
 	Selector SelectorKind
 }
 
@@ -44,84 +45,68 @@ func (s Scheme) Sel(regions *region.Map, cfg router.Config) routing.Selector {
 	return routing.LocalSelector{}
 }
 
-// RORR is the region-oblivious round-robin baseline with local selection.
-func RORR() Scheme {
-	return Scheme{Name: "RO_RR", Policy: policy.NewRoundRobin}
+// rairSpec is the full technique: DPA at the paper's Δ with MSP at VA and SA.
+var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
+
+// schemes is the table of named schemes. RA_DBAR is round-robin arbitration
+// over DBAR routing: DBAR's region-aware selection is the mechanism (also
+// RO_RR_DBAR in Figure 10). RO_Rank is the idealized STC with the identity
+// ranking over 8 apps; RORank gives it another oracle ranking. RAIR_VA is
+// the Figure 9 ablation with MSP at the VA stage only, RAIR_NativeH and
+// RAIR_ForeignH the Figure 12 ablations without DPA.
+var schemes = []Scheme{
+	{Name: "RO_RR"},
+	{Name: "RO_Rank", Policy: policy.Spec{Priority: policy.Rank,
+		Ranks: policy.FixedRanks([]int{0, 1, 2, 3, 4, 5, 6, 7}), Batch: policy.BatchInterval}},
+	{Name: "RA_DBAR", Selector: SelDBAR},
+	{Name: "RA_RAIR", Policy: rairSpec},
+	{Name: "RAIR_DBAR", Policy: rairSpec, Selector: SelDBAR},
+	{Name: "RAIR_VA", Policy: policy.Spec{Priority: policy.DPA, MSP: policy.VAOnly, Delta: policy.DefaultDelta}},
+	{Name: "RAIR_NativeH", Policy: policy.Spec{Priority: policy.NativeH}},
+	{Name: "RAIR_ForeignH", Policy: policy.Spec{Priority: policy.ForeignH}},
 }
 
-// RORRDBAR is round-robin arbitration over DBAR routing (RO_RR_DBAR in
-// Figure 10, RA_DBAR in Figures 14-17: DBAR's region-aware selection is the
-// interference-reduction mechanism).
-func RORRDBAR(name string) Scheme {
-	return Scheme{Name: name, Policy: policy.NewRoundRobin, Selector: SelDBAR}
+// SchemeNames lists the names of the scheme table, in its order.
+func SchemeNames() []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
+	}
+	return names
 }
+
+// SchemeByName returns the table row called name.
+func SchemeByName(name string) (Scheme, error) {
+	if i := slices.IndexFunc(schemes, func(s Scheme) bool { return s.Name == name }); i >= 0 {
+		return schemes[i], nil
+	}
+	return Scheme{}, fmt.Errorf("harness: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
+}
+
+// scheme is the table row called name, under the report label label
+// (empty: its own name). Every caller passes a name of the table.
+func scheme(name, label string) Scheme {
+	s := schemes[slices.IndexFunc(schemes, func(s Scheme) bool { return s.Name == name })]
+	if label != "" {
+		s.Name = label
+	}
+	return s
+}
+
+// RORR is the region-oblivious round-robin baseline with local selection.
+func RORR() Scheme { return scheme("RO_RR", "") }
+
+// RORRDBAR is RA_DBAR under the report label name.
+func RORRDBAR(name string) Scheme { return scheme("RA_DBAR", name) }
 
 // RORank is the idealized STC with the given oracle ranking (rank 0 =
 // least network-intensive = highest priority).
 func RORank(ranks []int) Scheme {
-	return Scheme{Name: "RO_Rank", Policy: policy.NewRankFactory(ranks)}
+	s := scheme("RO_Rank", "")
+	s.Policy.Ranks = policy.FixedRanks(ranks)
+	return s
 }
 
-// RAIR is the full technique (DPA + MSP at VA and SA) with local selection.
-func RAIR(name string) Scheme {
-	return Scheme{Name: name, Policy: core.NewFactory(core.Config{})}
-}
-
-// RAIRDBAR is the full technique over DBAR routing (RAIR_DBAR in Figure 10).
-func RAIRDBAR(name string) Scheme {
-	return Scheme{Name: name, Policy: core.NewFactory(core.Config{}), Selector: SelDBAR}
-}
-
-// RAIRVA is the Figure 9 ablation with MSP enforced only at the VA stage.
-func RAIRVA() Scheme {
-	return Scheme{Name: "RAIR_VA", Policy: core.NewFactory(core.Config{VAOnly: true})}
-}
-
-// RAIRNativeH / RAIRForeignH are the Figure 12 ablations without DPA.
-func RAIRNativeH() Scheme {
-	return Scheme{Name: "RAIR_NativeH", Policy: core.NewFactory(core.Config{Mode: core.ModeNativeHigh})}
-}
-
-// RAIRForeignH statically favors foreign traffic.
-func RAIRForeignH() Scheme {
-	return Scheme{Name: "RAIR_ForeignH", Policy: core.NewFactory(core.Config{Mode: core.ModeForeignHigh})}
-}
-
-// RAIRDelta is RAIR with a specific DPA hysteresis width (the Section IV.C
-// Δ ablation). delta = 0 means genuinely no hysteresis (core.Config treats
-// zero as "use default", so it is mapped to a negligible width here).
-func RAIRDelta(delta float64) Scheme {
-	if delta == 0 {
-		delta = 1e-12
-	}
-	return Scheme{Name: "RAIR", Policy: core.NewFactory(core.Config{Delta: delta})}
-}
-
-// SchemeByName resolves the evaluation schemes by their report names.
-// RO_Rank gets the identity ranking over 8 apps unless built explicitly
-// with RORank.
-func SchemeByName(name string) (Scheme, error) {
-	switch name {
-	case "RO_RR":
-		return RORR(), nil
-	case "RO_Rank":
-		ranks := make([]int, 8)
-		for i := range ranks {
-			ranks[i] = i
-		}
-		return RORank(ranks), nil
-	case "RA_DBAR", "RO_RR_DBAR":
-		return RORRDBAR(name), nil
-	case "RA_RAIR", "RAIR", "RAIR_Local", "RAIR_VA+SA":
-		return RAIR(name), nil
-	case "RAIR_DBAR":
-		return RAIRDBAR(name), nil
-	case "RAIR_VA":
-		return RAIRVA(), nil
-	case "RAIR_NativeH":
-		return RAIRNativeH(), nil
-	case "RAIR_ForeignH":
-		return RAIRForeignH(), nil
-	}
-	return Scheme{}, fmt.Errorf("harness: unknown scheme %q", name)
-}
+// RAIR is RA_RAIR, the full technique with local selection, under the
+// report label name.
+func RAIR(name string) Scheme { return scheme("RA_RAIR", name) }

@@ -9,7 +9,6 @@ import (
 	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/network"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -27,7 +26,6 @@ func build(t testing.TB, chk *invariant.Config, fl *faults.Config) *network.Netw
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: mesh},
 		Sel:     routing.LocalSelector{},
-		Policy:  policy.NewRoundRobin,
 		Check:   chk,
 		Faults:  fl,
 	})

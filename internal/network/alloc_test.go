@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -33,7 +32,7 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     routing.LocalSelector{},
-		Policy:  core.NewFactory(core.Config{}),
+		Policy:  rairSpec,
 		Recycle: pool.Put,
 	})
 	rng := sim.NewRNG(1)
@@ -83,7 +82,7 @@ func heapPerRouter(edge int) float64 {
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     routing.LocalSelector{},
-		Policy:  core.NewFactory(core.Config{}),
+		Policy:  rairSpec,
 	})
 	runtime.GC()
 	runtime.ReadMemStats(&after)

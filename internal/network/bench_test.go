@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -22,7 +21,7 @@ func BenchmarkNetworkTick(b *testing.B) {
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     routing.LocalSelector{},
-		Policy:  core.NewFactory(core.Config{}),
+		Policy:  rairSpec,
 	})
 	rng := sim.NewRNG(1)
 	var id uint64
@@ -74,7 +73,7 @@ func BenchmarkTickEngine(b *testing.B) {
 				Regions: regions,
 				Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 				Sel:     routing.LocalSelector{},
-				Policy:  core.NewFactory(core.Config{}),
+				Policy:  rairSpec,
 				Workers: tc.workers,
 			})
 			defer n.Close()
@@ -115,7 +114,7 @@ func BenchmarkTelemetry(b *testing.B) {
 				Regions:   regions,
 				Alg:       routing.MinimalAdaptive{Mesh: regions.Mesh()},
 				Sel:       routing.LocalSelector{},
-				Policy:    core.NewFactory(core.Config{}),
+				Policy:    rairSpec,
 				Telemetry: tc.tel(),
 			})
 			defer n.Close()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rair/internal/msg"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -28,7 +27,6 @@ func buildWorkers(t testing.TB, workers int, sel func(*region.Map) routing.Selec
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     s,
-		Policy:  policy.NewRoundRobin,
 		OnEject: func(p *msg.Packet, now int64) { delivered = append(delivered, p) },
 		Workers: workers,
 	})
@@ -166,7 +164,7 @@ func TestEngineWorkerLifecycle(t *testing.T) {
 		regions := region.Quadrants(topology.NewMesh(8, 8))
 		n := New(Params{
 			Router: router.DefaultConfig(1), Regions: regions, Alg: routing.MinimalAdaptive{Mesh: regions.Mesh()},
-			Sel: routing.LocalSelector{}, Policy: policy.NewRoundRobin, Workers: 4,
+			Sel: routing.LocalSelector{}, Workers: 4,
 		})
 		for c := int64(0); c < 10; c++ {
 			n.Tick(c)
@@ -257,7 +255,6 @@ func TestEngineShardPartition(t *testing.T) {
 				Regions: tc.regions,
 				Alg:     routing.MinimalAdaptive{Mesh: tc.regions.Mesh()},
 				Sel:     routing.LocalSelector{},
-				Policy:  policy.NewRoundRobin,
 				Workers: workers, Chiplets: tc.chips,
 			})
 			checkWiring(t, fmt.Sprintf("%s workers=%d", tc.name, workers), n)
@@ -370,7 +367,6 @@ func TestCongestionGating(t *testing.T) {
 		Router:  router.DefaultConfig(1),
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
-		Policy:  policy.NewRoundRobin,
 	}
 	for _, tc := range []struct {
 		name string

@@ -11,7 +11,6 @@ import (
 	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/obs"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -30,7 +29,6 @@ func buildFaulty(t testing.TB, regions *region.Map, p Params) (*Network, *[]*msg
 	p.Regions = regions
 	p.Alg = routing.MinimalAdaptive{Mesh: mesh}
 	p.Sel = routing.LocalSelector{}
-	p.Policy = policy.NewRoundRobin
 	p.OnEject = func(p *msg.Packet, now int64) { delivered = append(delivered, p) }
 	n := New(p)
 	return n, &delivered

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -46,16 +45,16 @@ func TestConfigFuzz(t *testing.T) {
 		}
 		cfg.GlobalVCs = rng.Intn(cfg.AdaptiveVCs + 1)
 
-		var pf policy.Factory
+		var pf policy.Spec
 		switch rng.Intn(4) {
 		case 0:
-			pf = policy.NewRoundRobin
+			pf = policy.Spec{}
 		case 1:
-			pf = policy.NewAge
+			pf = policy.Spec{Priority: policy.Age}
 		case 2:
-			pf = policy.NewRankFactory([]int{0, 1, 2, 3})
+			pf = policy.Spec{Priority: policy.Rank, Ranks: policy.FixedRanks([]int{0, 1, 2, 3}), Batch: policy.BatchInterval}
 		default:
-			pf = core.NewFactory(core.Config{Mode: core.PriorityMode(rng.Intn(3))})
+			pf = policy.Spec{Priority: []policy.Priority{policy.DPA, policy.NativeH, policy.ForeignH}[rng.Intn(3)], Delta: policy.DefaultDelta}
 		}
 
 		var alg routing.Algorithm

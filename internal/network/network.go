@@ -42,8 +42,8 @@ type Params struct {
 	// the algorithm returns several candidates.
 	Alg routing.Algorithm
 	Sel routing.Selector
-	// Policy builds the per-router interference-reduction policy.
-	Policy policy.Factory
+	// Policy is the arbitration policy each router builds its own from.
+	Policy policy.Spec
 	// OnEject, if non-nil, observes every delivered packet. Callbacks run
 	// on the goroutine calling Tick, in ascending node order within a
 	// cycle, regardless of Workers.
@@ -118,7 +118,7 @@ func New(p Params) *Network {
 	if err := p.Router.Validate(); err != nil {
 		panic(err)
 	}
-	if p.Regions == nil || p.Alg == nil || p.Sel == nil || p.Policy == nil {
+	if p.Regions == nil || p.Alg == nil || p.Sel == nil {
 		panic("network: incomplete params")
 	}
 	mesh := p.Regions.Mesh()
@@ -164,7 +164,7 @@ func New(p Params) *Network {
 		for li := range sh.routers {
 			id := sh.lo + li
 			app := p.Regions.AppAt(id)
-			r := router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy(id, app), sh.soa, li)
+			r := router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy, sh.soa, li)
 			if n.cong {
 				// Congestion travels at most one mesh edge along a dimension.
 				r.EnableCongestion(max(mesh.W, mesh.H) - 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -14,8 +13,11 @@ import (
 	"rair/internal/topology"
 )
 
+// rairSpec is the full RAIR: DPA at the default Δ, MSP at VA and SA.
+var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
+
 // build returns a small test network collecting delivered packets.
-func build(t testing.TB, regions *region.Map, pf policy.Factory, sel routing.Selector) (*Network, *[]*msg.Packet) {
+func build(t testing.TB, regions *region.Map, pf policy.Spec, sel routing.Selector) (*Network, *[]*msg.Packet) {
 	t.Helper()
 	mesh := regions.Mesh()
 	var delivered []*msg.Packet
@@ -42,7 +44,7 @@ func run(n *Network, from, cycles int64) {
 func mesh4() *region.Map { return region.Single(topology.NewMesh(4, 4)) }
 
 func TestSinglePacketDelivery(t *testing.T) {
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	p := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Class: msg.ClassRequest, Size: 5}
 	n.Inject(p, 0)
 	run(n, 0, 200)
@@ -63,7 +65,7 @@ func TestZeroLoadLatency(t *testing.T) {
 	// One packet across an idle network: latency must match the pipeline
 	// model. Per hop: RC+VA+SA (3 cycles in router) + ST/LT (LinkLatency).
 	// Plus injection link and the final ejection link.
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	cfg := router.DefaultConfig(1)
 	src, dst := 0, 3 // 3 hops east
 	p := &msg.Packet{ID: 1, Src: src, Dst: dst, Size: 1, Class: msg.ClassRequest}
@@ -82,7 +84,7 @@ func TestZeroLoadLatency(t *testing.T) {
 
 func TestAllPairsDelivery(t *testing.T) {
 	// Every (src,dst) pair eventually delivers, exercising all turns.
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	id := uint64(0)
 	now := int64(0)
 	mesh := n.Mesh()
@@ -105,7 +107,7 @@ func TestAllPairsDelivery(t *testing.T) {
 }
 
 func TestPacketLossAndDuplication(t *testing.T) {
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	rng := sim.NewRNG(1)
 	var injected int
 	for c := int64(0); c < 3000; c++ {
@@ -137,7 +139,7 @@ func TestPacketLossAndDuplication(t *testing.T) {
 
 func TestMinimalHops(t *testing.T) {
 	// Adaptive minimal routing must never exceed the Manhattan distance.
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	rng := sim.NewRNG(2)
 	for c := int64(0); c < 2000; c++ {
 		if c < 1500 && rng.Bool(0.2) {
@@ -157,7 +159,7 @@ func TestMinimalHops(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	trace := func() []int64 {
-		n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+		n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 		rng := sim.NewRNG(7)
 		var id uint64
 		for c := int64(0); c < 2000; c++ {
@@ -192,7 +194,7 @@ func TestDeterminism(t *testing.T) {
 func TestNoDeadlockOrStarvationUnderRAIR(t *testing.T) {
 	regions := region.Quadrants(topology.NewMesh(8, 8))
 	sel := routing.DBARSelector{Mesh: regions.Mesh(), Regions: regions, Depth: 5}
-	n, delivered := build(t, regions, core.NewFactory(core.Config{}), sel)
+	n, delivered := build(t, regions, rairSpec, sel)
 	rng := sim.NewRNG(3)
 	var id uint64
 	for c := int64(0); c < 12000; c++ {
@@ -234,7 +236,7 @@ func TestNoDeadlockOrStarvationUnderRAIR(t *testing.T) {
 func TestOverloadDrains(t *testing.T) {
 	regions := region.Quadrants(topology.NewMesh(8, 8))
 	sel := routing.DBARSelector{Mesh: regions.Mesh(), Regions: regions, Depth: 5}
-	n, delivered := build(t, regions, core.NewFactory(core.Config{}), sel)
+	n, delivered := build(t, regions, rairSpec, sel)
 	rng := sim.NewRNG(3)
 	var id uint64
 	drained := false
@@ -272,14 +274,14 @@ func TestOverloadDrains(t *testing.T) {
 // Foreign and native traffic must both make progress under every RAIR mode
 // (starvation avoidance, Section IV.D).
 func TestRAIRModesDeliverEverything(t *testing.T) {
-	for _, cfg := range []core.Config{
-		{},
-		{Mode: core.ModeNativeHigh},
-		{Mode: core.ModeForeignHigh},
-		{VAOnly: true},
+	for _, cfg := range []policy.Spec{
+		rairSpec,
+		{Priority: policy.NativeH},
+		{Priority: policy.ForeignH},
+		{Priority: policy.DPA, MSP: policy.VAOnly, Delta: policy.DefaultDelta},
 	} {
 		regions := region.Halves(topology.NewMesh(4, 4))
-		n, delivered := build(t, regions, core.NewFactory(cfg), nil)
+		n, delivered := build(t, regions, cfg, nil)
 		rng := sim.NewRNG(11)
 		var id uint64
 		for c := int64(0); c < 5000; c++ {
@@ -311,7 +313,6 @@ func TestTwoClassesShareNetwork(t *testing.T) {
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: mesh},
 		Sel:     routing.LocalSelector{},
-		Policy:  policy.NewRoundRobin,
 		OnEject: func(p *msg.Packet, now int64) { delivered = append(delivered, p) },
 	})
 	rng := sim.NewRNG(5)
@@ -337,7 +338,7 @@ func TestTwoClassesShareNetwork(t *testing.T) {
 
 func TestGlobalFlagStamped(t *testing.T) {
 	regions := region.Halves(topology.NewMesh(4, 4))
-	n, delivered := build(t, regions, policy.NewRoundRobin, nil)
+	n, delivered := build(t, regions, policy.Spec{}, nil)
 	intra := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	inter := &msg.Packet{ID: 2, Src: 0, Dst: 3, Size: 1, Class: msg.ClassRequest}
 	n.Inject(intra, 0)
@@ -360,7 +361,6 @@ func TestXYRoutingWorksToo(t *testing.T) {
 		Regions: regions,
 		Alg:     routing.XY{Mesh: mesh},
 		Sel:     routing.LocalSelector{},
-		Policy:  policy.NewRoundRobin,
 		OnEject: func(p *msg.Packet, now int64) { delivered = append(delivered, p) },
 	})
 	for s := 0; s < 16; s++ {

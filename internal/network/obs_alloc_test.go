@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -33,7 +32,7 @@ func TestObsOffTickAllocs(t *testing.T) {
 		Regions:   regions,
 		Alg:       routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:       routing.LocalSelector{},
-		Policy:    core.NewFactory(core.Config{}),
+		Policy:    rairSpec,
 		Recycle:   pool.Put,
 		Telemetry: tel,
 	})

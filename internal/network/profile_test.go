@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -23,7 +22,7 @@ func profileRun(t *testing.T, workers int, profile bool) ([]uint64, *EngineProfi
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     routing.LocalSelector{},
-		Policy:  core.NewFactory(core.Config{}),
+		Policy:  rairSpec,
 		OnEject: func(p *msg.Packet, now int64) {
 			deliveries = append(deliveries, p.ID, uint64(now))
 		},

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/obs"
 	"rair/internal/region"
@@ -28,7 +27,7 @@ func telemetryRun(t *testing.T, workers int, tel *telemetry.Collector) []uint64 
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     routing.LocalSelector{},
-		Policy:  core.NewFactory(core.Config{}),
+		Policy:  rairSpec,
 		OnEject: func(p *msg.Packet, now int64) {
 			deliveries = append(deliveries, p.ID, uint64(now))
 		},
@@ -132,7 +131,7 @@ func TestTelemetryCreditStalls(t *testing.T) {
 		Regions:   regions,
 		Alg:       routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:       routing.LocalSelector{},
-		Policy:    core.NewFactory(core.Config{}),
+		Policy:    rairSpec,
 		Telemetry: tel,
 	})
 	defer n.Close()
@@ -170,7 +169,7 @@ func TestTelemetryChromeTraceEndToEnd(t *testing.T) {
 		Regions:   regions,
 		Alg:       routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:       routing.LocalSelector{},
-		Policy:    core.NewFactory(core.Config{}),
+		Policy:    rairSpec,
 		Telemetry: tel,
 	})
 	defer n.Close()

@@ -16,7 +16,7 @@ import (
 func routerCfg() router.Config { return router.DefaultConfig(1) }
 
 func TestLinkUtilizationCounts(t *testing.T) {
-	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, _ := build(t, mesh4(), policy.Spec{}, nil)
 	// A single packet 0 -> 3 travels east along the top row only.
 	n.Inject(&msg.Packet{ID: 1, Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
 	run(n, 0, 200)
@@ -32,7 +32,7 @@ func TestLinkUtilizationCounts(t *testing.T) {
 }
 
 func TestHeatmapRendering(t *testing.T) {
-	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, _ := build(t, mesh4(), policy.Spec{}, nil)
 	for i := 0; i < 50; i++ {
 		n.Inject(&msg.Packet{ID: uint64(i + 1), Src: 0, Dst: 3, Size: 5, Class: msg.ClassRequest}, 0)
 	}
@@ -60,7 +60,6 @@ func TestWestFirstDeliversEverything(t *testing.T) {
 		Regions: regions,
 		Alg:     routing.WestFirst{Mesh: mesh},
 		Sel:     routing.LocalSelector{},
-		Policy:  policy.NewRoundRobin,
 		OnEject: func(p *msg.Packet, now int64) { delivered++ },
 	})
 	id := uint64(0)
@@ -82,7 +81,7 @@ func TestWestFirstDeliversEverything(t *testing.T) {
 }
 
 func TestAgePolicyDeliversEverything(t *testing.T) {
-	n, delivered := build(t, mesh4(), policy.NewAge, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{Priority: policy.Age}, nil)
 	id := uint64(0)
 	for s := 0; s < 16; s++ {
 		id++
@@ -108,7 +107,6 @@ func TestLBDRIntraRegionNetwork(t *testing.T) {
 		Regions: regions,
 		Alg:     alg,
 		Sel:     routing.LocalSelector{},
-		Policy:  policy.NewRoundRobin,
 		OnEject: func(p *msg.Packet, now int64) { delivered++ },
 	})
 	// Intra-quadrant traffic only (LBDR's restriction).
@@ -143,7 +141,6 @@ func TestCongestionPropagation(t *testing.T) {
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
 		Sel:     dbarSel(regions),
-		Policy:  policy.NewRoundRobin,
 	})
 	// Saturate the 0->3 row.
 	id := uint64(0)
@@ -173,7 +170,7 @@ func TestCongestionPropagation(t *testing.T) {
 // constant and note the change in the commit; an unexplained move means a
 // regression in cycle-level behavior.
 func TestGoldenDeterminism(t *testing.T) {
-	n, delivered := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, delivered := build(t, mesh4(), policy.Spec{}, nil)
 	rng := sim.NewRNG(0xfeedbeef)
 	var id uint64
 	for c := int64(0); c < 2000; c++ {
@@ -200,7 +197,7 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 func TestFlitConservation(t *testing.T) {
-	n, _ := build(t, mesh4(), policy.NewRoundRobin, nil)
+	n, _ := build(t, mesh4(), policy.Spec{}, nil)
 	n.Inject(&msg.Packet{ID: 1, Src: 0, Dst: 15, Size: 5, Class: msg.ClassRequest}, 0)
 	// Mid-flight: material inside and one packet in flight.
 	for c := int64(0); c < 10; c++ {

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"rair/internal/msg"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -136,7 +135,6 @@ func TestChipletNetworkEndToEnd(t *testing.T) {
 		Regions:  regs,
 		Alg:      routing.MinimalAdaptive{Mesh: mesh},
 		Sel:      routing.LocalSelector{},
-		Policy:   policy.NewRoundRobin,
 		Chiplets: chips,
 		OnEject:  func(p *msg.Packet, now int64) { delivered = append(delivered, p) },
 	})

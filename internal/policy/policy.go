@@ -1,17 +1,39 @@
-// Package policy defines the interference-reduction policy interface the
-// router consults at its arbitration steps, plus the region-oblivious
-// baselines evaluated in the paper: RO_RR (round-robin) and RO_Rank (an
-// idealized STC with oracle application ranking and time-based batching).
+// Package policy is the arbitration policy a router consults at its
+// arbitration steps. Every scheme the paper evaluates — the RO_RR baseline,
+// the STC baseline RO_Rank, the oldest-first baseline and RAIR with its
+// ablations — has one hardware shape: a small integer priority per
+// requestor in front of a fair (round-robin) arbiter, read at the VA output
+// arbitration and at the SA input and output arbitrations. VA input
+// arbitration is contention-free between flows (Section IV.B), so no
+// priority is read there.
 //
-// A policy instance is per-router: it may keep per-router state (RAIR's DPA
-// registers). All policies reduce to the same hardware shape — a small
-// integer priority per requestor in front of a fair (round-robin) arbiter —
-// evaluated at the VA output arbitration and the SA input/output
-// arbitrations. VA input arbitration is contention-free between flows
-// (Section IV.B), so no policy hook exists there.
+// A Spec holds the switches the schemes vary; New builds one router's
+// Policy from it. RAIR is three mechanisms over the native/foreign bit of a
+// packet (its application against the router's):
+//
+//   - VC regionalization: output VCs are tagged global or regional; foreign
+//     traffic always outranks native traffic on global VCs, while the
+//     priority on regional VCs follows the DPA state (Section IV.A).
+//   - Multi-stage prioritization (MSP): the same native/foreign priority is
+//     enforced at VA output arbitration and, unless VA-only, at both SA
+//     arbitration steps (Section IV.B).
+//   - Dynamic priority adaptation (DPA): per-router occupied-VC registers
+//     for native (OVC_n) and foreign (OVC_f) traffic drive a hysteresis
+//     state machine on the ratio r = OVC_f/OVC_n with band (1-Δ, 1+Δ);
+//     native traffic is high priority only while foreign intensity exceeds
+//     native intensity (Section IV.C, Figure 7). Priority computed in one
+//     cycle is used in the next, keeping DPA off the critical path.
+//
+// Starvation freedom comes from DPA's negative feedback: a flow that
+// accumulates VC occupancy loses priority (Section IV.D); see the network
+// integration tests for the empirical check.
 package policy
 
-import "rair/internal/msg"
+import (
+	"math"
+
+	"rair/internal/msg"
+)
 
 // VCClass tags a virtual channel under RAIR's VC regionalization. Escape
 // VCs exist for Duato-style deadlock freedom and take no part in the
@@ -39,69 +61,63 @@ func (c VCClass) String() string {
 	return "VCClass(?)"
 }
 
-// Requestor is the per-packet context a policy sees at an arbitration step.
-// The router builds it from the packet header and its own region tag.
-type Requestor struct {
-	// App is the application number carried by the packet.
-	App int
-	// Native reports whether the packet's application matches the
-	// router's assigned application (native vs. foreign traffic).
-	Native bool
-	// CreatedAt is the packet creation cycle (age-based tie-breaks).
-	CreatedAt int64
+// Priority is the rule that orders the requestors of an arbitration.
+type Priority uint8
+
+const (
+	// RR is RO_RR, the region-oblivious baseline: every priority is flat,
+	// so every arbitration is pure round-robin.
+	RR Priority = iota
+	// Rank is STC (Das et al.): packets in older batches outrank younger
+	// batches regardless of rank (starvation avoidance); within a batch
+	// the application with the better (lower) rank in Spec.Ranks wins.
+	// Region- and VC-class-oblivious.
+	Rank
+	// Age is oldest-first (Abts & Weisser, SC'07), the other
+	// region-oblivious technique of Section III.A: starvation-free, but
+	// any flood, an adversarial one included, inherits priority as it
+	// waits.
+	Age
+	// NativeH statically favors native traffic on regional VCs and in SA
+	// (the RAIR_NativeH ablation of Figure 12). It and the rules after it
+	// are RAIR's native/foreign rules.
+	NativeH
+	// ForeignH statically favors foreign traffic (RAIR_ForeignH).
+	ForeignH
+	// DPA adapts the native/foreign priority per router: the full RAIR.
+	DPA
+)
+
+// Stages is where MSP enforces the native/foreign priority.
+type Stages uint8
+
+const (
+	// VAandSA enforces it at VA_out and at both SA steps, with one
+	// consistent priority across the stages (Section IV.B).
+	VAandSA Stages = iota
+	// VAOnly leaves SA round-robin (the RAIR_VA ablation of Figure 9).
+	VAOnly
+)
+
+// Spec is a scheme's arbitration policy: the switches the evaluated
+// schemes vary.
+type Spec struct {
+	Priority Priority
+	// MSP selects the stages the native/foreign priority of NativeH,
+	// ForeignH and DPA reaches.
+	MSP Stages
+	// Delta is DPA's hysteresis width Δ; zero is no hysteresis.
+	Delta float64
+	// Ranks is Rank's application ranking: a fixed oracle (FixedRanks)
+	// or a measured one the harness advances (NewRankState). Batch is
+	// Rank's batching interval in cycles.
+	Ranks *RankState
+	Batch int64
 }
 
-// FromPacket builds a Requestor for a packet traversing a router assigned
-// to routerApp (region.Unassigned = -1 when the router has no application).
-func FromPacket(p *msg.Packet, routerApp int) Requestor {
-	return Requestor{
-		App:       p.App,
-		Native:    routerApp >= 0 && p.App == routerApp,
-		CreatedAt: p.CreatedAt,
-	}
-}
-
-// Policy computes arbitration priorities for one router. Higher values win;
-// equal values fall back to the arbiter's round-robin fairness. now is the
-// current cycle, available for batch-age computation.
-type Policy interface {
-	// VAOutPriority is consulted at the VA output arbitration for an
-	// output VC of class cls.
-	VAOutPriority(r Requestor, cls VCClass, now int64) int
-	// SAPriority is consulted at the SA input and SA output arbitrations
-	// (the paper uses one consistent priority across both).
-	SAPriority(r Requestor, now int64) int
-	// Update is called once per cycle with the router's occupied-VC
-	// counts for native and foreign traffic; DPA-style policies adapt
-	// their state from it. The updated state takes effect next cycle,
-	// matching the paper's removal of DPA from the critical path.
-	Update(ovcNative, ovcForeign int)
-}
-
-// Factory builds one Policy instance per router. node is the router's node
-// id and app its assigned application (or -1).
-type Factory func(node, app int) Policy
-
-// Tabular is an optional Policy facet for policies whose priorities depend
-// only on the requestor's native bit and the VC class — never on packet age
-// or batch. Such policies expose their current priorities as small lookup
-// tables: sa indexed by native (0/1), va by [VCClass][native]. The pointers
-// stay valid for the policy's lifetime; the policy rewrites the table
-// contents whenever its state changes (inside Update, whose effect the
-// router already defers to the next cycle), so the router's arbitration hot
-// path reads two array cells instead of making two interface calls per
-// requestor. Age- and batch-based policies (Rank, Age, DynRank) cannot
-// implement this facet and keep the interface path.
-type Tabular interface {
-	PriorityTables() (sa *[2]int8, va *[3][2]int8)
-}
-
-// flatTables backs every stateless all-zero Tabular policy (read-only).
-var flatSA [2]int8
-var flatVA [3][2]int8
-
-// PriorityTables implements Tabular: all priorities flat.
-func (RoundRobin) PriorityTables() (*[2]int8, *[3][2]int8) { return &flatSA, &flatVA }
+// DefaultDelta is the hysteresis width the paper settles on: 0.1-0.3 work
+// well, the best value is around 0.2.
+const DefaultDelta = 0.2
 
 // BatchInterval is the default STC batching interval in cycles: packets
 // created in the same interval share a batch, and older batches always
@@ -112,83 +128,131 @@ func (RoundRobin) PriorityTables() (*[2]int8, *[3][2]int8) { return &flatSA, &fl
 // buffers, collapsing throughput for everyone.
 const BatchInterval = 250
 
-// RoundRobin is RO_RR: the application- and region-oblivious baseline. All
-// priorities are flat, so every arbitration is pure round-robin.
-type RoundRobin struct{}
+const (
+	// maxBatchAge caps Rank's batch age so the composed priority stays
+	// well away from overflow while preserving "older batch always wins".
+	maxBatchAge = 1<<20 - 1
+	// maxAge caps Age's age in cycles; far beyond any sane in-network
+	// latency, it only guards against integer overflow.
+	maxAge = 1 << 30
+)
 
-// NewRoundRobin returns the RO_RR policy (stateless; one value serves any
-// router).
-func NewRoundRobin(node, app int) Policy { return RoundRobin{} }
+// Policy is one router's arbitration policy. Higher priorities win; equal
+// ones fall back to the arbiter's round-robin fairness. A priority is the
+// native/foreign base of the current state, sa[native] or
+// va[class][native], plus the packet's order term. The base is zero under
+// RR, Rank and Age, and the order term is zero except under Rank and Age,
+// so each read takes one of the two.
+type Policy struct {
+	sa [2]int8
+	va [3][2]int8
 
-// VAOutPriority implements Policy; always 0.
-func (RoundRobin) VAOutPriority(Requestor, VCClass, int64) int { return 0 }
-
-// SAPriority implements Policy; always 0.
-func (RoundRobin) SAPriority(Requestor, int64) int { return 0 }
-
-// Update implements Policy; RO_RR keeps no state.
-func (RoundRobin) Update(int, int) {}
-
-// maxBatchAge caps the batch-age component so the composed priority stays
-// well away from overflow while preserving "older batch always wins".
-const maxBatchAge = 1 << 20
-
-// Rank is RO_Rank: the paper's optimized STC. Applications are ranked by
-// network intensity (rank 0 = least intensive = highest priority), the
-// ranking being an oracle input from the harness, exactly as the paper
-// assumes ("able to always find the optimal application rankings").
-// Packets in older batches outrank younger batches regardless of rank,
-// providing starvation avoidance. Region-oblivious: the VC class and the
-// regional/global nature of traffic are ignored.
-type Rank struct {
-	ranks    []int // app -> rank, 0 best
-	numApps  int
-	interval int64 // batching interval in cycles
+	// ordered is set under Rank and Age, which add the order term.
+	ordered bool
+	// nativeHigh is the native/foreign state: whether native traffic has
+	// the high priority. DPA starts foreign-high (global traffic is
+	// typically more critical).
+	nativeHigh bool
+	app        int // the router's application; math.MinInt when it has none
+	spec       Spec
 }
 
-// NewRankFactory returns a Factory for RO_Rank with the given oracle
-// ranking (ranks[app] = rank, 0 = highest priority) and the default
-// BatchInterval. Apps beyond the table (e.g. adversarial traffic with an
-// unranked app id) get the worst rank.
-func NewRankFactory(ranks []int) Factory {
-	return NewRankFactoryInterval(ranks, BatchInterval)
+// New returns the policy of a router assigned to application app (negative
+// when it has none).
+func New(spec Spec, app int) Policy {
+	if app < 0 {
+		app = math.MinInt // matches no packet's application
+	}
+	p := Policy{
+		ordered:    spec.Priority == Rank || spec.Priority == Age,
+		nativeHigh: spec.Priority == NativeH,
+		app:        app,
+		spec:       spec,
+	}
+	p.setBase()
+	return p
 }
 
-// NewRankFactoryInterval is NewRankFactory with an explicit batching
-// interval (the batching ablation).
-func NewRankFactoryInterval(ranks []int, interval int64) Factory {
-	if interval < 1 {
-		panic("policy: batch interval must be >= 1")
+// setBase derives the base tables from the Spec's rules and the current
+// state. Under NativeH, ForeignH and DPA, foreign traffic always wins on
+// global VCs, and the favored traffic wins on regional VCs and, unless
+// VA-only, in SA; escape VCs stay fair (a deadlock-safety resource outside
+// the regional/global classification). The other rules are flat here.
+func (p *Policy) setBase() {
+	if p.spec.Priority < NativeH { // RR, Rank, Age
+		return
 	}
-	r := append([]int(nil), ranks...)
-	return func(node, app int) Policy {
-		return &Rank{ranks: r, numApps: len(r), interval: interval}
+	hi := b2i(p.nativeHigh)
+	p.va = [3][2]int8{}
+	p.va[VCGlobal][0] = 1
+	p.va[VCRegional][hi] = 1
+	p.sa = [2]int8{}
+	if p.spec.MSP == VAandSA {
+		p.sa[hi] = 1
 	}
 }
 
-func (p *Rank) priority(r Requestor, now int64) int {
-	age := now/p.interval - r.CreatedAt/p.interval
-	if age < 0 {
-		age = 0
+// SAPriority is pkt's priority at SA_in and SA_out at cycle now.
+func (p *Policy) SAPriority(pkt *msg.Packet, now int64) int {
+	if p.ordered {
+		return p.order(pkt, now)
 	}
-	if age > maxBatchAge-1 {
-		age = maxBatchAge - 1
-	}
-	rank := p.numApps // worst (unranked apps, e.g. adversarial traffic)
-	if r.App >= 0 && r.App < len(p.ranks) {
-		rank = p.ranks[r.App]
-	}
-	// Older batch dominates; within a batch, better (lower) rank wins.
-	return int(age)*(p.numApps+2) + (p.numApps - rank)
+	return int(p.sa[p.native(pkt)])
 }
 
-// VAOutPriority implements Policy (region- and VC-class-oblivious).
-func (p *Rank) VAOutPriority(r Requestor, _ VCClass, now int64) int {
-	return p.priority(r, now)
+// VAPriority is pkt's priority at the VA output arbitration of an output
+// VC of class cls at cycle now.
+func (p *Policy) VAPriority(pkt *msg.Packet, cls VCClass, now int64) int {
+	if p.ordered {
+		return p.order(pkt, now)
+	}
+	return int(p.va[cls][p.native(pkt)])
 }
 
-// SAPriority implements Policy.
-func (p *Rank) SAPriority(r Requestor, now int64) int { return p.priority(r, now) }
+// native is pkt's native bit: its application is the router's.
+func (p *Policy) native(pkt *msg.Packet) int { return b2i(pkt.App == p.app) }
 
-// Update implements Policy; ranking is static within an interval.
-func (*Rank) Update(int, int) {}
+// order is Age's age in cycles, or Rank's batch age times a weight that
+// puts every older batch above every rank, plus the rank term (the worst
+// rank, that of an unranked application, adds nothing).
+func (p *Policy) order(pkt *msg.Packet, now int64) int {
+	if p.spec.Priority == Age {
+		return int(min(max(now-pkt.CreatedAt, 0), maxAge))
+	}
+	b := p.spec.Batch
+	age := min(max(now/b-pkt.CreatedAt/b, 0), maxBatchAge)
+	n := len(p.spec.Ranks.ranks)
+	return int(age)*(n+2) + n - p.spec.Ranks.Rank(pkt.App)
+}
+
+// Update is DPA's hysteresis transition of Figure 7, called once per cycle
+// with the router's occupied-VC counts; it reports whether the state
+// flipped, and the new state applies from the next read on. The ratio
+// r = OVC_f / OVC_n is compared against (1±Δ): the native priority rises
+// only once foreign occupancy exceeds native occupancy by the hysteresis
+// margin, and falls symmetrically. A zero OVC_n with nonzero OVC_f is an
+// infinite ratio (native high); when both registers are zero the state
+// holds (nothing to adapt to). The other rules keep their state.
+func (p *Policy) Update(ovcNative, ovcForeign int) bool {
+	if p.spec.Priority != DPA {
+		return false
+	}
+	n, f := float64(ovcNative), float64(ovcForeign)
+	if p.nativeHigh && f < (1-p.spec.Delta)*n ||
+		!p.nativeHigh && f > (1+p.spec.Delta)*n && ovcForeign > 0 {
+		p.nativeHigh = !p.nativeHigh
+		p.setBase()
+		return true
+	}
+	return false
+}
+
+// NativeHigh reports whether native traffic holds the high priority.
+func (p *Policy) NativeHigh() bool { return p.nativeHigh }
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -40,7 +40,7 @@ func benchFeed(b *testing.B, r *Router, dir topology.Dir, pkt *msg.Packet, now *
 func BenchmarkSwitchAllocation(b *testing.B) {
 	b.Run("stalled", func(b *testing.B) {
 		cfg := DefaultConfig(1)
-		r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+		r, _ := testRouter(cfg, policy.Spec{})
 		var now int64
 		// Two streams from linkless input ports, both bound for East.
 		benchFeed(b, r, topology.East, &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest}, &now)
@@ -62,7 +62,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 	})
 	b.Run("grant", func(b *testing.B) {
 		cfg := DefaultConfig(1)
-		r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+		r, _ := testRouter(cfg, policy.Spec{})
 		var now int64
 		// A stream ejecting at the local port: the sink consumes no
 		// credits, so the transfer path runs every cycle.
@@ -101,7 +101,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 func BenchmarkFlitStreaming(b *testing.B) {
 	run := func(b *testing.B, disarm bool) {
 		cfg := DefaultConfig(1)
-		r, east := testRouter(cfg, policy.NewRoundRobin(0, 0))
+		r, east := testRouter(cfg, policy.Spec{})
 		var now int64
 		pkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1 << 30, Class: msg.ClassRequest}
 		benchFeed(b, r, topology.North, pkt, &now)

@@ -7,10 +7,11 @@
 // control and atomic VC allocation.
 //
 // The interference-reduction policy (round-robin, STC-style ranking, or
-// RAIR) is injected as a policy.Policy; the routing algorithm and its
-// selection function come from the routing package. The router itself knows
-// nothing about which policy it runs — it only supplies requestor contexts
-// and VC class tags.
+// RAIR) is given as a policy.Spec, from which each router builds its own
+// policy.Policy; the routing algorithm and its selection function come
+// from the routing package. The router itself knows nothing about which
+// policy it runs — it only supplies the requesting packets and VC class
+// tags.
 package router
 
 import (

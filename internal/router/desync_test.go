@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/routing"
@@ -289,7 +288,7 @@ var desyncs = []desync{
 // to be what catches it.
 func TestSeededDesyncDiverges(t *testing.T) {
 	spec := rigSpec{cfg: DefaultConfig(1), alg: routing.MinimalAdaptive{Mesh: rigMesh},
-		pol: func() policy.Policy { return core.New(core.Config{}) }}
+		pol: rairSpec}
 	for _, c := range desyncs {
 		t.Run(c.name, func(t *testing.T) {
 			applied := 0
@@ -343,12 +342,11 @@ func desyncEpisode(seed int64, real, ref *rig, apply func(*rig) bool) (applied b
 // reference right after them, stays in lockstep — and the same episode
 // with one standing VA request planted in the scratch leaves it.
 func TestSharedScratchHygiene(t *testing.T) {
-	spec := rigSpec{cfg: oneVCConfig(), alg: routing.MinimalAdaptive{Mesh: rigMesh},
-		pol: func() policy.Policy { return policy.NewRoundRobin(rigNode, 3) }}
+	spec := rigSpec{cfg: oneVCConfig(), alg: routing.MinimalAdaptive{Mesh: rigMesh}}
 	for _, plant := range []bool{false, true} {
 		soa := NewSoA(spec.cfg, 2)
 		first := NewInStore(spec.cfg, 0, 0, rigMesh, rigRegions,
-			spec.alg, routing.LocalSelector{}, policy.NewRoundRobin(0, 0), soa, 0)
+			spec.alg, routing.LocalSelector{}, policy.Spec{}, soa, 0)
 		// Two heads contending for the one regional VC of the east port
 		// (VA_out arbitration), then for the east port itself (SA_out).
 		for i, d := range []topology.Dir{topology.Local, topology.South} {

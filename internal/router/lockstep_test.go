@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rair/internal/arbiter"
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -63,7 +62,6 @@ type rig struct {
 	cfg     Config
 	r       routerDUT
 	ni      niDUT
-	pol     policy.Policy
 	in, out [topology.NumDirs]*Link
 	pkts    []*msg.Packet
 	ejected int
@@ -74,7 +72,7 @@ type rig struct {
 type rigSpec struct {
 	cfg Config
 	alg routing.Algorithm
-	pol func() policy.Policy
+	pol policy.Spec
 }
 
 // real builds the optimised Router and NI over slot li of soa (nil: a
@@ -83,9 +81,9 @@ func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
 	if soa == nil {
 		soa = NewSoA(s.cfg, 1)
 	}
-	g := &rig{cfg: s.cfg, pol: s.pol()}
+	g := &rig{cfg: s.cfg}
 	r := NewInStore(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, rigRegions,
-		s.alg, routing.LocalSelector{}, g.pol, soa, li)
+		s.alg, routing.LocalSelector{}, s.pol, soa, li)
 	ni := NewNIInStore(s.cfg, rigNode, rigRegions, func(*msg.Packet, int64) { g.ejected++ }, soa, li)
 	if tel {
 		col := telemetry.NewCollector(telemetry.Config{TraceEvery: 1, Attribution: true})
@@ -100,8 +98,8 @@ func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
 
 // reference builds the executable specification of the same cell.
 func (s rigSpec) reference() *rig {
-	g := &rig{cfg: s.cfg, pol: s.pol()}
-	g.r = newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, g.pol)
+	g := &rig{cfg: s.cfg}
+	g.r = newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, s.pol)
 	g.ni = newRefNI(s.cfg, rigRegions, func(*msg.Packet, int64) { g.ejected++ })
 	g.wire()
 	return g
@@ -120,6 +118,15 @@ func (g *rig) wire() {
 
 // router returns the optimised router of a real rig.
 func (g *rig) router() *Router { return g.r.(*Router) }
+
+// nativeHigh is the rig's DPA state: whether native traffic holds the
+// high priority.
+func (g *rig) nativeHigh() bool {
+	if r, ok := g.r.(*Router); ok {
+		return r.pol.NativeHigh()
+	}
+	return g.r.(*refRouter).pol.NativeHigh()
+}
 
 // flitSeen is a flit as the router across the link sees it (zero: none).
 type flitSeen struct {
@@ -217,9 +224,7 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 			}
 			g.ni.Tick(e.now)
 			obs[k].OVC[0], obs[k].OVC[1] = g.r.OccupancyByKind()
-			if dp, ok := g.pol.(dpaPolicy); ok {
-				obs[k].NativeHigh = dp.NativeHigh()
-			}
+			obs[k].NativeHigh = g.nativeHigh()
 			if k > 0 && obs[k] != obs[0] {
 				return fmt.Errorf("cycle %d: rig %d shows\n%+v\nrig 0 shows\n%+v", e.now, k, obs[k], obs[0])
 			}
@@ -383,15 +388,20 @@ func (e *episode) add(p msg.Packet) int {
 	return len(e.rigs[0].pkts) - 1
 }
 
-// lockstepSpecs is the configuration matrix: five policies × six router
+// rairSpec is the full RAIR: DPA at the default Δ, MSP at VA and SA.
+var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
+
+// lockstepSpecs is the configuration matrix: seven policies × six router
 // configurations × three routing algorithms.
 func lockstepSpecs() map[string]rigSpec {
-	policies := map[string]func() policy.Policy{
-		"RO_RR":    func() policy.Policy { return policy.NewRoundRobin(rigNode, 3) },
-		"RO_Rank":  func() policy.Policy { return policy.NewRankFactory([]int{2, 0, 3, 1})(rigNode, 3) },
-		"RA_RAIR":  func() policy.Policy { return core.New(core.Config{}) },
-		"NativeH":  func() policy.Policy { return core.New(core.Config{Mode: core.ModeNativeHigh}) },
-		"ForeignH": func() policy.Policy { return core.New(core.Config{Mode: core.ModeForeignHigh}) },
+	policies := map[string]policy.Spec{
+		"RO_RR":    {},
+		"RO_Rank":  {Priority: policy.Rank, Ranks: policy.FixedRanks([]int{2, 0, 3, 1}), Batch: policy.BatchInterval},
+		"RO_Age":   {Priority: policy.Age},
+		"RA_RAIR":  rairSpec,
+		"RAIR_VA":  {Priority: policy.DPA, MSP: policy.VAOnly, Delta: policy.DefaultDelta},
+		"NativeH":  {Priority: policy.NativeH},
+		"ForeignH": {Priority: policy.ForeignH},
 	}
 	configs := map[string]Config{
 		"table1":    DefaultConfig(1),
@@ -439,7 +449,7 @@ func TestReferenceLockstep(t *testing.T) {
 					real, ref := spec.real(nil, 0, false), spec.reference()
 					nativeHigh := false
 					err := runEpisode(seed, []*rig{real, ref}, func() {}, func(int64) bool {
-						if dp, ok := real.pol.(dpaPolicy); ok && dp.NativeHigh() != nativeHigh {
+						if real.nativeHigh() != nativeHigh {
 							nativeHigh = !nativeHigh
 							dpaFlips.Add(1)
 						}
@@ -478,7 +488,7 @@ func TestReplayMatchesArbitration(t *testing.T) {
 	var cov struct{ sharedDry, hold, tail int }
 	var fast int64
 	spec := rigSpec{cfg: DefaultConfig(1), alg: routing.MinimalAdaptive{Mesh: rigMesh},
-		pol: func() policy.Policy { return core.New(core.Config{}) }}
+		pol: rairSpec}
 	for seed := int64(1); seed <= 24; seed++ {
 		a, b := spec.real(nil, 0, true), spec.real(nil, 0, true)
 		err := runEpisode(seed, []*rig{a, b, spec.reference()}, func() {

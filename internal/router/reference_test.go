@@ -11,11 +11,12 @@ import (
 // refRouter is the router's executable specification: the pipeline of the
 // paper written as per-VC state and linear scans, and nothing else. Each
 // cycle runs, over latched state and in reverse pipeline order, the release
-// of drained output VCs, ST, SA_in and SA_out under the policy's SA priority
-// (MSP), VA_in and VA_out under its VC-regionalization priority, RC, and
-// finally the DPA registers OVC_n/OVC_f, whose new priority takes effect
-// next cycle. It keeps no occupancy masks, stage counters, SoA slabs,
-// replay plan or wake bits, never reads the policy's lookup tables, and
+// of drained output VCs, ST, SA_in and SA_out under the SA priority (MSP),
+// VA_in and VA_out under the VC-regionalization priority, RC, and finally
+// the DPA registers OVC_n/OVC_f, whose new priority takes effect next
+// cycle. It keeps no occupancy masks, stage counters, SoA slabs, replay
+// plan or wake bits; it works every priority out from the Spec's rules,
+// reading of the policy only its DPA state, never its base tables; and
 // every arbitration is its own grant: a rotation scan over a full request
 // vector with a plain-int round-robin pointer, sharing no code with
 // internal/arbiter. The lockstep rig (lockstep_test.go) runs it beside
@@ -27,7 +28,8 @@ type refRouter struct {
 	at        topology.Coord
 	alg       routing.Algorithm
 	sel       routing.Selector
-	pol       policy.Policy
+	spec      policy.Spec
+	pol       policy.Policy    // read for its DPA state only
 	kind      []policy.VCClass // Config.KindOf per VC index
 	now       int64
 
@@ -90,10 +92,10 @@ type refOutPort struct {
 }
 
 func newRefRouter(cfg Config, node, app int, mesh *topology.Mesh,
-	alg routing.Algorithm, sel routing.Selector, pol policy.Policy) *refRouter {
+	alg routing.Algorithm, sel routing.Selector, spec policy.Spec) *refRouter {
 	v := cfg.VCsPerPort()
-	r := &refRouter{cfg: cfg, node: node, app: app, at: mesh.Coord(node), alg: alg, sel: sel, pol: pol,
-		kind: make([]policy.VCClass, v)}
+	r := &refRouter{cfg: cfg, node: node, app: app, at: mesh.Coord(node), alg: alg, sel: sel,
+		spec: spec, pol: policy.New(spec, app), kind: make([]policy.VCClass, v)}
 	for i := range r.kind {
 		r.kind[i] = cfg.KindOf(i)
 	}
@@ -124,7 +126,61 @@ func (r *refRouter) DeliverFlit(d topology.Dir, f msg.Flit) {
 // DeliverCredit returns one downstream buffer slot of output VC vc at d.
 func (r *refRouter) DeliverCredit(d topology.Dir, vc int) { r.out[d].vcs[vc].credits++ }
 
-func (r *refRouter) requestor(p *msg.Packet) policy.Requestor { return policy.FromPacket(p, r.app) }
+// native reports whether p is native traffic here: its application is the
+// router's.
+func (r *refRouter) native(p *msg.Packet) bool { return r.app >= 0 && p.App == r.app }
+
+// favored reports whether p is the traffic the native/foreign rule favors:
+// native under NativeH and while DPA holds native-high, foreign otherwise.
+func (r *refRouter) favored(p *msg.Packet) bool {
+	nativeHigh := r.spec.Priority == policy.NativeH || r.spec.Priority == policy.DPA && r.pol.NativeHigh()
+	return r.native(p) == nativeHigh
+}
+
+// order is the priority of the region-oblivious rules: under Age the age
+// in cycles, under Rank the batch age weighted above every rank plus the
+// rank term (an unranked application gets the worst rank, n). The
+// episodes create packets at most 600 cycles back, far below either cap.
+func (r *refRouter) order(p *msg.Packet) int {
+	if r.spec.Priority == policy.Age {
+		return int(r.now - p.CreatedAt)
+	}
+	b, ranks := r.spec.Batch, r.spec.Ranks
+	n := ranks.Rank(-1)
+	return int(r.now/b-p.CreatedAt/b)*(n+2) + n - ranks.Rank(p.App)
+}
+
+// saPriority is p's priority at SA_in and SA_out: flat under RR, the
+// order under Rank and Age, and otherwise (MSP) 1 for the favored traffic
+// unless the priority stops at VA.
+func (r *refRouter) saPriority(p *msg.Packet) int {
+	switch r.spec.Priority {
+	case policy.RR:
+		return 0
+	case policy.Rank, policy.Age:
+		return r.order(p)
+	}
+	if r.spec.MSP == policy.VAOnly || !r.favored(p) {
+		return 0
+	}
+	return 1
+}
+
+// vaPriority is p's priority at the VA_out arbitration of an output VC of
+// class cls. Under VC regionalization foreign traffic always wins a global
+// VC, the favored traffic wins a regional VC, and escape VCs stay fair.
+func (r *refRouter) vaPriority(p *msg.Packet, cls policy.VCClass) int {
+	switch r.spec.Priority {
+	case policy.RR:
+		return 0
+	case policy.Rank, policy.Age:
+		return r.order(p)
+	}
+	if cls == policy.VCGlobal && !r.native(p) || cls == policy.VCRegional && r.favored(p) {
+		return 1
+	}
+	return 0
+}
 
 // OccupancyByKind counts the input VCs held by native and foreign packets:
 // the DPA registers OVC_n and OVC_f.
@@ -133,7 +189,7 @@ func (r *refRouter) OccupancyByKind() (native, foreign int) {
 		for i := range r.in[d].vcs {
 			switch owner := r.in[d].vcs[i].owner; {
 			case owner == nil:
-			case r.requestor(owner).Native:
+			case r.native(owner):
 				native++
 			default:
 				foreign++
@@ -212,7 +268,7 @@ func (r *refRouter) switchAllocation() {
 			if out.stValid || (vc.outPort != topology.Local && out.vcs[vc.outVC].credits == 0) {
 				continue
 			}
-			req[i], prio[i] = true, r.pol.SAPriority(r.requestor(vc.owner), r.now)
+			req[i], prio[i] = true, r.saPriority(vc.owner)
 		}
 		nominee[d] = grant(&r.saInPtr[d], req, prio)
 	}
@@ -221,7 +277,7 @@ func (r *refRouter) switchAllocation() {
 		var prio [topology.NumDirs]int
 		for d, i := range nominee {
 			if i >= 0 && r.in[d].vcs[i].outPort == topology.Dir(od) {
-				req[d], prio[d] = true, r.pol.SAPriority(r.requestor(r.in[d].vcs[i].owner), r.now)
+				req[d], prio[d] = true, r.saPriority(r.in[d].vcs[i].owner)
 			}
 		}
 		if w := grant(&r.saOutPtr[od], req[:], prio[:]); w >= 0 {
@@ -260,7 +316,8 @@ func (r *refRouter) transfer(d topology.Dir, i int) {
 func (r *refRouter) vcAllocation() {
 	v := r.cfg.VCsPerPort()
 	n := int(topology.NumDirs) * v
-	req, prio := make([][]bool, n), make([][]int, n)
+	var req [][]bool // per output VC; nil until a VC requests one
+	var prio [][]int
 	for d := range r.in {
 		for i := range r.in[d].vcs {
 			vc := &r.in[d].vcs[i]
@@ -271,11 +328,14 @@ func (r *refRouter) vcAllocation() {
 			if og < 0 {
 				continue
 			}
+			if req == nil {
+				req, prio = make([][]bool, n), make([][]int, n)
+			}
 			if req[og] == nil {
 				req[og], prio[og] = make([]bool, n), make([]int, n)
 			}
 			req[og][d*v+i] = true
-			prio[og][d*v+i] = r.pol.VAOutPriority(r.requestor(vc.owner), cls, r.now)
+			prio[og][d*v+i] = r.vaPriority(vc.owner, cls)
 		}
 	}
 	for og := range req {

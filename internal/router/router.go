@@ -13,12 +13,6 @@ import (
 	"rair/internal/topology"
 )
 
-// dpaPolicy is the optional policy facet exposing the DPA priority state;
-// telemetry uses it to count transitions without widening policy.Policy.
-type dpaPolicy interface {
-	NativeHigh() bool
-}
-
 // Router is one node's pipelined VC router. Each router is tagged with the
 // application number assigned to its node (Figure 5); packets carry their
 // own application number, and the match classifies them as native or
@@ -39,12 +33,6 @@ type Router struct {
 	// the VA/SA request rows are its shard-wide scratch.
 	soa *SoA
 	li  int
-
-	// saTab/vaTab are the policy's lookup tables when it implements
-	// policy.Tabular (nil otherwise): priority reads become array cells
-	// instead of interface calls.
-	saTab *[2]int8
-	vaTab *[3][2]int8
 
 	in  [topology.NumDirs]*InputPort
 	out [topology.NumDirs]*OutputPort
@@ -119,11 +107,8 @@ type Router struct {
 	flitsSent [topology.NumDirs]int64
 
 	// tel is the node's telemetry probe; nil when telemetry is disabled,
-	// and every hot-path use is guarded on that. telDPA is the policy's
-	// optional DPA facet, telNativeHigh the last observed priority state.
-	tel           *telemetry.Probe
-	telDPA        dpaPolicy
-	telNativeHigh bool
+	// and every hot-path use is guarded on that.
+	tel *telemetry.Probe
 
 	// attr caches tel.AttributionOn() at wiring so every blame charge site
 	// is a single predictable branch when attribution is off. allMask is
@@ -140,16 +125,13 @@ type Router struct {
 // registers are the store's flat arrays. Links are attached afterwards with
 // ConnectIn/ConnectOut.
 func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.Map,
-	alg routing.Algorithm, sel routing.Selector, pol policy.Policy, soa *SoA, li int) *Router {
+	alg routing.Algorithm, sel routing.Selector, pol policy.Spec, soa *SoA, li int) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	r := &Router{
 		cfg: cfg, node: node, app: app, at: mesh.Coord(node), regions: regions,
-		alg: alg, sel: sel, pol: pol, soa: soa, li: li,
-	}
-	if t, ok := pol.(policy.Tabular); ok {
-		r.saTab, r.vaTab = t.PriorityTables()
+		alg: alg, sel: sel, pol: policy.New(pol, app), soa: soa, li: li,
 	}
 	v := cfg.VCsPerPort()
 	r.nvc = v
@@ -196,19 +178,10 @@ func (r *Router) EnableCongestion(hops int) {
 // Node returns the router's node id.
 func (r *Router) Node() int { return r.node }
 
-// SetTelemetry attaches a telemetry probe (nil detaches). When the policy
-// exposes a DPA state (NativeHigh), transitions are counted from its
-// current value.
+// SetTelemetry attaches a telemetry probe (nil detaches).
 func (r *Router) SetTelemetry(p *telemetry.Probe) {
 	r.tel = p
 	r.attr = p.AttributionOn()
-	r.telDPA = nil
-	if p != nil {
-		if d, ok := r.pol.(dpaPolicy); ok {
-			r.telDPA = d
-			r.telNativeHigh = d.NativeHigh()
-		}
-	}
 }
 
 // OccupancyByKind reports the router's DPA occupancy registers: input VCs
@@ -343,31 +316,6 @@ func (r *Router) Tick(now int64) {
 	r.vcAllocation()
 	r.routeCompute()
 	r.updatePolicy()
-}
-
-// saPriority returns the policy's SA priority for a packet, through the
-// lookup table when the policy tabulates (bypassing Requestor construction
-// and the interface call).
-func (r *Router) saPriority(p *msg.Packet) int {
-	if t := r.saTab; t != nil {
-		return int(t[b2i(r.app >= 0 && p.App == r.app)])
-	}
-	return r.pol.SAPriority(policy.FromPacket(p, r.app), r.now)
-}
-
-// vaPriority is saPriority's VA_out counterpart.
-func (r *Router) vaPriority(p *msg.Packet, cls policy.VCClass) int {
-	if t := r.vaTab; t != nil {
-		return int(t[cls][b2i(r.app >= 0 && p.App == r.app)])
-	}
-	return r.pol.VAOutPriority(policy.FromPacket(p, r.app), cls, r.now)
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // chargeLoss attributes one stalled cycle of an arbitration loser to the
@@ -565,7 +513,7 @@ func (r *Router) switchAllocation() {
 			forced = false
 			for c := elig; c != 0; c &= c - 1 {
 				i := bits.TrailingZeros64(c)
-				s.saPrio[i] = r.saPriority(in.vcs[i].owner)
+				s.saPrio[i] = r.pol.SAPriority(in.vcs[i].owner, r.now)
 			}
 			req := [1]uint64{elig}
 			w := r.saInArb[d].Grant(req[:], s.saPrio)
@@ -621,7 +569,7 @@ func (r *Router) switchAllocation() {
 		for nm2 := nm; nm2 != 0; nm2 &= nm2 - 1 {
 			if id2 := bits.TrailingZeros8(nm2); r.saOutVC[id2].outPort == od {
 				req[0] |= 1 << uint(id2)
-				s.saOutPri[id2] = r.saPriority(r.saOutVC[id2].owner)
+				s.saOutPri[id2] = r.pol.SAPriority(r.saOutVC[id2].owner, r.now)
 			}
 		}
 		w := r.saOutArb[od].Grant(req[:], s.saOutPri[:])
@@ -784,7 +732,7 @@ func (r *Router) vcAllocation() {
 			s.vaReqN[og]++
 			s.vaSingle[og] = ig
 			s.vaReq[og*nw+ig>>6] |= 1 << uint(ig&63)
-			s.vaPrio[ig] = r.vaPriority(vc.owner, cls)
+			s.vaPrio[ig] = r.pol.VAPriority(vc.owner, cls, r.now)
 		}
 	}
 	for _, og := range touched {
@@ -965,15 +913,12 @@ func (r *Router) routeCompute() {
 // updatePolicy feeds the DPA registers: occupied VCs held by native vs
 // foreign traffic across the whole router (Section IV.C counts all VCs, not
 // just one port). The counts are maintained incrementally at head arrival
-// and tail departure; the policy applies the new state next cycle.
+// and tail departure; the policy applies the new state next cycle, and
+// telemetry counts each flip.
 func (r *Router) updatePolicy() {
 	nat, frn := r.soa.NativeOcc[r.li], r.soa.ForeignOcc[r.li]
-	r.pol.Update(int(nat), int(frn))
-	if r.telDPA != nil {
-		if nh := r.telDPA.NativeHigh(); nh != r.telNativeHigh {
-			r.tel.DPATransition(nh)
-			r.telNativeHigh = nh
-		}
+	if r.pol.Update(int(nat), int(frn)) && r.tel != nil {
+		r.tel.DPATransition(r.pol.NativeHigh())
 	}
 }
 

@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"rair/internal/core"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -14,7 +13,7 @@ import (
 // testRouter builds a router for node 0 (app 0) of a 2×1 mesh with node 1
 // foreign, wired with an east output link, under the given policy and VC
 // configuration.
-func testRouter(cfg Config, pol policy.Policy) (*Router, *Link) {
+func testRouter(cfg Config, pol policy.Spec) (*Router, *Link) {
 	mesh := topology.NewMesh(2, 1)
 	regs := region.New(mesh)
 	regs.Assign(0, 0)
@@ -47,7 +46,7 @@ func headFlit(p *msg.Packet, vc int) msg.Flit {
 // output VC against a native head that arrived the same cycle.
 func TestVAOutPrefersForeignUnderRAIR(t *testing.T) {
 	cfg := oneVCConfig()
-	r, _ := testRouter(cfg, core.New(core.Config{Mode: core.ModeForeignHigh}))
+	r, _ := testRouter(cfg, policy.Spec{Priority: policy.ForeignH})
 	nativePkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	foreignPkt := &msg.Packet{ID: 2, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest, Global: true}
 	// Native on the Local port VC1 (the regional VC), foreign on West VC1.
@@ -77,7 +76,7 @@ func TestVAOutPrefersForeignUnderRAIR(t *testing.T) {
 // one of them (round-robin), never both.
 func TestVAOutAtomicAllocation(t *testing.T) {
 	cfg := oneVCConfig()
-	r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+	r, _ := testRouter(cfg, policy.Spec{})
 	a := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	b := &msg.Packet{ID: 2, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	r.DeliverFlit(topology.Local, headFlit(a, 1))
@@ -104,7 +103,7 @@ func TestVAOutAtomicAllocation(t *testing.T) {
 // flit queued at a different input port for the same output port.
 func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 	cfg := DefaultConfig(1) // plenty of VCs: no VA contention
-	r, east := testRouter(cfg, core.New(core.Config{Mode: core.ModeForeignHigh}))
+	r, east := testRouter(cfg, policy.Spec{Priority: policy.ForeignH})
 	nativePkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	foreignPkt := &msg.Packet{ID: 2, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest, Global: true}
 	r.DeliverFlit(topology.Local, headFlit(nativePkt, 3))
@@ -127,7 +126,7 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 // Credits must flow back on the input port's link when a flit is dequeued.
 func TestCreditReturn(t *testing.T) {
 	cfg := DefaultConfig(1)
-	r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+	r, _ := testRouter(cfg, policy.Spec{})
 	west := r.in[topology.West].link
 	p := &msg.Packet{ID: 1, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	r.DeliverFlit(topology.West, headFlit(p, 2))
@@ -147,7 +146,7 @@ func TestCreditReturn(t *testing.T) {
 // The DPA registers must reflect arrivals and departures exactly.
 func TestOccupancyTracking(t *testing.T) {
 	cfg := DefaultConfig(1)
-	r, east := testRouter(cfg, policy.NewRoundRobin(0, 0))
+	r, east := testRouter(cfg, policy.Spec{})
 	nativePkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	foreignPkt := &msg.Packet{ID: 2, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	r.DeliverFlit(topology.Local, headFlit(nativePkt, 1))
@@ -170,7 +169,7 @@ func TestOccupancyTracking(t *testing.T) {
 // OldestOwner surfaces the earliest-created resident packet.
 func TestOldestOwner(t *testing.T) {
 	cfg := DefaultConfig(1)
-	r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+	r, _ := testRouter(cfg, policy.Spec{})
 	if r.OldestOwner() != nil {
 		t.Fatal("empty router has an owner")
 	}
@@ -186,7 +185,7 @@ func TestOldestOwner(t *testing.T) {
 // DebugState must mention resident packets (diagnostic plumbing).
 func TestDebugState(t *testing.T) {
 	cfg := DefaultConfig(1)
-	r, _ := testRouter(cfg, policy.NewRoundRobin(0, 0))
+	r, _ := testRouter(cfg, policy.Spec{})
 	p := &msg.Packet{ID: 7, App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	r.DeliverFlit(topology.Local, headFlit(p, 1))
 	if s := r.DebugState(); len(s) == 0 || !containsPkt(s) {

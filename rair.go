@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"rair/internal/faults"
 	"rair/internal/harness"
@@ -44,6 +45,7 @@ import (
 	"rair/internal/memsys"
 	"rair/internal/msg"
 	"rair/internal/obs"
+	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -87,8 +89,9 @@ type Config struct {
 	Rects  []Rect `json:"rects,omitempty"`
 
 	// Scheme names the interference-reduction technique: "RO_RR",
-	// "RO_Rank", "RA_DBAR", "RA_RAIR", "RAIR_VA", "RAIR_NativeH",
-	// "RAIR_ForeignH" (default "RO_RR").
+	// "RO_Rank", "RA_DBAR", "RA_RAIR", "RAIR_DBAR", "RAIR_VA",
+	// "RAIR_NativeH", "RAIR_ForeignH" (default "RO_RR"; Schemes lists
+	// them).
 	Scheme string `json:"scheme"`
 	// Routing selects the routing algorithm: "adaptive" (minimal
 	// adaptive with Duato escape VCs, the default), "xy", "westfirst",
@@ -98,7 +101,8 @@ type Config struct {
 	// can be expressed.
 	Routing string `json:"routing"`
 	// Ranks is RO_Rank's oracle ranking (rank per app id, 0 = highest
-	// priority). Defaults to app order; any other scheme rejects it.
+	// priority), each rank in [0, len(Ranks)). Defaults to app order; any
+	// other scheme rejects it.
 	Ranks []int `json:"ranks,omitempty"`
 	// Delta overrides RA_RAIR's DPA hysteresis width (default 0.2); it
 	// must be finite and non-negative, and any other scheme rejects it.
@@ -255,6 +259,15 @@ func New(cfg Config) (*Simulation, error) {
 	if len(cfg.Ranks) > 0 && cfg.Scheme != "RO_Rank" {
 		return nil, fmt.Errorf("rair: ranks apply only to RO_Rank, not to scheme %q", cfg.Scheme)
 	}
+	// A rank outside [0, n) would let a younger batch outrank an older one.
+	if cfg.Ranks != nil && len(cfg.Ranks) == 0 {
+		return nil, fmt.Errorf("rair: ranks, when given, must rank at least one app")
+	}
+	for app, r := range cfg.Ranks {
+		if r < 0 || r >= len(cfg.Ranks) {
+			return nil, fmt.Errorf("rair: ranks: app %d has rank %d, outside [0, %d)", app, r, len(cfg.Ranks))
+		}
+	}
 	for _, f := range [...]struct {
 		name string
 		v    int
@@ -347,17 +360,15 @@ func (s *Simulation) lbdrRestricted() bool {
 	return ok
 }
 
-// schemeFor resolves cfg.Scheme through the harness's name table,
-// accepting only the names Schemes lists, and applies the two settings a
-// Config carries for a scheme: RO_Rank's oracle ranking and RA_RAIR's DPA
-// hysteresis width.
+// schemeFor looks cfg.Scheme up in the scheme table and applies the two
+// settings a Config carries for a scheme: RO_Rank's oracle ranking and
+// RA_RAIR's DPA hysteresis width.
 func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
-	name := cfg.Scheme
-	if !slices.Contains(Schemes(), name) {
-		return harness.Scheme{}, fmt.Errorf("rair: unknown scheme %q", name)
+	s, err := harness.SchemeByName(cfg.Scheme)
+	if err != nil {
+		return s, fmt.Errorf("rair: unknown scheme %q (want one of %s)", cfg.Scheme, strings.Join(Schemes(), ", "))
 	}
-	switch {
-	case name == "RO_Rank":
+	if cfg.Scheme == "RO_Rank" {
 		ranks := cfg.Ranks
 		if ranks == nil {
 			// Default identity ranking sized to the configured app count so
@@ -369,17 +380,16 @@ func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
 				ranks[i] = i
 			}
 		}
-		return harness.RORank(ranks), nil
-	case name == "RA_RAIR" && cfg.Delta > 0:
-		return harness.RAIRDelta(cfg.Delta), nil
+		s.Policy.Ranks = policy.FixedRanks(ranks)
 	}
-	return harness.SchemeByName(name)
+	if cfg.Delta > 0 {
+		s.Policy.Delta = cfg.Delta
+	}
+	return s, nil
 }
 
 // Schemes lists the recognized scheme names.
-func Schemes() []string {
-	return []string{"RO_RR", "RO_Rank", "RA_DBAR", "RA_RAIR", "RAIR_DBAR", "RAIR_VA", "RAIR_NativeH", "RAIR_ForeignH"}
-}
+func Schemes() []string { return harness.SchemeNames() }
 
 // AddApp attaches a synthetic application. The app id must have nodes in
 // the layout.

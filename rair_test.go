@@ -50,6 +50,12 @@ func TestNewValidation(t *testing.T) {
 		{Config{Scheme: "RAIR_DBAR", Delta: 0.5}, "delta"},
 		{Config{Scheme: "RO_RR", Ranks: []int{1, 0}}, "ranks"},
 		{Config{Scheme: "RA_RAIR", Ranks: []int{1, 0}}, "ranks"},
+		// A rank outside [0, n) would let a younger batch outrank an
+		// older one; an empty list ranks nothing.
+		{Config{Scheme: "RO_Rank", Ranks: []int{0, 9}}, "ranks"},
+		{Config{Scheme: "RO_Rank", Ranks: []int{-1, 0}}, "ranks"},
+		{Config{Scheme: "RO_Rank", Ranks: []int{}}, "ranks"},
+		{Config{Scheme: "MAGIC"}, "RO_RR, RO_Rank, RA_DBAR, RA_RAIR, RAIR_DBAR"},
 		{Config{Classes: -1}, "classes"},
 		{Config{AdaptiveVCs: -2}, "adaptiveVCs"},
 		{Config{GlobalVCs: -1}, "globalVCs"},
