@@ -35,19 +35,22 @@ func (r *Router) AuditInputVCs(d topology.Dir, fn func(InputVCState)) {
 	for i := range r.in[d].vcs {
 		vc := &r.in[d].vcs[i]
 		fn(InputVCState{
-			VC: vc.idx, Owner: vc.owner,
+			VC: i, Owner: vc.owner,
 			Allocated: vc.stage != stageIdle,
-			Buffered:  vc.buf.Len(),
+			Buffered:  int(vc.n),
 		})
 	}
 }
 
 // AuditInputFlits calls fn for every buffered flit of input port d's VC vc,
-// head first.
+// oldest first, each rebuilt from the VC's run as it arrived.
 func (r *Router) AuditInputFlits(d topology.Dir, vc int, fn func(msg.Flit)) {
-	buf := &r.in[d].vcs[vc].buf
-	for i := 0; i < buf.Len(); i++ {
-		fn(buf.At(i))
+	v := &r.in[d].vcs[vc]
+	for seq := v.front; seq < v.front+int32(v.n); seq++ {
+		f := msg.FlitAt(v.owner, int(seq))
+		f.Type |= r.soa.damage(v, seq)
+		f.VC = vc
+		fn(f)
 	}
 }
 

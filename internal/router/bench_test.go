@@ -79,11 +79,11 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 			// Recycle the ST register and the consumed flit so every
 			// iteration runs the grant + transfer path from the same
 			// state.
-			f := out.st
 			out.stValid = false
 			r.stPending--
 			r.stList = r.stList[:0]
-			vc.buf.Push(f)
+			vc.front--
+			vc.n++
 			in.occMask |= 1 << 1
 			in.bufFlits++
 			r.fastArmed = false
@@ -121,7 +121,7 @@ func BenchmarkFlitStreaming(b *testing.B) {
 			if f, ok := east.ShiftFlits(now); ok {
 				east.SendCredit(f.VC)
 			}
-			if vc.buf.Len() < cfg.Depth {
+			if int(vc.n) < cfg.Depth {
 				nf := msg.FlitAt(pkt, seq)
 				nf.VC = 1
 				r.DeliverFlit(topology.North, nf)

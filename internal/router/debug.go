@@ -36,14 +36,14 @@ func (r *Router) DebugState() string {
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		for i := range r.in[d].vcs {
 			vc := &r.in[d].vcs[i]
-			if vc.owner == nil && vc.buf.Empty() {
+			if vc.owner == nil && vc.n == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  in %-5s vc%-2d %-6s buf=%d attempts=%d", d, vc.idx, stages[vc.stage], vc.buf.Len(), vc.vaAttempts)
+			fmt.Fprintf(&b, "  in %-5s vc%-2d %-6s buf=%d front=%d escapeNext=%v", d, vc.idx, stages[vc.stage], vc.n, vc.front, vc.vaOdd)
 			if vc.owner != nil {
 				fmt.Fprintf(&b, " owner=%v", vc.owner)
 				if vc.stage == stageActive {
-					fmt.Fprintf(&b, " -> %s vc%d", vc.outPort, vc.outVC)
+					fmt.Fprintf(&b, " -> %s vc%d", topology.Dir(vc.outPort), vc.outVC)
 				}
 			}
 			b.WriteByte('\n')

@@ -72,7 +72,7 @@ var desyncs = []desync{
 			return false
 		}
 		d, i, ok := soleCandidate(r)
-		if !ok || r.planPorts>>uint(d)&1 == 1 || !r.in[d].vcs[i].buf.At(0).Type.IsHead() {
+		if !ok || r.planPorts>>uint(d)&1 == 1 || r.in[d].vcs[i].front != 0 {
 			return false
 		}
 		r.fastArmed = true
@@ -218,7 +218,7 @@ var desyncs = []desync{
 	{"out.creditSum", func(g *rig) bool {
 		r := g.router()
 		_, vc, og := predictVA(r)
-		if og < 0 || vc.vaAttempts%2 == 1 || r.alg.Route(r.at, vc.owner.Dst).N != 2 {
+		if og < 0 || vc.vaOdd || r.alg.Route(r.at, vc.owner.Dst).N != 2 {
 			return false
 		}
 		r.out[og/r.nvc].creditSum -= 1000
@@ -270,6 +270,36 @@ var desyncs = []desync{
 			return false
 		}
 		ni.queued--
+		return true
+	}, true},
+	// A buffered run's fields, on a stream that must pop this tick with its
+	// tail already buffered (no arrival can land on the corrupted run): a
+	// front one back replays the flit before it and never reaches the tail,
+	// a count one short never pops the tail, and a cleared damaged count
+	// sends the Damaged front flit out unmarked.
+	{"run.front", func(g *rig) bool {
+		vc := soleRun(g.router(), func(vc *inputVC) bool { return vc.front > 0 && vc.n > 1 })
+		if vc == nil {
+			return false
+		}
+		vc.front--
+		return true
+	}, true},
+	{"run.n", func(g *rig) bool {
+		vc := soleRun(g.router(), func(vc *inputVC) bool { return vc.n > 1 })
+		if vc == nil {
+			return false
+		}
+		vc.n--
+		return true
+	}, true},
+	{"run.damaged", func(g *rig) bool {
+		r := g.router()
+		vc := soleRun(r, func(vc *inputVC) bool { return r.soa.damage(vc, vc.front) != 0 })
+		if vc == nil {
+			return false
+		}
+		vc.damaged = 0
 		return true
 	}, true},
 	// Over-counts only keep stages (and the router's wake bit) running over
@@ -387,7 +417,7 @@ func plantStandingVA(r *Router) bool {
 		return false
 	}
 	nIn := int(topology.NumDirs) * r.nvc
-	i := (vc.idx + 1) % nIn
+	i := (int(vc.idx) + 1) % nIn
 	r.soa.vaReqN[og] = 1
 	r.soa.vaReq[og*((nIn+63)>>6)+i>>6] |= 1 << uint(i&63)
 	return true
@@ -400,7 +430,7 @@ func predictVA(r *Router) (topology.Dir, *inputVC, int) {
 		if m := r.in[d].vaMask; m != 0 {
 			vc := &r.in[d].vcs[bits.TrailingZeros64(m)]
 			og, _ := r.vaInput(vc)
-			vc.vaAttempts--
+			vc.vaOdd = !vc.vaOdd
 			return d, vc, og
 		}
 	}
@@ -434,6 +464,19 @@ func soleCandidate(r *Router) (topology.Dir, int, bool) {
 	return 0, 0, false
 }
 
+// soleRun returns the soleCandidate stream's VC when its tail is buffered
+// and ok holds for it, else nil.
+func soleRun(r *Router, ok func(*inputVC) bool) *inputVC {
+	d, i, found := soleCandidate(r)
+	if !found {
+		return nil
+	}
+	if vc := &r.in[d].vcs[i]; tailBuffered(vc) && ok(vc) {
+		return vc
+	}
+	return nil
+}
+
 // dryTailStream finds a stream waiting on a credit with its whole remainder,
 // tail included, buffered: no flit arrival can re-arm it, only the refill.
 func dryTailStream(r *Router) (topology.Dir, int, bool) {
@@ -441,8 +484,8 @@ func dryTailStream(r *Router) (topology.Dir, int, bool) {
 		in := r.in[d]
 		for m := in.activeMask & in.occMask &^ in.saElig; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if vc.outPort != topology.Local && vc.buf.At(vc.buf.Len()-1).Type.IsTail() {
-				return d, vc.idx, true
+			if topology.Dir(vc.outPort) != topology.Local && tailBuffered(vc) {
+				return d, int(vc.idx), true
 			}
 		}
 	}
@@ -456,8 +499,8 @@ func idleStream(r *Router) (topology.Dir, int, bool) {
 		in := r.in[d]
 		for m := in.activeMask &^ in.occMask; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if vc.outPort != topology.Local && r.out[vc.outPort].vcs[vc.outVC].credits == r.cfg.Depth {
-				return d, vc.idx, true
+			if topology.Dir(vc.outPort) != topology.Local && r.out[vc.outPort].vcs[vc.outVC].credits == r.cfg.Depth {
+				return d, int(vc.idx), true
 			}
 		}
 	}
@@ -488,4 +531,10 @@ func claimPick(ni *NI) int {
 		}
 	}
 	return -1
+}
+
+// tailBuffered reports whether vc's run ends with its owner's tail: no
+// further flit will arrive on the VC until the run has drained.
+func tailBuffered(vc *inputVC) bool {
+	return vc.n > 0 && int(vc.front)+int(vc.n) == vc.owner.Size
 }

@@ -57,9 +57,11 @@ type niDUT interface {
 
 // rig is one router/NI pair under test, with the links it is wired
 // to (Local: the NI's injection and ejection link), its copies of every
-// packet, and its telemetry probe (nil when off).
+// packet, and its telemetry probe (nil when off). long makes the
+// neighbours' packets 70–90 flits instead of 1–8.
 type rig struct {
 	cfg     Config
+	long    bool
 	r       routerDUT
 	ni      niDUT
 	in, out [topology.NumDirs]*Link
@@ -70,9 +72,10 @@ type rig struct {
 
 // rigSpec is one cell of the configuration matrix.
 type rigSpec struct {
-	cfg Config
-	alg routing.Algorithm
-	pol policy.Spec
+	cfg  Config
+	alg  routing.Algorithm
+	pol  policy.Spec
+	long bool // 70–90-flit packets (see rig)
 }
 
 // real builds the optimised Router and NI over slot li of soa (nil: a
@@ -81,7 +84,7 @@ func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
 	if soa == nil {
 		soa = NewSoA(s.cfg, 1)
 	}
-	g := &rig{cfg: s.cfg}
+	g := &rig{cfg: s.cfg, long: s.long}
 	r := NewInStore(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, rigRegions,
 		s.alg, routing.LocalSelector{}, s.pol, soa, li)
 	ni := NewNIInStore(s.cfg, rigNode, rigRegions, func(*msg.Packet, int64) { g.ejected++ }, soa, li)
@@ -98,7 +101,7 @@ func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
 
 // reference builds the executable specification of the same cell.
 func (s rigSpec) reference() *rig {
-	g := &rig{cfg: s.cfg}
+	g := &rig{cfg: s.cfg, long: s.long}
 	g.r = newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, s.pol)
 	g.ni = newRefNI(s.cfg, rigRegions, func(*msg.Packet, int64) { g.ejected++ })
 	g.wire()
@@ -155,6 +158,7 @@ type cycleSeen struct {
 // downstream neighbour holds for flits it has received.
 type episode struct {
 	rng       *rand.Rand
+	marks     *rand.Rand // which flits go out Damaged, apart from rng
 	rigs      []*rig
 	now       int64
 	load      int // percent chance an upstream neighbour offers a flit in a cycle
@@ -167,7 +171,7 @@ type episode struct {
 type feed struct{ pkt, next int } // index into every rig's pkts; next flit
 
 // runEpisode drives the rigs through one random episode of episodeCycles
-// cycles and returns the first cycle on which any rig shows its neighbours
+// cycles (eight times as many with long packets) and returns the first cycle on which any rig shows its neighbours
 // something rigs[0] does not (nil when they stayed in lockstep). Every
 // random decision is drawn once, reading rigs[0] where it depends on the
 // state of a link, and applied to every rig. Each cycle is the engine's: the
@@ -181,7 +185,7 @@ type feed struct{ pkt, next int } // index into every rig's pkts; next flit
 // episode by returning false.
 func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle int64) bool) error {
 	cfg := rigs[0].cfg
-	e := &episode{rng: rand.New(rand.NewSource(seed)), rigs: rigs,
+	e := &episode{rng: rand.New(rand.NewSource(seed)), marks: rand.New(rand.NewSource(^seed)), rigs: rigs,
 		load: 20 + 20*int(seed%3), drain: 40 + 30*int(seed/3%2)}
 	v := cfg.VCsPerPort()
 	for d := topology.North; d < topology.NumDirs; d++ {
@@ -193,7 +197,11 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 	}
 	obs := make([]cycleSeen, len(rigs))
 	arbs := make([][]arbiter.Prioritized, len(rigs))
-	for ; e.now < episodeCycles; e.now++ {
+	cycles := int64(episodeCycles)
+	if rigs[0].long {
+		cycles *= 8
+	}
+	for ; e.now < cycles; e.now++ {
 		var hold [topology.NumDirs]bool
 		for d := range hold {
 			hold[d] = e.rng.Intn(100) < 5
@@ -313,7 +321,8 @@ func (e *episode) downstream(d topology.Dir) {
 // of a random half-sent packet with a credit, else the head of a new packet
 // on a VC whose last packet has fully drained (all its credits home).
 // Packets mostly take adaptive VCs and sometimes the escape VC of their
-// class, as an upstream allocator may.
+// class, as an upstream allocator may. One flit in twenty goes out marked
+// Damaged, as a faulty link that gave up retransmitting forwards it.
 func (e *episode) upstream(d topology.Dir) {
 	cfg := e.rigs[0].cfg
 	if e.rng.Intn(100) >= e.load || !e.rigs[0].in[d].CanSendFlit() {
@@ -341,9 +350,13 @@ func (e *episode) upstream(d topology.Dir) {
 
 func (e *episode) sendUp(d topology.Dir, i int) {
 	fd := e.feeds[d][i]
+	damaged := e.marks.Intn(20) == 0
 	for _, g := range e.rigs {
 		f := msg.FlitAt(g.pkts[fd.pkt], fd.next)
 		f.VC = i
+		if damaged {
+			f.Type |= msg.Damaged
+		}
 		g.in[d].SendFlit(f)
 	}
 	e.upCredits[d][i]--
@@ -371,9 +384,14 @@ func (e *episode) packet(src, dst int) msg.Packet {
 	if e.rng.Intn(2) == 0 {
 		app = e.rng.Intn(rigRegions.NumApps())
 	}
+	class := msg.Class(e.rng.Intn(e.rigs[0].cfg.Classes))
+	size := 1 + e.rng.Intn(8)
+	if e.rigs[0].long {
+		size = 70 + e.rng.Intn(21)
+	}
 	return msg.Packet{
 		ID: uint64(len(e.rigs[0].pkts) + 1), App: app, Src: src, Dst: dst, FinalDst: dst,
-		Class: msg.Class(e.rng.Intn(e.rigs[0].cfg.Classes)), Size: 1 + e.rng.Intn(8),
+		Class: class, Size: size,
 		Global: rigRegions.Global(src, dst), CreatedAt: e.now - int64(e.rng.Intn(600)),
 	}
 }
@@ -392,7 +410,9 @@ func (e *episode) add(p msg.Packet) int {
 var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
 
 // lockstepSpecs is the configuration matrix: seven policies × six router
-// configurations × three routing algorithms.
+// configurations × three routing algorithms, plus one cell whose VCs hold
+// 80 flits and whose packets are 70–90 flits long, so a buffered run can
+// outgrow 64 flits with Damaged marks past the 64th.
 func lockstepSpecs() map[string]rigSpec {
 	policies := map[string]policy.Spec{
 		"RO_RR":    {},
@@ -424,6 +444,8 @@ func lockstepSpecs() map[string]rigSpec {
 			}
 		}
 	}
+	specs["RA_RAIR/long/MinAdaptive"] = rigSpec{cfg: withConfig(func(c *Config) { c.Depth = 80 }),
+		alg: algs["MinAdaptive"], pol: rairSpec, long: true}
 	return specs
 }
 
@@ -436,11 +458,13 @@ func withConfig(edit func(*Config)) Config {
 
 // TestReferenceLockstep is the router's oracle: on every cell of the
 // configuration matrix and 24 seeds, the optimised Router and NI — masks,
-// stage counters, SoA slabs, plan replay — must show their neighbours
-// exactly what the reference shows, every cycle. The totals guard against
-// a vacuous pass: flits must move, plans must replay and DPA must flip.
+// stage counters, SoA slabs, buffered runs, plan replay — must show their
+// neighbours exactly what the reference shows, every cycle. The totals
+// guard against a vacuous pass: flits must move, plans must replay, DPA
+// must flip, and Damaged flits buffered 64 or more flits behind the front
+// of their run must leave the router (and so be compared).
 func TestReferenceLockstep(t *testing.T) {
-	var flits, ejected, fast, dpaFlips atomic.Int64
+	var flits, ejected, fast, dpaFlips, deepMarks atomic.Int64
 	t.Run("cells", func(t *testing.T) {
 		for name, spec := range lockstepSpecs() {
 			t.Run(name, func(t *testing.T) {
@@ -448,11 +472,13 @@ func TestReferenceLockstep(t *testing.T) {
 				for seed := int64(1); seed <= 24; seed++ {
 					real, ref := spec.real(nil, 0, false), spec.reference()
 					nativeHigh := false
+					deep := map[deepFlit]bool{}
 					err := runEpisode(seed, []*rig{real, ref}, func() {}, func(int64) bool {
 						if real.nativeHigh() != nativeHigh {
 							nativeHigh = !nativeHigh
 							dpaFlips.Add(1)
 						}
+						deepMarks.Add(deepSweep(real.router(), deep))
 						return true
 					})
 					if err != nil {
@@ -467,10 +493,40 @@ func TestReferenceLockstep(t *testing.T) {
 			})
 		}
 	})
-	if flits.Load() == 0 || ejected.Load() == 0 || fast.Load() == 0 || dpaFlips.Load() == 0 {
-		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d replayed ticks, %d DPA flips",
-			flits.Load(), ejected.Load(), fast.Load(), dpaFlips.Load())
+	if flits.Load() == 0 || ejected.Load() == 0 || fast.Load() == 0 || dpaFlips.Load() == 0 || deepMarks.Load() == 0 {
+		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d replayed ticks, %d DPA flips, %d deep Damaged flits sent",
+			flits.Load(), ejected.Load(), fast.Load(), dpaFlips.Load(), deepMarks.Load())
 	}
+}
+
+// deepFlit is a Damaged flit seq of pkt buffered in vc.
+type deepFlit struct {
+	vc  *inputVC
+	pkt *msg.Packet
+	seq int32
+}
+
+// deepSweep records in seen every Damaged flit r buffers 64 or more flits
+// behind the front of its run, and returns how many recorded flits have
+// left r since the last sweep.
+func deepSweep(r *Router, seen map[deepFlit]bool) (left int64) {
+	for k := range seen {
+		if k.vc.owner != k.pkt || k.vc.front > k.seq {
+			delete(seen, k)
+			left++
+		}
+	}
+	for d := range r.in {
+		for i := range r.in[d].vcs {
+			vc := &r.in[d].vcs[i]
+			for k := int32(64); k < int32(vc.n); k++ {
+				if r.soa.damage(vc, vc.front+k) != 0 {
+					seen[deepFlit{vc, vc.owner, vc.front + k}] = true
+				}
+			}
+		}
+	}
+	return left
 }
 
 // TestReplayMatchesArbitration is the differential oracle for plan replay:
@@ -504,7 +560,7 @@ func TestReplayMatchesArbitration(t *testing.T) {
 				if out.stValid && !out.link.CanSendFlit() {
 					cov.hold++
 				}
-				if r.in[d].saElig>>uint(vc.idx)&1 == 1 && vc.buf.At(0).Type.IsTail() {
+				if r.in[d].saElig>>uint(vc.idx)&1 == 1 && int(vc.front) == vc.owner.Size-1 {
 					cov.tail++
 				}
 				for m := out.streamMask &^ out.creditMask &^ (1 << uint(vc.outVC)); m != 0; m &= m - 1 {

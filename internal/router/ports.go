@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"rair/internal/msg"
-	"rair/internal/sim"
 	"rair/internal/topology"
 )
 
@@ -33,23 +32,26 @@ type vcMask = uint64
 // allVCs returns the mask with bits [0, v) set.
 func allVCs(v int) vcMask { return ^vcMask(0) >> (64 - uint(v)) }
 
-// inputVC is one virtual channel of an input port. VCs are stored by value
-// in the port's slice (and the flit ring is embedded) so the pipeline's
-// per-VC state is contiguous in memory rather than a pointer chase per VC.
+// inputVC is one virtual channel of an input port, stored by value in the
+// port's slice. Atomic allocation makes its buffer one run of its owner's
+// flits, Seq front to front+n-1, which transfer rebuilds with msg.FlitAt;
+// their msg.Damaged marks are in the store's damaged set (see SoA).
 type inputVC struct {
-	idx   int
-	buf   sim.Bounded[msg.Flit]
-	owner *msg.Packet
-	stage vcStage
+	owner   *msg.Packet
+	front   int32  // Seq of the oldest buffered flit
+	n       uint16 // buffered flits
+	damaged uint16 // buffered flits marked msg.Damaged
+	idx     uint8
+	stage   vcStage
 
 	// Route allocation, valid while Active.
-	outPort topology.Dir
-	outVC   int
+	outPort uint8 // a topology.Dir
+	outVC   uint8
 
-	// vaAttempts counts failed VA tries; every other attempt is forced
-	// onto the escape (DOR) direction so the Duato escape path is always
-	// eventually requested under congestion.
-	vaAttempts int
+	// vaOdd is the parity of the failed VA tries; every other attempt is
+	// forced onto the escape (DOR) direction so the Duato escape path is
+	// always eventually requested under congestion.
+	vaOdd bool
 
 	// headPending is true from head arrival until SA pops the head flit —
 	// the window in which stall attribution may charge this VC's packet.
@@ -89,25 +91,43 @@ type InputPort struct {
 	saElig vcMask
 }
 
-// deliver accepts a flit arriving from the upstream link.
-func (p *InputPort) deliver(f msg.Flit) {
+// deliver accepts a flit arriving from the upstream link into a VC of depth
+// flits. It extends the VC's run, so it rejects what no run can take: a head
+// into a busy VC, a flit of another packet, a flit out of sequence, and a
+// flit into a full VC (a flow-control violation).
+func (p *InputPort) deliver(f msg.Flit, depth int) {
 	vc := &p.vcs[f.VC]
 	if f.Type.IsHead() {
 		if vc.owner != nil {
-			panic(fmt.Sprintf("router: head flit of %v arrived on busy VC %d (%s port, owner %v)",
-				f.Pkt, f.VC, p.dir, vc.owner))
+			p.reject(f, "head flit on a busy VC")
 		}
 		vc.owner = f.Pkt
+		vc.front = 0
 		vc.stage = stageRC
-		vc.vaAttempts = 0
+		vc.vaOdd = false
 		vc.headPending = true
 		p.rcMask |= 1 << uint(f.VC)
 	} else if vc.owner != f.Pkt {
-		panic(fmt.Sprintf("router: body flit of %v on VC %d owned by %v", f.Pkt, f.VC, vc.owner))
+		p.reject(f, "body flit of another packet")
 	}
-	vc.buf.Push(f)
+	switch {
+	case f.Seq != int(vc.front)+int(vc.n):
+		p.reject(f, "flit out of sequence")
+	case int(vc.n) == depth:
+		p.reject(f, "VC overflow (flow-control violation)")
+	}
+	vc.n++
 	p.occMask |= 1 << uint(f.VC)
 	p.bufFlits++
+}
+
+// reject panics for a flit deliver cannot take, naming why and the run.
+//
+//go:noinline
+func (p *InputPort) reject(f msg.Flit, why string) {
+	vc := &p.vcs[f.VC]
+	panic(fmt.Sprintf("router: %s: %v seq %d on %s VC %d (owner %v, front %d, %d buffered)",
+		why, f.Pkt, f.Seq, p.dir, f.VC, vc.owner, vc.front, vc.n))
 }
 
 // outputVC is one virtual channel of an output port: the credit counter for

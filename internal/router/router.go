@@ -212,7 +212,10 @@ func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].link != ni
 // VA grant re-derives the bit when the stream goes Active).
 func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 	in := r.in[dir]
-	in.deliver(f)
+	in.deliver(f, r.cfg.Depth)
+	if f.Type&msg.Damaged != 0 {
+		r.soa.markDamaged(&in.vcs[f.VC], f.Seq)
+	}
 	if f.Type.IsHead() {
 		r.rcCount++
 		r.soa.Work[r.li]++
@@ -624,22 +627,30 @@ func (r *Router) replay() {
 	}
 }
 
-// transfer dequeues one flit from vc and latches it into the ST register of
-// its allocated output port. It reports whether the flit was the packet's
-// tail (a tail retires the stream, which ends or forbids a plan).
+// transfer dequeues one flit from vc — the front of its run, rebuilt from
+// the owner — and latches it into the ST register of its allocated output
+// port. It reports whether the flit was the packet's tail (a tail retires
+// the stream, which ends or forbids a plan).
 func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	out := r.out[vc.outPort]
 	ov := &out.vcs[vc.outVC]
-	f, ok := vc.buf.Pop()
-	if !ok {
+	if vc.n == 0 {
 		panic("router: SA granted an empty VC")
 	}
+	f := msg.FlitAt(vc.owner, int(vc.front))
+	if k := (damagedFlit{vc, vc.front}); vc.damaged != 0 && r.soa.damaged[k] {
+		f.Type |= msg.Damaged
+		delete(r.soa.damaged, k)
+		vc.damaged--
+	}
+	vc.front++
+	vc.n--
 	in := r.in[inDir]
 	in.bufFlits--
-	if vc.buf.Empty() {
+	if vc.n == 0 {
 		in.occMask &^= 1 << uint(vc.idx)
 	}
-	f.VC = vc.outVC
+	f.VC = int(vc.outVC)
 	if f.Type.IsHead() {
 		f.Pkt.Hops++
 		vc.headPending = false
@@ -654,7 +665,7 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	out.stValid = true
 	r.stPending++
 	r.soa.Work[r.li]++
-	r.stList = append(r.stList, vc.outPort)
+	r.stList = append(r.stList, topology.Dir(vc.outPort))
 	if !out.ejection {
 		if ov.credits <= 0 {
 			panic("router: SA granted without credit")
@@ -670,7 +681,7 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 		if !in.link.CanSendCredit() {
 			panic("router: credit wire busy (more than one dequeue per port per cycle)")
 		}
-		in.link.SendCredit(vc.idx)
+		in.link.SendCredit(int(vc.idx))
 	}
 	tail := f.Type.IsTail()
 	if tail {
@@ -693,7 +704,7 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	// buffer emptied, the last credit drained, or a tail retired the
 	// stream. All three terms are already in registers here, so the
 	// update is branch-plus-mask instead of a re-derivation.
-	if tail || vc.buf.Empty() || (!out.ejection && ov.credits == 0) {
+	if tail || vc.n == 0 || (!out.ejection && ov.credits == 0) {
 		if in.saElig>>uint(vc.idx)&1 == 1 {
 			in.saElig &^= 1 << uint(vc.idx)
 			if in.saElig == 0 {
@@ -725,7 +736,7 @@ func (r *Router) vcAllocation() {
 			if og < 0 {
 				continue
 			}
-			ig := int(d)*v + vc.idx
+			ig := int(d)*v + int(vc.idx)
 			if s.vaReqN[og] == 0 {
 				touched = append(touched, og)
 			}
@@ -785,13 +796,13 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	switch {
 	case rt.N == 1:
 		port = rt.First
-	case vc.vaAttempts%2 == 1:
+	case vc.vaOdd:
 		port = rt.Esc
 	default:
 		r.soa.dirBuf = [2]topology.Dir{rt.First, rt.Second}
 		port = r.sel.Select(r.node, pkt.Dst, r.soa.dirBuf[:rt.N], r)
 	}
-	vc.vaAttempts++
+	vc.vaOdd = !vc.vaOdd
 	out := r.out[port]
 	if out.link == nil && !out.ejection {
 		panic(fmt.Sprintf("router %d: route to unconnected port %v", r.node, port))
@@ -869,8 +880,8 @@ func (r *Router) allocate(og, w int) {
 	out.allocated++
 	out.freeMask &^= 1 << uint(ovIdx)
 	out.streamMask |= 1 << uint(ovIdx)
-	vc.outPort = port
-	vc.outVC = ovIdx
+	vc.outPort = uint8(port)
+	vc.outVC = uint8(ovIdx)
 	vc.stage = stageActive
 	r.vaCount--
 	r.activeCount++
@@ -926,10 +937,8 @@ func (r *Router) updatePolicy() {
 // drain detection and tests).
 func (r *Router) BufferedFlits() int {
 	n := 0
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		for i := range r.in[d].vcs {
-			n += r.in[d].vcs[i].buf.Len()
-		}
+	for _, in := range r.in {
+		n += in.bufFlits
 	}
 	for _, out := range r.out {
 		if out.stValid {

@@ -1,7 +1,11 @@
 package router
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"rair/internal/msg"
 	"rair/internal/policy"
@@ -200,4 +204,92 @@ func containsPkt(s string) bool {
 		}
 	}
 	return false
+}
+
+// TestDeliverRejects: a VC buffers one run of its owner's flits, so each
+// arrival that cannot extend the run panics in deliver, naming why.
+func TestDeliverRejects(t *testing.T) {
+	cfg := DefaultConfig(1)
+	p := &msg.Packet{ID: 1, App: 0, Src: 1, Dst: 0, Size: 3 * cfg.Depth, Class: msg.ClassRequest}
+	q := &msg.Packet{ID: 2, App: 0, Src: 1, Dst: 0, Size: 3 * cfg.Depth, Class: msg.ClassRequest}
+	flit := func(p *msg.Packet, seq int) msg.Flit {
+		f := msg.FlitAt(p, seq)
+		f.VC = 1
+		return f
+	}
+	cases := []struct {
+		name   string
+		arrive []msg.Flit // after p's head
+		want   string
+	}{
+		{"head on a busy VC", []msg.Flit{flit(q, 0)}, "head flit on a busy VC"},
+		{"body of another packet", []msg.Flit{flit(q, 1)}, "body flit of another packet"},
+		{"out of sequence", []msg.Flit{flit(p, 2)}, "flit out of sequence"},
+		{"repeated flit", []msg.Flit{flit(p, 1), flit(p, 1)}, "flit out of sequence"},
+		{"full VC", func() []msg.Flit {
+			var fs []msg.Flit
+			for seq := 1; seq <= cfg.Depth; seq++ {
+				fs = append(fs, flit(p, seq))
+			}
+			return fs
+		}(), "VC overflow"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, _ := testRouter(cfg, policy.Spec{})
+			r.DeliverFlit(topology.West, flit(p, 0))
+			last := len(c.arrive) - 1
+			for _, f := range c.arrive[:last] {
+				r.DeliverFlit(topology.West, f)
+			}
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.Contains(got, c.want) {
+					t.Fatalf("panic %q, want one naming %q", got, c.want)
+				}
+			}()
+			r.DeliverFlit(topology.West, c.arrive[last])
+		})
+	}
+}
+
+// TestInputVCSize pins the per-VC state at 32 bytes: a router holds
+// NumDirs × VCsPerPort of them, and the run representation is what keeps
+// them small (the flit ring it replaced made a VC 96 bytes plus its slab).
+func TestInputVCSize(t *testing.T) {
+	if n := unsafe.Sizeof(inputVC{}); n > 32 {
+		t.Fatalf("inputVC is %d bytes, budget 32", n)
+	}
+}
+
+// TestDamagedMarksSurviveAnyDepth: a run that fills its VC leaves with
+// every Damaged mark it arrived with, at depths either side of 64 up to the
+// 256 cap.
+func TestDamagedMarksSurviveAnyDepth(t *testing.T) {
+	for _, depth := range []int{1, 2, 64, 65, 200, maxSlots} {
+		cfg := DefaultConfig(1)
+		cfg.Depth = depth
+		r, east := testRouter(cfg, policy.Spec{})
+		west := r.in[topology.West].link
+		p := &msg.Packet{ID: 1, App: 1, Src: 0, Dst: 1, Size: depth, Class: msg.ClassRequest}
+		var want, got []msg.FlitType
+		for seq := 0; seq < depth; seq++ {
+			f := msg.FlitAt(p, seq)
+			f.VC = 1
+			if seq%3 != 1 {
+				f.Type |= msg.Damaged
+			}
+			want = append(want, f.Type)
+			r.DeliverFlit(topology.West, f)
+		}
+		for now := int64(0); now < int64(depth+20); now++ {
+			west.ShiftCredits(now)
+			if f, ok := east.ShiftFlits(now); ok {
+				got = append(got, f.Type)
+			}
+			r.Tick(now)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("depth %d: sent %v, want %v", depth, got, want)
+		}
+	}
 }

@@ -3,17 +3,16 @@ package router
 import (
 	"rair/internal/arbiter"
 	"rair/internal/msg"
-	"rair/internal/sim"
 	"rair/internal/topology"
 )
 
 // SoA is a struct-of-arrays state store shared by a contiguous range of
 // routers and NIs — one per tick-engine shard. The per-component structs
-// (Router, NI) are index-based views into it: their ports, VC state and
-// flit-buffer storage are carved out of the dense slabs below, and the
-// per-cycle activity/occupancy registers live in flat arrays so the engine's
-// armed-component sweep and the telemetry occupancy sample are linear passes
-// over contiguous memory instead of pointer chases through component objects.
+// (Router, NI) are index-based views into it: their ports and VC state are
+// carved out of the dense slabs below, and the per-cycle activity/occupancy
+// registers live in flat arrays so the engine's armed-component sweep and
+// the telemetry occupancy sample are linear passes over contiguous memory
+// instead of pointer chases through component objects.
 //
 // Indexing is by local index li in [0, N): component li owns
 // Ins[li*NumDirs:(li+1)*NumDirs], its VC slabs, and element li of every flat
@@ -40,11 +39,16 @@ type SoA struct {
 	ForeignOcc []int32
 
 	// Dense component slabs.
-	Ins     []InputPort
-	Outs    []OutputPort
-	inVCs   []inputVC
-	outVCs  []outputVC
-	flitBuf []msg.Flit
+	Ins    []InputPort
+	Outs   []OutputPort
+	inVCs  []inputVC
+	outVCs []outputVC
+
+	// damaged holds the buffered flits that arrived marked msg.Damaged,
+	// keyed by input VC and Seq; inputVC.damaged counts a VC's entries, so
+	// an unmarked run never looks here. Only link faults mark a flit, so
+	// the set stays nil in every other run.
+	damaged map[damagedFlit]bool
 
 	// vaArb holds every router's VA_out arbiters (round-robin pointers
 	// persist across ticks), NumDirs×VCs per router.
@@ -90,7 +94,6 @@ func NewSoA(cfg Config, n int) *SoA {
 		Outs:       make([]OutputPort, n*nd),
 		inVCs:      make([]inputVC, n*nd*v),
 		outVCs:     make([]outputVC, n*nd*v),
-		flitBuf:    make([]msg.Flit, n*nd*v*cfg.Depth),
 		vaArb:      make([]arbiter.Prioritized, n*nd*v),
 		vaReq:      make([]uint64, nd*v*((nd*v+63)>>6)),
 		vaPrio:     make([]int, nd*v),
@@ -107,8 +110,7 @@ func NewSoA(cfg Config, n int) *SoA {
 			p := li*nd + d
 			ivcs := s.inVCs[p*v : (p+1)*v : (p+1)*v]
 			for i := range ivcs {
-				buf := s.flitBuf[(p*v+i)*cfg.Depth : (p*v+i+1)*cfg.Depth : (p*v+i+1)*cfg.Depth]
-				ivcs[i] = inputVC{idx: i, buf: sim.BoundedOver(buf)}
+				ivcs[i] = inputVC{idx: uint8(i)}
 			}
 			s.Ins[p] = InputPort{dir: topology.Dir(d), vcs: ivcs}
 			ovcs := s.outVCs[p*v : (p+1)*v : (p+1)*v]
@@ -136,3 +138,27 @@ func (s *SoA) ArmedRouter(li int) bool { return s.ArmedR[uint(li)>>6]>>(uint(li)
 
 // ArmedNI reports whether NI li's wake bit is set (audit hook).
 func (s *SoA) ArmedNI(li int) bool { return s.ArmedN[uint(li)>>6]>>(uint(li)&63)&1 == 1 }
+
+// damagedFlit names a buffered flit: its input VC and its Seq.
+type damagedFlit struct {
+	vc  *inputVC
+	seq int32
+}
+
+// markDamaged records that flit seq, just buffered in vc, arrived Damaged.
+func (s *SoA) markDamaged(vc *inputVC, seq int) {
+	if s.damaged == nil {
+		s.damaged = make(map[damagedFlit]bool)
+	}
+	s.damaged[damagedFlit{vc, int32(seq)}] = true
+	vc.damaged++
+}
+
+// damage returns msg.Damaged if flit seq buffered in vc arrived Damaged,
+// else 0.
+func (s *SoA) damage(vc *inputVC, seq int32) msg.FlitType {
+	if vc.damaged != 0 && s.damaged[damagedFlit{vc, seq}] {
+		return msg.Damaged
+	}
+	return 0
+}

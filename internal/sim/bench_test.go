@@ -16,14 +16,6 @@ func BenchmarkRNGIntn(b *testing.B) {
 	}
 }
 
-func BenchmarkBoundedPushPop(b *testing.B) {
-	q := BoundedOver(make([]int, 5))
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-		q.Pop()
-	}
-}
-
 // BenchmarkDelayLineShift measures the per-cycle cost of advancing a link
 // wire in its two steady shapes: "empty" is the idle-path floor every
 // quiescent-but-recently-active link pays, "occupied" the full shift with a

@@ -71,52 +71,3 @@ func TestQueueMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBoundedCapacityAndOrder(t *testing.T) {
-	b := BoundedOver(make([]int, 3))
-	if len(b.buf) != 3 || !b.Empty() {
-		t.Fatal("bad initial state")
-	}
-	b.Push(1)
-	b.Push(2)
-	b.Push(3)
-	if !b.Full() {
-		t.Fatal("should be full")
-	}
-	for want := 1; want <= 3; want++ {
-		v, ok := b.Pop()
-		if !ok || v != want {
-			t.Fatalf("Pop = %d,%v want %d", v, ok, want)
-		}
-	}
-}
-
-func TestBoundedOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected overflow panic")
-		}
-	}()
-	b := BoundedOver(make([]int, 1))
-	b.Push(1)
-	b.Push(2)
-}
-
-func TestBoundedWrap(t *testing.T) {
-	b := BoundedOver(make([]int, 2))
-	for i := 0; i < 50; i++ {
-		b.Push(i)
-		if v, ok := b.Pop(); !ok || v != i {
-			t.Fatalf("wrap iteration %d", i)
-		}
-	}
-}
-
-func TestBoundedDepthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for depth 0")
-		}
-	}()
-	BoundedOver[int](nil)
-}
