@@ -16,18 +16,20 @@ const None = -1
 // ties round-robin. This is the hardware shape of all the paper's policies:
 // a small priority computed per requestor (from batching/ranking in STC, or
 // native/foreign status and DPA state in RAIR) in front of a fair arbiter.
+// It is four bytes: the router's arbiters serve at most NumDirs×64
+// requestors (Config.Validate's VC cap), so both fields fit a uint16.
 type Prioritized struct {
-	n, ptr int
+	n, ptr uint16
 }
 
 // NewPrioritized returns a priority arbiter over n requestors, by value: the
 // router embeds its arbiters and carves them from slabs rather than chasing
 // one heap object per contention point.
 func NewPrioritized(n int) Prioritized {
-	if n < 1 {
-		panic("arbiter: need at least one requestor")
+	if n < 1 || n > math.MaxUint16 {
+		panic("arbiter: need between 1 and 65535 requestors")
 	}
-	return Prioritized{n: n}
+	return Prioritized{n: uint16(n)}
 }
 
 // Grant returns the index of a requesting input with maximal prio, ties
@@ -39,7 +41,7 @@ func NewPrioritized(n int) Prioritized {
 // the number of words.
 func (a *Prioritized) Grant(req []uint64, prio []int) int {
 	best, bestPrio := None, math.MinInt
-	nw, pw, pb := len(req), a.ptr>>6, uint(a.ptr&63)
+	nw, pw, pb := len(req), int(a.ptr>>6), uint(a.ptr&63)
 	// Pass k visits word pw+k (wrapping); the pointer's word is visited
 	// twice, its bits at and above the pointer first and the rest last.
 	for k := 0; k <= nw; k++ {
@@ -61,10 +63,7 @@ func (a *Prioritized) Grant(req []uint64, prio []int) int {
 		}
 	}
 	if best != None {
-		a.ptr = best + 1
-		if a.ptr == a.n {
-			a.ptr = 0
-		}
+		a.GrantSingle(best)
 	}
 	return best
 }
@@ -75,7 +74,7 @@ func (a *Prioritized) Grant(req []uint64, prio []int) int {
 func (a *Prioritized) GrantSingle(idx int) int {
 	// idx+1 <= n always, so the wrap is a compare instead of a division
 	// (this sits on the uncontended fast path of every SA/VA grant).
-	a.ptr = idx + 1
+	a.ptr = uint16(idx + 1)
 	if a.ptr == a.n {
 		a.ptr = 0
 	}

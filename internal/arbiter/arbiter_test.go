@@ -72,8 +72,8 @@ func TestRoundRobinSkipsIdle(t *testing.T) {
 
 func TestRoundRobinNone(t *testing.T) {
 	for _, n := range []int{3, 64, 320} {
-		a := Prioritized{n: n, ptr: n - 1}
-		if g := a.Grant(row(n), flat); g != None || a.ptr != n-1 {
+		a := Prioritized{n: uint16(n), ptr: uint16(n - 1)}
+		if g := a.Grant(row(n), flat); g != None || int(a.ptr) != n-1 {
 			t.Fatalf("n=%d: grant = %d, pointer %d; want None, pointer %d", n, g, a.ptr, n-1)
 		}
 	}
@@ -230,7 +230,7 @@ func TestGrantMatchesRotationScan(t *testing.T) {
 	if err := quick.Check(func(n16, ptr16 uint16, seed int64) bool {
 		n := int(n16%320) + 1
 		rng := rand.New(rand.NewSource(seed))
-		a, ptr := Prioritized{n: n, ptr: int(ptr16) % n}, int(ptr16)%n
+		a, ptr := Prioritized{n: uint16(n), ptr: ptr16 % uint16(n)}, int(ptr16)%n
 		levels := 2 + rng.Intn(2)
 		for step := 0; step < 16; step++ {
 			density := rng.Float64()
@@ -243,7 +243,7 @@ func TestGrantMatchesRotationScan(t *testing.T) {
 				prio[i] = rng.Intn(levels)
 			}
 			want := naiveGrant(&ptr, req, prio)
-			if got := a.Grant(mask, prio); got != want || a.ptr != ptr {
+			if got := a.Grant(mask, prio); got != want || int(a.ptr) != ptr {
 				t.Logf("n=%d step %d: Grant %d pointer %d, scan %d pointer %d", n, step, got, a.ptr, want, ptr)
 				return false
 			}
@@ -261,9 +261,9 @@ func TestGrantMatchesRotationScan(t *testing.T) {
 // SA and VA grant in the router takes the GrantSingle path.
 func TestGrantSingleIsOneHotGrant(t *testing.T) {
 	req := make([]uint64, 5)
-	for n := 1; n <= 320; n++ {
-		for ptr := 0; ptr < n; ptr++ {
-			for i := 0; i < n; i++ {
+	for n := uint16(1); n <= 320; n++ {
+		for ptr := uint16(0); ptr < n; ptr++ {
+			for i := 0; i < int(n); i++ {
 				a, b := Prioritized{n: n, ptr: ptr}, Prioritized{n: n, ptr: ptr}
 				req[i>>6] = 1 << uint(i&63)
 				if ga, gb := a.Grant(req[:(n+63)/64], flat), b.GrantSingle(i); ga != gb || a != b {
@@ -279,6 +279,7 @@ func TestConstructorsPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewPrioritized(0) },
 		func() { NewPrioritized(-1) },
+		func() { NewPrioritized(1 << 16) },
 	} {
 		func() {
 			defer func() {

@@ -92,7 +92,7 @@ func heapPerRouter(edge int) float64 {
 
 // TestPerRouterFootprint is the guard against per-router state that grows
 // with the mesh (the per-destination route cache cost 48 B × N per router:
-// 48 KB each at 32×32). A router's share of the built network — about 8 KB
+// 48 KB each at 32×32). A router's share of the built network — about 5.6 KB
 // with the default single-class configuration — must be the same at 32×32 as
 // at 8×8 and stay under an absolute budget.
 func TestPerRouterFootprint(t *testing.T) {
@@ -101,7 +101,7 @@ func TestPerRouterFootprint(t *testing.T) {
 	if large > 1.15*small {
 		t.Errorf("heap per router grows with the mesh: %.0f B at 32x32 vs %.0f B at 8x8 (limit 1.15x)", large, small)
 	}
-	const budget = 10 << 10
+	const budget = 6 << 10
 	if large > budget {
 		t.Errorf("heap per router at 32x32 is %.0f B, budget %d B", large, budget)
 	}

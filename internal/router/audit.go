@@ -58,13 +58,13 @@ func (r *Router) AuditInputFlits(d topology.Dir, vc int, fn func(msg.Flit)) {
 func (r *Router) AuditOutputVCs(d topology.Dir, fn func(OutputVCState)) {
 	for i := range r.out[d].vcs {
 		v := &r.out[d].vcs[i]
-		fn(OutputVCState{VC: v.idx, Owner: v.owner, Credits: v.credits, TailSent: v.tailSent})
+		fn(OutputVCState{VC: i, Owner: v.owner, Credits: int(v.credits), TailSent: v.tailSent})
 	}
 }
 
 // OutputAllocated reports output port d's allocated-VC bookkeeping counter
 // (must equal the owned VCs visible via AuditOutputVCs).
-func (r *Router) OutputAllocated(d topology.Dir) int { return r.out[d].allocated }
+func (r *Router) OutputAllocated(d topology.Dir) int { return int(r.out[d].allocated) }
 
 // STRegister returns the flit parked in output port d's switch-traversal
 // register, if occupied. An ST flit has already consumed a downstream

@@ -81,7 +81,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 			// state.
 			out.stValid = false
 			r.stPending--
-			r.stList = r.stList[:0]
+			r.stN = 0
 			vc.front--
 			vc.n++
 			in.occMask |= 1 << 1

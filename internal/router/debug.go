@@ -56,7 +56,7 @@ func (r *Router) DebugState() string {
 			if ov.owner == nil {
 				continue
 			}
-			fmt.Fprintf(&b, "  out %-5s vc%-2d credits=%d tailSent=%v owner=%v\n", d, ov.idx, ov.credits, ov.tailSent, ov.owner)
+			fmt.Fprintf(&b, "  out %-5s vc%-2d credits=%d tailSent=%v owner=%v\n", d, i, ov.credits, ov.tailSent, ov.owner)
 		}
 		if out.stValid {
 			fmt.Fprintf(&b, "  out %-5s ST=%v flit %v seq=%d\n", d, out.st.Pkt, out.st.Type, out.st.Seq)

@@ -36,7 +36,7 @@ var desyncs = []desync{
 			out := r.out[d]
 			for m := out.streamMask & out.creditMask; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if ov := &out.vcs[i]; ov.credits == r.cfg.Depth && r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 0 {
+				if ov := &out.vcs[i]; int(ov.credits) == r.cfg.Depth && r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 0 {
 					out.creditMask &^= 1 << uint(i)
 					return true
 				}
@@ -499,7 +499,7 @@ func idleStream(r *Router) (topology.Dir, int, bool) {
 		in := r.in[d]
 		for m := in.activeMask &^ in.occMask; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if topology.Dir(vc.outPort) != topology.Local && r.out[vc.outPort].vcs[vc.outVC].credits == r.cfg.Depth {
+			if topology.Dir(vc.outPort) != topology.Local && int(r.out[vc.outPort].vcs[vc.outVC].credits) == r.cfg.Depth {
 				return d, int(vc.idx), true
 			}
 		}

@@ -11,7 +11,9 @@ import (
 
 // Link is a unidirectional flit channel with its paired reverse credit
 // wire. Flits flow downstream with the configured link latency; credits
-// (identified by VC index) flow upstream with a one-cycle delay.
+// (identified by VC index) flow upstream with a one-cycle delay. The credit
+// wire carries vc+1 in a byte, since a DelayLine slot holding zero is empty
+// (Config.Validate caps VCs per port at 64).
 //
 // Links are the only coupling between routers (and between NIs and
 // routers): they are shifted exactly once per cycle by the network before
@@ -26,7 +28,7 @@ import (
 // delivery.
 type Link struct {
 	flits   sim.DelayLine[msg.Flit]
-	credits sim.DelayLine[int]
+	credits sim.DelayLine[uint8]
 	faults  *faults.LinkState
 
 	// Wake marks: the tick engine's per-shard dirty-wire bitmaps. A push
@@ -142,11 +144,11 @@ func (l *Link) ShiftCredits(now int64) (vc int, ok bool) {
 	if !l.credits.Busy() {
 		return 0, false
 	}
-	vc, ok = l.credits.Shift()
-	if ok && l.faults != nil && !l.faults.CreditArrive(vc, now) {
+	c, ok := l.credits.Shift()
+	if !ok || l.faults != nil && !l.faults.CreditArrive(int(c)-1, now) {
 		return 0, false
 	}
-	return vc, ok
+	return int(c) - 1, true
 }
 
 // FlitsBusy reports whether any flit is in flight downstream, including
@@ -171,7 +173,7 @@ func (l *Link) CanSendFlit() bool { return l.flits.CanPush() }
 
 // SendCredit pushes a credit for vc upstream.
 func (l *Link) SendCredit(vc int) {
-	l.credits.Push(vc)
+	l.credits.Push(uint8(vc + 1))
 	l.credWake.set()
 }
 
@@ -190,4 +192,4 @@ func (l *Link) AuditFlits(fn func(msg.Flit)) { l.flits.Each(fn) }
 
 // AuditCredits calls fn for every in-flight upstream credit's VC index
 // (read-only invariant-checker hook; barrier-only).
-func (l *Link) AuditCredits(fn func(int)) { l.credits.Each(fn) }
+func (l *Link) AuditCredits(fn func(int)) { l.credits.Each(func(c uint8) { fn(int(c) - 1) }) }

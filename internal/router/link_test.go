@@ -55,7 +55,8 @@ func TestLinkFullDuplex(t *testing.T) {
 
 func TestLinkOneFlitPerCycle(t *testing.T) {
 	l := NewLink(2)
-	l.SendFlit(msg.Flit{})
+	p := &msg.Packet{ID: 1, Size: 2}
+	l.SendFlit(msg.FlitAt(p, 0))
 	if l.CanSendFlit() {
 		t.Fatal("second flit in one cycle allowed")
 	}
@@ -64,5 +65,5 @@ func TestLinkOneFlitPerCycle(t *testing.T) {
 			t.Fatal("expected panic on double send")
 		}
 	}()
-	l.SendFlit(msg.Flit{})
+	l.SendFlit(msg.FlitAt(p, 1))
 }

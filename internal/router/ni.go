@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"rair/internal/msg"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/sim"
 	"rair/internal/telemetry"
@@ -44,7 +43,7 @@ type NI struct {
 	// pair, indexed slot*Classes+class. Plain meshes have one slot; a
 	// chiplet gateway's crossbar bridge has its own, so a node's traffic
 	// never queues behind the foreign backlog (cfg.Injectors).
-	queues []*sim.Queue[*msg.Packet]
+	queues []sim.Queue[*msg.Packet]
 
 	streams []stream // per local-input VC; pkt nil when not streaming
 	credits []int
@@ -63,13 +62,6 @@ type NI struct {
 	queued    int
 	streaming int
 	drainingN int
-
-	kinds []policy.VCClass // cached cfg.KindOf per VC index
-
-	// escMask marks escape VCs; classWindow[c] the VC range of class c
-	// (the freeVC search operates on mask intersections).
-	escMask     vcMask
-	classWindow []vcMask
 
 	onEject func(*msg.Packet, int64)
 
@@ -91,16 +83,16 @@ type stream struct {
 // shard store soa (shared with the node's router; the NI uses the NIWork
 // mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
 // is consumed (may be nil). The NI brings its two links with it, allocated
-// just before it: the three share a size class, so they sit side by side in
-// memory (an NI apart from its links measured 1-2 % slower over the compute
-// phase at 32×32).
+// just before it (a 256-byte Link and the NI no longer share a size class;
+// embedding the links in the NI measured no faster at 32×32, DESIGN.md
+// "What the link phase is sensitive to").
 func NewNIInStore(cfg Config, node int, regions *region.Map,
 	onEject func(*msg.Packet, int64), soa *SoA, li int) *NI {
 	v := cfg.VCsPerPort()
 	inj, ej := NewLink(cfg.LinkLatency), NewLink(cfg.LinkLatency)
 	ni := &NI{
 		cfg: cfg, node: node, regions: regions, inj: inj, ej: ej, soa: soa, li: li,
-		queues:     make([]*sim.Queue[*msg.Packet], cfg.Classes*cfg.InjectorCount()),
+		queues:     make([]sim.Queue[*msg.Packet], cfg.Classes*cfg.InjectorCount()),
 		streams:    make([]stream, v),
 		credits:    make([]int, v),
 		creditMask: allVCs(v),
@@ -108,21 +100,10 @@ func NewNIInStore(cfg Config, node int, regions *region.Map,
 		onEject:    onEject,
 	}
 	for i := range ni.queues {
-		ni.queues[i] = sim.NewQueue[*msg.Packet](16)
+		ni.queues[i] = *sim.NewQueue[*msg.Packet](16)
 	}
 	for i := range ni.credits {
 		ni.credits[i] = cfg.Depth
-	}
-	ni.kinds = make([]policy.VCClass, v)
-	for i := range ni.kinds {
-		ni.kinds[i] = cfg.KindOf(i)
-		if ni.kinds[i] == policy.VCEscape {
-			ni.escMask |= 1 << uint(i)
-		}
-	}
-	ni.classWindow = make([]vcMask, cfg.Classes)
-	for c := range ni.classWindow {
-		ni.classWindow[c] = allVCs(cfg.VCsPerClass()) << uint(cfg.ClassBase(msg.Class(c)))
 	}
 	return ni
 }
@@ -260,7 +241,7 @@ func (ni *NI) claim() {
 	nq := len(ni.queues)
 	for i := 0; i < nq; i++ {
 		qi := (ni.rrQ + i) % nq
-		q := ni.queues[qi]
+		q := &ni.queues[qi]
 		if q.Empty() {
 			continue
 		}
@@ -288,8 +269,8 @@ func (ni *NI) claim() {
 // A VC is free when it has no stream, is not draining, and holds its full
 // credit stock — the intersection of three masks with the class window.
 func (ni *NI) freeVC(cls msg.Class) int {
-	free := ni.classWindow[cls] &^ (ni.streamMask | ni.drainMask) & ni.fullMask
-	if adaptive := free &^ ni.escMask; adaptive != 0 {
+	free := ni.soa.classWindow[cls] &^ (ni.streamMask | ni.drainMask) & ni.fullMask
+	if adaptive := free &^ ni.soa.escapeMask; adaptive != 0 {
 		return bits.TrailingZeros64(adaptive)
 	}
 	if free != 0 {

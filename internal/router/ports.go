@@ -131,11 +131,11 @@ func (p *InputPort) reject(f msg.Flit, why string) {
 }
 
 // outputVC is one virtual channel of an output port: the credit counter for
-// the downstream buffer and the atomic allocation state.
+// the downstream buffer and the atomic allocation state. Its VC index is its
+// position in the port's slice.
 type outputVC struct {
-	idx      int
-	credits  int
 	owner    *msg.Packet
+	credits  int32
 	tailSent bool
 
 	// Reverse map to the input VC streaming into this output VC, valid
@@ -158,15 +158,16 @@ type outputVC struct {
 // return.
 type OutputPort struct {
 	dir      topology.Dir
-	vcs      []outputVC
-	link     *Link // downstream link; nil on unconnected mesh-edge ports
-	ejection bool  // Local port: the sink accepts unconditionally
+	ejection bool // Local port: the sink accepts unconditionally
+	stValid  bool // st holds a flit
 
-	st      msg.Flit
-	stValid bool
+	allocated int32 // owned VCs (bookkeeping invariant)
+	creditSum int32 // total credits across the port's VCs
 
-	allocated  int    // owned VCs (bookkeeping invariant)
-	creditSum  int    // total credits across the port's VCs
+	vcs  []outputVC
+	link *Link // downstream link; nil on unconnected mesh-edge ports
+	st   msg.Flit
+
 	freeMask   vcMask // VCs with no owner (VA_in candidates)
 	creditMask vcMask // VCs with at least one downstream credit
 	fullMask   vcMask // VCs with the full credit stock
@@ -180,12 +181,12 @@ type OutputPort struct {
 func (p *OutputPort) deliverCredit(vc int, depth int) {
 	v := &p.vcs[vc]
 	v.credits++
-	if v.credits > depth {
+	if int(v.credits) > depth {
 		p.creditOverflow(vc)
 	}
 	p.creditSum++
 	p.creditMask |= 1 << uint(vc)
-	if v.credits == depth {
+	if int(v.credits) == depth {
 		p.fullMask |= 1 << uint(vc)
 	}
 }
@@ -219,4 +220,4 @@ func (p *OutputPort) free() {
 // freeCredits reports the total credits available across the port (the
 // local congestion signal for selection functions), maintained incrementally
 // at credit arrival and flit departure.
-func (p *OutputPort) freeCredits() int { return p.creditSum }
+func (p *OutputPort) freeCredits() int { return int(p.creditSum) }

@@ -49,9 +49,10 @@ type Router struct {
 	saOutArb [topology.NumDirs]arbiter.Prioritized
 	saOutVC  [topology.NumDirs]*inputVC
 
-	// stList holds the output ports with an occupied ST register, so ST
-	// only visits ports with a flit to send.
-	stList []topology.Dir
+	// stList[:stN] holds the output ports with an occupied ST register, so
+	// ST only visits ports with a flit to send.
+	stList [topology.NumDirs]uint8
+	stN    uint8
 
 	// saPorts marks input ports with a non-empty saElig set, so SA_in
 	// visits only ports that actually have a candidate this cycle.
@@ -68,11 +69,9 @@ type Router struct {
 	planPorts uint8
 	fastTicks int64
 
-	// DBAR congestion tables: cong[d][k] is the (k+1)-cycle-old occupancy
-	// of the router k+1 hops away in direction d. The network fills
-	// congNext from neighbors each cycle and swaps.
-	cong     [topology.NumDirs][]int
-	congNext [topology.NumDirs][]int
+	// cong holds the DBAR congestion tables; nil unless EnableCongestion
+	// ran, so only DBAR routers pay for them.
+	cong *congTables
 
 	// Stage population counters let idle routers skip whole pipeline
 	// stages; stPending counts occupied ST registers. Their sum is
@@ -88,19 +87,6 @@ type Router struct {
 	// was sent since the last output-VC release scan; Tick visits only
 	// those ports instead of re-running free() on all of them.
 	freeablePorts uint8
-
-	// vcKind caches cfg.KindOf for every VC index (hot in VA_in).
-	vcKind []policy.VCClass
-
-	// classWindow[c] masks the VC indices of message class c; escapeMask,
-	// globalMask and regionalMask partition the VC indices by kind. All
-	// pre-compute the VA_in search windows: the free-VC choice is then a
-	// preference-ordered sequence of mask intersections instead of a
-	// per-candidate loop.
-	classWindow  []vcMask
-	escapeMask   vcMask
-	globalMask   vcMask
-	regionalMask vcMask
 
 	// flitsSent counts flits pushed onto each output link (utilization
 	// instrumentation).
@@ -137,24 +123,6 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 	r.nvc = v
 	nOut := int(topology.NumDirs) * v
 	r.vaArb = soa.vaArb[li*nOut : (li+1)*nOut : (li+1)*nOut]
-	r.stList = make([]topology.Dir, 0, topology.NumDirs)
-	r.vcKind = make([]policy.VCClass, v)
-	for i := range r.vcKind {
-		r.vcKind[i] = cfg.KindOf(i)
-		switch r.vcKind[i] {
-		case policy.VCEscape:
-			r.escapeMask |= 1 << uint(i)
-		case policy.VCGlobal:
-			r.globalMask |= 1 << uint(i)
-		default:
-			r.regionalMask |= 1 << uint(i)
-		}
-	}
-	r.classWindow = make([]vcMask, cfg.Classes)
-	for c := range r.classWindow {
-		base := cfg.ClassBase(msg.Class(c))
-		r.classWindow[c] = allVCs(cfg.VCsPerClass()) << uint(base)
-	}
 	r.allMask = allVCs(v)
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		r.in[d] = &soa.Ins[li*int(topology.NumDirs)+int(d)]
@@ -165,13 +133,21 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 	return r
 }
 
+// congTables are DBAR's congestion rows: cur[d][k] is the (k+1)-cycle-old
+// occupancy of the router k+1 hops away in direction d. The network fills
+// next from neighbors each cycle and swaps.
+type congTables struct {
+	cur, next [topology.NumDirs][]int
+}
+
 // EnableCongestion allocates the DBAR congestion tables, hops entries per
 // cardinal direction. The network calls it only when propagation runs;
-// otherwise the rows stay empty and PathOccupancy reads zero.
+// otherwise there are no tables and PathOccupancy reads zero.
 func (r *Router) EnableCongestion(hops int) {
+	r.cong = &congTables{}
 	for d := topology.North; d < topology.NumDirs; d++ {
-		r.cong[d] = make([]int, hops)
-		r.congNext[d] = make([]int, hops)
+		r.cong.cur[d] = make([]int, hops)
+		r.cong.next[d] = make([]int, hops)
 	}
 }
 
@@ -275,26 +251,26 @@ func (r *Router) InPortOccupancy(d topology.Dir) int {
 	return r.in[d.Opposite()].bufFlits
 }
 
-// CongRow returns the current congestion table for direction d (read-only).
-func (r *Router) CongRow(d topology.Dir) []int { return r.cong[d] }
+// CongRow returns the current congestion table for direction d (read-only;
+// EnableCongestion must have run).
+func (r *Router) CongRow(d topology.Dir) []int { return r.cong.cur[d] }
 
 // CongNextRow returns the next-cycle congestion table for direction d; the
 // network fills it before calling SwapCong.
-func (r *Router) CongNextRow(d topology.Dir) []int { return r.congNext[d] }
+func (r *Router) CongNextRow(d topology.Dir) []int { return r.cong.next[d] }
 
 // SwapCong publishes the next-cycle congestion tables.
-func (r *Router) SwapCong() {
-	for d := range r.cong {
-		r.cong[d], r.congNext[d] = r.congNext[d], r.cong[d]
-	}
-}
+func (r *Router) SwapCong() { r.cong.cur, r.cong.next = r.cong.next, r.cong.cur }
 
 // OutputFree implements routing.CongestionView.
 func (r *Router) OutputFree(d topology.Dir) int { return r.out[d].freeCredits() }
 
 // PathOccupancy implements routing.CongestionView.
 func (r *Router) PathOccupancy(d topology.Dir, hops int) int {
-	row := r.cong[d]
+	if r.cong == nil {
+		return 0
+	}
+	row := r.cong.cur[d]
 	if hops > len(row) {
 		hops = len(row)
 	}
@@ -365,7 +341,7 @@ func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
 	switch {
 	case out.stValid:
 		r.tel.Charge(vc.owner, msg.BlameFault)
-	case r.vcKind[vc.outVC] == policy.VCEscape:
+	case r.soa.escapeMask>>vc.outVC&1 == 1:
 		r.tel.Charge(vc.owner, msg.BlameEscape)
 	default:
 		occ := (r.allMask &^ out.freeMask) &^ (1 << uint(vc.outVC))
@@ -380,7 +356,7 @@ func (r *Router) switchTraversal() {
 		return
 	}
 	kept := r.stList[:0]
-	for _, d := range r.stList {
+	for _, d := range r.stList[:r.stN] {
 		out := r.out[d]
 		if out.link != nil && out.link.CanSendFlit() {
 			out.link.SendFlit(out.st)
@@ -404,7 +380,7 @@ func (r *Router) switchTraversal() {
 			}
 		}
 	}
-	r.stList = kept
+	r.stN = uint8(len(kept))
 }
 
 // FlitsSent reports the flits this router has pushed onto the output link
@@ -665,7 +641,8 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	out.stValid = true
 	r.stPending++
 	r.soa.Work[r.li]++
-	r.stList = append(r.stList, topology.Dir(vc.outPort))
+	r.stList[r.stN] = vc.outPort
+	r.stN++
 	if !out.ejection {
 		if ov.credits <= 0 {
 			panic("router: SA granted without credit")
@@ -771,7 +748,7 @@ func (r *Router) vcAllocation() {
 				r.tel.VADeny(r.regions.Native(r.node, loser.App))
 				switch {
 				case !r.attr:
-				case r.vcKind[og%v] == policy.VCEscape:
+				case r.soa.escapeMask>>uint(og%v)&1 == 1:
 					r.tel.Charge(loser, msg.BlameEscape)
 				default:
 					r.chargeLoss(loser, r.in[topology.Dir(w/v)].vcs[w%v].owner)
@@ -790,7 +767,7 @@ func (r *Router) vcAllocation() {
 // sustained congestion), then the choice of one free output VC. It returns
 // the global output VC index requested (or -1) and its class.
 func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
-	pkt := vc.owner
+	pkt, s := vc.owner, r.soa
 	rt := r.alg.Route(r.at, pkt.Dst)
 	var port topology.Dir
 	switch {
@@ -799,8 +776,8 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	case vc.vaOdd:
 		port = rt.Esc
 	default:
-		r.soa.dirBuf = [2]topology.Dir{rt.First, rt.Second}
-		port = r.sel.Select(r.node, pkt.Dst, r.soa.dirBuf[:rt.N], r)
+		s.dirBuf = [2]topology.Dir{rt.First, rt.Second}
+		port = r.sel.Select(r.node, pkt.Dst, s.dirBuf[:rt.N], r)
 	}
 	vc.vaOdd = !vc.vaOdd
 	out := r.out[port]
@@ -817,9 +794,9 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	// Section IV.A), so no VC sits idle while traffic waits. Each
 	// preference tier is one mask intersection, lowest index first (the
 	// same VC the old per-candidate minimum scan chose).
-	free := out.freeMask & r.classWindow[pkt.Class]
+	free := out.freeMask & s.classWindow[pkt.Class]
 	if port != rt.Esc {
-		free &^= r.escapeMask
+		free &^= s.escapeMask
 	}
 	if free == 0 {
 		if r.attr {
@@ -827,12 +804,12 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 			// this packet's class window. With no visible owner the only
 			// candidate was the masked-out escape VC — escape
 			// serialization by definition.
-			occ := r.classWindow[pkt.Class] &^ out.freeMask
+			occ := s.classWindow[pkt.Class] &^ out.freeMask
 			r.chargeBlocked(pkt, out, occ, msg.BlameEscape)
 		}
 		return -1, 0
 	}
-	first, second := r.regionalMask, r.globalMask
+	first, second := s.regionalMask, s.globalMask
 	firstCls, secondCls := policy.VCRegional, policy.VCGlobal
 	if pkt.Global {
 		first, second = second, first
@@ -864,7 +841,7 @@ func (r *Router) allocate(og, w int) {
 	if ov.owner != nil {
 		panic("router: VA granted an occupied output VC")
 	}
-	if ov.credits != r.cfg.Depth {
+	if int(ov.credits) != r.cfg.Depth {
 		panic("router: output VC allocated before credits drained")
 	}
 	if r.tel != nil {

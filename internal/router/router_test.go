@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -252,12 +253,31 @@ func TestDeliverRejects(t *testing.T) {
 	}
 }
 
-// TestInputVCSize pins the per-VC state at 32 bytes: a router holds
-// NumDirs × VCsPerPort of them, and the run representation is what keeps
-// them small (the flit ring it replaced made a VC 96 bytes plus its slab).
-func TestInputVCSize(t *testing.T) {
-	if n := unsafe.Sizeof(inputVC{}); n > 32 {
-		t.Fatalf("inputVC is %d bytes, budget 32", n)
+// TestStateSizes pins every per-router structure at the width the
+// configuration bounds allow (Config.Validate: at most 64 VCs per port,
+// Depth and LinkLatency at most 256). A router holds NumDirs × VCsPerPort
+// input and output VCs and VA arbiters, five ports and five links, so a
+// field widened to int shows up here before it shows up as heap per router.
+func TestStateSizes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		size   uintptr
+		budget uintptr
+	}{
+		// A run, not a ring: the flit ring it replaced made a VC 96 bytes
+		// plus its slab.
+		{"inputVC", unsafe.Sizeof(inputVC{}), 32},
+		{"outputVC", unsafe.Sizeof(outputVC{}), 16},
+		{"OutputPort", unsafe.Sizeof(OutputPort{}), 128},
+		{"Router", unsafe.Sizeof(Router{}), 576},
+		// Two DelayLines whose empty slot is the zero value: no valid byte
+		// pads a 32-byte flit slot or a one-byte credit slot.
+		{"Link", unsafe.Sizeof(Link{}), 256},
+		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},
+	} {
+		if c.size > c.budget {
+			t.Errorf("%s is %d bytes, budget %d", c.name, c.size, c.budget)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package router
 import (
 	"rair/internal/arbiter"
 	"rair/internal/msg"
+	"rair/internal/policy"
 	"rair/internal/topology"
 )
 
@@ -50,6 +51,17 @@ type SoA struct {
 	// the set stays nil in every other run.
 	damaged map[damagedFlit]bool
 
+	// classWindow[c] masks the VC indices of message class c; escapeMask,
+	// globalMask and regionalMask partition the VC indices by kind. They
+	// pre-compute the VA_in and NI free-VC search windows (a free-VC choice
+	// is a preference-ordered sequence of mask intersections instead of a
+	// per-candidate loop) and depend on the configuration alone, so every
+	// router and NI of the store reads this one copy.
+	classWindow  []vcMask
+	escapeMask   vcMask
+	globalMask   vcMask
+	regionalMask vcMask
+
 	// vaArb holds every router's VA_out arbiters (round-robin pointers
 	// persist across ticks), NumDirs×VCs per router.
 	vaArb []arbiter.Prioritized
@@ -84,23 +96,37 @@ func NewSoA(cfg Config, n int) *SoA {
 	nd := int(topology.NumDirs)
 	words := (n + 63) / 64
 	s := &SoA{
-		Work:       make([]int32, n),
-		NIWork:     make([]int32, n),
-		ArmedR:     make([]uint64, words),
-		ArmedN:     make([]uint64, words),
-		NativeOcc:  make([]int32, n),
-		ForeignOcc: make([]int32, n),
-		Ins:        make([]InputPort, n*nd),
-		Outs:       make([]OutputPort, n*nd),
-		inVCs:      make([]inputVC, n*nd*v),
-		outVCs:     make([]outputVC, n*nd*v),
-		vaArb:      make([]arbiter.Prioritized, n*nd*v),
-		vaReq:      make([]uint64, nd*v*((nd*v+63)>>6)),
-		vaPrio:     make([]int, nd*v),
-		vaReqN:     make([]int, nd*v),
-		vaSingle:   make([]int, nd*v),
-		vaTouched:  make([]int, 0, nd*v),
-		saPrio:     make([]int, v),
+		Work:        make([]int32, n),
+		NIWork:      make([]int32, n),
+		ArmedR:      make([]uint64, words),
+		ArmedN:      make([]uint64, words),
+		NativeOcc:   make([]int32, n),
+		ForeignOcc:  make([]int32, n),
+		Ins:         make([]InputPort, n*nd),
+		Outs:        make([]OutputPort, n*nd),
+		inVCs:       make([]inputVC, n*nd*v),
+		outVCs:      make([]outputVC, n*nd*v),
+		classWindow: make([]vcMask, cfg.Classes),
+		vaArb:       make([]arbiter.Prioritized, n*nd*v),
+		vaReq:       make([]uint64, nd*v*((nd*v+63)>>6)),
+		vaPrio:      make([]int, nd*v),
+		vaReqN:      make([]int, nd*v),
+		vaSingle:    make([]int, nd*v),
+		vaTouched:   make([]int, 0, nd*v),
+		saPrio:      make([]int, v),
+	}
+	for c := range s.classWindow {
+		s.classWindow[c] = allVCs(cfg.VCsPerClass()) << uint(cfg.ClassBase(msg.Class(c)))
+	}
+	for i := 0; i < v; i++ {
+		switch cfg.KindOf(i) {
+		case policy.VCEscape:
+			s.escapeMask |= 1 << uint(i)
+		case policy.VCGlobal:
+			s.globalMask |= 1 << uint(i)
+		default:
+			s.regionalMask |= 1 << uint(i)
+		}
 	}
 	for i := range s.vaArb {
 		s.vaArb[i] = arbiter.NewPrioritized(nd * v)
@@ -115,11 +141,11 @@ func NewSoA(cfg Config, n int) *SoA {
 			s.Ins[p] = InputPort{dir: topology.Dir(d), vcs: ivcs}
 			ovcs := s.outVCs[p*v : (p+1)*v : (p+1)*v]
 			for i := range ovcs {
-				ovcs[i] = outputVC{idx: i, credits: cfg.Depth}
+				ovcs[i] = outputVC{credits: int32(cfg.Depth)}
 			}
 			s.Outs[p] = OutputPort{
 				dir: topology.Dir(d), ejection: topology.Dir(d) == topology.Local,
-				vcs: ovcs, creditSum: v * cfg.Depth,
+				vcs: ovcs, creditSum: int32(v * cfg.Depth),
 				freeMask: allVCs(v), creditMask: allVCs(v), fullMask: allVCs(v),
 			}
 		}

@@ -33,7 +33,7 @@ func BenchmarkDelayLineShift(b *testing.B) {
 		d.Init(3)
 		for i := 0; i < b.N; i++ {
 			if d.CanPush() {
-				d.Push(i)
+				d.Push(i + 1)
 			}
 			d.Shift()
 		}

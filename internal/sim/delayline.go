@@ -6,17 +6,21 @@ package sim
 // Shift; a cheap occupancy counter lets idle links skip work.
 //
 // At most one value may enter per cycle, matching a single-flit-wide link.
+// A slot holding T's zero value is empty, so the zero value cannot be sent
+// (Push panics on it) and a slot costs exactly one T: a flit wire's slot is
+// its 32-byte msg.Flit, a credit wire's its one-byte VC tag.
 //
 // The ring indices are maintained with conditional wraps instead of modulo
 // arithmetic: Shift and CanPush sit on the simulator's hottest path (every
 // busy link, every cycle) and an integer division per call is measurable.
-type DelayLine[T any] struct {
-	slots  []slot[T]
-	head   int // index shifted out next
-	tail   int // entry register: index pushes land in
-	count  int
+// They are int32 because latency is at most a few hundred cycles.
+type DelayLine[T comparable] struct {
+	slots  []T
+	head   int32 // index shifted out next
+	tail   int32 // entry register: index pushes land in
+	count  int32
 	pushed bool // guards one-push-per-cycle
-	full   bool // shadows slots[tail].valid so CanPush reads no slot memory
+	full   bool // shadows slots[tail] != zero so CanPush reads no slot memory
 
 	// arr is inline ring storage: lines of latency <= len(arr) point slots
 	// at it, so short wires (the common case — credit wires are latency 1,
@@ -24,12 +28,7 @@ type DelayLine[T any] struct {
 	// and cost no separate allocation. Because slots then aliases arr, an
 	// initialized DelayLine must never be copied by value; Init only runs
 	// against the line's final address.
-	arr [4]slot[T]
-}
-
-type slot[T any] struct {
-	v     T
-	valid bool
+	arr [4]T
 }
 
 // Init initializes d in place with the given latency (>= 1), using the
@@ -39,11 +38,11 @@ func (d *DelayLine[T]) Init(latency int) {
 	if latency < 1 {
 		panic("sim: DelayLine latency must be >= 1")
 	}
-	*d = DelayLine[T]{tail: latency - 1}
+	*d = DelayLine[T]{tail: int32(latency - 1)}
 	if latency <= len(d.arr) {
 		d.slots = d.arr[:latency:latency]
 	} else {
-		d.slots = make([]slot[T], latency)
+		d.slots = make([]T, latency)
 	}
 }
 
@@ -56,12 +55,14 @@ func (d *DelayLine[T]) CanPush() bool {
 	return !d.pushed && !d.full
 }
 
-// Push inserts v at the entry register. It panics if CanPush is false.
+// Push inserts v at the entry register. It panics if CanPush is false or v
+// is the zero value (which would read as an empty slot).
 func (d *DelayLine[T]) Push(v T) {
-	if !d.CanPush() {
-		panic("sim: DelayLine double push or entry occupied")
+	var zero T
+	if !d.CanPush() || v == zero {
+		panic("sim: DelayLine double push, entry occupied or zero value")
 	}
-	d.slots[d.tail] = slot[T]{v: v, valid: true}
+	d.slots[d.tail] = v
 	d.count++
 	d.pushed = true
 	d.full = true
@@ -71,33 +72,33 @@ func (d *DelayLine[T]) Push(v T) {
 // completed its traversal. Call exactly once per cycle, before any Push for
 // that cycle.
 func (d *DelayLine[T]) Shift() (v T, ok bool) {
+	var zero T
 	d.pushed = false
-	out := d.slots[d.head]
-	var zero slot[T]
+	v = d.slots[d.head]
 	d.slots[d.head] = zero
 	// The new entry register is the just-vacated head slot.
 	d.tail = d.head
 	d.full = false
-	if d.head++; d.head == len(d.slots) {
+	if d.head++; int(d.head) == len(d.slots) {
 		d.head = 0
 	}
-	if out.valid {
+	if v != zero {
 		d.count--
-		return out.v, true
+		return v, true
 	}
 	return v, false
 }
 
 // Len reports how many values are in flight.
-func (d *DelayLine[T]) Len() int { return d.count }
+func (d *DelayLine[T]) Len() int { return int(d.count) }
 
 // Each calls fn for every in-flight value, oldest (next to exit) first. It
 // is a read-only audit hook for invariant checking.
 func (d *DelayLine[T]) Each(fn func(T)) {
+	var zero T
 	for i := 0; i < len(d.slots); i++ {
-		s := d.slots[(d.head+i)%len(d.slots)]
-		if s.valid {
-			fn(s.v)
+		if v := d.slots[(int(d.head)+i)%len(d.slots)]; v != zero {
+			fn(v)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -47,13 +49,13 @@ func TestDelayLinePipelining(t *testing.T) {
 			got = append(got, v)
 		}
 		if d.CanPush() {
-			d.Push(c)
+			d.Push(c + 1)
 		} else {
 			t.Fatalf("cycle %d: pipeline stalled", c)
 		}
 	}
 	for i, v := range got {
-		if v != i {
+		if v != i+1 {
 			t.Fatalf("out-of-order delivery: got[%d]=%d", i, v)
 		}
 	}
@@ -91,6 +93,23 @@ func TestDelayLineZeroLatencyPanics(t *testing.T) {
 	new(DelayLine[int]).Init(0)
 }
 
+// TestDelayLineZeroPushPanics: the zero value marks an empty slot, so it
+// cannot be sent.
+func TestDelayLineZeroPushPanics(t *testing.T) {
+	for _, lat := range []int{1, 2, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("lat=%d: Push of the zero value did not panic", lat)
+				}
+			}()
+			var d DelayLine[uint8]
+			d.Init(lat)
+			d.Push(0)
+		}()
+	}
+}
+
 // Property: values always emerge exactly latency cycles after the push, in
 // push order.
 func TestDelayLineExactLatency(t *testing.T) {
@@ -99,7 +118,7 @@ func TestDelayLineExactLatency(t *testing.T) {
 		var d DelayLine[int]
 		d.Init(lat)
 		pushCycle := map[int]int{}
-		next := 0
+		next := 1
 		for c := 0; c < len(pattern)+lat+1; c++ {
 			if v, ok := d.Shift(); ok {
 				if c != pushCycle[v]+lat {
@@ -116,4 +135,64 @@ func TestDelayLineExactLatency(t *testing.T) {
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wireFlit is flit-shaped (a pointer plus small integers), the shape a flit
+// wire carries; a credit wire carries a uint8.
+type wireFlit struct {
+	pkt      *int
+	typ, seq int
+}
+
+// TestDelayLineMatchesReference runs the zero-value-empty DelayLine against
+// the slot-valid one it replaced (refDelayLine) on random traffic: every
+// cycle both lines shift, then a non-zero value is pushed onto both when
+// the reference allows it and the draw says so. Shift's result, Busy, Len,
+// CanPush and the Each order must agree after every step, at latencies
+// around the inline ring's size, either side of 64 and at the 256 cap.
+func TestDelayLineMatchesReference(t *testing.T) {
+	lats := []int{1, 2, 3, 4, 5, 64, 65, 256}
+	pkts := make([]int, 8)
+	if err := quick.Check(func(li uint8, seed int64, density uint8) bool {
+		lat := lats[int(li)%len(lats)]
+		rng := rand.New(rand.NewSource(seed))
+		p := float64(density) / 255
+		return matchesReference(t, lat, rng, p, func() uint8 { return uint8(1 + rng.Intn(255)) }) &&
+			matchesReference(t, lat, rng, p, func() wireFlit {
+				return wireFlit{pkt: &pkts[rng.Intn(len(pkts))], typ: rng.Intn(4), seq: rng.Intn(3)}
+			})
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func matchesReference[T comparable](t *testing.T, lat int, rng *rand.Rand, p float64, value func() T) bool {
+	t.Helper()
+	var d DelayLine[T]
+	d.Init(lat)
+	ref := newRefDelayLine[T](lat)
+	cycles := 3*lat + 64
+	for c := 0; c < cycles+lat+1; c++ {
+		v, ok := d.Shift()
+		rv, rok := ref.Shift()
+		if v != rv || ok != rok {
+			t.Logf("lat=%d cycle %d: Shift = %v %v, reference %v %v", lat, c, v, ok, rv, rok)
+			return false
+		}
+		if c < cycles && ref.CanPush() && rng.Float64() < p {
+			x := value()
+			d.Push(x)
+			ref.Push(x)
+		}
+		var each, refEach []T
+		d.Each(func(x T) { each = append(each, x) })
+		ref.Each(func(x T) { refEach = append(refEach, x) })
+		if d.Busy() != ref.Busy() || d.Len() != ref.Len() || d.CanPush() != ref.CanPush() ||
+			!slices.Equal(each, refEach) {
+			t.Logf("lat=%d cycle %d: Busy %v Len %d CanPush %v Each %v, reference %v %d %v %v",
+				lat, c, d.Busy(), d.Len(), d.CanPush(), each, ref.Busy(), ref.Len(), ref.CanPush(), refEach)
+			return false
+		}
+	}
+	return !d.Busy()
 }
