@@ -9,9 +9,6 @@ type Queue[T any] struct {
 
 // NewQueue returns a queue with capacity pre-allocated for n elements.
 func NewQueue[T any](n int) *Queue[T] {
-	if n < 1 {
-		n = 1
-	}
 	return &Queue[T]{buf: make([]T, n)}
 }
 
@@ -49,9 +46,7 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	if q.size == 0 {
 		return v, false
 	}
-	v = q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
+	v, q.buf[q.head] = q.buf[q.head], *new(T)
 	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}

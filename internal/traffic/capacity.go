@@ -32,11 +32,10 @@ func SaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed uint6
 	east, west, south, north := make([]int, n+1), make([]int, n+1), make([]int, n+1), make([]int, n+1)
 	inj, ej := make([]int, n), make([]int, n)
 	run := func(c []int, from, to int) { c[from]++; c[to]-- }
-	draws := 0
+	t := app.totalWeight()
 	for _, node := range app.Nodes {
 		for s := 0; s < samples; s++ {
-			src, dst := app.draw(node, rng)
-			draws++
+			src, dst := app.draw(node, t, rng)
 			if src == dst {
 				continue
 			}
@@ -67,11 +66,11 @@ func SaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed uint6
 	if maxCount == 0 {
 		return 0
 	}
-	// Each draw stands for len(Nodes)/draws of the r*len(Nodes) events per
-	// cycle. count*avgFlits is exact (avgFlits is 3) and rounding is monotone,
-	// so this equals summing avgFlits per route and scaling every channel
-	// (TestSaturationRateMatchesWalk).
+	// Each of a node's samples stands for 1/samples of its r events per
+	// cycle. count*avgFlits is exact (avgFlits is 3) and rounding is
+	// monotone, so this equals summing avgFlits per route and scaling every
+	// channel (TestSaturationRateMatchesWalk).
 	avgFlits := float64(msg.ShortPacketFlits)*shortFrac + float64(msg.LongPacketFlits)*(1-shortFrac)
-	perDraw := float64(len(app.Nodes)) / float64(draws)
+	perDraw := 1 / float64(samples)
 	return 1 / (float64(maxCount) * avgFlits * perDraw)
 }

@@ -46,7 +46,7 @@ func walkSaturationRate(mesh *topology.Mesh, app AppTraffic, samples int, seed u
 	draws := 0
 	for _, node := range app.Nodes {
 		for s := 0; s < samples; s++ {
-			src, dst := app.draw(node, rng)
+			src, dst := app.draw(node, app.totalWeight(), rng)
 			draws++
 			if src == dst {
 				continue

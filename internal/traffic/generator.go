@@ -20,10 +20,7 @@ type Component struct {
 }
 
 // Weighted returns the component at weight w (constructors return weight 1).
-func (c Component) Weighted(w float64) Component {
-	c.Weight = w
-	return c
-}
+func (c Component) Weighted(w float64) Component { return Component{Weight: w, Draw: c.Draw} }
 
 // AppTraffic describes one application's synthetic traffic.
 type AppTraffic struct {
@@ -42,7 +39,7 @@ type AppTraffic struct {
 // long packets. The paper assigns the two lengths uniformly.
 const shortFrac = 0.5
 
-func (a AppTraffic) totalWeight() float64 {
+func (a *AppTraffic) totalWeight() float64 {
 	t := 0.0
 	for _, c := range a.Components {
 		t += c.Weight
@@ -50,9 +47,9 @@ func (a AppTraffic) totalWeight() float64 {
 	return t
 }
 
-// draw picks a component by weight and produces an event.
-func (a AppTraffic) draw(node int, rng *sim.RNG) (src, dst int) {
-	t := a.totalWeight()
+// draw picks a component by weight and produces an event; t is
+// a.totalWeight(), which callers hoist out of their per-draw loops.
+func (a *AppTraffic) draw(node int, t float64, rng *sim.RNG) (src, dst int) {
 	if t == 0 {
 		return node, node
 	}
@@ -63,8 +60,7 @@ func (a AppTraffic) draw(node int, rng *sim.RNG) (src, dst int) {
 		}
 		x -= c.Weight
 	}
-	last := a.Components[len(a.Components)-1]
-	return last.Draw(node, rng)
+	return a.Components[len(a.Components)-1].Draw(node, rng)
 }
 
 // Generator drives a set of application traffic descriptions, creating and
@@ -94,18 +90,20 @@ func NewGenerator(apps []AppTraffic, seed uint64, inject InjectorFunc) *Generato
 // Created reports the number of packets generated so far.
 func (g *Generator) Created() uint64 { return g.nextID }
 
-// Tick implements sim.Tickable.
+// Tick implements sim.Tickable: NextHit runs each node's Bool(PacketRate)
+// trial in node order, reading rates afresh (apps aliases the caller's).
 func (g *Generator) Tick(now int64) {
 	if g.Until > 0 && now >= g.Until {
 		return
 	}
 	for ai := range g.apps {
 		a := &g.apps[ai]
-		for _, node := range a.Nodes {
-			if !g.rng.Bool(a.PacketRate) {
-				continue
+		n, t := len(a.Nodes), 0.0
+		for k := g.rng.NextHit(a.PacketRate, 0, n); k < n; k = g.rng.NextHit(a.PacketRate, k+1, n) {
+			if t == 0 { // the app's first packet this cycle (a zero total stays zero)
+				t = a.totalWeight()
 			}
-			src, dst := a.draw(node, g.rng)
+			src, dst := a.draw(a.Nodes[k], t, g.rng)
 			if src == dst {
 				continue
 			}
@@ -167,8 +165,5 @@ func Adversary(mesh *topology.Mesh, app int, rate float64) AppTraffic {
 	for i := range all {
 		all[i] = i
 	}
-	return AppTraffic{
-		App: app, Nodes: all, PacketRate: rate,
-		Components: []Component{IntraUR(all)},
-	}
+	return AppTraffic{App: app, Nodes: all, PacketRate: rate, Components: []Component{IntraUR(all)}}
 }

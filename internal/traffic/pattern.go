@@ -92,7 +92,7 @@ type BitComplement struct {
 func (b BitComplement) Dest(src int, _ *sim.RNG) int { return b.Mesh.BitComplement(src) }
 
 // Hotspot sends to one of the hotspot nodes with probability Frac, else
-// defers to Background.
+// defers to Background, which must be set.
 type Hotspot struct {
 	Hotspots   []int
 	Frac       float64
@@ -104,10 +104,7 @@ func (h Hotspot) Dest(src int, rng *sim.RNG) int {
 	if len(h.Hotspots) > 0 && rng.Bool(h.Frac) {
 		return h.Hotspots[rng.Intn(len(h.Hotspots))]
 	}
-	if h.Background != nil {
-		return h.Background.Dest(src, rng)
-	}
-	return src
+	return h.Background.Dest(src, rng)
 }
 
 // InterRegion adapts a chip-wide pattern into inter-region ("global")
@@ -169,15 +166,7 @@ func PatternByName(name string, mesh *topology.Mesh) Pattern {
 			{X: qx, Y: mesh.H - 1 - qy},
 			{X: mesh.W - 1 - qx, Y: mesh.H - 1 - qy},
 		} {
-			id := mesh.ID(c)
-			seen := false
-			for _, h := range hs {
-				if h == id {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if id := mesh.ID(c); !slices.Contains(hs, id) {
 				hs = append(hs, id)
 			}
 		}
