@@ -23,7 +23,6 @@ import (
 // join them without one: a name only tests call is surface to delete.
 var uncalledKeeps = map[string]string{
 	"rair/internal/topology.Mesh.MinimalDirs":     "the routing test's independent reference for Route",
-	"rair/internal/router.Router.OccupancyByKind": "what TestReferenceLockstep compares with the reference router",
 	"rair/internal/telemetry.Probe.Events":        "what TestReferenceLockstep compares with the reference router",
 	"rair/internal/router.Router.DebugDropCredit": "the invariant checker's seeded bug",
 	"rair/internal/stats.Dist.Merge":              "cross-seed pooling, kept for ROADMAP 3(c) and 6",

@@ -36,9 +36,12 @@ func NewPrioritized(n int) Prioritized {
 // broken round-robin, or None. req is a bitset over the n requestors (bit
 // i&63 of word i>>6, every word of ⌈n/64⌉ present, no bit at or above n);
 // prio is read only at requesting indices and must stay above math.MinInt.
-// The scan visits the set bits alone, from the pointer up to n and then
-// from 0 up to the pointer, so a grant costs the number of requestors plus
-// the number of words.
+// A nil prio is the flat row: the grant is the first requestor in rotation
+// order, so a caller that has already narrowed req to its top priority
+// class needs no row at all. The scan visits the set bits alone, from the
+// pointer up to n and then from 0 up to the pointer, so a grant costs the
+// number of requestors plus the number of words (flat: the words up to the
+// first requestor).
 func (a *Prioritized) Grant(req []uint64, prio []int) int {
 	best, bestPrio := None, math.MinInt
 	nw, pw, pb := len(req), int(a.ptr>>6), uint(a.ptr&63)
@@ -55,6 +58,12 @@ func (a *Prioritized) Grant(req []uint64, prio []int) int {
 			m &= ^uint64(0) << pb
 		case nw:
 			m &= 1<<pb - 1
+		}
+		if prio == nil {
+			if m != 0 {
+				return a.GrantSingle(w<<6 | bits.TrailingZeros64(m))
+			}
+			continue
 		}
 		for ; m != 0; m &= m - 1 {
 			if i := w<<6 | bits.TrailingZeros64(m); prio[i] > bestPrio {

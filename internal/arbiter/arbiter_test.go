@@ -225,26 +225,52 @@ func TestMatrixAlwaysDecides(t *testing.T) {
 // it leaves — from any pointer word, with requests on both sides of it and
 // priorities drawn from two or three levels so ties are common. Each case
 // runs a history of grants, so the pointer the bitset scan left is the one
-// the next grant starts from.
+// the next grant starts from. Two more histories ride along: the flat
+// Grant (nil row) against the scan over a constant row, and the router's
+// narrowing — keep the favored requestors of a two-level row when there
+// are any, then grant flat — against the scan over that two-level row.
 func TestGrantMatchesRotationScan(t *testing.T) {
 	if err := quick.Check(func(n16, ptr16 uint16, seed int64) bool {
 		n := int(n16%320) + 1
 		rng := rand.New(rand.NewSource(seed))
 		a, ptr := Prioritized{n: uint16(n), ptr: ptr16 % uint16(n)}, int(ptr16)%n
+		fa, fptr, na, nptr := a, ptr, a, ptr
 		levels := 2 + rng.Intn(2)
 		for step := 0; step < 16; step++ {
 			density := rng.Float64()
 			req, mask, prio := make([]bool, n), row(n), make([]int, n)
+			fav, favMask := make([]int, n), row(n)
 			for i := range req {
 				if rng.Float64() < density {
 					req[i] = true
 					mask[i>>6] |= 1 << uint(i&63)
 				}
 				prio[i] = rng.Intn(levels)
+				if fav[i] = rng.Intn(2); fav[i] == 1 {
+					favMask[i>>6] |= 1 << uint(i&63)
+				}
 			}
 			want := naiveGrant(&ptr, req, prio)
 			if got := a.Grant(mask, prio); got != want || int(a.ptr) != ptr {
 				t.Logf("n=%d step %d: Grant %d pointer %d, scan %d pointer %d", n, step, got, a.ptr, want, ptr)
+				return false
+			}
+			want = naiveGrant(&fptr, req, flat[:n])
+			if got := fa.Grant(mask, nil); got != want || int(fa.ptr) != fptr {
+				t.Logf("n=%d step %d: flat Grant %d pointer %d, scan %d pointer %d", n, step, got, fa.ptr, want, fptr)
+				return false
+			}
+			narrowed, any := row(n), uint64(0)
+			for w := range mask {
+				narrowed[w] = mask[w] & favMask[w]
+				any |= narrowed[w]
+			}
+			if any == 0 {
+				narrowed = mask
+			}
+			want = naiveGrant(&nptr, req, fav)
+			if got := na.Grant(narrowed, nil); got != want || int(na.ptr) != nptr {
+				t.Logf("n=%d step %d: narrowed Grant %d pointer %d, two-level scan %d pointer %d", n, step, got, na.ptr, want, nptr)
 				return false
 			}
 		}

@@ -9,7 +9,11 @@ import (
 // arbitrates: SA_in over one port's VCs (5 at DefaultConfig(1), 10 at
 // DefaultConfig(2)) with two requestors and with all of them, SA_out over
 // the five input ports, and VA_out over every input VC of the router (25
-// and 50) with three requestors. Priorities alternate between two levels.
+// and 50) with three requestors. Each shape runs three ways: "row" grants
+// over a priority row alternating between two levels (what Rank and Age
+// still do), "flat" grants with a nil row, and "narrowed" first keeps the
+// requestors of the high level by one mask intersection per word, then
+// grants flat (the native/foreign rules).
 func BenchmarkPrioritizedGrant(b *testing.B) {
 	for _, c := range []struct {
 		stage string
@@ -29,14 +33,37 @@ func BenchmarkPrioritizedGrant(b *testing.B) {
 		if c.req == nil {
 			req, name = all(c.n), fmt.Sprintf("%s/n=%d/req=all", c.stage, c.n)
 		}
-		prio := make([]int, c.n)
+		prio, hi := make([]int, c.n), row(c.n)
 		for i := range prio {
-			prio[i] = i % 2
+			if prio[i] = i % 2; prio[i] == 1 {
+				hi[i>>6] |= 1 << uint(i&63)
+			}
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(name+"/row", func(b *testing.B) {
 			a := NewPrioritized(c.n)
 			for i := 0; i < b.N; i++ {
 				a.Grant(req, prio)
+			}
+		})
+		b.Run(name+"/flat", func(b *testing.B) {
+			a := NewPrioritized(c.n)
+			for i := 0; i < b.N; i++ {
+				a.Grant(req, nil)
+			}
+		})
+		b.Run(name+"/narrowed", func(b *testing.B) {
+			a, narrowed := NewPrioritized(c.n), row(c.n)
+			for i := 0; i < b.N; i++ {
+				var any uint64
+				for w := range req {
+					narrowed[w] = req[w] & hi[w]
+					any |= narrowed[w]
+				}
+				if any == 0 {
+					a.Grant(req, nil)
+					continue
+				}
+				a.Grant(narrowed, nil)
 			}
 		})
 	}

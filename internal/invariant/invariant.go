@@ -280,12 +280,20 @@ func (c *Checker) checkCredits(now int64) {
 	}
 }
 
-// checkAllocation validates atomic VC allocation at every router.
+// checkAllocation validates atomic VC allocation at every router, and the
+// native masks arbitration reads against the VCs' owners and OVC_n.
 func (c *Checker) checkAllocation(now int64) {
 	for _, r := range c.t.Routers {
-		node := r.Node()
+		node, app, natives := r.Node(), r.App(), 0
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			r.AuditInputVCs(d, func(s router.InputVCState) {
+				if want := s.Owner != nil && app >= 0 && s.Owner.App == app; s.Native != want {
+					c.report(now, "native-mask",
+						"router %d input %s vc %d native bit %v, owner %v of app %d here", node, d, s.VC, s.Native, s.Owner, app)
+				}
+				if s.Native {
+					natives++
+				}
 				if s.Owner == nil {
 					if s.Allocated || s.Buffered != 0 {
 						c.report(now, "vc-alloc",
@@ -323,6 +331,9 @@ func (c *Checker) checkAllocation(now int64) {
 				c.report(now, "vc-alloc",
 					"router %d output %s allocation counter %d != owned VCs %d", node, d, got, owners)
 			}
+		}
+		if ovcN, _ := r.OccupancyByKind(); ovcN != natives {
+			c.report(now, "native-mask", "router %d OVC_n %d != %d native mask bits", node, ovcN, natives)
 		}
 	}
 }

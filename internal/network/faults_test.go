@@ -152,6 +152,51 @@ func TestCheckerCatchesSeededCreditLeak(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesStaleNativeBit: a packet whose application changes
+// while it holds an input VC leaves that VC's native bit (set at head
+// arrival) disagreeing with its owner at every router the packet spans,
+// which the native-mask check must name. The popcount against OVC_n still
+// balances, so those are the only lines.
+func TestCheckerCatchesStaleNativeBit(t *testing.T) {
+	n, _ := buildFaulty(t, mesh4(), Params{
+		Check: &invariant.Config{Mode: invariant.ModeCollect},
+	})
+	defer n.Close()
+	p := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Size: 40, Class: msg.ClassRequest}
+	n.Inject(p, 0)
+	// Tick until a router downstream of the source holds the packet.
+	var holder *router.Router
+	for c := int64(0); c < 200 && holder == nil; c++ {
+		n.Tick(c)
+		for _, r := range n.routers[1:] {
+			for d := topology.Dir(0); d < topology.NumDirs; d++ {
+				r.AuditInputVCs(d, func(s router.InputVCState) {
+					if s.Owner == p && s.Native {
+						holder = r
+					}
+				})
+			}
+		}
+		if holder != nil {
+			p.App = 1
+			n.Tick(c + 1)
+		}
+	}
+	err := n.Checker().Err()
+	if holder == nil || err == nil {
+		t.Fatalf("held by %v, checker error %v", holder, err)
+	}
+	lines := strings.Split(strings.TrimSpace(err.Error()), "\n")[1:]
+	for _, l := range lines {
+		if !strings.Contains(l, ": native-mask: ") || !strings.Contains(l, "native bit true") {
+			t.Fatalf("want native-mask violations only, got %v", err)
+		}
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf(": native-mask: router %d ", holder.Node())) {
+		t.Fatalf("no native-mask violation at router %d: %v", holder.Node(), err)
+	}
+}
+
 // faultMatrixRun executes the standard faulty scenario at a given worker
 // count with the checker on or off, and returns the ejection sequence plus
 // the telemetry report rendered as JSON.

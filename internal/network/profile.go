@@ -58,9 +58,9 @@ type ShardProfile struct {
 	RouterTicks int64 `json:"routerTicks"`
 	NITicks     int64 `json:"niTicks"`
 
-	// FastPathTicks counts router ticks served by the precomputed
-	// streaming fast path (no allocation replay). Read from the routers'
-	// own counters at snapshot time, so the hot path pays nothing extra.
+	// FastPathTicks counted router ticks that replayed a switch-allocation
+	// plan. Plan replay is gone, so it is always zero; the field stays
+	// because the benchmark harness reads it.
 	FastPathTicks int64 `json:"fastPathTicks"`
 
 	// DirtyFlitWires/DirtyCredWires count wire visits in the phase-1
@@ -152,9 +152,6 @@ func (n *Network) EngineProfile() *EngineProfile {
 			NITicks:        sp.niTicks,
 			DirtyFlitWires: sp.dirtyFlit,
 			DirtyCredWires: sp.dirtyCred,
-		}
-		for _, r := range sh.routers {
-			s.FastPathTicks += r.FastTicks()
 		}
 		if slots := int64(s.Nodes) * prof.cycles; slots > 0 {
 			s.RouterQuiescence = 1 - float64(s.RouterTicks)/float64(slots)

@@ -78,13 +78,6 @@ func TestEngineProfileSerial(t *testing.T) {
 	if phaseNS <= 0 {
 		t.Fatalf("no phase time recorded: %+v", sh.PhaseNS)
 	}
-	// A loaded run includes uncontended streaming phases, so the fast
-	// path must have engaged somewhere — and it can never exceed the
-	// armed router visits it is a subset of.
-	if sh.FastPathTicks == 0 || sh.FastPathTicks > sh.RouterTicks {
-		t.Fatalf("implausible fast-path engagement: %d of %d router ticks",
-			sh.FastPathTicks, sh.RouterTicks)
-	}
 }
 
 func TestEngineProfileParallel(t *testing.T) {

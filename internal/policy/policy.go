@@ -209,6 +209,52 @@ func (p *Policy) VAPriority(pkt *msg.Packet, cls VCClass, now int64) int {
 	return int(p.va[cls][p.native(pkt)])
 }
 
+// Ordered reports whether priorities carry a per-packet order term (Rank
+// and Age): only then does an arbitration need a priority row. Under the
+// other rules every priority is a native/foreign base, and SAFavored and
+// VAFavored narrow a request set to its top class instead.
+func (p *Policy) Ordered() bool { return p.ordered }
+
+// SAFavored narrows an SA request set, over requestors whose native traffic
+// native marks, to those of the highest SA priority; it returns req itself
+// when no requestor outranks another by class (always under Rank and Age).
+// Under the other rules a flat grant over the result is the prioritized
+// grant over req.
+func (p *Policy) SAFavored(req, native uint64) uint64 {
+	if f := req & favor(p.sa, native); f != 0 {
+		return f
+	}
+	return req
+}
+
+// VAFavored is SAFavored at the VA output arbitration of an output VC of
+// class cls, over request rows of any width; a narrowed row goes to dst.
+func (p *Policy) VAFavored(cls VCClass, req, native, dst []uint64) []uint64 {
+	base := p.va[cls]
+	if base[0] == base[1] {
+		return req
+	}
+	var any uint64
+	for i, m := range req {
+		dst[i] = m & favor(base, native[i])
+		any |= dst[i]
+	}
+	if any == 0 {
+		return req
+	}
+	return dst
+}
+
+// favor is the mask of the requestors base ranks highest, given the mask
+// of the native ones: all when the two classes tie, else native, flipped
+// when foreign traffic ranks higher.
+func favor(base [2]int8, native uint64) uint64 {
+	if base[0] == base[1] {
+		return ^uint64(0)
+	}
+	return native ^ -uint64(b2i(base[0] > base[1]))
+}
+
 // native is pkt's native bit: its application is the router's.
 func (p *Policy) native(pkt *msg.Packet) int { return b2i(pkt.App == p.app) }
 
@@ -225,9 +271,11 @@ func (p *Policy) order(pkt *msg.Packet, now int64) int {
 	return int(age)*(n+2) + n - p.spec.Ranks.Rank(pkt.App)
 }
 
-// Update is DPA's hysteresis transition of Figure 7, called once per cycle
-// with the router's occupied-VC counts; it reports whether the state
-// flipped, and the new state applies from the next read on. The ratio
+// Update is DPA's hysteresis transition of Figure 7, fed the router's
+// occupied-VC counts; it reports whether the state flipped, and the new
+// state applies from the next read on. A second call with the same counts
+// never flips (for Δ ≥ 0 the two bands cannot both hold), so the router
+// calls it only when a count moved. The ratio
 // r = OVC_f / OVC_n is compared against (1±Δ): the native priority rises
 // only once foreign occupancy exceeds native occupancy by the hysteresis
 // margin, and falls symmetrically. A zero OVC_n with nonzero OVC_f is an

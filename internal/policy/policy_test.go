@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"math/bits"
 	"testing"
+	"testing/quick"
 
 	"rair/internal/msg"
 )
@@ -201,5 +203,72 @@ func TestVCClassStrings(t *testing.T) {
 	}
 	if VCClass(9).String() != "VCClass(?)" {
 		t.Fatal("unknown class string")
+	}
+}
+
+// TestUpdateIdempotent: from either DPA state, at any Δ ≥ 0 and any
+// occupancy counts, a second Update with the registers of the first never
+// flips. It is what lets the router skip Update on a tick whose counts did
+// not move.
+func TestUpdateIdempotent(t *testing.T) {
+	if err := quick.Check(func(nativeHigh bool, delta16, n16, f16 uint16) bool {
+		p := New(Spec{Priority: DPA, Delta: float64(delta16) / 16384}, 0) // Δ in [0, 4)
+		p.nativeHigh = nativeHigh
+		p.setBase()
+		n, f := int(n16%512), int(f16%512)
+		p.Update(n, f)
+		return !p.Update(n, f)
+	}, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFavoredIsTopPriority: under every unordered rule, DPA state and VC
+// class, SAFavored and VAFavored keep exactly the requestors of the highest
+// SAPriority/VAPriority when that is not every requestor, and all of req
+// when it is: a flat grant over the result is the prioritized grant.
+func TestFavoredIsTopPriority(t *testing.T) {
+	const app = 2
+	native, foreign := pkt(app, 0), pkt(app+1, 0)
+	top := func(req, nat uint64, prio func(*msg.Packet) int) uint64 {
+		best, set := -1, uint64(0)
+		for m := req; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			pk := foreign
+			if nat>>uint(i)&1 == 1 {
+				pk = native
+			}
+			switch pr := prio(pk); {
+			case pr > best:
+				best, set = pr, 1<<uint(i)
+			case pr == best:
+				set |= 1 << uint(i)
+			}
+		}
+		return set
+	}
+	for _, spec := range []Spec{{}, {Priority: NativeH}, {Priority: ForeignH}, {Priority: DPA}, {Priority: DPA, MSP: VAOnly}} {
+		for _, nativeHigh := range []bool{false, true} {
+			p := New(spec, app)
+			if spec.Priority == DPA {
+				p.nativeHigh = nativeHigh
+				p.setBase()
+			}
+			if err := quick.Check(func(req, nat uint64) bool {
+				if got := p.SAFavored(req, nat); got != top(req, nat, func(k *msg.Packet) int { return p.SAPriority(k, 0) }) {
+					return false
+				}
+				for _, cls := range []VCClass{VCEscape, VCGlobal, VCRegional} {
+					var dst [1]uint64
+					got := p.VAFavored(cls, []uint64{req}, []uint64{nat}, dst[:])
+					if got[0] != top(req, nat, func(k *msg.Packet) int { return p.VAPriority(k, cls, 0) }) {
+						return false
+					}
+				}
+				return true
+			}, nil); err != nil {
+				t.Fatalf("%+v nativeHigh=%v: %v", spec, nativeHigh, err)
+			}
+		}
 	}
 }

@@ -20,6 +20,9 @@ type InputVCState struct {
 	Allocated bool
 	// Buffered is the VC's buffer occupancy in flits.
 	Buffered int
+	// Native is the VC's bit in the port's native mask: set exactly while
+	// Owner is a packet of the router's application (Router.App).
+	Native bool
 }
 
 // OutputVCState is a read-only snapshot of one output VC.
@@ -38,9 +41,13 @@ func (r *Router) AuditInputVCs(d topology.Dir, fn func(InputVCState)) {
 			VC: i, Owner: vc.owner,
 			Allocated: vc.stage != stageIdle,
 			Buffered:  int(vc.n),
+			Native:    r.in[d].native>>uint(i)&1 == 1,
 		})
 	}
 }
+
+// App returns the application the router's node is assigned to (-1: none).
+func (r *Router) App() int { return r.app }
 
 // AuditInputFlits calls fn for every buffered flit of input port d's VC vc,
 // oldest first, each rebuilt from the VC's run as it arrived.
@@ -70,5 +77,5 @@ func (r *Router) OutputAllocated(d topology.Dir) int { return int(r.out[d].alloc
 // register, if occupied. An ST flit has already consumed a downstream
 // credit but is not yet on the wire, so credit accounting must count it.
 func (r *Router) STRegister(d topology.Dir) (msg.Flit, bool) {
-	return r.out[d].st, r.out[d].stValid
+	return r.out[d].st, r.stBusy>>uint(d)&1 == 1
 }

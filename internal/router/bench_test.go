@@ -35,8 +35,7 @@ func benchFeed(b *testing.B, r *Router, dir topology.Dir, pkt *msg.Packet, now *
 // is the pure candidate scan with every VC blocked behind an occupied ST
 // register (the no-op path an interfered router spins on), "grant" is the
 // uncontended single-candidate arbitration through SA_in, SA_out and the
-// flit transfer into the ST register (disarmed every iteration, so it never
-// replays).
+// flit transfer into the ST register.
 func BenchmarkSwitchAllocation(b *testing.B) {
 	b.Run("stalled", func(b *testing.B) {
 		cfg := DefaultConfig(1)
@@ -52,7 +51,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 		now++
 		r.Tick(now)
 		now++
-		if !r.out[topology.East].stValid {
+		if r.stBusy>>uint(topology.East)&1 == 0 {
 			b.Fatal("setup: ST register did not latch")
 		}
 		b.ResetTimer()
@@ -68,8 +67,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 		// credits, so the transfer path runs every cycle.
 		benchFeed(b, r, topology.East, &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 0, Size: 1 << 30, Class: msg.ClassRequest}, &now)
 		r.Tick(now) // SA latches the first flit into the local ST register
-		out := r.out[topology.Local]
-		if !out.stValid {
+		if r.stBusy>>uint(topology.Local)&1 == 0 {
 			b.Fatal("setup: local ST register did not latch")
 		}
 		in := r.in[topology.East]
@@ -79,65 +77,50 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 			// Recycle the ST register and the consumed flit so every
 			// iteration runs the grant + transfer path from the same
 			// state.
-			out.stValid = false
-			r.stPending--
-			r.stN = 0
+			r.stBusy = 0
+			r.soa.Work[r.li]--
 			vc.front--
 			vc.n++
 			in.occMask |= 1 << 1
 			in.bufFlits++
-			r.fastArmed = false
 			r.switchAllocation()
 		}
 	})
 }
 
 // BenchmarkFlitStreaming pumps one very long packet eastwards with the
-// link drained and its credit returned every cycle — the steady shape plan
-// replay targets. "replay" lets the plan arm; "arbitrate" disarms before
-// every tick, forcing the candidate walk and both arbiters that replay
-// skips. The delta is the per-cycle cost of re-deriving an outcome that no
-// event changed.
+// link drained and its credit returned every cycle: a streaming router's
+// whole tick, arbitrating every cycle.
 func BenchmarkFlitStreaming(b *testing.B) {
-	run := func(b *testing.B, disarm bool) {
-		cfg := DefaultConfig(1)
-		r, east := testRouter(cfg, policy.Spec{})
-		var now int64
-		pkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1 << 30, Class: msg.ClassRequest}
-		benchFeed(b, r, topology.North, pkt, &now)
-		in := r.in[topology.North]
-		vc := &in.vcs[1]
-		seq := cfg.Depth
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if disarm {
-				r.fastArmed = false
-			}
-			// Play the engine's link phase by hand: drain the east wire,
-			// recycle the consumed flit's credit, top the input VC back up.
-			if cr, ok := east.ShiftCredits(now); ok {
-				r.DeliverCredit(topology.East, cr)
-			}
-			if f, ok := east.ShiftFlits(now); ok {
-				east.SendCredit(f.VC)
-			}
-			if int(vc.n) < cfg.Depth {
-				nf := msg.FlitAt(pkt, seq)
-				nf.VC = 1
-				r.DeliverFlit(topology.North, nf)
-				seq++
-			}
-			r.Tick(now)
-			now++
+	cfg := DefaultConfig(1)
+	r, east := testRouter(cfg, policy.Spec{})
+	var now int64
+	pkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1 << 30, Class: msg.ClassRequest}
+	benchFeed(b, r, topology.North, pkt, &now)
+	in := r.in[topology.North]
+	vc := &in.vcs[1]
+	seq := cfg.Depth
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Play the engine's link phase by hand: drain the east wire,
+		// recycle the consumed flit's credit, top the input VC back up.
+		if cr, ok := east.ShiftCredits(now); ok {
+			r.DeliverCredit(topology.East, cr)
 		}
-		b.StopTimer()
-		if sent := r.FlitsSent(topology.East); b.N > 100 && sent < int64(b.N)/2 {
-			b.Fatalf("stream stalled: %d flits sent over %d cycles", sent, b.N)
+		if f, ok := east.ShiftFlits(now); ok {
+			east.SendCredit(f.VC)
 		}
-		if !disarm && b.N > 100 && r.FastTicks() == 0 {
-			b.Fatal("no tick replayed a plan")
+		if int(vc.n) < cfg.Depth {
+			nf := msg.FlitAt(pkt, seq)
+			nf.VC = 1
+			r.DeliverFlit(topology.North, nf)
+			seq++
 		}
+		r.Tick(now)
+		now++
 	}
-	b.Run("replay", func(b *testing.B) { run(b, false) })
-	b.Run("arbitrate", func(b *testing.B) { run(b, true) })
+	b.StopTimer()
+	if sent := r.FlitsSent(topology.East); b.N > 100 && sent < int64(b.N)/2 {
+		b.Fatalf("stream stalled: %d flits sent over %d cycles", sent, b.N)
+	}
 }

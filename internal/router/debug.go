@@ -58,7 +58,7 @@ func (r *Router) DebugState() string {
 			}
 			fmt.Fprintf(&b, "  out %-5s vc%-2d credits=%d tailSent=%v owner=%v\n", d, i, ov.credits, ov.tailSent, ov.owner)
 		}
-		if out.stValid {
+		if r.stBusy>>uint(d)&1 == 1 {
 			fmt.Fprintf(&b, "  out %-5s ST=%v flit %v seq=%d\n", d, out.st.Pkt, out.st.Type, out.st.Seq)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // desync is one seeded corruption of the optimised datapath: apply checks
 // its precondition on the real rig just before a router tick and, when it
 // holds, corrupts one structure and reports true. Every structure the
-// reference does not have — masks, counters, the plan, the shared scratch —
+// reference does not have — masks, counters, the shared scratch —
 // is listed with the precondition under which the corruption must change
 // what a neighbour sees; observable false marks the corruptions that only
 // cost work.
@@ -62,21 +62,6 @@ var desyncs = []desync{
 			return true
 		}
 		return false
-	}, true},
-	// (c) A stale plan re-armed while a stream allocate made a candidate
-	// (its head still at the front) waits on a port outside it: replay
-	// skips the newcomer.
-	{"c/stale plan", func(g *rig) bool {
-		r := g.router()
-		if r.fastArmed || r.planPorts == 0 {
-			return false
-		}
-		d, i, ok := soleCandidate(r)
-		if !ok || r.planPorts>>uint(d)&1 == 1 || r.in[d].vcs[i].front != 0 {
-			return false
-		}
-		r.fastArmed = true
-		return true
 	}, true},
 	// (d) A VA request left standing in the shared scratch (its bit and its
 	// row count) on the output VC a waiting head is about to request.
@@ -169,7 +154,7 @@ var desyncs = []desync{
 	}, true},
 	{"saPorts", func(g *rig) bool {
 		r := g.router()
-		if d, _, ok := soleCandidate(r); ok && !r.fastArmed {
+		if d, _, ok := soleCandidate(r); ok {
 			r.saPorts &^= 1 << uint(d)
 			return true
 		}
@@ -232,13 +217,43 @@ var desyncs = []desync{
 		r.activeCount--
 		return true
 	}, true},
-	{"stPending", func(g *rig) bool {
+	// An occupied ST register's stBusy bit lost: its flit never leaves. A
+	// stale bit on an output a sole candidate waits for: ST sends the old
+	// flit again (a cardinal output, whose neighbour only banks a credit).
+	{"stBusy", func(g *rig) bool {
 		r := g.router()
-		if r.stPending != 1 {
+		if r.stBusy == 0 {
 			return false
 		}
-		r.stPending--
+		r.stBusy &= r.stBusy - 1
 		return true
+	}, true},
+	{"stBusy stale", func(g *rig) bool {
+		r := g.router()
+		d, i, ok := soleCandidate(r)
+		if !ok {
+			return false
+		}
+		od := r.in[d].vcs[i].outPort
+		if topology.Dir(od) == topology.Local || r.out[od].st.Pkt == nil {
+			return false
+		}
+		r.stBusy |= 1 << od
+		return true
+	}, true},
+	// A held VC's native bit flipped: arbitration reads the wrong class,
+	// and the tail's departure moves the wrong DPA register.
+	{"in.native", func(g *rig) bool {
+		r := g.router()
+		for d := range r.in {
+			for i := range r.in[d].vcs {
+				if vc := &r.in[d].vcs[i]; vc.stage == stageActive && tailBuffered(vc) {
+					r.in[d].native ^= 1 << uint(i)
+					return true
+				}
+			}
+		}
+		return false
 	}, true},
 	{"NI streamMask", func(g *rig) bool {
 		ni := g.ni.(*NI)
@@ -303,10 +318,8 @@ var desyncs = []desync{
 		return true
 	}, true},
 	// Over-counts only keep stages (and the router's wake bit) running over
-	// empty masks; stPending over by one also keeps every plan from arming,
-	// which replay's exactness makes invisible too.
+	// empty masks.
 	{"vaCount+1", func(g *rig) bool { g.router().vaCount++; return true }, false},
-	{"stPending+1", func(g *rig) bool { g.router().stPending++; return true }, false},
 	{"NI queued+1", func(g *rig) bool { g.ni.(*NI).queued++; return true }, false},
 }
 
@@ -448,7 +461,7 @@ func soleCandidate(r *Router) (topology.Dir, int, bool) {
 		}
 		i := bits.TrailingZeros64(elig)
 		od := r.in[d].vcs[i].outPort
-		if r.out[od].stValid {
+		if r.stBusy>>od&1 == 1 {
 			continue
 		}
 		alone := true

@@ -2,9 +2,7 @@ package router
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -458,13 +456,13 @@ func withConfig(edit func(*Config)) Config {
 
 // TestReferenceLockstep is the router's oracle: on every cell of the
 // configuration matrix and 24 seeds, the optimised Router and NI — masks,
-// stage counters, SoA slabs, buffered runs, plan replay — must show their
-// neighbours exactly what the reference shows, every cycle. The totals
-// guard against a vacuous pass: flits must move, plans must replay, DPA
-// must flip, and Damaged flits buffered 64 or more flits behind the front
-// of their run must leave the router (and so be compared).
+// stage counters, SoA slabs, buffered runs — must show their neighbours
+// exactly what the reference shows, every cycle. The totals guard against
+// a vacuous pass: flits must move, DPA must flip, and Damaged flits
+// buffered 64 or more flits behind the front of their run must leave the
+// router (and so be compared).
 func TestReferenceLockstep(t *testing.T) {
-	var flits, ejected, fast, dpaFlips, deepMarks atomic.Int64
+	var flits, ejected, dpaFlips, deepMarks atomic.Int64
 	t.Run("cells", func(t *testing.T) {
 		for name, spec := range lockstepSpecs() {
 			t.Run(name, func(t *testing.T) {
@@ -488,14 +486,13 @@ func TestReferenceLockstep(t *testing.T) {
 						flits.Add(real.router().FlitsSent(d))
 					}
 					ejected.Add(int64(real.ejected))
-					fast.Add(real.router().FastTicks())
 				}
 			})
 		}
 	})
-	if flits.Load() == 0 || ejected.Load() == 0 || fast.Load() == 0 || dpaFlips.Load() == 0 || deepMarks.Load() == 0 {
-		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d replayed ticks, %d DPA flips, %d deep Damaged flits sent",
-			flits.Load(), ejected.Load(), fast.Load(), dpaFlips.Load(), deepMarks.Load())
+	if flits.Load() == 0 || ejected.Load() == 0 || dpaFlips.Load() == 0 || deepMarks.Load() == 0 {
+		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d DPA flips, %d deep Damaged flits sent",
+			flits.Load(), ejected.Load(), dpaFlips.Load(), deepMarks.Load())
 	}
 }
 
@@ -527,101 +524,4 @@ func deepSweep(r *Router, seen map[deepFlit]bool) (left int64) {
 		}
 	}
 	return left
-}
-
-// TestReplayMatchesArbitration is the differential oracle for plan replay:
-// two routers see one seeded event stream, and one of them has its plan
-// disarmed before every Tick, so it arbitrates every cycle; the reference
-// rides along as a third rig. After every cycle everything arbitration
-// leaves behind — ST registers, flits sent, arbiter pointers, candidate
-// sets, the work mirror, telemetry counters and per-packet blame — must be
-// equal, and at the end the lifecycle traces must be equal too.
-// The seeds must reach the three ways a plan ends without an arrival: a
-// co-resident stream credit-dry on a planned output (the case the old
-// single-stream arming rule kept out of the fast path), a link hold on a
-// planned output, and a tail.
-func TestReplayMatchesArbitration(t *testing.T) {
-	var cov struct{ sharedDry, hold, tail int }
-	var fast int64
-	spec := rigSpec{cfg: DefaultConfig(1), alg: routing.MinimalAdaptive{Mesh: rigMesh},
-		pol: rairSpec}
-	for seed := int64(1); seed <= 24; seed++ {
-		a, b := spec.real(nil, 0, true), spec.real(nil, 0, true)
-		err := runEpisode(seed, []*rig{a, b, spec.reference()}, func() {
-			b.router().fastArmed = false
-			r := a.router()
-			if !r.fastArmed {
-				return
-			}
-			for pm := r.planPorts; pm != 0; pm &= pm - 1 {
-				d := bits.TrailingZeros8(pm)
-				vc := r.saOutVC[d]
-				out := r.out[vc.outPort]
-				if out.stValid && !out.link.CanSendFlit() {
-					cov.hold++
-				}
-				if r.in[d].saElig>>uint(vc.idx)&1 == 1 && int(vc.front) == vc.owner.Size-1 {
-					cov.tail++
-				}
-				for m := out.streamMask &^ out.creditMask &^ (1 << uint(vc.outVC)); m != 0; m &= m - 1 {
-					ov := &out.vcs[bits.TrailingZeros64(m)]
-					if r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 1 {
-						cov.sharedDry++
-					}
-				}
-			}
-		}, func(cycle int64) bool {
-			if sa, sb := a.state(), b.state(); sa != sb {
-				t.Fatalf("seed %d cycle %d: replaying twin\n%+v\narbitrating twin\n%+v", seed, cycle, sa, sb)
-			}
-			for i, p := range a.pkts {
-				if q := b.pkts[i]; p.Blame != q.Blame || p.Hops != q.Hops {
-					t.Fatalf("seed %d cycle %d: %v blame %v hops %d replaying, blame %v hops %d arbitrating",
-						seed, cycle, p, p.Blame, p.Hops, q.Blame, q.Hops)
-				}
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ea, eb := a.tel.Events(), b.tel.Events(); !reflect.DeepEqual(ea, eb) {
-			t.Fatalf("seed %d: lifecycle traces differ (%d vs %d events)", seed, len(ea), len(eb))
-		}
-		if b.router().FastTicks() != 0 {
-			t.Fatalf("seed %d: the arbitrating twin replayed %d ticks", seed, b.router().FastTicks())
-		}
-		fast += a.router().FastTicks()
-	}
-	t.Logf("%d replayed ticks, coverage %+v", fast, cov)
-	if fast == 0 || cov.sharedDry == 0 || cov.hold == 0 || cov.tail == 0 {
-		t.Fatalf("seeds miss a case: %d replayed ticks, coverage %+v", fast, cov)
-	}
-}
-
-// rigState is everything a cycle of ST+SA leaves behind, in comparable form.
-type rigState struct {
-	ST           [topology.NumDirs]string
-	Sent         [topology.NumDirs]int64
-	SAIn, SAOut  [topology.NumDirs]arbiter.Prioritized
-	Elig, Occ    [topology.NumDirs]vcMask
-	SAPorts      uint8
-	Work         int
-	Native, Frgn int
-	Counters     telemetry.Counters
-}
-
-func (g *rig) state() rigState {
-	r := g.router()
-	s := rigState{SAIn: r.saInArb, SAOut: r.saOutArb, SAPorts: r.saPorts,
-		Work: int(r.soa.Work[r.li]), Counters: g.tel.Counters()}
-	s.Native, s.Frgn = r.OccupancyByKind()
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if f, ok := r.STRegister(d); ok {
-			s.ST[d] = fmt.Sprintf("#%d/%d %v vc%d", f.Pkt.ID, f.Seq, f.Type, f.VC)
-		}
-		s.Sent[d] = r.FlitsSent(d)
-		s.Elig[d], s.Occ[d] = r.in[d].saElig, r.in[d].occMask
-	}
-	return s
 }

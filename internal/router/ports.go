@@ -79,6 +79,12 @@ type InputPort struct {
 	activeMask vcMask // VCs streaming flits (stageActive)
 	occMask    vcMask // VCs with a non-empty flit buffer
 
+	// native marks the VCs held by a packet native to the router, from
+	// head arrival to tail departure (the DPA register OVC_n is its
+	// popcount over the ports). Arbitration narrows a request set to the
+	// favored class by intersecting with it, never reading a packet.
+	native vcMask
+
 	// saElig is the persistent SA_in candidate set: Active VCs with a
 	// buffered flit and a downstream credit (or an ejection output). The
 	// predicate is deliberately ST-blind — the ST register toggles every
@@ -148,7 +154,7 @@ type outputVC struct {
 
 // OutputPort is one output of the router: per-VC credit/allocation state,
 // the downstream link, and the ST pipeline register holding the flit that
-// won SA last cycle.
+// won SA last cycle (occupied while the port's Router.stBusy bit is set).
 //
 // Three credit-derived masks shadow the per-VC counters so the hot-path
 // queries are single-bit tests: creditMask (credits > 0, read by SA_in's
@@ -159,7 +165,6 @@ type outputVC struct {
 type OutputPort struct {
 	dir      topology.Dir
 	ejection bool // Local port: the sink accepts unconditionally
-	stValid  bool // st holds a flit
 
 	allocated int32 // owned VCs (bookkeeping invariant)
 	creditSum int32 // total credits across the port's VCs

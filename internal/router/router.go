@@ -49,39 +49,29 @@ type Router struct {
 	saOutArb [topology.NumDirs]arbiter.Prioritized
 	saOutVC  [topology.NumDirs]*inputVC
 
-	// stList[:stN] holds the output ports with an occupied ST register, so
-	// ST only visits ports with a flit to send.
-	stList [topology.NumDirs]uint8
-	stN    uint8
+	// stBusy marks the output ports whose ST register holds a flit, so ST
+	// visits only ports with a flit to send and SA filters a candidate by
+	// one bit test.
+	stBusy uint8
 
 	// saPorts marks input ports with a non-empty saElig set, so SA_in
 	// visits only ports that actually have a candidate this cycle.
 	saPorts uint8
-
-	// Plan replay (see replay). A cycle whose allocation was forced sets
-	// fastArmed and records the granted input ports in planPorts (their
-	// streams stay in saOutVC); while armed, switchAllocation re-issues
-	// those grants instead of arbitrating. Any event that could change the
-	// outcome clears fastArmed and the next cycle arbitrates from the
-	// masks, which are exact in both modes. fastTicks counts the replayed
-	// cycles.
-	fastArmed bool
-	planPorts uint8
-	fastTicks int64
 
 	// cong holds the DBAR congestion tables; nil unless EnableCongestion
 	// ran, so only DBAR routers pay for them.
 	cong *congTables
 
 	// Stage population counters let idle routers skip whole pipeline
-	// stages; stPending counts occupied ST registers. Their sum is
-	// mirrored into soa.Work at every transition so the engine's armed
-	// sweep never touches the Router struct. The DPA occupancy registers
-	// live in the store (soa.NativeOcc/ForeignOcc).
+	// stages. Their sum with the occupied ST registers is mirrored into
+	// soa.Work at every transition so the engine's armed sweep never
+	// touches the Router struct. The DPA occupancy registers live in the
+	// store (soa.NativeOcc/ForeignOcc); occMoved says one of them moved
+	// since the last DPA update.
 	rcCount     int
 	vaCount     int
 	activeCount int
-	stPending   int
+	occMoved    bool
 
 	// freeablePorts marks output ports where a credit arrived or a tail
 	// was sent since the last output-VC release scan; Tick visits only
@@ -169,7 +159,7 @@ func (r *Router) OccupancyByKind() (native, foreign int) {
 // WorkCounters returns the individual stage-population counters; the
 // invariant checker audits their sum against the store's Work mirror.
 func (r *Router) WorkCounters() (rc, va, active, st int) {
-	return r.rcCount, r.vaCount, r.activeCount, r.stPending
+	return r.rcCount, r.vaCount, r.activeCount, bits.OnesCount8(r.stBusy)
 }
 
 // ConnectIn attaches the upstream link feeding the input port at dir.
@@ -197,20 +187,20 @@ func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 		r.soa.Work[r.li]++
 		r.soa.armR(r.li)
 		if r.app >= 0 && f.Pkt.App == r.app {
+			in.native |= 1 << uint(f.VC)
 			r.soa.NativeOcc[r.li]++
 		} else {
 			r.soa.ForeignOcc[r.li]++
 		}
+		r.occMoved = true
 	} else if in.activeMask>>uint(f.VC)&1 == 1 && in.saElig>>uint(f.VC)&1 == 0 {
 		// The arrival fills an Active VC's empty buffer; with a credit
-		// downstream the stream is a fresh SA candidate (0→1 edges also
-		// end any armed plan).
+		// downstream the stream is a fresh SA candidate.
 		vc := &in.vcs[f.VC]
 		out := r.out[vc.outPort]
 		if out.ejection || out.creditMask>>uint(vc.outVC)&1 == 1 {
 			in.saElig |= 1 << uint(f.VC)
 			r.saPorts |= 1 << uint(dir)
-			r.fastArmed = false
 		}
 	}
 }
@@ -239,7 +229,6 @@ func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
 		if in.occMask>>uint(ov.inVC)&1 == 1 && in.saElig>>uint(ov.inVC)&1 == 0 {
 			in.saElig |= 1 << uint(ov.inVC)
 			r.saPorts |= 1 << uint(ov.inPort)
-			r.fastArmed = false
 		}
 	}
 }
@@ -339,7 +328,7 @@ func (r *Router) chargeBlocked(pkt *msg.Packet, out *OutputPort, occupied vcMask
 // (downstream congestion the local router cannot classify).
 func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
 	switch {
-	case out.stValid:
+	case r.stBusy>>vc.outPort&1 == 1:
 		r.tel.Charge(vc.owner, msg.BlameFault)
 	case r.soa.escapeMask>>vc.outVC&1 == 1:
 		r.tel.Charge(vc.owner, msg.BlameEscape)
@@ -352,44 +341,34 @@ func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
 // switchTraversal moves last cycle's SA winners onto their links (ST + LT),
 // visiting only the output ports whose ST register is occupied.
 func (r *Router) switchTraversal() {
-	if r.stPending == 0 {
-		return
-	}
-	kept := r.stList[:0]
-	for _, d := range r.stList[:r.stN] {
+	for m := r.stBusy; m != 0; m &= m - 1 {
+		d := bits.TrailingZeros8(m)
 		out := r.out[d]
-		if out.link != nil && out.link.CanSendFlit() {
-			out.link.SendFlit(out.st)
-			out.stValid = false
-			r.stPending--
-			r.soa.Work[r.li]--
-			r.flitsSent[d]++
-			if r.tel != nil {
-				r.tel.LinkFlit()
-				if out.st.Type.IsHead() && r.tel.Traced(out.st.Pkt.ID) {
-					r.tel.Lifecycle(out.st.Pkt.ID, telemetry.StageST, r.now)
-				}
-			}
-		} else {
-			kept = append(kept, d)
+		if out.link == nil || !out.link.CanSendFlit() {
 			if r.attr && out.st.Type.IsHead() {
 				// Fault-free links always accept the ST flit after the
 				// link phase, so a head pinned here can only be a faulty
 				// link's retransmission hold.
 				r.tel.Charge(out.st.Pkt, msg.BlameFault)
 			}
+			continue
+		}
+		out.link.SendFlit(out.st)
+		r.stBusy &^= 1 << uint(d)
+		r.soa.Work[r.li]--
+		r.flitsSent[d]++
+		if r.tel != nil {
+			r.tel.LinkFlit()
+			if out.st.Type.IsHead() && r.tel.Traced(out.st.Pkt.ID) {
+				r.tel.Lifecycle(out.st.Pkt.ID, telemetry.StageST, r.now)
+			}
 		}
 	}
-	r.stN = uint8(len(kept))
 }
 
 // FlitsSent reports the flits this router has pushed onto the output link
 // at dir since construction (link-utilization instrumentation).
 func (r *Router) FlitsSent(dir topology.Dir) int64 { return r.flitsSent[dir] }
-
-// FastTicks reports how many cycles the router replayed an armed plan
-// instead of arbitrating (engine self-profiling).
-func (r *Router) FastTicks() int64 { return r.fastTicks }
 
 // saStallScan replays the per-cycle stall telemetry the old full rescan
 // produced as a side effect: every active, non-empty VC missing from the
@@ -403,12 +382,11 @@ func (r *Router) saStallScan() {
 		in := r.in[d]
 		for m := in.activeMask & in.occMask &^ in.saElig; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			out := r.out[vc.outPort]
-			if !out.stValid {
+			if r.stBusy>>vc.outPort&1 == 0 {
 				r.tel.CreditStall()
 			}
 			if r.attr && vc.headPending {
-				r.chargeSAStall(vc, out)
+				r.chargeSAStall(vc, r.out[vc.outPort])
 			}
 		}
 	}
@@ -422,8 +400,7 @@ func (r *Router) saStallScan() {
 // The candidate sets are not rescanned here: SA_in walks the persistent
 // per-port saElig masks (maintained at the eligibility event sites), so a
 // cycle's cost is proportional to the VCs that can actually move, not the
-// VCs provisioned. While a plan is armed the stage does not arbitrate at
-// all: it re-issues the plan's grants through the same transfer (replay).
+// VCs provisioned.
 func (r *Router) switchAllocation() {
 	if r.activeCount == 0 {
 		return
@@ -431,128 +408,96 @@ func (r *Router) switchAllocation() {
 	if r.tel != nil {
 		r.saStallScan()
 	}
-	if r.fastArmed {
-		r.replay()
-		return
-	}
 	if r.saPorts == 0 {
 		return
 	}
-	s := r.soa
-	// forced tracks whether this cycle's outcome involved no choice — no
-	// arbiter decided anything, no ST register is still held from last
-	// cycle, no tail retired a stream — so granting the same streams again
-	// is what arbitration would do until an event says otherwise. Only then
-	// does the cycle arm a plan.
-	forced := r.stPending == 0
-	// nomMask marks input ports whose SA_in nomination survived; only
-	// those r.saOutVC entries are live (stale pointers from earlier cycles
-	// are never read, so the array is not cleared). A forced cycle grants
-	// every nomination, so nomMask is also the plan.
-	var nomMask uint8
+	// SA_in files each surviving nomination in r.saOutVC (entries of other
+	// ports are stale and never read) and in outReq, the input ports
+	// nominating per output port; outMask marks the output ports with a
+	// nomination and nomNative the nominations carrying native traffic.
+	var outReq [topology.NumDirs]uint8
+	var outMask, nomNative uint8
 	// SA_in: nominate one VC per input port, visiting only ports with a
 	// candidate and only the candidate VCs themselves (the persistent
 	// saElig sets). The one eligibility term the sets do not carry — the
 	// output ST register, which toggles every busy cycle — is filtered
-	// here per candidate; a held register means the last send was pinned
-	// by a faulty link, so the branch is almost never taken. Ports with a
-	// single surviving candidate skip priority computation and the
-	// arbiter scan (the outcome cannot depend on either); the others hand
-	// the arbiter the surviving set itself as its request row.
+	// here by its stBusy bit; ST has just drained every register a
+	// fault-free link accepts, so the filter almost never runs. A port
+	// with one surviving candidate skips the arbiter scan (the outcome
+	// cannot depend on it); the others grant over the surviving set.
 	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
 		d := topology.Dir(bits.TrailingZeros8(pm))
 		in := r.in[d]
-		var elig vcMask
-		first, n := 0, 0
-		for m := in.saElig; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			vc := &in.vcs[i]
-			if r.out[vc.outPort].stValid {
+		elig := in.saElig
+		for m := elig; r.stBusy != 0 && m != 0; m &= m - 1 {
+			vc := &in.vcs[bits.TrailingZeros64(m)]
+			if r.stBusy>>vc.outPort&1 == 1 {
+				elig &^= m & -m
 				if r.attr && vc.headPending {
 					r.chargeSAStall(vc, r.out[vc.outPort])
 				}
+			}
+		}
+		if elig == 0 {
+			continue
+		}
+		w := bits.TrailingZeros64(elig)
+		if elig&(elig-1) == 0 {
+			r.saInArb[d].GrantSingle(w)
+		} else {
+			// Under the unordered rules every priority is the favored
+			// bit, so the grant is a flat one over the favored subset;
+			// Rank and Age fill a priority row.
+			row, prio := [1]uint64{r.pol.SAFavored(elig, in.native)}, []int(nil)
+			if r.pol.Ordered() {
+				prio = r.soa.saPrio
+				for c := elig; c != 0; c &= c - 1 {
+					i := bits.TrailingZeros64(c)
+					prio[i] = r.pol.SAPriority(in.vcs[i].owner, r.now)
+				}
+			}
+			w = r.saInArb[d].Grant(row[:], prio)
+		}
+		r.saOutVC[d] = &in.vcs[w]
+		od := in.vcs[w].outPort
+		outReq[od] |= 1 << uint(d)
+		outMask |= 1 << od
+		nomNative |= uint8(in.native>>uint(w)&1) << uint(d)
+		for c := elig; r.tel != nil && c != 0; c &= c - 1 {
+			i := bits.TrailingZeros64(c)
+			vc := &in.vcs[i]
+			native := r.regions.Native(r.node, vc.owner.App)
+			if i == w {
+				r.tel.SAInGrant(native)
 				continue
 			}
-			elig |= 1 << uint(i)
-			if n == 0 {
-				first = i
-			}
-			n++
-		}
-		switch n {
-		case 0:
-		case 1:
-			r.saInArb[d].GrantSingle(first)
-			r.saOutVC[d] = &in.vcs[first]
-			nomMask |= 1 << uint(d)
-			if r.tel != nil {
-				r.tel.SAInGrant(r.regions.Native(r.node, in.vcs[first].owner.App))
-			}
-		default:
-			forced = false
-			for c := elig; c != 0; c &= c - 1 {
-				i := bits.TrailingZeros64(c)
-				s.saPrio[i] = r.pol.SAPriority(in.vcs[i].owner, r.now)
-			}
-			req := [1]uint64{elig}
-			w := r.saInArb[d].Grant(req[:], s.saPrio)
-			r.saOutVC[d] = &in.vcs[w]
-			nomMask |= 1 << uint(d)
-			for c := elig; r.tel != nil && c != 0; c &= c - 1 {
-				i := bits.TrailingZeros64(c)
-				vc := &in.vcs[i]
-				native := r.regions.Native(r.node, vc.owner.App)
-				if i == w {
-					r.tel.SAInGrant(native)
-					continue
-				}
-				r.tel.SAInDeny(native)
-				if r.attr && vc.headPending {
-					r.chargeLoss(vc.owner, in.vcs[w].owner)
-				}
+			r.tel.SAInDeny(native)
+			if r.attr && vc.headPending {
+				r.chargeLoss(vc.owner, in.vcs[w].owner)
 			}
 		}
 	}
-	// SA_out: arbitrate nominated VCs per output port. Only output ports
-	// that actually received a nomination are visited; an uncontended
-	// nomination (the common case) bypasses the request-row build and the
-	// arbiter scan with the exact same outcome.
-	var doneMask uint8
-	for nm := nomMask; nm != 0; nm &= nm - 1 {
-		id := topology.Dir(bits.TrailingZeros8(nm))
-		vc := r.saOutVC[id]
-		od := vc.outPort
-		if doneMask>>uint(od)&1 == 1 {
-			continue
-		}
-		doneMask |= 1 << uint(od)
-		contended := false
-		for nm2 := nm & (nm - 1); nm2 != 0; nm2 &= nm2 - 1 {
-			if r.saOutVC[bits.TrailingZeros8(nm2)].outPort == od {
-				contended = true
-				break
+	// SA_out: arbitrate nominated VCs per output port, visiting only the
+	// output ports that received a nomination; a lone nomination (the
+	// common case) skips the arbiter scan with the exact same outcome.
+	for om := outMask; om != 0; om &= om - 1 {
+		od := bits.TrailingZeros8(om)
+		req := uint64(outReq[od])
+		w := bits.TrailingZeros64(req)
+		if req&(req-1) == 0 {
+			r.saOutArb[od].GrantSingle(w)
+		} else {
+			row, prio := [1]uint64{r.pol.SAFavored(req, uint64(nomNative))}, []int(nil)
+			if r.pol.Ordered() {
+				prio = r.soa.saOutPri[:]
+				for m := req; m != 0; m &= m - 1 {
+					id2 := bits.TrailingZeros64(m)
+					prio[id2] = r.pol.SAPriority(r.saOutVC[id2].owner, r.now)
+				}
 			}
+			w = r.saOutArb[od].Grant(row[:], prio)
 		}
-		if !contended {
-			r.saOutArb[od].GrantSingle(int(id))
-			if r.tel != nil {
-				r.tel.SAOutGrant(r.regions.Native(r.node, vc.owner.App))
-			}
-			if r.transfer(id, vc) {
-				forced = false
-			}
-			continue
-		}
-		forced = false
-		var req [1]uint64 // the input ports nominating for od
-		for nm2 := nm; nm2 != 0; nm2 &= nm2 - 1 {
-			if id2 := bits.TrailingZeros8(nm2); r.saOutVC[id2].outPort == od {
-				req[0] |= 1 << uint(id2)
-				s.saOutPri[id2] = r.pol.SAPriority(r.saOutVC[id2].owner, r.now)
-			}
-		}
-		w := r.saOutArb[od].Grant(req[:], s.saOutPri[:])
-		for m := req[0]; r.tel != nil && m != 0; m &= m - 1 {
+		for m := req; r.tel != nil && m != 0; m &= m - 1 {
 			id2 := bits.TrailingZeros64(m)
 			vc2 := r.saOutVC[id2]
 			native := r.regions.Native(r.node, vc2.owner.App)
@@ -567,47 +512,12 @@ func (r *Router) switchAllocation() {
 		}
 		r.transfer(topology.Dir(w), r.saOutVC[w])
 	}
-	if forced && nomMask != 0 {
-		r.fastArmed, r.planPorts = true, nomMask
-	}
-}
-
-// replay is switchAllocation with an armed plan: every planned stream that
-// is still an SA candidate and whose ST register drained is granted again —
-// the SA_in candidate walk, the priority lookups and both arbiters are what
-// it skips. The grants are exactly what arbitration would issue: the
-// arbiter pointers are already parked past the sole requestor (GrantSingle
-// is idempotent for a repeating single winner), no stream outside the plan
-// can be a candidate (every 0→1 saElig edge disarms), and planned flits are
-// never heads (heads enter through allocate, which disarms). A planned
-// stream that cannot move — out of flits or credits, or its output held by
-// a faulty link — or that just sent its tail ends the plan: the remaining
-// streams still move this cycle, the next one arbitrates.
-func (r *Router) replay() {
-	r.fastTicks++
-	for pm := r.planPorts; pm != 0; pm &= pm - 1 {
-		d := topology.Dir(bits.TrailingZeros8(pm))
-		vc := r.saOutVC[d]
-		if r.in[d].saElig>>uint(vc.idx)&1 == 0 || r.out[vc.outPort].stValid {
-			r.fastArmed = false
-			continue
-		}
-		if r.tel != nil {
-			native := r.regions.Native(r.node, vc.owner.App)
-			r.tel.SAInGrant(native)
-			r.tel.SAOutGrant(native)
-		}
-		if r.transfer(d, vc) {
-			r.fastArmed = false
-		}
-	}
 }
 
 // transfer dequeues one flit from vc — the front of its run, rebuilt from
 // the owner — and latches it into the ST register of its allocated output
-// port. It reports whether the flit was the packet's tail (a tail retires
-// the stream, which ends or forbids a plan).
-func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
+// port.
+func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
 	out := r.out[vc.outPort]
 	ov := &out.vcs[vc.outVC]
 	if vc.n == 0 {
@@ -634,15 +544,12 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 			r.tel.Lifecycle(f.Pkt.ID, telemetry.StageSA, r.now)
 		}
 	}
-	if out.stValid {
+	if r.stBusy>>vc.outPort&1 == 1 {
 		panic("router: ST register collision")
 	}
 	out.st = f
-	out.stValid = true
-	r.stPending++
+	r.stBusy |= 1 << vc.outPort
 	r.soa.Work[r.li]++
-	r.stList[r.stN] = vc.outPort
-	r.stN++
 	if !out.ejection {
 		if ov.credits <= 0 {
 			panic("router: SA granted without credit")
@@ -662,11 +569,13 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	}
 	tail := f.Type.IsTail()
 	if tail {
-		if r.app >= 0 && vc.owner.App == r.app {
+		if in.native>>uint(vc.idx)&1 == 1 {
+			in.native &^= 1 << uint(vc.idx)
 			r.soa.NativeOcc[r.li]--
 		} else {
 			r.soa.ForeignOcc[r.li]--
 		}
+		r.occMoved = true
 		vc.stage = stageIdle
 		vc.owner = nil
 		ov.tailSent = true
@@ -681,16 +590,12 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) bool {
 	// buffer emptied, the last credit drained, or a tail retired the
 	// stream. All three terms are already in registers here, so the
 	// update is branch-plus-mask instead of a re-derivation.
-	if tail || vc.n == 0 || (!out.ejection && ov.credits == 0) {
-		if in.saElig>>uint(vc.idx)&1 == 1 {
-			in.saElig &^= 1 << uint(vc.idx)
-			if in.saElig == 0 {
-				r.saPorts &^= 1 << uint(inDir)
-			}
+	if (tail || vc.n == 0 || (!out.ejection && ov.credits == 0)) && in.saElig>>uint(vc.idx)&1 == 1 {
+		in.saElig &^= 1 << uint(vc.idx)
+		if in.saElig == 0 {
+			r.saPorts &^= 1 << uint(inDir)
 		}
-		return tail
 	}
-	return false
 }
 
 // vcAllocation performs VA for every input VC in the VA stage: the
@@ -704,6 +609,10 @@ func (r *Router) vcAllocation() {
 	v := r.nvc
 	nw := (int(topology.NumDirs)*v + 63) >> 6 // words per VA request row
 	s := r.soa
+	prio := []int(nil) // only Rank and Age fill and read a priority row
+	if r.pol.Ordered() {
+		prio = s.vaPrio
+	}
 	touched := s.vaTouched[:0]
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		in := r.in[d]
@@ -718,9 +627,14 @@ func (r *Router) vcAllocation() {
 				touched = append(touched, og)
 			}
 			s.vaReqN[og]++
-			s.vaSingle[og] = ig
+			s.vaSingle[og], s.vaCls[og] = ig, cls
 			s.vaReq[og*nw+ig>>6] |= 1 << uint(ig&63)
-			s.vaPrio[ig] = r.pol.VAPriority(vc.owner, cls, r.now)
+			// The requestor's native bit, written whole: a row reads only
+			// the bits of its own requestors, all filed this tick.
+			s.vaNative[ig>>6] = s.vaNative[ig>>6]&^(1<<uint(ig&63)) | (in.native>>vc.idx&1)<<uint(ig&63)
+			if prio != nil {
+				prio[ig] = r.pol.VAPriority(vc.owner, cls, r.now)
+			}
 		}
 	}
 	for _, og := range touched {
@@ -734,7 +648,9 @@ func (r *Router) vcAllocation() {
 			r.allocate(og, w)
 			continue
 		}
-		w := r.vaArb[og].Grant(row, s.vaPrio)
+		// Under the unordered rules the grant is a flat one over the
+		// row's favored subset; Rank and Age have no favored class.
+		w := r.vaArb[og].Grant(r.pol.VAFavored(s.vaCls[og], row, s.vaNative[:nw], s.vaFavored[:nw]), prio)
 		// Losers of a VA_out arbitration: serialized on the escape VC when
 		// that is what they competed for, otherwise blocked by the winner's
 		// region class.
@@ -866,11 +782,9 @@ func (r *Router) allocate(og, w int) {
 	in.activeMask |= 1 << uint(vc.idx)
 	// The new stream is always an immediate SA candidate: its head is
 	// still buffered (pops require Active) and the output VC's credit
-	// stock is full (asserted above). The newcomer must re-enter
-	// arbitration, so any armed plan ends.
+	// stock is full (asserted above).
 	in.saElig |= 1 << uint(vc.idx)
 	r.saPorts |= 1 << uint(w/v)
-	r.fastArmed = false
 }
 
 // routeCompute advances heads that arrived last cycle into the VA stage.
@@ -901,9 +815,13 @@ func (r *Router) routeCompute() {
 // updatePolicy feeds the DPA registers: occupied VCs held by native vs
 // foreign traffic across the whole router (Section IV.C counts all VCs, not
 // just one port). The counts are maintained incrementally at head arrival
-// and tail departure; the policy applies the new state next cycle, and
-// telemetry counts each flip.
+// and tail departure, and only a tick in which one moved feeds them; the
+// policy applies the new state next cycle, and telemetry counts each flip.
 func (r *Router) updatePolicy() {
+	if !r.occMoved {
+		return // Update never flips twice on the same counts
+	}
+	r.occMoved = false
 	nat, frn := r.soa.NativeOcc[r.li], r.soa.ForeignOcc[r.li]
 	if r.pol.Update(int(nat), int(frn)) && r.tel != nil {
 		r.tel.DPATransition(r.pol.NativeHigh())
@@ -917,12 +835,7 @@ func (r *Router) BufferedFlits() int {
 	for _, in := range r.in {
 		n += in.bufFlits
 	}
-	for _, out := range r.out {
-		if out.stValid {
-			n++
-		}
-	}
-	return n
+	return n + bits.OnesCount8(r.stBusy)
 }
 
 // OldestOwner returns the earliest-created packet currently holding any

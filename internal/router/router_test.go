@@ -116,7 +116,7 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 	r.Tick(0) // RC
 	r.Tick(1) // VA: distinct output VCs, both Active
 	r.Tick(2) // SA: one winner for the East port
-	if !r.out[topology.East].stValid {
+	if r.stBusy>>uint(topology.East)&1 == 0 {
 		t.Fatal("no flit won SA")
 	}
 	if r.out[topology.East].st.Pkt != foreignPkt {

@@ -20,11 +20,11 @@ import (
 // array. The store itself performs no synchronization: exactly one shard owns
 // it, and the engine's barrier phases serialize all access.
 type SoA struct {
-	// Work[li] mirrors router li's pipeline population
-	// (rcCount+vaCount+activeCount+stPending); NIWork[li] mirrors NI li's
-	// (queued+streaming+draining). The engine skips any component whose
-	// entry is zero, and the invariant checker audits the mirrors against
-	// the component counters.
+	// Work[li] mirrors router li's pipeline population (rcCount+vaCount+
+	// activeCount plus its occupied ST registers); NIWork[li] mirrors NI
+	// li's (queued+streaming+draining). The engine skips any component
+	// whose entry is zero, and the invariant checker audits the mirrors
+	// against the component counters.
 	Work   []int32
 	NIWork []int32
 
@@ -79,7 +79,14 @@ type SoA struct {
 	// array would escape through the interface call). saPrio is one input
 	// port's SA_in priorities, saOutPri the SA_out priorities of the output
 	// port under arbitration; their request sets are masks in registers.
-	vaReq            []uint64
+	// Rank and Age alone read the priority rows: under the other rules
+	// vaNative marks the native requestors of this tick's rows (bits of
+	// input VCs that filed no request are stale and never read), vaCls is
+	// each requested output VC's kind, and vaFavored receives a row
+	// narrowed to its favored class.
+	vaReq, vaNative  []uint64
+	vaFavored        []uint64
+	vaCls            []policy.VCClass
 	vaPrio, saPrio   []int
 	vaReqN, vaSingle []int
 	vaTouched        []int
@@ -109,7 +116,10 @@ func NewSoA(cfg Config, n int) *SoA {
 		classWindow: make([]vcMask, cfg.Classes),
 		vaArb:       make([]arbiter.Prioritized, n*nd*v),
 		vaReq:       make([]uint64, nd*v*((nd*v+63)>>6)),
+		vaNative:    make([]uint64, (nd*v+63)>>6),
+		vaFavored:   make([]uint64, (nd*v+63)>>6),
 		vaPrio:      make([]int, nd*v),
+		vaCls:       make([]policy.VCClass, nd*v),
 		vaReqN:      make([]int, nd*v),
 		vaSingle:    make([]int, nd*v),
 		vaTouched:   make([]int, 0, nd*v),
