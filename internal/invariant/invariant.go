@@ -92,7 +92,8 @@ type Target struct {
 	Mesh    *topology.Mesh
 	Routers []*router.Router
 	NIs     []*router.NI
-	// Links is the network's wiring table, one record per link.
+	// Links is the network's wiring table, one record per link. The
+	// network keeps no copy: the checker is its only holder after the build.
 	Links []router.LinkRecord
 	// Faults is the run's injector (nil when fault-free); its loss and
 	// retransmission state closes the conservation and credit identities.
@@ -154,6 +155,10 @@ func NewChecker(cfg Config, t Target) *Checker {
 		sendCred: make([]int, t.VCs),
 	}
 }
+
+// Links returns the wiring table the checker audits, the one the network
+// was built and its engine bound with.
+func (c *Checker) Links() []router.LinkRecord { return c.t.Links }
 
 // Err summarizes recorded violations as an error, nil when the run was
 // clean.

@@ -245,10 +245,10 @@ func (sh *shard) wireTo(l *router.Link, end router.LinkEnd) wire {
 
 // attachWakes returns a dirty bitmap over wires with every wire's wake mark
 // attached to its bit, the foreign ones excepted.
-func attachWakes(wires []wire, foreign []int32, setWake func(*router.Link, *uint64, uint64)) []uint64 {
+func attachWakes(wires []wire, foreign []int32, setWake func(*router.Link, *uint64, uint8)) []uint64 {
 	dirty := make([]uint64, (len(wires)+63)/64)
 	for i := range wires {
-		setWake(wires[i].link, &dirty[i>>6], 1<<(uint(i)&63))
+		setWake(wires[i].link, &dirty[i>>6], uint8(i&63))
 	}
 	for _, i := range foreign {
 		setWake(wires[i].link, nil, 0)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/region"
 	"rair/internal/router"
@@ -256,6 +257,9 @@ func TestEngineShardPartition(t *testing.T) {
 				Alg:     routing.MinimalAdaptive{Mesh: tc.regions.Mesh()},
 				Sel:     routing.LocalSelector{},
 				Workers: workers, Chiplets: tc.chips,
+				// The network keeps no wiring table; its checker holds the
+				// one the engine was bound with.
+				Check: &invariant.Config{},
 			})
 			checkWiring(t, fmt.Sprintf("%s workers=%d", tc.name, workers), n)
 			n.Close()
@@ -271,16 +275,18 @@ func wireAt(n *Network, l *router.Link, end router.LinkEnd) wire {
 	return wire{link: l, r: n.routers[end.Node], dir: end.Dir}
 }
 
-// checkWiring audits a network's link table against the topology and every
-// shard's wire slices against the table.
+// checkWiring audits a network's link table (the one its checker holds, the
+// table the engine was bound with) against the topology and every shard's
+// wire slices against the table.
 func checkWiring(t *testing.T, name string, n *Network) {
 	t.Helper()
 	mesh, chips := n.mesh, n.chiplets
+	links := n.check.Links()
 	// Every link the topology calls for appears exactly once, under a unique
 	// key, and nothing else does — in particular no pair across a tile edge.
 	type ends [2]router.LinkEnd
 	seen, keys := map[ends]int{}, map[string]bool{}
-	for _, rec := range n.links {
+	for _, rec := range links {
 		seen[ends{rec.Src, rec.Dst}]++
 		if keys[rec.Key()] {
 			t.Fatalf("%s: key %s registered twice", name, rec.Key())
@@ -307,8 +313,8 @@ func checkWiring(t *testing.T, name string, n *Network) {
 		expect(ni, port)
 		expect(port, ni)
 	}
-	if len(n.links) != want {
-		t.Fatalf("%s: table has %d links, topology calls for %d", name, len(n.links), want)
+	if len(links) != want {
+		t.Fatalf("%s: table has %d links, topology calls for %d", name, len(links), want)
 	}
 	// Nodes 3 and 4 are row neighbours everywhere, across a tile edge in the
 	// chiplet quad.
@@ -324,7 +330,7 @@ func checkWiring(t *testing.T, name string, n *Network) {
 		var flit, cred []wire
 		var foreignFlit, foreignCred []int32
 		for _, toNI := range []bool{false, true} {
-			for _, rec := range n.links {
+			for _, rec := range links {
 				src, dst := n.eng.shardOf(rec.Src.Node), n.eng.shardOf(rec.Dst.Node)
 				if dst == sh && rec.Dst.NI == toNI {
 					if src != dst {

@@ -96,17 +96,12 @@ type Network struct {
 	mesh    *topology.Mesh
 	routers []*router.Router
 	nis     []*router.NI
-	// links is the wiring table, one record per link: mesh links in wiring
-	// order, then each node's injection and ejection link. The engine's
-	// wires, the fault injector's link states (whose registration index
-	// seeds every verdict) and the checker's audits all derive from it.
-	links  []router.LinkRecord
-	eng    *engine
-	cong   bool
-	tel    *telemetry.Collector
-	probes []*telemetry.Probe // per node, nil when telemetry is off
-	faults *faults.Injector   // nil when fault-free
-	check  *invariant.Checker // nil when unchecked
+	eng     *engine
+	cong    bool
+	tel     *telemetry.Collector
+	probes  []*telemetry.Probe // per node, nil when telemetry is off
+	faults  *faults.Injector   // nil when fault-free
+	check   *invariant.Checker // nil when unchecked
 
 	chiplets   *topology.Chiplets // nil for plain meshes
 	xbar       *Crossbar          // nil for plain meshes
@@ -207,18 +202,20 @@ func New(p Params) *Network {
 	if p.Profile {
 		n.eng.prof = newEngineProf(len(n.eng.shards))
 	}
-	n.links = linkTable(mesh, p.Chiplets, p.Router.LinkLatency, n.nis)
-	for _, rec := range n.links {
+	// The wiring table: the engine's wires, the fault injector's link states
+	// and the checker's audits derive from it; only a checker keeps it.
+	links := linkTable(mesh, p.Chiplets, p.Router.LinkLatency, n.nis)
+	for _, rec := range links {
 		n.connect(rec)
 	}
-	n.eng.bind(n.links)
+	n.eng.bind(links)
 	if p.Chiplets != nil {
 		n.xbar = NewCrossbar(p.Chiplets, n.xbarDeliver)
 	}
 	if p.Check != nil {
 		n.check = invariant.NewChecker(*p.Check, invariant.Target{
 			Depth: p.Router.Depth, VCs: p.Router.VCsPerPort(), Mesh: mesh,
-			Routers: n.routers, NIs: n.nis, Links: n.links,
+			Routers: n.routers, NIs: n.nis, Links: links,
 			Faults: n.faults, Telemetry: n.tel,
 			Quiesce: n.auditQuiescence,
 		})

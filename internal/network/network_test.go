@@ -388,14 +388,18 @@ func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
 // at least one flit or credit each) alongside the in-flight packet count
 // (created but not ejected, network-wide). The invariant tests rely on:
 // whenever in-flight packets are zero, everything inside must be zero too —
-// anything else means flits were lost, duplicated, or stranded.
+// anything else means flits were lost, duplicated, or stranded. Every link
+// of the wiring table is exactly one shard's flit wire (checkWiring), so the
+// walk visits each link once, dirty or not.
 func (n *Network) FlitConservation() (inside, inflightPackets int64) {
 	for _, r := range n.routers {
 		inside += int64(r.BufferedFlits())
 	}
-	for _, rec := range n.links {
-		if rec.L.FlitsBusy() || rec.L.CreditsBusy() {
-			inside++
+	for _, sh := range n.eng.shards {
+		for _, w := range sh.flit {
+			if w.link.FlitsBusy() || w.link.CreditsBusy() {
+				inside++
+			}
 		}
 	}
 	return inside, n.InFlight()

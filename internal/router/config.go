@@ -19,6 +19,7 @@ import (
 
 	"rair/internal/msg"
 	"rair/internal/policy"
+	"rair/internal/sim"
 )
 
 // Config fixes the router microarchitecture parameters. The defaults follow
@@ -67,7 +68,7 @@ func DefaultConfig(classes int) Config {
 // maxSlots caps Depth and LinkLatency: every VC buffer and every link
 // allocates its slots up front, so an unbounded value from a simulation
 // file would exhaust memory instead of failing. Table 1 uses 5 and 2.
-const maxSlots = 256
+const maxSlots = sim.MaxLatency
 
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {

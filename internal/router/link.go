@@ -32,13 +32,14 @@ type Link struct {
 	faults  *faults.LinkState
 
 	// Wake marks: the tick engine's per-shard dirty-wire bitmaps. A push
-	// onto a wire sets the wire's bit in the bitmap of the shard that owns
-	// (shifts and delivers) it, so quiescent wires are never even visited.
-	// A wire whose pusher lives on a different shard than its owner carries
-	// no mark (the owner polls it instead); both marks are nil outside an
-	// engine (router-level tests drive links directly).
-	flitWake wakeMark
-	credWake wakeMark
+	// onto a wire sets bit flitBit or credBit of its word in the bitmap of
+	// the shard that owns (shifts and delivers) it, so quiescent wires are
+	// never even visited. A wire whose pusher lives on a different shard
+	// than its owner carries no mark (the owner polls it instead); both
+	// words are nil outside an engine. Byte bit indices keep the link at
+	// 128 bytes, two aligned cache lines (DESIGN.md "Idle-path elision").
+	flitWake, credWake *uint64
+	flitBit, credBit   uint8
 }
 
 // LinkEnd is one end of a link: port Dir of node's router, or, when NI is
@@ -70,18 +71,6 @@ type LinkRecord struct {
 // and ejection link.
 func (rec LinkRecord) Key() string { return rec.Src.String() + ">" + rec.Dst.String() }
 
-// wakeMark addresses one bit of a dirty bitmap.
-type wakeMark struct {
-	word *uint64
-	bit  uint64
-}
-
-func (w wakeMark) set() {
-	if w.word != nil {
-		*w.word |= w.bit
-	}
-}
-
 // NewLink returns a link with the given downstream flit latency.
 func NewLink(latency int) *Link {
 	l := &Link{}
@@ -90,12 +79,12 @@ func NewLink(latency int) *Link {
 	return l
 }
 
-// SetFlitWake attaches the dirty-bitmap mark set by SendFlit (nil word
-// detaches: the wire is then polled by its owner instead).
-func (l *Link) SetFlitWake(word *uint64, bit uint64) { l.flitWake = wakeMark{word, bit} }
+// SetFlitWake attaches the dirty-bitmap mark set by SendFlit, bit 0-63 of
+// word (nil word detaches: the wire is then polled by its owner instead).
+func (l *Link) SetFlitWake(word *uint64, bit uint8) { l.flitWake, l.flitBit = word, bit }
 
 // SetCreditWake attaches the dirty-bitmap mark set by SendCredit.
-func (l *Link) SetCreditWake(word *uint64, bit uint64) { l.credWake = wakeMark{word, bit} }
+func (l *Link) SetCreditWake(word *uint64, bit uint8) { l.credWake, l.credBit = word, bit }
 
 // SetFaults attaches fault-injection state; nil detaches it.
 func (l *Link) SetFaults(fs *faults.LinkState) { l.faults = fs }
@@ -164,7 +153,9 @@ func (l *Link) CreditsBusy() bool { return l.credits.Busy() }
 // (the link is one flit wide); the router's ST stage guarantees this.
 func (l *Link) SendFlit(f msg.Flit) {
 	l.flits.Push(f)
-	l.flitWake.set()
+	if l.flitWake != nil {
+		*l.flitWake |= 1 << (l.flitBit & 63)
+	}
 }
 
 // CanSendFlit reports whether the downstream wire can accept a flit this
@@ -174,7 +165,9 @@ func (l *Link) CanSendFlit() bool { return l.flits.CanPush() }
 // SendCredit pushes a credit for vc upstream.
 func (l *Link) SendCredit(vc int) {
 	l.credits.Push(uint8(vc + 1))
-	l.credWake.set()
+	if l.credWake != nil {
+		*l.credWake |= 1 << (l.credBit & 63)
+	}
 }
 
 // CanSendCredit reports whether the upstream wire can accept a credit this

@@ -83,7 +83,7 @@ type stream struct {
 // shard store soa (shared with the node's router; the NI uses the NIWork
 // mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
 // is consumed (may be nil). The NI brings its two links with it, allocated
-// just before it (a 256-byte Link and the NI no longer share a size class;
+// just before it (a 128-byte Link and the NI no longer share a size class;
 // embedding the links in the NI measured no faster at 32×32, DESIGN.md
 // "What the link phase is sensitive to").
 func NewNIInStore(cfg Config, node int, regions *region.Map,

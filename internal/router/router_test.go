@@ -12,6 +12,7 @@ import (
 	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/routing"
+	"rair/internal/sim"
 	"rair/internal/topology"
 )
 
@@ -270,9 +271,13 @@ func TestStateSizes(t *testing.T) {
 		{"outputVC", unsafe.Sizeof(outputVC{}), 16},
 		{"OutputPort", unsafe.Sizeof(OutputPort{}), 128},
 		{"Router", unsafe.Sizeof(Router{}), 576},
-		// Two DelayLines whose empty slot is the zero value: no valid byte
-		// pads a 32-byte flit slot or a one-byte credit slot.
-		{"Link", unsafe.Sizeof(Link{}), 256},
+		// Two DelayLines whose empty slot is the zero value (no valid byte
+		// pads a 32-byte flit slot or a one-byte credit slot), each with a
+		// two-slot inline ring and byte indices, and byte wake-bit indices:
+		// the allocator's 128-byte class, two aligned cache lines.
+		{"Link", unsafe.Sizeof(Link{}), 128},
+		{"DelayLine[msg.Flit]", unsafe.Sizeof(sim.DelayLine[msg.Flit]{}), 80},
+		{"DelayLine[uint8]", unsafe.Sizeof(sim.DelayLine[uint8]{}), 16},
 		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},
 	} {
 		if c.size > c.budget {

@@ -1,5 +1,9 @@
 package sim
 
+// MaxLatency caps a DelayLine's latency, and with it the router
+// configuration's link latency and VC depth.
+const MaxLatency = 256
+
 // DelayLine models a fixed-latency pipeline register chain (a link, a credit
 // return wire). A value pushed at cycle t pops out exactly latency cycles
 // later. The line must be advanced exactly once per simulated cycle via
@@ -10,62 +14,58 @@ package sim
 // (Push panics on it) and a slot costs exactly one T: a flit wire's slot is
 // its 32-byte msg.Flit, a credit wire's its one-byte VC tag.
 //
-// The ring indices are maintained with conditional wraps instead of modulo
-// arithmetic: Shift and CanPush sit on the simulator's hottest path (every
-// busy link, every cycle) and an integer division per call is measurable.
-// They are int32 because latency is at most a few hundred cycles.
+// A line of latency <= 2 (every credit wire, the default flit wire) keeps
+// its ring inline, a longer one behind ext. The indices are bytes and wrap
+// by comparison with last, not by modulo: Shift and CanPush sit on the
+// simulator's hottest path. A flit line is 80 bytes, a credit line 16.
 type DelayLine[T comparable] struct {
-	slots  []T
-	head   int32 // index shifted out next
-	tail   int32 // entry register: index pushes land in
-	count  int32
-	pushed bool // guards one-push-per-cycle
-	full   bool // shadows slots[tail] != zero so CanPush reads no slot memory
-
-	// arr is inline ring storage: lines of latency <= len(arr) point slots
-	// at it, so short wires (the common case — credit wires are latency 1,
-	// flit wires default to 2) live in the same cache lines as the header
-	// and cost no separate allocation. Because slots then aliases arr, an
-	// initialized DelayLine must never be copied by value; Init only runs
-	// against the line's final address.
-	arr [4]T
+	arr    [2]T   // the ring of a line of latency <= len(arr)
+	count  uint16 // values in flight
+	head   uint8  // index shifted out next
+	tail   uint8  // entry register: index pushes land in
+	last   uint8  // latency - 1, the index head wraps after
+	pushed bool   // a value entered since the last Shift: the entry register is taken
+	ext    *[]T   // the ring of a line longer than len(arr); nil otherwise
 }
 
-// Init initializes d in place with the given latency (>= 1), using the
-// inline ring when the latency fits. d must already sit at its final
-// address and must not be copied afterwards.
+// Init initializes d with the given latency in [1, MaxLatency].
 func (d *DelayLine[T]) Init(latency int) {
-	if latency < 1 {
-		panic("sim: DelayLine latency must be >= 1")
+	if latency < 1 || latency > MaxLatency {
+		panic("sim: DelayLine latency outside [1, MaxLatency]")
 	}
-	*d = DelayLine[T]{tail: int32(latency - 1)}
-	if latency <= len(d.arr) {
-		d.slots = d.arr[:latency:latency]
-	} else {
-		d.slots = make([]T, latency)
+	*d = DelayLine[T]{tail: uint8(latency - 1), last: uint8(latency - 1)}
+	if latency > len(d.arr) {
+		ring := make([]T, latency)
+		d.ext = &ring
 	}
+}
+
+// slot returns ring slot i.
+func (d *DelayLine[T]) slot(i uint8) *T {
+	if d.ext != nil {
+		return &(*d.ext)[i]
+	}
+	return &d.arr[i&1]
 }
 
 // Busy reports whether any value is in flight.
 func (d *DelayLine[T]) Busy() bool { return d.count > 0 }
 
-// CanPush reports whether a value may enter this cycle (one per cycle, and
-// the entry register must be free).
-func (d *DelayLine[T]) CanPush() bool {
-	return !d.pushed && !d.full
-}
+// CanPush reports whether a value may enter this cycle: Shift frees the
+// entry register (the just-emptied head slot) and Push takes it, so one
+// flag answers "one per cycle" and "entry free" alike.
+func (d *DelayLine[T]) CanPush() bool { return !d.pushed }
 
 // Push inserts v at the entry register. It panics if CanPush is false or v
 // is the zero value (which would read as an empty slot).
 func (d *DelayLine[T]) Push(v T) {
 	var zero T
-	if !d.CanPush() || v == zero {
+	if d.pushed || v == zero {
 		panic("sim: DelayLine double push, entry occupied or zero value")
 	}
-	d.slots[d.tail] = v
+	*d.slot(d.tail) = v
 	d.count++
 	d.pushed = true
-	d.full = true
 }
 
 // Shift advances the line one cycle and returns the value (if any) that has
@@ -73,20 +73,23 @@ func (d *DelayLine[T]) Push(v T) {
 // that cycle.
 func (d *DelayLine[T]) Shift() (v T, ok bool) {
 	var zero T
-	d.pushed = false
-	v = d.slots[d.head]
-	d.slots[d.head] = zero
+	// The slot is picked here, not by slot: the call would put Shift over
+	// the inliner's budget, and it runs for every busy wire every cycle.
+	h := d.head
+	s := &d.arr[h&1]
+	if d.ext != nil {
+		s = &(*d.ext)[h]
+	}
+	v, *s = *s, zero
 	// The new entry register is the just-vacated head slot.
-	d.tail = d.head
-	d.full = false
-	if d.head++; int(d.head) == len(d.slots) {
+	d.tail, d.pushed = h, false
+	if d.head = h + 1; h == d.last {
 		d.head = 0
 	}
-	if v != zero {
+	if ok = v != zero; ok {
 		d.count--
-		return v, true
 	}
-	return v, false
+	return v, ok
 }
 
 // Len reports how many values are in flight.
@@ -96,8 +99,9 @@ func (d *DelayLine[T]) Len() int { return int(d.count) }
 // is a read-only audit hook for invariant checking.
 func (d *DelayLine[T]) Each(fn func(T)) {
 	var zero T
-	for i := 0; i < len(d.slots); i++ {
-		if v := d.slots[(int(d.head)+i)%len(d.slots)]; v != zero {
+	n := int(d.last) + 1
+	for i := 0; i < n; i++ {
+		if v := *d.slot(uint8((int(d.head) + i) % n)); v != zero {
 			fn(v)
 		}
 	}

@@ -84,13 +84,20 @@ func TestDelayLineBusyDrain(t *testing.T) {
 	}
 }
 
-func TestDelayLineZeroLatencyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	new(DelayLine[int]).Init(0)
+// TestDelayLineInitRange: Init takes latencies in [1, MaxLatency], the
+// router configuration's cap, and panics outside it rather than wrap a
+// byte index (TestDelayLineMatchesReference runs both ends of the range).
+func TestDelayLineInitRange(t *testing.T) {
+	for _, lat := range []int{-1, 0, MaxLatency + 1, 1000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Init(%d) did not panic", lat)
+				}
+			}()
+			new(DelayLine[uint8]).Init(lat)
+		}()
+	}
 }
 
 // TestDelayLineZeroPushPanics: the zero value marks an empty slot, so it
@@ -148,32 +155,47 @@ type wireFlit struct {
 // the slot-valid one it replaced (refDelayLine) on random traffic: every
 // cycle both lines shift, then a non-zero value is pushed onto both when
 // the reference allows it and the draw says so. Shift's result, Busy, Len,
-// CanPush and the Each order must agree after every step, at latencies
-// around the inline ring's size, either side of 64 and at the 256 cap.
+// CanPush and the Each order must agree after every step, at every latency
+// either side of the inline ring's two slots, either side of 64 and of the
+// 256 cap, at random densities and pushing every cycle the reference
+// allows. Each case runs twice: once shifting every cycle, once skipping
+// the shift of an idle line as Link does, which leaves the line's indices
+// behind the reference's and must not show.
 func TestDelayLineMatchesReference(t *testing.T) {
-	lats := []int{1, 2, 3, 4, 5, 64, 65, 256}
 	pkts := make([]int, 8)
-	if err := quick.Check(func(li uint8, seed int64, density uint8) bool {
-		lat := lats[int(li)%len(lats)]
-		rng := rand.New(rand.NewSource(seed))
-		p := float64(density) / 255
-		return matchesReference(t, lat, rng, p, func() uint8 { return uint8(1 + rng.Intn(255)) }) &&
-			matchesReference(t, lat, rng, p, func() wireFlit {
-				return wireFlit{pkt: &pkts[rng.Intn(len(pkts))], typ: rng.Intn(4), seq: rng.Intn(3)}
-			})
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, lat := range []int{1, 2, 3, 4, 5, 64, 65, 255, 256} {
+		for _, skipIdle := range []bool{false, true} {
+			match := func(seed int64, p float64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				return matchesReference(t, lat, skipIdle, rng, p, func() uint8 { return uint8(1 + rng.Intn(255)) }) &&
+					matchesReference(t, lat, skipIdle, rng, p, func() wireFlit {
+						return wireFlit{pkt: &pkts[rng.Intn(len(pkts))], typ: rng.Intn(4), seq: rng.Intn(3)}
+					})
+			}
+			if !match(int64(lat), 1) {
+				t.Fatalf("lat=%d skipIdle=%v: diverged pushing every cycle", lat, skipIdle)
+			}
+			if err := quick.Check(func(seed int64, density uint8) bool {
+				return match(seed, float64(density)/255)
+			}, &quick.Config{MaxCount: 10}); err != nil {
+				t.Fatalf("lat=%d skipIdle=%v: %v", lat, skipIdle, err)
+			}
+		}
 	}
 }
 
-func matchesReference[T comparable](t *testing.T, lat int, rng *rand.Rand, p float64, value func() T) bool {
+func matchesReference[T comparable](t *testing.T, lat int, skipIdle bool, rng *rand.Rand, p float64, value func() T) bool {
 	t.Helper()
 	var d DelayLine[T]
 	d.Init(lat)
 	ref := newRefDelayLine[T](lat)
 	cycles := 3*lat + 64
 	for c := 0; c < cycles+lat+1; c++ {
-		v, ok := d.Shift()
+		var v T
+		var ok bool
+		if !skipIdle || d.Busy() {
+			v, ok = d.Shift()
+		}
 		rv, rok := ref.Shift()
 		if v != rv || ok != rok {
 			t.Logf("lat=%d cycle %d: Shift = %v %v, reference %v %v", lat, c, v, ok, rv, rok)
