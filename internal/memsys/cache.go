@@ -7,7 +7,10 @@
 // PARSEC-proxy traffic of the application experiments is produced.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is a set-associative cache with true-LRU replacement. It tracks
 // block presence only (no data), which is all traffic generation needs.
@@ -29,11 +32,8 @@ const valid = uint64(1) << 63
 // NewCache builds a cache of size bytes, the given associativity and block
 // size (both powers of two; size must divide evenly into sets).
 func NewCache(size, ways, block int) *Cache {
-	if size <= 0 || ways <= 0 || block <= 0 {
-		panic("memsys: non-positive cache geometry")
-	}
-	if block < 2 || block&(block-1) != 0 {
-		panic("memsys: block size must be a power of two of at least 2")
+	if size <= 0 || ways <= 0 || block < 2 || block&(block-1) != 0 {
+		panic("memsys: cache geometry must be positive, the block a power of two of at least 2")
 	}
 	numSets := size / (ways * block)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
@@ -43,18 +43,9 @@ func NewCache(size, ways, block int) *Cache {
 	return &Cache{
 		ways:     make([]uint64, numSets*ways),
 		assoc:    ways,
-		setShift: log2(uint64(block)),
+		setShift: uint(bits.TrailingZeros64(uint64(block))),
 		setMask:  uint64(numSets - 1),
 	}
-}
-
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // set returns addr's set and the way word a valid copy of its block holds.
@@ -69,16 +60,19 @@ func (c *Cache) set(addr uint64) ([]uint64, uint64) {
 // access hit.
 func (c *Cache) Access(addr uint64) bool {
 	set, w := c.set(addr)
-	for i, x := range set {
-		if x == w {
-			// Move to MRU position (front).
-			copy(set[1:i+1], set[:i])
-			set[0] = w
+	prev := set[0]
+	if prev == w {
+		return true
+	}
+	// Rotate w to the front: each way moves one place back until w's old
+	// place is reached, or on a miss until the LRU way drops off.
+	set[0] = w
+	for i := 1; i < len(set); i++ {
+		prev, set[i] = set[i], prev
+		if prev == w {
 			return true
 		}
 	}
-	copy(set[1:], set) // the LRU way (or a never-filled one) drops off
-	set[0] = w
 	return false
 }
 

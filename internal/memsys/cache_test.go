@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -124,7 +125,7 @@ type line struct {
 
 func newSliceCache(size, ways, block int) *sliceCache {
 	numSets := size / (ways * block)
-	c := &sliceCache{ways: ways, setShift: log2(uint64(block)), setMask: uint64(numSets - 1), sets: make([][]line, numSets)}
+	c := &sliceCache{ways: ways, setShift: uint(bits.TrailingZeros64(uint64(block))), setMask: uint64(numSets - 1), sets: make([][]line, numSets)}
 	for i := range c.sets {
 		c.sets[i] = make([]line, 0, ways)
 	}

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -112,12 +113,15 @@ type System struct {
 	banks []*Cache
 	// homes[app] is app's region node list, the in-region home banks.
 	homes [][]int
+	// blockShift is log2(Block); shared is homeThreshold(SharedFrac).
+	blockShift uint
+	shared     uint64
 	// dirs is the per-bank sharer directory: block -> bitmask of sharer
 	// cores. Writes to shared blocks trigger L1 invalidations (a
 	// lightweight MSI-style protocol: the substrate's "multiple message
 	// classes" of Section IV.D). Entries outlive the bank's copy of the
 	// block, so they cannot live in the cache ways.
-	dirs []map[uint64]uint64
+	dirs []dirTable
 	mcs  []int // MC node ids
 
 	// wheel holds delayed protocol actions (bank latency, memory latency)
@@ -128,21 +132,10 @@ type System struct {
 	free, retired *message
 
 	nextID uint64
-
-	// Counters.
-	l1Hits, l1Misses   uint64
-	l2Hits, l2Misses   uint64
-	packetsInjected    uint64
-	mergesOnOutstand   uint64
-	stalledCoreCycles  uint64
-	finishedCoreMisses uint64
-	invalidationsSent  uint64
-	invAcksReceived    uint64
-	l1Invalidated      uint64
+	stats  Stats
 }
 
-type core struct {
-	node   int
+type core struct { // the core at node i is cores[i]
 	app    int
 	l1     *Cache
 	stream AddressStream
@@ -159,24 +152,24 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 	}
 	corners := mesh.Corners()
 	s := &System{
-		cfg:     cfg,
-		regions: regions,
-		inject:  inject,
-		rng:     sim.NewRNG(seed),
-		banks:   make([]*Cache, mesh.N()),
-		homes:   make([][]int, regions.NumApps()),
-		dirs:    make([]map[uint64]uint64, mesh.N()),
-		mcs:     corners[:],
-		wheel:   make([]fifo, 1<<bits.Len64(uint64(max(cfg.L2Latency, cfg.MemLatency, 0)))),
+		cfg:        cfg,
+		regions:    regions,
+		inject:     inject,
+		rng:        sim.NewRNG(seed),
+		banks:      make([]*Cache, mesh.N()),
+		homes:      make([][]int, regions.NumApps()),
+		blockShift: uint(bits.TrailingZeros64(uint64(cfg.Block))),
+		shared:     homeThreshold(cfg.SharedFrac),
+		dirs:       make([]dirTable, mesh.N()),
+		mcs:        corners[:],
+		wheel:      make([]fifo, 1<<bits.Len64(uint64(max(cfg.L2Latency, cfg.MemLatency, 0)))),
 	}
 	for app := range s.homes {
 		s.homes[app] = regions.Nodes(app)
 	}
 	for n := 0; n < mesh.N(); n++ {
 		s.banks[n] = NewCache(cfg.L2Size, cfg.L2Ways, cfg.Block)
-		s.dirs[n] = make(map[uint64]uint64)
 		s.cores = append(s.cores, &core{
-			node:   n,
 			app:    regions.AppAt(n),
 			l1:     NewCache(cfg.L1Size, cfg.L1Ways, cfg.Block),
 			stream: streams[n],
@@ -192,18 +185,35 @@ func New(cfg SystemConfig, regions *region.Map, streams []AddressStream, seed ui
 // the chip. This is the cooperative-cache / region-aware home mapping that
 // turns the NoC into an RNoC.
 func (s *System) HomeBank(app int, addr uint64) int {
-	block := addr / uint64(s.cfg.Block)
-	h := splitmix(block ^ (uint64(app+1) << 56))
+	h := splitmix(addr>>s.blockShift ^ (uint64(app+1) << 56))
 	var nodes []int
 	if app >= 0 && app < len(s.homes) {
 		nodes = s.homes[app]
 	}
 	// Low bits pick the bank; a separate hash slice decides in/out of
 	// region so the two choices are independent.
-	if len(nodes) == 0 || float64((h>>32)&0xffff)/65536.0 < s.cfg.SharedFrac {
-		return int(h % uint64(len(s.banks)))
+	if len(nodes) == 0 || (h>>32)&0xffff < s.shared {
+		return pick(h, len(s.banks))
 	}
-	return nodes[int(h%uint64(len(nodes)))]
+	return nodes[pick(h, len(nodes))]
+}
+
+// homeThreshold is the integer form of HomeBank's out-of-region test: for
+// every 16-bit slice x, x < homeThreshold(f) exactly when
+// float64(x)/65536 < f, since x/65536 is exact.
+func homeThreshold(f float64) uint64 {
+	if !(f > 0) { // NaN included
+		return 0
+	}
+	return uint64(math.Ceil(min(f, 1) * (1 << 16)))
+}
+
+// pick is h mod n, by a mask when n is a power of two.
+func pick(h uint64, n int) int {
+	if n&(n-1) == 0 {
+		return int(h & uint64(n-1))
+	}
+	return int(h % uint64(n))
 }
 
 func splitmix(x uint64) uint64 {
@@ -235,28 +245,12 @@ func (s *System) nearestMC(node int) int {
 // (which would otherwise saturate the four memory controllers for the whole
 // run).
 func (s *System) Prewarm(accessesPerCore int) {
-	for _, c := range s.cores {
-		if c.stream == nil {
-			continue
-		}
-		for i := 0; i < accessesPerCore; i++ {
-			a, issued := c.stream.Next(s.rng)
-			if !issued {
-				continue
-			}
-			if c.l1.Access(a.Addr) {
-				continue
-			}
-			home := s.HomeBank(c.app, a.Addr)
-			s.banks[home].Access(a.Addr)
-			if len(s.banks) <= 64 {
-				block := a.Addr / uint64(s.cfg.Block)
-				me := uint64(1) << uint(c.node%64)
-				if a.Write {
-					s.dirs[home][block] = me
-				} else {
-					s.dirs[home][block] |= me
-				}
+	for n, c := range s.cores {
+		for i := 0; c.stream != nil && i < accessesPerCore; i++ {
+			if a, issued := c.stream.Next(s.rng); issued && !c.l1.Access(a.Addr) {
+				home := s.HomeBank(c.app, a.Addr)
+				s.banks[home].Access(a.Addr)
+				s.share(home, n, a.Addr, a.Write)
 			}
 		}
 	}
@@ -271,16 +265,16 @@ func (s *System) Tick(now int64) {
 	}
 	due := &s.wheel[now&int64(len(s.wheel)-1)]
 	for m := due.head; m != nil; m = m.next {
-		s.packetsInjected++
+		s.stats.PacketsInjected++
 		s.inject(m.pkt.Src, &m.pkt, now)
 	}
 	*due = fifo{}
-	for _, c := range s.cores {
+	for n, c := range s.cores {
 		if c.stream == nil {
 			continue
 		}
 		if len(c.mshr) >= s.cfg.MSHRs {
-			s.stalledCoreCycles++
+			s.stats.StalledCoreCycles++
 			continue
 		}
 		a, issued := c.stream.Next(s.rng)
@@ -288,18 +282,18 @@ func (s *System) Tick(now int64) {
 			continue
 		}
 		if c.l1.Access(a.Addr) {
-			s.l1Hits++
+			s.stats.L1Hits++
 			continue
 		}
-		s.l1Misses++
-		block := a.Addr / uint64(s.cfg.Block)
+		s.stats.L1Misses++
+		block := a.Addr >> s.blockShift
 		if slices.Contains(c.mshr, block) {
-			s.mergesOnOutstand++ // MSHR merge: request already in flight
+			s.stats.MSHRMerges++ // MSHR merge: request already in flight
 			continue
 		}
 		c.mshr = append(c.mshr, block)
 		home := s.HomeBank(c.app, a.Addr)
-		s.send(now, 0, c.app, c.node, home, payload{kind: l2Request, addr: a.Addr, core: c.node, write: a.Write})
+		s.send(now, 0, c.app, n, home, payload{kind: l2Request, addr: a.Addr, core: n, write: a.Write})
 	}
 }
 
@@ -323,7 +317,7 @@ func (s *System) send(now, delay int64, app, src, dst int, pl payload) {
 	m.pkt = msg.Packet{ID: s.nextID, App: app, Src: src, Dst: dst, Class: class, Size: size, Payload: m}
 	m.pl, m.next = pl, nil
 	if delay <= 0 {
-		s.packetsInjected++
+		s.stats.PacketsInjected++
 		s.inject(src, &m.pkt, now)
 		return
 	}
@@ -350,14 +344,18 @@ func (s *System) HandleEject(p *msg.Packet, now int64) {
 	pl := m.pl
 	switch pl.kind {
 	case l2Request:
-		bank := s.banks[p.Dst]
-		s.updateDirectory(p, pl, now)
-		if bank.Access(pl.addr) {
-			s.l2Hits++
+		// The requester becomes a sharer; a write invalidates the others.
+		for others := s.share(p.Dst, pl.core, pl.addr, pl.write); others != 0; others &= others - 1 {
+			s.stats.InvalidationsSent++
+			// core carries the bank node so the ack returns home.
+			s.send(now, s.cfg.L2Latency, p.App, p.Dst, bits.TrailingZeros64(others), payload{kind: invRequest, addr: pl.addr, core: p.Dst})
+		}
+		if s.banks[p.Dst].Access(pl.addr) {
+			s.stats.L2Hits++
 			s.send(now, s.cfg.L2Latency, p.App, p.Dst, pl.core, payload{kind: dataReply, addr: pl.addr, core: pl.core})
 			return
 		}
-		s.l2Misses++
+		s.stats.L2Misses++
 		s.send(now, s.cfg.L2Latency, p.App, p.Dst, s.nearestMC(p.Dst), payload{kind: mcRequest, addr: pl.addr, core: pl.core})
 	case mcRequest:
 		// Memory access, then data straight to the requesting core (the
@@ -365,78 +363,86 @@ func (s *System) HandleEject(p *msg.Packet, now int64) {
 		s.send(now, s.cfg.MemLatency, p.App, p.Dst, pl.core, payload{kind: dataReply, addr: pl.addr, core: pl.core})
 	case dataReply:
 		c := s.cores[pl.core]
-		if i := slices.Index(c.mshr, pl.addr/uint64(s.cfg.Block)); i >= 0 {
+		if i := slices.Index(c.mshr, pl.addr>>s.blockShift); i >= 0 {
 			c.mshr = slices.Delete(c.mshr, i, i+1)
 		}
-		s.finishedCoreMisses++
+		s.stats.CompletedMisses++
 	case invRequest:
 		// A sharer core drops its L1 copy and acknowledges to the bank
 		// (pl.core carries the bank node).
 		if s.cores[p.Dst].l1.Invalidate(pl.addr) {
-			s.l1Invalidated++
+			s.stats.L1Invalidated++
 		}
 		s.send(now, 0, p.App, p.Dst, pl.core, payload{kind: invAck, addr: pl.addr, core: pl.core})
 	case invAck:
-		s.invAcksReceived++
+		s.stats.InvAcksReceived++
 	}
 }
 
-// updateDirectory maintains the sharer bitmask for the requested block at
-// the home bank and fires invalidations when a write touches a block other
-// cores share.
-func (s *System) updateDirectory(p *msg.Packet, pl payload, now int64) {
+// share adds core to addr's sharers at bank home; a write leaves it the sole
+// sharer and returns the sharers it displaced. The bitmask directory covers
+// up to 64 cores; larger chips skip coherence traffic.
+func (s *System) share(home, core int, addr uint64, write bool) (others uint64) {
 	if len(s.banks) > 64 {
-		return // bitmask directory covers up to 64 cores; larger chips skip coherence traffic
+		return 0
 	}
-	dir := s.dirs[p.Dst]
-	block := pl.addr / uint64(s.cfg.Block)
-	sharers := dir[block]
-	me := uint64(1) << uint(pl.core%64)
-	if pl.write {
-		others := sharers &^ me
-		for node := 0; others != 0; node++ {
-			bit := uint64(1) << uint(node)
-			if others&bit == 0 {
-				continue
+	p, me := s.dirs[home].sharers(addr>>s.blockShift), uint64(1)<<uint(core%64)
+	if write {
+		others, *p = *p&^me, me
+	} else {
+		*p |= me
+	}
+	return others
+}
+
+// dirTable is one bank's sharer directory, block -> sharer mask, as an
+// open-addressed table. An entry holds block+1 (0 marks a free slot) beside
+// its mask, so a lookup reads one cache line; probing is linear from a
+// Fibonacci hash. It starts at dirSlots slots (no bank of the PARSEC
+// warm-up ends smaller) and doubles at 7/8 load. The zero value is empty.
+type dirTable struct {
+	e []dirEntry
+	n int // entries in use
+}
+
+type dirEntry struct{ key, mask uint64 }
+
+const dirSlots = 1024
+
+// sharers returns block's mask word, adding the block with no sharers if it
+// is absent. The pointer is valid until the next call.
+func (d *dirTable) sharers(block uint64) *uint64 {
+	if (d.n+1)*8 > len(d.e)*7 {
+		old := d.e
+		d.e, d.n = make([]dirEntry, max(dirSlots, 2*len(old))), 0
+		for _, x := range old {
+			if x.key != 0 {
+				*d.sharers(x.key - 1) = x.mask
 			}
-			others &^= bit
-			s.invalidationsSent++
-			// core carries the bank node so the ack returns home.
-			s.send(now, s.cfg.L2Latency, p.App, p.Dst, node, payload{kind: invRequest, addr: pl.addr, core: p.Dst})
 		}
-		dir[block] = me
-		return
 	}
-	dir[block] = sharers | me
+	key, m := block+1, uint64(len(d.e)-1)
+	i := key * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(m)
+	for d.e[i].key != key {
+		if d.e[i].key == 0 {
+			d.e[i].key = key
+			d.n++
+			break
+		}
+		i = (i + 1) & m
+	}
+	return &d.e[i].mask
 }
 
 // Stats is a snapshot of the memory system counters.
 type Stats struct {
-	L1Hits, L1Misses  uint64
-	L2Hits, L2Misses  uint64
-	PacketsInjected   uint64
-	MSHRMerges        uint64
-	StalledCoreCycles uint64
-	CompletedMisses   uint64
-	InvalidationsSent uint64
-	InvAcksReceived   uint64
-	L1Invalidated     uint64
+	L1Hits, L1Misses, L2Hits, L2Misses                              uint64
+	PacketsInjected, MSHRMerges, StalledCoreCycles, CompletedMisses uint64
+	InvalidationsSent, InvAcksReceived, L1Invalidated               uint64
 }
 
 // Snapshot returns current counters.
-func (s *System) Snapshot() Stats {
-	return Stats{
-		L1Hits: s.l1Hits, L1Misses: s.l1Misses,
-		L2Hits: s.l2Hits, L2Misses: s.l2Misses,
-		PacketsInjected:   s.packetsInjected,
-		MSHRMerges:        s.mergesOnOutstand,
-		StalledCoreCycles: s.stalledCoreCycles,
-		CompletedMisses:   s.finishedCoreMisses,
-		InvalidationsSent: s.invalidationsSent,
-		InvAcksReceived:   s.invAcksReceived,
-		L1Invalidated:     s.l1Invalidated,
-	}
-}
+func (s *System) Snapshot() Stats { return s.stats }
 
 // Outstanding reports the total in-flight misses across cores.
 func (s *System) Outstanding() int {

@@ -102,6 +102,41 @@ func TestHomeBankDeterministic(t *testing.T) {
 	}
 }
 
+// Property: the integer out-of-region test equals the float one it
+// replaced for every 16-bit slice at shared fractions below, at and above
+// [0, 1] and NaN, and HomeBank equals the float reference's home
+// (refSystem.HomeBank) for random blocks on quadrants, on six regions (no
+// power of two) and for a core of no region, on an 8×8 and a 9×9 mesh.
+func TestHomeBankMatchesFloat(t *testing.T) {
+	fracs := []float64{-0.5, 0, math.NaN(), 0x1p-16, 0.1, 0.4, 1.0 / 3, 1 - 0x1p-17, 1, 1.5}
+	for _, f := range fracs {
+		th := homeThreshold(f)
+		for x := uint64(0); x < 1<<16; x++ {
+			if got, want := x < th, float64(x)/65536.0 < f; got != want {
+				t.Fatalf("f=%v x=%d: integer test %v, float %v", f, x, got, want)
+			}
+		}
+	}
+	rng := sim.NewRNG(11)
+	for _, mesh := range []*topology.Mesh{topology.NewMesh(8, 8), topology.NewMesh(9, 9)} {
+		for _, regs := range []*region.Map{region.Quadrants(mesh), region.SixGrid(mesh)} {
+			for _, f := range []float64{0.1, 0.4, 1.0 / 3} {
+				cfg := DefaultSystemConfig()
+				cfg.SharedFrac = f
+				sys := New(cfg, regs, make([]AddressStream, mesh.N()), 1, nil)
+				ref := newRefSystem(cfg, regs, make([]AddressStream, mesh.N()), 1)
+				for range 100000 {
+					addr, app := rng.Uint64(), region.Unassigned+rng.Intn(regs.NumApps()+1)
+					if got, want := sys.HomeBank(app, addr), ref.HomeBank(app, addr); got != want {
+						t.Fatalf("%d nodes, %d apps, f=%v: block %#x of app %d homes at %d, float reference %d",
+							mesh.N(), regs.NumApps(), f, addr/64, app, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHomeBankUnassignedApp(t *testing.T) {
 	sys, _ := quadSys(nilStreams(), DefaultSystemConfig())
 	for b := uint64(0); b < 100; b++ {
