@@ -5,7 +5,7 @@
 //
 //	rairsim -f sim.json
 //	rairsim -f sim.json -record record.json -telemetry-trace 1000
-//	rairsim -f sim.json -faults drop=0.001,corrupt=0.001 -check-invariants
+//	rairsim -f sim.json -check-invariants
 //	rairsim -example            # print an example configuration
 //
 // The file schema is documented in internal/config; in short it carries the
@@ -15,7 +15,7 @@
 //
 // -record PATH writes the run record (rair.Report, DESIGN.md
 // "Observability") as JSON: the resolved configuration, the results, and
-// the telemetry, attribution, engine and fault sections. It turns every
+// the telemetry, attribution and engine sections. It turns every
 // observation on; results are bit-identical either way. -telemetry-trace N
 // additionally traces every N-th packet's flit lifecycle and writes it as
 // Chrome trace_event JSON beside the record (record.trace.json); load it in
@@ -23,11 +23,8 @@
 // serves the record live, once per telemetry window, as Prometheus text at
 // /metrics and JSON at /snapshot.
 //
-// -faults injects deterministic seeded faults (link flit drops and
-// corruptions recovered by retransmission, credit leaks repaired by
-// reconciliation, transient router stalls); the report then carries a fault
-// summary. -check-invariants runs the runtime invariant checker at every
-// cycle and fails the run on any violation. See DESIGN.md for both.
+// -check-invariants runs the runtime invariant checker at every cycle and
+// fails the run on any violation (DESIGN.md "Runtime invariant checker").
 package main
 
 import (
@@ -39,7 +36,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"rair"
 	"rair/internal/config"
 )
 
@@ -71,7 +67,8 @@ report.
   rairsim -f sim.json -metrics-addr localhost:9464
                                     serve live /metrics (Prometheus text)
                                     and /snapshot (JSON) during the run
-  rairsim -f sim.json -faults drop=0.001,corrupt=0.001 -check-invariants
+  rairsim -f sim.json -check-invariants
+                                    fail the run on any invariant violation
 
 Flags:
 `)
@@ -116,8 +113,7 @@ func configure(args []string) (*config.File, options, error) {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this path")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this path")
 	workers := fs.Int("workers", -1, "tick-engine shard count: -1 = take the config file's value, 0 = auto-select from GOMAXPROCS, >= 1 explicit (results are bit-identical at any count)")
-	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. drop=0.001,corrupt=0.001,leak=0.0005,stall=0.0002")
-	checkInv := fs.Bool("check-invariants", false, "run the runtime invariant checker at every cycle; with -faults, also fail the run if a flit is lost for good")
+	checkInv := fs.Bool("check-invariants", false, "run the runtime invariant checker at every cycle and fail the run on a violation")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		usageError(fs, fmt.Sprintf("unexpected arguments: %v", fs.Args()))
@@ -144,11 +140,6 @@ func configure(args []string) (*config.File, options, error) {
 			f.Config.TelemetryTraceEvery = *telTrace
 		}
 	})
-	if *faultSpec != "" {
-		if f.Config.Faults, err = rair.ParseFaultSpec(*faultSpec); err != nil {
-			return nil, o, err
-		}
-	}
 	switch {
 	case *workers == 0:
 		f.Config.Workers = runtime.GOMAXPROCS(0)
@@ -196,9 +187,6 @@ func run(args []string) error {
 	// -workers 0 auto-selection and <= 1 serial collapse both land here).
 	fmt.Printf("workers: %d\n", rep.Workers)
 	fmt.Print(rep)
-	if rep.Faults != nil {
-		fmt.Println(rep.Faults)
-	}
 	if o.record != "" {
 		if err := writeFile(o.record, rep.WriteJSON); err != nil {
 			return err
@@ -210,11 +198,6 @@ func run(args []string) error {
 		}
 	}
 	if f.Config.CheckInvariants {
-		// A flit out of retries travels on damaged and every invariant
-		// holds, so permanent loss has to fail the run here.
-		if rep.Faults != nil && rep.Faults.Totals.LostFlits > 0 {
-			return fmt.Errorf("lost %d flits permanently (retry budget too small for the configured fault rates)", rep.Faults.Totals.LostFlits)
-		}
 		fmt.Println("invariants: all checks passed")
 	}
 

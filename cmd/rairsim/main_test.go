@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,7 +84,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != 1 || rep.Results == nil {
+	if rep.Schema != 2 || rep.Results == nil {
 		t.Fatalf("schema %d, results %v", rep.Schema, rep.Results)
 	}
 	if !strings.Contains(text.String(), rep.String()) {
@@ -102,17 +104,34 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// A flit that exhausted its retries travels on damaged and its packet is
-// discarded at the destination, which no invariant forbids, so
-// -check-invariants itself has to fail a run that lost one. The spec loses
-// exactly one flit at this seed.
-func TestLostFlitsFailCheckedRun(t *testing.T) {
-	path := writeConfig(t)
-	err := run([]string{"-f", path, "-faults", "drop=0.003,retries=1", "-check-invariants"})
-	if err == nil || !strings.Contains(err.Error(), "lost 1 flits permanently") {
-		t.Fatalf("lossy checked run returned %v, want a lost-flits error", err)
+// Fault injection is gone: a simulation file that still holds a "faults"
+// block is an error from run, and -faults is an unknown flag, so rairsim
+// exits 2 with the usage text. Neither panics.
+func TestFaultInjectionIsGone(t *testing.T) {
+	if args := os.Getenv("RAIRSIM_ARGS"); args != "" {
+		os.Args = append([]string{"rairsim"}, strings.Split(args, "\n")...)
+		main()
+		return
 	}
-	if err := run([]string{"-f", path, "-faults", "drop=0.003", "-check-invariants"}); err != nil {
-		t.Fatalf("recoverable faults failed the run: %v", err)
+	path := filepath.Join(t.TempDir(), "faults.json")
+	doc := `{"config": {"faults": {"dropProb": 0.01}}, "apps": [{"app": 0, "loadFrac": 0.1}], "phases": {"measure": 100}}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-f", path}); err == nil || !strings.Contains(err.Error(), `"faults"`) {
+		t.Errorf("a file with a faults block returned %v, want an error naming it", err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFaultInjectionIsGone$")
+	cmd.Env = append(os.Environ(), "RAIRSIM_ARGS=-f\n"+writeConfig(t)+"\n-faults\ndrop=0.001")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("rairsim -faults: %v, want exit status 2\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "flag provided but not defined: -faults") || strings.Contains(msg, "panic") {
+		t.Fatalf("rairsim -faults stderr:\n%s", msg)
 	}
 }

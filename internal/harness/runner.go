@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"rair/internal/faults"
 	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/network"
@@ -55,9 +54,6 @@ type RunConfig struct {
 	// turns on the tick engine's self-profiling; see network.Params.Telemetry
 	// and network.Params.Profile. Read the profile from Sim.Net after the run.
 	Telemetry *telemetry.Collector
-	// Faults, if non-nil and enabled, injects deterministic link/router
-	// faults; see network.Params.Faults.
-	Faults *faults.Config
 	// Check, if non-nil, runs the runtime invariant checker at every tick
 	// barrier; see network.Params.Check.
 	Check *invariant.Config
@@ -159,7 +155,6 @@ func Build(rc RunConfig) *Sim {
 		Recycle:   recycle,
 		Workers:   rc.Workers,
 		Telemetry: rc.Telemetry,
-		Faults:    rc.Faults,
 		Check:     rc.Check,
 		Profile:   rc.Telemetry != nil,
 		Chiplets:  rc.Chiplets,

@@ -3,13 +3,11 @@
 // correctness properties the router model promises by construction —
 //
 //   - global flit conservation: every flit an NI pushed into the network is
-//     either still inside (a router buffer, an ST register, a link wire, a
-//     retransmission queue) or consumed by its destination NI — a flit the
-//     fault injector gave up on travels on, marked damaged;
+//     either still inside (a router buffer, an ST register, a link wire) or
+//     consumed by its destination NI;
 //   - per-link credit/buffer accounting: for every (link, VC), sender
-//     credits + flits holding a credit (ST register, wire, retransmission
-//     queue, receiver buffer) + credits returning on the wire + leaked
-//     credits sum exactly to the buffer depth;
+//     credits + flits holding a credit (ST register, wire, receiver buffer)
+//   - credits returning on the wire sum exactly to the buffer depth;
 //   - atomic VC allocation: an unowned input VC is empty and idle, every
 //     buffered flit belongs to the VC's owner, an unowned output VC holds
 //     its full credit stock, and the per-port allocation counters agree
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rair/internal/faults"
 	"rair/internal/msg"
 	"rair/internal/router"
 	"rair/internal/telemetry"
@@ -95,9 +92,6 @@ type Target struct {
 	// Links is the network's wiring table, one record per link. The
 	// network keeps no copy: the checker is its only holder after the build.
 	Links []router.LinkRecord
-	// Faults is the run's injector (nil when fault-free); its loss and
-	// retransmission state closes the conservation and credit identities.
-	Faults *faults.Injector
 	// Telemetry, when attached, is snapshotted into the watchdog dump.
 	Telemetry *telemetry.Collector
 	// Quiesce, when non-nil, audits the tick engine's quiescence machinery
@@ -228,14 +222,9 @@ func (c *Checker) checkConservation(now int64) {
 	for _, ref := range c.t.Links {
 		inside += int64(ref.L.InFlightFlits())
 	}
-	var retx int64
-	if c.t.Faults != nil {
-		retx = int64(c.t.Faults.PendingRetransmits())
-	}
-	if injected != consumed+inside+retx {
+	if injected != consumed+inside {
 		c.report(now, "conservation",
-			"injected %d != consumed %d + inside %d + retransmit-queued %d",
-			injected, consumed, inside, retx)
+			"injected %d != consumed %d + inside %d", injected, consumed, inside)
 	}
 }
 
@@ -266,20 +255,13 @@ func (c *Checker) checkCredits(now int64) {
 		c.t.Routers[ref.Dst.Node].AuditInputVCs(ref.Dst.Dir, func(s router.InputVCState) {
 			c.recvBuf[s.VC] = s.Buffered
 		})
-		fs := ref.L.Faults()
 		for vc := 0; vc < c.t.VCs; vc++ {
-			var retx, leaked int
-			if fs != nil {
-				retx, leaked = fs.PendingForVC(vc), fs.LeakedFor(vc)
-			}
-			sum := c.sendCred[vc] + c.stHold[vc] + c.wireFlits[vc] + retx +
-				c.recvBuf[vc] + c.wireCreds[vc] + leaked
+			sum := c.sendCred[vc] + c.stHold[vc] + c.wireFlits[vc] + c.recvBuf[vc] + c.wireCreds[vc]
 			if sum != c.t.Depth {
 				c.report(now, "credit-accounting",
-					"link %s vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, retransmit %d, receiver buffered %d, wire credits %d, leaked %d)",
+					"link %s vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, receiver buffered %d, wire credits %d)",
 					ref.Key(), vc, sum, c.t.Depth,
-					c.sendCred[vc], c.stHold[vc], c.wireFlits[vc], retx,
-					c.recvBuf[vc], c.wireCreds[vc], leaked)
+					c.sendCred[vc], c.stHold[vc], c.wireFlits[vc], c.recvBuf[vc], c.wireCreds[vc])
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"rair/internal/faults"
 	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/network"
@@ -15,9 +14,9 @@ import (
 	"rair/internal/topology"
 )
 
-// build wires a 4x4 single-region network with the given checker and fault
-// configurations.
-func build(t testing.TB, chk *invariant.Config, fl *faults.Config) *network.Network {
+// build wires a 4x4 single-region network with the given checker
+// configuration.
+func build(t testing.TB, chk *invariant.Config) *network.Network {
 	t.Helper()
 	regions := region.Single(topology.NewMesh(4, 4))
 	mesh := regions.Mesh()
@@ -27,7 +26,6 @@ func build(t testing.TB, chk *invariant.Config, fl *faults.Config) *network.Netw
 		Alg:     routing.MinimalAdaptive{Mesh: mesh},
 		Sel:     routing.LocalSelector{},
 		Check:   chk,
-		Faults:  fl,
 	})
 }
 
@@ -53,7 +51,7 @@ func inject(n *network.Network, id uint64, src, dst, size int, now int64) {
 
 // TestCleanRun: a healthy network under load never violates an invariant.
 func TestCleanRun(t *testing.T) {
-	n := build(t, &invariant.Config{Mode: invariant.ModeCollect}, nil)
+	n := build(t, &invariant.Config{Mode: invariant.ModeCollect})
 	defer n.Close()
 	id := uint64(0)
 	for s := 0; s < 16; s++ {
@@ -75,20 +73,47 @@ func TestCleanRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogTrips: routers whose pipelines never unfreeze wedge the
-// traffic; the no-forward-progress watchdog must trip exactly once, naming
-// the in-flight count.
-func TestWatchdogTrips(t *testing.T) {
-	fl := &faults.Config{
-		Seed:      1,
-		StallProb: 1, StallLen: 1 << 30,
-	}
-	n := build(t, &invariant.Config{Watchdog: 100, Mode: invariant.ModeCollect}, fl)
-	defer n.Close()
+// wedge runs n for 1000 cycles with one packet from node 0 to node 10 that
+// never leaves router 0: once the router grants the packet an output VC,
+// every credit left on that VC is stolen (router.DebugDropCredit), so the
+// head never wins SA and nothing ejects.
+func wedge(t *testing.T, n *network.Network) {
+	t.Helper()
 	inject(n, 1, 0, 10, 3, 0)
+	r0 := n.Checker().Routers()[0]
+	stolen := false
 	for c := int64(0); c < 1000; c++ {
 		n.Tick(c)
+		for d := topology.Dir(0); d < topology.NumDirs && !stolen; d++ {
+			r0.AuditOutputVCs(d, func(s router.OutputVCState) {
+				if s.Owner == nil {
+					return
+				}
+				for k := 0; k < s.Credits; k++ {
+					r0.DebugDropCredit(d, s.VC)
+				}
+				stolen = true
+			})
+		}
 	}
+	if !stolen {
+		t.Fatal("router 0 never granted the packet an output VC")
+	}
+}
+
+// wedgeConfig checks nothing but progress: the stolen credits would fail
+// every periodic audit, which never comes due within the run.
+func wedgeConfig(watchdog int64) *invariant.Config {
+	return &invariant.Config{Every: 1 << 20, Watchdog: watchdog, Mode: invariant.ModeCollect}
+}
+
+// TestWatchdogTrips: a packet wedged at its first router stops all
+// ejection; the no-forward-progress watchdog must trip exactly once, naming
+// the in-flight count.
+func TestWatchdogTrips(t *testing.T) {
+	n := build(t, wedgeConfig(100))
+	defer n.Close()
+	wedge(t, n)
 	err := n.Checker().Err()
 	vs := violationLines(err)
 	if len(vs) != 1 || !strings.HasPrefix(err.Error(), "1 invariant violation(s):") {
@@ -105,16 +130,9 @@ func TestWatchdogTrips(t *testing.T) {
 // TestWatchdogDisabled: a negative Watchdog turns the deadlock check off
 // even with wedged traffic.
 func TestWatchdogDisabled(t *testing.T) {
-	fl := &faults.Config{
-		Seed:      1,
-		StallProb: 1, StallLen: 1 << 30,
-	}
-	n := build(t, &invariant.Config{Watchdog: -1, Mode: invariant.ModeCollect}, fl)
+	n := build(t, wedgeConfig(-1))
 	defer n.Close()
-	inject(n, 1, 0, 10, 3, 0)
-	for c := int64(0); c < 1000; c++ {
-		n.Tick(c)
-	}
+	wedge(t, n)
 	if err := n.Checker().Err(); err != nil {
 		t.Fatalf("disabled watchdog still reported: %v", err)
 	}
@@ -124,7 +142,7 @@ func TestWatchdogDisabled(t *testing.T) {
 // tight hop bound) is only observed at a checking barrier ((cycle+1)
 // divisible by 8).
 func TestCheckingPeriod(t *testing.T) {
-	n := build(t, &invariant.Config{Every: 8, MaxHops: 1, Mode: invariant.ModeCollect}, nil)
+	n := build(t, &invariant.Config{Every: 8, MaxHops: 1, Mode: invariant.ModeCollect})
 	defer n.Close()
 	inject(n, 1, 0, 15, 3, 0)
 	for c := int64(0); c < 40; c++ {
@@ -147,7 +165,7 @@ func TestCheckingPeriod(t *testing.T) {
 
 // TestCollectLimit: ModeCollect stops recording at Limit.
 func TestCollectLimit(t *testing.T) {
-	n := build(t, &invariant.Config{MaxHops: 1, Mode: invariant.ModeCollect, Limit: 3}, nil)
+	n := build(t, &invariant.Config{MaxHops: 1, Mode: invariant.ModeCollect, Limit: 3})
 	defer n.Close()
 	inject(n, 1, 0, 15, 3, 0)
 	for c := int64(0); c < 50; c++ {
@@ -163,7 +181,7 @@ func TestCollectLimit(t *testing.T) {
 
 // TestPanicMode: the default mode panics on the first violation.
 func TestPanicMode(t *testing.T) {
-	n := build(t, &invariant.Config{MaxHops: 1}, nil)
+	n := build(t, &invariant.Config{MaxHops: 1})
 	defer n.Close()
 	inject(n, 1, 0, 15, 3, 0)
 	defer func() {
@@ -184,7 +202,7 @@ func TestPanicMode(t *testing.T) {
 // TestHopBound: an artificially tight MaxHops flags legitimate multi-hop
 // packets, proving the hop audit observes in-flight traffic.
 func TestHopBound(t *testing.T) {
-	n := build(t, &invariant.Config{MaxHops: 1, Mode: invariant.ModeCollect}, nil)
+	n := build(t, &invariant.Config{MaxHops: 1, Mode: invariant.ModeCollect})
 	defer n.Close()
 	inject(n, 1, 0, 15, 3, 0) // 6 router hops corner to corner
 	for c := int64(0); c < 200 && !n.Drained(); c++ {
@@ -207,7 +225,7 @@ func TestHopBound(t *testing.T) {
 // indistinguishable from one whose hop count fell and is still reported.
 func TestHopProgressKeyedByAppAndID(t *testing.T) {
 	run := func(lateApp int) error {
-		n := build(t, &invariant.Config{Mode: invariant.ModeCollect}, nil)
+		n := build(t, &invariant.Config{Mode: invariant.ModeCollect})
 		defer n.Close()
 		n.Inject(&msg.Packet{ID: 1, App: 0, Src: 0, Dst: 15, Size: 12, Class: msg.ClassRequest}, 0)
 		for c := int64(0); c < 200 && !n.Drained(); c++ {

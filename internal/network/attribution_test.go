@@ -30,27 +30,21 @@ func TestAttributionConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var native, foreign, escape, fault int64
+	var native, foreign, escape int64
 	for _, r := range rep.Rows {
 		native += r.NativeCycles
 		foreign += r.ForeignCycles
 		escape += r.EscapeCycles
-		fault += r.FaultCycles
 	}
 	tot := tel.Totals()
-	if native != tot.AttrNativeCycles || foreign != tot.AttrForeignCycles ||
-		escape != tot.AttrEscapeCycles || fault != tot.AttrFaultCycles {
-		t.Fatalf("folded buckets (n=%d f=%d e=%d x=%d) != charged counters (n=%d f=%d e=%d x=%d)",
-			native, foreign, escape, fault,
-			tot.AttrNativeCycles, tot.AttrForeignCycles, tot.AttrEscapeCycles, tot.AttrFaultCycles)
+	if native != tot.AttrNativeCycles || foreign != tot.AttrForeignCycles || escape != tot.AttrEscapeCycles {
+		t.Fatalf("folded buckets (n=%d f=%d e=%d) != charged counters (n=%d f=%d e=%d)",
+			native, foreign, escape, tot.AttrNativeCycles, tot.AttrForeignCycles, tot.AttrEscapeCycles)
 	}
 	// The quadrant workload contends across regions, so the headline signal
 	// must actually fire: some foreign-region interference was observed.
 	if foreign == 0 {
 		t.Fatal("no foreign-region interference charged on a cross-region workload")
-	}
-	if fault != 0 {
-		t.Fatalf("fault cycles charged on a fault-free run: %d", fault)
 	}
 	if rep.Total.TotalCycles == 0 || rep.Total.Packets == 0 {
 		t.Fatalf("empty total row: %+v", rep.Total)
@@ -114,7 +108,7 @@ func TestAttributionWindowSeries(t *testing.T) {
 	seen := false
 	for _, rt := range rep.Routers {
 		for _, w := range rt.Windows {
-			total := w.BlameNative + w.BlameForeign + w.BlameEscape + w.BlameFault
+			total := w.BlameNative + w.BlameForeign + w.BlameEscape
 			if total == 0 {
 				if w.InterferenceRatio != 0 {
 					t.Fatalf("node %d: ratio %v with no blame", rt.Node, w.InterferenceRatio)
@@ -140,7 +134,7 @@ func TestAttributionOffLeavesNoTrace(t *testing.T) {
 	tel := telemetry.NewCollector(telemetry.Config{Window: 128})
 	telemetryRun(t, 0, tel)
 	tot := tel.Totals()
-	if tot.AttrNativeCycles|tot.AttrForeignCycles|tot.AttrEscapeCycles|tot.AttrFaultCycles != 0 {
+	if tot.AttrNativeCycles|tot.AttrForeignCycles|tot.AttrEscapeCycles != 0 {
 		t.Fatalf("blame counters moved with attribution off: %+v", tot)
 	}
 	if rep := tel.Attribution(); rep != nil {

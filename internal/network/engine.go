@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"rair/internal/faults"
 	"rair/internal/msg"
 	"rair/internal/router"
 	"rair/internal/topology"
@@ -107,12 +106,6 @@ type engine struct {
 
 	// mesh names each router's neighbors for the congestion relay.
 	mesh *topology.Mesh
-
-	// faults, when non-nil, stalls routers in the compute phase. Stall
-	// decisions are pure hashes of (node, cycle), and the per-node stall
-	// state is only touched by the node's owning shard, so fault injection
-	// preserves the engine's bit-exactness across worker counts.
-	faults *faults.Injector
 
 	// prof, when non-nil, records the engine's self-profile (per-shard
 	// phase timings, barrier waits, sweep sizes); see profile.go.
@@ -347,7 +340,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 				// By value: addressed in place, &sh.flit[i] is re-derived
 				// after each call below (1-2 % of the link phase).
 				b := sh.flit[i]
-				if f, ok := b.link.ShiftFlits(now); ok {
+				if f, ok := b.link.ShiftFlits(); ok {
 					if i < flitNI {
 						b.r.DeliverFlit(b.dir, f)
 					} else {
@@ -365,7 +358,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 			if !b.link.FlitsBusy() {
 				continue
 			}
-			if f, ok := b.link.ShiftFlits(now); ok {
+			if f, ok := b.link.ShiftFlits(); ok {
 				b.r.DeliverFlit(b.dir, f)
 			}
 		}
@@ -379,7 +372,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 				i := base + bits.TrailingZeros64(m)
 				dirtyCred++
 				b := sh.cred[i]
-				if vc, ok := b.link.ShiftCredits(now); ok {
+				if vc, ok := b.link.ShiftCredits(); ok {
 					if i < credNI {
 						b.r.DeliverCredit(b.dir, vc)
 					} else {
@@ -397,7 +390,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 			if !b.link.CreditsBusy() {
 				continue
 			}
-			if vc, ok := b.link.ShiftCredits(now); ok {
+			if vc, ok := b.link.ShiftCredits(); ok {
 				b.r.DeliverCredit(b.dir, vc)
 			}
 		}
@@ -409,9 +402,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 	case phaseCompute:
 		// Armed-component sweep: a router's wake bit is set by flit arrival
 		// (phase 1, this shard) and cleared here once its work counter hits
-		// zero; an NI's is set at injection. A stalled router keeps its bit
-		// (its work cannot drain while frozen), so fault windows never
-		// detach a busy router from the sweep.
+		// zero; an NI's is set at injection.
 		now := e.now
 		soa := sh.soa
 		var armedR, armedN int64
@@ -424,10 +415,7 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 			for m := w; m != 0; m &= m - 1 {
 				li := base + bits.TrailingZeros64(m)
 				armedR++
-				r := sh.routers[li]
-				if e.faults == nil || !e.faults.RouterStalled(r.Node(), now) {
-					r.Tick(now)
-				}
+				sh.routers[li].Tick(now)
 				if soa.Work[li] > 0 {
 					keep |= 1 << (uint(li) & 63)
 				}

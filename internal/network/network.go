@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"slices"
 
-	"rair/internal/faults"
 	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/policy"
@@ -66,11 +65,6 @@ type Params struct {
 	// simulation results are bit-identical with telemetry on or off, at
 	// any worker count.
 	Telemetry *telemetry.Collector
-	// Faults, if non-nil and enabled, attaches the deterministic fault
-	// injector: per-link drop/corrupt/credit-leak state and per-router
-	// stall windows, all keyed by pure hashes so results stay bit-identical
-	// across worker counts. See internal/faults.
-	Faults *faults.Config
 	// Check, if non-nil, runs the runtime invariant checker at every tick
 	// barrier on the coordinating goroutine (read-only audits; enabling it
 	// cannot change simulation results). See internal/invariant.
@@ -100,7 +94,6 @@ type Network struct {
 	cong    bool
 	tel     *telemetry.Collector
 	probes  []*telemetry.Probe // per node, nil when telemetry is off
-	faults  *faults.Injector   // nil when fault-free
 	check   *invariant.Checker // nil when unchecked
 
 	chiplets   *topology.Chiplets // nil for plain meshes
@@ -188,22 +181,11 @@ func New(p Params) *Network {
 			n.nis[id] = ni
 		}
 	}
-	if p.Faults != nil && p.Faults.Enabled() {
-		inj, err := faults.NewInjector(*p.Faults, mesh.N())
-		if err != nil {
-			panic(err)
-		}
-		n.faults = inj
-		n.eng.faults = inj
-		for id, probe := range n.probes {
-			inj.SetStallProbe(id, probe)
-		}
-	}
 	if p.Profile {
 		n.eng.prof = newEngineProf(len(n.eng.shards))
 	}
-	// The wiring table: the engine's wires, the fault injector's link states
-	// and the checker's audits derive from it; only a checker keeps it.
+	// The wiring table: the engine's wires and the checker's audits derive
+	// from it; only a checker keeps it.
 	links := linkTable(mesh, p.Chiplets, p.Router.LinkLatency, n.nis)
 	for _, rec := range links {
 		n.connect(rec)
@@ -216,8 +198,8 @@ func New(p Params) *Network {
 		n.check = invariant.NewChecker(*p.Check, invariant.Target{
 			Depth: p.Router.Depth, VCs: p.Router.VCsPerPort(), Mesh: mesh,
 			Routers: n.routers, NIs: n.nis, Links: links,
-			Faults: n.faults, Telemetry: n.tel,
-			Quiesce: n.auditQuiescence,
+			Telemetry: n.tel,
+			Quiesce:   n.auditQuiescence,
 		})
 	}
 	if p.Workers > 1 {
@@ -255,9 +237,7 @@ func linkTable(mesh *topology.Mesh, chips *topology.Chiplets, latency int, nis [
 }
 
 // connect attaches one link of the table to the routers at its ends (an NI
-// came with its links) and, under fault injection, registers it with the
-// injector: arriving flits are filtered at the receiver, arriving credits at
-// the sender, and reconciled credits return to the sender's counter.
+// came with its links).
 func (n *Network) connect(rec router.LinkRecord) {
 	src, dst := rec.Src, rec.Dst
 	if !src.NI {
@@ -265,21 +245,6 @@ func (n *Network) connect(rec router.LinkRecord) {
 	}
 	if !dst.NI {
 		n.routers[dst.Node].ConnectIn(dst.Dir, rec.L)
-	}
-	if n.faults == nil {
-		return
-	}
-	restore := n.nis[src.Node].DeliverCredit
-	if !src.NI {
-		sr := n.routers[src.Node]
-		restore = func(vc int) { sr.DeliverCredit(src.Dir, vc) }
-	}
-	// An ejection link's credit wire is never used (the NI sink accepts
-	// unconditionally), so it can neither leak nor be reconciled.
-	ls := n.faults.RegisterLink(rec.Key(), restore, dst.NI)
-	rec.L.SetFaults(ls)
-	if n.tel != nil {
-		n.faults.SetLinkProbes(ls, n.probes[dst.Node], n.probes[src.Node])
 	}
 }
 
@@ -299,9 +264,6 @@ func (n *Network) CongestionEnabled() bool { return n.cong }
 // Mesh returns the topology.
 func (n *Network) Mesh() *topology.Mesh { return n.mesh }
 
-// Faults returns the run's fault injector (nil when fault-free).
-func (n *Network) Faults() *faults.Injector { return n.faults }
-
 // Checker returns the run's invariant checker (nil when unchecked).
 func (n *Network) Checker() *invariant.Checker { return n.check }
 
@@ -320,12 +282,6 @@ func (n *Network) Tick(now int64) {
 	if n.cong {
 		n.eng.run(phaseCongFill)
 		n.eng.run(phaseCongSwap)
-	}
-	// Periodic credit reconciliation runs on this goroutine after all
-	// barriers: leaked credits are audited and restored directly to their
-	// sender-side counters, deterministically in link-registration order.
-	if n.faults != nil && n.faults.ReconcileDue(now) {
-		n.faults.ReconcileAll()
 	}
 	// Sample telemetry windows on this goroutine after all barriers: every
 	// probe is quiescent (its owning shard finished the compute phase), so
@@ -350,15 +306,11 @@ func (n *Network) Tick(now int64) {
 	if n.params.OnEject != nil || n.params.Recycle != nil || n.chiplets != nil {
 		for _, sh := range n.eng.shards {
 			for _, e := range sh.ejections {
-				switch {
-				case n.faults != nil && e.pkt.Lost:
-					// A flit arrived damaged (faults.Counters.LostPackets
-					// counted it): the packet is not delivered, and takes
-					// no second leg.
-				case n.chiplets != nil && e.pkt.FinalDst != e.pkt.Dst:
+				if n.chiplets != nil && e.pkt.FinalDst != e.pkt.Dst {
 					n.xbar.Submit(e.pkt, e.pkt.CreatedAt, e.now)
 					continue
-				case n.params.OnEject != nil:
+				}
+				if n.params.OnEject != nil {
 					n.params.OnEject(e.pkt, e.now)
 				}
 				if n.params.Recycle != nil {

@@ -21,7 +21,7 @@ import (
 func sampleReport() *rair.Report {
 	tot := telemetry.Counters{
 		LinkFlits: 1000, CreditStalls: 20, InjectStalls: 3,
-		AttrNativeCycles: 40, AttrForeignCycles: 60, AttrEscapeCycles: 5, AttrFaultCycles: 0,
+		AttrNativeCycles: 40, AttrForeignCycles: 60, AttrEscapeCycles: 5,
 	}
 	attr := &telemetry.AttributionReport{
 		Rows: []telemetry.DecompRow{{
@@ -176,7 +176,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	checkPrometheus(t, get("/metrics"))
-	if !strings.Contains(get("/snapshot"), `"schema": 1`) {
+	if !strings.Contains(get("/snapshot"), `"schema": 2`) {
 		t.Fatal("record served before the run lacks its schema")
 	}
 

@@ -1,4 +1,4 @@
-package core
+package policy_test
 
 import (
 	"math/rand"

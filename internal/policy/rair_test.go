@@ -1,8 +1,8 @@
-// Package core holds the tests of RAIR's three mechanisms — VC
-// regionalization, multi-stage prioritization and dynamic priority
-// adaptation — on the policy policy.New builds; the policy itself is
-// internal/policy.
-package core
+package policy_test
+
+// The tests of RAIR's three mechanisms — VC regionalization, multi-stage
+// prioritization and dynamic priority adaptation — on the policy policy.New
+// builds, through the package's exported surface only.
 
 import (
 	"testing"

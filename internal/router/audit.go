@@ -55,7 +55,6 @@ func (r *Router) AuditInputFlits(d topology.Dir, vc int, fn func(msg.Flit)) {
 	v := &r.in[d].vcs[vc]
 	for seq := v.front; seq < v.front+int32(v.n); seq++ {
 		f := msg.FlitAt(v.owner, int(seq))
-		f.Type |= r.soa.damage(v, seq)
 		f.VC = vc
 		fn(f)
 	}

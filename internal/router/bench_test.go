@@ -104,10 +104,10 @@ func BenchmarkFlitStreaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Play the engine's link phase by hand: drain the east wire,
 		// recycle the consumed flit's credit, top the input VC back up.
-		if cr, ok := east.ShiftCredits(now); ok {
+		if cr, ok := east.ShiftCredits(); ok {
 			r.DeliverCredit(topology.East, cr)
 		}
-		if f, ok := east.ShiftFlits(now); ok {
+		if f, ok := east.ShiftFlits(); ok {
 			east.SendCredit(f.VC)
 		}
 		if int(vc.n) < cfg.Depth {

@@ -8,11 +8,13 @@ import (
 )
 
 // DebugDropCredit steals one downstream credit from output port d's VC vc,
-// as if the credit had been lost without the fault injector's bookkeeping.
+// as if the credit had been lost on its wire.
 // It exists only so tests can seed a genuine accounting bug and assert the
 // invariant checker reports it; nothing in the simulator calls it. The
 // shadow masks are kept consistent with the counter — the seeded bug is a
-// conservation violation, not a datapath desync.
+// conservation violation, not a datapath desync: a VC left without credit
+// also leaves its stream's SA candidate set, so stealing a VC's whole stock
+// wedges the stream instead of tripping the SA credit guard.
 func (r *Router) DebugDropCredit(d topology.Dir, vc int) {
 	p := r.out[d]
 	v := &p.vcs[vc]
@@ -24,6 +26,13 @@ func (r *Router) DebugDropCredit(d topology.Dir, vc int) {
 	p.fullMask &^= 1 << uint(vc)
 	if v.credits == 0 {
 		p.creditMask &^= 1 << uint(vc)
+		if p.streamMask>>uint(vc)&1 == 1 {
+			in := r.in[v.inPort]
+			in.saElig &^= 1 << uint(v.inVC)
+			if in.saElig == 0 {
+				r.saPorts &^= 1 << uint(v.inPort)
+			}
+		}
 	}
 }
 

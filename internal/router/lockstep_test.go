@@ -156,7 +156,6 @@ type cycleSeen struct {
 // downstream neighbour holds for flits it has received.
 type episode struct {
 	rng       *rand.Rand
-	marks     *rand.Rand // which flits go out Damaged, apart from rng
 	rigs      []*rig
 	now       int64
 	load      int // percent chance an upstream neighbour offers a flit in a cycle
@@ -175,15 +174,13 @@ type feed struct{ pkt, next int } // index into every rig's pkts; next flit
 // state of a link, and applied to every rig. Each cycle is the engine's: the
 // link phase (credits to the router's outputs, flits into its inputs,
 // credits to the upstream neighbours and the NI, flits to the downstream
-// neighbours and the NI, with random link holds), the neighbours' moves
-// (one out-of-order credit per output, one flit per input, an NI
-// injection), then the compute phase — the NI ticks every cycle, the
-// router skips one in ten like a fault-stalled router. preTick runs just
-// before the router ticks; postCycle runs after every cycle and ends the
-// episode by returning false.
+// neighbours and the NI), the neighbours' moves (one out-of-order credit
+// per output, one flit per input, an NI injection), then the compute phase:
+// the router and the NI tick. preTick runs just before the router ticks;
+// postCycle runs after every cycle and ends the episode by returning false.
 func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle int64) bool) error {
 	cfg := rigs[0].cfg
-	e := &episode{rng: rand.New(rand.NewSource(seed)), marks: rand.New(rand.NewSource(^seed)), rigs: rigs,
+	e := &episode{rng: rand.New(rand.NewSource(seed)), rigs: rigs,
 		load: 20 + 20*int(seed%3), drain: 40 + 30*int(seed/3%2)}
 	v := cfg.VCsPerPort()
 	for d := topology.North; d < topology.NumDirs; d++ {
@@ -200,12 +197,8 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 		cycles *= 8
 	}
 	for ; e.now < cycles; e.now++ {
-		var hold [topology.NumDirs]bool
-		for d := range hold {
-			hold[d] = e.rng.Intn(100) < 5
-		}
 		for k, g := range rigs {
-			obs[k] = e.linkPhase(g, hold)
+			obs[k] = e.linkPhase(g)
 		}
 		for d := topology.North; d < topology.NumDirs; d++ {
 			if vc := obs[0].Credit[d]; vc >= 0 {
@@ -220,14 +213,9 @@ func runEpisode(seed int64, rigs []*rig, preTick func(), postCycle func(cycle in
 		if e.rng.Intn(200) < e.load {
 			e.inject()
 		}
-		stall := e.rng.Intn(100) < 10
-		if !stall {
-			preTick()
-		}
+		preTick()
 		for k, g := range rigs {
-			if !stall {
-				g.r.Tick(e.now)
-			}
+			g.r.Tick(e.now)
 			g.ni.Tick(e.now)
 			obs[k].OVC[0], obs[k].OVC[1] = g.r.OccupancyByKind()
 			obs[k].NativeHigh = g.nativeHigh()
@@ -268,13 +256,13 @@ func arbiters(as []arbiter.Prioritized, dut routerDUT) []arbiter.Prioritized {
 }
 
 // linkPhase shifts every wire of one rig and delivers what arrives.
-func (e *episode) linkPhase(g *rig, hold [topology.NumDirs]bool) cycleSeen {
+func (e *episode) linkPhase(g *rig) cycleSeen {
 	var s cycleSeen
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		if vc, ok := g.out[d].ShiftCredits(e.now); ok {
+		if vc, ok := g.out[d].ShiftCredits(); ok {
 			g.r.DeliverCredit(d, vc)
 		}
-		if f, ok := g.in[d].ShiftFlits(e.now); ok {
+		if f, ok := g.in[d].ShiftFlits(); ok {
 			g.r.DeliverFlit(d, f)
 			if d == topology.Local {
 				s.Inj = seen(f)
@@ -282,16 +270,13 @@ func (e *episode) linkPhase(g *rig, hold [topology.NumDirs]bool) cycleSeen {
 			}
 		}
 		s.Credit[d] = -1
-		if vc, ok := g.in[d].ShiftCredits(e.now); ok {
+		if vc, ok := g.in[d].ShiftCredits(); ok {
 			s.Credit[d] = vc
 			if d == topology.Local {
 				g.ni.DeliverCredit(vc)
 			}
 		}
-		if hold[d] {
-			continue // a faulty link's hold: the wire keeps its flits
-		}
-		if f, ok := g.out[d].ShiftFlits(e.now); ok {
+		if f, ok := g.out[d].ShiftFlits(); ok {
 			s.Out[d] = seen(f)
 			if d == topology.Local {
 				g.ni.DeliverFlit(f, e.now)
@@ -319,8 +304,7 @@ func (e *episode) downstream(d topology.Dir) {
 // of a random half-sent packet with a credit, else the head of a new packet
 // on a VC whose last packet has fully drained (all its credits home).
 // Packets mostly take adaptive VCs and sometimes the escape VC of their
-// class, as an upstream allocator may. One flit in twenty goes out marked
-// Damaged, as a faulty link that gave up retransmitting forwards it.
+// class, as an upstream allocator may.
 func (e *episode) upstream(d topology.Dir) {
 	cfg := e.rigs[0].cfg
 	if e.rng.Intn(100) >= e.load || !e.rigs[0].in[d].CanSendFlit() {
@@ -348,13 +332,9 @@ func (e *episode) upstream(d topology.Dir) {
 
 func (e *episode) sendUp(d topology.Dir, i int) {
 	fd := e.feeds[d][i]
-	damaged := e.marks.Intn(20) == 0
 	for _, g := range e.rigs {
 		f := msg.FlitAt(g.pkts[fd.pkt], fd.next)
 		f.VC = i
-		if damaged {
-			f.Type |= msg.Damaged
-		}
 		g.in[d].SendFlit(f)
 	}
 	e.upCredits[d][i]--
@@ -410,7 +390,7 @@ var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
 // lockstepSpecs is the configuration matrix: seven policies × six router
 // configurations × three routing algorithms, plus one cell whose VCs hold
 // 80 flits and whose packets are 70–90 flits long, so a buffered run can
-// outgrow 64 flits with Damaged marks past the 64th.
+// outgrow 64 flits.
 func lockstepSpecs() map[string]rigSpec {
 	policies := map[string]policy.Spec{
 		"RO_RR":    {},
@@ -458,11 +438,9 @@ func withConfig(edit func(*Config)) Config {
 // configuration matrix and 24 seeds, the optimised Router and NI — masks,
 // stage counters, SoA slabs, buffered runs — must show their neighbours
 // exactly what the reference shows, every cycle. The totals guard against
-// a vacuous pass: flits must move, DPA must flip, and Damaged flits
-// buffered 64 or more flits behind the front of their run must leave the
-// router (and so be compared).
+// a vacuous pass: flits must move and DPA must flip.
 func TestReferenceLockstep(t *testing.T) {
-	var flits, ejected, dpaFlips, deepMarks atomic.Int64
+	var flits, ejected, dpaFlips atomic.Int64
 	t.Run("cells", func(t *testing.T) {
 		for name, spec := range lockstepSpecs() {
 			t.Run(name, func(t *testing.T) {
@@ -470,13 +448,11 @@ func TestReferenceLockstep(t *testing.T) {
 				for seed := int64(1); seed <= 24; seed++ {
 					real, ref := spec.real(nil, 0, false), spec.reference()
 					nativeHigh := false
-					deep := map[deepFlit]bool{}
 					err := runEpisode(seed, []*rig{real, ref}, func() {}, func(int64) bool {
 						if real.nativeHigh() != nativeHigh {
 							nativeHigh = !nativeHigh
 							dpaFlips.Add(1)
 						}
-						deepMarks.Add(deepSweep(real.router(), deep))
 						return true
 					})
 					if err != nil {
@@ -490,38 +466,8 @@ func TestReferenceLockstep(t *testing.T) {
 			})
 		}
 	})
-	if flits.Load() == 0 || ejected.Load() == 0 || dpaFlips.Load() == 0 || deepMarks.Load() == 0 {
-		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d DPA flips, %d deep Damaged flits sent",
-			flits.Load(), ejected.Load(), dpaFlips.Load(), deepMarks.Load())
+	if flits.Load() == 0 || ejected.Load() == 0 || dpaFlips.Load() == 0 {
+		t.Fatalf("episodes too quiet: %d flits sent, %d packets ejected, %d DPA flips",
+			flits.Load(), ejected.Load(), dpaFlips.Load())
 	}
-}
-
-// deepFlit is a Damaged flit seq of pkt buffered in vc.
-type deepFlit struct {
-	vc  *inputVC
-	pkt *msg.Packet
-	seq int32
-}
-
-// deepSweep records in seen every Damaged flit r buffers 64 or more flits
-// behind the front of its run, and returns how many recorded flits have
-// left r since the last sweep.
-func deepSweep(r *Router, seen map[deepFlit]bool) (left int64) {
-	for k := range seen {
-		if k.vc.owner != k.pkt || k.vc.front > k.seq {
-			delete(seen, k)
-			left++
-		}
-	}
-	for d := range r.in {
-		for i := range r.in[d].vcs {
-			vc := &r.in[d].vcs[i]
-			for k := int32(64); k < int32(vc.n); k++ {
-				if r.soa.damage(vc, vc.front+k) != 0 {
-					seen[deepFlit{vc, vc.owner, vc.front + k}] = true
-				}
-			}
-		}
-	}
-	return left
 }

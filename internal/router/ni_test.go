@@ -29,7 +29,7 @@ func TestNIStreamsFlitsInOrder(t *testing.T) {
 	}
 	var got []msg.Flit
 	for c := int64(0); c < 10; c++ {
-		if f, ok := inj.ShiftFlits(c); ok {
+		if f, ok := inj.ShiftFlits(); ok {
 			got = append(got, f)
 		}
 		ni.Tick(c)
@@ -100,7 +100,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	ni.Inject(p, 0)
 	sent := 0
 	for c := int64(0); c < 20; c++ {
-		if _, ok := inj.ShiftFlits(c); ok {
+		if _, ok := inj.ShiftFlits(); ok {
 			sent++
 		}
 		ni.Tick(c)
@@ -118,7 +118,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	ni.DeliverCredit(vc)
 	ni.DeliverCredit(vc)
 	for c := int64(20); c < 40; c++ {
-		if _, ok := inj.ShiftFlits(c); ok {
+		if _, ok := inj.ShiftFlits(); ok {
 			sent++
 		}
 		ni.Tick(c)
@@ -137,7 +137,7 @@ func TestNIInterleavesTwoVCs(t *testing.T) {
 	ni.Inject(b, 0)
 	seen := map[uint64]int{}
 	for c := int64(0); c < 30; c++ {
-		if f, ok := inj.ShiftFlits(c); ok {
+		if f, ok := inj.ShiftFlits(); ok {
 			seen[f.Pkt.ID]++
 		}
 		ni.Tick(c)
@@ -158,7 +158,7 @@ func TestNIVCReuseAfterDrain(t *testing.T) {
 	}
 	sent := 0
 	for c := int64(0); c < 60; c++ {
-		if f, ok := inj.ShiftFlits(c); ok {
+		if f, ok := inj.ShiftFlits(); ok {
 			sent++
 			ni.DeliverCredit(f.VC) // instant credit return
 		}
@@ -204,7 +204,7 @@ func TestNIPerClassQueues(t *testing.T) {
 	ni.Inject(rsp, 0)
 	classes := map[msg.Class]bool{}
 	for c := int64(0); c < 20; c++ {
-		if f, ok := inj.ShiftFlits(c); ok {
+		if f, ok := inj.ShiftFlits(); ok {
 			classes[msg.Class(f.VC/cfg.VCsPerClass())] = true
 		}
 		ni.Tick(c)

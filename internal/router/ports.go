@@ -34,15 +34,13 @@ func allVCs(v int) vcMask { return ^vcMask(0) >> (64 - uint(v)) }
 
 // inputVC is one virtual channel of an input port, stored by value in the
 // port's slice. Atomic allocation makes its buffer one run of its owner's
-// flits, Seq front to front+n-1, which transfer rebuilds with msg.FlitAt;
-// their msg.Damaged marks are in the store's damaged set (see SoA).
+// flits, Seq front to front+n-1, which transfer rebuilds with msg.FlitAt.
 type inputVC struct {
-	owner   *msg.Packet
-	front   int32  // Seq of the oldest buffered flit
-	n       uint16 // buffered flits
-	damaged uint16 // buffered flits marked msg.Damaged
-	idx     uint8
-	stage   vcStage
+	owner *msg.Packet
+	front int32  // Seq of the oldest buffered flit
+	n     uint16 // buffered flits
+	idx   uint8
+	stage vcStage
 
 	// Route allocation, valid while Active.
 	outPort uint8 // a topology.Dir

@@ -238,12 +238,10 @@ func (r *refRouter) release() {
 	}
 }
 
-// traverse moves each ST register's flit onto its link when the wire's
-// entry register is free (a faulty link's hold keeps it latched).
+// traverse moves each ST register's flit onto its link.
 func (r *refRouter) traverse() {
 	for d := range r.out {
-		o := &r.out[d]
-		if o.stValid && o.link != nil && o.link.CanSendFlit() {
+		if o := &r.out[d]; o.stValid {
 			o.link.SendFlit(o.st)
 			o.stValid = false
 		}
@@ -251,8 +249,8 @@ func (r *refRouter) traverse() {
 }
 
 // switchAllocation is SA_in, one VC per input port, then SA_out, one input
-// port per output port. A VC competes when it is Active, holds a flit, its
-// output VC has a credit (or ejects) and its output's ST register is free.
+// port per output port. A VC competes when it is Active, holds a flit and
+// its output VC has a credit (or ejects).
 func (r *refRouter) switchAllocation() {
 	var nominee [topology.NumDirs]int
 	for d := range r.in {
@@ -264,8 +262,7 @@ func (r *refRouter) switchAllocation() {
 			if vc.stage != stageActive || len(vc.buf) == 0 {
 				continue
 			}
-			out := &r.out[vc.outPort]
-			if out.stValid || (vc.outPort != topology.Local && out.vcs[vc.outVC].credits == 0) {
+			if vc.outPort != topology.Local && r.out[vc.outPort].vcs[vc.outVC].credits == 0 {
 				continue
 			}
 			req[i], prio[i] = true, r.saPriority(vc.owner)

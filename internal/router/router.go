@@ -179,9 +179,6 @@ func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].link != ni
 func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 	in := r.in[dir]
 	in.deliver(f, r.cfg.Depth)
-	if f.Type&msg.Damaged != 0 {
-		r.soa.markDamaged(&in.vcs[f.VC], f.Seq)
-	}
 	if f.Type.IsHead() {
 		r.rcCount++
 		r.soa.Work[r.li]++
@@ -321,40 +318,29 @@ func (r *Router) chargeBlocked(pkt *msg.Packet, out *OutputPort, occupied vcMask
 }
 
 // chargeSAStall attributes one cycle of a head-pending VC that failed SA_in
-// eligibility. Precedence: a held ST register means fault (fault-free links
-// drain ST every cycle); waiting on the escape VC's credit is escape
+// eligibility. Precedence: waiting on the escape VC's credit is escape
 // serialization; otherwise a credit stall charged to the co-resident owners
 // of the output port's VCs, defaulting to native when none are visible
 // (downstream congestion the local router cannot classify).
 func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
-	switch {
-	case r.stBusy>>vc.outPort&1 == 1:
-		r.tel.Charge(vc.owner, msg.BlameFault)
-	case r.soa.escapeMask>>vc.outVC&1 == 1:
+	if r.soa.escapeMask>>vc.outVC&1 == 1 {
 		r.tel.Charge(vc.owner, msg.BlameEscape)
-	default:
-		occ := (r.allMask &^ out.freeMask) &^ (1 << uint(vc.outVC))
-		r.chargeBlocked(vc.owner, out, occ, msg.BlameNative)
+		return
 	}
+	occ := (r.allMask &^ out.freeMask) &^ (1 << uint(vc.outVC))
+	r.chargeBlocked(vc.owner, out, occ, msg.BlameNative)
 }
 
 // switchTraversal moves last cycle's SA winners onto their links (ST + LT),
-// visiting only the output ports whose ST register is occupied.
+// visiting only the output ports whose ST register is occupied. A link
+// shifted in the link phase always has a free entry register, so every
+// register drains here (a second push onto one wire in a cycle panics in
+// sim.DelayLine).
 func (r *Router) switchTraversal() {
 	for m := r.stBusy; m != 0; m &= m - 1 {
 		d := bits.TrailingZeros8(m)
 		out := r.out[d]
-		if out.link == nil || !out.link.CanSendFlit() {
-			if r.attr && out.st.Type.IsHead() {
-				// Fault-free links always accept the ST flit after the
-				// link phase, so a head pinned here can only be a faulty
-				// link's retransmission hold.
-				r.tel.Charge(out.st.Pkt, msg.BlameFault)
-			}
-			continue
-		}
 		out.link.SendFlit(out.st)
-		r.stBusy &^= 1 << uint(d)
 		r.soa.Work[r.li]--
 		r.flitsSent[d]++
 		if r.tel != nil {
@@ -364,6 +350,7 @@ func (r *Router) switchTraversal() {
 			}
 		}
 	}
+	r.stBusy = 0
 }
 
 // FlitsSent reports the flits this router has pushed onto the output link
@@ -372,8 +359,7 @@ func (r *Router) FlitsSent(dir topology.Dir) int64 { return r.flitsSent[dir] }
 
 // saStallScan replays the per-cycle stall telemetry the old full rescan
 // produced as a side effect: every active, non-empty VC missing from the
-// candidate set failed eligibility this cycle — a credit stall (unless its
-// output ST is held, which attribution classifies as a fault hold). The
+// candidate set failed eligibility this cycle — a credit stall. The
 // counters are order-insensitive sums within a cycle, so emitting them from
 // a separate scan is bit-identical to emitting them inline. Only runs with
 // telemetry attached; with it off, stalled VCs cost nothing.
@@ -382,9 +368,7 @@ func (r *Router) saStallScan() {
 		in := r.in[d]
 		for m := in.activeMask & in.occMask &^ in.saElig; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if r.stBusy>>vc.outPort&1 == 0 {
-				r.tel.CreditStall()
-			}
+			r.tel.CreditStall()
 			if r.attr && vc.headPending {
 				r.chargeSAStall(vc, r.out[vc.outPort])
 			}
@@ -419,25 +403,14 @@ func (r *Router) switchAllocation() {
 	var outMask, nomNative uint8
 	// SA_in: nominate one VC per input port, visiting only ports with a
 	// candidate and only the candidate VCs themselves (the persistent
-	// saElig sets). The one eligibility term the sets do not carry — the
-	// output ST register, which toggles every busy cycle — is filtered
-	// here by its stBusy bit; ST has just drained every register a
-	// fault-free link accepts, so the filter almost never runs. A port
-	// with one surviving candidate skips the arbiter scan (the outcome
-	// cannot depend on it); the others grant over the surviving set.
+	// saElig sets). ST has just emptied every output register, so the sets
+	// are the whole eligibility. A port with one candidate skips the
+	// arbiter scan (the outcome cannot depend on it); the others grant
+	// over the set.
 	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
 		d := topology.Dir(bits.TrailingZeros8(pm))
 		in := r.in[d]
 		elig := in.saElig
-		for m := elig; r.stBusy != 0 && m != 0; m &= m - 1 {
-			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if r.stBusy>>vc.outPort&1 == 1 {
-				elig &^= m & -m
-				if r.attr && vc.headPending {
-					r.chargeSAStall(vc, r.out[vc.outPort])
-				}
-			}
-		}
 		if elig == 0 {
 			continue
 		}
@@ -524,11 +497,6 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
 		panic("router: SA granted an empty VC")
 	}
 	f := msg.FlitAt(vc.owner, int(vc.front))
-	if k := (damagedFlit{vc, vc.front}); vc.damaged != 0 && r.soa.damaged[k] {
-		f.Type |= msg.Damaged
-		delete(r.soa.damaged, k)
-		vc.damaged--
-	}
 	vc.front++
 	vc.n--
 	in := r.in[inDir]

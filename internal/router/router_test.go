@@ -124,7 +124,7 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 		t.Fatalf("ST holds %v, want the foreign packet", r.out[topology.East].st.Pkt)
 	}
 	r.Tick(3) // ST: flit onto the link
-	if _, ok := east.ShiftFlits(3); ok {
+	if _, ok := east.ShiftFlits(); ok {
 		t.Fatal("flit arrived before link latency")
 	}
 }
@@ -138,7 +138,7 @@ func TestCreditReturn(t *testing.T) {
 	r.DeliverFlit(topology.West, headFlit(p, 2))
 	gotCredit := -1
 	for c := int64(0); c < 6; c++ {
-		if credit, ok := west.ShiftCredits(c); ok {
+		if credit, ok := west.ShiftCredits(); ok {
 			gotCredit = credit
 		}
 		r.Tick(c)
@@ -161,7 +161,7 @@ func TestOccupancyTracking(t *testing.T) {
 		t.Fatalf("occupancy %d/%d after arrivals", nat, frn)
 	}
 	for c := int64(0); c < 10; c++ {
-		east.ShiftFlits(c) // drain the output wire so ST never stalls
+		east.ShiftFlits() // drain the output wire so ST never stalls
 		r.Tick(c)
 	}
 	if nat, frn := r.OccupancyByKind(); nat != 0 || frn != 0 {
@@ -275,7 +275,7 @@ func TestStateSizes(t *testing.T) {
 		// pads a 32-byte flit slot or a one-byte credit slot), each with a
 		// two-slot inline ring and byte indices, and byte wake-bit indices:
 		// the allocator's 128-byte class, two aligned cache lines.
-		{"Link", unsafe.Sizeof(Link{}), 128},
+		{"Link", unsafe.Sizeof(Link{}), 120},
 		{"DelayLine[msg.Flit]", unsafe.Sizeof(sim.DelayLine[msg.Flit]{}), 80},
 		{"DelayLine[uint8]", unsafe.Sizeof(sim.DelayLine[uint8]{}), 16},
 		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},
@@ -286,30 +286,26 @@ func TestStateSizes(t *testing.T) {
 	}
 }
 
-// TestDamagedMarksSurviveAnyDepth: a run that fills its VC leaves with
-// every Damaged mark it arrived with, at depths either side of 64 up to the
-// 256 cap.
-func TestDamagedMarksSurviveAnyDepth(t *testing.T) {
+// TestFullRunLeavesAtAnyDepth: a run that fills its VC leaves whole and in
+// order, at depths either side of 64 up to the 256 cap.
+func TestFullRunLeavesAtAnyDepth(t *testing.T) {
 	for _, depth := range []int{1, 2, 64, 65, 200, maxSlots} {
 		cfg := DefaultConfig(1)
 		cfg.Depth = depth
 		r, east := testRouter(cfg, policy.Spec{})
 		west := r.in[topology.West].link
 		p := &msg.Packet{ID: 1, App: 1, Src: 0, Dst: 1, Size: depth, Class: msg.ClassRequest}
-		var want, got []msg.FlitType
+		var want, got []int
 		for seq := 0; seq < depth; seq++ {
 			f := msg.FlitAt(p, seq)
 			f.VC = 1
-			if seq%3 != 1 {
-				f.Type |= msg.Damaged
-			}
-			want = append(want, f.Type)
+			want = append(want, seq)
 			r.DeliverFlit(topology.West, f)
 		}
 		for now := int64(0); now < int64(depth+20); now++ {
-			west.ShiftCredits(now)
-			if f, ok := east.ShiftFlits(now); ok {
-				got = append(got, f.Type)
+			west.ShiftCredits()
+			if f, ok := east.ShiftFlits(); ok && f.Pkt == p {
+				got = append(got, f.Seq)
 			}
 			r.Tick(now)
 		}

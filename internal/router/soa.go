@@ -45,12 +45,6 @@ type SoA struct {
 	inVCs  []inputVC
 	outVCs []outputVC
 
-	// damaged holds the buffered flits that arrived marked msg.Damaged,
-	// keyed by input VC and Seq; inputVC.damaged counts a VC's entries, so
-	// an unmarked run never looks here. Only link faults mark a flit, so
-	// the set stays nil in every other run.
-	damaged map[damagedFlit]bool
-
 	// classWindow[c] masks the VC indices of message class c; escapeMask,
 	// globalMask and regionalMask partition the VC indices by kind. They
 	// pre-compute the VA_in and NI free-VC search windows (a free-VC choice
@@ -174,27 +168,3 @@ func (s *SoA) ArmedRouter(li int) bool { return s.ArmedR[uint(li)>>6]>>(uint(li)
 
 // ArmedNI reports whether NI li's wake bit is set (audit hook).
 func (s *SoA) ArmedNI(li int) bool { return s.ArmedN[uint(li)>>6]>>(uint(li)&63)&1 == 1 }
-
-// damagedFlit names a buffered flit: its input VC and its Seq.
-type damagedFlit struct {
-	vc  *inputVC
-	seq int32
-}
-
-// markDamaged records that flit seq, just buffered in vc, arrived Damaged.
-func (s *SoA) markDamaged(vc *inputVC, seq int) {
-	if s.damaged == nil {
-		s.damaged = make(map[damagedFlit]bool)
-	}
-	s.damaged[damagedFlit{vc, int32(seq)}] = true
-	vc.damaged++
-}
-
-// damage returns msg.Damaged if flit seq buffered in vc arrived Damaged,
-// else 0.
-func (s *SoA) damage(vc *inputVC, seq int32) msg.FlitType {
-	if vc.damaged != 0 && s.damaged[damagedFlit{vc, seq}] {
-		return msg.Damaged
-	}
-	return 0
-}

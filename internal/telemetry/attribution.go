@@ -9,7 +9,7 @@ import (
 )
 
 // Interference attribution: every cycle a head flit sits stalled at a
-// router (VA deny, SA deny, credit stall, fault hold), the router charges
+// router (VA deny, SA deny, credit stall), the router charges
 // the cycle to one of the msg.Blame* buckets on the packet and to the
 // charging router's counters. When the packet ejects, the destination NI
 // folds the packet's accumulated blame vector — together with its measured
@@ -37,8 +37,6 @@ func (p *Probe) Charge(pkt *msg.Packet, cause int) {
 		p.c.AttrForeignCycles++
 	case msg.BlameEscape:
 		p.c.AttrEscapeCycles++
-	case msg.BlameFault:
-		p.c.AttrFaultCycles++
 	}
 }
 
@@ -59,8 +57,8 @@ type DecompKey struct {
 
 // Decomp is the accumulated latency decomposition of the ejected packets
 // under one key. All fields are cycle sums over those packets;
-// conservation: Total = InjectQueue + ZeroLoad + Native + Foreign + Escape
-// + Fault, with ZeroLoad the non-negative unattributed residual (pipeline
+// conservation: Total = InjectQueue + ZeroLoad + Native + Foreign + Escape,
+// with ZeroLoad the non-negative unattributed residual (pipeline
 // transit plus stalls whose cause the router could not classify).
 type Decomp struct {
 	Packets           int64 `json:"packets"`
@@ -70,7 +68,6 @@ type Decomp struct {
 	NativeCycles      int64 `json:"nativeCycles"`
 	ForeignCycles     int64 `json:"foreignCycles"`
 	EscapeCycles      int64 `json:"escapeCycles"`
-	FaultCycles       int64 `json:"faultCycles"`
 }
 
 func (d *Decomp) add(o *Decomp) {
@@ -81,13 +78,12 @@ func (d *Decomp) add(o *Decomp) {
 	d.NativeCycles += o.NativeCycles
 	d.ForeignCycles += o.ForeignCycles
 	d.EscapeCycles += o.EscapeCycles
-	d.FaultCycles += o.FaultCycles
 }
 
 // attributed is the sum of the cause buckets (everything except inject
 // queueing and the zero-load residual).
 func (d *Decomp) attributed() int64 {
-	return d.NativeCycles + d.ForeignCycles + d.EscapeCycles + d.FaultCycles
+	return d.NativeCycles + d.ForeignCycles + d.EscapeCycles
 }
 
 // FoldAttribution folds an ejected packet's blame vector and measured
@@ -123,7 +119,6 @@ func (p *Probe) FoldAttribution(pkt *msg.Packet) {
 	d.NativeCycles += int64(pkt.Blame[msg.BlameNative])
 	d.ForeignCycles += int64(pkt.Blame[msg.BlameForeign])
 	d.EscapeCycles += int64(pkt.Blame[msg.BlameEscape])
-	d.FaultCycles += int64(pkt.Blame[msg.BlameFault])
 }
 
 // DecompRow is one (source app, class) row of the attribution report.

@@ -89,24 +89,12 @@ type Counters struct {
 	InjectStalls int64 `json:"injectStalls"`
 	// LinkFlits counts flits pushed onto the router's output links.
 	LinkFlits int64 `json:"linkFlits"`
-	// Fault-injection events (internal/faults), attributed to the node that
-	// owns the affected side of the link: drop/corrupt/retransmit/lost to
-	// the receiver of the faulty flit wire, credit leaks and reconciled
-	// credits to the sender, stall cycles to the stalled router.
-	FaultDroppedFlits      int64 `json:"faultDroppedFlits,omitempty"`
-	FaultCorruptedFlits    int64 `json:"faultCorruptedFlits,omitempty"`
-	FaultRetransmits       int64 `json:"faultRetransmits,omitempty"`
-	FaultLostFlits         int64 `json:"faultLostFlits,omitempty"`
-	FaultCreditLeaks       int64 `json:"faultCreditLeaks,omitempty"`
-	FaultReconciledCredits int64 `json:"faultReconciledCredits,omitempty"`
-	FaultStallCycles       int64 `json:"faultStallCycles,omitempty"`
 	// Stalled-head-flit cycles this router charged per blame bucket
 	// (attribution only; see Probe.Charge). These count charges made *at*
 	// this router, unlike the decomposition tables, which fold per source.
 	AttrNativeCycles  int64 `json:"attrNativeCycles,omitempty"`
 	AttrForeignCycles int64 `json:"attrForeignCycles,omitempty"`
 	AttrEscapeCycles  int64 `json:"attrEscapeCycles,omitempty"`
-	AttrFaultCycles   int64 `json:"attrFaultCycles,omitempty"`
 }
 
 // add accumulates o into c (report totals).
@@ -128,17 +116,9 @@ func (c *Counters) add(o *Counters) {
 	c.CreditStalls += o.CreditStalls
 	c.InjectStalls += o.InjectStalls
 	c.LinkFlits += o.LinkFlits
-	c.FaultDroppedFlits += o.FaultDroppedFlits
-	c.FaultCorruptedFlits += o.FaultCorruptedFlits
-	c.FaultRetransmits += o.FaultRetransmits
-	c.FaultLostFlits += o.FaultLostFlits
-	c.FaultCreditLeaks += o.FaultCreditLeaks
-	c.FaultReconciledCredits += o.FaultReconciledCredits
-	c.FaultStallCycles += o.FaultStallCycles
 	c.AttrNativeCycles += o.AttrNativeCycles
 	c.AttrForeignCycles += o.AttrForeignCycles
 	c.AttrEscapeCycles += o.AttrEscapeCycles
-	c.AttrFaultCycles += o.AttrFaultCycles
 }
 
 // Probe is one node's sink: the router and NI of the node hold it and feed
@@ -278,65 +258,6 @@ func (p *Probe) LinkFlit() {
 		return
 	}
 	p.c.LinkFlits++
-}
-
-// FaultDroppedFlit counts a flit silently lost on an input link.
-func (p *Probe) FaultDroppedFlit() {
-	if p == nil {
-		return
-	}
-	p.c.FaultDroppedFlits++
-}
-
-// FaultCorruptedFlit counts a flit discarded by the CRC check on an input
-// link.
-func (p *Probe) FaultCorruptedFlit() {
-	if p == nil {
-		return
-	}
-	p.c.FaultCorruptedFlits++
-}
-
-// FaultRetransmit counts a flit re-entering an input link's wire.
-func (p *Probe) FaultRetransmit() {
-	if p == nil {
-		return
-	}
-	p.c.FaultRetransmits++
-}
-
-// FaultLostFlit counts a flit permanently lost after exhausting its retry
-// budget.
-func (p *Probe) FaultLostFlit() {
-	if p == nil {
-		return
-	}
-	p.c.FaultLostFlits++
-}
-
-// FaultCreditLeak counts a credit lost on an output link's return wire.
-func (p *Probe) FaultCreditLeak() {
-	if p == nil {
-		return
-	}
-	p.c.FaultCreditLeaks++
-}
-
-// FaultReconciledCredits counts n leaked credits restored by
-// reconciliation.
-func (p *Probe) FaultReconciledCredits(n int64) {
-	if p == nil {
-		return
-	}
-	p.c.FaultReconciledCredits += n
-}
-
-// FaultStallCycle counts one cycle of an injected router-pipeline stall.
-func (p *Probe) FaultStallCycle() {
-	if p == nil {
-		return
-	}
-	p.c.FaultStallCycles++
 }
 
 // Collector owns the per-node probes of one network and the run-wide

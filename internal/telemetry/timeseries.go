@@ -24,13 +24,12 @@ type WindowSample struct {
 	Utilization float64 `json:"utilization"`
 	// Blame* are the stalled-head cycles this router charged per cause
 	// bucket during the window, and InterferenceRatio is BlameForeign over
-	// all four (0 when nothing was charged) — the windowed
+	// all three (0 when nothing was charged) — the windowed
 	// interference-ratio series. All zero (and omitted from JSON) unless
 	// attribution is on.
 	BlameNative       int64   `json:"blameNative,omitempty"`
 	BlameForeign      int64   `json:"blameForeign,omitempty"`
 	BlameEscape       int64   `json:"blameEscape,omitempty"`
-	BlameFault        int64   `json:"blameFault,omitempty"`
 	InterferenceRatio float64 `json:"interferenceRatio,omitempty"`
 }
 
@@ -94,14 +93,12 @@ func (p *Probe) Sample(now int64, ovcNative, ovcForeign int) {
 			msg.BlameNative:  p.c.AttrNativeCycles,
 			msg.BlameForeign: p.c.AttrForeignCycles,
 			msg.BlameEscape:  p.c.AttrEscapeCycles,
-			msg.BlameFault:   p.c.AttrFaultCycles,
 		}
 		s.BlameNative = attr[msg.BlameNative] - p.lastAttr[msg.BlameNative]
 		s.BlameForeign = attr[msg.BlameForeign] - p.lastAttr[msg.BlameForeign]
 		s.BlameEscape = attr[msg.BlameEscape] - p.lastAttr[msg.BlameEscape]
-		s.BlameFault = attr[msg.BlameFault] - p.lastAttr[msg.BlameFault]
 		p.lastAttr = attr
-		if total := s.BlameNative + s.BlameForeign + s.BlameEscape + s.BlameFault; total > 0 {
+		if total := s.BlameNative + s.BlameForeign + s.BlameEscape; total > 0 {
 			s.InterferenceRatio = float64(s.BlameForeign) / float64(total)
 		}
 	}

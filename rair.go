@@ -39,7 +39,6 @@ import (
 	"slices"
 	"strings"
 
-	"rair/internal/faults"
 	"rair/internal/harness"
 	"rair/internal/invariant"
 	"rair/internal/memsys"
@@ -139,12 +138,6 @@ type Config struct {
 	// Implies Telemetry.
 	TelemetryTraceEvery uint64 `json:"telemetryTraceEvery"`
 
-	// Faults, if non-nil, enables deterministic fault injection: link flit
-	// drops and corruptions recovered by retransmission, credit leaks
-	// repaired by periodic reconciliation, and transient router stalls.
-	// All decisions are seeded hashes, so faulty runs are reproducible at
-	// any worker count.
-	Faults *FaultSpec `json:"faults,omitempty"`
 	// CheckInvariants runs the runtime invariant checker at every tick
 	// barrier (flit conservation, per-link credit accounting, atomic VC
 	// allocation, hop progress, deadlock watchdog). Violations surface as
@@ -152,12 +145,6 @@ type Config struct {
 	// checker on or off.
 	CheckInvariants bool `json:"checkInvariants"`
 }
-
-// FaultSpec is the fault-injection configuration; probabilities apply
-// uniformly to every link and router, zero recovery knobs take the faults
-// package defaults (32 retries, 32-cycle drop timeout, 2-cycle NACK latency)
-// and Seed 0 reuses Config.Seed.
-type FaultSpec = faults.Config
 
 // AppSpec describes one synthetic application's traffic.
 type AppSpec struct {
@@ -499,17 +486,6 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	if s.cfg.Telemetry {
 		tel = telemetry.NewCollector(telemetry.Config{TraceEvery: s.cfg.TelemetryTraceEvery, Attribution: true})
 	}
-	var fcfg *faults.Config
-	if s.cfg.Faults != nil {
-		spec := *s.cfg.Faults
-		if spec.Seed == 0 {
-			spec.Seed = s.cfg.Seed
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		fcfg = &spec
-	}
 	var icfg *invariant.Config
 	if s.cfg.CheckInvariants {
 		icfg = &invariant.Config{Mode: invariant.ModeCollect}
@@ -526,7 +502,6 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		Seed:      s.cfg.Seed,
 		Workers:   s.cfg.Workers,
 		Telemetry: tel,
-		Faults:    fcfg,
 		Check:     icfg,
 		// The memory system ticks first and keeps ticking through the drain
 		// so in-flight protocol actions complete; the adversary ticks after
@@ -544,12 +519,11 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	})
 	defer b.Close()
 	// The record's configuration is the one the run used: the router as
-	// resolved from the overrides and the fault spec with its seed.
+	// resolved from the overrides.
 	cfg := s.cfg
 	r := s.rcfg
 	cfg.Classes, cfg.AdaptiveVCs, cfg.GlobalVCs, cfg.EscapeVCs, cfg.Depth, cfg.LinkLatency =
 		r.Classes, r.AdaptiveVCs, r.GlobalVCs, r.EscapeVCs, r.Depth, r.LinkLatency
-	cfg.Faults = fcfg
 	if srv := s.obsSrv; srv != nil {
 		// Runs on the coordinating goroutine after the tick completes, so
 		// reading telemetry and the engine profile is race-free.
@@ -579,9 +553,6 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	}
 	if tel != nil {
 		rep.Telemetry = tel.Report()
-	}
-	if inj := b.Net.Faults(); inj != nil {
-		rep.Faults = inj.Report()
 	}
 	if srv := s.obsSrv; srv != nil {
 		srv.Publish(rep)

@@ -400,50 +400,6 @@ func TestLBDRRestrictions(t *testing.T) {
 	}
 }
 
-// Every -faults key lands in its FaultSpec field (keys are case-insensitive,
-// blanks and empty entries tolerated) and malformed specs are errors.
-func TestParseFaultSpec(t *testing.T) {
-	got, err := ParseFaultSpec(" drop=0.01, Corrupt=0.02,leak=0.03,stall=0.04,stalllen=5,retries=6,timeout=7,nack=8,reconcile=64,seed=9,,")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultSpec{Seed: 9, DropProb: 0.01, CorruptProb: 0.02, CreditLeakProb: 0.03, StallProb: 0.04,
-		StallLen: 5, MaxRetries: 6, DropTimeout: 7, NackLatency: 8, ReconcileEvery: 64}
-	if *got != want {
-		t.Errorf("parsed %+v, want %+v", *got, want)
-	}
-	for _, bad := range []string{"", " ", "drop", "drop=1.5", "stall=-0.1", "leak=x", "drop=nan", "leak=NaN", "stall=+Inf", "stalllen=-1", "retries=1.5",
-		"reconcile=-1", "seed=-1", "dorp=0.1"} {
-		if fs, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("spec %q accepted as %+v", bad, *fs)
-		}
-	}
-}
-
-// FuzzParseFaultSpec: whatever the -faults flag is given, the result is an
-// error or a spec the injector can run — every probability in [0,1] (NaN is
-// not), every count non-negative.
-func FuzzParseFaultSpec(f *testing.F) {
-	f.Add("drop=0.002,corrupt=0.002,leak=0.001,stall=0.0005,stalllen=6,reconcile=256")
-	f.Add("drop=0.005,retries=1")
-	f.Add(" Drop = 1e-3 ,, seed=18446744073709551615, timeout=7,nack=0")
-	f.Add("drop=nan")
-	f.Fuzz(func(t *testing.T, spec string) {
-		fs, err := ParseFaultSpec(spec)
-		if err != nil {
-			return
-		}
-		for _, p := range []float64{fs.DropProb, fs.CorruptProb, fs.CreditLeakProb, fs.StallProb} {
-			if !(p >= 0 && p <= 1) {
-				t.Fatalf("spec %q parsed with probability %v: %+v", spec, p, *fs)
-			}
-		}
-		if min(fs.StallLen, fs.MaxRetries, fs.DropTimeout, fs.NackLatency) < 0 || fs.ReconcileEvery < 0 {
-			t.Fatalf("spec %q parsed with a negative count: %+v", spec, *fs)
-		}
-	})
-}
-
 // TestZeroLoadRelation is metamorphic relation (iv): a lone packet on an
 // idle network takes LinkLatency + hops·(3+LinkLatency) + (Size−1) cycles
 // from creation to ejection — injection link, RC+VA+SA and ST/LT per router

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"rair/internal/faults"
 	"rair/internal/msg"
 	"rair/internal/network"
 	"rair/internal/obs"
@@ -14,7 +13,7 @@ import (
 
 // ReportSchema is the version of the run record's JSON layout. It changes
 // whenever a field is renamed, removed or changes meaning.
-const ReportSchema = 1
+const ReportSchema = 2
 
 // Report is the run record: one self-describing value per run holding the
 // resolved configuration, the results String prints and, when switched on,
@@ -25,8 +24,8 @@ type Report struct {
 	// Schema is ReportSchema.
 	Schema int `json:"schema"`
 	// Config is the configuration the run used with its defaults resolved:
-	// mesh, layout, scheme, routing, seed, the router microarchitecture and
-	// the fault seed.
+	// mesh, layout, scheme, routing, seed and the router
+	// microarchitecture.
 	Config Config `json:"config"`
 	// Workers is the tick-engine shard count the run actually used
 	// (Config.Workers <= 1 collapses to one serial shard).
@@ -44,8 +43,6 @@ type Report struct {
 	// Engine is the tick engine's self-profile (Config.Telemetry). It is
 	// wall-clock time, the one section two identical runs disagree on.
 	Engine *network.EngineProfile `json:"engine,omitempty"`
-	// Faults summarizes fault-injection outcomes (Config.Faults).
-	Faults *FaultReport `json:"faults,omitempty"`
 
 	tel *telemetry.Collector
 }
@@ -69,11 +66,6 @@ type Results struct {
 	// AvgHops is the mean router-traversal count.
 	AvgHops float64 `json:"avgHops"`
 }
-
-// FaultReport is the aggregated fault-injection outcome of a run: Totals
-// over all links, the router stall figures, and one counter block per link
-// that saw an event.
-type FaultReport = faults.Report
 
 func (r *Report) String() string {
 	if r.Results == nil {
@@ -139,7 +131,6 @@ func (r *Report) walkMetrics(emit obs.Emit) {
 			emit(dName, dHelp, "counter", l+`,bucket="native"`, float64(row.NativeCycles))
 			emit(dName, dHelp, "counter", l+`,bucket="foreign"`, float64(row.ForeignCycles))
 			emit(dName, dHelp, "counter", l+`,bucket="escape"`, float64(row.EscapeCycles))
-			emit(dName, dHelp, "counter", l+`,bucket="fault"`, float64(row.FaultCycles))
 		}
 		for i := range a.Rows {
 			emit("rair_attributed_packets_total", "Ejected packets folded into the decomposition.", "counter",
@@ -157,7 +148,6 @@ func (r *Report) walkMetrics(emit obs.Emit) {
 		emit(bName, bHelp, "counter", `cause="native"`, float64(t.AttrNativeCycles))
 		emit(bName, bHelp, "counter", `cause="foreign"`, float64(t.AttrForeignCycles))
 		emit(bName, bHelp, "counter", `cause="escape"`, float64(t.AttrEscapeCycles))
-		emit(bName, bHelp, "counter", `cause="fault"`, float64(t.AttrFaultCycles))
 	}
 
 	byPhase := map[string]*network.BarrierProfile{}
