@@ -36,29 +36,26 @@ func golden(t *testing.T, path, got string) (want string, drifted bool) {
 
 // TestExperimentGoldens pins every registered experiment byte-for-byte: text
 // and CSV at a reduced fixed setting (seed 1, quick axes) against
-// testdata/experiments/<name>.txt|.csv, and the verdict and slack of every
-// shape guard on those CSVs against testdata/experiments/guards.txt. A
-// refactor of the drivers, the table writers or the scenarios must leave
-// every file untouched; a deliberate behaviour change regenerates them with
+// testdata/experiments/<name>.txt|.csv. A refactor of the drivers, the table
+// writers or the scenarios must leave every file untouched; a deliberate
+// behaviour change regenerates them with
 //
 //	RAIR_UPDATE_GOLDENS=1 go test ./...
 //
-// and reviews the diff, where guards.txt shows how each guard's slack moved.
-// Guards calibrated at quick durations may fail at these shorter ones; such
-// a failure is recorded in guards.txt, not loosened.
+// and reviews the diff. These windows are shorter than the guards were
+// calibrated for, so no verdict is taken here: TestGoldenQuickStore judges
+// the guards at quick durations.
 func TestExperimentGoldens(t *testing.T) {
 	dur := harness.Durations{Warmup: 200, Measure: 800, Drain: 3000}
-	var recs []sweep.Record
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
 			text, csv, err := runExperiment(e.Name, dur, true, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := sweep.Record{Key: e.Name, Experiment: e.Name, Seed: 1, Quick: true, Text: text, CSV: csv}
-			recs = append(recs, rec)
 			path := filepath.Join("testdata", "experiments", e.Name)
 			if want, drifted := golden(t, path+".csv", csv); drifted {
+				rec := sweep.Record{Key: e.Name, Experiment: e.Name, Seed: 1, Quick: true, Text: text, CSV: csv}
 				old := rec
 				old.CSV = want
 				t.Errorf("%s.csv drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended):\n%s",
@@ -74,18 +71,43 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 		})
 	}
-	path := filepath.Join("testdata", "experiments", "guards.txt")
-	got := sweep.CheckStore(recs, Guards()).String() + "\n"
-	if want, drifted := golden(t, path, got); drifted {
-		t.Errorf("%s drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)\n--- got\n%s--- want\n%s", path, got, want)
-	}
 }
 
-// TestGoldenQuickStore owns testdata/sweep/golden_quick.jsonl, the store the
-// shape-guard CI job diffs a fresh quick sweep against: every guard of an
-// experiment it holds must pass on it. Under RAIR_UPDATE_GOLDENS=1 it first
-// reruns testdata/sweep/quick.json into the store through RunJob, as
-// rairsweep run does (minutes, not milliseconds).
+// recorded names one guard finding on the golden quick store.
+type recorded struct {
+	Experiment string
+	Seed       uint64
+	Guard      string
+}
+
+// recordedFailures are the guard findings on the golden quick store known to
+// fail. No bound moves to make them pass; the list is exact, so a fix that
+// makes one pass must also remove it here.
+//
+// Figure 17's magnitude term, RA_RAIR <= 2/3 x RO_RR, holds at seed 1 only
+// (the ordering itself holds at every seed): RO_RR's average rides on its
+// blackscholes slowdown, which spans 1.75-5.35 across seeds 1-5, a ratio of
+// two unpaired runs. Paired baselines (ROADMAP 3(b)) are what is expected to
+// move it.
+var recordedFailures = []recorded{
+	{"fig17", 2, fig17Ordering},
+	{"fig17", 3, fig17Ordering},
+	{"fig17", 4, fig17Ordering},
+	{"fig17", 5, fig17Ordering},
+}
+
+// fig17Ordering is the name of fig17's ordering guard in experiments.go.
+const fig17Ordering = "adversarial slowdown ordering RO_RR > RA_DBAR > RO_Rank >= RA_RAIR"
+
+// TestGoldenQuickStore is the one guard verdict: it owns
+// testdata/sweep/golden_quick.jsonl, every guarded experiment at seeds 1-5
+// and quick durations, and its verdict file testdata/sweep/guards.txt. Every
+// guard finding on the store must pass except recordedFailures, which must
+// still fail. The shape-guard CI job diffs a fresh sweep of
+// testdata/sweep/quick.json against the store at zero tolerance, and a
+// verdict is a pure function of the CSVs, so together they judge the PR's
+// code. Under RAIR_UPDATE_GOLDENS=1 it first reruns the manifest into the
+// store through RunJob, as rairsweep run does (minutes, not milliseconds).
 func TestGoldenQuickStore(t *testing.T) {
 	const path = "testdata/sweep/golden_quick.jsonl"
 	if updateGoldens() {
@@ -109,7 +131,30 @@ func TestGoldenQuickStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := sweep.CheckStore(recs, Guards()); !rep.OK() {
-		t.Fatalf("%s fails its guards:\n%s", path, rep)
+	rep := sweep.CheckStore(recs, Guards())
+	const verdicts = "testdata/sweep/guards.txt"
+	got := rep.String() + "\n"
+	if want, drifted := golden(t, verdicts, got); drifted {
+		t.Errorf("%s drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)\n--- got\n%s--- want\n%s", verdicts, got, want)
+	}
+	if len(rep.Missing) > 0 {
+		t.Errorf("%s lacks guarded experiments %v", path, rep.Missing)
+	}
+	want := make(map[recorded]bool)
+	for _, r := range recordedFailures {
+		want[r] = true
+	}
+	for _, f := range rep.Findings {
+		r := recorded{f.Experiment, f.Seed, f.Guard}
+		switch {
+		case f.Err != nil && !want[r]:
+			t.Errorf("%s seed=%d %s: %v", f.Experiment, f.Seed, f.Guard, f.Err)
+		case f.Err == nil && want[r]:
+			t.Errorf("%s seed=%d %s passes now [slack %.3g]: remove it from recordedFailures", f.Experiment, f.Seed, f.Guard, f.Slack)
+		}
+		delete(want, r)
+	}
+	for r := range want {
+		t.Errorf("recorded failure %+v matches no finding in %s", r, path)
 	}
 }

@@ -83,7 +83,7 @@ func (p *Panel) ChipletTable() *Table {
 	t := &Table{Title: p.Title, Header: []string{"scheme", "base apl", "co apl", "slowdown", "co p99"}}
 	for ri, label := range p.Labels {
 		// Slowdown gets three decimals: the calibrated boundary-gating
-		// margin the chiplet-smoke guards check is below the 0.01
+		// margin the chiplet-synth guards check is below the 0.01
 		// resolution the other tables round to.
 		t.AddRow(label, f2(p.Base[ri][0]), f2(p.APL[ri][0]), fmt.Sprintf("%.3f", p.Slowdown(ri, 0)),
 			f2(p.Cols[ri].App(0).Percentile(99)))

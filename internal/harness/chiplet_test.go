@@ -81,7 +81,7 @@ func TestChipletRunDeterminism(t *testing.T) {
 }
 
 // TestChipletSynthOrdering locks the calibrated boundary-interference
-// signal the chiplet-smoke CI gate depends on: interference is present
+// signal the chiplet-synth guards depend on: interference is present
 // under the baseline, and RAIR's boundary gating contains it.
 func TestChipletSynthOrdering(t *testing.T) {
 	res := ChipletSynth(QuickDurations(), 1)

@@ -45,12 +45,15 @@ var desyncs = []desync{
 		return false
 	}, true},
 	// (b) The only SA candidate of a port, on an output nobody else wants,
-	// leaves the candidate set; or a credit-dry stream whose tail is already
-	// buffered loses its occupancy bit, so the refill never re-arms it.
+	// leaves the candidate set, and the emptied port leaves saPorts, as a
+	// missed event site would leave them; or a credit-dry stream whose tail
+	// is already buffered loses its occupancy bit, so the refill never
+	// re-arms it.
 	{"b/in.saElig", func(g *rig) bool {
 		r := g.router()
 		if d, i, ok := soleCandidate(r); ok {
 			r.in[d].saElig &^= 1 << uint(i)
+			r.saPorts &^= 1 << uint(d)
 			return true
 		}
 		return false

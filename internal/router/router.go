@@ -411,9 +411,6 @@ func (r *Router) switchAllocation() {
 		d := topology.Dir(bits.TrailingZeros8(pm))
 		in := r.in[d]
 		elig := in.saElig
-		if elig == 0 {
-			continue
-		}
 		w := bits.TrailingZeros64(elig)
 		if elig&(elig-1) == 0 {
 			r.saInArb[d].GrantSingle(w)

@@ -56,6 +56,7 @@ func (r *retained) histogram(bins int) string {
 	}
 	bins = min(max(bins, 1), 40)
 	lo, hi := r.percentile(0), r.percentile(100)
+	lo += 0 // a -0 sample prints as the 0 Dist keeps; every other reader compares with ==
 	width := (hi - lo) / float64(bins)
 	if width <= 0 {
 		return fmt.Sprintf("%8.1f | all %d samples\n", lo, len(r.samples))
@@ -142,6 +143,7 @@ func TestDistMatchesRetainedSamples(t *testing.T) {
 		{denseCap - 1, denseCap, denseCap + 0.5, denseCap - 1},
 		{0.1, 0.2, 0.3, 1e-300, 1e300, -1e300},
 		{1, 64, 63, 65, 4096, 1},
+		{math.Copysign(0, -1)},
 	}
 	for _, vals := range fixed {
 		d, r := fill(vals)

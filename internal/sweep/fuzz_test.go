@@ -76,13 +76,17 @@ func FuzzLoadStore(f *testing.F) {
 // either fails or yields a manifest that validates or not without a panic,
 // and one that loads writes back to a file expanding to the same jobs.
 func FuzzLoadManifest(f *testing.F) {
-	for _, name := range []string{"quick", "collective", "chiplet", "nightly"} {
+	for _, name := range []string{"quick", "nightly"} {
 		raw, err := os.ReadFile("../../testdata/sweep/" + name + ".json")
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(raw)
 	}
+	// Manifests where one experiment overrides the default seed list and
+	// the next inherits it.
+	f.Add([]byte(`{"name":"collective-smoke","quick":true,"seeds":[1],"experiments":[{"name":"coll-synth","seeds":[1,2,3]},{"name":"coll-allreduce"}]}`))
+	f.Add([]byte(`{"name":"chiplet-smoke","quick":true,"seeds":[1],"experiments":[{"name":"chiplet-synth","seeds":[1,2,3]},{"name":"mesh64-scale"}]}`))
 	f.Add([]byte(`{"name":"x","quick":true,"seeds":[0],"experiments":[{"name":"fig9","seeds":[]}]} {}`))
 	var known []string
 	for _, e := range rair.Experiments() {
