@@ -238,6 +238,10 @@ func cmdCheck(args []string) error {
 	}
 	rep := sweep.CheckStore(recs, rair.Guards())
 	fmt.Println(rep)
+	known, problems := rair.GuardVerdict(rep)
+	for _, r := range known {
+		fmt.Printf("recorded %s: a known failure\n", r)
+	}
 	if *summary != "" {
 		f, err := os.Create(*summary)
 		if err != nil {
@@ -252,11 +256,11 @@ func cmdCheck(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", *summary)
 	}
-	if !rep.OK() {
-		if len(rep.Findings) == 0 {
-			return fmt.Errorf("no guarded experiments in %s (%d records)", *storePath, len(recs))
-		}
-		return fmt.Errorf("%d shape guard(s) failed", rep.Failed())
+	if len(rep.Findings) == 0 {
+		return fmt.Errorf("no guarded experiments in %s (%d records)", *storePath, len(recs))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("%d guard finding(s) break the verdict:\n  %s", len(problems), strings.Join(problems, "\n  "))
 	}
 	return nil
 }

@@ -73,41 +73,16 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 }
 
-// recorded names one guard finding on the golden quick store.
-type recorded struct {
-	Experiment string
-	Seed       uint64
-	Guard      string
-}
-
-// recordedFailures are the guard findings on the golden quick store known to
-// fail. No bound moves to make them pass; the list is exact, so a fix that
-// makes one pass must also remove it here.
-//
-// Figure 17's magnitude term, RA_RAIR <= 2/3 x RO_RR, holds at seed 1 only
-// (the ordering itself holds at every seed): RO_RR's average rides on its
-// blackscholes slowdown, which spans 1.75-5.35 across seeds 1-5, a ratio of
-// two unpaired runs. Paired baselines (ROADMAP 3(b)) are what is expected to
-// move it.
-var recordedFailures = []recorded{
-	{"fig17", 2, fig17Ordering},
-	{"fig17", 3, fig17Ordering},
-	{"fig17", 4, fig17Ordering},
-	{"fig17", 5, fig17Ordering},
-}
-
-// fig17Ordering is the name of fig17's ordering guard in experiments.go.
-const fig17Ordering = "adversarial slowdown ordering RO_RR > RA_DBAR > RO_Rank >= RA_RAIR"
-
 // TestGoldenQuickStore is the one guard verdict: it owns
 // testdata/sweep/golden_quick.jsonl, every guarded experiment at seeds 1-5
 // and quick durations, and its verdict file testdata/sweep/guards.txt. Every
 // guard finding on the store must pass except recordedFailures, which must
-// still fail. The shape-guard CI job diffs a fresh sweep of
-// testdata/sweep/quick.json against the store at zero tolerance, and a
-// verdict is a pure function of the CSVs, so together they judge the PR's
-// code. Under RAIR_UPDATE_GOLDENS=1 it first reruns the manifest into the
-// store through RunJob, as rairsweep run does (minutes, not milliseconds).
+// still fail (GuardVerdict, rairsweep check's verdict too). The shape-guard
+// CI job diffs a fresh sweep of testdata/sweep/quick.json against the store
+// at zero tolerance, and a verdict is a pure function of the CSVs, so
+// together they judge the PR's code. Under RAIR_UPDATE_GOLDENS=1 it first
+// reruns the manifest into the store through RunJob, as rairsweep run does
+// (minutes, not milliseconds).
 func TestGoldenQuickStore(t *testing.T) {
 	const path = "testdata/sweep/golden_quick.jsonl"
 	if updateGoldens() {
@@ -140,21 +115,15 @@ func TestGoldenQuickStore(t *testing.T) {
 	if len(rep.Missing) > 0 {
 		t.Errorf("%s lacks guarded experiments %v", path, rep.Missing)
 	}
-	want := make(map[recorded]bool)
-	for _, r := range recordedFailures {
-		want[r] = true
+	known, problems := GuardVerdict(rep)
+	for _, p := range problems {
+		t.Error(p)
 	}
-	for _, f := range rep.Findings {
-		r := recorded{f.Experiment, f.Seed, f.Guard}
-		switch {
-		case f.Err != nil && !want[r]:
-			t.Errorf("%s seed=%d %s: %v", f.Experiment, f.Seed, f.Guard, f.Err)
-		case f.Err == nil && want[r]:
-			t.Errorf("%s seed=%d %s passes now [slack %.3g]: remove it from recordedFailures", f.Experiment, f.Seed, f.Guard, f.Slack)
-		}
-		delete(want, r)
+	recorded := 0
+	for _, seeds := range recordedFailures {
+		recorded += len(seeds)
 	}
-	for r := range want {
-		t.Errorf("recorded failure %+v matches no finding in %s", r, path)
+	if len(known) != recorded {
+		t.Errorf("%s holds %d of the %d recorded failures: %v", path, len(known), recorded, known)
 	}
 }

@@ -89,9 +89,8 @@ type Target struct {
 	Mesh    *topology.Mesh
 	Routers []*router.Router
 	NIs     []*router.NI
-	// Links is the network's wiring table, one record per link. The
-	// network keeps no copy: the checker is its only holder after the build.
-	Links []router.LinkRecord
+	// Links calls fn with the ends of every link of the wiring table.
+	Links func(fn func(src, dst router.LinkEnd))
 	// Telemetry, when attached, is snapshotted into the watchdog dump.
 	Telemetry *telemetry.Collector
 	// Quiesce, when non-nil, audits the tick engine's quiescence machinery
@@ -144,15 +143,27 @@ func NewChecker(cfg Config, t Target) *Checker {
 	return &Checker{
 		cfg: cfg, t: t,
 		hops: make(map[[2]uint64]int), hopsPrev: make(map[[2]uint64]int),
-		wireFlits: make([]int, t.VCs), wireCreds: make([]int, t.VCs),
-		stHold: make([]int, t.VCs), recvBuf: make([]int, t.VCs),
-		sendCred: make([]int, t.VCs),
+		wireFlits: make([]int, t.VCs), wireCreds: make([]int, t.VCs), stHold: make([]int, t.VCs),
+		recvBuf: make([]int, t.VCs), sendCred: make([]int, t.VCs),
 	}
 }
 
-// Links returns the wiring table the checker audits, the one the network
-// was built and its engine bound with.
-func (c *Checker) Links() []router.LinkRecord { return c.t.Links }
+// EachLink calls fn for every link with its sender's flit wire handle and
+// the VC of the credit in flight back (-1: none, as on ejection links).
+func (c *Checker) EachLink(fn func(src, dst router.LinkEnd, w router.FlitWire, credit int)) {
+	c.t.Links(func(src, dst router.LinkEnd) {
+		w := c.t.NIs[src.Node].Injection()
+		if !src.NI {
+			w, _ = c.t.Routers[src.Node].Wires(src.Dir)
+		}
+		credit := -1
+		if !dst.NI {
+			_, in := c.t.Routers[dst.Node].Wires(dst.Dir)
+			credit = in.InFlight()
+		}
+		fn(src, dst, w, credit)
+	})
+}
 
 // Err summarizes recorded violations as an error, nil when the run was
 // clean.
@@ -219,9 +230,7 @@ func (c *Checker) checkConservation(now int64) {
 	for _, r := range c.t.Routers {
 		inside += int64(r.BufferedFlits())
 	}
-	for _, ref := range c.t.Links {
-		inside += int64(ref.L.InFlightFlits())
-	}
+	c.EachLink(func(_, _ router.LinkEnd, w router.FlitWire, _ int) { w.Each(func(msg.Flit) { inside++ }) })
 	if injected != consumed+inside {
 		c.report(now, "conservation",
 			"injected %d != consumed %d + inside %d", injected, consumed, inside)
@@ -231,40 +240,42 @@ func (c *Checker) checkConservation(now int64) {
 // checkCredits validates the per-(link,VC) credit identity. Ejection links
 // carry no credits (the NI sink accepts unconditionally) and are skipped.
 func (c *Checker) checkCredits(now int64) {
-	for _, ref := range c.t.Links {
-		if ref.Dst.NI {
-			continue
+	c.EachLink(func(src, dst router.LinkEnd, w router.FlitWire, credit int) {
+		if dst.NI {
+			return
 		}
 		for vc := 0; vc < c.t.VCs; vc++ {
 			c.wireFlits[vc], c.wireCreds[vc], c.stHold[vc], c.recvBuf[vc], c.sendCred[vc] = 0, 0, 0, 0, 0
 		}
-		ref.L.AuditFlits(func(f msg.Flit) { c.wireFlits[f.VC]++ })
-		ref.L.AuditCredits(func(vc int) { c.wireCreds[vc]++ })
-		if ref.Src.NI {
-			ni := c.t.NIs[ref.Src.Node]
+		w.Each(func(f msg.Flit) { c.wireFlits[f.VC]++ })
+		if credit >= 0 {
+			c.wireCreds[credit]++
+		}
+		if src.NI {
+			ni := c.t.NIs[src.Node]
 			for vc := 0; vc < c.t.VCs; vc++ {
 				c.sendCred[vc] = ni.CreditCount(vc)
 			}
 		} else {
-			sr := c.t.Routers[ref.Src.Node]
-			sr.AuditOutputVCs(ref.Src.Dir, func(s router.OutputVCState) { c.sendCred[s.VC] = s.Credits })
-			if f, ok := sr.STRegister(ref.Src.Dir); ok {
+			sr := c.t.Routers[src.Node]
+			sr.AuditOutputVCs(src.Dir, func(s router.OutputVCState) { c.sendCred[s.VC] = s.Credits })
+			if f, ok := sr.STRegister(src.Dir); ok {
 				c.stHold[f.VC]++
 			}
 		}
-		c.t.Routers[ref.Dst.Node].AuditInputVCs(ref.Dst.Dir, func(s router.InputVCState) {
+		c.t.Routers[dst.Node].AuditInputVCs(dst.Dir, func(s router.InputVCState) {
 			c.recvBuf[s.VC] = s.Buffered
 		})
 		for vc := 0; vc < c.t.VCs; vc++ {
 			sum := c.sendCred[vc] + c.stHold[vc] + c.wireFlits[vc] + c.recvBuf[vc] + c.wireCreds[vc]
 			if sum != c.t.Depth {
 				c.report(now, "credit-accounting",
-					"link %s vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, receiver buffered %d, wire credits %d)",
-					ref.Key(), vc, sum, c.t.Depth,
+					"link %v>%v vc %d: sum %d != depth %d (sender credits %d, st %d, wire flits %d, receiver buffered %d, wire credits %d)",
+					src, dst, vc, sum, c.t.Depth,
 					c.sendCred[vc], c.stHold[vc], c.wireFlits[vc], c.recvBuf[vc], c.wireCreds[vc])
 			}
 		}
-	}
+	})
 }
 
 // checkAllocation validates atomic VC allocation at every router, and the

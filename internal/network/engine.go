@@ -8,8 +8,8 @@
 //	phase 3 (cong):    DBAR congestion fill, then a separate swap phase
 //
 // Sharding is bit-exact because all cross-component communication flows
-// through latched links, and each delay line is touched by exactly one shard
-// per phase: a link's flit wire belongs to the shard of its receiver (which
+// through latched links, and each wire is touched by exactly one shard per
+// phase: a link's flit wire belongs to the shard of its receiver (which
 // shifts and delivers it in phase 1 and is the only pusher of its credit wire
 // in phase 2), and its credit wire belongs to the shard of its sender
 // (symmetrically). The congestion fill reads neighbor state that phase 2 no
@@ -38,17 +38,6 @@ const (
 	phaseCongSwap
 )
 
-// wire is one direction of one link as seen by the shard that receives on
-// it: the link and the receiver, router r's port dir or the NI (the other
-// is nil). Each shard keeps its wires as values in two dense slices, so
-// phase 1 is a tight loop of direct calls behind a two-way receiver branch.
-type wire struct {
-	link *router.Link
-	r    *router.Router
-	ni   *router.NI
-	dir  topology.Dir // port at r
-}
-
 // ejection buffers one delivered packet so OnEject callbacks run on the
 // coordinating goroutine in deterministic node order, never concurrently.
 type ejection struct {
@@ -63,32 +52,15 @@ type shard struct {
 	routers []*router.Router
 	nis     []*router.NI
 
-	// flit holds the flit wire of every link whose receiver the shard owns,
-	// cred the credit wire of every link whose sender it owns (an ejection
-	// link has none: the NI sink never returns a credit). Both are stable
-	// filters of the network's link table, router receivers before NI
-	// receivers; see bind.
-	flit, cred []wire
-	// flitNI and credNI are where the NI receivers start in flit and cred;
-	// the sweep picks the receiver by index, which measured 5-8 % faster
-	// over the link phase at 32×32 than testing the wire's r for nil.
-	flitNI, credNI int
+	// The flit wires of the links whose receiver the shard owns, the credit
+	// wires of those whose sender it owns (ejection links have none).
+	flits router.FlitSlab
+	creds router.CreditSlab
 
 	// soa is the shard's dense state store (see router.SoA); lo the first
 	// node id of the shard's contiguous range.
 	soa *router.SoA
 	lo  int
-
-	// Dirty-wire bitmaps: bit i of flitDirty is flit[i], of credDirty
-	// cred[i]. A push onto a shard-local wire sets its bit through the
-	// link's wake mark; the phase-1 sweep clears a bit once the wire is idle
-	// after processing. Cross-shard wires are kept on the foreign lists and
-	// polled unconditionally (see bind).
-	flitDirty []uint64
-	credDirty []uint64
-
-	foreignFlit []int32 // flit indices fed by another shard
-	foreignCred []int32 // cred indices fed by another shard
 
 	// ejections buffers OnEject calls made during phase 1 (only allocated
 	// when the network has an OnEject observer).
@@ -190,63 +162,39 @@ func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, 
 	return e
 }
 
-// bind derives every shard's wires from the link table. A link's flit wire
-// goes to the shard of its receiver (which shifts and delivers it in phase 1)
-// and its credit wire to the shard of its sender. Either is foreign when the
-// two shards differ: its pusher must never write this shard's bitmap, so the
-// wire carries no wake mark and is polled every cycle instead. Only mesh
-// links across a shard boundary are foreign — O(mesh width) per shard, their
-// receivers always routers. Router receivers are bound before NI receivers,
-// each in table order, so a sweep in index order visits mesh and injection
-// links in wiring order, then ejection links in node order — the order
-// ejection callbacks replay in.
-func (e *engine) bind(links []router.LinkRecord) {
+// bind lays out every shard's slabs, counted to allocate them exactly, and
+// hands each pushing end its handle. A flit wire belongs to its receiver's
+// shard, a credit wire to its sender's; either is foreign when they differ.
+// Router receivers come before NIs, each in table order, so ejection links
+// are swept in node order — the order ejections replay in.
+func (e *engine) bind(links []link, latency int) {
+	nFlit, nCred := make([]int, len(e.shards)), make([]int, len(e.shards))
+	for _, l := range links {
+		nFlit[e.part.of(l.dst.Node)]++
+		if !l.dst.NI {
+			nCred[e.part.of(l.src.Node)]++
+		}
+	}
+	for i, sh := range e.shards {
+		sh.flits.Init(nFlit[i], sh.lo)
+		sh.creds.Init(nCred[i], sh.lo)
+	}
 	for _, toNI := range [...]bool{false, true} {
-		for _, sh := range e.shards {
-			sh.flitNI, sh.credNI = len(sh.flit), len(sh.cred)
-		}
-		for _, rec := range links {
-			src, dst := e.shardOf(rec.Src.Node), e.shardOf(rec.Dst.Node)
-			if rec.Dst.NI == toNI {
-				if src != dst {
-					dst.foreignFlit = append(dst.foreignFlit, int32(len(dst.flit)))
+		for _, l := range links {
+			src, dst := e.shardOf(l.src.Node), e.shardOf(l.dst.Node)
+			if l.dst.NI == toNI {
+				w := dst.flits.Add(latency, l.dst, src != dst)
+				if l.src.NI {
+					src.nis[l.src.Node-src.lo].ConnectInjection(w)
+				} else {
+					e.routers[l.src.Node].ConnectOut(l.src.Dir, w)
 				}
-				dst.flit = append(dst.flit, dst.wireTo(rec.L, rec.Dst))
 			}
-			if rec.Src.NI == toNI && !rec.Dst.NI {
-				if src != dst {
-					src.foreignCred = append(src.foreignCred, int32(len(src.cred)))
-				}
-				src.cred = append(src.cred, src.wireTo(rec.L, rec.Src))
+			if l.src.NI == toNI && !l.dst.NI {
+				e.routers[l.dst.Node].ConnectIn(l.dst.Dir, src.creds.Add(l.src, src != dst))
 			}
 		}
 	}
-	for _, sh := range e.shards {
-		sh.flitDirty = attachWakes(sh.flit, sh.foreignFlit, (*router.Link).SetFlitWake)
-		sh.credDirty = attachWakes(sh.cred, sh.foreignCred, (*router.Link).SetCreditWake)
-	}
-}
-
-// wireTo returns the wire that delivers what arrives on l to end, a router
-// port or NI of this shard.
-func (sh *shard) wireTo(l *router.Link, end router.LinkEnd) wire {
-	if end.NI {
-		return wire{link: l, ni: sh.nis[end.Node-sh.lo]}
-	}
-	return wire{link: l, r: sh.routers[end.Node-sh.lo], dir: end.Dir}
-}
-
-// attachWakes returns a dirty bitmap over wires with every wire's wake mark
-// attached to its bit, the foreign ones excepted.
-func attachWakes(wires []wire, foreign []int32, setWake func(*router.Link, *uint64, uint8)) []uint64 {
-	dirty := make([]uint64, (len(wires)+63)/64)
-	for i := range wires {
-		setWake(wires[i].link, &dirty[i>>6], uint8(i&63))
-	}
-	for _, i := range foreign {
-		setWake(wires[i].link, nil, 0)
-	}
-	return dirty
 }
 
 // shardOf returns the shard owning node id.
@@ -313,87 +261,8 @@ func (e *engine) exec(sh *shard, ph enginePhase) {
 func (e *engine) execPhase(sh *shard, ph enginePhase) {
 	switch ph {
 	case phaseLinks:
-		// Dirty-wire sweep: only wires with something in flight have their
-		// bit set (pushes set it through the link's wake mark), so quiescent
-		// wires cost nothing — not even the FlitsBusy probe. A bit is
-		// cleared once its wire is idle after processing; retransmission
-		// state keeps a wire busy and therefore dirty. Bits are walked in
-		// ascending index order, the order bind laid the wires out in (in
-		// particular ejection order, which statistics replay depends on).
-		// Cross-shard wires are polled from the foreign lists; their
-		// deliveries only add to commutative per-port state, so processing
-		// them after the dirty wires of the same kind cannot change results.
-		now := e.now
-		// Sweep-size counters; folded into the shard's profile block only
-		// when profiling is on (register increments otherwise).
-		var dirtyFlit, dirtyCred int64
-		flitNI, credNI := sh.flitNI, sh.credNI
-		for wi, w := range sh.flitDirty {
-			if w == 0 {
-				continue
-			}
-			keep := uint64(0)
-			base := wi << 6
-			for m := w; m != 0; m &= m - 1 {
-				i := base + bits.TrailingZeros64(m)
-				dirtyFlit++
-				// By value: addressed in place, &sh.flit[i] is re-derived
-				// after each call below (1-2 % of the link phase).
-				b := sh.flit[i]
-				if f, ok := b.link.ShiftFlits(); ok {
-					if i < flitNI {
-						b.r.DeliverFlit(b.dir, f)
-					} else {
-						b.ni.DeliverFlit(f, now)
-					}
-				}
-				if b.link.FlitsBusy() {
-					keep |= 1 << (uint(i) & 63)
-				}
-			}
-			sh.flitDirty[wi] = keep
-		}
-		for _, i := range sh.foreignFlit {
-			b := &sh.flit[i]
-			if !b.link.FlitsBusy() {
-				continue
-			}
-			if f, ok := b.link.ShiftFlits(); ok {
-				b.r.DeliverFlit(b.dir, f)
-			}
-		}
-		for wi, w := range sh.credDirty {
-			if w == 0 {
-				continue
-			}
-			keep := uint64(0)
-			base := wi << 6
-			for m := w; m != 0; m &= m - 1 {
-				i := base + bits.TrailingZeros64(m)
-				dirtyCred++
-				b := sh.cred[i]
-				if vc, ok := b.link.ShiftCredits(); ok {
-					if i < credNI {
-						b.r.DeliverCredit(b.dir, vc)
-					} else {
-						b.ni.DeliverCredit(vc)
-					}
-				}
-				if b.link.CreditsBusy() {
-					keep |= 1 << (uint(i) & 63)
-				}
-			}
-			sh.credDirty[wi] = keep
-		}
-		for _, i := range sh.foreignCred {
-			b := &sh.cred[i]
-			if !b.link.CreditsBusy() {
-				continue
-			}
-			if vc, ok := b.link.ShiftCredits(); ok {
-				b.r.DeliverCredit(b.dir, vc)
-			}
-		}
+		dirtyFlit := sh.flits.Sweep(sh.routers, sh.nis, e.now)
+		dirtyCred := sh.creds.Sweep(sh.routers, sh.nis)
 		if p := e.prof; p != nil {
 			sp := &p.shards[sh.idx]
 			sp.dirtyFlit += dirtyFlit

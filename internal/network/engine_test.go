@@ -203,8 +203,8 @@ func TestEngineWorkerLifecycle(t *testing.T) {
 // gap or overlap, of inverts bounds for every node, and the engine's shards
 // are exactly those ranges — including node counts the shard count does not
 // divide, where the boundaries are uneven. Then, on wired networks, the link
-// table holds every link once and each shard's wires are exactly its share
-// of it (checkWiring).
+// table holds every link once and each shard's wire slabs are exactly its
+// share of it (checkWiring).
 func TestEngineShardPartition(t *testing.T) {
 	for _, tc := range []struct{ nodes, workers, shards int }{
 		{16, 1, 1}, {16, 2, 2}, {16, 3, 3}, {16, 5, 5}, {16, 16, 16}, {16, 64, 16},
@@ -257,8 +257,7 @@ func TestEngineShardPartition(t *testing.T) {
 				Alg:     routing.MinimalAdaptive{Mesh: tc.regions.Mesh()},
 				Sel:     routing.LocalSelector{},
 				Workers: workers, Chiplets: tc.chips,
-				// The network keeps no wiring table; its checker holds the
-				// one the engine was bound with.
+				// The checker walks the links through the senders' handles.
 				Check: &invariant.Config{},
 			})
 			checkWiring(t, fmt.Sprintf("%s workers=%d", tc.name, workers), n)
@@ -267,40 +266,46 @@ func TestEngineShardPartition(t *testing.T) {
 	}
 }
 
-// wireAt is the wire delivering what arrives on l to end.
-func wireAt(n *Network, l *router.Link, end router.LinkEnd) wire {
-	if end.NI {
-		return wire{link: l, ni: n.nis[end.Node]}
-	}
-	return wire{link: l, r: n.routers[end.Node], dir: end.Dir}
+// slabWire is one wire of a slab as its Audit reports it.
+type slabWire struct {
+	to      router.LinkEnd
+	foreign bool
 }
 
-// checkWiring audits a network's link table (the one its checker holds, the
-// table the engine was bound with) against the topology and every shard's
-// wire slices against the table.
+// slabWires lists a slab's wires in sweep order. The network has not
+// ticked, so a wire the sweep visits is a foreign one.
+func slabWires(audit func(func(router.LinkEnd, int, bool))) []slabWire {
+	var ws []slabWire
+	audit(func(to router.LinkEnd, _ int, visited bool) { ws = append(ws, slabWire{to, visited}) })
+	return ws
+}
+
+// checkWiring audits a network's link table against the topology, every
+// shard's wire slabs against the table, and the handles the pushing ends
+// hold (as the checker walks them) against both.
 func checkWiring(t *testing.T, name string, n *Network) {
 	t.Helper()
 	mesh, chips := n.mesh, n.chiplets
-	links := n.check.Links()
+	links := linkTable(mesh, chips)
 	// Every link the topology calls for appears exactly once, under a unique
 	// key, and nothing else does — in particular no pair across a tile edge.
-	type ends [2]router.LinkEnd
-	seen, keys := map[ends]int{}, map[string]bool{}
-	for _, rec := range links {
-		seen[ends{rec.Src, rec.Dst}]++
-		if keys[rec.Key()] {
-			t.Fatalf("%s: key %s registered twice", name, rec.Key())
+	key := func(l link) string { return l.src.String() + ">" + l.dst.String() }
+	seen, keys := map[link]int{}, map[string]bool{}
+	for _, l := range links {
+		seen[l]++
+		if keys[key(l)] {
+			t.Fatalf("%s: key %s registered twice", name, key(l))
 		}
-		keys[rec.Key()] = true
-		if chips != nil && !chips.SameChip(rec.Src.Node, rec.Dst.Node) {
-			t.Fatalf("%s: link %s crosses a tile edge", name, rec.Key())
+		keys[key(l)] = true
+		if chips != nil && !chips.SameChip(l.src.Node, l.dst.Node) {
+			t.Fatalf("%s: link %s crosses a tile edge", name, key(l))
 		}
 	}
 	want := 0
 	expect := func(src, dst router.LinkEnd) {
 		want++
-		if seen[ends{src, dst}] != 1 {
-			t.Fatalf("%s: link %v>%v appears %d times", name, src, dst, seen[ends{src, dst}])
+		if seen[link{src, dst}] != 1 {
+			t.Fatalf("%s: link %v>%v appears %d times", name, src, dst, seen[link{src, dst}])
 		}
 	}
 	for id := 0; id < mesh.N(); id++ {
@@ -321,43 +326,45 @@ func checkWiring(t *testing.T, name string, n *Network) {
 	if !keys["ni3>r3"] || !keys["r3>ni3"] || keys["r3>r4"] != (chips == nil) {
 		t.Fatalf("%s: links of node 3 are not keyed ni3>r3, r3>ni3, r3>r4", name)
 	}
-	// Each shard's flit wires are the records whose receiver it owns and its
-	// credit wires those whose sender it owns (ejection links have none), in
-	// table order with router receivers before NI receivers; the wires it
-	// polls as foreign are those whose link has its ends on different shards.
+	// Every pushing end holds a handle: the checker reads each link of the
+	// table through them (an unset handle has no slab to read).
+	walked := 0
+	n.check.EachLink(func(_, _ router.LinkEnd, w router.FlitWire, _ int) { w.Each(func(msg.Flit) {}); walked++ })
+	if walked != len(links) {
+		t.Fatalf("%s: the checker walks %d links, the table holds %d", name, walked, len(links))
+	}
+	// Each shard's flit slab holds the records whose receiver it owns and
+	// its credit slab those whose sender it owns (ejection links have
+	// none), in table order with router receivers before NI receivers; the
+	// wires it polls as foreign are those whose link has its ends on
+	// different shards.
 	foreign := 0
 	for si, sh := range n.eng.shards {
-		var flit, cred []wire
-		var foreignFlit, foreignCred []int32
+		var flit, cred []slabWire
 		for _, toNI := range []bool{false, true} {
-			for _, rec := range links {
-				src, dst := n.eng.shardOf(rec.Src.Node), n.eng.shardOf(rec.Dst.Node)
-				if dst == sh && rec.Dst.NI == toNI {
-					if src != dst {
-						foreignFlit = append(foreignFlit, int32(len(flit)))
-					}
-					flit = append(flit, wireAt(n, rec.L, rec.Dst))
+			for _, l := range links {
+				src, dst := n.eng.shardOf(l.src.Node), n.eng.shardOf(l.dst.Node)
+				if dst == sh && l.dst.NI == toNI {
+					flit = append(flit, slabWire{l.dst, src != dst})
 				}
-				if src == sh && rec.Src.NI == toNI && !rec.Dst.NI {
-					if src != dst {
-						foreignCred = append(foreignCred, int32(len(cred)))
-					}
-					cred = append(cred, wireAt(n, rec.L, rec.Src))
+				if src == sh && l.src.NI == toNI && !l.dst.NI {
+					cred = append(cred, slabWire{l.src, src != dst})
 				}
 			}
 		}
-		if !slices.Equal(sh.flit, flit) || !slices.Equal(sh.cred, cred) {
-			t.Fatalf("%s: shard %d wires are not its share of the table", name, si)
+		if got := slabWires(sh.flits.Audit); !slices.Equal(got, flit) {
+			t.Fatalf("%s: shard %d flit wires are %v, its share of the table is %v", name, si, got, flit)
 		}
-		isNI := func(w wire) bool { return w.ni != nil }
-		if sh.flitNI != slices.IndexFunc(flit, isNI) || sh.credNI != slices.IndexFunc(cred, isNI) {
-			t.Fatalf("%s: shard %d NI receivers start at %d and %d", name, si, sh.flitNI, sh.credNI)
+		if got := slabWires(sh.creds.Audit); !slices.Equal(got, cred) {
+			t.Fatalf("%s: shard %d credit wires are %v, its share of the table is %v", name, si, got, cred)
 		}
-		if !slices.Equal(sh.foreignFlit, foreignFlit) || !slices.Equal(sh.foreignCred, foreignCred) {
-			t.Fatalf("%s: shard %d polls flit wires %v and credit wires %v, foreign are %v and %v",
-				name, si, sh.foreignFlit, sh.foreignCred, foreignFlit, foreignCred)
+		for _, ws := range [][]slabWire{flit, cred} {
+			for _, w := range ws {
+				if w.foreign {
+					foreign++
+				}
+			}
 		}
-		foreign += len(foreignFlit) + len(foreignCred)
 	}
 	// (A shard boundary on a tile edge of the chiplet quad cuts no link.)
 	if chips == nil && (foreign > 0) != (len(n.eng.shards) > 1) {

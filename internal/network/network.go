@@ -19,7 +19,6 @@ package network
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"rair/internal/invariant"
 	"rair/internal/msg"
@@ -184,20 +183,20 @@ func New(p Params) *Network {
 	if p.Profile {
 		n.eng.prof = newEngineProf(len(n.eng.shards))
 	}
-	// The wiring table: the engine's wires and the checker's audits derive
-	// from it; only a checker keeps it.
-	links := linkTable(mesh, p.Chiplets, p.Router.LinkLatency, n.nis)
-	for _, rec := range links {
-		n.connect(rec)
-	}
-	n.eng.bind(links)
+	links := linkTable(mesh, p.Chiplets) // only a checker keeps it
+	n.eng.bind(links, p.Router.LinkLatency)
 	if p.Chiplets != nil {
 		n.xbar = NewCrossbar(p.Chiplets, n.xbarDeliver)
 	}
 	if p.Check != nil {
 		n.check = invariant.NewChecker(*p.Check, invariant.Target{
 			Depth: p.Router.Depth, VCs: p.Router.VCsPerPort(), Mesh: mesh,
-			Routers: n.routers, NIs: n.nis, Links: links,
+			Routers: n.routers, NIs: n.nis,
+			Links: func(fn func(src, dst router.LinkEnd)) {
+				for _, l := range links {
+					fn(l.src, l.dst)
+				}
+			},
 			Telemetry: n.tel,
 			Quiesce:   n.auditQuiescence,
 		})
@@ -208,14 +207,15 @@ func New(p Params) *Network {
 	return n
 }
 
-// linkTable lays out the wiring: one new link per direction per adjacent
-// router pair, then each node's injection and ejection link (which its NI
-// brought along) in ascending node order. In a chiplet system, pairs
-// straddling a tile edge are never wired — the crossbar is the only path
-// between tiles.
-func linkTable(mesh *topology.Mesh, chips *topology.Chiplets, latency int, nis []*router.NI) []router.LinkRecord {
+// link is one row of the wiring table: the flit sender and receiver.
+type link struct{ src, dst router.LinkEnd }
+
+// linkTable lays out the wiring: one link per direction per adjacent
+// router pair, then each node's injection and ejection link. Pairs across
+// a chiplet tile edge are never wired: the crossbar joins the tiles.
+func linkTable(mesh *topology.Mesh, chips *topology.Chiplets) []link {
 	// At most four mesh links and two NI links leave or enter a node.
-	links := make([]router.LinkRecord, 0, 6*mesh.N())
+	links := make([]link, 0, 6*mesh.N())
 	for id := 0; id < mesh.N(); id++ {
 		for _, d := range [...]topology.Dir{topology.East, topology.South} {
 			nb := mesh.Neighbor(id, d)
@@ -223,29 +223,14 @@ func linkTable(mesh *topology.Mesh, chips *topology.Chiplets, latency int, nis [
 				continue
 			}
 			here, there := router.LinkEnd{Node: id, Dir: d}, router.LinkEnd{Node: nb, Dir: d.Opposite()}
-			links = append(links,
-				router.LinkRecord{L: router.NewLink(latency), Src: here, Dst: there},
-				router.LinkRecord{L: router.NewLink(latency), Src: there, Dst: here})
+			links = append(links, link{here, there}, link{there, here})
 		}
 	}
-	for id, ni := range nis {
-		inj, ej := ni.Links()
-		port, end := router.LinkEnd{Node: id, Dir: topology.Local}, router.LinkEnd{Node: id, NI: true}
-		links = append(links, router.LinkRecord{L: inj, Src: end, Dst: port}, router.LinkRecord{L: ej, Src: port, Dst: end})
+	for id := 0; id < mesh.N(); id++ {
+		port, ni := router.LinkEnd{Node: id, Dir: topology.Local}, router.LinkEnd{Node: id, NI: true}
+		links = append(links, link{ni, port}, link{port, ni})
 	}
 	return links
-}
-
-// connect attaches one link of the table to the routers at its ends (an NI
-// came with its links).
-func (n *Network) connect(rec router.LinkRecord) {
-	src, dst := rec.Src, rec.Dst
-	if !src.NI {
-		n.routers[src.Node].ConnectOut(src.Dir, rec.L)
-	}
-	if !dst.NI {
-		n.routers[dst.Node].ConnectIn(dst.Dir, rec.L)
-	}
 }
 
 // Close stops the tick engine's worker goroutines. Safe to call multiple
@@ -398,28 +383,16 @@ func (n *Network) InFlight() int64 {
 // Drained reports whether nothing is queued, buffered or in flight. Once no
 // packets are in flight, flits cannot exist anywhere (a flit belongs to an
 // unejected packet, by flit conservation), so the only possible residue is
-// credits still traveling upstream — and a credit wire is busy exactly when
-// its dirty bit is set (local wires) or its delay line is occupied (foreign
-// wires), making the check a few word compares per shard.
+// credits still traveling upstream: a few word compares per shard.
 func (n *Network) Drained() bool {
-	if n.InFlight() != 0 {
-		return false
-	}
 	// Packets crossing the chiplet switch are between legs: their first
 	// leg's ejection balanced its creation, so InFlight misses them.
-	if n.xbar != nil && !n.xbar.Idle() {
+	if n.InFlight() != 0 || n.xbar != nil && !n.xbar.Idle() {
 		return false
 	}
 	for _, sh := range n.eng.shards {
-		for _, w := range sh.credDirty {
-			if w != 0 {
-				return false
-			}
-		}
-		for _, i := range sh.foreignCred {
-			if sh.cred[i].link.CreditsBusy() {
-				return false
-			}
+		if !sh.creds.Idle() {
+			return false
 		}
 	}
 	return true
@@ -459,22 +432,17 @@ func (n *Network) auditQuiescence() error {
 				return fmt.Errorf("shard %d NI %d: armed=%v with work %d", si, ni.Node(), armed, sum)
 			}
 		}
-		for i, w := range sh.flit {
-			if w.link.FlitsBusy() && !marked(sh.flitDirty, sh.foreignFlit, i) {
-				return fmt.Errorf("shard %d: busy flit wire %d not marked dirty", si, i)
+		var err error
+		unmarked := func(to router.LinkEnd, inFlight int, visited bool) {
+			if err == nil && inFlight > 0 && !visited {
+				err = fmt.Errorf("shard %d: busy wire to %v port %v not marked dirty", si, to, to.Dir)
 			}
 		}
-		for i, w := range sh.cred {
-			if w.link.CreditsBusy() && !marked(sh.credDirty, sh.foreignCred, i) {
-				return fmt.Errorf("shard %d: busy credit wire %d not marked dirty", si, i)
-			}
+		sh.flits.Audit(unmarked)
+		sh.creds.Audit(unmarked)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// marked reports whether the link sweep will visit wire i: its dirty bit is
-// set, or it is polled as foreign.
-func marked(dirty []uint64, foreign []int32, i int) bool {
-	return dirty[i>>6]>>(uint(i)&63)&1 == 1 || slices.Contains(foreign, int32(i))
 }

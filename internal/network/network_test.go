@@ -384,23 +384,20 @@ func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
 }
 
 // FlitConservation reports material accounted for inside the network
-// (flits buffered in routers or ST registers, plus busy links, which carry
-// at least one flit or credit each) alongside the in-flight packet count
-// (created but not ejected, network-wide). The invariant tests rely on:
-// whenever in-flight packets are zero, everything inside must be zero too —
-// anything else means flits were lost, duplicated, or stranded. Every link
-// of the wiring table is exactly one shard's flit wire (checkWiring), so the
-// walk visits each link once, dirty or not.
+// (flits buffered in routers or ST registers, plus flits and credits on the
+// wires) alongside the in-flight packet count (created but not ejected,
+// network-wide). The invariant tests rely on: whenever in-flight packets are
+// zero, everything inside must be zero too — anything else means flits were
+// lost, duplicated, or stranded. Every wire is exactly one shard's slab row
+// or byte (checkWiring), so the walk visits each wire once, dirty or not.
 func (n *Network) FlitConservation() (inside, inflightPackets int64) {
 	for _, r := range n.routers {
 		inside += int64(r.BufferedFlits())
 	}
+	count := func(_ router.LinkEnd, inFlight int, _ bool) { inside += int64(inFlight) }
 	for _, sh := range n.eng.shards {
-		for _, w := range sh.flit {
-			if w.link.FlitsBusy() || w.link.CreditsBusy() {
-				inside++
-			}
-		}
+		sh.flits.Audit(count)
+		sh.creds.Audit(count)
 	}
 	return inside, n.InFlight()
 }

@@ -68,6 +68,10 @@ func (r *Router) AuditOutputVCs(d topology.Dir, fn func(OutputVCState)) {
 	}
 }
 
+// Wires returns the handles of the wires port d pushes onto: output d's
+// flit wire and input d's credit wire (zero values on an unconnected port).
+func (r *Router) Wires(d topology.Dir) (FlitWire, CreditWire) { return r.out[d].wire, r.in[d].credit }
+
 // OutputAllocated reports output port d's allocated-VC bookkeeping counter
 // (must equal the owned VCs visible via AuditOutputVCs).
 func (r *Router) OutputAllocated(d topology.Dir) int { return int(r.out[d].allocated) }

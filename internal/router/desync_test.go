@@ -392,8 +392,8 @@ func TestSharedScratchHygiene(t *testing.T) {
 			p := &msg.Packet{ID: uint64(i + 1), App: 0, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 			first.DeliverFlit(d, headFlit(p, 1))
 		}
-		east := NewLink(spec.cfg.LinkLatency)
-		first.ConnectOut(topology.East, east)
+		east := newTestLink(spec.cfg.LinkLatency)
+		first.ConnectOut(topology.East, east.f)
 		for now := int64(0); now < 8; now++ {
 			east.ShiftFlits()
 			first.Tick(now)
@@ -519,7 +519,7 @@ func idleStream(r *Router) (topology.Dir, int, bool) {
 // sendPick is the VC the NI's next send takes (-1: none).
 func sendPick(ni *NI) int {
 	m := ni.streamMask & ni.creditMask
-	if m == 0 || !ni.inj.CanSendFlit() {
+	if m == 0 {
 		return -1
 	}
 	if hi := m >> uint(ni.rrVC) << uint(ni.rrVC); hi != 0 {

@@ -23,7 +23,8 @@ import (
 // of order, and the NI on the local port pair. The optimised Router/NI and
 // the reference (reference_test.go) each get their own links and packet
 // copies, see the same event stream, and are compared every cycle on what
-// a neighbour can observe.
+// a neighbour can observe. The optimised pair's links are wire slab rows,
+// the reference's naive FIFOs (refWire).
 const (
 	rigNode       = 4
 	episodeCycles = 300
@@ -37,8 +38,6 @@ var (
 // routerDUT and niDUT are what runEpisode needs of a router and an NI: the
 // optimised ones and the reference implement both.
 type routerDUT interface {
-	ConnectIn(topology.Dir, *Link)
-	ConnectOut(topology.Dir, *Link)
 	DeliverFlit(topology.Dir, msg.Flit)
 	DeliverCredit(topology.Dir, int)
 	Tick(int64)
@@ -46,11 +45,20 @@ type routerDUT interface {
 }
 
 type niDUT interface {
-	Links() (inj, ej *Link)
 	Inject(*msg.Packet, int64)
 	DeliverFlit(msg.Flit, int64)
 	DeliverCredit(int)
 	Tick(int64)
+}
+
+// rigLink is what runEpisode needs of a link: the optimised rig's are wire
+// slab rows (testLink), the reference's naive FIFOs (refWire).
+type rigLink interface {
+	ShiftFlits() (msg.Flit, bool)
+	ShiftCredits() (int, bool)
+	SendFlit(msg.Flit)
+	SendCredit(int)
+	CanSendFlit() bool
 }
 
 // rig is one router/NI pair under test, with the links it is wired
@@ -62,7 +70,7 @@ type rig struct {
 	long    bool
 	r       routerDUT
 	ni      niDUT
-	in, out [topology.NumDirs]*Link
+	in, out [topology.NumDirs]rigLink
 	pkts    []*msg.Packet
 	ejected int
 	tel     *telemetry.Probe
@@ -93,28 +101,34 @@ func (s rigSpec) real(soa *SoA, li int, tel bool) *rig {
 		ni.SetTelemetry(g.tel)
 	}
 	g.r, g.ni = r, ni
-	g.wire()
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		in, out := newTestLink(s.cfg.LinkLatency), newTestLink(s.cfg.LinkLatency)
+		r.ConnectIn(d, in.c)
+		r.ConnectOut(d, out.f)
+		if d == topology.Local {
+			ni.ConnectInjection(in.f)
+		}
+		g.in[d], g.out[d] = in, out
+	}
 	return g
 }
 
 // reference builds the executable specification of the same cell.
 func (s rigSpec) reference() *rig {
 	g := &rig{cfg: s.cfg, long: s.long}
-	g.r = newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, s.pol)
-	g.ni = newRefNI(s.cfg, rigRegions, func(*msg.Packet, int64) { g.ejected++ })
-	g.wire()
-	return g
-}
-
-func (g *rig) wire() {
-	g.in[topology.Local], g.out[topology.Local] = g.ni.Links()
-	for d := topology.North; d < topology.NumDirs; d++ {
-		g.in[d], g.out[d] = NewLink(g.cfg.LinkLatency), NewLink(g.cfg.LinkLatency)
-	}
+	r := newRefRouter(s.cfg, rigNode, rigRegions.AppAt(rigNode), rigMesh, s.alg, routing.LocalSelector{}, s.pol)
+	ni := newRefNI(s.cfg, rigRegions, func(*msg.Packet, int64) { g.ejected++ })
+	g.r, g.ni = r, ni
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		g.r.ConnectIn(d, g.in[d])
-		g.r.ConnectOut(d, g.out[d])
+		in, out := newRefWire(s.cfg.LinkLatency), newRefWire(s.cfg.LinkLatency)
+		r.ConnectIn(d, in)
+		r.ConnectOut(d, out)
+		if d == topology.Local {
+			ni.ConnectInjection(in)
+		}
+		g.in[d], g.out[d] = in, out
 	}
+	return g
 }
 
 // router returns the optimised router of a real rig.

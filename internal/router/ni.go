@@ -36,8 +36,7 @@ type NI struct {
 	soa *SoA
 	li  int
 
-	inj *Link // NI -> router local input port
-	ej  *Link // router local output port -> NI
+	inj FlitWire // NI -> router local input port
 
 	// queues holds one source queue per (injector slot, message class)
 	// pair, indexed slot*Classes+class. Plain meshes have one slot; a
@@ -82,16 +81,12 @@ type stream struct {
 // NewNIInStore builds the interface for node as a view over slot li of the
 // shard store soa (shared with the node's router; the NI uses the NIWork
 // mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
-// is consumed (may be nil). The NI brings its two links with it, allocated
-// just before it (a 128-byte Link and the NI no longer share a size class;
-// embedding the links in the NI measured no faster at 32×32, DESIGN.md
-// "What the link phase is sensitive to").
+// is consumed (may be nil); ConnectInjection attaches its wire.
 func NewNIInStore(cfg Config, node int, regions *region.Map,
 	onEject func(*msg.Packet, int64), soa *SoA, li int) *NI {
 	v := cfg.VCsPerPort()
-	inj, ej := NewLink(cfg.LinkLatency), NewLink(cfg.LinkLatency)
 	ni := &NI{
-		cfg: cfg, node: node, regions: regions, inj: inj, ej: ej, soa: soa, li: li,
+		cfg: cfg, node: node, regions: regions, soa: soa, li: li,
 		queues:     make([]sim.Queue[*msg.Packet], cfg.Classes*cfg.InjectorCount()),
 		streams:    make([]stream, v),
 		credits:    make([]int, v),
@@ -108,9 +103,11 @@ func NewNIInStore(cfg Config, node int, regions *region.Map,
 	return ni
 }
 
-// Links returns the NI's injection link (to the router's local input port)
-// and ejection link (from its local output port).
-func (ni *NI) Links() (inj, ej *Link) { return ni.inj, ni.ej }
+// ConnectInjection attaches the flit wire to the router's local input port.
+func (ni *NI) ConnectInjection(w FlitWire) { ni.inj = w }
+
+// Injection returns the handle of the injection wire.
+func (ni *NI) Injection() FlitWire { return ni.inj }
 
 // Node returns the NI's node id.
 func (ni *NI) Node() int { return ni.node }
@@ -280,13 +277,11 @@ func (ni *NI) freeVC(cls msg.Class) int {
 }
 
 // sendOne pushes at most one flit onto the injection link, round-robin over
-// the active streams with credits. The rotating scan is a pair of mask
-// lookups: the first candidate at or after rrVC, else the first candidate
-// below it.
+// the active streams with credits: the link phase has just shifted the
+// wire, so its entry register is free, as it is for a router's ST. The
+// rotating scan is a pair of mask lookups: the first candidate at or after
+// rrVC, else the first candidate below it.
 func (ni *NI) sendOne(now int64) {
-	if !ni.inj.CanSendFlit() {
-		return
-	}
 	m := ni.streamMask & ni.creditMask
 	if m == 0 {
 		return
@@ -306,7 +301,7 @@ func (ni *NI) sendOne(now int64) {
 			ni.tel.Lifecycle(f.Pkt.ID, telemetry.StageInject, now)
 		}
 	}
-	ni.inj.SendFlit(f)
+	ni.inj.send(f)
 	ni.flitsOut++
 	ni.credits[vc]--
 	ni.fullMask &^= 1 << uint(vc)

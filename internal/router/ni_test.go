@@ -8,14 +8,15 @@ import (
 	"rair/internal/topology"
 )
 
-func testNI(cfg Config) (*NI, *Link, *Link, *[]*msg.Packet) {
+func testNI(cfg Config) (*NI, testLink, testLink, *[]*msg.Packet) {
 	mesh := topology.NewMesh(2, 1)
 	regs := region.Single(mesh)
 	var ejected []*msg.Packet
 	ni := NewNIInStore(cfg, 0, regs, func(p *msg.Packet, now int64) {
 		ejected = append(ejected, p)
 	}, NewSoA(cfg, 1), 0)
-	inj, ej := ni.Links()
+	inj, ej := newTestLink(cfg.LinkLatency), newTestLink(cfg.LinkLatency)
+	ni.ConnectInjection(inj.f)
 	return ni, inj, ej, &ejected
 }
 

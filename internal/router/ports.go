@@ -61,7 +61,7 @@ type inputVC struct {
 }
 
 // InputPort is one input of the router: a set of VC buffers plus the
-// upstream link credits are returned on. The per-stage occupancy masks are
+// wire credits are returned upstream on. The per-stage occupancy masks are
 // maintained incrementally at head arrival, VA grant and tail departure, so
 // the pipeline visits only the VCs actually in each stage — candidate
 // selection is a mask intersection, and removals are single bit clears
@@ -69,8 +69,8 @@ type inputVC struct {
 type InputPort struct {
 	dir      topology.Dir
 	vcs      []inputVC
-	link     *Link // upstream link; nil on unconnected mesh-edge ports
-	bufFlits int   // buffered flits across the port's VCs (congestion metric)
+	credit   CreditWire // back to the upstream sender; unset on unconnected mesh-edge ports
+	bufFlits int        // buffered flits across the port's VCs (congestion metric)
 
 	rcMask     vcMask // VCs whose head arrived (stageRC)
 	vaMask     vcMask // VCs waiting for a VC allocation (stageVA)
@@ -151,8 +151,8 @@ type outputVC struct {
 }
 
 // OutputPort is one output of the router: per-VC credit/allocation state,
-// the downstream link, and the ST pipeline register holding the flit that
-// won SA last cycle (occupied while the port's Router.stBusy bit is set).
+// the downstream flit wire, and the ST pipeline register holding the flit
+// that won SA last cycle (occupied while the port's Router.stBusy bit is set).
 //
 // Three credit-derived masks shadow the per-VC counters so the hot-path
 // queries are single-bit tests: creditMask (credits > 0, read by SA_in's
@@ -161,14 +161,14 @@ type outputVC struct {
 // drainMask marks owned VCs whose tail has been sent, awaiting full credit
 // return.
 type OutputPort struct {
-	dir      topology.Dir
-	ejection bool // Local port: the sink accepts unconditionally
+	dir      uint8 // a topology.Dir, narrowed so the port fits 128 bytes
+	ejection bool  // Local port: the sink accepts unconditionally
 
 	allocated int32 // owned VCs (bookkeeping invariant)
 	creditSum int32 // total credits across the port's VCs
 
 	vcs  []outputVC
-	link *Link // downstream link; nil on unconnected mesh-edge ports
+	wire FlitWire // downstream; unset on unconnected mesh-edge ports
 	st   msg.Flit
 
 	freeMask   vcMask // VCs with no owner (VA_in candidates)
@@ -196,7 +196,7 @@ func (p *OutputPort) deliverCredit(vc int, depth int) {
 
 //go:noinline
 func (p *OutputPort) creditOverflow(vc int) {
-	panic(fmt.Sprintf("router: credit overflow on %s VC %d", p.dir, vc))
+	panic(fmt.Sprintf("router: credit overflow on %s VC %d", topology.Dir(p.dir), vc))
 }
 
 // free releases output VCs whose packets have fully drained downstream:

@@ -73,7 +73,7 @@ type refInVC struct {
 
 type refInPort struct {
 	vcs  []refInVC
-	link *Link // the credit wire back upstream
+	link *refWire // its credit wire carries credits back upstream
 }
 
 // refOutVC is one output VC: the downstream buffer's credits and the packet
@@ -86,7 +86,7 @@ type refOutVC struct {
 
 type refOutPort struct {
 	vcs     []refOutVC
-	link    *Link
+	link    *refWire
 	st      msg.Flit // the ST register: last cycle's SA winner
 	stValid bool
 }
@@ -110,8 +110,54 @@ func newRefRouter(cfg Config, node, app int, mesh *topology.Mesh,
 	return r
 }
 
-func (r *refRouter) ConnectIn(d topology.Dir, l *Link)  { r.in[d].link = l }
-func (r *refRouter) ConnectOut(d topology.Dir, l *Link) { r.out[d].link = l }
+func (r *refRouter) ConnectIn(d topology.Dir, w *refWire)  { r.in[d].link = w }
+func (r *refRouter) ConnectOut(d topology.Dir, w *refWire) { r.out[d].link = w }
+
+// refWire is the reference's link, sharing nothing with the wire slab: a
+// slice FIFO of latency flit slots whose last slot is the entry register
+// (a zero flit is an empty slot), moved one slot on per cycle, and a FIFO
+// of the credits sent back, each delivered at the next shift.
+type refWire struct {
+	slots   []msg.Flit
+	entered bool // a flit entered since the last shift
+	credits []int
+}
+
+func newRefWire(latency int) *refWire { return &refWire{slots: make([]msg.Flit, latency)} }
+
+// ShiftFlits moves every slot on one and returns the flit leaving slot 0.
+func (w *refWire) ShiftFlits() (msg.Flit, bool) {
+	f := w.slots[0]
+	w.slots = append(w.slots[1:], msg.Flit{})
+	w.entered = false
+	return f, f.Pkt != nil
+}
+
+func (w *refWire) CanSendFlit() bool { return !w.entered }
+
+func (w *refWire) SendFlit(f msg.Flit) {
+	if w.entered {
+		panic("refWire: two flits in one cycle")
+	}
+	w.slots[len(w.slots)-1], w.entered = f, true
+}
+
+// ShiftCredits delivers the credit sent last cycle, if any.
+func (w *refWire) ShiftCredits() (int, bool) {
+	if len(w.credits) == 0 {
+		return -1, false
+	}
+	vc := w.credits[0]
+	w.credits = w.credits[1:]
+	return vc, true
+}
+
+func (w *refWire) SendCredit(vc int) {
+	if len(w.credits) > 0 {
+		panic("refWire: two credits in one cycle")
+	}
+	w.credits = append(w.credits, vc)
+}
 
 // DeliverFlit buffers a flit arriving on input port d; a head claims its VC
 // and enters RC.
@@ -401,7 +447,7 @@ func (r *refRouter) routeCompute() {
 type refNI struct {
 	cfg       Config
 	regions   *region.Map
-	inj, ej   *Link
+	inj       *refWire
 	queues    [][]*msg.Packet // slot*Classes + class
 	vcs       []refNIVC
 	rrVC, rrQ int // where the send and claim rotations start
@@ -417,7 +463,6 @@ type refNIVC struct {
 
 func newRefNI(cfg Config, regions *region.Map, onEject func(*msg.Packet, int64)) *refNI {
 	ni := &refNI{cfg: cfg, regions: regions, onEject: onEject,
-		inj: NewLink(cfg.LinkLatency), ej: NewLink(cfg.LinkLatency),
 		queues: make([][]*msg.Packet, cfg.Classes*cfg.InjectorCount()),
 		vcs:    make([]refNIVC, cfg.VCsPerPort())}
 	for i := range ni.vcs {
@@ -426,7 +471,7 @@ func newRefNI(cfg Config, regions *region.Map, onEject func(*msg.Packet, int64))
 	return ni
 }
 
-func (ni *refNI) Links() (inj, ej *Link) { return ni.inj, ni.ej }
+func (ni *refNI) ConnectInjection(w *refWire) { ni.inj = w }
 
 // Inject stamps and queues a packet on injector slot 0.
 func (ni *refNI) Inject(p *msg.Packet, now int64) {

@@ -98,7 +98,7 @@ type Router struct {
 // NewInStore creates a router for node (application app, or -1 when
 // unassigned) as a view over slot li of the shard store soa: its ports and
 // VC state are carved from the store's slabs and its work/occupancy
-// registers are the store's flat arrays. Links are attached afterwards with
+// registers are the store's flat arrays. Wires are attached afterwards with
 // ConnectIn/ConnectOut.
 func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.Map,
 	alg routing.Algorithm, sel routing.Selector, pol policy.Spec, soa *SoA, li int) *Router {
@@ -162,14 +162,14 @@ func (r *Router) WorkCounters() (rc, va, active, st int) {
 	return r.rcCount, r.vaCount, r.activeCount, bits.OnesCount8(r.stBusy)
 }
 
-// ConnectIn attaches the upstream link feeding the input port at dir.
-func (r *Router) ConnectIn(dir topology.Dir, l *Link) { r.in[dir].link = l }
+// ConnectIn attaches the credit wire the input port at dir returns on.
+func (r *Router) ConnectIn(dir topology.Dir, w CreditWire) { r.in[dir].credit = w }
 
-// ConnectOut attaches the downstream link driven by the output port at dir.
-func (r *Router) ConnectOut(dir topology.Dir, l *Link) { r.out[dir].link = l }
+// ConnectOut attaches the flit wire the output port at dir drives.
+func (r *Router) ConnectOut(dir topology.Dir, w FlitWire) { r.out[dir].wire = w }
 
-// Connected reports whether an output link is attached at dir.
-func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].link != nil }
+// Connected reports whether an output wire is attached at dir.
+func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].wire.s != nil }
 
 // DeliverFlit accepts a flit arriving on the input port at dir. The network
 // calls it when the attached link's delay elapses. A body/tail flit landing
@@ -340,7 +340,7 @@ func (r *Router) switchTraversal() {
 	for m := r.stBusy; m != 0; m &= m - 1 {
 		d := bits.TrailingZeros8(m)
 		out := r.out[d]
-		out.link.SendFlit(out.st)
+		out.wire.send(out.st)
 		r.soa.Work[r.li]--
 		r.flitsSent[d]++
 		if r.tel != nil {
@@ -526,11 +526,8 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
 			out.creditMask &^= 1 << uint(vc.outVC)
 		}
 	}
-	if in.link != nil {
-		if !in.link.CanSendCredit() {
-			panic("router: credit wire busy (more than one dequeue per port per cycle)")
-		}
-		in.link.SendCredit(int(vc.idx))
+	if in.credit.s != nil {
+		in.credit.send(int(vc.idx))
 	}
 	tail := f.Type.IsTail()
 	if tail {
@@ -662,7 +659,7 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	}
 	vc.vaOdd = !vc.vaOdd
 	out := r.out[port]
-	if out.link == nil && !out.ejection {
+	if out.wire.s == nil && !out.ejection {
 		panic(fmt.Sprintf("router %d: route to unconnected port %v", r.node, port))
 	}
 	// Free-VC search: the candidate window is the intersection of the

@@ -19,17 +19,17 @@ import (
 // testRouter builds a router for node 0 (app 0) of a 2×1 mesh with node 1
 // foreign, wired with an east output link, under the given policy and VC
 // configuration.
-func testRouter(cfg Config, pol policy.Spec) (*Router, *Link) {
+func testRouter(cfg Config, pol policy.Spec) (*Router, testLink) {
 	mesh := topology.NewMesh(2, 1)
 	regs := region.New(mesh)
 	regs.Assign(0, 0)
 	regs.Assign(1, 1)
 	r := NewInStore(cfg, 0, 0, mesh, regs,
 		routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, pol, NewSoA(cfg, 1), 0)
-	east := NewLink(cfg.LinkLatency)
-	r.ConnectOut(topology.East, east)
-	r.ConnectIn(topology.West, NewLink(cfg.LinkLatency))
-	r.ConnectIn(topology.Local, NewLink(cfg.LinkLatency))
+	east := newTestLink(cfg.LinkLatency)
+	r.ConnectOut(topology.East, east.f)
+	r.ConnectIn(topology.West, newTestLink(cfg.LinkLatency).c)
+	r.ConnectIn(topology.Local, newTestLink(cfg.LinkLatency).c)
 	return r, east
 }
 
@@ -133,7 +133,7 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 func TestCreditReturn(t *testing.T) {
 	cfg := DefaultConfig(1)
 	r, _ := testRouter(cfg, policy.Spec{})
-	west := r.in[topology.West].link
+	west := testLink{c: r.in[topology.West].credit}
 	p := &msg.Packet{ID: 1, App: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	r.DeliverFlit(topology.West, headFlit(p, 2))
 	gotCredit := -1
@@ -257,8 +257,9 @@ func TestDeliverRejects(t *testing.T) {
 // TestStateSizes pins every per-router structure at the width the
 // configuration bounds allow (Config.Validate: at most 64 VCs per port,
 // Depth and LinkLatency at most 256). A router holds NumDirs × VCsPerPort
-// input and output VCs and VA arbiters, five ports and five links, so a
-// field widened to int shows up here before it shows up as heap per router.
+// input and output VCs and VA arbiters and five ports, and its node five
+// flit rows and four credit bytes, so a field widened to int shows up here
+// before it shows up as heap per router. The wire rows are pinned exactly.
 func TestStateSizes(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -271,17 +272,24 @@ func TestStateSizes(t *testing.T) {
 		{"outputVC", unsafe.Sizeof(outputVC{}), 16},
 		{"OutputPort", unsafe.Sizeof(OutputPort{}), 128},
 		{"Router", unsafe.Sizeof(Router{}), 576},
-		// Two DelayLines whose empty slot is the zero value (no valid byte
-		// pads a 32-byte flit slot or a one-byte credit slot), each with a
-		// two-slot inline ring and byte indices, and byte wake-bit indices:
-		// the allocator's 128-byte class, two aligned cache lines.
-		{"Link", unsafe.Sizeof(Link{}), 120},
-		{"DelayLine[msg.Flit]", unsafe.Sizeof(sim.DelayLine[msg.Flit]{}), 80},
-		{"DelayLine[uint8]", unsafe.Sizeof(sim.DelayLine[uint8]{}), 16},
+		// A two-slot inline ring of 16-byte wire flits with byte indices.
+		{"DelayLine[wireFlit]", unsafe.Sizeof(sim.DelayLine[wireFlit]{}), 48},
 		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},
 	} {
 		if c.size > c.budget {
 			t.Errorf("%s is %d bytes, budget %d", c.name, c.size, c.budget)
+		}
+	}
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		// One cache line per flit wire; see flitRow.
+		{"flitRow", unsafe.Sizeof(flitRow{}), 64},
+		{"wireFlit", unsafe.Sizeof(wireFlit{}), 16},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want exactly %d", c.name, c.size, c.want)
 		}
 	}
 }
@@ -293,7 +301,7 @@ func TestFullRunLeavesAtAnyDepth(t *testing.T) {
 		cfg := DefaultConfig(1)
 		cfg.Depth = depth
 		r, east := testRouter(cfg, policy.Spec{})
-		west := r.in[topology.West].link
+		west := testLink{c: r.in[topology.West].credit}
 		p := &msg.Packet{ID: 1, App: 1, Src: 0, Dst: 1, Size: depth, Class: msg.ClassRequest}
 		var want, got []int
 		for seq := 0; seq < depth; seq++ {

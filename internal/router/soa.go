@@ -148,7 +148,7 @@ func NewSoA(cfg Config, n int) *SoA {
 				ovcs[i] = outputVC{credits: int32(cfg.Depth)}
 			}
 			s.Outs[p] = OutputPort{
-				dir: topology.Dir(d), ejection: topology.Dir(d) == topology.Local,
+				dir: uint8(d), ejection: topology.Dir(d) == topology.Local,
 				vcs: ovcs, creditSum: int32(v * cfg.Depth),
 				freeMask: allVCs(v), creditMask: allVCs(v), fullMask: allVCs(v),
 			}

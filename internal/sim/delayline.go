@@ -4,20 +4,20 @@ package sim
 // configuration's link latency and VC depth.
 const MaxLatency = 256
 
-// DelayLine models a fixed-latency pipeline register chain (a link, a credit
-// return wire). A value pushed at cycle t pops out exactly latency cycles
+// DelayLine models a fixed-latency pipeline register chain (a link's flit
+// wire). A value pushed at cycle t pops out exactly latency cycles
 // later. The line must be advanced exactly once per simulated cycle via
 // Shift; a cheap occupancy counter lets idle links skip work.
 //
 // At most one value may enter per cycle, matching a single-flit-wide link.
 // A slot holding T's zero value is empty, so the zero value cannot be sent
 // (Push panics on it) and a slot costs exactly one T: a flit wire's slot is
-// its 32-byte msg.Flit, a credit wire's its one-byte VC tag.
+// its 16-byte on-wire flit.
 //
-// A line of latency <= 2 (every credit wire, the default flit wire) keeps
-// its ring inline, a longer one behind ext. The indices are bytes and wrap
-// by comparison with last, not by modulo: Shift and CanPush sit on the
-// simulator's hottest path. A flit line is 80 bytes, a credit line 16.
+// A line of latency <= 2 (the default flit wire) keeps its ring inline, a
+// longer one behind ext. The indices are bytes and wrap by comparison with
+// last, not by modulo: Shift and Push sit on the simulator's hottest
+// path. A flit wire's line is 48 bytes.
 type DelayLine[T comparable] struct {
 	arr    [2]T   // the ring of a line of latency <= len(arr)
 	count  uint16 // values in flight
@@ -60,7 +60,7 @@ func (d *DelayLine[T]) CanPush() bool { return !d.pushed }
 // is the zero value (which would read as an empty slot).
 func (d *DelayLine[T]) Push(v T) {
 	var zero T
-	if d.pushed || v == zero {
+	if !d.CanPush() || v == zero {
 		panic("sim: DelayLine double push, entry occupied or zero value")
 	}
 	*d.slot(d.tail) = v

@@ -144,12 +144,20 @@ func TestDelayLineExactLatency(t *testing.T) {
 	}
 }
 
-// wireFlit is flit-shaped (a pointer plus small integers), the shape a flit
-// wire carries; a credit wire carries a uint8.
-type wireFlit struct {
-	pkt      *int
-	typ, seq int
-}
+// flitShaped is msg.Flit's shape (a pointer plus int fields); wireFlit is
+// the 16-byte on-wire encoding a flit wire's line carries (router.wireFlit:
+// the packet pointer, a uint32 Seq, a VC byte and a type byte).
+type (
+	flitShaped struct {
+		pkt      *int
+		typ, seq int
+	}
+	wireFlit struct {
+		pkt     *int
+		seq     uint32
+		vc, typ uint8
+	}
+)
 
 // TestDelayLineMatchesReference runs the zero-value-empty DelayLine against
 // the slot-valid one it replaced (refDelayLine) on random traffic: every
@@ -158,9 +166,10 @@ type wireFlit struct {
 // CanPush and the Each order must agree after every step, at every latency
 // either side of the inline ring's two slots, either side of 64 and of the
 // 256 cap, at random densities and pushing every cycle the reference
-// allows. Each case runs twice: once shifting every cycle, once skipping
-// the shift of an idle line as Link does, which leaves the line's indices
-// behind the reference's and must not show.
+// allows, with byte, flit-shaped and on-wire flit values. Each case runs
+// twice: once shifting every cycle, once skipping the shift of an idle line
+// as the foreign-wire poll does, which leaves the line's indices behind the
+// reference's and must not show.
 func TestDelayLineMatchesReference(t *testing.T) {
 	pkts := make([]int, 8)
 	for _, lat := range []int{1, 2, 3, 4, 5, 64, 65, 255, 256} {
@@ -168,8 +177,12 @@ func TestDelayLineMatchesReference(t *testing.T) {
 			match := func(seed int64, p float64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				return matchesReference(t, lat, skipIdle, rng, p, func() uint8 { return uint8(1 + rng.Intn(255)) }) &&
+					matchesReference(t, lat, skipIdle, rng, p, func() flitShaped {
+						return flitShaped{pkt: &pkts[rng.Intn(len(pkts))], typ: rng.Intn(4), seq: rng.Intn(3)}
+					}) &&
 					matchesReference(t, lat, skipIdle, rng, p, func() wireFlit {
-						return wireFlit{pkt: &pkts[rng.Intn(len(pkts))], typ: rng.Intn(4), seq: rng.Intn(3)}
+						return wireFlit{pkt: &pkts[rng.Intn(len(pkts))], seq: uint32(rng.Intn(3)),
+							vc: uint8(rng.Intn(64)), typ: uint8(rng.Intn(4))}
 					})
 			}
 			if !match(int64(lat), 1) {

@@ -122,7 +122,7 @@ func goodRecords() []sweep.Record {
 
 func TestGuardsPassOnReferenceShapes(t *testing.T) {
 	rep := sweep.CheckStore(goodRecords(), rair.Guards())
-	if !rep.OK() {
+	if rep.Failed() != 0 {
 		t.Fatalf("reference store failed guards:\n%s", rep)
 	}
 	want := 0
@@ -148,7 +148,7 @@ func TestGuardsCatchPerturbedOrdering(t *testing.T) {
 		}
 	}
 	rep := sweep.CheckStore(recs, rair.Guards())
-	if rep.OK() {
+	if rep.Failed() == 0 {
 		t.Fatalf("perturbed fig17 ordering passed the guards:\n%s", rep)
 	}
 	failed := false
@@ -199,7 +199,7 @@ func TestGuardsCatchBrokenShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards()); rep.OK() {
+			if rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards()); rep.Failed() == 0 {
 				t.Errorf("perturbation passed the guards:\n%s", rep)
 			}
 		})
@@ -264,7 +264,7 @@ func TestCheckStoreReportsCoverage(t *testing.T) {
 		{Key: "k2", Experiment: "heatmap", Seed: 1, Text: "art"},
 	}
 	rep := sweep.CheckStore(recs, rair.Guards())
-	if !rep.OK() {
+	if rep.Failed() != 0 {
 		t.Fatalf("partial store failed: %s", rep)
 	}
 	if len(rep.Missing) == 0 {
@@ -273,8 +273,8 @@ func TestCheckStoreReportsCoverage(t *testing.T) {
 	if len(rep.Unchecked) != 1 || rep.Unchecked[0] != "heatmap" {
 		t.Errorf("Unchecked = %v, want [heatmap]", rep.Unchecked)
 	}
-	if empty := sweep.CheckStore(nil, rair.Guards()); empty.OK() {
-		t.Error("empty store must not pass")
+	if empty := sweep.CheckStore(nil, rair.Guards()); len(empty.Findings) != 0 {
+		t.Errorf("an empty store has %d findings", len(empty.Findings))
 	}
 }
 

@@ -257,9 +257,6 @@ func (r *CheckReport) Failed() int {
 	return n
 }
 
-// OK reports whether at least one guard ran and none failed.
-func (r *CheckReport) OK() bool { return len(r.Findings) > 0 && r.Failed() == 0 }
-
 // String renders the report: failures first, then each passing guard with
 // its slack, then — for reporting only — how the slack of every guard the
 // store holds at three or more seeds varies across them.

@@ -92,7 +92,7 @@ func TestCheckStoreSlackAndSeedSpread(t *testing.T) {
 			CSV: strings.Replace(vocabCSV, "new,1.0,30", "new,1.0,"+top, 1)})
 	}
 	rep := CheckStore(recs, guards)
-	if !rep.OK() || len(rep.Findings) != 6 {
+	if rep.Failed() != 0 || len(rep.Findings) != 6 {
 		t.Fatalf("want six passing findings:\n%s", rep)
 	}
 	for _, f := range rep.Findings {
