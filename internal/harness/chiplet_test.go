@@ -52,9 +52,9 @@ func TestChipletScenarioShape(t *testing.T) {
 
 // TestChipletRunDeterminism: the chiplet co-run — eject-and-reinject bridge,
 // package crossbar, per-chiplet regions — must produce bit-identical victim
-// statistics across tick-engine worker counts, with the panic-mode invariant
-// checker (mask shadows, quiescence audit, conservation) live. This is the
-// determinism-matrix entry for the two-level topology.
+// statistics across tick-engine worker counts, with the panic-mode
+// invariant checker (conservation, credits, VC allocation, hop progress)
+// live. This is the determinism-matrix entry for the two-level topology.
 func TestChipletRunDeterminism(t *testing.T) {
 	cs := ChipletQuad()
 	regs, apps := ChipletScenario(cs, ChipletAggrFrac)

@@ -23,6 +23,11 @@
 // out of the simulation's, so enabling it cannot change results: runs with
 // the checker on and off are bit-identical (asserted by the determinism
 // test matrix in internal/network).
+//
+// It checks what the network promises, not how the tick engine skips work:
+// the wake bitmaps, work mirrors and dirty-wire bitmaps are held to a
+// reference network that ticks everything every cycle, in tests
+// (router.TestNetworkLockstep).
 package invariant
 
 import (
@@ -82,7 +87,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Target is the audited network: the network package assembles it while
-// wiring and hands it to NewChecker.
+// wiring and hands it to NewChecker. It exposes the components and the
+// wiring, never the engine's shards, bitmaps or mirrors.
 type Target struct {
 	Depth   int
 	VCs     int
@@ -93,10 +99,6 @@ type Target struct {
 	Links func(fn func(src, dst router.LinkEnd))
 	// Telemetry, when attached, is snapshotted into the watchdog dump.
 	Telemetry *telemetry.Collector
-	// Quiesce, when non-nil, audits the tick engine's quiescence machinery
-	// (wake bitmaps, work mirrors, dirty-wire bitmaps) against ground
-	// truth: anything skipped must truly be idle.
-	Quiesce func() error
 }
 
 // Violation is one failed check.
@@ -201,20 +203,9 @@ func (c *Checker) Check(now int64) {
 		c.checkCredits(now)
 		c.checkAllocation(now)
 		c.checkHops(now)
-		c.checkQuiescence(now)
 	}
 	if c.cfg.Watchdog > 0 {
 		c.checkProgress(now)
-	}
-}
-
-// checkQuiescence delegates to the target's engine-level quiescence audit.
-func (c *Checker) checkQuiescence(now int64) {
-	if c.t.Quiesce == nil {
-		return
-	}
-	if err := c.t.Quiesce(); err != nil {
-		c.report(now, "quiescence", "%v", err)
 	}
 }
 

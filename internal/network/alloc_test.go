@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -68,6 +70,58 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state tick allocated %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestDrainedNetworkTickAllocs gates the quiescent path itself: once the
+// network has drained, every shard's wake bitmaps are empty and a tick must
+// not only skip all components but also touch the heap zero times, at one
+// worker and at two (a bit left armed by one shard's sweep shows only on
+// that shard). It also catches a work counter one too high, or a bit armed
+// with no work, that the lockstep cannot see (a needless tick is a no-op).
+// Complements TestSteadyStateTickAllocs (the loaded-path gate).
+func TestDrainedNetworkTickAllocs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			n, _ := buildWorkers(t, workers, localSel)
+			rng := sim.NewRNG(1)
+			mesh := n.Mesh()
+			var c int64
+			for ; c < 200; c++ {
+				src, dst := rng.Intn(mesh.N()), rng.Intn(mesh.N())
+				if src != dst {
+					n.Inject(&msg.Packet{
+						ID: uint64(c + 1), App: n.params.Regions.AppAt(src), Src: src, Dst: dst,
+						Size: 2, Class: msg.ClassRequest,
+					}, c)
+				}
+				n.Tick(c)
+			}
+			for ; c < 100000 && !n.Drained(); c++ {
+				n.Tick(c)
+			}
+			n.CheckDrained()
+			for _, sh := range n.eng.shards {
+				if r, ni := armed(sh.soa.ArmedR), armed(sh.soa.ArmedN); r != 0 || ni != 0 {
+					t.Fatalf("drained network still has %d routers / %d NIs armed on shard %d", r, ni, sh.idx)
+				}
+			}
+			if avg := testing.AllocsPerRun(100, func() {
+				n.Tick(c)
+				c++
+			}); avg != 0 {
+				t.Fatalf("quiescent tick allocates %.1f times per cycle, want 0", avg)
+			}
+		})
+	}
+}
+
+// armed counts the set bits of a wake bitmap.
+func armed(mask []uint64) int {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // heapPerRouter builds an edge×edge quadrant mesh and returns the heap bytes

@@ -198,7 +198,6 @@ func New(p Params) *Network {
 				}
 			},
 			Telemetry: n.tel,
-			Quiesce:   n.auditQuiescence,
 		})
 	}
 	if p.Workers > 1 {
@@ -396,53 +395,4 @@ func (n *Network) Drained() bool {
 		}
 	}
 	return true
-}
-
-// auditQuiescence verifies the wake machinery against ground truth: every
-// component skipped by the armed sweep must be truly quiescent, every work
-// mirror must equal its component's counter sum, and every wire skipped by
-// the dirty sweep must be idle. The invariant checker calls it at tick
-// barriers; it is read-only.
-func (n *Network) auditQuiescence() error {
-	for si, sh := range n.eng.shards {
-		for li, r := range sh.routers {
-			rc, va, act, st := r.WorkCounters()
-			sum := rc + va + act + st
-			if int(sh.soa.Work[li]) != sum {
-				return fmt.Errorf("shard %d router %d: work mirror %d != counter sum %d",
-					si, r.Node(), sh.soa.Work[li], sum)
-			}
-			armed := sh.soa.ArmedRouter(li)
-			if armed != (sum > 0) {
-				return fmt.Errorf("shard %d router %d: armed=%v with work %d", si, r.Node(), armed, sum)
-			}
-			if !armed && r.BufferedFlits() > 0 {
-				return fmt.Errorf("shard %d router %d: skipped with %d buffered flits",
-					si, r.Node(), r.BufferedFlits())
-			}
-		}
-		for li, ni := range sh.nis {
-			q, str, drn := ni.WorkCounters()
-			sum := q + str + drn
-			if int(sh.soa.NIWork[li]) != sum {
-				return fmt.Errorf("shard %d NI %d: work mirror %d != counter sum %d",
-					si, ni.Node(), sh.soa.NIWork[li], sum)
-			}
-			if armed := sh.soa.ArmedNI(li); armed != (sum > 0) {
-				return fmt.Errorf("shard %d NI %d: armed=%v with work %d", si, ni.Node(), armed, sum)
-			}
-		}
-		var err error
-		unmarked := func(to router.LinkEnd, inFlight int, visited bool) {
-			if err == nil && inFlight > 0 && !visited {
-				err = fmt.Errorf("shard %d: busy wire to %v port %v not marked dirty", si, to, to.Dir)
-			}
-		}
-		sh.flits.Audit(unmarked)
-		sh.creds.Audit(unmarked)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

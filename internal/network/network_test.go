@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rair/internal/invariant"
 	"rair/internal/msg"
 	"rair/internal/policy"
 	"rair/internal/region"
@@ -388,17 +389,29 @@ func (n *Network) StuckPacket(now, limit int64) *msg.Packet {
 // wires) alongside the in-flight packet count (created but not ejected,
 // network-wide). The invariant tests rely on: whenever in-flight packets are
 // zero, everything inside must be zero too — anything else means flits were
-// lost, duplicated, or stranded. Every wire is exactly one shard's slab row
-// or byte (checkWiring), so the walk visits each wire once, dirty or not.
+// lost, duplicated, or stranded. The wires are read as the invariant checker
+// walks them, through the senders' handles, busy or not.
 func (n *Network) FlitConservation() (inside, inflightPackets int64) {
 	for _, r := range n.routers {
 		inside += int64(r.BufferedFlits())
 	}
-	count := func(_ router.LinkEnd, inFlight int, _ bool) { inside += int64(inFlight) }
-	for _, sh := range n.eng.shards {
-		sh.flits.Audit(count)
-		sh.creds.Audit(count)
+	check := n.check
+	if check == nil {
+		check = invariant.NewChecker(invariant.Config{}, invariant.Target{
+			Mesh: n.mesh, Routers: n.routers, NIs: n.nis,
+			Links: func(fn func(src, dst router.LinkEnd)) {
+				for _, l := range linkTable(n.mesh, n.chiplets) {
+					fn(l.src, l.dst)
+				}
+			},
+		})
 	}
+	check.EachLink(func(_, _ router.LinkEnd, w router.FlitWire, credit int) {
+		w.Each(func(msg.Flit) { inside++ })
+		if credit >= 0 {
+			inside++
+		}
+	})
 	return inside, n.InFlight()
 }
 

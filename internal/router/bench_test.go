@@ -32,27 +32,47 @@ func benchFeed(b *testing.B, r *Router, dir topology.Dir, pkt *msg.Packet, now *
 }
 
 // BenchmarkSwitchAllocation measures SA in its two steady shapes: "stalled"
-// is the pure candidate scan with every VC blocked behind an occupied ST
-// register (the no-op path an interfered router spins on), "grant" is the
-// uncontended single-candidate arbitration through SA_in, SA_out and the
-// flit transfer into the ST register.
+// is the pass of a credit-stalled router, every stream's output VC out of
+// credits with flits waiting behind it (the no-op path an interfered router
+// spins on), "grant" is the uncontended single-candidate arbitration through
+// SA_in, SA_out and the flit transfer into the ST register.
 func BenchmarkSwitchAllocation(b *testing.B) {
 	b.Run("stalled", func(b *testing.B) {
 		cfg := DefaultConfig(1)
-		r, _ := testRouter(cfg, policy.Spec{})
+		r, east := testRouter(cfg, policy.Spec{})
 		var now int64
 		// Two streams from linkless input ports, both bound for East.
-		benchFeed(b, r, topology.East, &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest}, &now)
-		benchFeed(b, r, topology.North, &msg.Packet{ID: 2, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest}, &now)
-		// Two more ticks: the first SA winner traverses onto the east
-		// link; the link is never shifted, so the next winner sticks in
-		// the ST register and every later SA pass scans and stalls.
-		r.Tick(now)
-		now++
-		r.Tick(now)
-		now++
-		if r.stBusy>>uint(topology.East)&1 == 0 {
-			b.Fatal("setup: ST register did not latch")
+		dirs := [...]topology.Dir{topology.East, topology.North}
+		pkts := [...]*msg.Packet{
+			{ID: 1, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest},
+			{ID: 2, App: 0, Src: 0, Dst: 1, Size: 4096, Class: msg.ClassRequest},
+		}
+		seq := [len(dirs)]int{}
+		for i, d := range dirs {
+			benchFeed(b, r, d, pkts[i], &now)
+			seq[i] = cfg.Depth
+		}
+		// The east wire is drained but returns no credit, and the input VCs
+		// are topped up: each stream sends its output VC's Depth credits,
+		// then waits with a full buffer behind a dry output VC.
+		for c := 0; c < 4*cfg.Depth; c++ {
+			east.ShiftFlits()
+			r.Tick(now)
+			now++
+			for i, d := range dirs {
+				if vc := &r.in[d].vcs[1]; int(vc.n) < cfg.Depth {
+					f := msg.FlitAt(pkts[i], seq[i])
+					f.VC = 1
+					r.DeliverFlit(d, f)
+					seq[i]++
+				}
+			}
+		}
+		for _, d := range dirs {
+			vc := &r.in[d].vcs[1]
+			if out := r.out[vc.outPort]; vc.n == 0 || out.vcs[vc.outVC].credits != 0 {
+				b.Fatalf("setup: the stream on %s is not credit-stalled", d)
+			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

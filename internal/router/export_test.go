@@ -1,6 +1,9 @@
 package router
 
-import "rair/internal/msg"
+import (
+	"rair/internal/msg"
+	"rair/internal/topology"
+)
 
 // The reference router, NI and wire (reference_test.go), exported to the
 // external router_test package, whose mesh lockstep runs them beside
@@ -17,9 +20,9 @@ var (
 	NewRefWire   = newRefWire
 )
 
-// InFlight returns the flits on w, oldest first, and the VC of the credit
-// in flight back (-1: none).
-func (w *refWire) InFlight() (flits []msg.Flit, credit int) {
+// InFlight appends the flits on w to flits, oldest first, and returns them
+// with the VC of the credit in flight back (-1: none).
+func (w *refWire) InFlight(flits []msg.Flit) ([]msg.Flit, int) {
 	for _, f := range w.slots {
 		if f.Pkt != nil {
 			flits = append(flits, f)
@@ -30,3 +33,6 @@ func (w *refWire) InFlight() (flits []msg.Flit, credit int) {
 	}
 	return flits, -1
 }
+
+// SetPathOccupancy gives r its DBAR congestion view.
+func (r *refRouter) SetPathOccupancy(fn func(d topology.Dir, hops int) int) { r.path = fn }

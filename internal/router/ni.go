@@ -109,9 +109,6 @@ func (ni *NI) ConnectInjection(w FlitWire) { ni.inj = w }
 // Injection returns the handle of the injection wire.
 func (ni *NI) Injection() FlitWire { return ni.inj }
 
-// Node returns the NI's node id.
-func (ni *NI) Node() int { return ni.node }
-
 // SetTelemetry attaches a telemetry probe (nil detaches).
 func (ni *NI) SetTelemetry(p *telemetry.Probe) {
 	ni.tel = p
@@ -147,12 +144,6 @@ func (ni *NI) InjectAt(slot int, p *msg.Packet, now int64) {
 	ni.soa.NIWork[ni.li]++
 	ni.soa.armN(ni.li)
 	ni.created++
-}
-
-// WorkCounters returns the individual activity counters; the invariant
-// checker audits their sum against the store's NIWork mirror.
-func (ni *NI) WorkCounters() (queued, streaming, draining int) {
-	return ni.queued, ni.streaming, ni.drainingN
 }
 
 // Created reports how many packets this NI has accepted.

@@ -28,6 +28,7 @@ type refRouter struct {
 	at        topology.Coord
 	alg       routing.Algorithm
 	sel       routing.Selector
+	path      func(d topology.Dir, hops int) int // DBAR's congestion view; nil reads zero
 	spec      policy.Spec
 	pol       policy.Policy    // read for its DPA state only
 	kind      []policy.VCClass // Config.KindOf per VC index
@@ -128,7 +129,8 @@ func newRefWire(latency int) *refWire { return &refWire{slots: make([]msg.Flit, 
 // ShiftFlits moves every slot on one and returns the flit leaving slot 0.
 func (w *refWire) ShiftFlits() (msg.Flit, bool) {
 	f := w.slots[0]
-	w.slots = append(w.slots[1:], msg.Flit{})
+	copy(w.slots, w.slots[1:])
+	w.slots[len(w.slots)-1] = msg.Flit{}
 	w.entered = false
 	return f, f.Pkt != nil
 }
@@ -255,9 +257,25 @@ func (r *refRouter) OutputFree(d topology.Dir) int {
 }
 
 // PathOccupancy implements routing.CongestionView. The reference keeps no
-// DBAR tables; the rig selects locally, and Router without EnableCongestion
-// reads zero too.
-func (r *refRouter) PathOccupancy(topology.Dir, int) int { return 0 }
+// DBAR tables: the mesh lockstep answers from its record of every router's
+// InPortOccupancy, and without it (the rig selects locally) it reads zero,
+// as Router without EnableCongestion does.
+func (r *refRouter) PathOccupancy(d topology.Dir, hops int) int {
+	if r.path == nil {
+		return 0
+	}
+	return r.path(d, hops)
+}
+
+// InPortOccupancy is what DBAR relays: the flits buffered at the input port
+// a packet traveling in direction d enters by.
+func (r *refRouter) InPortOccupancy(d topology.Dir) int {
+	n := 0
+	for _, vc := range r.in[d.Opposite()].vcs {
+		n += len(vc.buf)
+	}
+	return n
+}
 
 // Tick advances one cycle; each stage reads what the previous cycle left,
 // so a flit moves at most one stage per cycle.

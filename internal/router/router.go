@@ -156,12 +156,6 @@ func (r *Router) OccupancyByKind() (native, foreign int) {
 	return int(r.soa.NativeOcc[r.li]), int(r.soa.ForeignOcc[r.li])
 }
 
-// WorkCounters returns the individual stage-population counters; the
-// invariant checker audits their sum against the store's Work mirror.
-func (r *Router) WorkCounters() (rc, va, active, st int) {
-	return r.rcCount, r.vaCount, r.activeCount, bits.OnesCount8(r.stBusy)
-}
-
 // ConnectIn attaches the credit wire the input port at dir returns on.
 func (r *Router) ConnectIn(dir topology.Dir, w CreditWire) { r.in[dir].credit = w }
 

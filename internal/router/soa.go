@@ -23,8 +23,10 @@ type SoA struct {
 	// Work[li] mirrors router li's pipeline population (rcCount+vaCount+
 	// activeCount plus its occupied ST registers); NIWork[li] mirrors NI
 	// li's (queued+streaming+draining). The engine skips any component
-	// whose entry is zero, and the invariant checker audits the mirrors
-	// against the component counters.
+	// whose entry is zero. A mirror that under-counts skips a component
+	// with work, which the mesh lockstep shows as a late flit or credit;
+	// one that over-counts leaves a drained network armed
+	// (TestDrainedNetworkTickAllocs).
 	Work   []int32
 	NIWork []int32
 
@@ -162,9 +164,3 @@ func (s *SoA) armR(li int) { s.ArmedR[uint(li)>>6] |= 1 << (uint(li) & 63) }
 
 // armN marks NI li armed.
 func (s *SoA) armN(li int) { s.ArmedN[uint(li)>>6] |= 1 << (uint(li) & 63) }
-
-// ArmedRouter reports whether router li's wake bit is set (audit hook).
-func (s *SoA) ArmedRouter(li int) bool { return s.ArmedR[uint(li)>>6]>>(uint(li)&63)&1 == 1 }
-
-// ArmedNI reports whether NI li's wake bit is set (audit hook).
-func (s *SoA) ArmedNI(li int) bool { return s.ArmedN[uint(li)>>6]>>(uint(li)&63)&1 == 1 }

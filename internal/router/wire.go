@@ -91,11 +91,6 @@ func (w *wires) add(i int, end LinkEnd, foreign bool) wireEnd {
 
 func (w *wires) mark(i int32) { w.dirty[i>>6] |= 1 << (uint(i) & 63) }
 
-func (w *wires) audit(i int, e wireEnd, inFlight int, fn func(LinkEnd, int, bool)) {
-	fn(LinkEnd{Node: w.lo + int(e.to), Dir: topology.Dir(e.port), NI: i >= w.ni}, inFlight,
-		slices.Contains(w.foreign, int32(i)) || w.dirty[i>>6]>>(uint(i)&63)&1 == 1)
-}
-
 // FlitSlab is one shard's flit wires in sweep order: router receivers,
 // then NIs (ejection wires in node order, the order ejections replay in).
 type FlitSlab struct {
@@ -150,14 +145,6 @@ func (s *FlitSlab) Sweep(routers []*Router, nis []*NI, now int64) (visits int64)
 		}
 	}
 	return visits
-}
-
-// Audit calls fn for every wire: its receiver, what is in flight on it and
-// whether the sweep visits it (marked or foreign). Read-only, at barriers.
-func (s *FlitSlab) Audit(fn func(to LinkEnd, inFlight int, visited bool)) {
-	for i := range s.rows {
-		s.audit(i, s.rows[i].end, s.rows[i].line.Len(), fn)
-	}
 }
 
 // FlitWire is a sender's handle on its flit wire (mark: not foreign).
@@ -237,13 +224,6 @@ func (s *CreditSlab) deliver(i int, routers []*Router, nis []*NI) {
 func (s *CreditSlab) Idle() bool {
 	return !slices.ContainsFunc(s.dirty, func(w uint64) bool { return w != 0 }) &&
 		!slices.ContainsFunc(s.foreign, func(i int32) bool { return s.vcs[i] != 0 })
-}
-
-// Audit calls fn for every wire of the slab (see FlitSlab.Audit).
-func (s *CreditSlab) Audit(fn func(to LinkEnd, inFlight int, visited bool)) {
-	for i, c := range s.vcs {
-		s.audit(i, s.ends[i], min(int(c), 1), fn)
-	}
 }
 
 // CreditWire is a sender's handle on its credit wire (see FlitWire).

@@ -92,9 +92,6 @@ func (d *DelayLine[T]) Shift() (v T, ok bool) {
 	return v, ok
 }
 
-// Len reports how many values are in flight.
-func (d *DelayLine[T]) Len() int { return int(d.count) }
-
 // Each calls fn for every in-flight value, oldest (next to exit) first. It
 // is a read-only audit hook for invariant checking.
 func (d *DelayLine[T]) Each(fn func(T)) {

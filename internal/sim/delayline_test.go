@@ -162,14 +162,14 @@ type (
 // TestDelayLineMatchesReference runs the zero-value-empty DelayLine against
 // the slot-valid one it replaced (refDelayLine) on random traffic: every
 // cycle both lines shift, then a non-zero value is pushed onto both when
-// the reference allows it and the draw says so. Shift's result, Busy, Len,
-// CanPush and the Each order must agree after every step, at every latency
-// either side of the inline ring's two slots, either side of 64 and of the
-// 256 cap, at random densities and pushing every cycle the reference
-// allows, with byte, flit-shaped and on-wire flit values. Each case runs
-// twice: once shifting every cycle, once skipping the shift of an idle line
-// as the foreign-wire poll does, which leaves the line's indices behind the
-// reference's and must not show.
+// the reference allows it and the draw says so. Shift's result, Busy, the
+// count in flight, CanPush and the Each order must agree after every step,
+// at every latency either side of the inline ring's two slots, either side
+// of 64 and of the 256 cap, at random densities and pushing every cycle the
+// reference allows, with byte, flit-shaped and on-wire flit values. Each
+// case runs twice: once shifting every cycle, once skipping the shift of an
+// idle line as the foreign-wire poll does, which leaves the line's indices
+// behind the reference's and must not show.
 func TestDelayLineMatchesReference(t *testing.T) {
 	pkts := make([]int, 8)
 	for _, lat := range []int{1, 2, 3, 4, 5, 64, 65, 255, 256} {
@@ -222,10 +222,10 @@ func matchesReference[T comparable](t *testing.T, lat int, skipIdle bool, rng *r
 		var each, refEach []T
 		d.Each(func(x T) { each = append(each, x) })
 		ref.Each(func(x T) { refEach = append(refEach, x) })
-		if d.Busy() != ref.Busy() || d.Len() != ref.Len() || d.CanPush() != ref.CanPush() ||
+		if d.Busy() != ref.Busy() || int(d.count) != ref.Len() || d.CanPush() != ref.CanPush() ||
 			!slices.Equal(each, refEach) {
-			t.Logf("lat=%d cycle %d: Busy %v Len %d CanPush %v Each %v, reference %v %d %v %v",
-				lat, c, d.Busy(), d.Len(), d.CanPush(), each, ref.Busy(), ref.Len(), ref.CanPush(), refEach)
+			t.Logf("lat=%d cycle %d: Busy %v count %d CanPush %v Each %v, reference %v %d %v %v",
+				lat, c, d.Busy(), d.count, d.CanPush(), each, ref.Busy(), ref.Len(), ref.CanPush(), refEach)
 			return false
 		}
 	}
