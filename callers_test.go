@@ -26,6 +26,7 @@ var uncalledKeeps = map[string]string{
 	"rair/internal/telemetry.Probe.Events":        "what TestReferenceLockstep compares with the reference router",
 	"rair/internal/router.Router.DebugDropCredit": "the invariant checker's seeded bug",
 	"rair/internal/stats.Dist.Merge":              "cross-seed pooling, kept for ROADMAP 3(c) and 6",
+	"rair/internal/invariant.Checker.Routers":     "what TestNetworkLockstep compares with the reference's DBAR view",
 }
 
 // listedPackage is the part of `go list -json` output the scan reads.

@@ -150,6 +150,10 @@ func NewChecker(cfg Config, t Target) *Checker {
 	}
 }
 
+// Routers returns the audited routers by node id, for tests: a seeded
+// wedge, and the mesh lockstep's read of their DBAR view.
+func (c *Checker) Routers() []*router.Router { return c.t.Routers }
+
 // EachLink calls fn for every link with its sender's flit wire handle and
 // the VC of the credit in flight back (-1: none, as on ejection links).
 func (c *Checker) EachLink(fn func(src, dst router.LinkEnd, w router.FlitWire, credit int)) {

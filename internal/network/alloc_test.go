@@ -125,9 +125,14 @@ func armed(mask []uint64) int {
 }
 
 // heapPerRouter builds an edge×edge quadrant mesh and returns the heap bytes
-// network.New retains per router (routers, NIs, links, stores, bindings).
-func heapPerRouter(edge int) float64 {
+// network.New retains per router (routers, NIs, links, stores, bindings),
+// with local selection, or with DBAR's when dbar is set.
+func heapPerRouter(edge int, dbar bool) float64 {
 	regions := region.Quadrants(topology.NewMesh(edge, edge))
+	var sel routing.Selector = routing.LocalSelector{}
+	if dbar {
+		sel = dbarSel(regions)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -135,7 +140,7 @@ func heapPerRouter(edge int) float64 {
 		Router:  router.DefaultConfig(1),
 		Regions: regions,
 		Alg:     routing.MinimalAdaptive{Mesh: regions.Mesh()},
-		Sel:     routing.LocalSelector{},
+		Sel:     sel,
 		Policy:  rairSpec,
 	})
 	runtime.GC()
@@ -150,8 +155,12 @@ func heapPerRouter(edge int) float64 {
 // the default single-class configuration, about 0.4 KB of it the node's
 // share of the wire slabs — must be the same at 32×32 as at 8×8 and stay
 // under an absolute budget: the measured 3,860 B plus 5 %.
+//
+// DBAR's congestion view adds a history of max(W,H)−1 cycles per router:
+// 71 B at 8×8, where the relay it replaced measured 743 B (704 B of rows
+// and their headers). Its budget is a quarter of the relay's rows, 176 B.
 func TestPerRouterFootprint(t *testing.T) {
-	small, large := heapPerRouter(8), heapPerRouter(32)
+	small, large := heapPerRouter(8, false), heapPerRouter(32, false)
 	t.Logf("heap per router: %.0f B at 8x8, %.0f B at 32x32", small, large)
 	if large > 1.15*small {
 		t.Errorf("heap per router grows with the mesh: %.0f B at 32x32 vs %.0f B at 8x8 (limit 1.15x)", large, small)
@@ -159,5 +168,13 @@ func TestPerRouterFootprint(t *testing.T) {
 	const budget = 4048
 	if large > budget {
 		t.Errorf("heap per router at 32x32 is %.0f B, budget %d B", large, budget)
+	}
+	// Against a second local build: the first build of a process retains
+	// about 0.6 KB per router less than later ones.
+	dbar := heapPerRouter(8, true) - heapPerRouter(8, false)
+	t.Logf("DBAR's view per router at 8x8: %.0f B", dbar)
+	const dbarBudget = 176
+	if dbar > dbarBudget {
+		t.Errorf("DBAR's view costs %.0f B per router at 8x8, budget %d B", dbar, dbarBudget)
 	}
 }

@@ -3,18 +3,18 @@
 // goroutine, and every cycle advances in barrier-separated phases that mirror
 // the register-latched two-phase semantics the serial network always had:
 //
-//	phase 1 (links):   shard-local link shift and flit/credit delivery
+//	phase 1 (links):   DBAR's history publish, then shard-local link shift
+//	                   and flit/credit delivery
 //	phase 2 (compute): router and NI pipelines tick
-//	phase 3 (cong):    DBAR congestion fill, then a separate swap phase
 //
 // Sharding is bit-exact because all cross-component communication flows
 // through latched links, and each wire is touched by exactly one shard per
 // phase: a link's flit wire belongs to the shard of its receiver (which
 // shifts and delivers it in phase 1 and is the only pusher of its credit wire
 // in phase 2), and its credit wire belongs to the shard of its sender
-// (symmetrically). The congestion fill reads neighbor state that phase 2 no
-// longer mutates and writes only shard-own next-tables; the swap is again
-// shard-own. Within a phase, shards share no mutable state.
+// (symmetrically). DBAR's history (router.History) is written in phase 1,
+// each shard its own routers' entries, and read across shards only in
+// phase 2. Within a phase, shards share no mutable state.
 package network
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"rair/internal/msg"
 	"rair/internal/router"
-	"rair/internal/topology"
 )
 
 type enginePhase uint8
@@ -34,8 +33,6 @@ type enginePhase uint8
 const (
 	phaseLinks enginePhase = iota
 	phaseCompute
-	phaseCongFill
-	phaseCongSwap
 )
 
 // ejection buffers one delivered packet so OnEject callbacks run on the
@@ -65,19 +62,22 @@ type shard struct {
 	// ejections buffers OnEject calls made during phase 1 (only allocated
 	// when the network has an OnEject observer).
 	ejections []ejection
+
+	// ticked is the set of routers the last compute phase ticked, which
+	// publish to DBAR's history in the next links phase (nil without one).
+	ticked []uint64
 }
 
 // engine drives the shards. It deliberately holds no reference back to the
 // Network so that worker goroutines (which capture the engine) never keep an
 // abandoned Network alive; the Network's finalizer can then stop them.
 type engine struct {
-	part    partition
-	routers []*router.Router
-	shards  []*shard
-	now     int64
+	part   partition
+	shards []*shard
+	now    int64
 
-	// mesh names each router's neighbors for the congestion relay.
-	mesh *topology.Mesh
+	// hist is DBAR's congestion view, nil unless the selector reads it.
+	hist *router.History
 
 	// prof, when non-nil, records the engine's self-profile (per-shard
 	// phase timings, barrier waits, sweep sizes); see profile.go.
@@ -144,8 +144,8 @@ func (p partition) of(id int) int {
 // starts one persistent worker per shard beyond the first. The hand-off
 // spins only when the shards fit the Ps: a spinner beyond them would burn
 // the slice a runnable shard needs.
-func newEngine(mesh *topology.Mesh, routers []*router.Router, nis []*router.NI, part partition, soas []*router.SoA) *engine {
-	e := &engine{part: part, mesh: mesh, routers: routers, shards: make([]*shard, part.s),
+func newEngine(routers []*router.Router, nis []*router.NI, part partition, soas []*router.SoA) *engine {
+	e := &engine{part: part, shards: make([]*shard, part.s),
 		spin: part.s <= runtime.GOMAXPROCS(0)}
 	for i := range e.shards {
 		lo, hi := part.bounds(i)
@@ -187,11 +187,11 @@ func (e *engine) bind(links []link, latency int) {
 				if l.src.NI {
 					src.nis[l.src.Node-src.lo].ConnectInjection(w)
 				} else {
-					e.routers[l.src.Node].ConnectOut(l.src.Dir, w)
+					src.routers[l.src.Node-src.lo].ConnectOut(l.src.Dir, w)
 				}
 			}
 			if l.src.NI == toNI && !l.dst.NI {
-				e.routers[l.dst.Node].ConnectIn(l.dst.Dir, src.creds.Add(l.src, src != dst))
+				dst.routers[l.dst.Node-dst.lo].ConnectIn(l.dst.Dir, src.creds.Add(l.src, src != dst))
 			}
 		}
 	}
@@ -261,6 +261,10 @@ func (e *engine) exec(sh *shard, ph enginePhase) {
 func (e *engine) execPhase(sh *shard, ph enginePhase) {
 	switch ph {
 	case phaseLinks:
+		if sh.ticked != nil {
+			// Before the sweep delivers: bufFlits still holds last cycle's end.
+			e.hist.Publish(sh.routers, sh.ticked)
+		}
 		dirtyFlit := sh.flits.Sweep(sh.routers, sh.nis, e.now)
 		dirtyCred := sh.creds.Sweep(sh.routers, sh.nis)
 		if p := e.prof; p != nil {
@@ -269,69 +273,37 @@ func (e *engine) execPhase(sh *shard, ph enginePhase) {
 			sp.dirtyCred += dirtyCred
 		}
 	case phaseCompute:
-		// Armed-component sweep: a router's wake bit is set by flit arrival
-		// (phase 1, this shard) and cleared here once its work counter hits
-		// zero; an NI's is set at injection.
-		now := e.now
-		soa := sh.soa
-		var armedR, armedN int64
-		for wi, w := range soa.ArmedR {
-			if w == 0 {
-				continue
-			}
-			keep := uint64(0)
-			base := wi << 6
-			for m := w; m != 0; m &= m - 1 {
-				li := base + bits.TrailingZeros64(m)
-				armedR++
-				sh.routers[li].Tick(now)
-				if soa.Work[li] > 0 {
-					keep |= 1 << (uint(li) & 63)
-				}
-			}
-			soa.ArmedR[wi] = keep
-		}
-		for wi, w := range soa.ArmedN {
-			if w == 0 {
-				continue
-			}
-			keep := uint64(0)
-			base := wi << 6
-			for m := w; m != 0; m &= m - 1 {
-				li := base + bits.TrailingZeros64(m)
-				armedN++
-				sh.nis[li].Tick(now)
-				if soa.NIWork[li] > 0 {
-					keep |= 1 << (uint(li) & 63)
-				}
-			}
-			soa.ArmedN[wi] = keep
-		}
+		now, soa := e.now, sh.soa
+		copy(sh.ticked, soa.ArmedR)
+		armedR := sweep(soa.ArmedR, soa.Work, func(li int) { sh.routers[li].Tick(now) })
+		armedN := sweep(soa.ArmedN, soa.NIWork, func(li int) { sh.nis[li].Tick(now) })
 		if p := e.prof; p != nil {
 			sp := &p.shards[sh.idx]
 			sp.routerTicks += armedR
 			sp.niTicks += armedN
 		}
-	case phaseCongFill:
-		// Every router relays, active or not: congestion values travel one
-		// hop per cycle through quiet routers too — but only along links
-		// that were wired, so never off the mesh or across a tile edge.
-		for _, r := range sh.routers {
-			for d := topology.North; d < topology.NumDirs; d++ {
-				next := r.CongNextRow(d)
-				if !r.Connected(d) {
-					clear(next)
-					continue
-				}
-				nr := e.routers[e.mesh.Neighbor(r.Node(), d)]
-				next[0] = nr.InPortOccupancy(d)
-				prev := nr.CongRow(d)
-				copy(next[1:], prev[:len(next)-1])
+	}
+}
+
+// sweep ticks every component armed in a shard's wake bitmap and keeps armed
+// those whose work counter is still nonzero, returning how many it ticked. A
+// router's bit is set by flit arrival (phase 1, this shard), an NI's at
+// injection.
+func sweep(armed []uint64, work []int32, tick func(li int)) (ticked int64) {
+	for wi, w := range armed {
+		if w == 0 {
+			continue
+		}
+		keep := uint64(0)
+		for m := w; m != 0; m &= m - 1 {
+			li := wi<<6 + bits.TrailingZeros64(m)
+			ticked++
+			tick(li)
+			if work[li] > 0 {
+				keep |= 1 << (uint(li) & 63)
 			}
 		}
-	case phaseCongSwap:
-		for _, r := range sh.routers {
-			r.SwapCong()
-		}
+		armed[wi] = keep
 	}
+	return ticked
 }

@@ -8,12 +8,9 @@
 // splits the mesh across persistent worker goroutines with barrier-separated
 // phases, producing bit-identical results.
 //
-// The network also runs the systolic congestion propagation DBAR relies on:
-// each cycle a router learns its neighbor's occupancy (one cycle old) and
-// the neighbor's view of the routers beyond it (one more cycle old per
-// hop). Propagation only runs when the configured selection function
-// actually consumes the signal (routing.CongestionConsumer), so schemes on
-// local selection don't pay for it.
+// Under a selector that reads it (routing.ConsumesCongestion), the network
+// also keeps DBAR's congestion view, a short history of every router's
+// occupancy (router.History).
 package network
 
 import (
@@ -90,7 +87,6 @@ type Network struct {
 	routers []*router.Router
 	nis     []*router.NI
 	eng     *engine
-	cong    bool
 	tel     *telemetry.Collector
 	probes  []*telemetry.Probe // per node, nil when telemetry is off
 	check   *invariant.Checker // nil when unchecked
@@ -128,7 +124,6 @@ func New(p Params) *Network {
 		mesh:       mesh,
 		routers:    make([]*router.Router, mesh.N()),
 		nis:        make([]*router.NI, mesh.N()),
-		cong:       routing.ConsumesCongestion(p.Sel),
 		tel:        p.Telemetry,
 		chiplets:   p.Chiplets,
 		bridgeSlot: bridgeSlot,
@@ -144,7 +139,7 @@ func New(p Params) *Network {
 		lo, hi := part.bounds(i)
 		soas[i] = router.NewSoA(p.Router, hi-lo)
 	}
-	n.eng = newEngine(mesh, n.routers, n.nis, part, soas)
+	n.eng = newEngine(n.routers, n.nis, part, soas)
 	// Routers before NIs: built in one pass, their small allocations
 	// interleave and the compute phase measured 2 % slower at 32×32.
 	for _, sh := range n.eng.shards {
@@ -152,10 +147,6 @@ func New(p Params) *Network {
 			id := sh.lo + li
 			app := p.Regions.AppAt(id)
 			r := router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy, sh.soa, li)
-			if n.cong {
-				// Congestion travels at most one mesh edge along a dimension.
-				r.EnableCongestion(max(mesh.W, mesh.H) - 1)
-			}
 			if n.tel != nil {
 				n.probes[id] = n.tel.ProbeFor(id, app)
 				r.SetTelemetry(n.probes[id])
@@ -185,6 +176,13 @@ func New(p Params) *Network {
 	}
 	links := linkTable(mesh, p.Chiplets) // only a checker keeps it
 	n.eng.bind(links, p.Router.LinkLatency)
+	if routing.ConsumesCongestion(p.Sel) {
+		// After bind: a path ends at the first router with no wire onward.
+		n.eng.hist = router.NewHistory(mesh, n.routers)
+		for _, sh := range n.eng.shards {
+			sh.ticked = make([]uint64, len(sh.soa.ArmedR))
+		}
+	}
 	if p.Chiplets != nil {
 		n.xbar = NewCrossbar(p.Chiplets, n.xbarDeliver)
 	}
@@ -242,8 +240,8 @@ func (n *Network) Close() {
 // Workers reports the number of tick-engine shards actually in use.
 func (n *Network) Workers() int { return len(n.eng.shards) }
 
-// CongestionEnabled reports whether DBAR congestion propagation runs.
-func (n *Network) CongestionEnabled() bool { return n.cong }
+// CongestionEnabled reports whether the network keeps DBAR's congestion view.
+func (n *Network) CongestionEnabled() bool { return n.eng.hist != nil }
 
 // Mesh returns the topology.
 func (n *Network) Mesh() *topology.Mesh { return n.mesh }
@@ -255,6 +253,9 @@ func (n *Network) Checker() *invariant.Checker { return n.check }
 // barrier-separated phases.
 func (n *Network) Tick(now int64) {
 	n.eng.now = now
+	if n.eng.hist != nil {
+		n.eng.hist.Advance(now)
+	}
 	if n.eng.prof != nil {
 		n.eng.prof.cycles++
 	}
@@ -262,11 +263,6 @@ func (n *Network) Tick(now int64) {
 	n.eng.run(phaseLinks)
 	// Phase 2: routers and NIs compute.
 	n.eng.run(phaseCompute)
-	// Phase 3: propagate congestion one hop (only if anything reads it).
-	if n.cong {
-		n.eng.run(phaseCongFill)
-		n.eng.run(phaseCongSwap)
-	}
 	// Sample telemetry windows on this goroutine after all barriers: every
 	// probe is quiescent (its owning shard finished the compute phase), so
 	// the read is race-free and deterministic.

@@ -21,9 +21,9 @@ import (
 
 // PhaseNames names the engine's phases in enginePhase order; barrier and
 // per-shard phase arrays are indexed the same way.
-var PhaseNames = [numPhases]string{"links", "compute", "congFill", "congSwap"}
+var PhaseNames = [numPhases]string{"links", "compute"}
 
-const numPhases = 4
+const numPhases = 2
 
 // barrierHistBuckets is the number of log2-nanosecond barrier-wait buckets:
 // bucket k counts waits in [2^(k-1), 2^k) ns, with the last bucket catching
@@ -95,6 +95,7 @@ type shardProf struct {
 	niTicks     int64
 	dirtyFlit   int64
 	dirtyCred   int64
+	_           [64 - (numPhases+4)*8]byte
 }
 
 type barrierProf struct {

@@ -21,7 +21,8 @@ import (
 // refMesh is the network's executable specification: a reference router
 // and NI per node (reference_test.go), wired by naive wires, every wire
 // shifted and every router and NI ticked every cycle. Its shape is the
-// textbook cycle loop: no shards, no wake bitmaps, no slabs, no relay.
+// textbook cycle loop: no shards, no wake bitmaps, no slabs, no history
+// ring.
 type refMesh struct {
 	routers []*router.RefRouter
 	nis     []*router.RefNI
@@ -30,10 +31,12 @@ type refMesh struct {
 	// next[id][d] is the router id's link in direction d leads to, -1 where
 	// none is wired (a mesh or tile edge).
 	next [][topology.NumDirs]int
-	// occ is DBAR's view without the relay: occ[t%len(occ)][id][d] is router
+	// occ is DBAR's view kept naively: occ[t%len(occ)][id][d] is router
 	// id's InPortOccupancy(d) at the end of cycle t, kept for the last
-	// max(W,H)−1 cycles, the longest path a router reads.
+	// lag = max(W,H)−1 cycles, the longest path a router reads, and the
+	// cycle just ended, so the view stays whole between ticks.
 	occ [][][topology.NumDirs]int
+	lag int
 	now int64
 }
 
@@ -47,7 +50,8 @@ func newRefMesh(c lockstepCell, onEject func(*msg.Packet, int64)) *refMesh {
 	m := &refMesh{
 		wires: map[[2]router.LinkEnd]*router.RefWire{},
 		next:  make([][topology.NumDirs]int, mesh.N()),
-		occ:   make([][][topology.NumDirs]int, max(mesh.W, mesh.H)-1),
+		occ:   make([][][topology.NumDirs]int, max(mesh.W, mesh.H)),
+		lag:   max(mesh.W, mesh.H) - 1,
 	}
 	for t := range m.occ {
 		m.occ[t] = make([][topology.NumDirs]int, mesh.N())
@@ -100,7 +104,7 @@ func newRefMesh(c lockstepCell, onEject func(*msg.Packet, int64)) *refMesh {
 // nothing past an unwired link.
 func (m *refMesh) pathOccupancy(id int, d topology.Dir, hops int) int {
 	sum := 0
-	for k := 0; k < min(hops, len(m.occ)); k++ {
+	for k := 0; k < min(hops, m.lag); k++ {
 		if id = m.next[id][d]; id < 0 {
 			break
 		}
@@ -273,12 +277,13 @@ type lockstep struct {
 }
 
 // TestNetworkLockstep is the network's oracle: network.New (wire slabs,
-// dirty-wire and armed-component sweeps, shards, DBAR's congestion relay,
+// dirty-wire and armed-component sweeps, shards, DBAR's occupancy history,
 // chiplet tile wiring) against refMesh, the reference routers and NIs on
 // naive wires with a naive record of every router's occupancy, on every
 // cell of lockstepCells. Every cycle every wire's flits and credit must
 // match, and so must the cycle's ejections (application, ID, cycle), in
-// order. The ejection count guards against a vacuous pass.
+// order, and in the DBAR cells every router's view. The ejection count
+// guards against a vacuous pass.
 func TestNetworkLockstep(t *testing.T) {
 	for _, c := range lockstepCells(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -382,5 +387,26 @@ func (ls *lockstep) compare(now int64) error {
 	if err == nil && seen != len(ls.ref.links) {
 		err = fmt.Errorf("cycle %d: the network has %d links, the reference %d", now, seen, len(ls.ref.links))
 	}
+	if err == nil && routing.ConsumesCongestion(ls.cell.sel) {
+		err = ls.compareView(now)
+	}
 	return err
+}
+
+// compareView holds every router's DBAR view, along every direction and
+// over every path length up to max(W,H)−1, to the reference's, so an error
+// shows even where no selection reads it.
+func (ls *lockstep) compareView(now int64) error {
+	mesh := ls.cell.regions.Mesh()
+	for id, r := range ls.n.Checker().Routers() {
+		for d := topology.North; d < topology.NumDirs; d++ {
+			for hops := 1; hops < max(mesh.W, mesh.H); hops++ {
+				if got, want := r.PathOccupancy(d, hops), ls.ref.pathOccupancy(id, d, hops); got != want {
+					return fmt.Errorf("cycle %d: router %d sees %d along %v over %d hops, the reference %d",
+						now, id, got, d, hops, want)
+				}
+			}
+		}
+	}
+	return nil
 }

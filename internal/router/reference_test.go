@@ -257,9 +257,9 @@ func (r *refRouter) OutputFree(d topology.Dir) int {
 }
 
 // PathOccupancy implements routing.CongestionView. The reference keeps no
-// DBAR tables: the mesh lockstep answers from its record of every router's
+// DBAR history: the mesh lockstep answers from its record of every router's
 // InPortOccupancy, and without it (the rig selects locally) it reads zero,
-// as Router without EnableCongestion does.
+// as Router without a History does.
 func (r *refRouter) PathOccupancy(d topology.Dir, hops int) int {
 	if r.path == nil {
 		return 0
@@ -267,8 +267,8 @@ func (r *refRouter) PathOccupancy(d topology.Dir, hops int) int {
 	return r.path(d, hops)
 }
 
-// InPortOccupancy is what DBAR relays: the flits buffered at the input port
-// a packet traveling in direction d enters by.
+// InPortOccupancy is what DBAR's view sums: the flits buffered at the
+// input port a packet traveling in direction d enters by.
 func (r *refRouter) InPortOccupancy(d topology.Dir) int {
 	n := 0
 	for _, vc := range r.in[d.Opposite()].vcs {

@@ -58,9 +58,9 @@ type Router struct {
 	// visits only ports that actually have a candidate this cycle.
 	saPorts uint8
 
-	// cong holds the DBAR congestion tables; nil unless EnableCongestion
-	// ran, so only DBAR routers pay for them.
-	cong *congTables
+	// hist is DBAR's congestion view, shared by the network's routers;
+	// nil unless the selector reads it (NewHistory).
+	hist *History
 
 	// Stage population counters let idle routers skip whole pipeline
 	// stages. Their sum with the occupied ST registers is mirrored into
@@ -123,24 +123,6 @@ func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.
 	return r
 }
 
-// congTables are DBAR's congestion rows: cur[d][k] is the (k+1)-cycle-old
-// occupancy of the router k+1 hops away in direction d. The network fills
-// next from neighbors each cycle and swaps.
-type congTables struct {
-	cur, next [topology.NumDirs][]int
-}
-
-// EnableCongestion allocates the DBAR congestion tables, hops entries per
-// cardinal direction. The network calls it only when propagation runs;
-// otherwise there are no tables and PathOccupancy reads zero.
-func (r *Router) EnableCongestion(hops int) {
-	r.cong = &congTables{}
-	for d := topology.North; d < topology.NumDirs; d++ {
-		r.cong.cur[d] = make([]int, hops)
-		r.cong.next[d] = make([]int, hops)
-	}
-}
-
 // Node returns the router's node id.
 func (r *Router) Node() int { return r.node }
 
@@ -161,9 +143,6 @@ func (r *Router) ConnectIn(dir topology.Dir, w CreditWire) { r.in[dir].credit = 
 
 // ConnectOut attaches the flit wire the output port at dir drives.
 func (r *Router) ConnectOut(dir topology.Dir, w FlitWire) { r.out[dir].wire = w }
-
-// Connected reports whether an output wire is attached at dir.
-func (r *Router) Connected(dir topology.Dir) bool { return r.out[dir].wire.s != nil }
 
 // DeliverFlit accepts a flit arriving on the input port at dir. The network
 // calls it when the attached link's delay elapses. A body/tail flit landing
@@ -226,40 +205,13 @@ func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
 
 // InPortOccupancy reports the buffered flits at the input port facing
 // direction d: the congestion a packet traveling in direction d meets when
-// it enters this router. This per-direction value is what DBAR propagates.
+// it enters this router. This per-direction value is what DBAR's view sums.
 func (r *Router) InPortOccupancy(d topology.Dir) int {
 	return r.in[d.Opposite()].bufFlits
 }
 
-// CongRow returns the current congestion table for direction d (read-only;
-// EnableCongestion must have run).
-func (r *Router) CongRow(d topology.Dir) []int { return r.cong.cur[d] }
-
-// CongNextRow returns the next-cycle congestion table for direction d; the
-// network fills it before calling SwapCong.
-func (r *Router) CongNextRow(d topology.Dir) []int { return r.cong.next[d] }
-
-// SwapCong publishes the next-cycle congestion tables.
-func (r *Router) SwapCong() { r.cong.cur, r.cong.next = r.cong.next, r.cong.cur }
-
 // OutputFree implements routing.CongestionView.
 func (r *Router) OutputFree(d topology.Dir) int { return r.out[d].freeCredits() }
-
-// PathOccupancy implements routing.CongestionView.
-func (r *Router) PathOccupancy(d topology.Dir, hops int) int {
-	if r.cong == nil {
-		return 0
-	}
-	row := r.cong.cur[d]
-	if hops > len(row) {
-		hops = len(row)
-	}
-	sum := 0
-	for k := 0; k < hops; k++ {
-		sum += row[k]
-	}
-	return sum
-}
 
 // Tick advances the router one cycle. Stages run in reverse pipeline order
 // (ST, SA, VA, RC) over latched state, so each flit advances at most one

@@ -94,8 +94,8 @@ type CongestionView interface {
 	// output port in direction d (the local, credit-based signal).
 	OutputFree(d topology.Dir) int
 	// PathOccupancy reports the aggregated occupancy of the next hops
-	// routers along direction d (the DBAR-style non-local signal, as
-	// fresh as the one-hop-per-cycle propagation allows).
+	// routers along direction d (the DBAR-style non-local signal, each
+	// router one cycle older per hop, as a one-hop-per-cycle relay).
 	PathOccupancy(d topology.Dir, hops int) int
 }
 
@@ -107,33 +107,18 @@ type Selector interface {
 	Select(cur, dst int, dirs []topology.Dir, view CongestionView) topology.Dir
 }
 
-// CongestionConsumer is implemented by selectors that read the propagated
-// non-local congestion signal (CongestionView.PathOccupancy). The network
-// runs the cycle-by-cycle DBAR propagation only when the configured selector
-// consumes it; selectors that don't implement the interface are
-// conservatively assumed to consume it.
-type CongestionConsumer interface {
-	// ConsumesCongestion reports whether Select ever calls PathOccupancy.
-	ConsumesCongestion() bool
-}
-
-// ConsumesCongestion reports whether sel needs the propagated congestion
-// signal: its CongestionConsumer answer if implemented, true otherwise.
+// ConsumesCongestion reports whether sel may read the non-local signal
+// (CongestionView.PathOccupancy), so the network must keep DBAR's view:
+// every selector but LocalSelector, which reads only the credit signal.
 func ConsumesCongestion(sel Selector) bool {
-	if c, ok := sel.(CongestionConsumer); ok {
-		return c.ConsumesCongestion()
-	}
-	return true
+	_, local := sel.(LocalSelector)
+	return !local
 }
 
 // LocalSelector picks the candidate with the most free downstream credits,
 // breaking ties toward the first candidate (the X dimension, keeping the
 // tie-break deterministic).
 type LocalSelector struct{}
-
-// ConsumesCongestion implements CongestionConsumer: local selection reads
-// only the credit signal, so the network can skip DBAR propagation.
-func (LocalSelector) ConsumesCongestion() bool { return false }
 
 // Select implements Selector.
 func (LocalSelector) Select(cur, dst int, dirs []topology.Dir, view CongestionView) topology.Dir {
@@ -161,10 +146,6 @@ type DBARSelector struct {
 	// occupancy-style penalty. Zero disables the local term.
 	Depth int
 }
-
-// ConsumesCongestion implements CongestionConsumer: DBAR scoring is built on
-// the propagated per-dimension occupancy tables.
-func (DBARSelector) ConsumesCongestion() bool { return true }
 
 // Select implements Selector.
 func (s DBARSelector) Select(cur, dst int, dirs []topology.Dir, view CongestionView) topology.Dir {
