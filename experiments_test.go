@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +71,49 @@ func TestExperimentGoldens(t *testing.T) {
 				t.Errorf("%s.txt drifts at line %d (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)", path, i+1)
 			}
 		})
+	}
+}
+
+// awaitingClaims lists the experiments that reproduce a paper claim which
+// is not yet written as a guard (ROADMAP item 9). Every other experiment
+// states its claim as a guard, or goes.
+var awaitingClaims = []string{"delta", "fig10", "fig15", "scale-cores", "scale-regions", "vcsplit"}
+
+// TestEveryExperimentIsGuarded: every registered experiment has a guard or
+// waits in awaitingClaims, and the list is exact: it names registered
+// experiments only, and none that has a guard.
+func TestEveryExperimentIsGuarded(t *testing.T) {
+	for _, n := range names() {
+		switch guarded, awaiting := len(experiments[n].guards) > 0, slices.Contains(awaitingClaims, n); {
+		case !guarded && !awaiting:
+			t.Errorf("experiment %s states no claim: give it a guard or delete it", n)
+		case guarded && awaiting:
+			t.Errorf("experiment %s has a guard: remove it from awaitingClaims", n)
+		}
+	}
+	for _, n := range awaitingClaims {
+		if _, ok := experiments[n]; !ok {
+			t.Errorf("awaitingClaims names %s, which is not an experiment", n)
+		}
+	}
+}
+
+// TestManifestsValidate: every manifest under testdata/sweep names only
+// registered experiments, so a deleted experiment fails here rather than
+// in the sweep that runs the manifest.
+func TestManifestsValidate(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "sweep", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no manifests under testdata/sweep: %v", err)
+	}
+	for _, path := range paths {
+		m, err := sweep.LoadManifest(path)
+		if err == nil {
+			err = m.Validate(names())
+		}
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

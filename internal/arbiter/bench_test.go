@@ -10,8 +10,8 @@ import (
 // DefaultConfig(2)) with two requestors and with all of them, SA_out over
 // the five input ports, and VA_out over every input VC of the router (25
 // and 50) with three requestors. Each shape runs three ways: "row" grants
-// over a priority row alternating between two levels (what Rank and Age
-// still do), "flat" grants with a nil row, and "narrowed" first keeps the
+// over a priority row alternating between two levels (what Rank
+// still does), "flat" grants with a nil row, and "narrowed" first keeps the
 // requestors of the high level by one mask intersection per word, then
 // grants flat (the native/foreign rules).
 func BenchmarkPrioritizedGrant(b *testing.B) {

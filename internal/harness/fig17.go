@@ -6,7 +6,6 @@ import (
 	"rair/internal/collective"
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/sim"
@@ -157,16 +156,6 @@ func adversarialPanel(title string, schemes []Scheme, dur Durations, seed uint64
 func Fig17Adversarial(dur Durations, seed uint64) *Panel {
 	return adversarialPanel("Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)",
 		comparedSchemes(PARSECRanks()), dur, seed)
-}
-
-// AblateAgeBased contrasts the oldest-first baseline (Abts & Weisser, the
-// other region-oblivious technique of Section III.A) with RO_RR and RAIR
-// under the adversarial flood. Aging both drains the deprioritized flood
-// (avoiding buffer hogging) and imposes a global FIFO-like order — where
-// the balance lands is an empirical question this ablation answers.
-func AblateAgeBased(dur Durations, seed uint64) *Panel {
-	schemes := []Scheme{RORR(), {Name: "RO_Age", Policy: policy.Spec{Priority: policy.Age}}, RAIR("RA_RAIR")}
-	return adversarialPanel("Oldest-first arbitration under the adversarial flood", schemes, dur, seed)
 }
 
 // AblateBatching sweeps RO_Rank's batching interval under the adversarial

@@ -149,26 +149,6 @@ func (p *Panel) VCSplitTable(splits []int) *Table {
 	return t
 }
 
-// Heatmap runs the six-application scenario under a scheme and renders the
-// per-router link-utilization heatmap — a visual check that congestion
-// concentrates where the scenario intends (the heavy regions and the MC
-// corners).
-func Heatmap(schemeName string, dur Durations, seed uint64) (string, error) {
-	s, err := SchemeByName(schemeName)
-	if err != nil {
-		return "", err
-	}
-	regs, apps := Fig14Scenario("UR")
-	// No drain: the map and the APL are read at the end of the window.
-	dur.Drain = 0
-	b := Build(synthRun(regs, apps, s, dur, seed))
-	defer b.Close()
-	col := b.Run()
-	return fmt.Sprintf("%s under %s (APL %.2f)\n%s",
-		b.Net.UtilizationHeatmap(dur.Warmup+dur.Measure), s.Name, col.APL(),
-		"regions: 3x2 grid; apps 1 (top middle) and 5 (bottom right) heavy; MCs at corners\n"), nil
-}
-
 // LatencyLoadCurve measures the latency-load curve of chip-wide uniform
 // random traffic under RO_RR (the supporting saturation characterization):
 // one row per fraction of saturation, labelled with it; throughput is read

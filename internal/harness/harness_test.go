@@ -178,16 +178,6 @@ func TestScaleStudies(t *testing.T) {
 	}
 }
 
-func TestHeatmapDriver(t *testing.T) {
-	out, err := Heatmap("RO_RR", Durations{Warmup: 200, Measure: 1500, Drain: 0}, 1)
-	if err != nil || !strings.Contains(out, "utilization") {
-		t.Fatalf("heatmap: %v\n%s", err, out)
-	}
-	if _, err := Heatmap("NOPE", QuickDurations(), 1); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-}
-
 func TestFig17TraceReplay(t *testing.T) {
 	dur := Durations{Warmup: 1000, Measure: 5000, Drain: 5000}
 	res := Fig17Trace(dur, 1)
@@ -253,76 +243,5 @@ func TestReplayFreelistIsBounded(t *testing.T) {
 	}
 	if held > peak || 2*peak > tr.Len() {
 		t.Fatalf("freelist holds %d packets after replaying %d events with at most %d in flight", held, tr.Len(), peak)
-	}
-}
-
-func TestCharacterizeWorkloads(t *testing.T) {
-	res := CharacterizeWorkloads(30000, 1)
-	if len(res.Rows) != 13 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	byName := map[string]WorkloadRow{}
-	for _, r := range res.Rows {
-		if r.IssueRate <= 0 || r.MissFlux <= 0 || r.FlitDemand != r.MissFlux*6 {
-			t.Fatalf("bad row %+v", r)
-		}
-		byName[r.Name] = r
-	}
-	// The paper's headline ordering must hold in the full suite too.
-	if !(byName["blackscholes"].MissFlux < byName["swaptions"].MissFlux &&
-		byName["swaptions"].MissFlux < byName["fluidanimate"].MissFlux &&
-		byName["fluidanimate"].MissFlux < byName["raytrace"].MissFlux) {
-		t.Fatal("headline intensity ordering broken")
-	}
-	if !strings.Contains(res.Table().String(), "canneal") {
-		t.Fatal("table incomplete")
-	}
-}
-
-func TestRankOracleAblation(t *testing.T) {
-	res := AblateRankOracle(Durations{Warmup: 500, Measure: 3000, Drain: 5000}, 1)
-	if len(res.APL) != 3 || len(res.Apps) != 6 {
-		t.Fatalf("shape %dx%d", len(res.APL), len(res.Apps))
-	}
-	for vi := range res.APL {
-		for ai := range res.Apps {
-			if res.APL[vi][ai] <= 0 {
-				t.Fatalf("empty APL at %d/%d", vi, ai)
-			}
-		}
-	}
-	if s := res.RankTable().String(); !strings.Contains(s, "RO_RankDyn") {
-		t.Fatalf("table:\n%s", s)
-	}
-}
-
-func TestInterferenceMatrix(t *testing.T) {
-	m, err := MeasureInterference("RO_RR", Durations{Warmup: 500, Measure: 3000, Drain: 5000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Apps) != 6 || len(m.Slowdown) != 6 {
-		t.Fatalf("matrix shape %dx%d", len(m.Apps), len(m.Slowdown))
-	}
-	strongest := 0.0
-	for vi := range m.Apps {
-		if m.Slowdown[vi][vi] != 0 {
-			t.Fatal("diagonal must be empty")
-		}
-		for ci := range m.Apps {
-			if vi != ci && (m.Slowdown[vi][ci] < 0.5 || m.Slowdown[vi][ci] > 10) {
-				t.Fatalf("implausible slowdown %v at (%d,%d)", m.Slowdown[vi][ci], vi, ci)
-			}
-			strongest = max(strongest, m.Slowdown[vi][ci])
-		}
-	}
-	if strongest <= 1.0 {
-		t.Fatalf("no interference detected at all: max %v", strongest)
-	}
-	if s := m.Table().String(); !strings.Contains(s, "victim") {
-		t.Fatalf("table:\n%s", s)
-	}
-	if _, err := MeasureInterference("NOPE", QuickDurations(), 1); err == nil {
-		t.Fatal("unknown scheme accepted")
 	}
 }

@@ -57,7 +57,7 @@ var rairSpec = policy.Spec{Priority: policy.DPA, Delta: policy.DefaultDelta}
 var schemes = []Scheme{
 	{Name: "RO_RR"},
 	{Name: "RO_Rank", Policy: policy.Spec{Priority: policy.Rank,
-		Ranks: policy.FixedRanks([]int{0, 1, 2, 3, 4, 5, 6, 7}), Batch: policy.BatchInterval}},
+		Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}, Batch: policy.BatchInterval}},
 	{Name: "RA_DBAR", Selector: SelDBAR},
 	{Name: "RA_RAIR", Policy: rairSpec},
 	{Name: "RAIR_DBAR", Policy: rairSpec, Selector: SelDBAR},
@@ -103,7 +103,7 @@ func RORRDBAR(name string) Scheme { return scheme("RA_DBAR", name) }
 // least network-intensive = highest priority).
 func RORank(ranks []int) Scheme {
 	s := scheme("RO_Rank", "")
-	s.Policy.Ranks = policy.FixedRanks(ranks)
+	s.Policy.Ranks = slices.Clone(ranks)
 	return s
 }
 

@@ -151,27 +151,30 @@ func heapPerRouter(edge int, dbar bool) float64 {
 
 // TestPerRouterFootprint is the guard against per-router state that grows
 // with the mesh (the per-destination route cache cost 48 B × N per router:
-// 48 KB each at 32×32). A router's share of the built network — 3.9 KB with
-// the default single-class configuration, about 0.4 KB of it the node's
-// share of the wire slabs — must be the same at 32×32 as at 8×8 and stay
-// under an absolute budget: the measured 3,860 B plus 5 %.
+// 48 KB each at 32×32). A router's share of the built network — 3.9 to
+// 4.1 KB with the default single-class configuration, about 0.4 KB of it
+// the node's share of the wire slabs — must not grow from 8×8 to 32×32 and
+// must stay under an absolute budget: the measured 3,860 B at 32×32 plus
+// 5 %. The first build of the test retains about 0.6 KB per router less
+// than the builds after it (at every repetition under -count, not only the
+// first of the process), so a throwaway build comes first and every
+// measured build is a warm one.
 //
 // DBAR's congestion view adds a history of max(W,H)−1 cycles per router:
 // 71 B at 8×8, where the relay it replaced measured 743 B (704 B of rows
 // and their headers). Its budget is a quarter of the relay's rows, 176 B.
 func TestPerRouterFootprint(t *testing.T) {
+	heapPerRouter(8, false)
 	small, large := heapPerRouter(8, false), heapPerRouter(32, false)
 	t.Logf("heap per router: %.0f B at 8x8, %.0f B at 32x32", small, large)
-	if large > 1.15*small {
-		t.Errorf("heap per router grows with the mesh: %.0f B at 32x32 vs %.0f B at 8x8 (limit 1.15x)", large, small)
+	if large > 1.05*small {
+		t.Errorf("heap per router grows with the mesh: %.0f B at 32x32 vs %.0f B at 8x8 (limit 1.05x)", large, small)
 	}
 	const budget = 4048
 	if large > budget {
 		t.Errorf("heap per router at 32x32 is %.0f B, budget %d B", large, budget)
 	}
-	// Against a second local build: the first build of a process retains
-	// about 0.6 KB per router less than later ones.
-	dbar := heapPerRouter(8, true) - heapPerRouter(8, false)
+	dbar := heapPerRouter(8, true) - small
 	t.Logf("DBAR's view per router at 8x8: %.0f B", dbar)
 	const dbarBudget = 176
 	if dbar > dbarBudget {

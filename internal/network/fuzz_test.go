@@ -46,13 +46,11 @@ func TestConfigFuzz(t *testing.T) {
 		cfg.GlobalVCs = rng.Intn(cfg.AdaptiveVCs + 1)
 
 		var pf policy.Spec
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			pf = policy.Spec{}
 		case 1:
-			pf = policy.Spec{Priority: policy.Age}
-		case 2:
-			pf = policy.Spec{Priority: policy.Rank, Ranks: policy.FixedRanks([]int{0, 1, 2, 3}), Batch: policy.BatchInterval}
+			pf = policy.Spec{Priority: policy.Rank, Ranks: []int{0, 1, 2, 3}, Batch: policy.BatchInterval}
 		default:
 			pf = policy.Spec{Priority: []policy.Priority{policy.DPA, policy.NativeH, policy.ForeignH}[rng.Intn(3)], Delta: policy.DefaultDelta}
 		}

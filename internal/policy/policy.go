@@ -1,11 +1,10 @@
 // Package policy is the arbitration policy a router consults at its
 // arbitration steps. Every scheme the paper evaluates — the RO_RR baseline,
-// the STC baseline RO_Rank, the oldest-first baseline and RAIR with its
-// ablations — has one hardware shape: a small integer priority per
-// requestor in front of a fair (round-robin) arbiter, read at the VA output
-// arbitration and at the SA input and output arbitrations. VA input
-// arbitration is contention-free between flows (Section IV.B), so no
-// priority is read there.
+// the STC baseline RO_Rank and RAIR with its ablations — has one hardware
+// shape: a small integer priority per requestor in front of a fair
+// (round-robin) arbiter, read at the VA output arbitration and at the SA
+// input and output arbitrations. VA input arbitration is contention-free
+// between flows (Section IV.B), so no priority is read there.
 //
 // A Spec holds the switches the schemes vary; New builds one router's
 // Policy from it. RAIR is three mechanisms over the native/foreign bit of a
@@ -73,11 +72,6 @@ const (
 	// the application with the better (lower) rank in Spec.Ranks wins.
 	// Region- and VC-class-oblivious.
 	Rank
-	// Age is oldest-first (Abts & Weisser, SC'07), the other
-	// region-oblivious technique of Section III.A: starvation-free, but
-	// any flood, an adversarial one included, inherits priority as it
-	// waits.
-	Age
 	// NativeH statically favors native traffic on regional VCs and in SA
 	// (the RAIR_NativeH ablation of Figure 12). It and the rules after it
 	// are RAIR's native/foreign rules.
@@ -108,10 +102,12 @@ type Spec struct {
 	MSP Stages
 	// Delta is DPA's hysteresis width Δ; zero is no hysteresis.
 	Delta float64
-	// Ranks is Rank's application ranking: a fixed oracle (FixedRanks)
-	// or a measured one the harness advances (NewRankState). Batch is
+	// Ranks is Rank's application ranking, the oracle the paper grants its
+	// optimized STC ("able to always find the optimal application
+	// rankings"): Ranks[app] is app's rank, rank 0 the least
+	// network-intensive application and the highest priority. Batch is
 	// Rank's batching interval in cycles.
-	Ranks *RankState
+	Ranks []int
 	Batch int64
 }
 
@@ -128,26 +124,21 @@ const DefaultDelta = 0.2
 // buffers, collapsing throughput for everyone.
 const BatchInterval = 250
 
-const (
-	// maxBatchAge caps Rank's batch age so the composed priority stays
-	// well away from overflow while preserving "older batch always wins".
-	maxBatchAge = 1<<20 - 1
-	// maxAge caps Age's age in cycles; far beyond any sane in-network
-	// latency, it only guards against integer overflow.
-	maxAge = 1 << 30
-)
+// maxBatchAge caps Rank's batch age so the composed priority stays well
+// away from overflow while preserving "older batch always wins".
+const maxBatchAge = 1<<20 - 1
 
 // Policy is one router's arbitration policy. Higher priorities win; equal
 // ones fall back to the arbiter's round-robin fairness. A priority is the
 // native/foreign base of the current state, sa[native] or
 // va[class][native], plus the packet's order term. The base is zero under
-// RR, Rank and Age, and the order term is zero except under Rank and Age,
-// so each read takes one of the two.
+// RR and Rank, and the order term is zero except under Rank, so each read
+// takes one of the two.
 type Policy struct {
 	sa [2]int8
 	va [3][2]int8
 
-	// ordered is set under Rank and Age, which add the order term.
+	// ordered is set under Rank, which adds the order term.
 	ordered bool
 	// nativeHigh is the native/foreign state: whether native traffic has
 	// the high priority. DPA starts foreign-high (global traffic is
@@ -164,7 +155,7 @@ func New(spec Spec, app int) Policy {
 		app = math.MinInt // matches no packet's application
 	}
 	p := Policy{
-		ordered:    spec.Priority == Rank || spec.Priority == Age,
+		ordered:    spec.Priority == Rank,
 		nativeHigh: spec.Priority == NativeH,
 		app:        app,
 		spec:       spec,
@@ -179,7 +170,7 @@ func New(spec Spec, app int) Policy {
 // VA-only, in SA; escape VCs stay fair (a deadlock-safety resource outside
 // the regional/global classification). The other rules are flat here.
 func (p *Policy) setBase() {
-	if p.spec.Priority < NativeH { // RR, Rank, Age
+	if p.spec.Priority < NativeH { // RR, Rank
 		return
 	}
 	hi := b2i(p.nativeHigh)
@@ -209,15 +200,15 @@ func (p *Policy) VAPriority(pkt *msg.Packet, cls VCClass, now int64) int {
 	return int(p.va[cls][p.native(pkt)])
 }
 
-// Ordered reports whether priorities carry a per-packet order term (Rank
-// and Age): only then does an arbitration need a priority row. Under the
+// Ordered reports whether priorities carry a per-packet order term
+// (Rank): only then does an arbitration need a priority row. Under the
 // other rules every priority is a native/foreign base, and SAFavored and
 // VAFavored narrow a request set to its top class instead.
 func (p *Policy) Ordered() bool { return p.ordered }
 
 // SAFavored narrows an SA request set, over requestors whose native traffic
 // native marks, to those of the highest SA priority; it returns req itself
-// when no requestor outranks another by class (always under Rank and Age).
+// when no requestor outranks another by class (always under Rank).
 // Under the other rules a flat grant over the result is the prioritized
 // grant over req.
 func (p *Policy) SAFavored(req, native uint64) uint64 {
@@ -258,17 +249,18 @@ func favor(base [2]int8, native uint64) uint64 {
 // native is pkt's native bit: its application is the router's.
 func (p *Policy) native(pkt *msg.Packet) int { return b2i(pkt.App == p.app) }
 
-// order is Age's age in cycles, or Rank's batch age times a weight that
-// puts every older batch above every rank, plus the rank term (the worst
-// rank, that of an unranked application, adds nothing).
+// order is Rank's batch age times a weight that puts every older batch
+// above every rank, plus the rank term. An application outside the
+// ranking (adversarial traffic with an unranked id, say) gets the worst
+// rank, the number of ranked applications, which adds nothing.
 func (p *Policy) order(pkt *msg.Packet, now int64) int {
-	if p.spec.Priority == Age {
-		return int(min(max(now-pkt.CreatedAt, 0), maxAge))
-	}
 	b := p.spec.Batch
 	age := min(max(now/b-pkt.CreatedAt/b, 0), maxBatchAge)
-	n := len(p.spec.Ranks.ranks)
-	return int(age)*(n+2) + n - p.spec.Ranks.Rank(pkt.App)
+	n, rank := len(p.spec.Ranks), len(p.spec.Ranks)
+	if pkt.App >= 0 && pkt.App < n {
+		rank = p.spec.Ranks[pkt.App]
+	}
+	return int(age)*(n+2) + n - rank
 }
 
 // Update is DPA's hysteresis transition of Figure 7, fed the router's

@@ -13,7 +13,7 @@ func pkt(app int, created int64) *msg.Packet { return &msg.Packet{App: app, Crea
 
 // rank is Rank over a fixed ranking at the default batch interval.
 func rank(ranks ...int) Policy {
-	return New(Spec{Priority: Rank, Ranks: FixedRanks(ranks), Batch: BatchInterval}, 0)
+	return New(Spec{Priority: Rank, Ranks: ranks, Batch: BatchInterval}, 0)
 }
 
 func TestNativeBit(t *testing.T) {
@@ -49,6 +49,9 @@ func TestRankPrefersLowIntensity(t *testing.T) {
 	if p.SAPriority(lo, 10) <= p.SAPriority(hi, 10) {
 		t.Fatal("lower-intensity app must outrank")
 	}
+	if q := rank(1, 0); q.SAPriority(lo, 10) >= q.SAPriority(hi, 10) {
+		t.Fatal("the ranking is read from its table: swapped ranks swap the order")
+	}
 	// Region-obliviousness: identical across VC classes and at SA.
 	if p.VAPriority(lo, VCRegional, 10) != p.VAPriority(lo, VCGlobal, 10) ||
 		p.VAPriority(lo, VCGlobal, 10) != p.SAPriority(lo, 10) {
@@ -73,6 +76,9 @@ func TestRankUnrankedAppIsWorst(t *testing.T) {
 	if p.SAPriority(adv, 10) >= p.SAPriority(worst, 10) {
 		t.Fatal("unranked app must be below every ranked app")
 	}
+	if p.SAPriority(pkt(-1, 0), 10) != p.SAPriority(adv, 10) {
+		t.Fatal("a negative app must get the worst rank too")
+	}
 }
 
 func TestRankFutureBatchClamped(t *testing.T) {
@@ -92,108 +98,10 @@ func TestRankAgeSaturates(t *testing.T) {
 }
 
 func TestRankCustomInterval(t *testing.T) {
-	p := New(Spec{Priority: Rank, Ranks: FixedRanks([]int{0, 1}), Batch: 100}, 0)
+	p := New(Spec{Priority: Rank, Ranks: []int{0, 1}, Batch: 100}, 0)
 	young, old := pkt(1, 150), pkt(1, 40)
 	if p.SAPriority(old, 180) <= p.SAPriority(young, 180) {
 		t.Fatal("custom interval batching inactive")
-	}
-}
-
-func TestAgeOldestWins(t *testing.T) {
-	p := New(Spec{Priority: Age}, 0)
-	old, young := pkt(1, 10), pkt(1, 500)
-	if p.SAPriority(old, 1000) <= p.SAPriority(young, 1000) {
-		t.Fatal("older packet must outrank")
-	}
-	if p.VAPriority(old, VCGlobal, 1000) <= p.VAPriority(young, VCGlobal, 1000) {
-		t.Fatal("older packet must outrank at VA")
-	}
-}
-
-func TestAgeRegionOblivious(t *testing.T) {
-	p := New(Spec{Priority: Age}, 0)
-	native, foreign := pkt(0, 100), pkt(1, 100)
-	for _, cls := range []VCClass{VCEscape, VCGlobal, VCRegional} {
-		if p.VAPriority(native, cls, 200) != p.VAPriority(foreign, cls, 200) {
-			t.Fatal("age must ignore region")
-		}
-	}
-}
-
-func TestAgeClamps(t *testing.T) {
-	p := New(Spec{Priority: Age}, 0)
-	if p.SAPriority(pkt(0, 1000), 0) != 0 {
-		t.Fatal("future creation must clamp to zero")
-	}
-	if p.SAPriority(pkt(0, 0), 1<<40) != maxAge {
-		t.Fatal("age must saturate")
-	}
-	if p.Update(1, 2) {
-		t.Fatal("age keeps no state to flip")
-	}
-}
-
-func TestRankStateRanking(t *testing.T) {
-	s := NewRankState(3, 100)
-	// App 2 injects the most, app 0 the least.
-	for i := 0; i < 5; i++ {
-		s.Observe(1)
-	}
-	for i := 0; i < 20; i++ {
-		s.Observe(2)
-	}
-	s.Observe(0)
-	s.Advance(100)
-	if s.Rank(0) != 0 || s.Rank(1) != 1 || s.Rank(2) != 2 {
-		t.Fatalf("ranks %d %d %d", s.Rank(0), s.Rank(1), s.Rank(2))
-	}
-	// Counts reset each interval: a quiet next interval re-ranks by the
-	// new window only.
-	for i := 0; i < 9; i++ {
-		s.Observe(0)
-	}
-	s.Advance(150) // not due yet
-	if s.Rank(0) != 0 {
-		t.Fatal("re-ranked before the interval elapsed")
-	}
-	s.Advance(200)
-	if s.Rank(0) != 2 {
-		t.Fatalf("app 0 rank %d after becoming the most intensive", s.Rank(0))
-	}
-}
-
-func TestRankStateOutOfRange(t *testing.T) {
-	s := NewRankState(2, 10)
-	s.Observe(-1)
-	s.Observe(9) // ignored
-	if s.Rank(9) != 2 || s.Rank(-1) != 2 {
-		t.Fatal("out-of-range apps must get the worst rank")
-	}
-	if f := FixedRanks([]int{1, 0, 2}); f.Rank(0) != 1 || f.Rank(3) != 3 {
-		t.Fatal("a fixed ranking reads its table, the worst rank past it")
-	}
-}
-
-// TestDynRankPolicy is Rank over a measured ranking: the same arbitration
-// as the oracle, with ranks that follow the observed injections.
-func TestDynRankPolicy(t *testing.T) {
-	s := NewRankState(2, 100)
-	p := New(Spec{Priority: Rank, Ranks: s, Batch: BatchInterval}, 0)
-	for i := 0; i < 10; i++ {
-		s.Observe(0)
-	}
-	s.Advance(100)
-	light, heavy := pkt(1, 100), pkt(0, 100)
-	if p.SAPriority(light, 120) <= p.SAPriority(heavy, 120) {
-		t.Fatal("measured ranking must favor the lighter app")
-	}
-	if p.VAPriority(light, VCGlobal, 120) != p.VAPriority(light, VCRegional, 120) {
-		t.Fatal("measured RO_Rank must be VC-class-oblivious")
-	}
-	// Batching still dominates rank.
-	oldHeavy, freshLight := pkt(0, 0), pkt(1, 9*BatchInterval)
-	if p.SAPriority(oldHeavy, 10*BatchInterval) <= p.SAPriority(freshLight, 10*BatchInterval) {
-		t.Fatal("older batch must dominate measured rank")
 	}
 }
 

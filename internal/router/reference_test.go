@@ -185,27 +185,26 @@ func (r *refRouter) favored(p *msg.Packet) bool {
 	return r.native(p) == nativeHigh
 }
 
-// order is the priority of the region-oblivious rules: under Age the age
-// in cycles, under Rank the batch age weighted above every rank plus the
-// rank term (an unranked application gets the worst rank, n). The
-// episodes create packets at most 600 cycles back, far below either cap.
+// order is Rank's priority: the batch age weighted above every rank plus
+// the rank term (an unranked application gets the worst rank, n). The
+// episodes create packets at most 600 cycles back, far below the cap.
 func (r *refRouter) order(p *msg.Packet) int {
-	if r.spec.Priority == policy.Age {
-		return int(r.now - p.CreatedAt)
+	b, n := r.spec.Batch, len(r.spec.Ranks)
+	rank := n
+	if p.App >= 0 && p.App < n {
+		rank = r.spec.Ranks[p.App]
 	}
-	b, ranks := r.spec.Batch, r.spec.Ranks
-	n := ranks.Rank(-1)
-	return int(r.now/b-p.CreatedAt/b)*(n+2) + n - ranks.Rank(p.App)
+	return int(r.now/b-p.CreatedAt/b)*(n+2) + n - rank
 }
 
 // saPriority is p's priority at SA_in and SA_out: flat under RR, the
-// order under Rank and Age, and otherwise (MSP) 1 for the favored traffic
+// order under Rank, and otherwise (MSP) 1 for the favored traffic
 // unless the priority stops at VA.
 func (r *refRouter) saPriority(p *msg.Packet) int {
 	switch r.spec.Priority {
 	case policy.RR:
 		return 0
-	case policy.Rank, policy.Age:
+	case policy.Rank:
 		return r.order(p)
 	}
 	if r.spec.MSP == policy.VAOnly || !r.favored(p) {
@@ -221,7 +220,7 @@ func (r *refRouter) vaPriority(p *msg.Packet, cls policy.VCClass) int {
 	switch r.spec.Priority {
 	case policy.RR:
 		return 0
-	case policy.Rank, policy.Age:
+	case policy.Rank:
 		return r.order(p)
 	}
 	if cls == policy.VCGlobal && !r.native(p) || cls == policy.VCRegional && r.favored(p) {

@@ -78,10 +78,6 @@ type Router struct {
 	// those ports instead of re-running free() on all of them.
 	freeablePorts uint8
 
-	// flitsSent counts flits pushed onto each output link (utilization
-	// instrumentation).
-	flitsSent [topology.NumDirs]int64
-
 	// tel is the node's telemetry probe; nil when telemetry is disabled,
 	// and every hot-path use is guarded on that.
 	tel *telemetry.Probe
@@ -288,7 +284,6 @@ func (r *Router) switchTraversal() {
 		out := r.out[d]
 		out.wire.send(out.st)
 		r.soa.Work[r.li]--
-		r.flitsSent[d]++
 		if r.tel != nil {
 			r.tel.LinkFlit()
 			if out.st.Type.IsHead() && r.tel.Traced(out.st.Pkt.ID) {
@@ -298,10 +293,6 @@ func (r *Router) switchTraversal() {
 	}
 	r.stBusy = 0
 }
-
-// FlitsSent reports the flits this router has pushed onto the output link
-// at dir since construction (link-utilization instrumentation).
-func (r *Router) FlitsSent(dir topology.Dir) int64 { return r.flitsSent[dir] }
 
 // saStallScan replays the per-cycle stall telemetry the old full rescan
 // produced as a side effect: every active, non-empty VC missing from the
@@ -363,7 +354,7 @@ func (r *Router) switchAllocation() {
 		} else {
 			// Under the unordered rules every priority is the favored
 			// bit, so the grant is a flat one over the favored subset;
-			// Rank and Age fill a priority row.
+			// Rank fills a priority row.
 			row, prio := [1]uint64{r.pol.SAFavored(elig, in.native)}, []int(nil)
 			if r.pol.Ordered() {
 				prio = r.soa.saPrio
@@ -517,7 +508,7 @@ func (r *Router) vcAllocation() {
 	v := r.nvc
 	nw := (int(topology.NumDirs)*v + 63) >> 6 // words per VA request row
 	s := r.soa
-	prio := []int(nil) // only Rank and Age fill and read a priority row
+	prio := []int(nil) // only Rank fills and reads a priority row
 	if r.pol.Ordered() {
 		prio = s.vaPrio
 	}
@@ -557,7 +548,7 @@ func (r *Router) vcAllocation() {
 			continue
 		}
 		// Under the unordered rules the grant is a flat one over the
-		// row's favored subset; Rank and Age have no favored class.
+		// row's favored subset; Rank has no favored class.
 		w := r.vaArb[og].Grant(r.pol.VAFavored(s.vaCls[og], row, s.vaNative[:nw], s.vaFavored[:nw]), prio)
 		// Losers of a VA_out arbitration: serialized on the escape VC when
 		// that is what they competed for, otherwise blocked by the winner's

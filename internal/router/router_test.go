@@ -271,7 +271,7 @@ func TestStateSizes(t *testing.T) {
 		{"inputVC", unsafe.Sizeof(inputVC{}), 32},
 		{"outputVC", unsafe.Sizeof(outputVC{}), 16},
 		{"OutputPort", unsafe.Sizeof(OutputPort{}), 128},
-		{"Router", unsafe.Sizeof(Router{}), 576},
+		{"Router", unsafe.Sizeof(Router{}), 488},
 		// A two-slot inline ring of 16-byte wire flits with byte indices.
 		{"DelayLine[wireFlit]", unsafe.Sizeof(sim.DelayLine[wireFlit]{}), 48},
 		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},

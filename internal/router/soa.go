@@ -75,7 +75,7 @@ type SoA struct {
 	// array would escape through the interface call). saPrio is one input
 	// port's SA_in priorities, saOutPri the SA_out priorities of the output
 	// port under arbitration; their request sets are masks in registers.
-	// Rank and Age alone read the priority rows: under the other rules
+	// Rank alone reads the priority rows: under the other rules
 	// vaNative marks the native requestors of this tick's rows (bits of
 	// input VCs that filed no request are stale and never read), vaCls is
 	// each requested output VC's kind, and vaFavored receives a row

@@ -28,7 +28,7 @@ func FuzzCheckStore(f *testing.F) {
 			recs[i].CSV = csv
 		}
 		rep := sweep.CheckStore(recs, guards)
-		if len(rep.Findings) != 17 {
+		if len(rep.Findings) != 21 {
 			t.Fatalf("%d findings, want one per guard", len(rep.Findings))
 		}
 		_ = rep.String()

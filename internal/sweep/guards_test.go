@@ -97,6 +97,31 @@ RO_Rank,1.04,0.99,1.00,1.01,1971.0,6
 RA_RAIR,1.00,1.00,1.00,1.00,1931.3,6
 `
 
+const collBcastCSV = `scheme,blackscholes,swaptions,fluidanimate,avg slowdown,cct,rounds
+RO_RR,0.99,1.03,0.99,1.00,252.1,44
+RA_DBAR,1.05,1.05,1.01,1.04,251.1,44
+RO_Rank,1.00,0.99,1.00,1.00,277.4,40
+RA_RAIR,0.98,0.99,1.01,0.99,257.0,43
+`
+
+const collA2ACSV = `scheme,blackscholes,swaptions,fluidanimate,avg slowdown,cct,rounds
+RO_RR,1.05,1.04,1.02,1.04,1519.7,7
+RA_DBAR,1.04,1.02,1.03,1.03,1544.1,7
+RO_Rank,1.02,1.01,1.02,1.01,1558.9,7
+RA_RAIR,1.02,1.02,1.01,1.01,1582.7,7
+`
+
+const fig17TraceCSV = `scheme,blackscholes,swaptions,fluidanimate,raytrace,average
+RO_RR,20.40,35.27,35.54,25.25,29.11
+RA_DBAR,20.22,41.87,41.62,25.64,32.34
+RO_Rank,34.60,35.67,30.73,30.05,32.76
+RA_RAIR,4.33,31.34,26.23,25.58,21.87
+`
+
+const lbdrCSV = `fraction
+0.140659
+`
+
 func goodRecords() []sweep.Record {
 	recs := []sweep.Record{
 		{Experiment: "fig9", CSV: fig9CSV},
@@ -110,6 +135,10 @@ func goodRecords() []sweep.Record {
 		{Experiment: "coll-allreduce", CSV: collAllreduceCSV},
 		{Experiment: "chiplet-synth", CSV: chipletSynthCSV},
 		{Experiment: "mesh64-scale", CSV: mesh64ScaleCSV},
+		{Experiment: "coll-bcast", CSV: collBcastCSV},
+		{Experiment: "coll-a2a", CSV: collA2ACSV},
+		{Experiment: "fig17-trace", CSV: fig17TraceCSV},
+		{Experiment: "lbdr", CSV: lbdrCSV},
 	}
 	for i := range recs {
 		recs[i].Seed = 1
@@ -129,8 +158,8 @@ func TestGuardsPassOnReferenceShapes(t *testing.T) {
 	for _, gs := range rair.Guards() {
 		want += len(gs)
 	}
-	if len(rep.Findings) != want || want != 17 {
-		t.Errorf("ran %d guards of %d, want all 17 (every guard covered by the fixtures)", len(rep.Findings), want)
+	if len(rep.Findings) != want || want != 21 {
+		t.Errorf("ran %d guards of %d, want all 21 (every guard covered by the fixtures)", len(rep.Findings), want)
 	}
 	if len(rep.Missing) != 0 {
 		t.Errorf("guarded experiments missing from full fixture set: %v", rep.Missing)
@@ -196,6 +225,16 @@ func TestGuardsCatchBrokenShapes(t *testing.T) {
 		{"chiplet base drift", "chiplet-synth", "RA_DBAR,22.63", "RA_DBAR,25.80"},
 		// mesh64-scale: RAIR turns harmful at a big mesh size.
 		{"mesh64 harmful", "mesh64-scale", "32x32,1024,16,68.90,66.73,+3.1%", "32x32,1024,16,68.90,71.30,-3.5%"},
+		// coll-bcast: a victim slowdown leaves the sanity band.
+		{"coll-bcast runaway slowdown", "coll-bcast", "RA_DBAR,1.05,1.05,1.01,1.04", "RA_DBAR,1.05,1.05,1.01,1.64"},
+		// coll-bcast: a scheme stops completing broadcasts.
+		{"coll-bcast no rounds", "coll-bcast", "277.4,40", "0.0,0"},
+		// coll-a2a: a scheme stops completing shuffles.
+		{"coll-a2a no rounds", "coll-a2a", "1582.7,7", "0.0,0"},
+		// fig17-trace: RA_RAIR is no longer the lowest by 5 %.
+		{"fig17-trace RAIR not lowest", "fig17-trace", "RA_RAIR,4.33,31.34,26.23,25.58,21.87", "RA_RAIR,4.33,31.34,26.23,25.58,28.00"},
+		// lbdr: the fraction moves off 64/455 in the sixth decimal.
+		{"lbdr off the closed form", "lbdr", "0.140659", "0.140660"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,7 +300,7 @@ func TestGuardsCatchAlone(t *testing.T) {
 func TestCheckStoreReportsCoverage(t *testing.T) {
 	recs := []sweep.Record{
 		{Key: "k1", Experiment: "fig17", Seed: 1, CSV: fig17CSV},
-		{Key: "k2", Experiment: "heatmap", Seed: 1, Text: "art"},
+		{Key: "k2", Experiment: "fig10", Seed: 1, Text: "table"},
 	}
 	rep := sweep.CheckStore(recs, rair.Guards())
 	if rep.Failed() != 0 {
@@ -270,8 +309,8 @@ func TestCheckStoreReportsCoverage(t *testing.T) {
 	if len(rep.Missing) == 0 {
 		t.Error("missing guarded experiments not reported")
 	}
-	if len(rep.Unchecked) != 1 || rep.Unchecked[0] != "heatmap" {
-		t.Errorf("Unchecked = %v, want [heatmap]", rep.Unchecked)
+	if len(rep.Unchecked) != 1 || rep.Unchecked[0] != "fig10" {
+		t.Errorf("Unchecked = %v, want [fig10]", rep.Unchecked)
 	}
 	if empty := sweep.CheckStore(nil, rair.Guards()); len(empty.Findings) != 0 {
 		t.Errorf("an empty store has %d findings", len(empty.Findings))

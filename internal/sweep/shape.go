@@ -23,9 +23,9 @@ type CSVTable struct {
 	Rows   [][]string
 }
 
-// ParseCSVTable parses a Table.CSV rendition. Experiments that concatenate
-// several tables (e.g. matrix) parse as one table with the extra header
-// rows kept as data, so rows may be shorter or longer than the header.
+// ParseCSVTable parses a Table.CSV rendition. A CSV that concatenates
+// several tables parses as one table with the extra header rows kept as
+// data, so rows may be shorter or longer than the header.
 func ParseCSVTable(s string) (*CSVTable, error) {
 	r := csv.NewReader(strings.NewReader(s))
 	r.FieldsPerRecord = -1

@@ -74,83 +74,10 @@ var (
 	}
 )
 
-// The remaining PARSEC 2.0 applications. The paper's infrastructure
-// "supports all 13 applications in PARSEC 2.0" and presents four; these
-// proxies complete the suite. Parameters are set from the PARSEC
-// characterization's relative memory behaviour (working-set class,
-// sharing, read/write mix); as with the headline four, only the relative
-// network intensity and locality matter to the NoC experiments.
-var (
-	// Bodytrack: medium working set, mostly-read shared body model.
-	Bodytrack = Profile{
-		Name: "bodytrack", IssueProb: 0.30,
-		PrivateBlocks: 1536, SharedBlocks: 2048, SharedProb: 0.15,
-		RunLen: 10, WriteFrac: 0.2,
-	}
-	// Canneal: huge irregular netlist, cache-hostile pointer chasing.
-	Canneal = Profile{
-		Name: "canneal", IssueProb: 0.35,
-		PrivateBlocks: 4096, SharedBlocks: 8192, SharedProb: 0.45,
-		RunLen: 2, WriteFrac: 0.25,
-	}
-	// Dedup: streaming pipeline with hash tables.
-	Dedup = Profile{
-		Name: "dedup", IssueProb: 0.35,
-		PrivateBlocks: 2048, SharedBlocks: 4096, SharedProb: 0.25,
-		RunLen: 12, WriteFrac: 0.35,
-	}
-	// Facesim: large meshes, regular sweeps.
-	Facesim = Profile{
-		Name: "facesim", IssueProb: 0.35,
-		PrivateBlocks: 3072, SharedBlocks: 4096, SharedProb: 0.15,
-		RunLen: 14, WriteFrac: 0.35,
-	}
-	// Ferret: similarity search pipeline, read-dominated shared tables.
-	Ferret = Profile{
-		Name: "ferret", IssueProb: 0.30,
-		PrivateBlocks: 2048, SharedBlocks: 6144, SharedProb: 0.35,
-		RunLen: 6, WriteFrac: 0.15,
-	}
-	// Freqmine: frequent itemset mining over shared FP-trees.
-	Freqmine = Profile{
-		Name: "freqmine", IssueProb: 0.30,
-		PrivateBlocks: 2560, SharedBlocks: 4096, SharedProb: 0.30,
-		RunLen: 5, WriteFrac: 0.3,
-	}
-	// Streamcluster: streaming k-median; scans large point arrays.
-	Streamcluster = Profile{
-		Name: "streamcluster", IssueProb: 0.40,
-		PrivateBlocks: 3072, SharedBlocks: 6144, SharedProb: 0.25,
-		RunLen: 16, WriteFrac: 0.1,
-	}
-	// Vips: image pipeline, streaming tiles.
-	Vips = Profile{
-		Name: "vips", IssueProb: 0.30,
-		PrivateBlocks: 1536, SharedBlocks: 2048, SharedProb: 0.10,
-		RunLen: 16, WriteFrac: 0.3,
-	}
-	// X264: motion estimation over reference frames.
-	X264 = Profile{
-		Name: "x264", IssueProb: 0.30,
-		PrivateBlocks: 1024, SharedBlocks: 3072, SharedProb: 0.20,
-		RunLen: 12, WriteFrac: 0.25,
-	}
-)
-
 // Profiles returns the four headline proxies in the paper's order
 // (blackscholes, swaptions, fluidanimate, raytrace).
 func Profiles() []Profile {
 	return []Profile{Blackscholes, Swaptions, Fluidanimate, Raytrace}
-}
-
-// AllProfiles returns proxies for the full PARSEC 2.0 suite the paper's
-// infrastructure supports (13 applications).
-func AllProfiles() []Profile {
-	return []Profile{
-		Blackscholes, Bodytrack, Canneal, Dedup, Facesim, Ferret,
-		Fluidanimate, Freqmine, Raytrace, Streamcluster, Swaptions,
-		Vips, X264,
-	}
 }
 
 // blockBytes matches the Table 1 block size; streams generate

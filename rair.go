@@ -44,7 +44,6 @@ import (
 	"rair/internal/memsys"
 	"rair/internal/msg"
 	"rair/internal/obs"
-	"rair/internal/policy"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -356,7 +355,7 @@ func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
 		return s, fmt.Errorf("rair: unknown scheme %q (want one of %s)", cfg.Scheme, strings.Join(Schemes(), ", "))
 	}
 	if cfg.Scheme == "RO_Rank" {
-		ranks := cfg.Ranks
+		ranks := slices.Clone(cfg.Ranks)
 		if ranks == nil {
 			// Default identity ranking sized to the configured app count so
 			// big layouts (16-region grids, chiplet packages) don't silently
@@ -367,7 +366,7 @@ func schemeFor(cfg Config, numApps int) (harness.Scheme, error) {
 				ranks[i] = i
 			}
 		}
-		s.Policy.Ranks = policy.FixedRanks(ranks)
+		s.Policy.Ranks = ranks
 	}
 	if cfg.Delta > 0 {
 		s.Policy.Delta = cfg.Delta
