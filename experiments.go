@@ -3,6 +3,7 @@ package rair
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -21,8 +22,28 @@ type ExperimentInfo struct {
 // colReduction is the last column of a ReductionTable.
 const colReduction = "avg reduction vs RO_RR"
 
-// fig9Ps is the inter-region fraction axis of Figures 9 and 10.
-var fig9Ps = []float64{0, 0.25, 0.5, 0.75, 1.0}
+// fig9Points is the inter-region fraction axis p of Figures 9 and 10.
+var fig9Points = pointsOf(harness.Fig9Scenario, 0, 0.25, 0.5, 0.75, 1.0)
+
+// Scheme axes shared by more than one experiment: Figure 12's DPA
+// ablations, the four techniques on the six-application scenario, and the
+// scalability studies' baseline and technique.
+var (
+	fig12Schemes  = []harness.Scheme{harness.RORR(), harness.SchemeAs("RAIR_NativeH", ""), harness.SchemeAs("RAIR_ForeignH", ""), harness.RAIR("RAIR_DPA")}
+	sixAppSchemes = harness.ComparedSchemes(harness.SixAppRanks())
+	scaleSchemes  = []harness.Scheme{harness.RORR(), harness.RAIR("RA_RAIR")}
+)
+
+// pointsOf is the axis of scenario at each value.
+func pointsOf[T any](scenario func(T) harness.Point, values ...T) func(quick bool) []harness.Point {
+	return func(bool) []harness.Point {
+		pts := make([]harness.Point, len(values))
+		for i, v := range values {
+			pts[i] = scenario(v)
+		}
+		return pts
+	}
+}
 
 // collPARSECGuards is the guard of the three PARSEC co-runs with a
 // collective aggressor. At quick durations, seeds 1-5, coll-bcast completes
@@ -32,16 +53,22 @@ var collPARSECGuards = []sweep.Guard{{Name: "PARSEC co-run sane: all schemes com
 	{Op: sweep.Within, A: sweep.Sel{Col: "avg slowdown"}, Lo: 0.90, Hi: 1.50, Min: 4},
 }}}
 
-// experiments maps names to drivers: one rendering a table, or — for the few
-// whose output is not one table — text and CSV. quick says dur is the reduced
-// setting, for the drivers that shrink an axis of their own with it.
+// experiments maps names to drivers. An axis experiment runs its schemes at
+// its points in one harness.Axis and renders the panels with axis under its
+// title; any other renders a table, or — for the few whose output is not
+// one table — text and CSV. quick says dur is the reduced setting, for the
+// experiments that shrink an axis of their own with it.
 var experiments = map[string]struct {
 	paper string
 	// guards are the experiment's reproduction targets as predicates over
 	// its CSV (the vocabulary is sweep.Pred); rairsweep check applies them.
-	guards []sweep.Guard
-	table  func(dur harness.Durations, quick bool, seed uint64) *harness.Table
-	text   func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
+	guards  []sweep.Guard
+	title   string
+	schemes []harness.Scheme
+	points  func(quick bool) []harness.Point
+	axis    func(title string, pts []harness.Point, ps []*harness.Panel) *harness.Table
+	table   func(dur harness.Durations, quick bool, seed uint64) *harness.Table
+	text    func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
 }{
 	"fig9": {
 		paper: "Figure 9: impact of multi-stage prioritization (APL vs inter-region fraction p)",
@@ -54,15 +81,18 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0"}, B: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, K: 1 / 1.05},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig9MSP(dur, fig9Ps, seed).SweepTable(fig9Ps)
-		},
+		title:   "Figure 9: impact of MSP (APL vs inter-region fraction p)",
+		schemes: []harness.Scheme{harness.RORR(), harness.SchemeAs("RAIR_VA", ""), harness.RAIR("RAIR_VA+SA")},
+		points:  fig9Points,
+		axis:    harness.SweepTable,
 	},
 	"fig10": {
 		paper: "Figure 10: impact of routing algorithm (Local vs DBAR selection under RO_RR and RAIR)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig10Routing(dur, fig9Ps, seed).SweepTable(fig9Ps)
-		},
+		// RO_RR is the figure's RO_RR_Local.
+		title:   "Figure 10: impact of routing algorithm (APL vs p)",
+		schemes: []harness.Scheme{harness.RORR(), harness.RAIR("RAIR_Local"), harness.RORRDBAR("RO_RR_DBAR"), harness.SchemeAs("RAIR_DBAR", "")},
+		points:  fig9Points,
+		axis:    harness.SweepTable,
 	},
 	"fig12a": {
 		paper: "Figure 12(a): dynamic priority adaptation, low apps sending into the hot region",
@@ -71,9 +101,10 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Margin: -0.03},
 			{Op: sweep.Within, A: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Lo: sweep.Positive},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig12DPA(harness.Fig12A, dur, seed).ReductionTable()
-		},
+		title:   "Figure 12(a) low apps send into App3",
+		schemes: fig12Schemes,
+		points:  pointsOf(harness.Fig12Scenario, harness.Fig12A),
+		axis:    harness.ReductionTable,
 	},
 	"fig12b": {
 		paper: "Figure 12(b): dynamic priority adaptation, hot app sending out",
@@ -83,9 +114,10 @@ var experiments = map[string]struct {
 		}}, {Name: "DPA never does worse than the losing static mode", Preds: []sweep.Pred{
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig12DPA(harness.Fig12B, dur, seed).ReductionTable()
-		},
+		title:   "Figure 12(b) App3 sends out",
+		schemes: fig12Schemes,
+		points:  pointsOf(harness.Fig12Scenario, harness.Fig12B),
+		axis:    harness.ReductionTable,
 	},
 	"fig14": {
 		paper: "Figure 14: six-application RNoC, uniform-random global traffic",
@@ -102,15 +134,17 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App1 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App1 APL"}, K: 1.10},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App5 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App5 APL"}, K: 1.10},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig14SixApp(dur, seed).ReductionTable()
-		},
+		title:   "Figure 14: six-application scenario (UR global traffic)",
+		schemes: sixAppSchemes,
+		points:  pointsOf(harness.Fig14Scenario, "UR"),
+		axis:    harness.ReductionTable,
 	},
 	"fig15": {
-		paper: "Figure 15: average APL reduction across global traffic patterns (UR/TP/BC/HS)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.Fig15Table(harness.Fig15Patterns(dur, seed))
-		},
+		paper:   "Figure 15: average APL reduction across global traffic patterns (UR/TP/BC/HS)",
+		title:   "Figure 15: average APL reduction vs RO_RR per global traffic pattern",
+		schemes: sixAppSchemes,
+		points:  pointsOf(harness.Fig14Scenario, "UR", "TP", "BC", "HS"),
+		axis:    harness.Fig15Table,
 	},
 	"fig17": {
 		paper: "Figure 17: PARSEC proxies under adversarial traffic (APL slowdown)",
@@ -127,17 +161,18 @@ var experiments = map[string]struct {
 		},
 	},
 	"delta": {
-		paper: "Section IV.C: DPA hysteresis width ablation (Δ between 0.1 and 0.3, best ≈0.2)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.AblateDelta([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}, dur, seed).DeltaTable()
-		},
+		paper:   "Section IV.C: DPA hysteresis width ablation (Δ between 0.1 and 0.3, best ≈0.2)",
+		title:   "DPA hysteresis ablation: avg APL reduction vs RO_RR per Δ",
+		schemes: harness.DeltaSchemes(0, 0.1, 0.2, 0.3, 0.4, 0.5),
+		points:  pointsOf(harness.Fig14Scenario, "UR"),
+		axis:    harness.DeltaTable,
 	},
 	"vcsplit": {
-		paper: "Section VI: regional/global VC split ablation (roughly even split recommended)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			splits := []int{1, 2, 3}
-			return harness.AblateVCSplit(splits, dur, seed).VCSplitTable(splits)
-		},
+		paper:   "Section VI: regional/global VC split ablation (roughly even split recommended)",
+		title:   "VC regionalization split ablation (of 4 adaptive VCs)",
+		schemes: []harness.Scheme{harness.RAIR("RA_RAIR")},
+		points:  func(bool) []harness.Point { return harness.VCSplitPoints(1, 2, 3) },
+		axis:    harness.VCSplitTable,
 	},
 	"lbdr": {
 		paper: "Section III.B: LBDR valid-mapping fraction (≈14% with 16 cores, 4 MCs, 4 apps)",
@@ -180,15 +215,23 @@ var experiments = map[string]struct {
 	},
 	"scale-cores": {
 		paper: "Section VI scalability: RAIR's benefit across mesh sizes (4x4 to 16x16)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.ScaleCores(dur, seed).Table()
-		},
+		// RAIR's per-router state is constant, so its benefit should persist.
+		title:   "Scalability: mesh size (4 quadrant regions)",
+		schemes: scaleSchemes,
+		points:  pointsOf(func(k int) harness.Point { return harness.GridScenario(k, 2, 2) }, 4, 8, 12, 16),
+		axis:    harness.ScaleTable,
 	},
 	"scale-regions": {
 		paper: "Section VI scalability: RAIR's benefit across region counts (2 to 16 on 8x8)",
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
-			return harness.ScaleRegions(dur, seed).Table()
-		},
+		// A router tracks two flows (native/foreign) at any region count.
+		title:   "Scalability: region count (8x8 mesh)",
+		schemes: scaleSchemes,
+		points: pointsOf(func(g [2]int) harness.Point {
+			pt := harness.GridScenario(8, g[0], g[1])
+			pt.Label = fmt.Sprintf("%d regions", g[0]*g[1])
+			return pt
+		}, [2]int{2, 1}, [2]int{2, 2}, [2]int{4, 2}, [2]int{4, 4}),
+		axis: harness.ScaleTable,
 	},
 	"coll-synth": {
 		paper: "Extension: collective co-run, synthetic victims — ring AllReduce in one region, victim APL slowdown + collective completion time per scheme",
@@ -251,13 +294,19 @@ var experiments = map[string]struct {
 		guards: []sweep.Guard{{Name: "RAIR's benefit survives big meshes: positive reduction at every size", Preds: []sweep.Pred{
 			{Op: sweep.Within, A: sweep.Sel{}, Lo: sweep.Positive, Min: 2},
 		}}},
-		table: func(dur harness.Durations, quick bool, seed uint64) *harness.Table {
-			ks := []int{32, 64}
-			if quick {
-				ks = []int{16, 32}
+		// Sharded: the serial engine would dominate at 4096 routers.
+		title:   "Scalability: big meshes (16-region grid, sharded engine)",
+		schemes: scaleSchemes,
+		points: func(quick bool) []harness.Point {
+			var pts []harness.Point
+			for _, k := range map[bool][]int{false: {32, 64}, true: {16, 32}}[quick] {
+				pt := harness.GridScenario(k, 4, 4)
+				pt.Workers = min(runtime.GOMAXPROCS(0), 8)
+				pts = append(pts, pt)
 			}
-			return harness.ScaleBigMesh(ks, dur, seed).Table()
+			return pts
 		},
+		axis: harness.ScaleTable,
 	},
 	"curve": {
 		paper: "Supporting: latency-load curve for chip-wide uniform random traffic (saturation calibration)",
@@ -268,12 +317,12 @@ var experiments = map[string]struct {
 			{Op: sweep.Knee, A: sweep.Sel{Col: "apl"}, B: sweep.Sel{Col: "load_frac"}, K: 1.5, Lo: 0.80, Hi: 1.15},
 		}}},
 		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
-			p := harness.LatencyLoadCurve([]float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1}, dur, seed)
+			pts := pointsOf(harness.UniformScenario, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1)(false)
 			text, csv := "fraction of achieved saturation  APL  throughput(flits/node/cycle)\n", "load_frac,apl,throughput\n"
-			for i, frac := range p.Labels {
-				apl, thr := p.APL[i][0], p.Cols[i].FlitThroughput(64)
-				text += fmt.Sprintf("%s  %8.2f  %.3f\n", frac, apl, thr)
-				csv += fmt.Sprintf("%s,%.3f,%.4f\n", frac, apl, thr)
+			for _, p := range harness.Axis([]harness.Scheme{harness.RORR()}, pts, dur, seed) {
+				apl, thr := p.APL[0][0], p.Cols[0].FlitThroughput(64)
+				text += fmt.Sprintf("%s  %8.2f  %.3f\n", p.Title, apl, thr)
+				csv += fmt.Sprintf("%s,%.3f,%.4f\n", p.Title, apl, thr)
 			}
 			return text, csv, nil
 		},
@@ -372,9 +421,15 @@ func runExperiment(name string, dur harness.Durations, quick bool, seed uint64) 
 	if seed == 0 {
 		seed = 1
 	}
-	if e.text != nil {
+	var t *harness.Table
+	switch {
+	case e.text != nil:
 		return e.text(dur, quick, seed)
+	case e.axis != nil:
+		pts := e.points(quick)
+		t = e.axis(e.title, pts, harness.Axis(e.schemes, pts, dur, seed))
+	default:
+		t = e.table(dur, quick, seed)
 	}
-	t := e.table(dur, quick, seed)
 	return t.String(), t.CSV(), nil
 }

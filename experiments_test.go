@@ -74,6 +74,41 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 }
 
+// TestFacadeMatchesFigure ties the facade to a figure: the six-application
+// scenario built through New and AddApp runs the simulation of the fig14
+// registry row under each of its schemes, to the same packet count and
+// bit-equal per-application APLs.
+func TestFacadeMatchesFigure(t *testing.T) {
+	dur := harness.Durations{Warmup: 200, Measure: 800, Drain: 3000}
+	e := experiments["fig14"]
+	fig := harness.Axis(e.schemes, e.points(true), dur, 1)[0]
+	for ri, scheme := range fig.Labels {
+		cfg := Config{Layout: LayoutSixGrid, Scheme: scheme}
+		if scheme == "RO_Rank" {
+			cfg.Ranks = harness.SixAppRanks()
+		}
+		sim, err := New(cfg)
+		for a := 0; err == nil && a < len(harness.SixAppLoads); a++ {
+			err = sim.AddApp(AppSpec{App: a, LoadFrac: harness.SixAppLoads[a], GlobalFrac: 0.2, MCFrac: 0.05})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sim.Run(dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rep.Results.Packets, fig.Cols[ri].Packets(); got != want {
+			t.Errorf("%s: facade delivered %d packets, the figure %d", scheme, got, want)
+		}
+		for a, want := range fig.APL[ri] {
+			if got := rep.Results.PerApp[a]; got != want {
+				t.Errorf("%s: app %d APL %v through the facade, %v in the figure", scheme, a, got, want)
+			}
+		}
+	}
+}
+
 // awaitingClaims lists the experiments that reproduce a paper claim which
 // is not yet written as a guard (ROADMAP item 9). Every other experiment
 // states its claim as a guard, or goes.

@@ -38,18 +38,18 @@ func ChipletScenario(cs *topology.Chiplets, aggrFrac float64) (*region.Map, []tr
 			far = append(far, v)
 		}
 	}
-	apps := make([]traffic.AppTraffic, regs.NumApps())
+	apps := make([]App, regs.NumApps())
 	// The victim runs at 0.15 rather than the heavier loads of the mesh
 	// scenarios: the DPA flips native-high only while foreign occupancy
 	// exceeds native occupancy by the hysteresis margin, and the gateway
 	// funnel admits at most one foreign flit per cycle — a lightly loaded
 	// victim keeps OVC_n low enough for the boundary routers to detect and
 	// gate the foreign flood.
-	apps[0] = mix(regs, 0, 0.15, 1)
+	apps[0] = App{Load: 0.15}
 	for a := 1; a < len(apps); a++ {
-		apps[a] = mix(regs, a, aggrFrac, 0.7, traffic.DirectedTo(far).Weighted(0.3))
+		apps[a] = App{Load: aggrFrac, Global: 0.3, To: far}
 	}
-	return regs, apps
+	return regs, Apps(regs, apps...)
 }
 
 // ChipletAggrFrac is the aggressor operating point of the chiplet co-run:
@@ -67,10 +67,9 @@ func ChipletSynth(dur Durations, seed uint64) *Panel {
 	regs, apps := ChipletScenario(cs, ChipletAggrFrac)
 	title := fmt.Sprintf("Chiplet boundary co-run (%dx%d package of %dx%d tiles): victim on chiplet 0",
 		cs.ChipsX, cs.ChipsY, cs.K, cs.K)
-	return coRunPanel(title, comparedSchemes([]int{0, 1, 2, 3}), []string{"victim"},
+	return coRunPanel(title, ComparedSchemes([]int{0, 1, 2, 3}), []string{"victim"},
 		func(_ int, s Scheme) (alone, co RunConfig) {
-			alone = synthRun(regs, apps[:1], s, dur, seed)
-			alone.Chiplets = cs
+			alone = RunConfig{Regions: regs, Router: synthCfg(), Apps: apps[:1], Scheme: s, Dur: dur, Seed: seed, Chiplets: cs}
 			co = alone
 			co.Apps = apps
 			return alone, co

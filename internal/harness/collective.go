@@ -41,11 +41,8 @@ func NewCollectiveSpec(op collective.Op, regs *region.Map, app int, class msg.Cl
 // apps sending into a hot region), and the collective on quadrant 3.
 func CollectiveScenario(op collective.Op) (*region.Map, []traffic.AppTraffic, collective.Spec) {
 	regs := region.Quadrants(Mesh8())
-	apps := make([]traffic.AppTraffic, 3)
-	for a := range apps {
-		apps[a] = mix(regs, a, 0.20, 0.7, traffic.DirectedTo(regs.Nodes(CollectiveApp)).Weighted(0.3))
-	}
-	return regs, apps, NewCollectiveSpec(op, regs, CollectiveApp, msg.ClassRequest)
+	victim := App{Load: 0.20, Global: 0.3, To: regs.Nodes(CollectiveApp)}
+	return regs, Apps(regs, victim, victim, victim), NewCollectiveSpec(op, regs, CollectiveApp, msg.ClassRequest)
 }
 
 // collectiveTable runs a collective co-run comparison across the scheme
@@ -56,7 +53,7 @@ func CollectiveScenario(op collective.Op) (*region.Map, []traffic.AppTraffic, co
 // collective (the oracle STC ranking: the throughput-bound collective is the
 // most network-intensive application).
 func collectiveTable(title string, victims []string, spec collective.Spec, alone func(s Scheme) RunConfig) *Table {
-	schemes := comparedSchemes([]int{0, 1, 2, 3})
+	schemes := ComparedSchemes([]int{0, 1, 2, 3})
 	srcs := make([]*collective.Source, len(schemes))
 	p := coRunPanel(title, schemes, victims, func(i int, s Scheme) (base, co RunConfig) {
 		base = alone(s)
@@ -92,7 +89,9 @@ func withCollective(rc RunConfig, spec collective.Spec, src **collective.Source)
 func CollectiveSynth(op collective.Op, dur Durations, seed uint64) *Table {
 	regs, apps, spec := CollectiveScenario(op)
 	return collectiveTable(fmt.Sprintf("Collective co-run (synthetic victims): %v in quadrant 3", op),
-		appNames("app", 3), spec, func(s Scheme) RunConfig { return synthRun(regs, apps, s, dur, seed) })
+		appNames("app", 3), spec, func(s Scheme) RunConfig {
+			return RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: s, Dur: dur, Seed: seed}
+		})
 }
 
 // CollSharedFrac is the out-of-region home fraction the PARSEC co-run uses.

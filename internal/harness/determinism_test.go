@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"rair/internal/invariant"
-	"rair/internal/region"
 	"rair/internal/routing"
-	"rair/internal/traffic"
 )
 
 // TestSchemeCongestionGating: schemes on DBAR selection must keep the
 // network's congestion propagation enabled, while local-selection schemes
 // let the network skip it entirely.
 func TestSchemeCongestionGating(t *testing.T) {
-	regs, _ := Fig9Scenario(0.5)
-	for _, s := range []Scheme{RORRDBAR("RA_DBAR"), scheme("RAIR_DBAR", "")} {
+	regs := Fig9Scenario(0.5).Regions
+	for _, s := range []Scheme{RORRDBAR("RA_DBAR"), SchemeAs("RAIR_DBAR", "")} {
 		if !routing.ConsumesCongestion(s.Sel(regs, synthCfg())) {
 			t.Errorf("%s uses DBAR selection but would not propagate congestion", s.Name)
 		}
@@ -34,23 +32,19 @@ func TestSchemeCongestionGating(t *testing.T) {
 func TestShardedRunDeterminism(t *testing.T) {
 	scenarios := []struct {
 		name string
-		mk   func() (*region.Map, []traffic.AppTraffic)
-	}{
-		{"fig9", func() (*region.Map, []traffic.AppTraffic) { return Fig9Scenario(0.5) }},
-		{"fig14", func() (*region.Map, []traffic.AppTraffic) { return Fig14Scenario("UR") }},
-	}
-	schemes := []Scheme{RORR(), RAIR("RA_RAIR"), scheme("RAIR_DBAR", "")}
+		pt   Point
+	}{{"fig9", Fig9Scenario(0.5)}, {"fig14", Fig14Scenario("UR")}}
+	schemes := []Scheme{RORR(), RAIR("RA_RAIR"), SchemeAs("RAIR_DBAR", "")}
 	for _, sc := range scenarios {
 		for _, scheme := range schemes {
 			t.Run(sc.name+"/"+scheme.Name, func(t *testing.T) {
-				regs, apps := sc.mk()
 				// The panic-mode checker audits the datapath's bitmasks
 				// against a slow reference scan at every barrier, so a
 				// mask desync in any scheme/engine combination fails
 				// loudly rather than silently skewing results.
-				rc := RunConfig{Regions: regs, Router: synthCfg(), Apps: apps,
-					Scheme: scheme, Dur: testDur(), Seed: 7,
-					Check: &invariant.Config{Every: 64}}
+				rc := sc.pt.RunConfig
+				rc.Router, rc.Scheme, rc.Dur, rc.Seed = synthCfg(), scheme, testDur(), 7
+				rc.Check = &invariant.Config{Every: 64}
 				serial := Run(rc)
 				rc.Workers = 4
 				sharded := Run(rc)

@@ -155,7 +155,7 @@ func adversarialPanel(title string, schemes []Scheme, dur Durations, seed uint64
 // proxies when chip-wide adversarial traffic is added, per scheme.
 func Fig17Adversarial(dur Durations, seed uint64) *Panel {
 	return adversarialPanel("Figure 17: APL slowdown under adversarial traffic (PARSEC proxies)",
-		comparedSchemes(PARSECRanks()), dur, seed)
+		ComparedSchemes(PARSECRanks()), dur, seed)
 }
 
 // AblateBatching sweeps RO_Rank's batching interval under the adversarial

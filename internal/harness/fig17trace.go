@@ -86,7 +86,7 @@ func replayConfig(t *trace.Trace, s Scheme, advRate float64, warmup, drain int64
 // comparison (who protects the applications) is the meaningful output.
 func Fig17Trace(dur Durations, seed uint64) *Panel {
 	t := RecordPARSECTrace(dur.Warmup+dur.Measure, seed)
-	schemes := comparedSchemes(PARSECRanks())
+	schemes := ComparedSchemes(PARSECRanks())
 	var cols []*stats.Collector
 	for _, s := range schemes {
 		for _, advRate := range []float64{0, AdversaryFlitRate} {

@@ -21,13 +21,9 @@ const goldenPath = "testdata/golden_trace.txt"
 // 0.5 load under RA_RAIR, seed 11 — and returns one line per ejected packet
 // in ejection order.
 func goldenRun() []string {
-	regs, apps := Fig9Scenario(0.5)
-	rc := RunConfig{
-		Regions: regs, Router: synthCfg(), Apps: apps,
-		Scheme: RAIR("RA_RAIR"),
-		Dur:    Durations{Warmup: 500, Measure: 3000, Drain: 6000},
-		Seed:   11,
-	}
+	rc := Fig9Scenario(0.5).RunConfig
+	rc.Router, rc.Scheme, rc.Seed = synthCfg(), RAIR("RA_RAIR"), 11
+	rc.Dur = Durations{Warmup: 500, Measure: 3000, Drain: 6000}
 	var lines []string
 	col := stats.NewCollector(rc.Dur.Warmup, rc.Dur.Warmup+rc.Dur.Measure)
 	mesh := rc.Regions.Mesh()

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,11 +38,9 @@ func TestDurations(t *testing.T) {
 }
 
 func TestRunParallelPreservesOrder(t *testing.T) {
-	regs, apps := UniformScenario(0.2)
-	regs2, apps2 := UniformScenario(0.9)
-	rcs := []RunConfig{
-		{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: RORR(), Dur: testDur(), Seed: 1},
-		{Regions: regs2, Router: synthCfg(), Apps: apps2, Scheme: RORR(), Dur: testDur(), Seed: 1},
+	rcs := []RunConfig{UniformScenario(0.2).RunConfig, UniformScenario(0.9).RunConfig}
+	for i := range rcs {
+		rcs[i].Router, rcs[i].Scheme, rcs[i].Dur, rcs[i].Seed = synthCfg(), RORR(), testDur(), 1
 	}
 	cols := RunParallel(rcs)
 	if len(cols) != 2 {
@@ -54,8 +53,8 @@ func TestRunParallelPreservesOrder(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossParallel(t *testing.T) {
-	regs, apps := Fig9Scenario(0.5)
-	rc := RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: RAIR("RA_RAIR"), Dur: testDur(), Seed: 42}
+	rc := Fig9Scenario(0.5).RunConfig
+	rc.Router, rc.Scheme, rc.Dur, rc.Seed = synthCfg(), RAIR("RA_RAIR"), testDur(), 42
 	want := collectorSurface(Run(rc))
 	// One slot runs the points one at a time, two run them concurrently;
 	// either way every collector must match the lone run.
@@ -72,21 +71,19 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 }
 
 func TestScenarioConstruction(t *testing.T) {
-	regs, apps := Fig9Scenario(0.5)
-	if regs.NumApps() != 2 || len(apps) != 2 {
+	pt := Fig9Scenario(0.5)
+	if pt.Regions.NumApps() != 2 || len(pt.Apps) != 2 {
 		t.Fatal("Fig9 scenario wrong")
 	}
-	if apps[0].PacketRate <= 0 || apps[1].PacketRate <= apps[0].PacketRate {
+	if apps := pt.Apps; apps[0].PacketRate <= 0 || apps[1].PacketRate <= apps[0].PacketRate {
 		t.Fatalf("rates wrong: %v %v", apps[0].PacketRate, apps[1].PacketRate)
 	}
 	for _, v := range []Fig12Variant{Fig12A, Fig12B} {
-		regs, apps = Fig12Scenario(v)
-		if regs.NumApps() != 4 || len(apps) != 4 {
+		if pt = Fig12Scenario(v); pt.Regions.NumApps() != 4 || len(pt.Apps) != 4 {
 			t.Fatal("Fig12 scenario wrong")
 		}
 	}
-	regs, apps = Fig14Scenario("HS")
-	if regs.NumApps() != 6 || len(apps) != 6 {
+	if pt = Fig14Scenario("HS"); pt.Regions.NumApps() != 6 || len(pt.Apps) != 6 {
 		t.Fatal("Fig14 scenario wrong")
 	}
 	ranks := SixAppRanks()
@@ -117,64 +114,35 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestResultTables: Axis runs each scheme at each point into one panel per
+// point, a point's own Scheme replacing the axis's, and the table writers
+// render the panels.
 func TestResultTables(t *testing.T) {
-	res := Fig9MSP(Durations{Warmup: 200, Measure: 1500, Drain: 3000}, []float64{0.5}, 1)
-	if s := res.SweepTable([]float64{0.5}).String(); !strings.Contains(s, "RAIR_VA+SA") {
+	base := Fig12Scenario(Fig12A)
+	base.Label, base.Scheme = "base", RORR()
+	ps := Axis([]Scheme{RORR(), RAIR("RAIR_VA+SA")}, []Point{Fig9Scenario(0.5), Fig12Scenario(Fig12A), base},
+		Durations{Warmup: 200, Measure: 1500, Drain: 3000}, 1)
+	if got := fmt.Sprintf("%d %s %v %v %d", len(ps), ps[0].Title, ps[1].Labels, ps[2].Labels, len(ps[1].Apps)); got != "3 50% [RO_RR RAIR_VA+SA] [RO_RR RO_RR] 4" {
+		t.Fatalf("panels, titles, rows, apps: %s", got)
+	}
+	if !slices.Equal(ps[1].APL[0], ps[2].APL[0]) || !slices.Equal(ps[2].APL[0], ps[2].APL[1]) {
+		t.Fatalf("the same RO_RR run differs: %v %v", ps[1].APL[0], ps[2].APL)
+	}
+	if s := SweepTable("", nil, ps[:1]).String(); !strings.Contains(s, "RAIR_VA+SA  50%") {
 		t.Fatalf("sweep table:\n%s", s)
 	}
-	fig := Fig12DPA(Fig12A, Durations{Warmup: 200, Measure: 1500, Drain: 3000}, 1)
-	if s := fig.ReductionTable().String(); !strings.Contains(s, "avg reduction") {
+	if s := ReductionTable("", nil, ps[1:2]).String(); !strings.Contains(s, "avg reduction vs RO_RR") {
 		t.Fatalf("fig table:\n%s", s)
 	}
 }
 
 func TestLatencyLoadCurveMonotone(t *testing.T) {
-	pts := LatencyLoadCurve([]float64{0.2, 0.9}, testDur(), 1)
-	if len(pts.APL) != 2 {
-		t.Fatal("missing points")
+	ps := Axis([]Scheme{RORR()}, []Point{UniformScenario(0.2), UniformScenario(0.9)}, testDur(), 1)
+	if lo, hi := ps[0].APL[0][0], ps[1].APL[0][0]; hi <= lo {
+		t.Fatalf("APL must grow with load: %v then %v", lo, hi)
 	}
-	if pts.APL[1][0] <= pts.APL[0][0] {
-		t.Fatalf("APL must grow with load: %v", pts.APL)
-	}
-	if lo, hi := pts.Cols[0].FlitThroughput(64), pts.Cols[1].FlitThroughput(64); hi <= lo {
+	if lo, hi := ps[0].Cols[0].FlitThroughput(64), ps[1].Cols[0].FlitThroughput(64); hi <= lo {
 		t.Fatalf("throughput must grow below saturation: %v then %v", lo, hi)
-	}
-}
-
-func TestAblations(t *testing.T) {
-	d := AblateDelta([]float64{0, 0.2}, Durations{Warmup: 500, Measure: 2500, Drain: 4000}, 1)
-	if len(d.APL) != 3 {
-		t.Fatal("delta ablation size")
-	}
-	if s := d.DeltaTable().String(); !strings.Contains(s, "0.20") {
-		t.Fatalf("delta table:\n%s", s)
-	}
-	v := AblateVCSplit([]int{1, 3}, Durations{Warmup: 500, Measure: 2500, Drain: 4000}, 1)
-	if len(v.APL) != 3 {
-		t.Fatal("vc split ablation size")
-	}
-	if s := v.VCSplitTable([]int{1, 3}).String(); !strings.Contains(s, "regional VCs") {
-		t.Fatalf("vc split table:\n%s", s)
-	}
-}
-
-func TestScaleStudies(t *testing.T) {
-	dur := Durations{Warmup: 500, Measure: 2500, Drain: 5000}
-	cores := ScaleCores(dur, 1)
-	if len(cores.Points) != 4 || cores.Points[0].Nodes != 16 || cores.Points[3].Nodes != 256 {
-		t.Fatalf("scale-cores points: %+v", cores.Points)
-	}
-	regions := ScaleRegions(dur, 1)
-	if len(regions.Points) != 4 || regions.Points[3].Regions != 16 {
-		t.Fatalf("scale-regions points: %+v", regions.Points)
-	}
-	for _, p := range regions.Points {
-		if p.RORRAPL <= 0 || p.RAIRAPL <= 0 {
-			t.Fatalf("empty measurement at %s", p.Label)
-		}
-	}
-	if s := cores.Table().String(); !strings.Contains(s, "16x16") {
-		t.Fatalf("table:\n%s", s)
 	}
 }
 

@@ -40,7 +40,8 @@ func ejectionTrace(t *testing.T, regs *region.Map, apps []traffic.AppTraffic, s 
 // with a native/foreign priority must arbitrate exactly as round-robin does
 // over the same selection function.
 func TestOneRegionRAIRIsRoundRobin(t *testing.T) {
-	regs, apps := UniformScenario(0.6)
+	pt := UniformScenario(0.6)
+	regs, apps := pt.Regions, pt.Apps
 	want := map[SelectorKind]string{}
 	covered := 0
 	for _, s := range schemes {
@@ -73,10 +74,7 @@ func rairDelta(delta float64) Scheme {
 // to, so its hysteresis width must not matter, whatever the regions' loads.
 func TestIntraRegionTrafficIgnoresDelta(t *testing.T) {
 	regs := region.Quadrants(Mesh8())
-	var apps []traffic.AppTraffic
-	for a, load := range []float64{0.2, 0.9, 0.5, 0.7} {
-		apps = append(apps, mix(regs, a, load, 1))
-	}
+	apps := Apps(regs, App{Load: 0.2}, App{Load: 0.9}, App{Load: 0.5}, App{Load: 0.7})
 	want := ejectionTrace(t, regs, apps, rairDelta(0))
 	for _, delta := range []float64{0.1, 0.2, 0.5} {
 		if got := ejectionTrace(t, regs, apps, rairDelta(delta)); got != want {
@@ -96,10 +94,7 @@ func TestIsolatedRegionIgnoresOtherRegions(t *testing.T) {
 	regs := region.Quadrants(Mesh8())
 	dur := Durations{Warmup: 500, Measure: 4000, Drain: 6000}
 	app0 := func(s Scheme, others [3]float64) string {
-		apps := []traffic.AppTraffic{mix(regs, 0, 0.6, 1)}
-		for i, load := range others {
-			apps = append(apps, mix(regs, i+1, load, 1))
-		}
+		apps := Apps(regs, App{Load: 0.6}, App{Load: others[0]}, App{Load: others[1]}, App{Load: others[2]})
 		var lines []string
 		Run(RunConfig{
 			Regions: regs, Router: synthCfg(), Scheme: s, Dur: dur, Seed: 7,
@@ -124,7 +119,7 @@ func TestIsolatedRegionIgnoresOtherRegions(t *testing.T) {
 		}
 		return renderTrace(nil, lines)
 	}
-	for _, s := range []Scheme{RORR(), RORank([]int{0, 1, 2, 3}), RORRDBAR("RA_DBAR"), RAIR("RA_RAIR"), scheme("RAIR_DBAR", "")} {
+	for _, s := range []Scheme{RORR(), RORank([]int{0, 1, 2, 3}), RORRDBAR("RA_DBAR"), RAIR("RA_RAIR"), SchemeAs("RAIR_DBAR", "")} {
 		want := app0(s, [3]float64{0.1, 0.1, 0.1})
 		for _, others := range [][3]float64{{0.9, 0.5, 0.7}, {0.95, 0.95, 0.95}} {
 			if got := app0(s, others); got != want {

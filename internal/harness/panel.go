@@ -3,9 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"rair/internal/region"
+	"rair/internal/router"
 	"rair/internal/stats"
-	"rair/internal/traffic"
 )
 
 // Panel is the one result shape of the evaluation: a list of runs and each
@@ -37,11 +36,6 @@ func newPanel(title string, labels []string, cols []*stats.Collector, apps []str
 	return p
 }
 
-// runPanel executes the runs in parallel, one row each.
-func runPanel(title string, labels []string, rcs []RunConfig, apps []string) *Panel {
-	return newPanel(title, labels, RunParallel(rcs), apps)
-}
-
 // paired folds a panel whose rows alternate (alone, co-run) into one row per
 // pair.
 func (p *Panel) paired(labels []string) *Panel {
@@ -54,19 +48,34 @@ func (p *Panel) paired(labels []string) *Panel {
 	return co
 }
 
-// synthRun is one synthetic-traffic simulation point.
-func synthRun(regs *region.Map, apps []traffic.AppTraffic, s Scheme, dur Durations, seed uint64) RunConfig {
-	return RunConfig{Regions: regs, Router: synthCfg(), Apps: apps, Scheme: s, Dur: dur, Seed: seed}
-}
-
-// schemePanel runs one synthetic scenario under each scheme: one row per
-// scheme, one column per application.
-func schemePanel(title string, regs *region.Map, apps []traffic.AppTraffic, schemes []Scheme, dur Durations, seed uint64) *Panel {
-	rcs := make([]RunConfig, len(schemes))
-	for i, s := range schemes {
-		rcs[i] = synthRun(regs, apps, s, dur, seed)
+// Axis is the driver of every experiment that sweeps one axis: it runs each
+// scheme at each point, all runs in one RunParallel, and returns one panel
+// per point, titled with its label, with a row per scheme. A point's own
+// Scheme replaces the axis's, so a baseline point runs once; a zero Router
+// takes the synthetic one-class configuration.
+func Axis(schemes []Scheme, points []Point, dur Durations, seed uint64) []*Panel {
+	var rcs []RunConfig
+	var labels []string
+	for _, pt := range points {
+		for _, s := range schemes {
+			rc := pt.RunConfig
+			if rc.Scheme.Name == "" {
+				rc.Scheme = s
+			}
+			if rc.Router == (router.Config{}) {
+				rc.Router = synthCfg()
+			}
+			rc.Dur, rc.Seed = dur, seed
+			rcs = append(rcs, rc)
+			labels = append(labels, rc.Scheme.Name)
+		}
 	}
-	return runPanel(title, schemeNames(schemes), rcs, appNames("App", len(apps)))
+	cols := RunParallel(rcs)
+	panels, n := make([]*Panel, len(points)), len(schemes)
+	for i, pt := range points {
+		panels[i] = newPanel(pt.Label, labels[i*n:(i+1)*n], cols[i*n:(i+1)*n], appNames("App", len(pt.Apps)))
+	}
+	return panels
 }
 
 // coRunPanel is the co-run comparison: per scheme, pair's two runs — the
@@ -78,7 +87,7 @@ func coRunPanel(title string, schemes []Scheme, apps []string, pair func(i int, 
 		alone, co := pair(i, s)
 		rcs = append(rcs, alone, co)
 	}
-	return runPanel(title, nil, rcs, apps).paired(schemeNames(schemes))
+	return newPanel(title, nil, RunParallel(rcs), apps).paired(schemeNames(schemes))
 }
 
 func schemeNames(schemes []Scheme) []string {
@@ -132,10 +141,11 @@ func (p *Panel) aplRow(ri int, lead ...string) []string {
 	return lead
 }
 
-// ReductionTable renders per-application APLs and the average reduction
-// against the first row (Figures 12 and 14).
-func (p *Panel) ReductionTable() *Table {
-	t := &Table{Title: p.Title, Header: []string{"scheme"}}
+// ReductionTable renders the one point of an axis: per-application APLs and
+// the average reduction against the first row (Figures 12 and 14).
+func ReductionTable(title string, _ []Point, ps []*Panel) *Table {
+	p := ps[0]
+	t := &Table{Title: title, Header: []string{"scheme"}}
 	for _, a := range p.Apps {
 		t.Header = append(t.Header, a+" APL")
 	}
@@ -150,15 +160,17 @@ func (p *Panel) ReductionTable() *Table {
 	return t
 }
 
-// SweepTable renders a panel whose rows run scheme-major over the swept
-// inter-region fractions ps: one row per (scheme, p) (Figures 9 and 10).
-func (p *Panel) SweepTable(ps []float64) *Table {
-	t := &Table{Title: p.Title, Header: []string{"scheme", "p"}}
-	for _, a := range p.Apps {
+// SweepTable renders an axis over the inter-region fraction p: one row per
+// (scheme, p), scheme-major (Figures 9 and 10).
+func SweepTable(title string, _ []Point, ps []*Panel) *Table {
+	t := &Table{Title: title, Header: []string{"scheme", "p"}}
+	for _, a := range ps[0].Apps {
 		t.Header = append(t.Header, "APL "+a)
 	}
-	for ri, label := range p.Labels {
-		t.AddRow(p.aplRow(ri, label, fmt.Sprintf("%.0f%%", 100*ps[ri%len(ps)]))...)
+	for si := range ps[0].Labels {
+		for _, p := range ps {
+			t.AddRow(p.aplRow(si, p.Labels[si], p.Title)...)
+		}
 	}
 	return t
 }

@@ -83,9 +83,9 @@ func SchemeByName(name string) (Scheme, error) {
 	return Scheme{}, fmt.Errorf("harness: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
 }
 
-// scheme is the table row called name, under the report label label
+// SchemeAs is the table row called name, under the report label label
 // (empty: its own name). Every caller passes a name of the table.
-func scheme(name, label string) Scheme {
+func SchemeAs(name, label string) Scheme {
 	s := schemes[slices.IndexFunc(schemes, func(s Scheme) bool { return s.Name == name })]
 	if label != "" {
 		s.Name = label
@@ -94,19 +94,25 @@ func scheme(name, label string) Scheme {
 }
 
 // RORR is the region-oblivious round-robin baseline with local selection.
-func RORR() Scheme { return scheme("RO_RR", "") }
+func RORR() Scheme { return SchemeAs("RO_RR", "") }
 
 // RORRDBAR is RA_DBAR under the report label name.
-func RORRDBAR(name string) Scheme { return scheme("RA_DBAR", name) }
+func RORRDBAR(name string) Scheme { return SchemeAs("RA_DBAR", name) }
 
 // RORank is the idealized STC with the given oracle ranking (rank 0 =
 // least network-intensive = highest priority).
 func RORank(ranks []int) Scheme {
-	s := scheme("RO_Rank", "")
+	s := SchemeAs("RO_Rank", "")
 	s.Policy.Ranks = slices.Clone(ranks)
 	return s
 }
 
 // RAIR is RA_RAIR, the full technique with local selection, under the
 // report label name.
-func RAIR(name string) Scheme { return scheme("RA_RAIR", name) }
+func RAIR(name string) Scheme { return SchemeAs("RA_RAIR", name) }
+
+// ComparedSchemes are the four techniques compared in Figures 14-17 and the
+// co-run extensions; ranks is RO_Rank's oracle ranking for the scenario.
+func ComparedSchemes(ranks []int) []Scheme {
+	return []Scheme{RORR(), RORRDBAR("RA_DBAR"), RORank(ranks), RAIR("RA_RAIR")}
+}

@@ -130,10 +130,3 @@ func TestConfigFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -34,6 +34,7 @@
 package rair
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -405,34 +406,14 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	if (spec.LoadFrac <= 0) == (spec.PacketRate <= 0) {
 		return fmt.Errorf("rair: app %d must set exactly one of LoadFrac or PacketRate", spec.App)
 	}
-	pat := spec.GlobalPattern
-	if pat == "" {
-		pat = "UR"
-	}
-	if !slices.Contains(traffic.PatternNames, pat) {
+	if pat := cmp.Or(spec.GlobalPattern, "UR"); !slices.Contains(traffic.PatternNames, pat) {
 		return fmt.Errorf("rair: app %d: unknown global pattern %q (have %v)", spec.App, pat, traffic.PatternNames)
 	}
-	mesh := s.regions.Mesh()
-	if spec.GlobalFrac > 0 && len(nodes) == mesh.N() {
+	if spec.GlobalFrac > 0 && len(nodes) == s.regions.Mesh().N() {
 		return fmt.Errorf("rair: app %d's region covers the mesh, so its global share %v has no destination (GlobalFrac must be 0)", spec.App, spec.GlobalFrac)
 	}
-	comps := []traffic.Component{}
-	if intra > 0 {
-		comps = append(comps, traffic.IntraUR(nodes).Weighted(intra))
-	}
-	if spec.GlobalFrac > 0 {
-		comps = append(comps, traffic.InterPattern(s.regions, traffic.PatternByName(pat, mesh)).Weighted(spec.GlobalFrac))
-	}
-	if spec.MCFrac > 0 {
-		comps = append(comps, traffic.MCCorners(mesh).Weighted(spec.MCFrac))
-	}
-	app := traffic.AppTraffic{App: spec.App, Nodes: nodes, Components: comps}
-	if spec.PacketRate > 0 {
-		app.PacketRate = spec.PacketRate
-	} else {
-		app.PacketRate = harness.Rate(mesh, app, spec.LoadFrac)
-	}
-	s.apps = append(s.apps, app)
+	app := harness.App{Load: spec.LoadFrac, Rate: spec.PacketRate, Global: spec.GlobalFrac, Pattern: spec.GlobalPattern, MC: spec.MCFrac}
+	s.apps = append(s.apps, app.Traffic(s.regions, spec.App))
 	return nil
 }
 
