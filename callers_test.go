@@ -23,10 +23,10 @@ import (
 // join them without one: a name only tests call is surface to delete.
 var uncalledKeeps = map[string]string{
 	"rair/internal/topology.Mesh.MinimalDirs":     "the routing test's independent reference for Route",
-	"rair/internal/telemetry.Probe.Events":        "what TestReferenceLockstep compares with the reference router",
 	"rair/internal/router.Router.DebugDropCredit": "the invariant checker's seeded bug",
 	"rair/internal/stats.Dist.Merge":              "cross-seed pooling, kept for ROADMAP 3(c) and 6",
-	"rair/internal/invariant.Checker.Routers":     "what TestNetworkLockstep compares with the reference's DBAR view",
+	"rair/internal/invariant.Checker.Routers":     "what the mesh lockstep compares with the reference routers and corrupts in TestSeededDesyncDiverges",
+	"rair/internal/invariant.Checker.NIs":         "the NIs TestSeededDesyncDiverges corrupts on the mesh",
 }
 
 // listedPackage is the part of `go list -json` output the scan reads.

@@ -86,7 +86,7 @@ func (f *File) Build() (*rair.Simulation, error) {
 			return nil, err
 		}
 	}
-	if f.AdversaryFlitRate > 0 {
+	if f.AdversaryFlitRate != 0 {
 		if err := sim.AddAdversary(f.AdversaryFlitRate); err != nil {
 			return nil, err
 		}

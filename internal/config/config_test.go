@@ -180,6 +180,12 @@ func TestBuildErrorsSurface(t *testing.T) {
 		  "apps": [{"app": 0, "loadFrac": 0.5, "globalFrac": 1}],
 		  "phases": {"measure": 100}
 		}`,
+		// Used to run without an adversary.
+		"negative adversary rate": `{
+		  "apps": [{"app": 0, "loadFrac": 0.1}],
+		  "adversaryFlitRate": -0.3,
+		  "phases": {"measure": 100}
+		}`,
 		// Used to generate no packets: quadrant 0 of a 3x3 mesh is one
 		// node, so the app's whole (intra-region) load had no destination.
 		"one-node region": `{

@@ -151,8 +151,12 @@ func NewChecker(cfg Config, t Target) *Checker {
 }
 
 // Routers returns the audited routers by node id, for tests: a seeded
-// wedge, and the mesh lockstep's read of their DBAR view.
+// wedge, and the mesh lockstep's reads and seeded corruptions.
 func (c *Checker) Routers() []*router.Router { return c.t.Routers }
+
+// NIs returns the audited NIs by node id, for the mesh lockstep's seeded
+// corruptions.
+func (c *Checker) NIs() []*router.NI { return c.t.NIs }
 
 // EachLink calls fn for every link with its sender's flit wire handle and
 // the VC of the credit in flight back (-1: none, as on ejection links).

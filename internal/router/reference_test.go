@@ -19,16 +19,16 @@ import (
 // reading of the policy only its DPA state, never its base tables; and
 // every arbitration is its own grant: a rotation scan over a full request
 // vector with a plain-int round-robin pointer, sharing no code with
-// internal/arbiter. The lockstep rig (lockstep_test.go) runs it beside
-// Router and compares everything a neighbour can observe, and every
-// arbiter pointer, every cycle.
+// internal/arbiter. The mesh lockstep (mesh_lockstep_test.go) runs a mesh
+// of them beside network.New and compares everything a neighbour can
+// observe, every arbiter pointer and the DPA registers, every cycle.
 type refRouter struct {
 	cfg       Config
 	node, app int
 	at        topology.Coord
 	alg       routing.Algorithm
 	sel       routing.Selector
-	path      func(d topology.Dir, hops int) int // DBAR's congestion view; nil reads zero
+	path      func(d topology.Dir, hops int) int // DBAR's congestion view
 	spec      policy.Spec
 	pol       policy.Policy    // read for its DPA state only
 	kind      []policy.VCClass // Config.KindOf per VC index
@@ -187,7 +187,7 @@ func (r *refRouter) favored(p *msg.Packet) bool {
 
 // order is Rank's priority: the batch age weighted above every rank plus
 // the rank term (an unranked application gets the worst rank, n). The
-// episodes create packets at most 600 cycles back, far below the cap.
+// lockstep's runs stay far below the policy's cap on the batch age.
 func (r *refRouter) order(p *msg.Packet) int {
 	b, n := r.spec.Batch, len(r.spec.Ranks)
 	rank := n
@@ -257,14 +257,8 @@ func (r *refRouter) OutputFree(d topology.Dir) int {
 
 // PathOccupancy implements routing.CongestionView. The reference keeps no
 // DBAR history: the mesh lockstep answers from its record of every router's
-// InPortOccupancy, and without it (the rig selects locally) it reads zero,
-// as Router without a History does.
-func (r *refRouter) PathOccupancy(d topology.Dir, hops int) int {
-	if r.path == nil {
-		return 0
-	}
-	return r.path(d, hops)
-}
+// InPortOccupancy.
+func (r *refRouter) PathOccupancy(d topology.Dir, hops int) int { return r.path(d, hops) }
 
 // InPortOccupancy is what DBAR's view sums: the flits buffered at the
 // input port a packet traveling in direction d enters by.

@@ -64,13 +64,14 @@ type SoA struct {
 
 	// Arbitration scratch, one copy for the whole shard: the engine ticks a
 	// shard's routers one at a time and Router.Tick leaves every request row
-	// all-clear (TestSharedScratchHygiene), so the rows stay cache-resident
-	// instead of costing each router a copy. vaReq holds one request bitset
-	// per output VC, ⌈NumDirs×VCs/64⌉ words each, over the input VCs; vaPrio
-	// holds one VA priority per input VC (each files at most one request a
-	// tick). vaReqN counts the requests filed per output VC and vaSingle
-	// names the lone requestor when that is 1 (VA_out then skips the
-	// arbiter scan); vaTouched lists the output VCs requested this tick.
+	// all-clear (the seeded-desync row "d/scratch row"), so the rows stay
+	// cache-resident instead of costing each router a copy. vaReq holds one
+	// request bitset per output VC, ⌈NumDirs×VCs/64⌉ words each, over the
+	// input VCs; vaPrio holds one VA priority per input VC (each files at
+	// most one request a tick). vaReqN counts the requests filed per output
+	// VC and vaSingle names the lone requestor when that is 1 (VA_out then
+	// skips the arbiter scan); vaTouched lists the output VCs requested this
+	// tick.
 	// dirBuf carries a route's candidates to the selection function (a stack
 	// array would escape through the interface call). saPrio is one input
 	// port's SA_in priorities, saOutPri the SA_out priorities of the output

@@ -63,14 +63,6 @@ func (p *Probe) Lifecycle(id uint64, s Stage, cycle int64) {
 	p.events = append(p.events, Event{Pkt: id, Node: int32(p.node), Stage: s, Cycle: cycle})
 }
 
-// Events returns the probe's retained lifecycle events in recording order.
-func (p *Probe) Events() []Event {
-	if p == nil {
-		return nil
-	}
-	return p.events
-}
-
 // mergedEvents gathers every probe's lifecycle events sorted by
 // (packet, cycle, stage) — a deterministic order independent of shard
 // count, since per-probe buffers are already cycle-ordered.

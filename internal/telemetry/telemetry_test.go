@@ -134,8 +134,8 @@ func TestTraceCapDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Lifecycle(1, StageRC, int64(i))
 	}
-	if len(p.Events()) != 2 || p.dropped != 3 {
-		t.Fatalf("events=%d dropped=%d, want 2/3", len(p.Events()), p.dropped)
+	if len(p.events) != 2 || p.dropped != 3 {
+		t.Fatalf("events=%d dropped=%d, want 2/3", len(p.events), p.dropped)
 	}
 }
 

@@ -403,6 +403,9 @@ func (s *Simulation) AddApp(spec AppSpec) error {
 	if s.lbdrRestricted() && (spec.GlobalFrac > 0 || spec.MCFrac > 0) {
 		return fmt.Errorf("rair: LBDR routing cannot express app %d's inter-region traffic (GlobalFrac/MCFrac must be 0)", spec.App)
 	}
+	if spec.LoadFrac < 0 || spec.PacketRate < 0 {
+		return fmt.Errorf("rair: app %d: LoadFrac and PacketRate must not be negative", spec.App)
+	}
 	if (spec.LoadFrac <= 0) == (spec.PacketRate <= 0) {
 		return fmt.Errorf("rair: app %d must set exactly one of LoadFrac or PacketRate", spec.App)
 	}

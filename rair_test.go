@@ -92,6 +92,10 @@ func TestAddAppValidation(t *testing.T) {
 		{"app without nodes", AppSpec{App: 5, LoadFrac: 0.1}, "owns no nodes"},
 		{"no rate", AppSpec{App: 0}, "exactly one"},
 		{"both rates", AppSpec{App: 0, LoadFrac: 0.1, PacketRate: 0.1}, "exactly one"},
+		// Both used to pass the exactly-one check, the negative value
+		// then ignored.
+		{"negative rate beside a load", AppSpec{App: 0, LoadFrac: 0.5, PacketRate: -1}, "must not be negative"},
+		{"negative load beside a rate", AppSpec{App: 1, LoadFrac: -1, PacketRate: 0.05}, "must not be negative"},
 		{"fractions above 1", AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.8, MCFrac: 0.4}, "out of range"},
 		{"unknown global pattern", AppSpec{App: 0, LoadFrac: 0.1, GlobalFrac: 0.2, GlobalPattern: "XX"}, "[UR TP BC HS]"},
 		// Every comparison is false for NaN, so these used to run a
