@@ -10,8 +10,8 @@
 //
 // Results print as aligned tables; see EXPERIMENTS.md for paper-vs-measured
 // commentary. Simulator speed is measured by bench/rairperf, a single
-// scenario is run and inspected with rairsim, and sweep manifests are
-// written by rairsweep manifest.
+// scenario is run and inspected with rairsim, and seeds of many experiments
+// are swept, checked and scored by rairsweep.
 package main
 
 import (

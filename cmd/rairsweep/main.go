@@ -2,31 +2,30 @@
 // experiment registry: it expands a declarative manifest into content-hash-
 // keyed jobs, schedules them over a bounded worker pool, and appends results
 // to a JSONL store that an interrupted sweep resumes bit-exactly. The check
-// subcommand gates the store against the EXPERIMENTS.md shape guards; diff
-// lists the numeric cells that moved between two stores; manifest writes a
-// manifest over the registry.
+// subcommand gates the store on the registry's shape guards, reports the
+// paper's claims and writes the scorecard; diff lists the numeric cells that
+// moved between two stores.
 //
 // Usage:
 //
-//	rairsweep manifest -out m.json [-experiment name] [-seeds 1,2,3] [-quick]
 //	rairsweep run    -manifest m.json -out store.jsonl [-workers N] [-job-timeout d] [-force]
 //	rairsweep resume -manifest m.json -out store.jsonl [-workers N] [-job-timeout d]
 //	rairsweep check  -store store.jsonl [-summary out.md]
 //	rairsweep diff   -a a.jsonl -b b.jsonl [-tol frac]
 //
-// Manifests come from the manifest subcommand or are written by hand; see
-// DESIGN.md ("Sweep orchestration") and testdata/sweep/.
+// Manifests are written by hand; testdata/sweep/ holds quick.json (every
+// experiment, seeds 1-5, quick durations) and full.json (every experiment,
+// seed 1, paper durations). See DESIGN.md ("Sweep orchestration").
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -39,10 +38,9 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: rairsweep <command> [flags]
 
 commands:
-  manifest write a manifest covering the experiment registry
   run      execute a manifest into a fresh result store
   resume   continue an interrupted sweep (skips jobs already in the store)
-  check    apply the EXPERIMENTS.md shape guards to a store
+  check    gate a store on the shape guards and report the paper's claims
   diff     list the numeric cells that moved between two stores
 
 run 'rairsweep <command> -h' for per-command flags.
@@ -56,8 +54,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "manifest":
-		err = cmdManifest(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:], false)
 	case "resume":
@@ -80,74 +76,13 @@ func main() {
 	}
 }
 
-// knownExperiments names the rairbench registry for manifest validation.
-func knownExperiments() []string {
-	var out []string
-	for _, e := range rair.Experiments() {
-		out = append(out, e.Name)
-	}
-	return out
-}
-
-// cmdManifest writes a manifest covering the experiment registry (or one
-// experiment of it), so sweeps are declared against the names rairbench
-// -list reports.
-func cmdManifest(args []string) error {
-	fs := flag.NewFlagSet("rairsweep manifest", flag.ExitOnError)
-	out := fs.String("out", "", "manifest path to write (required)")
-	only := fs.String("experiment", "", "cover this experiment only (default: every experiment)")
-	seedList := fs.String("seeds", "1", "comma-separated seed list (integers >= 1)")
-	quick := fs.Bool("quick", false, "declare the sweep at reduced durations")
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *out == "" {
-		fs.Usage()
-		return fmt.Errorf("-out is required")
-	}
-	var seeds []uint64
-	for _, s := range strings.Split(*seedList, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil || v == 0 {
-			return fmt.Errorf("-seeds: bad seed %q (need integers >= 1)", s)
-		}
-		seeds = append(seeds, v)
-	}
-	if len(seeds) == 0 {
-		return fmt.Errorf("-seeds: no seeds given")
-	}
-	names := knownExperiments()
-	mname, dur := "full-reproduction", "paper"
-	if *quick {
-		mname, dur = "quick-reproduction", "quick"
-	}
-	if *only != "" {
-		if !slices.Contains(names, *only) {
-			return fmt.Errorf("no experiment named %q (see rairbench -list)", *only)
-		}
-		names, mname = []string{*only}, *only
-	}
-	if err := sweep.WriteManifest(sweep.NewManifest(mname, names, seeds, *quick), *out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d experiments x %d seeds, %s durations)\n",
-		*out, len(names), len(seeds), dur)
-	return nil
-}
-
 func cmdRun(args []string, resume bool) error {
 	name := "run"
 	if resume {
 		name = "resume"
 	}
 	fs := flag.NewFlagSet("rairsweep "+name, flag.ExitOnError)
-	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see rairsweep manifest)")
+	manifestPath := fs.String("manifest", "", "manifest JSON path (required; see testdata/sweep/)")
 	out := fs.String("out", "sweep.jsonl", "result store path")
 	workers := fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS-bounded by the harness; 1 = serial)")
 	timeout := fs.Duration("job-timeout", 0, "per-job timeout, the guard against a hung simulation (0 = none)")
@@ -165,7 +100,11 @@ func cmdRun(args []string, resume bool) error {
 	if err != nil {
 		return err
 	}
-	if err := m.Validate(knownExperiments()); err != nil {
+	var known []string
+	for _, e := range rair.Experiments() {
+		known = append(known, e.Name)
+	}
+	if err := m.Validate(known); err != nil {
 		return err
 	}
 
@@ -222,7 +161,7 @@ func cmdRun(args []string, resume bool) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("rairsweep check", flag.ExitOnError)
 	storePath := fs.String("store", "", "result store to check (required)")
-	summary := fs.String("summary", "", "also write a markdown summary of the store to this path")
+	summary := fs.String("summary", "", "also write the store's markdown scorecard to this path")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -236,22 +175,23 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := sweep.CheckStore(recs, rair.Guards())
+	guards, claims := rair.Guards()
+	rep := sweep.CheckStore(recs, guards, claims)
 	fmt.Println(rep)
 	known, problems := rair.GuardVerdict(rep)
 	for _, r := range known {
 		fmt.Printf("recorded %s: a known failure\n", r)
 	}
 	if *summary != "" {
-		f, err := os.Create(*summary)
-		if err != nil {
+		paper := make(map[string]string)
+		for _, e := range rair.Experiments() {
+			paper[e.Name] = e.Paper
+		}
+		var card bytes.Buffer
+		if err := sweep.WriteSummary(&card, *storePath, recs, rep, paper); err != nil {
 			return err
 		}
-		if err := sweep.WriteSummary(f, *storePath, recs, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*summary, card.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *summary)

@@ -45,6 +45,20 @@ func pointsOf[T any](scenario func(T) harness.Point, values ...T) func(quick boo
 	}
 }
 
+// reduces is the claim that scheme's average APL reduction vs RO_RR reaches
+// the paper's value.
+func reduces(scheme string, paper float64) sweep.Guard {
+	return sweep.Guard{Name: fmt.Sprintf("%s's average reduction reaches the paper's %+.1f%%", scheme, 100*paper),
+		Preds: []sweep.Pred{{Op: sweep.Within, A: sweep.Sel{Row: scheme, Col: colReduction}, Lo: paper}}}
+}
+
+// slowdown is the claim that the flood slows scheme down by at most the
+// paper's factor. Within with only Hi reads paper − v above paper/2.
+func slowdown(scheme string, paper float64) sweep.Guard {
+	return sweep.Guard{Name: fmt.Sprintf("%s's average slowdown is at most the paper's %.2f", scheme, paper),
+		Preds: []sweep.Pred{{Op: sweep.Within, A: sweep.Sel{Row: scheme, Col: "average"}, Hi: paper}}}
+}
+
 // collPARSECGuards is the guard of the three PARSEC co-runs with a
 // collective aggressor. At quick durations, seeds 1-5, coll-bcast completes
 // 39-45 rounds and coll-a2a 7, and both average slowdowns read 0.98-1.04.
@@ -56,19 +70,23 @@ var collPARSECGuards = []sweep.Guard{{Name: "PARSEC co-run sane: all schemes com
 // experiments maps names to drivers. An axis experiment runs its schemes at
 // its points in one harness.Axis and renders the panels with axis under its
 // title; any other renders a table, or — for the few whose output is not
-// one table — text and CSV. quick says dur is the reduced setting, for the
-// experiments that shrink an axis of their own with it.
+// one table — text and CSV. points' quick says dur is the reduced setting,
+// for an experiment that shrinks its axis with it.
 var experiments = map[string]struct {
 	paper string
 	// guards are the experiment's reproduction targets as predicates over
-	// its CSV (the vocabulary is sweep.Pred); rairsweep check applies them.
-	guards  []sweep.Guard
+	// its CSV (the vocabulary is sweep.Pred); rairsweep check gates on them.
+	guards []sweep.Guard
+	// claims are the paper's numbers in the same words, each bound the
+	// paper's value, so a claim's room is its signed distance from the paper.
+	// rairsweep check reports them and never gates on them.
+	claims  []sweep.Guard
 	title   string
 	schemes []harness.Scheme
 	points  func(quick bool) []harness.Point
 	axis    func(title string, pts []harness.Point, ps []*harness.Panel) *harness.Table
-	table   func(dur harness.Durations, quick bool, seed uint64) *harness.Table
-	text    func(dur harness.Durations, quick bool, seed uint64) (text, csv string, err error)
+	table   func(dur harness.Durations, seed uint64) *harness.Table
+	text    func(dur harness.Durations, seed uint64) (text, csv string, err error)
 }{
 	"fig9": {
 		paper: "Figure 9: impact of multi-stage prioritization (APL vs inter-region fraction p)",
@@ -81,6 +99,9 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0"}, B: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, K: 1 / 1.05},
 		}}},
+		claims: []sweep.Guard{{Name: "RAIR_VA+SA cuts App 0's APL by the paper's 18.9% at p=100%", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_VA+SA", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 1 - 0.189},
+		}}},
 		title:   "Figure 9: impact of MSP (APL vs inter-region fraction p)",
 		schemes: []harness.Scheme{harness.RORR(), harness.SchemeAs("RAIR_VA", ""), harness.RAIR("RAIR_VA+SA")},
 		points:  fig9Points,
@@ -89,6 +110,9 @@ var experiments = map[string]struct {
 	"fig10": {
 		paper: "Figure 10: impact of routing algorithm (Local vs DBAR selection under RO_RR and RAIR)",
 		// RO_RR is the figure's RO_RR_Local.
+		claims: []sweep.Guard{{Name: "RAIR_DBAR cuts App 0's APL by the paper's 24.8% against RO_RR_Local at p=100%", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_DBAR", Col: "APL App0", Last: true}, B: sweep.Sel{Row: "RO_RR", Col: "APL App0", Last: true}, K: 1 - 0.248},
+		}}},
 		title:   "Figure 10: impact of routing algorithm (APL vs p)",
 		schemes: []harness.Scheme{harness.RORR(), harness.RAIR("RAIR_Local"), harness.RORRDBAR("RO_RR_DBAR"), harness.SchemeAs("RAIR_DBAR", "")},
 		points:  fig9Points,
@@ -101,6 +125,7 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Margin: -0.03},
 			{Op: sweep.Within, A: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}, Lo: sweep.Positive},
 		}}},
+		claims:  []sweep.Guard{reduces("RAIR_DPA", 0.128)},
 		title:   "Figure 12(a) low apps send into App3",
 		schemes: fig12Schemes,
 		points:  pointsOf(harness.Fig12Scenario, harness.Fig12A),
@@ -114,6 +139,7 @@ var experiments = map[string]struct {
 		}}, {Name: "DPA never does worse than the losing static mode", Preds: []sweep.Pred{
 			{Op: sweep.Less, A: sweep.Sel{Row: "RAIR_ForeignH", Col: colReduction}, B: sweep.Sel{Row: "RAIR_DPA", Col: colReduction}},
 		}}},
+		claims:  []sweep.Guard{reduces("RAIR_DPA", 0.122)},
 		title:   "Figure 12(b) App3 sends out",
 		schemes: fig12Schemes,
 		points:  pointsOf(harness.Fig12Scenario, harness.Fig12B),
@@ -134,13 +160,17 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App1 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App1 APL"}, K: 1.10},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "App5 APL"}, B: sweep.Sel{Row: "RO_RR", Col: "App5 APL"}, K: 1.10},
 		}}},
+		claims:  []sweep.Guard{reduces("RA_DBAR", 0.034), reduces("RO_Rank", 0.058), reduces("RA_RAIR", 0.101)},
 		title:   "Figure 14: six-application scenario (UR global traffic)",
 		schemes: sixAppSchemes,
 		points:  pointsOf(harness.Fig14Scenario, "UR"),
 		axis:    harness.ReductionTable,
 	},
 	"fig15": {
-		paper:   "Figure 15: average APL reduction across global traffic patterns (UR/TP/BC/HS)",
+		paper: "Figure 15: average APL reduction across global traffic patterns (UR/TP/BC/HS)",
+		claims: []sweep.Guard{{Name: "RA_RAIR's reduction reaches the paper's 13.4% average at every pattern (the UR, TP, BC and HS cells: the table has no cross-pattern mean)", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{Col: "RA_RAIR"}, Lo: 0.134, Min: 4},
+		}}},
 		title:   "Figure 15: average APL reduction vs RO_RR per global traffic pattern",
 		schemes: sixAppSchemes,
 		points:  pointsOf(harness.Fig14Scenario, "UR", "TP", "BC", "HS"),
@@ -156,19 +186,29 @@ var experiments = map[string]struct {
 		}}, {Name: "the adversary never speeds a scheme up", Preds: []sweep.Pred{
 			{Op: sweep.Within, A: sweep.Sel{Col: "average"}, Lo: 1},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		claims: []sweep.Guard{slowdown("RO_RR", 1.92), slowdown("RA_DBAR", 1.75), slowdown("RO_Rank", 1.47), slowdown("RA_RAIR", 1.18)},
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.Fig17Adversarial(dur, seed).SlowdownTable("average")
 		},
 	},
 	"delta": {
-		paper:   "Section IV.C: DPA hysteresis width ablation (Δ between 0.1 and 0.3, best ≈0.2)",
+		paper: "Section IV.C: DPA hysteresis width ablation (Δ between 0.1 and 0.3, best ≈0.2)",
+		claims: []sweep.Guard{{Name: "the paper's best Δ reduces APL no less than the Δ outside [0.1, 0.3] (the 0.20 row against 0.00, 0.40 and 0.50)", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "0.00"}, B: sweep.Sel{Row: "0.20"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "0.40"}, B: sweep.Sel{Row: "0.20"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "0.50"}, B: sweep.Sel{Row: "0.20"}},
+		}}},
 		title:   "DPA hysteresis ablation: avg APL reduction vs RO_RR per Δ",
 		schemes: harness.DeltaSchemes(0, 0.1, 0.2, 0.3, 0.4, 0.5),
 		points:  pointsOf(harness.Fig14Scenario, "UR"),
 		axis:    harness.DeltaTable,
 	},
 	"vcsplit": {
-		paper:   "Section VI: regional/global VC split ablation (roughly even split recommended)",
+		paper: "Section VI: regional/global VC split ablation (roughly even split recommended)",
+		claims: []sweep.Guard{{Name: "the even split (2 global, 2 regional VCs) reduces APL no less than 1/3 or 3/1", Preds: []sweep.Pred{
+			{Op: sweep.Less, A: sweep.Sel{Row: "1"}, B: sweep.Sel{Row: "2"}},
+			{Op: sweep.Less, A: sweep.Sel{Row: "3"}, B: sweep.Sel{Row: "2"}},
+		}}},
 		title:   "VC regionalization split ablation (of 4 adaptive VCs)",
 		schemes: []harness.Scheme{harness.RAIR("RA_RAIR")},
 		points:  func(bool) []harness.Point { return harness.VCSplitPoints(1, 2, 3) },
@@ -180,7 +220,7 @@ var experiments = map[string]struct {
 		guards: []sweep.Guard{{Name: "LBDR-valid fraction is exactly 64/455", Preds: []sweep.Pred{
 			{Op: sweep.Within, A: sweep.Sel{Col: "fraction"}, Lo: 64.0/455 - 5e-7, Hi: 64.0/455 + 5e-7, Min: 1},
 		}}},
-		text: func(harness.Durations, bool, uint64) (string, string, error) {
+		text: func(harness.Durations, uint64) (string, string, error) {
 			f, err := region.LBDRValidFraction(16, 4, 4, 4)
 			if err != nil {
 				return "", "", err
@@ -199,7 +239,7 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RA_DBAR", Col: "average"}, K: 1 / 1.05},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "average"}, B: sweep.Sel{Row: "RO_Rank", Col: "average"}, K: 1 / 1.05},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.Fig17Trace(dur, seed).SlowdownTable("average")
 		},
 	},
@@ -209,13 +249,16 @@ var experiments = map[string]struct {
 			{Op: sweep.Monotone, A: sweep.Sel{}, K: 0.05, Min: 3},
 			{Op: sweep.Less, A: sweep.Sel{}, B: sweep.Sel{Last: true}, K: 1 / 1.5},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.AblateBatching([]int64{125, 250, 1000, 4000}, dur, seed).SlowdownTable("average")
 		},
 	},
 	"scale-cores": {
 		paper: "Section VI scalability: RAIR's benefit across mesh sizes (4x4 to 16x16)",
 		// RAIR's per-router state is constant, so its benefit should persist.
+		claims: []sweep.Guard{{Name: "RAIR's reduction is positive at every mesh size", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{}, Lo: sweep.Positive, Min: 4},
+		}}},
 		title:   "Scalability: mesh size (4 quadrant regions)",
 		schemes: scaleSchemes,
 		points:  pointsOf(func(k int) harness.Point { return harness.GridScenario(k, 2, 2) }, 4, 8, 12, 16),
@@ -224,6 +267,9 @@ var experiments = map[string]struct {
 	"scale-regions": {
 		paper: "Section VI scalability: RAIR's benefit across region counts (2 to 16 on 8x8)",
 		// A router tracks two flows (native/foreign) at any region count.
+		claims: []sweep.Guard{{Name: "RAIR's reduction is positive at every region count", Preds: []sweep.Pred{
+			{Op: sweep.Within, A: sweep.Sel{}, Lo: sweep.Positive, Min: 4},
+		}}},
 		title:   "Scalability: region count (8x8 mesh)",
 		schemes: scaleSchemes,
 		points: pointsOf(func(g [2]int) harness.Point {
@@ -244,28 +290,28 @@ var experiments = map[string]struct {
 			{Op: sweep.Within, A: sweep.Sel{Col: "cct"}, Lo: sweep.Positive, Min: 4},
 			{Op: sweep.Less, A: sweep.Sel{Row: "RA_RAIR", Col: "cct"}, B: sweep.Sel{Row: "RO_RR", Col: "cct"}, K: 1.5},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.CollectiveSynth(collective.RingAllReduce, dur, seed)
 		},
 	},
 	"coll-allreduce": {
 		paper:  "Extension: PARSEC proxies vs a ring-AllReduce aggressor region (victim slowdown + CCT per scheme)",
 		guards: collPARSECGuards,
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.CollectivePARSEC(collective.RingAllReduce, dur, seed)
 		},
 	},
 	"coll-bcast": {
 		paper:  "Extension: PARSEC proxies vs a binary-tree broadcast aggressor region (victim slowdown + CCT per scheme)",
 		guards: collPARSECGuards,
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.CollectivePARSEC(collective.TreeBroadcast, dur, seed)
 		},
 	},
 	"coll-a2a": {
 		paper:  "Extension: PARSEC proxies vs an all-to-all shuffle aggressor region (victim slowdown + CCT per scheme)",
 		guards: collPARSECGuards,
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.CollectivePARSEC(collective.AllToAll, dur, seed)
 		},
 	},
@@ -285,7 +331,7 @@ var experiments = map[string]struct {
 			{Op: sweep.Within, A: sweep.Sel{Col: "base apl"}, Lo: sweep.Positive, Min: 4},
 			{Op: sweep.Spread, A: sweep.Sel{Col: "base apl"}, K: 1.02},
 		}}},
-		table: func(dur harness.Durations, _ bool, seed uint64) *harness.Table {
+		table: func(dur harness.Durations, seed uint64) *harness.Table {
 			return harness.ChipletSynth(dur, seed).ChipletTable()
 		},
 	},
@@ -316,7 +362,7 @@ var experiments = map[string]struct {
 			{Op: sweep.Less, A: sweep.Sel{Col: "apl"}, B: sweep.Sel{Col: "apl", Last: true}, K: 0.5},
 			{Op: sweep.Knee, A: sweep.Sel{Col: "apl"}, B: sweep.Sel{Col: "load_frac"}, K: 1.5, Lo: 0.80, Hi: 1.15},
 		}}},
-		text: func(dur harness.Durations, _ bool, seed uint64) (string, string, error) {
+		text: func(dur harness.Durations, seed uint64) (string, string, error) {
 			pts := pointsOf(harness.UniformScenario, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1)(false)
 			text, csv := "fraction of achieved saturation  APL  throughput(flits/node/cycle)\n", "load_frac,apl,throughput\n"
 			for _, p := range harness.Axis([]harness.Scheme{harness.RORR()}, pts, dur, seed) {
@@ -354,16 +400,20 @@ func RunJob(_ context.Context, job sweep.Job) (text, csv string, err error) {
 	return ExperimentCSV(job.Experiment, job.Quick, job.Seed)
 }
 
-// Guards returns the shape guards of every experiment that has any, keyed by
-// experiment name, as sweep.CheckStore takes them.
-func Guards() map[string][]sweep.Guard {
-	out := make(map[string][]sweep.Guard)
+// Guards returns the shape guards and the paper's claims of every
+// experiment that has any, keyed by experiment name, as sweep.CheckStore
+// takes them.
+func Guards() (guards, claims map[string][]sweep.Guard) {
+	guards, claims = make(map[string][]sweep.Guard), make(map[string][]sweep.Guard)
 	for n, e := range experiments {
 		if len(e.guards) > 0 {
-			out[n] = e.guards
+			guards[n] = e.guards
+		}
+		if len(e.claims) > 0 {
+			claims[n] = e.claims
 		}
 	}
-	return out
+	return guards, claims
 }
 
 // recordedFailures maps a guard to the seeds at which it is known to fail
@@ -394,16 +444,9 @@ func GuardVerdict(rep *sweep.CheckReport) (known, problems []string) {
 	return known, problems
 }
 
-// Experiment reproduces one of the paper's tables/figures by name and
-// returns the formatted result. quick trades statistical tightness for
-// speed (shorter warmup/measurement windows).
-func Experiment(name string, quick bool, seed uint64) (string, error) {
-	text, _, err := ExperimentCSV(name, quick, seed)
-	return text, err
-}
-
-// ExperimentCSV is Experiment returning both the human-readable text and a
-// CSV rendition (empty for experiments without tabular output).
+// ExperimentCSV reproduces one of the paper's tables/figures by name and
+// returns the human-readable text and a CSV rendition. quick trades
+// statistical tightness for speed (shorter warmup/measurement windows).
 func ExperimentCSV(name string, quick bool, seed uint64) (text, csv string, err error) {
 	dur := harness.PaperDurations()
 	if quick {
@@ -424,12 +467,12 @@ func runExperiment(name string, dur harness.Durations, quick bool, seed uint64) 
 	var t *harness.Table
 	switch {
 	case e.text != nil:
-		return e.text(dur, quick, seed)
+		return e.text(dur, seed)
 	case e.axis != nil:
 		pts := e.points(quick)
 		t = e.axis(e.title, pts, harness.Axis(e.schemes, pts, dur, seed))
 	default:
-		t = e.table(dur, quick, seed)
+		t = e.table(dur, seed)
 	}
 	return t.String(), t.CSV(), nil
 }

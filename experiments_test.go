@@ -2,9 +2,9 @@ package rair
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -18,17 +18,17 @@ import (
 func updateGoldens() bool { return os.Getenv("RAIR_UPDATE_GOLDENS") == "1" }
 
 // golden compares got with the committed file at path, or rewrites the file
-// under the switch. It returns the committed content and whether got drifted
-// from it.
+// under the switch. It returns the committed content, as it was before any
+// rewrite, and whether got drifted from it (never under the switch).
 func golden(t *testing.T, path, got string) (want string, drifted bool) {
 	t.Helper()
+	b, err := os.ReadFile(path)
 	if updateGoldens() {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return got, false
+		return string(b), false
 	}
-	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with RAIR_UPDATE_GOLDENS=1): %v", err)
 	}
@@ -43,9 +43,14 @@ func golden(t *testing.T, path, got string) (want string, drifted bool) {
 //
 //	RAIR_UPDATE_GOLDENS=1 go test ./...
 //
-// and reviews the diff. These windows are shorter than the guards were
-// calibrated for, so no verdict is taken here: TestGoldenQuickStore judges
-// the guards at quick durations.
+// and reviews the diff: under the switch, with -v, each CSV's moved cells
+// are logged before it is rewritten,
+//
+//	RAIR_UPDATE_GOLDENS=1 go test -v -run TestExperimentGoldens .
+//
+// These windows are shorter than the guards were calibrated for, so no
+// verdict is taken here: TestGoldenQuickStore judges the guards at quick
+// durations.
 func TestExperimentGoldens(t *testing.T) {
 	dur := harness.Durations{Warmup: 200, Measure: 800, Drain: 3000}
 	for _, e := range Experiments() {
@@ -55,12 +60,15 @@ func TestExperimentGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "experiments", e.Name)
-			if want, drifted := golden(t, path+".csv", csv); drifted {
-				rec := sweep.Record{Key: e.Name, Experiment: e.Name, Seed: 1, Quick: true, Text: text, CSV: csv}
-				old := rec
-				old.CSV = want
-				t.Errorf("%s.csv drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended):\n%s",
-					path, sweep.DiffStores([]sweep.Record{old}, []sweep.Record{rec}))
+			want, drifted := golden(t, path+".csv", csv)
+			rec := sweep.Record{Key: e.Name, Experiment: e.Name, Seed: 1, Quick: true, Text: text, CSV: csv}
+			old := rec
+			old.CSV = want
+			switch moved := sweep.DiffStores([]sweep.Record{old}, []sweep.Record{rec}); {
+			case drifted:
+				t.Errorf("%s.csv drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended):\n%s", path, moved)
+			case updateGoldens():
+				t.Logf("%s.csv rewritten:\n%s", path, moved)
 			}
 			if want, drifted := golden(t, path+".txt", text); drifted {
 				gl, wl := strings.Split(text, "\n"), strings.Split(want, "\n")
@@ -109,26 +117,12 @@ func TestFacadeMatchesFigure(t *testing.T) {
 	}
 }
 
-// awaitingClaims lists the experiments that reproduce a paper claim which
-// is not yet written as a guard (ROADMAP item 9). Every other experiment
-// states its claim as a guard, or goes.
-var awaitingClaims = []string{"delta", "fig10", "fig15", "scale-cores", "scale-regions", "vcsplit"}
-
-// TestEveryExperimentIsGuarded: every registered experiment has a guard or
-// waits in awaitingClaims, and the list is exact: it names registered
-// experiments only, and none that has a guard.
+// TestEveryExperimentIsGuarded: every registered experiment states a guard
+// or a claim.
 func TestEveryExperimentIsGuarded(t *testing.T) {
 	for _, n := range names() {
-		switch guarded, awaiting := len(experiments[n].guards) > 0, slices.Contains(awaitingClaims, n); {
-		case !guarded && !awaiting:
-			t.Errorf("experiment %s states no claim: give it a guard or delete it", n)
-		case guarded && awaiting:
-			t.Errorf("experiment %s has a guard: remove it from awaitingClaims", n)
-		}
-	}
-	for _, n := range awaitingClaims {
-		if _, ok := experiments[n]; !ok {
-			t.Errorf("awaitingClaims names %s, which is not an experiment", n)
+		if e := experiments[n]; len(e.guards)+len(e.claims) == 0 {
+			t.Errorf("experiment %s states no claim: give it a guard or a claim, or delete it", n)
 		}
 	}
 }
@@ -153,10 +147,12 @@ func TestManifestsValidate(t *testing.T) {
 }
 
 // TestGoldenQuickStore is the one guard verdict: it owns
-// testdata/sweep/golden_quick.jsonl, every guarded experiment at seeds 1-5
-// and quick durations, and its verdict file testdata/sweep/guards.txt. Every
-// guard finding on the store must pass except recordedFailures, which must
-// still fail (GuardVerdict, rairsweep check's verdict too). The shape-guard
+// testdata/sweep/golden_quick.jsonl, every experiment at seeds 1-5 and quick
+// durations, its verdict file testdata/sweep/guards.txt (the claims' report
+// follows the guards' there, reported and never gated) and its scorecard
+// testdata/sweep/scorecard.md. Every guard finding on the store must pass
+// except recordedFailures, which must still fail (GuardVerdict, rairsweep
+// check's verdict too), and every claim must be readable. The shape-guard
 // CI job diffs a fresh sweep of testdata/sweep/quick.json against the store
 // at zero tolerance, and a verdict is a pure function of the CSVs, so
 // together they judge the PR's code. Under RAIR_UPDATE_GOLDENS=1 it first
@@ -185,14 +181,33 @@ func TestGoldenQuickStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := sweep.CheckStore(recs, Guards())
+	guards, claims := Guards()
+	rep := sweep.CheckStore(recs, guards, claims)
 	const verdicts = "testdata/sweep/guards.txt"
 	got := rep.String() + "\n"
+	t.Log(got)
 	if want, drifted := golden(t, verdicts, got); drifted {
 		t.Errorf("%s drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)\n--- got\n%s--- want\n%s", verdicts, got, want)
 	}
-	if len(rep.Missing) > 0 {
-		t.Errorf("%s lacks guarded experiments %v", path, rep.Missing)
+	paper := make(map[string]string)
+	for n, e := range experiments {
+		paper[n] = e.paper
+	}
+	var card strings.Builder
+	if err := sweep.WriteSummary(&card, path, recs, rep, paper); err != nil {
+		t.Fatal(err)
+	}
+	const scorecard = "testdata/sweep/scorecard.md"
+	if _, drifted := golden(t, scorecard, card.String()); drifted {
+		t.Errorf("%s drifted (regenerate with RAIR_UPDATE_GOLDENS=1 if intended)", scorecard)
+	}
+	if len(rep.Missing)+len(rep.Claims.Missing) > 0 {
+		t.Errorf("%s lacks guarded experiments %v and claimed experiments %v", path, rep.Missing, rep.Claims.Missing)
+	}
+	for _, f := range rep.Claims.Findings {
+		if math.IsNaN(f.Slack) {
+			t.Errorf("%s seed=%d: the claim %q cannot be read: %v", f.Experiment, f.Seed, f.Guard, f.Err)
+		}
 	}
 	known, problems := GuardVerdict(rep)
 	for _, p := range problems {

@@ -35,6 +35,10 @@ func (w *refWire) InFlight(flits []msg.Flit) ([]msg.Flit, int) {
 	return flits, -1
 }
 
+// HeldVCs is the mask of ni's VCs still streaming or waiting for credits:
+// empty once every packet is out and every credit home.
+func (ni *NI) HeldVCs() vcMask { return ni.streamMask | ni.drainMask }
+
 // SetPathOccupancy gives r its DBAR congestion view.
 func (r *refRouter) SetPathOccupancy(fn func(d topology.Dir, hops int) int) { r.path = fn }
 

@@ -421,11 +421,12 @@ func networkCells() []lockstepCell {
 // centre router has a neighbour on every port: six policies × six router
 // configurations × three routing algorithms, with 1–8-flit packets half of
 // which carry a random application, plus one cell of 70–90-flit packets
-// into 80-flit VCs.
+// into 80-flit VCs. The minimal adaptive and West-First cells run at the
+// decoder's 16 % ceiling and again at a second seed: an escape VC taken on
+// an adaptive direction only changes a grant once every adaptive VC of a
+// port is held, which at 8 % only the one-VC cells reached.
 func routerCells() []lockstepCell {
-	base := table1
-	base.W, base.H, base.Layout, base.Packets, base.Workers, base.Cycles, base.MixApps, base.Seed =
-		3, 3, layoutQuadrants, packets1to8, 1, 3, 1, 1
+	base := routerBase()
 	policies := map[string]string{"RO_RR": "RO_RR", "RO_Rank": "RO_Rank", "RA_RAIR": "RA_RAIR",
 		"RAIR_VA": "RAIR_VA", "NativeH": "RAIR_NativeH", "ForeignH": "RAIR_ForeignH"}
 	configs := map[string]func(*lockstepInput){
@@ -444,13 +445,29 @@ func routerCells() []lockstepCell {
 				in := base
 				in.Scheme, in.Alg = schemeIndex(scheme), alg
 				edit(&in)
-				cells = append(cells, lockstepCell{pn + "/" + cn + "/" + an, in})
+				name := pn + "/" + cn + "/" + an
+				if alg != algXY {
+					in.Rate = 16
+					second := in
+					second.Seed = 3
+					cells = append(cells, lockstepCell{name + "/seed3", second})
+				}
+				cells = append(cells, lockstepCell{name, in})
 			}
 		}
 	}
 	long := base
 	long.Packets, long.Rate, long.Cycles = packetsLong, 16, 10
 	return append(cells, lockstepCell{"RA_RAIR/long/MinAdaptive", long})
+}
+
+// routerBase is Table 1's router on the 3×3 quadrant mesh, one shard, with
+// 1–8-flit packets half of which carry a random application for 300
+// cycles: every router cell before its policy, configuration and routing.
+func routerBase() lockstepInput {
+	in := table1
+	in.W, in.H, in.Layout, in.Packets, in.Workers, in.Cycles, in.MixApps, in.Seed = 3, 3, layoutQuadrants, packets1to8, 1, 3, 1, 1
+	return in
 }
 
 // configInputs are the corners of the configuration space the cells leave
@@ -565,6 +582,11 @@ func (ls *lockstep) run(between func(now int64)) error {
 		case ls.n.Drained() && ls.ref.drained():
 			if ls.ejected != int(id) {
 				return fmt.Errorf("cycle %d: drained with %d of %d packets ejected", now, ls.ejected, id)
+			}
+			for node, ni := range ls.n.Checker().NIs() {
+				if held := ni.HeldVCs(); held != 0 {
+					return fmt.Errorf("cycle %d: drained, but NI %d still holds VCs %b", now, node, held)
+				}
 			}
 			return nil
 		case now >= c.cycles+drainBound:
@@ -738,10 +760,10 @@ func runCase(t *testing.T, in lockstepInput) *lockstep {
 }
 
 // desyncCase is the seeded-desync table's run on the 3×3 quadrant mesh:
-// RA_RAIR's router cell, on one shard (a corruption that panics must panic
-// on the test's goroutine), at 4, 8 or 12 % load by seed.
+// RA_RAIR's Table 1 router cell, on one shard (a corruption that panics
+// must panic on the test's goroutine), at 4, 8 or 12 % load by seed.
 func desyncCase(seed int) lockstepCase {
-	in := routerCells()[0].in
+	in := routerBase()
 	in.Scheme, in.Alg, in.Rate, in.Seed = schemeIndex("RA_RAIR"), algMinAdaptive, uint8(4+4*(seed%3)), uint8(seed)
 	return in.build()
 }

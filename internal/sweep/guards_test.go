@@ -12,8 +12,9 @@ import (
 
 // The guard table lives beside the experiment registry (package rair); these
 // tests run it through the checker from outside the package. The fixtures
-// below mirror the real rairbench -quick -seed 1 outputs (see
-// EXPERIMENTS.md): the guards are calibrated against exactly these shapes.
+// below mirror the real rairbench -quick -seed 1 outputs (the seed-1 tables
+// of testdata/sweep/scorecard.md): the guards are calibrated against
+// exactly these shapes.
 
 const fig17CSV = `scheme,blackscholes,swaptions,fluidanimate,raytrace,average
 RO_RR,5.35,1.67,1.60,1.33,2.49
@@ -122,6 +123,9 @@ const lbdrCSV = `fraction
 0.140659
 `
 
+// guards and claims are the registry's rows.
+var guards, claims = rair.Guards()
+
 func goodRecords() []sweep.Record {
 	recs := []sweep.Record{
 		{Experiment: "fig9", CSV: fig9CSV},
@@ -150,12 +154,12 @@ func goodRecords() []sweep.Record {
 }
 
 func TestGuardsPassOnReferenceShapes(t *testing.T) {
-	rep := sweep.CheckStore(goodRecords(), rair.Guards())
+	rep := sweep.CheckStore(goodRecords(), guards, nil)
 	if rep.Failed() != 0 {
 		t.Fatalf("reference store failed guards:\n%s", rep)
 	}
 	want := 0
-	for _, gs := range rair.Guards() {
+	for _, gs := range guards {
 		want += len(gs)
 	}
 	if len(rep.Findings) != want || want != 21 {
@@ -176,7 +180,7 @@ func TestGuardsCatchPerturbedOrdering(t *testing.T) {
 			recs[i].CSV = strings.Replace(recs[i].CSV, "XX,", "RA_RAIR,", 1)
 		}
 	}
-	rep := sweep.CheckStore(recs, rair.Guards())
+	rep := sweep.CheckStore(recs, guards, nil)
 	if rep.Failed() == 0 {
 		t.Fatalf("perturbed fig17 ordering passed the guards:\n%s", rep)
 	}
@@ -238,7 +242,7 @@ func TestGuardsCatchBrokenShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards()); rep.Failed() == 0 {
+			if rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), guards, nil); rep.Failed() == 0 {
 				t.Errorf("perturbation passed the guards:\n%s", rep)
 			}
 		})
@@ -287,7 +291,7 @@ func TestGuardsCatchAlone(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), rair.Guards())
+			rep := sweep.CheckStore(perturbed(t, tc.experiment, tc.from, tc.to), guards, nil)
 			if rep.Failed() != 1 || !slices.ContainsFunc(rep.Findings, func(f sweep.Finding) bool {
 				return f.Err != nil && strings.HasPrefix(f.Guard, tc.guard)
 			}) {
@@ -297,22 +301,30 @@ func TestGuardsCatchAlone(t *testing.T) {
 	}
 }
 
+// A store's coverage: guarded and claimed experiments it lacks are Missing
+// from their report. A claim that misses is reported, and its findings stay
+// out of the guards'.
 func TestCheckStoreReportsCoverage(t *testing.T) {
 	recs := []sweep.Record{
 		{Key: "k1", Experiment: "fig17", Seed: 1, CSV: fig17CSV},
 		{Key: "k2", Experiment: "fig10", Seed: 1, Text: "table"},
 	}
-	rep := sweep.CheckStore(recs, rair.Guards())
-	if rep.Failed() != 0 {
+	rep := sweep.CheckStore(recs, guards, claims)
+	if rep.Failed() != 0 || len(rep.Findings) != len(guards["fig17"]) {
 		t.Fatalf("partial store failed: %s", rep)
 	}
-	if len(rep.Missing) == 0 {
-		t.Error("missing guarded experiments not reported")
+	if len(rep.Missing) == 0 || slices.Contains(rep.Missing, "fig17") {
+		t.Errorf("guarded experiments missing: %v", rep.Missing)
 	}
-	if len(rep.Unchecked) != 1 || rep.Unchecked[0] != "fig10" {
-		t.Errorf("Unchecked = %v, want [fig10]", rep.Unchecked)
+	if c := rep.Claims.Missing; len(c) == 0 || slices.Contains(c, "fig10") || slices.Contains(c, "fig17") {
+		t.Errorf("claimed experiments missing: %v", c)
 	}
-	if empty := sweep.CheckStore(nil, rair.Guards()); len(empty.Findings) != 0 {
+	// fig10's record has no table, so its claim misses, and so does each of
+	// fig17's: every scheme's slowdown is above the paper's.
+	if c := rep.Claims; c.Failed() != 5 || len(c.Findings) != 1+len(claims["fig17"]) {
+		t.Errorf("claims report:\n%s", rep)
+	}
+	if empty := sweep.CheckStore(nil, guards, claims); len(empty.Findings)+len(empty.Claims.Findings) != 0 {
 		t.Errorf("an empty store has %d findings", len(empty.Findings))
 	}
 }
@@ -326,8 +338,8 @@ func TestCheckStoreMalformedTables(t *testing.T) {
 		"header only":   "scheme,p,APL App0,APL App1\n",
 		"dash cell":     strings.Replace(fig9CSV, "RO_RR,100%,48.20", "RO_RR,100%,-", 1),
 	} {
-		rep := sweep.CheckStore([]sweep.Record{{Key: "k", Experiment: "fig9", Seed: 1, CSV: csv}}, rair.Guards())
-		n := len(rair.Guards()["fig9"])
+		rep := sweep.CheckStore([]sweep.Record{{Key: "k", Experiment: "fig9", Seed: 1, CSV: csv}}, guards, nil)
+		n := len(guards["fig9"])
 		if len(rep.Findings) != n || rep.Failed() != n || !strings.HasPrefix(rep.String(), "FAIL fig9") {
 			t.Errorf("%s: want a FAIL finding per fig9 guard, got:\n%s", name, rep)
 		}
@@ -391,17 +403,36 @@ func TestDiffStores(t *testing.T) {
 	}
 }
 
+// The scorecard has one section per experiment, in store order: its paper
+// line, a table of its claims and one of its guards (held or passed at how
+// many seeds, and the room's range), and its first record's table.
 func TestWriteSummary(t *testing.T) {
 	recs := goodRecords()
-	rep := sweep.CheckStore(recs, rair.Guards())
+	second := recs[4] // fig17 at seed 2, read first for the claims' room
+	second.Seed, second.Key = 2, "k2"
+	second.CSV = strings.Replace(second.CSV, "RA_RAIR,1.16,1.71,1.53,1.42,1.46", "RA_RAIR,1.16,1.71,1.53,1.42,1.10", 1)
+	recs = append([]sweep.Record{second}, recs...)
+	paper := map[string]string{"fig17": "Figure 17: PARSEC proxies under adversarial traffic"}
 	var buf bytes.Buffer
-	if err := sweep.WriteSummary(&buf, "golden", recs, rep); err != nil {
+	if err := sweep.WriteSummary(&buf, "golden", recs, sweep.CheckStore(recs, guards, claims), paper); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"# Sweep summary: golden", "## Shape guards", "## fig17", "seed 1, quick durations"} {
+	for _, want := range []string{
+		"# Scorecard: golden\n\n16 results.",
+		"## fig17\n\nFigure 17: PARSEC proxies under adversarial traffic\n",
+		"| claim | held at | room min | room max |",
+		"| RA_RAIR's average slowdown is at most the paper's 1.18 | 1 of 2 | -0.28 | 0.08 |",
+		"| RO_RR's average slowdown is at most the paper's 1.92 | 0 of 2 | -0.57 | -0.57 |",
+		"| guard | passed at | slack min | slack max |",
+		"| the adversary never speeds a scheme up | 2 of 2 | 0.1 | 0.46 |",
+		"seed 2, quick durations (`k2`):\n\n```\nfig17 table\n```\n",
+	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
+			t.Errorf("scorecard lacks %q:\n%s", want, out)
 		}
+	}
+	if strings.Count(out, "## fig17\n") != 1 || strings.Index(out, "## fig17\n") > strings.Index(out, "## fig9\n") {
+		t.Errorf("want one fig17 section, first:\n%s", out)
 	}
 }

@@ -2,8 +2,9 @@
 // expand into content-hash-keyed jobs, a bounded worker pool executes them
 // with a per-job timeout, and completed results append to a
 // JSONL store in canonical job order so an interrupted sweep resumes
-// bit-exactly. On top of the store sit the shape guards (the reproduction
-// targets of EXPERIMENTS.md) and a statistical store-to-store diff.
+// bit-exactly. On top of the store sit the checker of the shape guards and
+// the paper's claims (one predicate vocabulary), the scorecard rendered from
+// it, and a store-to-store diff.
 package sweep
 
 import (
@@ -13,20 +14,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 )
 
 // Manifest declares a sweep: a set of experiments, each expanded over the
-// manifest's seed list (or a per-experiment override) at paper or quick
-// durations. Expansion order is the canonical job order: experiments in
-// listed order, seeds in listed order.
+// manifest's seed list at paper or quick durations. Expansion order is the
+// canonical job order: experiments in listed order, seeds in listed order.
 type Manifest struct {
 	// Name identifies the manifest in reports and summaries.
 	Name string `json:"name"`
 	// Quick selects reduced warmup/measurement windows for every job.
 	Quick bool `json:"quick"`
-	// Seeds is the default seed list applied to every experiment without
-	// its own override. Empty means {1}.
+	// Seeds is the seed list every experiment runs at. Empty means {1}.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Experiments lists the experiment grid.
 	Experiments []ExperimentSpec `json:"experiments"`
@@ -36,8 +35,6 @@ type Manifest struct {
 type ExperimentSpec struct {
 	// Name is the rairbench experiment name (see rairbench -list).
 	Name string `json:"name"`
-	// Seeds overrides the manifest seed list for this experiment.
-	Seeds []uint64 `json:"seeds,omitempty"`
 }
 
 // Job is one expanded simulation point. Its content hash keys the result
@@ -71,17 +68,13 @@ func (j Job) String() string {
 // (experiment, seed) pairs collapse to one job (first occurrence wins), so
 // a manifest is a set, not a multiset.
 func (m *Manifest) Expand() []Job {
-	defSeeds := m.Seeds
-	if len(defSeeds) == 0 {
-		defSeeds = []uint64{1}
+	seeds := m.Seeds
+	if len(seeds) == 0 {
+		seeds = []uint64{1}
 	}
 	var jobs []Job
 	seen := make(map[string]bool)
 	for _, e := range m.Experiments {
-		seeds := e.Seeds
-		if len(seeds) == 0 {
-			seeds = defSeeds
-		}
 		for _, s := range seeds {
 			j := Job{Experiment: e.Name, Seed: s, Quick: m.Quick}
 			if k := j.Key(); !seen[k] {
@@ -99,6 +92,9 @@ func (m *Manifest) Validate(known []string) error {
 	if len(m.Experiments) == 0 {
 		return fmt.Errorf("sweep: manifest %q lists no experiments", m.Name)
 	}
+	if slices.Contains(m.Seeds, 0) {
+		return fmt.Errorf("sweep: manifest %q uses seed 0 (seeds must be >= 1)", m.Name)
+	}
 	ok := make(map[string]bool, len(known))
 	for _, n := range known {
 		ok[n] = true
@@ -109,11 +105,6 @@ func (m *Manifest) Validate(known []string) error {
 		}
 		if len(known) > 0 && !ok[e.Name] {
 			return fmt.Errorf("sweep: manifest %q names unknown experiment %q (known: %v)", m.Name, e.Name, known)
-		}
-		for _, s := range append(append([]uint64{}, m.Seeds...), e.Seeds...) {
-			if s == 0 {
-				return fmt.Errorf("sweep: manifest %q uses seed 0 (seeds must be >= 1)", m.Name)
-			}
 		}
 	}
 	return nil
@@ -137,25 +128,4 @@ func LoadManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("sweep: parse manifest %s: data after the manifest document", path)
 	}
 	return &m, nil
-}
-
-// WriteManifest writes the manifest as indented JSON.
-func WriteManifest(m *Manifest, path string) error {
-	buf, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// NewManifest builds a manifest over the given experiment names, sorted for
-// stability, with the given seeds and duration setting.
-func NewManifest(name string, names []string, seeds []uint64, quick bool) *Manifest {
-	sorted := append([]string{}, names...)
-	sort.Strings(sorted)
-	m := &Manifest{Name: name, Quick: quick, Seeds: seeds}
-	for _, n := range sorted {
-		m.Experiments = append(m.Experiments, ExperimentSpec{Name: n})
-	}
-	return m
 }

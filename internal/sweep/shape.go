@@ -14,8 +14,10 @@ import (
 // EXPERIMENTS.md are written and the checker that applies them to a result
 // store. The targets are *shapes* — who wins, in what order, where the knees
 // sit — not absolute numbers, so a guard is a list of predicates over named
-// cells of one record's CSV. The guards themselves are data beside each
-// experiment's registry entry (package rair); none is named here.
+// cells of one record's CSV. A claim is a Guard too, whose bound is one of
+// the paper's numbers: its room is the signed distance from the paper, and
+// it is reported, never gated. Both are data beside each experiment's
+// registry entry (package rair); none is named here.
 
 // CSVTable is a parsed experiment CSV: a header row and data rows.
 type CSVTable struct {
@@ -240,10 +242,10 @@ type Finding struct {
 // CheckReport aggregates guard findings over a store.
 type CheckReport struct {
 	Findings []Finding
-	// Unchecked lists experiments present in the store with no guards.
-	Unchecked []string
-	// Missing lists guarded experiments absent from the store.
+	// Missing lists the guarded (in Claims, claimed) experiments not stored.
 	Missing []string
+	// Claims checks the paper's numbers: reported, never gated.
+	Claims *CheckReport
 }
 
 // Failed counts the findings that did not pass.
@@ -259,86 +261,116 @@ func (r *CheckReport) Failed() int {
 
 // String renders the report: failures first, then each passing guard with
 // its slack, then — for reporting only — how the slack of every guard the
-// store holds at three or more seeds varies across them.
+// store holds at three or more seeds varies across them. The claims follow
+// in the same form under their own header.
 func (r *CheckReport) String() string {
 	var b strings.Builder
-	for _, f := range r.Findings {
-		if f.Err != nil {
-			fmt.Fprintf(&b, "FAIL %-12s seed=%-3d %s: %v\n", f.Experiment, f.Seed, f.Guard, f.Err)
-		}
-	}
-	for _, f := range r.Findings {
-		if f.Err == nil {
-			fmt.Fprintf(&b, "ok   %-12s seed=%-3d %s [slack %.3g: %s]\n", f.Experiment, f.Seed, f.Guard, f.Slack, f.Tight)
-		}
-	}
-	r.writeSeedSpread(&b)
-	fmt.Fprintf(&b, "%d guard checks: %d passed, %d failed", len(r.Findings), len(r.Findings)-r.Failed(), r.Failed())
-	if len(r.Missing) > 0 {
-		fmt.Fprintf(&b, "; guarded experiments missing from store: %s", strings.Join(r.Missing, ", "))
-	}
-	if len(r.Unchecked) > 0 {
-		fmt.Fprintf(&b, "; unguarded: %s", strings.Join(r.Unchecked, ", "))
+	r.write(&b, false)
+	if c := r.Claims; c != nil && len(c.Findings)+len(c.Missing) > 0 {
+		b.WriteString("\n\npaper claims, reported and never gated (room: the signed distance from the paper's number)\n")
+		c.write(&b, true)
 	}
 	return b.String()
 }
 
-// writeSeedSpread adds one line per guard evaluated at three or more seeds
-// of one experiment at the same durations: the slack's range, marked thin
-// when the smallest slack is below that range — a margin narrower than the
-// seed noise it is meant to ride out.
-func (r *CheckReport) writeSeedSpread(b *strings.Builder) {
-	same := func(f, g Finding) bool {
-		return f.Experiment == g.Experiment && f.Quick == g.Quick && f.Guard == g.Guard
+// write renders r's findings, failures first, one line per span of three or
+// more seeds, which a guard marks thin when its smallest slack is below the
+// range — a margin narrower than the seed noise it is meant to ride out —
+// and the totals. Claims miss or hold, and have room instead of slack.
+func (r *CheckReport) write(b *strings.Builder, claims bool) {
+	kind, fail, pass, room, passed, failed := "guard", "FAIL", "ok  ", "slack", "passed", "failed"
+	if claims {
+		kind, fail, pass, room, passed, failed = "claim", "miss", "held", "room", "held", "missed"
 	}
-	for i, f := range r.Findings {
-		if slices.ContainsFunc(r.Findings[:i], func(g Finding) bool { return same(f, g) }) {
-			continue
+	for _, f := range r.Findings {
+		if f.Err != nil {
+			fmt.Fprintf(b, "%s %-12s seed=%-3d %s: %v\n", fail, f.Experiment, f.Seed, f.Guard, f.Err)
 		}
-		lo, hi, n := math.Inf(1), math.Inf(-1), 0
-		for _, g := range r.Findings[i:] {
-			if same(f, g) && !math.IsNaN(g.Slack) {
-				lo, hi, n = math.Min(lo, g.Slack), math.Max(hi, g.Slack), n+1
-			}
+	}
+	for _, f := range r.Findings {
+		if f.Err == nil {
+			fmt.Fprintf(b, "%s %-12s seed=%-3d %s [%s %.3g: %s]\n", pass, f.Experiment, f.Seed, f.Guard, room, f.Slack, f.Tight)
 		}
+	}
+	for _, s := range spans(r.Findings) {
 		thin := ""
-		if lo < hi-lo {
+		if s.lo < s.hi-s.lo && !claims {
 			thin = " thin"
 		}
-		if n >= 3 {
-			fmt.Fprintf(b, "seeds %-12s n=%-5d %s [slack min %.3g max %.3g spread %.3g%s]\n",
-				f.Experiment, n, f.Guard, lo, hi, hi-lo, thin)
+		if s.n >= 3 {
+			fmt.Fprintf(b, "seeds %-12s n=%-5d %s [%s min %.3g max %.3g spread %.3g%s]\n",
+				s.Experiment, s.n, s.Guard, room, s.lo, s.hi, s.hi-s.lo, thin)
 		}
+	}
+	fmt.Fprintf(b, "%d %s checks: %d %s, %d %s", len(r.Findings), kind, len(r.Findings)-r.Failed(), passed, r.Failed(), failed)
+	if len(r.Missing) > 0 {
+		fmt.Fprintf(b, "; %sed experiments missing from store: %s", kind, strings.Join(r.Missing, ", "))
 	}
 }
 
-// CheckStore applies guards, keyed by experiment name, to every matching
-// record.
-func CheckStore(recs []Record, guards map[string][]Guard) *CheckReport {
-	rep := &CheckReport{}
-	present := make(map[string]bool)
+// span is one guard's findings over the seeds of one experiment at one
+// duration setting: the first finding, how many there are and how many
+// failed, and the range of the slack of the n that could be evaluated.
+type span struct {
+	Finding
+	seeds, failed, n int
+	lo, hi           float64
+}
+
+// spans groups findings by experiment, durations and guard, in the order
+// each group first appears.
+func spans(fs []Finding) []span {
+	var out []span
+	for _, f := range fs {
+		i := slices.IndexFunc(out, func(s span) bool {
+			return s.Experiment == f.Experiment && s.Quick == f.Quick && s.Guard == f.Guard
+		})
+		if i < 0 {
+			out, i = append(out, span{Finding: f, lo: math.Inf(1), hi: math.Inf(-1)}), len(out)
+		}
+		s := &out[i]
+		s.seeds++
+		if f.Err != nil {
+			s.failed++
+		}
+		if !math.IsNaN(f.Slack) {
+			s.lo, s.hi, s.n = math.Min(s.lo, f.Slack), math.Max(s.hi, f.Slack), s.n+1
+		}
+	}
+	return out
+}
+
+// CheckStore applies guards and claims, each keyed by experiment name, to
+// every matching record. The claims' findings are the report's Claims.
+func CheckStore(recs []Record, guards, claims map[string][]Guard) *CheckReport {
+	rep, present := &CheckReport{Claims: &CheckReport{}}, make(map[string]bool)
 	for _, rec := range recs {
 		present[rec.Experiment] = true
 		tbl, perr := ParseCSVTable(rec.CSV)
-		for _, g := range guards[rec.Experiment] {
-			f := Finding{Experiment: rec.Experiment, Seed: rec.Seed, Quick: rec.Quick, Guard: g.Name, Err: perr, Slack: math.NaN()}
-			if perr == nil {
-				f.Slack, f.Tight, f.Err = g.check(tbl)
+		apply := func(fs []Finding, gs []Guard) []Finding {
+			for _, g := range gs {
+				f := Finding{Experiment: rec.Experiment, Seed: rec.Seed, Quick: rec.Quick, Guard: g.Name, Err: perr, Slack: math.NaN()}
+				if perr == nil {
+					f.Slack, f.Tight, f.Err = g.check(tbl)
+				}
+				fs = append(fs, f)
 			}
-			rep.Findings = append(rep.Findings, f)
+			return fs
 		}
+		rep.Findings = apply(rep.Findings, guards[rec.Experiment])
+		rep.Claims.Findings = apply(rep.Claims.Findings, claims[rec.Experiment])
 	}
 	for exp := range guards {
 		if !present[exp] {
 			rep.Missing = append(rep.Missing, exp)
 		}
 	}
-	for exp := range present {
-		if len(guards[exp]) == 0 {
-			rep.Unchecked = append(rep.Unchecked, exp)
+	for exp := range claims {
+		if !present[exp] {
+			rep.Claims.Missing = append(rep.Claims.Missing, exp)
 		}
 	}
 	slices.Sort(rep.Missing)
-	slices.Sort(rep.Unchecked)
+	slices.Sort(rep.Claims.Missing)
 	return rep
 }

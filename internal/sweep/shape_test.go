@@ -91,7 +91,7 @@ func TestCheckStoreSlackAndSeedSpread(t *testing.T) {
 		recs = append(recs, Record{Key: "k" + top, Experiment: "exp", Seed: uint64(i + 1), Quick: true,
 			CSV: strings.Replace(vocabCSV, "new,1.0,30", "new,1.0,"+top, 1)})
 	}
-	rep := CheckStore(recs, guards)
+	rep := CheckStore(recs, guards, nil)
 	if rep.Failed() != 0 || len(rep.Findings) != 6 {
 		t.Fatalf("want six passing findings:\n%s", rep)
 	}
@@ -113,7 +113,24 @@ func TestCheckStoreSlackAndSeedSpread(t *testing.T) {
 		}
 	}
 	// Two seeds are not a spread.
-	if out := CheckStore(recs[:2], guards).String(); strings.Contains(out, "seeds ") {
+	if out := CheckStore(recs[:2], guards, nil).String(); strings.Contains(out, "seeds ") {
 		t.Errorf("spread line over two seeds:\n%s", out)
+	}
+	// The same rows as claims: reported after the guards under their own
+	// header, with room in place of slack and no thin mark.
+	claims := CheckStore(recs, nil, guards)
+	if len(claims.Findings) != 0 || claims.Claims.Failed() != 0 || len(claims.Claims.Findings) != 6 {
+		t.Fatalf("want six held claims and no guard finding:\n%s", claims)
+	}
+	out = claims.String()
+	for _, want := range []string{
+		"0 guard checks: 0 passed, 0 failed\n\npaper claims, reported and never gated",
+		"held exp          seed=1   new beats base at the top [room 6: Less(new[last]:apl, base[last]:apl K=0.9)]",
+		"new beats base at the top [room min 0.1 max 6 spread 5.9]",
+		"6 claim checks: 6 held, 0 missed",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("claims report lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -29,8 +29,10 @@
 //	...
 //	fmt.Println(report)
 //
-// The paper's full evaluation is available through Experiment and the
-// rairbench command.
+// The paper's full evaluation is available through ExperimentCSV and the
+// rairbench command. Each experiment's registry row also states its shape
+// guards and the paper's claims (Guards), which rairsweep check applies to a
+// result store and renders as a scorecard.
 package rair
 
 import (

@@ -340,13 +340,13 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("incomplete experiment info %+v", e)
 		}
 	}
-	if _, err := Experiment("nope", true, 1); err == nil {
+	if _, _, err := ExperimentCSV("nope", true, 1); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestExperimentLBDR(t *testing.T) {
-	out, err := Experiment("lbdr", true, 1)
+	out, _, err := ExperimentCSV("lbdr", true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
