@@ -3,6 +3,7 @@ package rair
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -53,10 +54,10 @@ func reduces(scheme string, paper float64) sweep.Guard {
 }
 
 // slowdown is the claim that the flood slows scheme down by at most the
-// paper's factor. Within with only Hi reads paper − v above paper/2.
+// paper's factor: Within's at-most form, whose room is paper − v.
 func slowdown(scheme string, paper float64) sweep.Guard {
 	return sweep.Guard{Name: fmt.Sprintf("%s's average slowdown is at most the paper's %.2f", scheme, paper),
-		Preds: []sweep.Pred{{Op: sweep.Within, A: sweep.Sel{Row: scheme, Col: "average"}, Hi: paper}}}
+		Preds: []sweep.Pred{{Op: sweep.Within, A: sweep.Sel{Row: scheme, Col: "average"}, Lo: math.Inf(-1), Hi: paper}}}
 }
 
 // collPARSECGuards is the guard of the three PARSEC co-runs with a

@@ -10,8 +10,8 @@
 //   - credits returning on the wire sum exactly to the buffer depth;
 //   - atomic VC allocation: an unowned input VC is empty and idle, every
 //     buffered flit belongs to the VC's owner, an unowned output VC holds
-//     its full credit stock, and the per-port allocation counters agree
-//     with the owners visible in the VC state;
+//     its full credit stock, and the per-port allocated counts (derived
+//     from the free-VC masks) agree with the owners visible in the VC state;
 //   - monotone hop progress: a packet's hop count never decreases between
 //     observations and never exceeds the configured bound;
 //   - forward progress: a no-ejection watchdog trips when traffic is in
@@ -326,7 +326,7 @@ func (c *Checker) checkAllocation(now int64) {
 			})
 			if got := r.OutputAllocated(d); got != owners {
 				c.report(now, "vc-alloc",
-					"router %d output %s allocation counter %d != owned VCs %d", node, d, got, owners)
+					"router %d output %s allocated count %d != owned VCs %d", node, d, got, owners)
 			}
 		}
 		if ovcN, _ := r.OccupancyByKind(); ovcN != natives {

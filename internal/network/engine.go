@@ -140,16 +140,16 @@ func (p partition) of(id int) int {
 	return sort.Search(p.s, func(i int) bool { _, hi := p.bounds(i); return id < hi })
 }
 
-// newEngine builds one shard per range of part over the given stores and
-// starts one persistent worker per shard beyond the first. The hand-off
-// spins only when the shards fit the Ps: a spinner beyond them would burn
-// the slice a runnable shard needs.
-func newEngine(routers []*router.Router, nis []*router.NI, part partition, soas []*router.SoA) *engine {
+// newEngine builds one shard per range of part and starts one persistent
+// worker per shard beyond the first; the caller gives each shard its store
+// before the first phase runs. The hand-off spins only when the shards fit
+// the Ps: a spinner beyond them would burn the slice a runnable shard needs.
+func newEngine(routers []*router.Router, nis []*router.NI, part partition) *engine {
 	e := &engine{part: part, shards: make([]*shard, part.s),
 		spin: part.s <= runtime.GOMAXPROCS(0)}
 	for i := range e.shards {
 		lo, hi := part.bounds(i)
-		e.shards[i] = &shard{idx: i, routers: routers[lo:hi], nis: nis[lo:hi], soa: soas[i], lo: lo}
+		e.shards[i] = &shard{idx: i, routers: routers[lo:hi], nis: nis[lo:hi], lo: lo}
 	}
 	if s := part.s; s > 1 {
 		e.cmd = make([]chan enginePhase, s-1)

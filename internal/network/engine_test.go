@@ -230,7 +230,7 @@ func TestEngineShardPartition(t *testing.T) {
 		if next != tc.nodes {
 			t.Fatalf("nodes=%d workers=%d: shards cover %d nodes", tc.nodes, tc.workers, next)
 		}
-		e := newEngine(make([]*router.Router, tc.nodes), make([]*router.NI, tc.nodes), part, make([]*router.SoA, part.s))
+		e := newEngine(make([]*router.Router, tc.nodes), make([]*router.NI, tc.nodes), part)
 		for i, sh := range e.shards {
 			lo, hi := part.bounds(i)
 			if sh.lo != lo || len(sh.routers) != hi-lo || len(sh.nis) != hi-lo || e.shardOf(lo) != sh {

@@ -131,29 +131,10 @@ func New(p Params) *Network {
 	if n.tel != nil {
 		n.probes = make([]*telemetry.Probe, mesh.N())
 	}
-	// One dense state store per shard: routers and NIs are built as views
-	// into their shard's store (struct-of-arrays slabs + work mirrors).
-	part := newPartition(mesh.N(), p.Workers)
-	soas := make([]*router.SoA, part.s)
-	for i := range soas {
-		lo, hi := part.bounds(i)
-		soas[i] = router.NewSoA(p.Router, hi-lo)
-	}
-	n.eng = newEngine(n.routers, n.nis, part, soas)
-	// Routers before NIs: built in one pass, their small allocations
-	// interleave and the compute phase measured 2 % slower at 32×32.
-	for _, sh := range n.eng.shards {
-		for li := range sh.routers {
-			id := sh.lo + li
-			app := p.Regions.AppAt(id)
-			r := router.NewInStore(p.Router, id, app, mesh, p.Regions, p.Alg, p.Sel, p.Policy, sh.soa, li)
-			if n.tel != nil {
-				n.probes[id] = n.tel.ProbeFor(id, app)
-				r.SetTelemetry(n.probes[id])
-			}
-			n.routers[id] = r
-		}
-	}
+	// One dense state store per shard, holding once what its routers and NIs
+	// share (configuration, regions, routing, the ejection hook); they are
+	// built as views into it (struct-of-arrays slabs + work mirrors).
+	n.eng = newEngine(n.routers, n.nis, newPartition(mesh.N(), p.Workers))
 	for _, sh := range n.eng.shards {
 		// Phase 1 buffers ejections per shard; Tick replays them in node order.
 		var onEject func(*msg.Packet, int64)
@@ -162,9 +143,26 @@ func New(p Params) *Network {
 				sh.ejections = append(sh.ejections, ejection{pkt, now})
 			}
 		}
+		sh.soa = router.NewSoA(p.Router, p.Regions, p.Alg, p.Sel, onEject, len(sh.routers))
+	}
+	// Routers before NIs: built in one pass, their small allocations
+	// interleave and the compute phase measured 2 % slower at 32×32.
+	for _, sh := range n.eng.shards {
+		for li := range sh.routers {
+			id := sh.lo + li
+			app := p.Regions.AppAt(id)
+			r := router.NewInStore(sh.soa, li, id, app, p.Policy)
+			if n.tel != nil {
+				n.probes[id] = n.tel.ProbeFor(id, app)
+				r.SetTelemetry(n.probes[id])
+			}
+			n.routers[id] = r
+		}
+	}
+	for _, sh := range n.eng.shards {
 		for li := range sh.nis {
 			id := sh.lo + li
-			ni := router.NewNIInStore(p.Router, id, p.Regions, onEject, sh.soa, li)
+			ni := router.NewNIInStore(sh.soa, li, id)
 			if n.tel != nil {
 				ni.SetTelemetry(n.probes[id])
 			}

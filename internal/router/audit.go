@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"rair/internal/msg"
 	"rair/internal/topology"
 )
@@ -47,7 +49,7 @@ func (r *Router) AuditInputVCs(d topology.Dir, fn func(InputVCState)) {
 }
 
 // App returns the application the router's node is assigned to (-1: none).
-func (r *Router) App() int { return r.app }
+func (r *Router) App() int { return int(r.app) }
 
 // AuditInputFlits calls fn for every buffered flit of input port d's VC vc,
 // oldest first, each rebuilt from the VC's run as it arrived.
@@ -72,13 +74,15 @@ func (r *Router) AuditOutputVCs(d topology.Dir, fn func(OutputVCState)) {
 // flit wire and input d's credit wire (zero values on an unconnected port).
 func (r *Router) Wires(d topology.Dir) (FlitWire, CreditWire) { return r.out[d].wire, r.in[d].credit }
 
-// OutputAllocated reports output port d's allocated-VC bookkeeping counter
-// (must equal the owned VCs visible via AuditOutputVCs).
-func (r *Router) OutputAllocated(d topology.Dir) int { return int(r.out[d].allocated) }
+// OutputAllocated reports output port d's allocated-VC count, derived from
+// its free-VC mask (must equal the owned VCs visible via AuditOutputVCs).
+func (r *Router) OutputAllocated(d topology.Dir) int {
+	return bits.OnesCount64(r.soa.allMask &^ r.out[d].freeMask)
+}
 
 // STRegister returns the flit parked in output port d's switch-traversal
 // register, if occupied. An ST flit has already consumed a downstream
 // credit but is not yet on the wire, so credit accounting must count it.
 func (r *Router) STRegister(d topology.Dir) (msg.Flit, bool) {
-	return r.out[d].st, r.stBusy>>uint(d)&1 == 1
+	return r.out[d].st.flit(), r.stBusy>>uint(d)&1 == 1
 }

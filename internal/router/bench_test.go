@@ -17,7 +17,7 @@ func benchFeed(b *testing.B, r *Router, dir topology.Dir, pkt *msg.Packet, now *
 	head := msg.FlitAt(pkt, 0)
 	head.VC = 1
 	r.DeliverFlit(dir, head)
-	for i := 1; i < r.cfg.Depth; i++ {
+	for i := 1; i < r.soa.depth; i++ {
 		f := msg.FlitAt(pkt, i)
 		f.VC = 1
 		r.DeliverFlit(dir, f)
@@ -70,7 +70,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 		}
 		for _, d := range dirs {
 			vc := &r.in[d].vcs[1]
-			if out := r.out[vc.outPort]; vc.n == 0 || out.vcs[vc.outVC].credits != 0 {
+			if out := &r.out[vc.outPort]; vc.n == 0 || out.vcs[vc.outVC].credits != 0 {
 				b.Fatalf("setup: the stream on %s is not credit-stalled", d)
 			}
 		}
@@ -90,7 +90,7 @@ func BenchmarkSwitchAllocation(b *testing.B) {
 		if r.stBusy>>uint(topology.Local)&1 == 0 {
 			b.Fatal("setup: local ST register did not latch")
 		}
-		in := r.in[topology.East]
+		in := &r.in[topology.East]
 		vc := &in.vcs[1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -117,7 +117,7 @@ func BenchmarkFlitStreaming(b *testing.B) {
 	var now int64
 	pkt := &msg.Packet{ID: 1, App: 0, Src: 0, Dst: 1, Size: 1 << 30, Class: msg.ClassRequest}
 	benchFeed(b, r, topology.North, pkt, &now)
-	in := r.in[topology.North]
+	in := &r.in[topology.North]
 	vc := &in.vcs[1]
 	seq, sent := cfg.Depth, 0
 	b.ResetTimer()

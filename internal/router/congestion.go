@@ -23,7 +23,7 @@ type History struct {
 }
 
 // NewHistory builds the view over a wired network's routers, by node id,
-// and hands it to each of them.
+// and hands it to each of their stores.
 func NewHistory(mesh *topology.Mesh, routers []*Router) *History {
 	n, lag := mesh.N(), max(mesh.W, mesh.H)-1
 	h := &History{lag: lag, wired: make([]uint8, n), last: make([]int64, n), head: make([]int32, n),
@@ -35,7 +35,7 @@ func NewHistory(mesh *topology.Mesh, routers []*Router) *History {
 				h.wired[v] |= 1 << uint(d)
 			}
 		}
-		r.hist = h
+		r.soa.hist = h
 	}
 	return h
 }
@@ -53,8 +53,9 @@ func (h *History) Publish(routers []*Router, ticked []uint64) {
 	for wi, w := range ticked {
 		for m := w; m != 0 && h.lag > 0; m &= m - 1 {
 			r := routers[wi<<6+bits.TrailingZeros64(m)]
-			ring, s := h.ring[r.node*h.lag:(r.node+1)*h.lag], int(h.head[r.node])
-			for gap, prev := min(h.prev-h.last[r.node], int64(h.lag)), ring[s]; gap > 0; gap-- {
+			v := int(r.node)
+			ring, s := h.ring[v*h.lag:(v+1)*h.lag], int(h.head[v])
+			for gap, prev := min(h.prev-h.last[v], int64(h.lag)), ring[s]; gap > 0; gap-- {
 				if s++; s == h.lag {
 					s = 0
 				}
@@ -63,7 +64,7 @@ func (h *History) Publish(routers []*Router, ticked []uint64) {
 			for d := topology.North; d < topology.NumDirs; d++ {
 				ring[s][d-1] = uint16(r.InPortOccupancy(d))
 			}
-			h.head[r.node], h.last[r.node] = int32(s), h.prev
+			h.head[v], h.last[v] = int32(s), h.prev
 		}
 	}
 }
@@ -73,7 +74,7 @@ func (h *History) Publish(routers []*Router, ticked []uint64) {
 // min(hops, max(W,H)−1), zero before cycle 0 and from the first router with
 // no output wire in d onward, and zero without a history.
 func (r *Router) PathOccupancy(d topology.Dir, hops int) int {
-	h, v, sum := r.hist, r.node, 0
+	h, v, sum := r.soa.hist, int(r.node), 0
 	if h == nil {
 		return 0
 	}

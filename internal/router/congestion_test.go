@@ -30,10 +30,10 @@ func TestOccupancyHistoryMatchesNaive(t *testing.T) {
 			// chiplet tile edge.
 			routers := make([]*Router, mesh.N())
 			wired := make([][topology.NumDirs]bool, mesh.N())
+			soa := &SoA{}
 			for v := range routers {
-				r := &Router{node: v}
+				r := &Router{soa: soa, node: int32(v), in: new([topology.NumDirs]InputPort), out: new([topology.NumDirs]OutputPort)}
 				for d := range r.in {
-					r.in[d], r.out[d] = &InputPort{}, &OutputPort{}
 					if wired[v][d] = mesh.Neighbor(v, topology.Dir(d)) >= 0 && rng.Intn(8) > 0; wired[v][d] {
 						r.out[d].wire.s = &FlitSlab{}
 					}
@@ -83,9 +83,9 @@ func TestOccupancyHistoryMatchesNaive(t *testing.T) {
 					ticked[v>>6] |= 1 << (v & 63)
 					for d := topology.North; d < topology.NumDirs; d++ {
 						if rng.Intn(4) > 0 {
-							r.in[d.Opposite()].bufFlits = rng.Intn(64 * maxSlots)
+							r.in[d.Opposite()].bufFlits = int32(rng.Intn(64 * maxSlots))
 						}
-						occ[now][v][d] = r.in[d.Opposite()].bufFlits
+						occ[now][v][d] = int(r.in[d.Opposite()].bufFlits)
 					}
 				}
 			}

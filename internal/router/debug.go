@@ -16,7 +16,7 @@ import (
 // also leaves its stream's SA candidate set, so stealing a VC's whole stock
 // wedges the stream instead of tripping the SA credit guard.
 func (r *Router) DebugDropCredit(d topology.Dir, vc int) {
-	p := r.out[d]
+	p := &r.out[d]
 	v := &p.vcs[vc]
 	if v.credits == 0 {
 		panic("router: DebugDropCredit on empty credit counter")
@@ -27,7 +27,7 @@ func (r *Router) DebugDropCredit(d topology.Dir, vc int) {
 	if v.credits == 0 {
 		p.creditMask &^= 1 << uint(vc)
 		if p.streamMask>>uint(vc)&1 == 1 {
-			in := r.in[v.inPort]
+			in := &r.in[v.inPort]
 			in.saElig &^= 1 << uint(v.inVC)
 			if in.saElig == 0 {
 				r.saPorts &^= 1 << uint(v.inPort)
@@ -59,7 +59,7 @@ func (r *Router) DebugState() string {
 		}
 	}
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		out := r.out[d]
+		out := &r.out[d]
 		for i := range out.vcs {
 			ov := &out.vcs[i]
 			if ov.owner == nil {
@@ -68,7 +68,7 @@ func (r *Router) DebugState() string {
 			fmt.Fprintf(&b, "  out %-5s vc%-2d credits=%d tailSent=%v owner=%v\n", d, i, ov.credits, ov.tailSent, ov.owner)
 		}
 		if r.stBusy>>uint(d)&1 == 1 {
-			fmt.Fprintf(&b, "  out %-5s ST=%v flit %v seq=%d\n", d, out.st.Pkt, out.st.Type, out.st.Seq)
+			fmt.Fprintf(&b, "  out %-5s ST=%v flit %v seq=%d\n", d, out.st.pkt, out.st.typ, out.st.seq)
 		}
 	}
 	return b.String()

@@ -28,10 +28,10 @@ var Desyncs = []Desync{
 	// the bit.
 	{"a/out.creditMask", func(r *Router, _ *NI) bool {
 		for d := topology.North; d < topology.NumDirs; d++ {
-			out := r.out[d]
+			out := &r.out[d]
 			for m := out.streamMask & out.creditMask; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if ov := &out.vcs[i]; int(ov.credits) == r.cfg.Depth && r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 0 {
+				if ov := &out.vcs[i]; int(ov.credits) == r.soa.depth && r.in[ov.inPort].occMask>>uint(ov.inVC)&1 == 0 {
 					out.creditMask &^= 1 << uint(i)
 					return true
 				}
@@ -108,7 +108,7 @@ var Desyncs = []Desync{
 	// The other shadow structures, under the same kind of precondition.
 	{"out.freeMask", func(r *Router, _ *NI) bool {
 		if _, _, og := predictVA(r); og >= 0 {
-			r.out[og/r.nvc].freeMask &^= 1 << uint(og%r.nvc)
+			r.out[og/r.soa.nvc].freeMask &^= 1 << uint(og%r.soa.nvc)
 			return true
 		}
 		return false
@@ -178,10 +178,10 @@ var Desyncs = []Desync{
 	// head would pick look full, so it picks the other one.
 	{"out.creditSum", func(r *Router, _ *NI) bool {
 		_, vc, og := predictVA(r)
-		if og < 0 || vc.vaOdd || r.alg.Route(r.at, vc.owner.Dst).N != 2 {
+		if og < 0 || vc.vaOdd || r.soa.alg.Route(r.at, vc.owner.Dst).N != 2 {
 			return false
 		}
-		r.out[og/r.nvc].creditSum -= 1000
+		r.out[og/r.soa.nvc].creditSum -= 1000
 		return true
 	}, true},
 	{"activeCount", func(r *Router, _ *NI) bool {
@@ -207,7 +207,7 @@ var Desyncs = []Desync{
 			return false
 		}
 		od := r.in[d].vcs[i].outPort
-		if topology.Dir(od) == topology.Local || r.out[od].st.Pkt == nil {
+		if topology.Dir(od) == topology.Local || r.out[od].st.pkt == nil {
 			return false
 		}
 		r.stBusy |= 1 << od
@@ -291,7 +291,7 @@ func plantStandingVA(r *Router) bool {
 	if og < 0 {
 		return false
 	}
-	nIn := int(topology.NumDirs) * r.nvc
+	nIn := int(topology.NumDirs) * r.soa.nvc
 	i := (int(vc.idx) + 1) % nIn
 	r.soa.vaReqN[og] = 1
 	r.soa.vaReq[og*((nIn+63)>>6)+i>>6] |= 1 << uint(i&63)
@@ -356,7 +356,7 @@ func soleRun(r *Router, ok func(*inputVC) bool) *inputVC {
 // tail included, buffered: no flit arrival can re-arm it, only the refill.
 func dryTailStream(r *Router) (topology.Dir, int, bool) {
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		in := r.in[d]
+		in := &r.in[d]
 		for m := in.activeMask & in.occMask &^ in.saElig; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
 			if topology.Dir(vc.outPort) != topology.Local && tailBuffered(vc) {
@@ -371,10 +371,10 @@ func dryTailStream(r *Router) (topology.Dir, int, bool) {
 // empty input buffer: only a flit arrival can make it a candidate again.
 func idleStream(r *Router) (topology.Dir, int, bool) {
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		in := r.in[d]
+		in := &r.in[d]
 		for m := in.activeMask &^ in.occMask; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
-			if topology.Dir(vc.outPort) != topology.Local && int(r.out[vc.outPort].vcs[vc.outVC].credits) == r.cfg.Depth {
+			if topology.Dir(vc.outPort) != topology.Local && int(r.out[vc.outPort].vcs[vc.outVC].credits) == r.soa.depth {
 				return d, int(vc.idx), true
 			}
 		}
@@ -397,11 +397,11 @@ func sendPick(ni *NI) int {
 // claimPick is the VC the NI's next claim takes (-1: none).
 func claimPick(ni *NI) int {
 	for k := range ni.queues {
-		qi := (ni.rrQ + k) % len(ni.queues)
+		qi := (int(ni.rrQ) + k) % len(ni.queues)
 		if ni.queues[qi].Empty() {
 			continue
 		}
-		if i := ni.freeVC(msg.Class(qi % ni.cfg.Classes)); i >= 0 {
+		if i := ni.freeVC(msg.Class(qi % ni.soa.classes)); i >= 0 {
 			return i
 		}
 	}

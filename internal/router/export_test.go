@@ -45,7 +45,8 @@ func (r *refRouter) SetPathOccupancy(fn func(d topology.Dir, hops int) int) { r.
 // Arbiters appends r's arbiters to as: SA_in per input port, SA_out per
 // output port, VA_out per output VC.
 func (r *Router) Arbiters(as []arbiter.Prioritized) []arbiter.Prioritized {
-	return append(append(append(as, r.saInArb[:]...), r.saOutArb[:]...), r.vaArb...)
+	n := int(topology.NumDirs) * r.soa.nvc
+	return append(append(append(as, r.saInArb[:]...), r.saOutArb[:]...), r.soa.vaArb[int(r.li)*n:][:n]...)
 }
 
 // Arbiters appends r's arbiters to as in Router.Arbiters' order. The

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"rair/internal/msg"
-	"rair/internal/region"
 	"rair/internal/sim"
 	"rair/internal/telemetry"
 )
@@ -27,47 +26,43 @@ import (
 // still sending), drainMask (sent, awaiting credits), creditMask
 // (credits > 0) and fullMask (credits == Depth).
 type NI struct {
-	cfg     Config
-	node    int
-	regions *region.Map
-
 	// soa/li: the shard store slot mirroring this NI's activity counter
-	// (soa.NIWork) and wake bit; see Router.soa.
-	soa *SoA
-	li  int
+	// (soa.NIWork) and wake bit, and holding what the shard's NIs share;
+	// see Router.soa.
+	soa  *SoA
+	li   int32
+	node int32
 
 	inj FlitWire // NI -> router local input port
-
-	// queues holds one source queue per (injector slot, message class)
-	// pair, indexed slot*Classes+class. Plain meshes have one slot; a
-	// chiplet gateway's crossbar bridge has its own, so a node's traffic
-	// never queues behind the foreign backlog (cfg.Injectors).
-	queues []sim.Queue[*msg.Packet]
-
-	streams []stream // per local-input VC; pkt nil when not streaming
-	credits []int
 
 	streamMask vcMask // VCs with a live stream
 	drainMask  vcMask // VCs with all flits sent, waiting for credits
 	creditMask vcMask // VCs with at least one credit
 	fullMask   vcMask // VCs with the full credit stock
 
-	rrVC int
-	rrQ  int // rotating start of the claim() scan over source queues
+	rrVC int32
+	rrQ  int32 // rotating start of the claim() scan over source queues
 
 	// Activity counters: queued packets, live streams and draining VCs.
 	// When all three are zero the NI's Tick is a no-op and the tick engine
 	// skips it.
-	queued    int
-	streaming int
-	drainingN int
+	queued, streaming, drainingN int32
 
-	onEject func(*msg.Packet, int64)
+	// attr caches tel.AttributionOn() at wiring.
+	attr bool
+
+	// queues holds one source queue per (injector slot, message class)
+	// pair, indexed slot*Classes+class. Plain meshes have one slot; a
+	// chiplet gateway's crossbar bridge has its own, so a node's traffic
+	// never queues behind the foreign backlog (Config.Injectors).
+	queues []sim.Queue[*msg.Packet]
+
+	streams []stream // per local-input VC; pkt nil when not streaming
+	credits []int32
 
 	// tel is the node's telemetry probe (shared with the router); nil when
-	// telemetry is disabled. attr caches tel.AttributionOn() at wiring.
-	tel  *telemetry.Probe
-	attr bool
+	// telemetry is disabled.
+	tel *telemetry.Probe
 
 	created, ejected  int64
 	flitsOut, flitsIn int64
@@ -80,25 +75,23 @@ type stream struct {
 
 // NewNIInStore builds the interface for node as a view over slot li of the
 // shard store soa (shared with the node's router; the NI uses the NIWork
-// mirror and ArmedN wake bitmap). onEject is invoked when a packet's tail
-// is consumed (may be nil); ConnectInjection attaches its wire.
-func NewNIInStore(cfg Config, node int, regions *region.Map,
-	onEject func(*msg.Packet, int64), soa *SoA, li int) *NI {
-	v := cfg.VCsPerPort()
+// mirror and ArmedN wake bitmap, and the store's ejection hook).
+// ConnectInjection attaches its wire.
+func NewNIInStore(soa *SoA, li, node int) *NI {
+	v := soa.nvc
 	ni := &NI{
-		cfg: cfg, node: node, regions: regions, soa: soa, li: li,
-		queues:     make([]sim.Queue[*msg.Packet], cfg.Classes*cfg.InjectorCount()),
+		soa: soa, li: int32(li), node: int32(node),
+		queues:     make([]sim.Queue[*msg.Packet], soa.classes*soa.injectors),
 		streams:    make([]stream, v),
-		credits:    make([]int, v),
-		creditMask: allVCs(v),
-		fullMask:   allVCs(v),
-		onEject:    onEject,
+		credits:    make([]int32, v),
+		creditMask: soa.allMask,
+		fullMask:   soa.allMask,
 	}
 	for i := range ni.queues {
 		ni.queues[i] = *sim.NewQueue[*msg.Packet](16)
 	}
 	for i := range ni.credits {
-		ni.credits[i] = cfg.Depth
+		ni.credits[i] = int32(soa.depth)
 	}
 	return ni
 }
@@ -123,26 +116,27 @@ func (ni *NI) Inject(p *msg.Packet, now int64) { ni.InjectAt(0, p, now) }
 // Each slot owns independent queues, and claim() arbitrates across all of
 // them round-robin.
 func (ni *NI) InjectAt(slot int, p *msg.Packet, now int64) {
-	if p.Src != ni.node {
+	s := ni.soa
+	if p.Src != int(ni.node) {
 		panic(fmt.Sprintf("router: packet %v injected at node %d", p, ni.node))
 	}
-	if int(p.Class) >= ni.cfg.Classes {
+	if int(p.Class) >= s.classes {
 		panic(fmt.Sprintf("router: packet class %v exceeds configured classes", p.Class))
 	}
-	if slot < 0 || slot >= ni.cfg.InjectorCount() {
-		panic(fmt.Sprintf("router: injector slot %d out of range [0,%d)", slot, ni.cfg.InjectorCount()))
+	if slot < 0 || slot >= s.injectors {
+		panic(fmt.Sprintf("router: injector slot %d out of range [0,%d)", slot, s.injectors))
 	}
 	p.CreatedAt = now
-	p.Global = ni.regions.Global(p.Src, p.Dst)
+	p.Global = s.regions.Global(p.Src, p.Dst)
 	p.EjectedAt = -1
 	p.InjectedAt = -1
 	// Unconditional (branchless) so pool-recycled and protocol-reused
 	// packets always start with a clean blame vector.
 	p.Blame = [msg.NumBlame]int32{}
-	ni.queues[slot*ni.cfg.Classes+int(p.Class)].Push(p)
+	ni.queues[slot*s.classes+int(p.Class)].Push(p)
 	ni.queued++
-	ni.soa.NIWork[ni.li]++
-	ni.soa.armN(ni.li)
+	s.NIWork[ni.li]++
+	s.armN(int(ni.li))
 	ni.created++
 }
 
@@ -162,11 +156,11 @@ func (ni *NI) FlitsIn() int64 { return ni.flitsIn }
 
 // CreditCount reports the NI's sender-side credit counter for local-input
 // VC vc (read-only invariant-checker hook).
-func (ni *NI) CreditCount(vc int) int { return ni.credits[vc] }
+func (ni *NI) CreditCount(vc int) int { return int(ni.credits[vc]) }
 
 // DeliverFlit consumes a flit arriving from the router's local output port.
 func (ni *NI) DeliverFlit(f msg.Flit, now int64) {
-	if f.Pkt.Dst != ni.node {
+	if f.Pkt.Dst != int(ni.node) {
 		panic(fmt.Sprintf("router: %v ejected at node %d", f.Pkt, ni.node))
 	}
 	ni.flitsIn++
@@ -183,22 +177,33 @@ func (ni *NI) DeliverFlit(f msg.Flit, now int64) {
 			// probe — no other shard touches the packet this phase.
 			ni.tel.FoldAttribution(f.Pkt)
 		}
-		if ni.onEject != nil {
-			ni.onEject(f.Pkt, now)
+		if ni.soa.onEject != nil {
+			ni.soa.onEject(f.Pkt, now)
 		}
 	}
 }
 
 // DeliverCredit consumes a credit returned by the router's local input port.
+// A credit beyond the depth panics with a niCreditOverflow naming the node
+// and the VC; the message is formatted only when the panic prints, so
+// DeliverCredit stays within the inlining budget (a call to a helper that
+// formats it would cost the inliner as much as the rest of the body).
 func (ni *NI) DeliverCredit(vc int) {
 	ni.credits[vc]++
-	if ni.credits[vc] > ni.cfg.Depth {
-		panic("router: NI credit overflow")
+	if int(ni.credits[vc]) > ni.soa.depth {
+		panic(niCreditOverflow{ni.node, int32(vc)})
 	}
 	ni.creditMask |= 1 << uint(vc)
-	if ni.credits[vc] == ni.cfg.Depth {
+	if int(ni.credits[vc]) == ni.soa.depth {
 		ni.fullMask |= 1 << uint(vc)
 	}
+}
+
+// niCreditOverflow is the NI's panic value for a credit it never spent.
+type niCreditOverflow struct{ node, vc int32 }
+
+func (e niCreditOverflow) Error() string {
+	return fmt.Sprintf("router: NI %d credit overflow on VC %d", e.node, e.vc)
 }
 
 // Tick claims VCs for queued packets and streams one flit.
@@ -214,7 +219,7 @@ func (ni *NI) Tick(now int64) {
 		if m := ni.drainMask & ni.fullMask; m != 0 {
 			ni.drainMask &^= m
 			freed := bits.OnesCount64(m)
-			ni.drainingN -= freed
+			ni.drainingN -= int32(freed)
 			ni.soa.NIWork[ni.li] -= int32(freed)
 		}
 	}
@@ -228,12 +233,12 @@ func (ni *NI) Tick(now int64) {
 func (ni *NI) claim() {
 	nq := len(ni.queues)
 	for i := 0; i < nq; i++ {
-		qi := (ni.rrQ + i) % nq
+		qi := (int(ni.rrQ) + i) % nq
 		q := &ni.queues[qi]
 		if q.Empty() {
 			continue
 		}
-		cls := qi % ni.cfg.Classes
+		cls := qi % ni.soa.classes
 		vc := ni.freeVC(msg.Class(cls))
 		if vc < 0 {
 			if ni.tel != nil {
@@ -246,7 +251,7 @@ func (ni *NI) claim() {
 		ni.streamMask |= 1 << uint(vc)
 		ni.queued--
 		ni.streaming++
-		ni.rrQ = (qi + 1) % nq
+		ni.rrQ = int32((qi + 1) % nq)
 		return
 	}
 }
@@ -292,7 +297,7 @@ func (ni *NI) sendOne(now int64) {
 			ni.tel.Lifecycle(f.Pkt.ID, telemetry.StageInject, now)
 		}
 	}
-	ni.inj.send(f)
+	ni.inj.send(onWire(f))
 	ni.flitsOut++
 	ni.credits[vc]--
 	ni.fullMask &^= 1 << uint(vc)
@@ -307,8 +312,8 @@ func (ni *NI) sendOne(now int64) {
 		ni.streaming--
 		ni.drainingN++
 	}
-	ni.rrVC = vc + 1
-	if ni.rrVC == len(ni.streams) {
+	ni.rrVC = int32(vc + 1)
+	if int(ni.rrVC) == len(ni.streams) {
 		ni.rrVC = 0
 	}
 }

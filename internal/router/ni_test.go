@@ -12,9 +12,9 @@ func testNI(cfg Config) (*NI, testLink, testLink, *[]*msg.Packet) {
 	mesh := topology.NewMesh(2, 1)
 	regs := region.Single(mesh)
 	var ejected []*msg.Packet
-	ni := NewNIInStore(cfg, 0, regs, func(p *msg.Packet, now int64) {
+	ni := NewNIInStore(NewSoA(cfg, regs, nil, nil, func(p *msg.Packet, now int64) {
 		ejected = append(ejected, p)
-	}, NewSoA(cfg, 1), 0)
+	}, 1), 0, 0)
 	inj, ej := newTestLink(cfg.LinkLatency), newTestLink(cfg.LinkLatency)
 	ni.ConnectInjection(inj.f)
 	return ni, inj, ej, &ejected
@@ -62,7 +62,7 @@ func TestNIStampsPacket(t *testing.T) {
 	regs.Assign(1, 0)
 	regs.Assign(2, 1)
 	regs.Assign(3, 1)
-	ni := NewNIInStore(cfg, 0, regs, nil, NewSoA(cfg, 1), 0)
+	ni := NewNIInStore(NewSoA(cfg, regs, nil, nil, nil, 1), 0, 0)
 	intra := &msg.Packet{ID: 1, Src: 0, Dst: 1, Size: 1, Class: msg.ClassRequest}
 	inter := &msg.Packet{ID: 2, Src: 0, Dst: 3, Size: 1, Class: msg.ClassRequest}
 	ni.Inject(intra, 42)
@@ -213,4 +213,17 @@ func TestNIPerClassQueues(t *testing.T) {
 	if !classes[msg.ClassRequest] || !classes[msg.ClassResponse] {
 		t.Fatalf("classes on the wire: %v", classes)
 	}
+}
+
+// A credit the NI never spent panics naming the node and the VC.
+func TestNICreditOverflowNamesNodeAndVC(t *testing.T) {
+	cfg := DefaultConfig(1)
+	ni := NewNIInStore(NewSoA(cfg, region.Single(topology.NewMesh(4, 1)), nil, nil, nil, 4), 3, 3)
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || err.Error() != "router: NI 3 credit overflow on VC 2" {
+			t.Fatalf("panic %v, want the NI's node and VC named", err)
+		}
+	}()
+	ni.DeliverCredit(2) // every VC starts with its full stock
 }

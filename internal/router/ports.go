@@ -67,10 +67,10 @@ type inputVC struct {
 // selection is a mask intersection, and removals are single bit clears
 // instead of slice splices.
 type InputPort struct {
-	dir      topology.Dir
+	dir      uint8 // a topology.Dir
+	bufFlits int32 // buffered flits across the port's VCs (congestion metric)
 	vcs      []inputVC
 	credit   CreditWire // back to the upstream sender; unset on unconnected mesh-edge ports
-	bufFlits int        // buffered flits across the port's VCs (congestion metric)
 
 	rcMask     vcMask // VCs whose head arrived (stageRC)
 	vaMask     vcMask // VCs waiting for a VC allocation (stageVA)
@@ -131,7 +131,7 @@ func (p *InputPort) deliver(f msg.Flit, depth int) {
 func (p *InputPort) reject(f msg.Flit, why string) {
 	vc := &p.vcs[f.VC]
 	panic(fmt.Sprintf("router: %s: %v seq %d on %s VC %d (owner %v, front %d, %d buffered)",
-		why, f.Pkt, f.Seq, p.dir, f.VC, vc.owner, vc.front, vc.n))
+		why, f.Pkt, f.Seq, topology.Dir(p.dir), f.VC, vc.owner, vc.front, vc.n))
 }
 
 // outputVC is one virtual channel of an output port: the credit counter for
@@ -152,24 +152,23 @@ type outputVC struct {
 
 // OutputPort is one output of the router: per-VC credit/allocation state,
 // the downstream flit wire, and the ST pipeline register holding the flit
-// that won SA last cycle (occupied while the port's Router.stBusy bit is set).
+// that won SA last cycle in its 16-byte wire form (occupied while the
+// port's Router.stBusy bit is set).
 //
 // Three credit-derived masks shadow the per-VC counters so the hot-path
 // queries are single-bit tests: creditMask (credits > 0, read by SA_in's
 // eligibility check), fullMask (credits == Depth, the atomic-reuse release
-// condition), and freeMask (owner == nil, VA_in's free-VC search window).
-// drainMask marks owned VCs whose tail has been sent, awaiting full credit
-// return.
+// condition), and freeMask (owner == nil, VA_in's free-VC search window;
+// its complement counts the owned VCs). drainMask marks owned VCs whose
+// tail has been sent, awaiting full credit return.
 type OutputPort struct {
-	dir      uint8 // a topology.Dir, narrowed so the port fits 128 bytes
-	ejection bool  // Local port: the sink accepts unconditionally
-
-	allocated int32 // owned VCs (bookkeeping invariant)
+	dir       uint8 // a topology.Dir
+	ejection  bool  // Local port: the sink accepts unconditionally
 	creditSum int32 // total credits across the port's VCs
 
 	vcs  []outputVC
 	wire FlitWire // downstream; unset on unconnected mesh-edge ports
-	st   msg.Flit
+	st   wireFlit
 
 	freeMask   vcMask // VCs with no owner (VA_in candidates)
 	creditMask vcMask // VCs with at least one downstream credit
@@ -179,8 +178,7 @@ type OutputPort struct {
 }
 
 // deliverCredit accepts a returned credit from the downstream router. The
-// overflow panic lives in a separate function so deliverCredit stays within
-// the inlining budget.
+// overflow panic formats its message out of line, in creditOverflow.
 func (p *OutputPort) deliverCredit(vc int, depth int) {
 	v := &p.vcs[vc]
 	v.credits++
@@ -216,11 +214,5 @@ func (p *OutputPort) free() {
 		v := &p.vcs[bits.TrailingZeros64(m)]
 		v.owner = nil
 		v.tailSent = false
-		p.allocated--
 	}
 }
-
-// freeCredits reports the total credits available across the port (the
-// local congestion signal for selection functions), maintained incrementally
-// at credit arrival and flit departure.
-func (p *OutputPort) freeCredits() int { return int(p.creditSum) }

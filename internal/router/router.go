@@ -7,8 +7,6 @@ import (
 	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/policy"
-	"rair/internal/region"
-	"rair/internal/routing"
 	"rair/internal/telemetry"
 	"rair/internal/topology"
 )
@@ -17,50 +15,21 @@ import (
 // application number assigned to its node (Figure 5); packets carry their
 // own application number, and the match classifies them as native or
 // foreign traffic for the policy.
+//
+// A router keeps only its own state. What its shard's routers share (the
+// depth and VC counts, the region map, the routing algorithm and
+// selector, DBAR's history, the per-tick arbitration scratch) is held once
+// in the shard's store, and its ports are a view of the store's slabs.
 type Router struct {
-	cfg     Config
-	node    int
-	app     int
-	at      topology.Coord // the node's mesh coordinate (route computation)
-	regions *region.Map
-	alg     routing.Algorithm
-	sel     routing.Selector
-	pol     policy.Policy
-
 	// soa is the shard-owned dense store this router is a view into; li
-	// its local index there. The ports below point into the store's
-	// slabs, the occupancy/work registers live in its flat arrays, and
-	// the VA/SA request rows are its shard-wide scratch.
-	soa *SoA
-	li  int
-
-	in  [topology.NumDirs]*InputPort
-	out [topology.NumDirs]*OutputPort
-
-	// nvc caches cfg.VCsPerPort() for the hot paths (the accessor
-	// multiplies three config fields on every call).
-	nvc int
-
-	// The arbiters' round-robin pointers are the only arbitration state
-	// that outlives a tick. vaArb (per global output VC index) is carved
-	// from the store's slab; saOutVC is the SA_in winner per input port.
-	vaArb    []arbiter.Prioritized
-	saInArb  [topology.NumDirs]arbiter.Prioritized
-	saOutArb [topology.NumDirs]arbiter.Prioritized
-	saOutVC  [topology.NumDirs]*inputVC
-
-	// stBusy marks the output ports whose ST register holds a flit, so ST
-	// visits only ports with a flit to send and SA filters a candidate by
-	// one bit test.
-	stBusy uint8
-
-	// saPorts marks input ports with a non-empty saElig set, so SA_in
-	// visits only ports that actually have a candidate this cycle.
-	saPorts uint8
-
-	// hist is DBAR's congestion view, shared by the network's routers;
-	// nil unless the selector reads it (NewHistory).
-	hist *History
+	// its local index there. in and out are the router's five ports in
+	// the store's slabs, the occupancy/work registers live in its flat
+	// arrays, and the VA/SA request rows are its shard-wide scratch.
+	soa       *SoA
+	in        *[topology.NumDirs]InputPort
+	out       *[topology.NumDirs]OutputPort
+	li        int32
+	node, app int32
 
 	// Stage population counters let idle routers skip whole pipeline
 	// stages. Their sum with the occupied ST registers is mirrored into
@@ -68,59 +37,60 @@ type Router struct {
 	// touches the Router struct. The DPA occupancy registers live in the
 	// store (soa.NativeOcc/ForeignOcc); occMoved says one of them moved
 	// since the last DPA update.
-	rcCount     int
-	vaCount     int
-	activeCount int
-	occMoved    bool
+	rcCount, vaCount, activeCount int32
 
-	// freeablePorts marks output ports where a credit arrived or a tail
-	// was sent since the last output-VC release scan; Tick visits only
-	// those ports instead of re-running free() on all of them.
-	freeablePorts uint8
+	// stBusy marks the output ports whose ST register holds a flit, so ST
+	// visits only ports with a flit to send and SA filters a candidate by
+	// one bit test. saPorts marks input ports with a non-empty saElig set,
+	// so SA_in visits only ports that actually have a candidate this
+	// cycle. freeablePorts marks output ports where a credit arrived or a
+	// tail was sent since the last output-VC release scan; Tick visits
+	// only those ports instead of re-running free() on all of them.
+	stBusy, saPorts, freeablePorts uint8
+	occMoved                       bool
+
+	// attr caches tel.AttributionOn() at wiring so every blame charge site
+	// is a single predictable branch when attribution is off.
+	attr bool
+
+	// The arbiters' round-robin pointers are the only arbitration state
+	// that outlives a tick; the VA_out arbiters are in the store's slab.
+	saInArb  [topology.NumDirs]arbiter.Prioritized
+	saOutArb [topology.NumDirs]arbiter.Prioritized
+
+	now int64
 
 	// tel is the node's telemetry probe; nil when telemetry is disabled,
 	// and every hot-path use is guarded on that.
 	tel *telemetry.Probe
 
-	// attr caches tel.AttributionOn() at wiring so every blame charge site
-	// is a single predictable branch when attribution is off. allMask is
-	// the all-VCs mask of one port (blame-site scratch).
-	attr    bool
-	allMask vcMask
-
-	now int64
+	at  topology.Coord // the node's mesh coordinate (route computation)
+	pol policy.Policy
 }
 
-// NewInStore creates a router for node (application app, or -1 when
+// NewInStore creates the router of node (application app, or -1 when
 // unassigned) as a view over slot li of the shard store soa: its ports and
 // VC state are carved from the store's slabs and its work/occupancy
 // registers are the store's flat arrays. Wires are attached afterwards with
 // ConnectIn/ConnectOut.
-func NewInStore(cfg Config, node, app int, mesh *topology.Mesh, regions *region.Map,
-	alg routing.Algorithm, sel routing.Selector, pol policy.Spec, soa *SoA, li int) *Router {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+func NewInStore(soa *SoA, li, node, app int, pol policy.Spec) *Router {
+	nd := int(topology.NumDirs)
 	r := &Router{
-		cfg: cfg, node: node, app: app, at: mesh.Coord(node), regions: regions,
-		alg: alg, sel: sel, pol: policy.New(pol, app), soa: soa, li: li,
+		soa: soa, li: int32(li), node: int32(node), app: int32(app),
+		in:  (*[topology.NumDirs]InputPort)(soa.Ins[li*nd : (li+1)*nd]),
+		out: (*[topology.NumDirs]OutputPort)(soa.Outs[li*nd : (li+1)*nd]),
+		at:  soa.regions.Mesh().Coord(node),
+		pol: policy.New(pol, app),
 	}
-	v := cfg.VCsPerPort()
-	r.nvc = v
-	nOut := int(topology.NumDirs) * v
-	r.vaArb = soa.vaArb[li*nOut : (li+1)*nOut : (li+1)*nOut]
-	r.allMask = allVCs(v)
-	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		r.in[d] = &soa.Ins[li*int(topology.NumDirs)+int(d)]
-		r.out[d] = &soa.Outs[li*int(topology.NumDirs)+int(d)]
-		r.saInArb[d] = arbiter.NewPrioritized(v)
-		r.saOutArb[d] = arbiter.NewPrioritized(int(topology.NumDirs))
+	for d := range r.saInArb {
+		r.saInArb[d] = arbiter.NewPrioritized(soa.nvc)
+		r.saOutArb[d] = arbiter.NewPrioritized(nd)
 	}
 	return r
 }
 
 // Node returns the router's node id.
-func (r *Router) Node() int { return r.node }
+func (r *Router) Node() int { return int(r.node) }
 
 // SetTelemetry attaches a telemetry probe (nil detaches).
 func (r *Router) SetTelemetry(p *telemetry.Probe) {
@@ -146,13 +116,13 @@ func (r *Router) ConnectOut(dir topology.Dir, w FlitWire) { r.out[dir].wire = w 
 // candidate bit is re-derived (heads enter through RC/VA instead, and the
 // VA grant re-derives the bit when the stream goes Active).
 func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
-	in := r.in[dir]
-	in.deliver(f, r.cfg.Depth)
+	in := &r.in[dir]
+	in.deliver(f, r.soa.depth)
 	if f.Type.IsHead() {
 		r.rcCount++
 		r.soa.Work[r.li]++
-		r.soa.armR(r.li)
-		if r.app >= 0 && f.Pkt.App == r.app {
+		r.soa.armR(int(r.li))
+		if r.app >= 0 && f.Pkt.App == int(r.app) {
 			in.native |= 1 << uint(f.VC)
 			r.soa.NativeOcc[r.li]++
 		} else {
@@ -163,7 +133,7 @@ func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 		// The arrival fills an Active VC's empty buffer; with a credit
 		// downstream the stream is a fresh SA candidate.
 		vc := &in.vcs[f.VC]
-		out := r.out[vc.outPort]
+		out := &r.out[vc.outPort]
 		if out.ejection || out.creditMask>>uint(vc.outVC)&1 == 1 {
 			in.saElig |= 1 << uint(f.VC)
 			r.saPorts |= 1 << uint(dir)
@@ -180,9 +150,9 @@ func (r *Router) DeliverFlit(dir topology.Dir, f msg.Flit) {
 // scan. Credits landing on top of a non-zero stock cannot change
 // eligibility and skip the re-derivation.
 func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
-	p := r.out[dir]
+	p := &r.out[dir]
 	wasDry := p.vcs[vc].credits == 0
-	p.deliverCredit(vc, r.cfg.Depth)
+	p.deliverCredit(vc, r.soa.depth)
 	if p.drainMask != 0 {
 		r.freeablePorts |= 1 << uint(dir)
 	}
@@ -191,7 +161,7 @@ func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
 		// output VC (located through the reverse map; streamMask implies
 		// the input VC is Active) when it has a flit waiting.
 		ov := &p.vcs[vc]
-		in := r.in[ov.inPort]
+		in := &r.in[ov.inPort]
 		if in.occMask>>uint(ov.inVC)&1 == 1 && in.saElig>>uint(ov.inVC)&1 == 0 {
 			in.saElig |= 1 << uint(ov.inVC)
 			r.saPorts |= 1 << uint(ov.inPort)
@@ -203,11 +173,12 @@ func (r *Router) DeliverCredit(dir topology.Dir, vc int) {
 // direction d: the congestion a packet traveling in direction d meets when
 // it enters this router. This per-direction value is what DBAR's view sums.
 func (r *Router) InPortOccupancy(d topology.Dir) int {
-	return r.in[d.Opposite()].bufFlits
+	return int(r.in[d.Opposite()].bufFlits)
 }
 
-// OutputFree implements routing.CongestionView.
-func (r *Router) OutputFree(d topology.Dir) int { return r.out[d].freeCredits() }
+// OutputFree implements routing.CongestionView: the credits available across
+// output port d, maintained at credit arrival and flit departure.
+func (r *Router) OutputFree(d topology.Dir) int { return int(r.out[d].creditSum) }
 
 // Tick advances the router one cycle. Stages run in reverse pipeline order
 // (ST, SA, VA, RC) over latched state, so each flit advances at most one
@@ -269,7 +240,7 @@ func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
 		r.tel.Charge(vc.owner, msg.BlameEscape)
 		return
 	}
-	occ := (r.allMask &^ out.freeMask) &^ (1 << uint(vc.outVC))
+	occ := (r.soa.allMask &^ out.freeMask) &^ (1 << uint(vc.outVC))
 	r.chargeBlocked(vc.owner, out, occ, msg.BlameNative)
 }
 
@@ -281,13 +252,13 @@ func (r *Router) chargeSAStall(vc *inputVC, out *OutputPort) {
 func (r *Router) switchTraversal() {
 	for m := r.stBusy; m != 0; m &= m - 1 {
 		d := bits.TrailingZeros8(m)
-		out := r.out[d]
+		out := &r.out[d]
 		out.wire.send(out.st)
 		r.soa.Work[r.li]--
 		if r.tel != nil {
 			r.tel.LinkFlit()
-			if out.st.Type.IsHead() && r.tel.Traced(out.st.Pkt.ID) {
-				r.tel.Lifecycle(out.st.Pkt.ID, telemetry.StageST, r.now)
+			if out.st.typ.IsHead() && r.tel.Traced(out.st.pkt.ID) {
+				r.tel.Lifecycle(out.st.pkt.ID, telemetry.StageST, r.now)
 			}
 		}
 	}
@@ -302,12 +273,12 @@ func (r *Router) switchTraversal() {
 // telemetry attached; with it off, stalled VCs cost nothing.
 func (r *Router) saStallScan() {
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		in := r.in[d]
+		in := &r.in[d]
 		for m := in.activeMask & in.occMask &^ in.saElig; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
 			r.tel.CreditStall()
 			if r.attr && vc.headPending {
-				r.chargeSAStall(vc, r.out[vc.outPort])
+				r.chargeSAStall(vc, &r.out[vc.outPort])
 			}
 		}
 	}
@@ -332,8 +303,9 @@ func (r *Router) switchAllocation() {
 	if r.saPorts == 0 {
 		return
 	}
-	// SA_in files each surviving nomination in r.saOutVC (entries of other
-	// ports are stale and never read) and in outReq, the input ports
+	s := r.soa
+	// SA_in files each surviving nomination in the store's saOutVC (entries
+	// of other ports are stale and never read) and in outReq, the input ports
 	// nominating per output port; outMask marks the output ports with a
 	// nomination and nomNative the nominations carrying native traffic.
 	var outReq [topology.NumDirs]uint8
@@ -346,7 +318,7 @@ func (r *Router) switchAllocation() {
 	// over the set.
 	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
 		d := topology.Dir(bits.TrailingZeros8(pm))
-		in := r.in[d]
+		in := &r.in[d]
 		elig := in.saElig
 		w := bits.TrailingZeros64(elig)
 		if elig&(elig-1) == 0 {
@@ -357,7 +329,7 @@ func (r *Router) switchAllocation() {
 			// Rank fills a priority row.
 			row, prio := [1]uint64{r.pol.SAFavored(elig, in.native)}, []int(nil)
 			if r.pol.Ordered() {
-				prio = r.soa.saPrio
+				prio = s.saPrio
 				for c := elig; c != 0; c &= c - 1 {
 					i := bits.TrailingZeros64(c)
 					prio[i] = r.pol.SAPriority(in.vcs[i].owner, r.now)
@@ -365,7 +337,7 @@ func (r *Router) switchAllocation() {
 			}
 			w = r.saInArb[d].Grant(row[:], prio)
 		}
-		r.saOutVC[d] = &in.vcs[w]
+		s.saOutVC[d] = &in.vcs[w]
 		od := in.vcs[w].outPort
 		outReq[od] |= 1 << uint(d)
 		outMask |= 1 << od
@@ -373,7 +345,7 @@ func (r *Router) switchAllocation() {
 		for c := elig; r.tel != nil && c != 0; c &= c - 1 {
 			i := bits.TrailingZeros64(c)
 			vc := &in.vcs[i]
-			native := r.regions.Native(r.node, vc.owner.App)
+			native := s.regions.Native(int(r.node), vc.owner.App)
 			if i == w {
 				r.tel.SAInGrant(native)
 				continue
@@ -396,28 +368,28 @@ func (r *Router) switchAllocation() {
 		} else {
 			row, prio := [1]uint64{r.pol.SAFavored(req, uint64(nomNative))}, []int(nil)
 			if r.pol.Ordered() {
-				prio = r.soa.saOutPri[:]
+				prio = s.saOutPri[:]
 				for m := req; m != 0; m &= m - 1 {
 					id2 := bits.TrailingZeros64(m)
-					prio[id2] = r.pol.SAPriority(r.saOutVC[id2].owner, r.now)
+					prio[id2] = r.pol.SAPriority(s.saOutVC[id2].owner, r.now)
 				}
 			}
 			w = r.saOutArb[od].Grant(row[:], prio)
 		}
 		for m := req; r.tel != nil && m != 0; m &= m - 1 {
 			id2 := bits.TrailingZeros64(m)
-			vc2 := r.saOutVC[id2]
-			native := r.regions.Native(r.node, vc2.owner.App)
+			vc2 := s.saOutVC[id2]
+			native := s.regions.Native(int(r.node), vc2.owner.App)
 			if id2 == w {
 				r.tel.SAOutGrant(native)
 				continue
 			}
 			r.tel.SAOutDeny(native)
 			if r.attr && vc2.headPending {
-				r.chargeLoss(vc2.owner, r.saOutVC[w].owner)
+				r.chargeLoss(vc2.owner, s.saOutVC[w].owner)
 			}
 		}
-		r.transfer(topology.Dir(w), r.saOutVC[w])
+		r.transfer(topology.Dir(w), s.saOutVC[w])
 	}
 }
 
@@ -425,7 +397,7 @@ func (r *Router) switchAllocation() {
 // the owner — and latches it into the ST register of its allocated output
 // port.
 func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
-	out := r.out[vc.outPort]
+	out := &r.out[vc.outPort]
 	ov := &out.vcs[vc.outVC]
 	if vc.n == 0 {
 		panic("router: SA granted an empty VC")
@@ -433,7 +405,7 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
 	f := msg.FlitAt(vc.owner, int(vc.front))
 	vc.front++
 	vc.n--
-	in := r.in[inDir]
+	in := &r.in[inDir]
 	in.bufFlits--
 	if vc.n == 0 {
 		in.occMask &^= 1 << uint(vc.idx)
@@ -449,7 +421,7 @@ func (r *Router) transfer(inDir topology.Dir, vc *inputVC) {
 	if r.stBusy>>vc.outPort&1 == 1 {
 		panic("router: ST register collision")
 	}
-	out.st = f
+	out.st = onWire(f)
 	r.stBusy |= 1 << vc.outPort
 	r.soa.Work[r.li]++
 	if !out.ejection {
@@ -505,16 +477,17 @@ func (r *Router) vcAllocation() {
 	if r.vaCount == 0 {
 		return
 	}
-	v := r.nvc
-	nw := (int(topology.NumDirs)*v + 63) >> 6 // words per VA request row
 	s := r.soa
-	prio := []int(nil) // only Rank fills and reads a priority row
+	v := s.nvc
+	nw := (int(topology.NumDirs)*v + 63) >> 6     // words per VA request row
+	base := int(r.li) * int(topology.NumDirs) * v // the router's first arbiter in s.vaArb
+	prio := []int(nil)                            // only Rank fills and reads a priority row
 	if r.pol.Ordered() {
 		prio = s.vaPrio
 	}
 	touched := s.vaTouched[:0]
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		in := r.in[d]
+		in := &r.in[d]
 		for m := in.vaMask; m != 0; m &= m - 1 {
 			vc := &in.vcs[bits.TrailingZeros64(m)]
 			og, cls := r.vaInput(vc)
@@ -541,7 +514,7 @@ func (r *Router) vcAllocation() {
 		if s.vaReqN[og] == 1 {
 			// Uncontended output VC: grant directly, clearing only the
 			// one filed request instead of scanning the row.
-			w := r.vaArb[og].GrantSingle(s.vaSingle[og])
+			w := s.vaArb[base+og].GrantSingle(s.vaSingle[og])
 			row[w>>6] &^= 1 << uint(w&63)
 			s.vaReqN[og] = 0
 			r.allocate(og, w)
@@ -549,7 +522,7 @@ func (r *Router) vcAllocation() {
 		}
 		// Under the unordered rules the grant is a flat one over the
 		// row's favored subset; Rank has no favored class.
-		w := r.vaArb[og].Grant(r.pol.VAFavored(s.vaCls[og], row, s.vaNative[:nw], s.vaFavored[:nw]), prio)
+		w := s.vaArb[base+og].Grant(r.pol.VAFavored(s.vaCls[og], row, s.vaNative[:nw], s.vaFavored[:nw]), prio)
 		// Losers of a VA_out arbitration: serialized on the escape VC when
 		// that is what they competed for, otherwise blocked by the winner's
 		// region class.
@@ -560,7 +533,7 @@ func (r *Router) vcAllocation() {
 					continue
 				}
 				loser := r.in[topology.Dir(i/v)].vcs[i%v].owner
-				r.tel.VADeny(r.regions.Native(r.node, loser.App))
+				r.tel.VADeny(s.regions.Native(int(r.node), loser.App))
 				switch {
 				case !r.attr:
 				case r.soa.escapeMask>>uint(og%v)&1 == 1:
@@ -583,7 +556,7 @@ func (r *Router) vcAllocation() {
 // the global output VC index requested (or -1) and its class.
 func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	pkt, s := vc.owner, r.soa
-	rt := r.alg.Route(r.at, pkt.Dst)
+	rt := s.alg.Route(r.at, pkt.Dst)
 	var port topology.Dir
 	switch {
 	case rt.N == 1:
@@ -592,10 +565,10 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 		port = rt.Esc
 	default:
 		s.dirBuf = [2]topology.Dir{rt.First, rt.Second}
-		port = r.sel.Select(r.node, pkt.Dst, s.dirBuf[:rt.N], r)
+		port = s.sel.Select(int(r.node), pkt.Dst, s.dirBuf[:rt.N], r)
 	}
 	vc.vaOdd = !vc.vaOdd
-	out := r.out[port]
+	out := &r.out[port]
 	if out.wire.s == nil && !out.ejection {
 		panic(fmt.Sprintf("router %d: route to unconnected port %v", r.node, port))
 	}
@@ -640,27 +613,27 @@ func (r *Router) vaInput(vc *inputVC) (int, policy.VCClass) {
 	default:
 		chosen, chosenCls = bits.TrailingZeros64(free), policy.VCEscape
 	}
-	return int(port)*r.nvc + chosen, chosenCls
+	return int(port)*s.nvc + chosen, chosenCls
 }
 
 // allocate commits a VA_out grant: output VC og to the input VC with global
 // index w.
 func (r *Router) allocate(og, w int) {
-	v := r.nvc
+	v := r.soa.nvc
 	port := topology.Dir(og / v)
 	ovIdx := og % v
-	in := r.in[topology.Dir(w/v)]
+	in := &r.in[topology.Dir(w/v)]
 	vc := &in.vcs[w%v]
-	out := r.out[port]
+	out := &r.out[port]
 	ov := &out.vcs[ovIdx]
 	if ov.owner != nil {
 		panic("router: VA granted an occupied output VC")
 	}
-	if int(ov.credits) != r.cfg.Depth {
+	if int(ov.credits) != r.soa.depth {
 		panic("router: output VC allocated before credits drained")
 	}
 	if r.tel != nil {
-		r.tel.VAGrant(r.regions.Native(r.node, vc.owner.App))
+		r.tel.VAGrant(r.soa.regions.Native(int(r.node), vc.owner.App))
 		if r.tel.Traced(vc.owner.ID) {
 			r.tel.Lifecycle(vc.owner.ID, telemetry.StageVA, r.now)
 		}
@@ -669,7 +642,6 @@ func (r *Router) allocate(og, w int) {
 	ov.tailSent = false
 	ov.inPort = int8(w / v)
 	ov.inVC = int8(w % v)
-	out.allocated++
 	out.freeMask &^= 1 << uint(ovIdx)
 	out.streamMask |= 1 << uint(ovIdx)
 	vc.outPort = uint8(port)
@@ -692,7 +664,7 @@ func (r *Router) routeCompute() {
 		return
 	}
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
-		in := r.in[d]
+		in := &r.in[d]
 		m := in.rcMask
 		if m == 0 {
 			continue
@@ -731,8 +703,8 @@ func (r *Router) updatePolicy() {
 // drain detection and tests).
 func (r *Router) BufferedFlits() int {
 	n := 0
-	for _, in := range r.in {
-		n += in.bufFlits
+	for d := range r.in {
+		n += int(r.in[d].bufFlits)
 	}
 	return n + bits.OnesCount8(r.stBusy)
 }

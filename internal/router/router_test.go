@@ -24,8 +24,8 @@ func testRouter(cfg Config, pol policy.Spec) (*Router, testLink) {
 	regs := region.New(mesh)
 	regs.Assign(0, 0)
 	regs.Assign(1, 1)
-	r := NewInStore(cfg, 0, 0, mesh, regs,
-		routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, pol, NewSoA(cfg, 1), 0)
+	soa := NewSoA(cfg, regs, routing.MinimalAdaptive{Mesh: mesh}, routing.LocalSelector{}, nil, 1)
+	r := NewInStore(soa, 0, 0, 0, pol)
 	east := newTestLink(cfg.LinkLatency)
 	r.ConnectOut(topology.East, east.f)
 	r.ConnectIn(topology.West, newTestLink(cfg.LinkLatency).c)
@@ -120,8 +120,8 @@ func TestSAOutPrefersForeignUnderRAIR(t *testing.T) {
 	if r.stBusy>>uint(topology.East)&1 == 0 {
 		t.Fatal("no flit won SA")
 	}
-	if r.out[topology.East].st.Pkt != foreignPkt {
-		t.Fatalf("ST holds %v, want the foreign packet", r.out[topology.East].st.Pkt)
+	if r.out[topology.East].st.pkt != foreignPkt {
+		t.Fatalf("ST holds %v, want the foreign packet", r.out[topology.East].st.pkt)
 	}
 	r.Tick(3) // ST: flit onto the link
 	if _, ok := east.ShiftFlits(); ok {
@@ -257,9 +257,10 @@ func TestDeliverRejects(t *testing.T) {
 // TestStateSizes pins every per-router structure at the width the
 // configuration bounds allow (Config.Validate: at most 64 VCs per port,
 // Depth and LinkLatency at most 256). A router holds NumDirs × VCsPerPort
-// input and output VCs and VA arbiters and five ports, and its node five
-// flit rows and four credit bytes, so a field widened to int shows up here
-// before it shows up as heap per router. The wire rows are pinned exactly.
+// input and output VCs and VA arbiters and five ports, and its node an NI,
+// five flit rows and four credit bytes, so a field widened to int, or a
+// copy of what the shard store holds once, shows up here before it shows
+// up as heap per router. The wire rows are pinned exactly.
 func TestStateSizes(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -270,12 +271,19 @@ func TestStateSizes(t *testing.T) {
 		// plus its slab.
 		{"inputVC", unsafe.Sizeof(inputVC{}), 32},
 		{"outputVC", unsafe.Sizeof(outputVC{}), 16},
-		{"OutputPort", unsafe.Sizeof(OutputPort{}), 128},
-		{"Router", unsafe.Sizeof(Router{}), 488},
+		// The ST register in its 16-byte wire form, no allocated counter.
+		{"InputPort", unsafe.Sizeof(InputPort{}), 96},
+		{"OutputPort", unsafe.Sizeof(OutputPort{}), 104},
+		// Neither keeps a copy of the configuration, regions, routing,
+		// history or SA scratch: the shard store holds them (488 and 304
+		// bytes when they did).
+		{"Router", unsafe.Sizeof(Router{}), 200},
+		{"NI", unsafe.Sizeof(NI{}), 200},
 		// A two-slot inline ring of 16-byte wire flits with byte indices.
 		{"DelayLine[wireFlit]", unsafe.Sizeof(sim.DelayLine[wireFlit]{}), 48},
 		{"arbiter.Prioritized", unsafe.Sizeof(arbiter.Prioritized{}), 4},
 	} {
+		t.Logf("%s: %d bytes (budget %d)", c.name, c.size, c.budget)
 		if c.size > c.budget {
 			t.Errorf("%s is %d bytes, budget %d", c.name, c.size, c.budget)
 		}

@@ -4,6 +4,8 @@ import (
 	"rair/internal/arbiter"
 	"rair/internal/msg"
 	"rair/internal/policy"
+	"rair/internal/region"
+	"rair/internal/routing"
 	"rair/internal/topology"
 )
 
@@ -20,6 +22,21 @@ import (
 // array. The store itself performs no synchronization: exactly one shard owns
 // it, and the engine's barrier phases serialize all access.
 type SoA struct {
+	// What the shard's routers and NIs share, held once rather than copied
+	// into each: the VC depth, VCs per port, message classes, NI injector
+	// slots and a port's all-VCs mask; regions, which classifies traffic
+	// (native/foreign, regional/global); alg and sel, which route a head;
+	// hist, DBAR's congestion view (nil unless the selector reads it;
+	// NewHistory sets it); and onEject, which observes every packet the NIs
+	// consume (nil: none).
+	depth, nvc, classes, injectors int
+	allMask                        vcMask
+	regions                        *region.Map
+	alg                            routing.Algorithm
+	sel                            routing.Selector
+	hist                           *History
+	onEject                        func(*msg.Packet, int64)
+
 	// Work[li] mirrors router li's pipeline population (rcCount+vaCount+
 	// activeCount plus its occupied ST registers); NIWork[li] mirrors NI
 	// li's (queued+streaming+draining). The engine skips any component
@@ -73,9 +90,11 @@ type SoA struct {
 	// skips the arbiter scan); vaTouched lists the output VCs requested this
 	// tick.
 	// dirBuf carries a route's candidates to the selection function (a stack
-	// array would escape through the interface call). saPrio is one input
-	// port's SA_in priorities, saOutPri the SA_out priorities of the output
-	// port under arbitration; their request sets are masks in registers.
+	// array would escape through the interface call). saOutVC holds the
+	// SA_in winner per input port (entries of ports that nominated nothing
+	// this tick are stale and never read). saPrio is one input port's SA_in
+	// priorities, saOutPri the SA_out priorities of the output port under
+	// arbitration; their request sets are masks in registers.
 	// Rank alone reads the priority rows: under the other rules
 	// vaNative marks the native requestors of this tick's rows (bits of
 	// input VCs that filed no request are stale and never read), vaCls is
@@ -88,11 +107,15 @@ type SoA struct {
 	vaReqN, vaSingle []int
 	vaTouched        []int
 	dirBuf           [2]topology.Dir
+	saOutVC          [topology.NumDirs]*inputVC
 	saOutPri         [topology.NumDirs]int
 }
 
-// NewSoA returns a store for n routers/NIs sharing one configuration.
-func NewSoA(cfg Config, n int) *SoA {
+// NewSoA returns a store for n routers/NIs sharing one configuration,
+// region map, routing algorithm and selector; onEject (may be nil) observes
+// every packet the store's NIs consume.
+func NewSoA(cfg Config, regions *region.Map, alg routing.Algorithm, sel routing.Selector,
+	onEject func(*msg.Packet, int64), n int) *SoA {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -100,6 +123,8 @@ func NewSoA(cfg Config, n int) *SoA {
 	nd := int(topology.NumDirs)
 	words := (n + 63) / 64
 	s := &SoA{
+		depth: cfg.Depth, nvc: v, classes: cfg.Classes, injectors: cfg.InjectorCount(),
+		allMask: allVCs(v), regions: regions, alg: alg, sel: sel, onEject: onEject,
 		Work:        make([]int32, n),
 		NIWork:      make([]int32, n),
 		ArmedR:      make([]uint64, words),
@@ -145,7 +170,7 @@ func NewSoA(cfg Config, n int) *SoA {
 			for i := range ivcs {
 				ivcs[i] = inputVC{idx: uint8(i)}
 			}
-			s.Ins[p] = InputPort{dir: topology.Dir(d), vcs: ivcs}
+			s.Ins[p] = InputPort{dir: uint8(d), vcs: ivcs}
 			ovcs := s.outVCs[p*v : (p+1)*v : (p+1)*v]
 			for i := range ovcs {
 				ovcs[i] = outputVC{credits: int32(cfg.Depth)}

@@ -8,7 +8,7 @@ import (
 // BenchmarkWakeEnqueue measures arming a component in the shard store's
 // wake bitmap — the cost every flit arrival and injection pays.
 func BenchmarkWakeEnqueue(b *testing.B) {
-	s := NewSoA(DefaultConfig(1), 64)
+	s := NewSoA(DefaultConfig(1), nil, nil, nil, nil, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.armR(i & 63)
@@ -23,7 +23,7 @@ func BenchmarkWakeEnqueue(b *testing.B) {
 func BenchmarkWakeDrain(b *testing.B) {
 	for _, armed := range []int{1, 8, 64} {
 		b.Run(map[int]string{1: "sparse", 8: "regional", 64: "saturated"}[armed], func(b *testing.B) {
-			s := NewSoA(DefaultConfig(1), 64)
+			s := NewSoA(DefaultConfig(1), nil, nil, nil, nil, 64)
 			b.ReportAllocs()
 			visited := 0
 			for i := 0; i < b.N; i++ {

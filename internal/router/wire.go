@@ -155,8 +155,8 @@ type FlitWire struct {
 }
 
 // send pushes f: at most one flit per cycle (ST guarantees it).
-func (w FlitWire) send(f msg.Flit) {
-	w.s.rows[w.i].line.Push(onWire(f))
+func (w FlitWire) send(f wireFlit) {
+	w.s.rows[w.i].line.Push(f)
 	if w.mark {
 		w.s.mark(w.i)
 	}

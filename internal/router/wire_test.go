@@ -34,7 +34,7 @@ func (l testLink) ShiftCredits() (int, bool) {
 	return vc, vc >= 0
 }
 
-func (l testLink) SendFlit(f msg.Flit) { l.f.send(f) }
+func (l testLink) SendFlit(f msg.Flit) { l.f.send(onWire(f)) }
 func (l testLink) SendCredit(vc int)   { l.c.send(vc) }
 func (l testLink) CanSendFlit() bool   { return l.f.s.rows[l.f.i].line.CanPush() }
 func (l testLink) CanSendCredit() bool { return l.c.InFlight() < 0 }

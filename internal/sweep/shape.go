@@ -111,7 +111,8 @@ type Op string
 const (
 	// Less: A <= K·B − Margin, one cell each (K 0 reads as 1).
 	Less Op = "Less"
-	// Within: every cell of A lies in [Lo, Hi] (Hi 0 = no upper bound).
+	// Within: every cell of A lies in [Lo, Hi] (Hi 0 = no upper bound; Lo
+	// math.Inf(-1) = no lower bound, the at-most form, whose room is Hi − v).
 	Within Op = "Within"
 	// Monotone: A does not fall down the rows by more than the fraction K.
 	Monotone Op = "Monotone"
@@ -135,7 +136,7 @@ type Pred struct {
 }
 
 // String renders p as its table row reads: the word, its cells and the
-// parameters that are set.
+// parameters that are set (an infinite bound is no bound, and not printed).
 func (p Pred) String() string {
 	s := string(p.Op) + "(" + p.A.String()
 	if p.Op == Less || p.Op == Knee {
@@ -144,7 +145,7 @@ func (p Pred) String() string {
 	for i, v := range [...]float64{p.K, p.Margin, p.Lo, p.Hi} {
 		if name := [...]string{"K", "Margin", "Lo", "Hi"}[i]; v == Positive {
 			s += " " + name + ">0"
-		} else if v != 0 {
+		} else if v != 0 && !math.IsInf(v, 0) {
 			s += fmt.Sprintf(" %s=%.4g", name, v)
 		}
 	}

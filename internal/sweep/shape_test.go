@@ -75,6 +75,33 @@ func TestPredicateRoom(t *testing.T) {
 	}
 }
 
+// Within's at-most form renders as the row reads, with no infinite bound,
+// and reads the distance from Hi on a cell below Hi/2, where Hi alone (Lo 0)
+// would read the cell's distance from 0.
+func TestWithinAtMost(t *testing.T) {
+	tbl, err := ParseCSVTable(vocabCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := Sel{Row: "new", Col: "apl", Last: true} // 30
+	for _, tc := range []struct {
+		p    Pred
+		want float64
+		str  string
+	}{
+		{Pred{Op: Within, A: top, Lo: math.Inf(-1), Hi: 100}, 70, "Within(new[last]:apl Hi=100)"},
+		{Pred{Op: Within, A: top, Lo: math.Inf(-1), Hi: 20}, -10, "Within(new[last]:apl Hi=20)"},
+		{Pred{Op: Within, A: top, Hi: 100}, 30, "Within(new[last]:apl Hi=100)"},
+	} {
+		if got, err := tc.p.room(tbl); err != nil || got != tc.want {
+			t.Errorf("%s: room %v, %v; want %v", tc.p, got, err, tc.want)
+		}
+		if got := tc.p.String(); got != tc.str {
+			t.Errorf("String() = %q, want %q", got, tc.str)
+		}
+	}
+}
+
 // Two local guards through CheckStore: slack is the smallest room, the
 // tightest predicate is named, and three seeds of one guard get a spread
 // line that is thin when the smallest slack is below the spread.
