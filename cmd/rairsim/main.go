@@ -19,9 +19,7 @@
 // observation on; results are bit-identical either way. -telemetry-trace N
 // additionally traces every N-th packet's flit lifecycle and writes it as
 // Chrome trace_event JSON beside the record (record.trace.json); load it in
-// chrome://tracing or https://ui.perfetto.dev. -metrics-addr HOST:PORT
-// serves the record live, once per telemetry window, as Prometheus text at
-// /metrics and JSON at /snapshot.
+// chrome://tracing or https://ui.perfetto.dev.
 //
 // -check-invariants runs the runtime invariant checker at every cycle and
 // fails the run on any violation (DESIGN.md "Runtime invariant checker").
@@ -64,9 +62,6 @@ report.
   rairsim -example                  print an example configuration
   rairsim -f sim.json -record record.json -telemetry-trace 1000
                                     write the run record and a Chrome trace
-  rairsim -f sim.json -metrics-addr localhost:9464
-                                    serve live /metrics (Prometheus text)
-                                    and /snapshot (JSON) during the run
   rairsim -f sim.json -check-invariants
                                     fail the run on any invariant violation
 
@@ -85,8 +80,7 @@ func main() {
 // options are the command-line settings that do not live in the simulation
 // file.
 type options struct {
-	record, metricsAddr    string
-	cpuprofile, memprofile string
+	record, cpuprofile, memprofile string
 }
 
 // usageError prints msg and the usage text and exits 2, like an unknown
@@ -109,7 +103,6 @@ func configure(args []string) (*config.File, options, error) {
 	showExample := fs.Bool("example", false, "print an example configuration and exit")
 	fs.StringVar(&o.record, "record", "", "write the run record (JSON) to this path; turns every observation section on")
 	telTrace := fs.Uint64("telemetry-trace", 0, "trace every N-th packet's flit lifecycle into a Chrome trace beside the -record path (0 = off)")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the record live at /metrics and /snapshot on this address, published once per telemetry window")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this path")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this path")
 	workers := fs.Int("workers", -1, "tick-engine shard count: -1 = take the config file's value, 0 = auto-select from GOMAXPROCS, >= 1 explicit (results are bit-identical at any count)")
@@ -170,14 +163,6 @@ func run(args []string) error {
 	sim, err := f.Build()
 	if err != nil {
 		return err
-	}
-	if o.metricsAddr != "" {
-		addr, closeObs, err := sim.ServeObs(o.metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer closeObs()
-		fmt.Fprintf(os.Stderr, "rairsim: serving http://%s/metrics and /snapshot\n", addr)
 	}
 	rep, err := sim.Run(f.Phases)
 	if err != nil {

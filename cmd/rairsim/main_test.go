@@ -84,7 +84,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != 2 || rep.Results == nil {
+	if rep.Schema != 3 || rep.Results == nil {
 		t.Fatalf("schema %d, results %v", rep.Schema, rep.Results)
 	}
 	if !strings.Contains(text.String(), rep.String()) {

@@ -53,18 +53,20 @@ func Fig15Table(title string, _ []Point, ps []*Panel) *Table {
 	return t
 }
 
-// DeltaTable renders the DeltaSchemes axis: the average reduction per Δ.
+// DeltaTable renders the DeltaSchemes axis: the average reduction per Δ,
+// to three decimals, since the delta claim reads differences of a few
+// thousandths of a percent.
 func DeltaTable(title string, _ []Point, ps []*Panel) *Table {
 	p := ps[0]
 	t := &Table{Title: title, Header: []string{"delta", "avg reduction"}}
 	for ri := 1; ri < len(p.Labels); ri++ {
-		t.AddRow(p.Labels[ri], pct(p.AvgReduction(ri)))
+		t.AddRow(p.Labels[ri], fmt.Sprintf("%+.3f%%", 100*p.AvgReduction(ri)))
 	}
 	return t
 }
 
 // VCSplitTable renders the VCSplitPoints axis: each split's average
-// reduction against the baseline point.
+// reduction against the baseline point, to three decimals as DeltaTable's.
 func VCSplitTable(title string, pts []Point, ps []*Panel) *Table {
 	t := &Table{Title: title, Header: []string{"global VCs", "regional VCs", "avg reduction vs RO_RR"}}
 	all := &Panel{Apps: ps[0].Apps}
@@ -73,7 +75,7 @@ func VCSplitTable(title string, pts []Point, ps []*Panel) *Table {
 	}
 	for i, pt := range pts[1:] {
 		r := pt.Router
-		t.AddRow(fmt.Sprintf("%d", r.GlobalVCs), fmt.Sprintf("%d", r.AdaptiveVCs-r.GlobalVCs), pct(all.AvgReduction(i+1)))
+		t.AddRow(fmt.Sprintf("%d", r.GlobalVCs), fmt.Sprintf("%d", r.AdaptiveVCs-r.GlobalVCs), fmt.Sprintf("%+.3f%%", 100*all.AvgReduction(i+1)))
 	}
 	return t
 }

@@ -95,8 +95,8 @@ type Attached struct {
 
 // Sim is one built simulation point: the wired network, the engine that
 // ticks the sources and then the network each cycle, and the collector the
-// ejections feed. Build returns it before the first cycle so a caller can
-// add engine hooks; Net stays readable after Run until Close.
+// ejections feed. Build returns it before the first cycle; Net stays
+// readable after Run until Close.
 type Sim struct {
 	Net *network.Network
 	Eng *sim.Engine

@@ -1,17 +1,14 @@
 package network
 
-import (
-	"math/bits"
-	"time"
-)
+import "time"
 
 // Engine self-profiling (Params.Profile): per-shard wall time per phase,
-// coordinator barrier-wait histograms, armed-component visit counts and
-// dirty-wire sweep sizes, plus derived quiescence hit rates. All of it is
-// observational — the profiled quantities are wall-clock and visit counts,
-// never simulation state — so enabling it cannot change results; the
-// recording paths are gated so that a network built without Profile pays
-// nothing beyond dead register increments inside already-hot loops.
+// coordinator barrier waits, armed-component visit counts and dirty-wire
+// sweep sizes. All of it is observational — the profiled quantities are
+// wall-clock and visit counts, never simulation state — so enabling it
+// cannot change results; the recording paths are gated so that a network
+// built without Profile pays nothing beyond dead register increments inside
+// already-hot loops.
 //
 // Shard counters are written only by the owning shard during its phase
 // (same ownership discipline as telemetry probes) and each shard's counter
@@ -24,11 +21,6 @@ import (
 var PhaseNames = [numPhases]string{"links", "compute"}
 
 const numPhases = 2
-
-// barrierHistBuckets is the number of log2-nanosecond barrier-wait buckets:
-// bucket k counts waits in [2^(k-1), 2^k) ns, with the last bucket catching
-// everything at or above ~65 µs.
-const barrierHistBuckets = 18
 
 // EngineProfile is the exported self-profile of one network's tick engine.
 type EngineProfile struct {
@@ -54,7 +46,8 @@ type ShardProfile struct {
 
 	// RouterTicks/NITicks count armed-component visits in the compute
 	// sweep (a stalled router is visited but not ticked; it still counts —
-	// the sweep paid for it).
+	// the sweep paid for it). Over Nodes × Cycles slots, the rest is the
+	// share the armed sweep skipped, the quiescence hit rate.
 	RouterTicks int64 `json:"routerTicks"`
 	NITicks     int64 `json:"niTicks"`
 
@@ -68,11 +61,6 @@ type ShardProfile struct {
 	// included).
 	DirtyFlitWires int64 `json:"dirtyFlitWires"`
 	DirtyCredWires int64 `json:"dirtyCredWires"`
-
-	// RouterQuiescence/NIQuiescence are the fraction of (node, cycle)
-	// slots the armed sweep skipped — the quiescence hit rate.
-	RouterQuiescence float64 `json:"routerQuiescence"`
-	NIQuiescence     float64 `json:"niQuiescence"`
 }
 
 // BarrierProfile is the coordinator's barrier-wait record for one phase.
@@ -81,10 +69,6 @@ type BarrierProfile struct {
 	// Waits counts barrier drains; WaitNS their total wall time.
 	Waits  int64 `json:"waits"`
 	WaitNS int64 `json:"waitNs"`
-	// Hist is a log2-ns histogram: Hist[k] counts waits below 2^k ns and
-	// at or above 2^(k-1) ns (k=0: sub-nanosecond), with the top bucket
-	// unbounded.
-	Hist [barrierHistBuckets]int64 `json:"hist"`
 }
 
 // shardProf is one shard's live counter block, exactly one 64-byte cache
@@ -101,7 +85,6 @@ type shardProf struct {
 type barrierProf struct {
 	waitNS int64
 	waits  int64
-	hist   [barrierHistBuckets]int64
 }
 
 type engineProf struct {
@@ -114,22 +97,11 @@ func newEngineProf(shards int) *engineProf {
 	return &engineProf{shards: make([]shardProf, shards)}
 }
 
-// log2Bucket maps a nanosecond wait to its histogram bucket.
-func log2Bucket(ns int64) int {
-	b := bits.Len64(uint64(ns))
-	if b >= barrierHistBuckets {
-		b = barrierHistBuckets - 1
-	}
-	return b
-}
-
 // recordBarrier accumulates one coordinator barrier drain.
 func (p *engineProf) recordBarrier(ph enginePhase, d time.Duration) {
 	bp := &p.barrier[ph]
-	ns := d.Nanoseconds()
-	bp.waitNS += ns
+	bp.waitNS += d.Nanoseconds()
 	bp.waits++
-	bp.hist[log2Bucket(ns)]++
 }
 
 // EngineProfile snapshots the engine's self-profile, or nil when the
@@ -144,27 +116,21 @@ func (n *Network) EngineProfile() *EngineProfile {
 	out := &EngineProfile{Cycles: prof.cycles, Workers: len(n.eng.shards)}
 	for i := range prof.shards {
 		sp := &prof.shards[i]
-		sh := n.eng.shards[i]
-		s := ShardProfile{
+		out.Shards = append(out.Shards, ShardProfile{
 			Shard:          i,
-			Nodes:          len(sh.routers),
+			Nodes:          len(n.eng.shards[i].routers),
 			PhaseNS:        sp.phaseNS,
 			RouterTicks:    sp.routerTicks,
 			NITicks:        sp.niTicks,
 			DirtyFlitWires: sp.dirtyFlit,
 			DirtyCredWires: sp.dirtyCred,
-		}
-		if slots := int64(s.Nodes) * prof.cycles; slots > 0 {
-			s.RouterQuiescence = 1 - float64(s.RouterTicks)/float64(slots)
-			s.NIQuiescence = 1 - float64(s.NITicks)/float64(slots)
-		}
-		out.Shards = append(out.Shards, s)
+		})
 	}
 	if len(n.eng.cmd) > 0 {
 		for ph := 0; ph < numPhases; ph++ {
 			bp := &prof.barrier[ph]
 			out.Barrier = append(out.Barrier, BarrierProfile{
-				Phase: PhaseNames[ph], Waits: bp.waits, WaitNS: bp.waitNS, Hist: bp.hist,
+				Phase: PhaseNames[ph], Waits: bp.waits, WaitNS: bp.waitNS,
 			})
 		}
 	}

@@ -177,13 +177,15 @@ type OutputPort struct {
 	streamMask vcMask // owned VCs whose tail has NOT been sent (live input streams)
 }
 
-// deliverCredit accepts a returned credit from the downstream router. The
-// overflow panic formats its message out of line, in creditOverflow.
+// deliverCredit accepts a returned credit from the downstream router. A
+// credit beyond the depth panics with a creditOverflow naming the port and
+// the VC; the message is formatted only when the panic prints, so
+// deliverCredit inlines into Router.DeliverCredit.
 func (p *OutputPort) deliverCredit(vc int, depth int) {
 	v := &p.vcs[vc]
 	v.credits++
 	if int(v.credits) > depth {
-		p.creditOverflow(vc)
+		panic(creditOverflow{p.dir, int32(vc)})
 	}
 	p.creditSum++
 	p.creditMask |= 1 << uint(vc)
@@ -192,9 +194,15 @@ func (p *OutputPort) deliverCredit(vc int, depth int) {
 	}
 }
 
-//go:noinline
-func (p *OutputPort) creditOverflow(vc int) {
-	panic(fmt.Sprintf("router: credit overflow on %s VC %d", topology.Dir(p.dir), vc))
+// creditOverflow is an output port's panic value for a credit it never
+// spent.
+type creditOverflow struct {
+	dir uint8 // a topology.Dir
+	vc  int32
+}
+
+func (e creditOverflow) Error() string {
+	return fmt.Sprintf("router: credit overflow on %s VC %d", topology.Dir(e.dir), e.vc)
 }
 
 // free releases output VCs whose packets have fully drained downstream:

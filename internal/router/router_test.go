@@ -330,3 +330,16 @@ func TestFullRunLeavesAtAnyDepth(t *testing.T) {
 		}
 	}
 }
+
+// A credit an output port never spent panics with a value naming the port
+// and the VC, the router-side twin of TestNICreditOverflowNamesNodeAndVC.
+func TestCreditOverflowNamesPortAndVC(t *testing.T) {
+	r, _ := testRouter(DefaultConfig(1), policy.Spec{})
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || err.Error() != "router: credit overflow on East VC 2" {
+			t.Fatalf("panic %v, want the port and VC named", err)
+		}
+	}()
+	r.DeliverCredit(topology.East, 2) // every VC starts with its full stock
+}

@@ -20,7 +20,6 @@ func (f TickFunc) Tick(cycle int64) { f(cycle) }
 type Engine struct {
 	now   int64
 	parts []Tickable
-	hooks []func(cycle int64)
 }
 
 // NewEngine returns an engine at cycle 0.
@@ -33,19 +32,11 @@ func (e *Engine) Now() int64 { return e.now }
 // order.
 func (e *Engine) Register(t Tickable) { e.parts = append(e.parts, t) }
 
-// OnCycle registers a hook invoked after all components have ticked in a
-// cycle. Hooks run in registration order; they are used for statistics
-// sampling and invariant checks.
-func (e *Engine) OnCycle(f func(cycle int64)) { e.hooks = append(e.hooks, f) }
-
 // Step advances the simulation by one cycle.
 func (e *Engine) Step() {
 	c := e.now
 	for _, t := range e.parts {
 		t.Tick(c)
-	}
-	for _, h := range e.hooks {
-		h(c)
 	}
 	e.now++
 }

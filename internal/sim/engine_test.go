@@ -30,35 +30,10 @@ func TestEngineTickOrder(t *testing.T) {
 	}
 }
 
-func TestEngineHooksRunAfterComponents(t *testing.T) {
-	e := NewEngine()
-	var trace []int
-	e.Register(&recorder{id: 1, trace: &trace})
-	e.OnCycle(func(int64) { trace = append(trace, 99) })
-	e.Run(3)
-	for i := 0; i < len(trace); i += 2 {
-		if trace[i] != 1 || trace[i+1] != 99 {
-			t.Fatalf("hook ordering broken: %v", trace)
-		}
-	}
-}
-
-func TestEngineHookSeesCycle(t *testing.T) {
-	e := NewEngine()
-	var cycles []int64
-	e.OnCycle(func(c int64) { cycles = append(cycles, c) })
-	e.Run(4)
-	for i, c := range cycles {
-		if c != int64(i) {
-			t.Fatalf("hook cycle %d = %d", i, c)
-		}
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.OnCycle(func(int64) { n++ })
+	e.Register(TickFunc(func(int64) { n++ }))
 	if !e.RunUntil(func() bool { return n >= 5 }, 100) {
 		t.Fatal("RunUntil failed to satisfy condition")
 	}

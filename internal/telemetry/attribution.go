@@ -217,7 +217,7 @@ func (r *AttributionReport) Conservation() error {
 }
 
 // Totals returns the sum of every probe's counter block: the totals of
-// Summary and Report, and the one place they are summed.
+// Report, and the one place they are summed.
 func (c *Collector) Totals() Counters {
 	var t Counters
 	for _, p := range c.probes {

@@ -27,17 +27,10 @@ type RouterReport struct {
 	Windows  []WindowSample `json:"windows,omitempty"`
 }
 
-// Summary is the report without its per-router blocks: the header and the
-// totals, which is all a mid-run publish carries (copying every router's
-// window ring on each publish would dominate a large mesh).
-func (c *Collector) Summary() *Report {
-	return &Report{Window: c.cfg.Window, Cycles: c.now, TraceEvery: c.cfg.TraceEvery, Totals: c.Totals()}
-}
-
-// Report builds the full report: the summary plus every probe's counters
-// and windows.
+// Report builds the report: the header, the totals and every probe's
+// counters and windows.
 func (c *Collector) Report() *Report {
-	r := c.Summary()
+	r := &Report{Window: c.cfg.Window, Cycles: c.now, TraceEvery: c.cfg.TraceEvery, Totals: c.Totals()}
 	for _, p := range c.probes {
 		if p == nil {
 			continue

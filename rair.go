@@ -46,7 +46,6 @@ import (
 	"rair/internal/invariant"
 	"rair/internal/memsys"
 	"rair/internal/msg"
-	"rair/internal/obs"
 	"rair/internal/region"
 	"rair/internal/router"
 	"rair/internal/routing"
@@ -191,25 +190,6 @@ type Simulation struct {
 	apps      []traffic.AppTraffic
 	parsec    bool
 	adversary float64
-
-	obsSrv *obs.Server
-}
-
-// ServeObs starts a live observability HTTP listener on addr (host:port;
-// ":0" picks a free port) and turns Telemetry on. During Run the run record
-// is published at /snapshot (JSON) and /metrics (its Prometheus view) once
-// per telemetry window, carrying the cycle, the telemetry totals, the
-// attribution and the engine profile, and once more complete at the end
-// of the run. Call before Run. Returns the bound address and a close
-// function the caller must invoke when done.
-func (s *Simulation) ServeObs(addr string) (string, func() error, error) {
-	srv, err := obs.NewServer(addr, &Report{Schema: ReportSchema})
-	if err != nil {
-		return "", nil, err
-	}
-	s.obsSrv = srv
-	s.cfg.Telemetry = true
-	return srv.Addr(), srv.Close, nil
 }
 
 // New validates the configuration and builds a simulation.
@@ -509,19 +489,11 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 	r := s.rcfg
 	cfg.Classes, cfg.AdaptiveVCs, cfg.GlobalVCs, cfg.EscapeVCs, cfg.Depth, cfg.LinkLatency =
 		r.Classes, r.AdaptiveVCs, r.GlobalVCs, r.EscapeVCs, r.Depth, r.LinkLatency
-	if srv := s.obsSrv; srv != nil {
-		// Runs on the coordinating goroutine after the tick completes, so
-		// reading telemetry and the engine profile is race-free.
-		b.Eng.OnCycle(func(cycle int64) {
-			if (cycle+1)%telemetry.DefaultWindow == 0 {
-				srv.Publish(snapshot(cfg, cycle, b, tel))
-			}
-		})
-	}
 	b.Run()
 
 	col := b.Col
-	rep := snapshot(cfg, b.Eng.Now(), b, tel)
+	rep := &Report{Schema: ReportSchema, Config: cfg, Workers: b.Net.Workers(), Cycle: b.Eng.Now(),
+		Engine: b.Net.EngineProfile(), tel: tel}
 	rep.Results = &Results{
 		APL:         col.APL(),
 		PerApp:      map[int]float64{},
@@ -537,10 +509,7 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		rep.PerApp[app] = col.App(app).Mean()
 	}
 	if tel != nil {
-		rep.Telemetry = tel.Report()
-	}
-	if srv := s.obsSrv; srv != nil {
-		srv.Publish(rep)
+		rep.Telemetry, rep.Attribution = tel.Report(), tel.Attribution()
 	}
 	if chk := b.Net.Checker(); chk != nil {
 		if err := chk.Err(); err != nil {
@@ -548,15 +517,4 @@ func (s *Simulation) Run(ph Phases) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// snapshot is the record as a mid-run publish carries it: the header, the
-// telemetry totals, the attribution and the engine profile.
-func snapshot(cfg Config, cycle int64, b *harness.Sim, tel *telemetry.Collector) *Report {
-	rep := &Report{Schema: ReportSchema, Config: cfg, Workers: b.Net.Workers(), Cycle: cycle,
-		Engine: b.Net.EngineProfile(), tel: tel}
-	if tel != nil {
-		rep.Telemetry, rep.Attribution = tel.Summary(), tel.Attribution()
-	}
-	return rep
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
+
+	"rair/internal/obs"
 )
 
 // observedSim is a small two-region RAIR run with cross-region traffic.
@@ -58,5 +61,53 @@ func TestTelemetryObserverOnly(t *testing.T) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&back); err != nil || !reflect.DeepEqual(back.Results, on.Results) {
 		t.Fatalf("record round trip: %v, results %+v", err, back.Results)
+	}
+}
+
+// TestRecordSchema pins the record's layout at ReportSchema 3: Report's
+// WriteJSON is obs.WriteJSON's bytes, and the engine section carries the
+// barrier waits without a histogram and the shards' visit counts without
+// derived quiescence ratios.
+func TestRecordSchema(t *testing.T) {
+	rep, err := observedSim(t, Config{Telemetry: true, Workers: 2}).Run(observedPhases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSON(&want, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("Report.WriteJSON wrote\n%s\nwant obs.WriteJSON's\n%s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), `"schema": 3`) {
+		t.Fatalf("record lacks schema 3:\n%.200s", got.String())
+	}
+	var doc struct {
+		Engine struct {
+			Shards  []map[string]json.RawMessage `json:"shards"`
+			Barrier []map[string]json.RawMessage `json:"barrier"`
+		} `json:"engine"`
+	}
+	if err := json.Unmarshal(got.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Engine.Shards) != 2 || len(doc.Engine.Barrier) == 0 {
+		t.Fatalf("engine section has %d shards and %d barriers, want 2 and some", len(doc.Engine.Shards), len(doc.Engine.Barrier))
+	}
+	for _, bp := range doc.Engine.Barrier {
+		if _, ok := bp["hist"]; ok {
+			t.Fatal("engine.barrier carries a hist key")
+		}
+	}
+	for _, sh := range doc.Engine.Shards {
+		for _, k := range []string{"routerQuiescence", "niQuiescence"} {
+			if _, ok := sh[k]; ok {
+				t.Fatalf("engine.shards carries %s", k)
+			}
+		}
 	}
 }
